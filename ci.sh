@@ -5,6 +5,11 @@ set -eux
 cargo build --release
 cargo test -q
 cargo clippy -- -D warnings
+# The benchmark (`perfbench/`) is its own package outside the workspace, so
+# the workspace build above cannot see it: build and test it here so a
+# public-API change in the crates it drives fails CI instead of the next
+# benchmark run.
+CARGO_TARGET_DIR=.bench_build cargo test --manifest-path perfbench/Cargo.toml
 # Optimizer escape hatch: with the pre-decode FIR optimizer compiled out
 # (`no-fir-opt`), the three-way reference/decoded/decoded+opt equivalence
 # gate must still hold — the unoptimized decoded lowering is the fallback

@@ -1696,7 +1696,7 @@ mod tests {
         let dir = tmpdir("degrade");
         let mut ck = CheckpointConfig::new(&dir);
         ck.snapshot_every_execs = 50;
-        ck.disk_faults = vmos::DiskFaultPlan::uniform_transient(7, 1.0);
+        ck.disk_faults = vmos::DiskFaultPlan::uniform(7, 1.0, vmos::DiskFaultKind::is_transient);
         let out = run_checkpointed(&m, &seeds, &ck)
             .finished()
             .expect("storage failure must degrade, never kill the campaign");

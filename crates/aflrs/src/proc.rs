@@ -609,11 +609,12 @@ where
                 // switch — the real one is ignored for a doomed attempt,
                 // since recovery re-runs the epoch wholesale either way.
                 let start_execs = msg.state.scalars.execs;
-                let self_fault = match hello.proc_faults.decide(lane_idx, msg.epoch, msg.attempt) {
+                let site = (lane_idx, msg.epoch);
+                let self_fault = match hello.proc_faults.decide(site, msg.attempt) {
                     Some(ProcFaultKind::Kill) | None => None,
                     Some(k) => Some(k),
                 };
-                let trip_after = hello.proc_faults.aux_bits(lane_idx, msg.epoch, msg.attempt) % 16;
+                let trip_after = hello.proc_faults.aux_bits(site, msg.attempt) % 16;
                 let sabotage = self_fault
                     .map(|_| KillSwitch::new(start_execs + trip_after, start_execs));
                 let real_kill = msg
@@ -1060,7 +1061,8 @@ fn dispatch_epoch(
         journal,
     };
     child.send(K_RUN_EPOCH, &encode_run_epoch(&msg))?;
-    if sup_cfg.proc_faults.decide(lane_idx as u64, epoch, attempt) == Some(ProcFaultKind::Kill) {
+    let site = (lane_idx as u64, epoch);
+    if sup_cfg.proc_faults.decide(site, attempt) == Some(ProcFaultKind::Kill) {
         child.kill();
     }
     Ok(())
@@ -1663,8 +1665,8 @@ mod tests {
             seeds: vec![b"a".to_vec(), Vec::new(), vec![0xFF; 33]],
             faults: OrchFaultPlan::none(),
             hang_deadline_ticks: 2048,
-            proc_faults: ProcFaultPlan::at(1, 2, ProcFaultKind::Abort),
-            disk_faults: DiskFaultPlan::at(1, 4, vmos::DiskFaultKind::ShortWrite),
+            proc_faults: ProcFaultPlan::at((1, 2), ProcFaultKind::Abort),
+            disk_faults: DiskFaultPlan::at((1, 4), vmos::DiskFaultKind::ShortWrite),
             storage_retries: 5,
             storage_backoff_cycles: 1234,
             exec_restore: Some(ExecutorState {

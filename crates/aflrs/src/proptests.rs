@@ -8,7 +8,9 @@ use closurex::executor::{Executor, ExecutorFactory};
 use closurex::harness::{ClosureXConfig, ClosureXExecutor};
 use closurex::resilience::{DegradationLevel, HarnessError};
 use vmos::cov::{VirginMap, MAP_SIZE};
-use vmos::{Crash, CrashKind, DiskFaultKind, DiskFaultPlan, OrchFaultKind, OrchFaultPlan};
+use vmos::{
+    Crash, CrashKind, DiskFaultKind, DiskFaultPlan, OrchFaultKind, OrchFaultPlan, PlanKind,
+};
 
 use crate::builder::Campaign;
 use crate::campaign::{CampaignConfig, Stage};
@@ -453,7 +455,7 @@ proptest! {
         } else {
             OrchFaultKind::LaneHang
         };
-        let mut faults = OrchFaultPlan::at(lane, epoch, kind);
+        let mut faults = OrchFaultPlan::at((lane, epoch), kind);
         faults.targeted[0].fires = fires; // fires <= max_lane_retries: recovery converges
         let faulted = run(Some(SupervisorConfig {
             faults,
@@ -540,7 +542,7 @@ proptest! {
         // `fires` beyond the default retry budget (3) models permanently
         // broken storage: the transient kinds must then take the typed
         // degradation exit instead of erroring out.
-        let mut plan = DiskFaultPlan::at(stream, op, DiskFaultKind::ALL[kind_ix]);
+        let mut plan = DiskFaultPlan::at((stream, op), DiskFaultKind::ALL[kind_ix]);
         plan.targeted[0].fires = fires;
 
         let dir = std::env::temp_dir().join(format!(
@@ -751,22 +753,17 @@ fn arb_rpc_op() -> impl Strategy<Value = RpcOp> {
     ]
 }
 
-const NET_KINDS: [NetFaultKind; 6] = [
-    NetFaultKind::Drop,
-    NetFaultKind::Delay,
-    NetFaultKind::Duplicate,
-    NetFaultKind::Corrupt,
-    NetFaultKind::Disconnect,
-    NetFaultKind::PartialFrame,
-];
-
 fn arb_net_plan() -> impl Strategy<Value = NetFaultPlan> {
     prop_oneof![
         Just(NetFaultPlan::none()),
-        (any::<u64>(), 0u32..30)
-            .prop_map(|(seed, pct)| NetFaultPlan::uniform_lossy(seed, f64::from(pct) / 100.0)),
-        (0u64..3, 0u8..2, 0u64..5, 0usize..6)
-            .prop_map(|(conn, dir, frame, k)| NetFaultPlan::at(conn, dir, frame, NET_KINDS[k])),
+        (any::<u64>(), 0u32..30).prop_map(|(seed, pct)| NetFaultPlan::uniform(
+            seed,
+            f64::from(pct) / 100.0,
+            |k| !k.kills_connection()
+        )),
+        (0u64..3, 0u8..2, 0u64..5, 0usize..6).prop_map(|(conn, dir, frame, k)| {
+            NetFaultPlan::at((conn, dir, frame), NetFaultKind::ALL[k])
+        }),
     ]
 }
 

@@ -563,10 +563,41 @@ impl Drop for MemListener {
 // Fault-injecting framed endpoint
 // ---------------------------------------------------------------------------
 
+/// One endpoint's [`NetFaultPlan`], shared by all its connections, plus
+/// how often each `(conn, direction, frame)` position has fired. That
+/// count is the attempt the position is decided at, so a single-shot
+/// fault fires once per endpoint even when several connections reuse a
+/// connection id (two clients both open their conn 0 to one server).
+struct NetFaults {
+    plan: NetFaultPlan,
+    fired: HashMap<(u64, u8, u64), u32>,
+}
+
+impl NetFaults {
+    fn shared(plan: NetFaultPlan) -> Arc<Mutex<NetFaults>> {
+        Arc::new(Mutex::new(NetFaults {
+            plan,
+            fired: HashMap::new(),
+        }))
+    }
+
+    /// The fault (if any) and its aux bits for one send at `site`.
+    fn on_send(&mut self, site: (u64, u8, u64)) -> (Option<NetFaultKind>, u64) {
+        let fired = self.fired.get(&site).copied().unwrap_or(0);
+        let fault = self.plan.decide(site, fired);
+        // The net hash ignores the attempt, so only targeted sites need a
+        // count; skipping the rest keeps a lossy server's map bounded.
+        if fault.is_some() && self.plan.targeted.iter().any(|t| t.site == site) {
+            self.fired.insert(site, fired + 1);
+        }
+        (fault, self.plan.aux_bits(site, fired))
+    }
+}
+
 /// A connection end that speaks CXFR frames and runs every *send* through
-/// a [`NetFaultPlan`]. Receive never injects — each endpoint injects on
-/// its own direction, so one plan shared by both sides covers the full
-/// `(conn, direction, frame)` grid.
+/// its endpoint's [`NetFaults`]. Receive never injects — each endpoint
+/// injects on its own direction, so one plan shared by both sides covers
+/// the full `(conn, direction, frame)` grid.
 struct FramedConn {
     conn: Conn,
     conn_id: u64,
@@ -574,7 +605,7 @@ struct FramedConn {
     /// 1 = server→client.
     direction: u8,
     next_seq: u64,
-    plan: Arc<Mutex<NetFaultPlan>>,
+    faults: Arc<Mutex<NetFaults>>,
     counters: Arc<Mutex<RpcCounters>>,
 }
 
@@ -592,7 +623,7 @@ impl FramedConn {
         conn: Conn,
         conn_id: u64,
         direction: u8,
-        plan: Arc<Mutex<NetFaultPlan>>,
+        faults: Arc<Mutex<NetFaults>>,
         counters: Arc<Mutex<RpcCounters>>,
     ) -> FramedConn {
         FramedConn {
@@ -600,7 +631,7 @@ impl FramedConn {
             conn_id,
             direction,
             next_seq: 0,
-            plan,
+            faults,
             counters,
         }
     }
@@ -622,14 +653,11 @@ impl FramedConn {
     fn send(&mut self, kind: u8, payload: &[u8]) -> Result<(), RpcError> {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let (fault, aux) = {
-            let mut plan = self.plan.lock().expect("fault plan poisoned");
-            let fault = plan.decide(self.conn_id, self.direction, seq);
-            if fault.is_some() {
-                plan.consume(self.conn_id, self.direction, seq);
-            }
-            (fault, plan.aux_bits(self.conn_id, self.direction, seq))
-        };
+        let (fault, aux) = self
+            .faults
+            .lock()
+            .expect("fault plan poisoned")
+            .on_send((self.conn_id, self.direction, seq));
         match fault {
             None => self.write_plain(kind, payload),
             Some(NetFaultKind::Drop) => {
@@ -1490,7 +1518,7 @@ impl Default for ServerOptions {
 struct ServerShared {
     service: Arc<Service>,
     journal: Mutex<ReplyJournal>,
-    plan: Arc<Mutex<NetFaultPlan>>,
+    faults: Arc<Mutex<NetFaults>>,
     counters: Arc<Mutex<RpcCounters>>,
     stop: AtomicBool,
     conns: Mutex<Vec<ConnCloser>>,
@@ -1520,7 +1548,7 @@ impl RpcServer {
         let shared = Arc::new(ServerShared {
             service,
             journal: Mutex::new(journal),
-            plan: Arc::new(Mutex::new(opts.fault_plan)),
+            faults: NetFaults::shared(opts.fault_plan),
             counters: Arc::new(Mutex::new(RpcCounters::default())),
             stop: AtomicBool::new(false),
             conns: Mutex::new(Vec::new()),
@@ -1724,7 +1752,7 @@ fn handle_conn(shared: &ServerShared, mut conn: Conn) {
         conn,
         conn_id,
         1,
-        Arc::clone(&shared.plan),
+        Arc::clone(&shared.faults),
         Arc::clone(&shared.counters),
     );
 
@@ -1894,7 +1922,7 @@ struct ClientState {
 struct ClientCore {
     net: MemNet,
     opts: RemoteOptions,
-    plan: Arc<Mutex<NetFaultPlan>>,
+    faults: Arc<Mutex<NetFaults>>,
     counters: Arc<Mutex<RpcCounters>>,
     st: Mutex<ClientState>,
 }
@@ -1924,7 +1952,7 @@ impl RemoteService {
     pub fn connect(net: &MemNet, opts: RemoteOptions) -> Result<RemoteService, RpcError> {
         let core = Arc::new(ClientCore {
             net: net.clone(),
-            plan: Arc::new(Mutex::new(opts.fault_plan.clone())),
+            faults: NetFaults::shared(opts.fault_plan.clone()),
             counters: Arc::new(Mutex::new(RpcCounters::default())),
             st: Mutex::new(ClientState {
                 conn: None,
@@ -2130,7 +2158,7 @@ impl ClientCore {
             conn,
             conn_id,
             0,
-            Arc::clone(&self.plan),
+            Arc::clone(&self.faults),
             Arc::clone(&self.counters),
         );
         let resuming = st.session != 0;
@@ -2296,15 +2324,21 @@ mod tests {
     fn framed_pair(
         plan: NetFaultPlan,
     ) -> (FramedConn, FramedConn, Arc<Mutex<RpcCounters>>, MemNet) {
+        framed_pair_sharing(&NetFaults::shared(plan))
+    }
+
+    /// A connected pair on conn id 0 whose ends inject from `faults`.
+    fn framed_pair_sharing(
+        faults: &Arc<Mutex<NetFaults>>,
+    ) -> (FramedConn, FramedConn, Arc<Mutex<RpcCounters>>, MemNet) {
         let net = MemNet::new();
         let listener = net.listen();
         let client = net.connect().expect("listener registered");
         let server = listener.accept().expect("one queued conn");
-        let plan = Arc::new(Mutex::new(plan));
         let counters = Arc::new(Mutex::new(RpcCounters::default()));
         (
-            FramedConn::new(client, 0, 0, Arc::clone(&plan), Arc::clone(&counters)),
-            FramedConn::new(server, 0, 1, plan, Arc::clone(&counters)),
+            FramedConn::new(client, 0, 0, Arc::clone(faults), Arc::clone(&counters)),
+            FramedConn::new(server, 0, 1, Arc::clone(faults), Arc::clone(&counters)),
             counters,
             net,
         )
@@ -2570,7 +2604,7 @@ mod tests {
     #[test]
     fn fault_drop_loses_the_frame() {
         let (mut client, mut server, counters, _net) =
-            framed_pair(NetFaultPlan::at(0, 0, 0, NetFaultKind::Drop));
+            framed_pair(NetFaultPlan::at((0, 0, 0), NetFaultKind::Drop));
         client.send(RK_REQ, b"gone").expect("drop is silent");
         server.conn.set_read_timeout(Some(Duration::from_millis(20)));
         assert_eq!(server.recv().unwrap_err(), RpcError::Timeout);
@@ -2585,7 +2619,7 @@ mod tests {
     #[test]
     fn fault_duplicate_arrives_twice() {
         let (mut client, mut server, counters, _net) =
-            framed_pair(NetFaultPlan::at(0, 0, 0, NetFaultKind::Duplicate));
+            framed_pair(NetFaultPlan::at((0, 0, 0), NetFaultKind::Duplicate));
         client.send(RK_REQ, b"twin").unwrap();
         assert_eq!(server.recv().unwrap(), (RK_REQ, b"twin".to_vec()));
         assert_eq!(server.recv().unwrap(), (RK_REQ, b"twin".to_vec()));
@@ -2595,7 +2629,7 @@ mod tests {
     #[test]
     fn fault_corrupt_is_detected_not_desynced() {
         let (mut client, mut server, counters, _net) =
-            framed_pair(NetFaultPlan::at(0, 0, 0, NetFaultKind::Corrupt));
+            framed_pair(NetFaultPlan::at((0, 0, 0), NetFaultKind::Corrupt));
         client.send(RK_REQ, b"mangle me").unwrap();
         assert_eq!(server.recv().unwrap_err(), RpcError::CorruptFrame);
         let c = counters.lock().unwrap();
@@ -2606,7 +2640,7 @@ mod tests {
     #[test]
     fn fault_disconnect_is_a_clean_eof() {
         let (mut client, mut server, counters, _net) =
-            framed_pair(NetFaultPlan::at(0, 0, 0, NetFaultKind::Disconnect));
+            framed_pair(NetFaultPlan::at((0, 0, 0), NetFaultKind::Disconnect));
         assert_eq!(
             client.send(RK_REQ, b"never sent").unwrap_err(),
             RpcError::Disconnected { clean: true }
@@ -2623,7 +2657,7 @@ mod tests {
     #[test]
     fn fault_partial_frame_is_a_torn_disconnect() {
         let (mut client, mut server, counters, _net) =
-            framed_pair(NetFaultPlan::at(0, 0, 0, NetFaultKind::PartialFrame));
+            framed_pair(NetFaultPlan::at((0, 0, 0), NetFaultKind::PartialFrame));
         assert_eq!(
             client.send(RK_REQ, b"cut short").unwrap_err(),
             RpcError::Disconnected { clean: false }
@@ -2640,7 +2674,7 @@ mod tests {
     #[test]
     fn fault_delay_charges_simulated_cycles() {
         let (mut client, mut server, counters, _net) =
-            framed_pair(NetFaultPlan::at(0, 0, 0, NetFaultKind::Delay));
+            framed_pair(NetFaultPlan::at((0, 0, 0), NetFaultKind::Delay));
         client.send(RK_REQ, b"late").unwrap();
         assert_eq!(server.recv().unwrap(), (RK_REQ, b"late".to_vec()));
         let c = counters.lock().unwrap();
@@ -2652,11 +2686,46 @@ mod tests {
     fn directions_are_independent_positions() {
         // A fault targeted at direction 1 leaves direction 0 untouched.
         let (mut client, mut server, _counters, _net) =
-            framed_pair(NetFaultPlan::at(0, 1, 0, NetFaultKind::Drop));
+            framed_pair(NetFaultPlan::at((0, 1, 0), NetFaultKind::Drop));
         client.send(RK_REQ, b"c2s").unwrap();
         assert_eq!(server.recv().unwrap(), (RK_REQ, b"c2s".to_vec()));
         server.send(RK_REPLY, b"s2c dropped").unwrap();
         client.conn.set_read_timeout(Some(Duration::from_millis(20)));
         assert_eq!(client.recv().unwrap_err(), RpcError::Timeout);
+    }
+
+    #[test]
+    fn single_shot_fault_fires_once_per_endpoint() {
+        // Two clients both open their conn 0 to one server, so the
+        // server's replies on both connections share positions: the
+        // single-shot fault at (0, 1, 1) fires on the first connection
+        // that sends there and never again.
+        let server_faults = NetFaults::shared(NetFaultPlan::at((0, 1, 1), NetFaultKind::Drop));
+        let (mut c1, mut s1, counters1, _n1) = framed_pair_sharing(&server_faults);
+        let (mut c2, mut s2, counters2, _n2) = framed_pair_sharing(&server_faults);
+        for (client, server) in [(&mut c1, &mut s1), (&mut c2, &mut s2)] {
+            server.send(RK_REPLY, b"frame 0").unwrap();
+            server.send(RK_REPLY, b"frame 1").unwrap();
+            server.send(RK_REPLY, b"frame 2").unwrap();
+            client.conn.set_read_timeout(Some(Duration::from_millis(20)));
+            assert_eq!(client.recv().unwrap(), (RK_REPLY, b"frame 0".to_vec()));
+        }
+        assert_eq!(c1.recv().unwrap(), (RK_REPLY, b"frame 2".to_vec()), "frame 1 dropped");
+        assert_eq!(c2.recv().unwrap(), (RK_REPLY, b"frame 1".to_vec()), "spent fault");
+        assert_eq!(counters1.lock().unwrap().frames_dropped, 1);
+        assert_eq!(counters2.lock().unwrap().frames_dropped, 0);
+    }
+
+    #[test]
+    fn only_targeted_sites_count_their_firings() {
+        let plan = NetFaultPlan::uniform(1, 1.0, |k| !k.kills_connection());
+        let faults = NetFaults::shared(plan.clone());
+        let mut faults = faults.lock().unwrap();
+        for frame in 0..64 {
+            let (fault, _) = faults.on_send((0, 0, frame));
+            assert_eq!(fault, plan.decide((0, 0, frame), 0));
+            assert!(fault.is_some());
+        }
+        assert!(faults.fired.is_empty(), "a lossy plan keeps no per-frame state");
     }
 }

@@ -220,10 +220,10 @@ pub(crate) fn run_lane_epoch(
     watch: &LaneAttempt<'_>,
 ) -> Result<Option<LaneFault>, CheckpointError> {
     let limit = epoch_limit(lane.cfg.budget_cycles, epoch, epochs);
-    let injected = watch.faults.decide(watch.lane, epoch, watch.attempt);
+    let injected = watch.faults.decide((watch.lane, epoch), watch.attempt);
     // Where in the epoch an injected panic/wedge lands (deterministic in
     // the plan and the position; short epochs fire at the barrier below).
-    let trip_after = watch.faults.aux_bits(watch.lane, epoch, watch.attempt) % 16;
+    let trip_after = watch.faults.aux_bits((watch.lane, epoch), watch.attempt) % 16;
     let revalidator = lane
         .revalidator
         .as_deref_mut()

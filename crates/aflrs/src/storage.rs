@@ -40,7 +40,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use serde::{Deserialize, Serialize};
-use vmos::{DiskFaultKind, DiskFaultPlan, Reader, WireError, Writer};
+use vmos::{DiskFaultKind, DiskFaultPlan, PlanKind, Reader, WireError, Writer};
 
 /// A storage stream retired to in-memory checkpointing after exhausting
 /// its retry budget. Typed and reported through
@@ -427,8 +427,8 @@ impl Storage {
         let mut attempt: u32 = 0;
         loop {
             let coord = self.base_attempt.saturating_add(attempt);
-            let decided = shared.plan.decide(self.stream, op, coord);
-            let aux = shared.plan.aux_bits(self.stream, op, coord);
+            let decided = shared.plan.decide((self.stream, op), coord);
+            let aux = shared.plan.aux_bits((self.stream, op), coord);
             let failed: io::Result<()> = match decided {
                 None => body(&Injected::None),
                 Some(DiskFaultKind::NoSpace) => Err(io::Error::from_raw_os_error(28)), // ENOSPC
@@ -576,15 +576,8 @@ mod tests {
 
     #[test]
     fn transient_fault_retries_then_succeeds() {
-        let plan = DiskFaultPlan {
-            targeted: vec![vmos::DiskFault {
-                stream: 0,
-                op: 1,
-                kind: DiskFaultKind::NoSpace,
-                fires: 2,
-            }],
-            ..DiskFaultPlan::default()
-        };
+        let mut plan = DiskFaultPlan::at((0, 1), DiskFaultKind::NoSpace);
+        plan.targeted[0].fires = 2;
         let s = Storage::new(plan, 3, 1_000);
         assert_eq!(s.op(false, |_| Ok(())), OpOutcome::Done); // op 0 clean
         assert_eq!(s.op(false, |_| Ok(())), OpOutcome::Done); // op 1 retried through
@@ -597,15 +590,8 @@ mod tests {
 
     #[test]
     fn exhausted_budget_degrades_stream_not_campaign() {
-        let plan = DiskFaultPlan {
-            targeted: vec![vmos::DiskFault {
-                stream: 2,
-                op: 0,
-                kind: DiskFaultKind::Io,
-                fires: 99,
-            }],
-            ..DiskFaultPlan::default()
-        };
+        let mut plan = DiskFaultPlan::at((2, 0), DiskFaultKind::Io);
+        plan.targeted[0].fires = 99;
         let s = Storage::new(plan, 2, 0);
         let lane = s.stream(2);
         assert_eq!(lane.op(false, |_| Ok(())), OpOutcome::Skipped);
@@ -631,7 +617,7 @@ mod tests {
 
     #[test]
     fn crash_boundary_sets_the_dead_flag() {
-        let plan = DiskFaultPlan::at(0, 0, DiskFaultKind::CrashAtBoundary);
+        let plan = DiskFaultPlan::at((0, 0), DiskFaultKind::CrashAtBoundary);
         let s = Storage::new(plan, 3, 0);
         assert_eq!(s.op(false, |_| Ok(())), OpOutcome::Crashed);
         assert!(s.crashed());
@@ -640,7 +626,7 @@ mod tests {
 
     #[test]
     fn base_attempt_clears_consumed_faults() {
-        let plan = DiskFaultPlan::at(1, 0, DiskFaultKind::CrashAtBoundary);
+        let plan = DiskFaultPlan::at((1, 0), DiskFaultKind::CrashAtBoundary);
         let retry = Storage::new(plan, 3, 0).stream(1).with_base_attempt(1);
         assert_eq!(
             retry.op(false, |_| Ok(())),
@@ -651,15 +637,8 @@ mod tests {
 
     #[test]
     fn warn_mode_never_retries_or_degrades() {
-        let plan = DiskFaultPlan {
-            targeted: vec![vmos::DiskFault {
-                stream: 0,
-                op: 0,
-                kind: DiskFaultKind::Io,
-                fires: 99,
-            }],
-            ..DiskFaultPlan::default()
-        };
+        let mut plan = DiskFaultPlan::at((0, 0), DiskFaultKind::Io);
+        plan.targeted[0].fires = 99;
         let s = Storage::new(plan, 3, 0);
         assert_eq!(s.cleanup_op(|_| Ok(())), OpOutcome::Done);
         let c = s.counters();

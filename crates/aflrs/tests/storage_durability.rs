@@ -16,7 +16,7 @@ use aflrs::{Campaign, CampaignConfig, CampaignOutcome, CampaignResult, Checkpoin
 use closurex::executor::{Executor, ExecutorFactory};
 use closurex::harness::{ClosureXConfig, ClosureXExecutor};
 use closurex::resilience::HarnessError;
-use vmos::{DiskFaultKind, DiskFaultPlan};
+use vmos::{DiskFaultKind, DiskFaultPlan, PlanKind};
 
 const TARGET: &str = r#"
     fn main() {
@@ -163,7 +163,7 @@ fn sharded_crash_at_every_boundary_resumes_exactly() {
                     "crash-{}-{stream}-{op}",
                     kind.name()
                 )));
-                let (result, killed) = lab.cell(&ck, DiskFaultPlan::at(stream, op, kind));
+                let (result, killed) = lab.cell(&ck, DiskFaultPlan::at((stream, op), kind));
                 kills += u32::from(killed);
                 assert_eq!(
                     fingerprint(&result),
@@ -190,7 +190,7 @@ fn single_driver_crash_grid_resumes_exactly() {
             let mut ck =
                 CheckpointConfig::new(lab.dir(&format!("sd-{}-{op}", kind.name())));
             ck.snapshot_every_execs = 30;
-            let (result, killed) = lab.cell(&ck, DiskFaultPlan::at(0, op, kind));
+            let (result, killed) = lab.cell(&ck, DiskFaultPlan::at((0, op), kind));
             kills += u32::from(killed);
             assert_eq!(
                 fingerprint(&result),
@@ -224,7 +224,7 @@ fn transient_faults_retry_or_degrade_typed() {
                     "tr-{}-{stream}-{op}-{fires}",
                     kind.name()
                 )));
-                let mut plan = DiskFaultPlan::at(stream, op, kind);
+                let mut plan = DiskFaultPlan::at((stream, op), kind);
                 plan.targeted[0].fires = fires;
                 let (result, killed) = lab.cell(&ck, plan);
                 assert!(!killed, "a transient fault must never kill the campaign");
@@ -281,7 +281,7 @@ fn bitrot_is_scrubbed_on_resume() {
         ck.snapshot_every_execs = 30;
         ck.kill_after_execs = Some(kill_at);
         let first = lab
-            .leg(Some(DiskFaultPlan::at(0, op, DiskFaultKind::Bitrot)), Some(&ck), false)
+            .leg(Some(DiskFaultPlan::at((0, op), DiskFaultKind::Bitrot)), Some(&ck), false)
             .expect("bitrot never surfaces as a raw error");
         assert!(
             matches!(first, CampaignOutcome::Killed { .. }),
@@ -313,7 +313,7 @@ fn cleanup_failures_warn_and_continue() {
     // take the warn path (single attempt, counted); the rest retry.
     for op in 0..8u64 {
         let ck = CheckpointConfig::new(lab.dir(&format!("warn-{op}")));
-        let (result, killed) = lab.cell(&ck, DiskFaultPlan::at(0, op, DiskFaultKind::Io));
+        let (result, killed) = lab.cell(&ck, DiskFaultPlan::at((0, op), DiskFaultKind::Io));
         assert!(!killed, "an EIO must never kill the campaign");
         assert_eq!(fingerprint(&result), want, "EIO at op {op} diverged");
         warned += result.resilience.storage.sweep_warnings;

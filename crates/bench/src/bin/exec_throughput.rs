@@ -125,7 +125,7 @@ fn timed_run(
     (r, secs)
 }
 
-use bench::json_number;
+use bench::floor;
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
@@ -291,57 +291,30 @@ fn main() {
         // measured in the *same* run is load-robust, because both engines
         // ride the same phase. A real engine regression drags both down, so
         // the gate fails only when BOTH miss their floor.
-        let floor_json = std::fs::read_to_string("results/BENCH_floor.json").ok();
-        let abs_floor = floor_json
-            .as_deref()
-            .and_then(|s| json_number(s, "smoke_decoded_execs_per_sec"));
-        let ratio_floor = floor_json
-            .as_deref()
-            .and_then(|s| json_number(s, "smoke_min_speedup"));
-        match (abs_floor, ratio_floor) {
-            (None, None) => {
-                eprintln!("(no results/BENCH_floor.json floor found; skipping regression gate)");
-            }
-            (abs, ratio) => {
-                let speedup = agg_dec / agg_ref.max(1e-9);
-                let abs_ok = abs.map(|floor| agg_dec >= floor * 0.8);
-                let ratio_ok = ratio.map(|floor| speedup >= floor);
-                if abs_ok == Some(false) && ratio_ok != Some(true) {
-                    eprintln!(
-                        "FAIL: decoded throughput {agg_dec:.0} execs/s is more than 20% below \
-                         the checked-in floor {:.0}, and the decoded/reference speedup \
-                         {speedup:.2}x is below the speedup floor {:.2}x — regression, not \
-                         host noise",
-                        abs.unwrap_or(0.0),
-                        ratio.unwrap_or(0.0),
-                    );
-                    std::process::exit(1);
-                }
-                if ratio_ok == Some(false) && abs_ok != Some(true) {
-                    eprintln!(
-                        "FAIL: decoded/reference speedup {speedup:.2}x is below the speedup \
-                         floor {:.2}x and no absolute floor rescued it",
-                        ratio.unwrap_or(0.0),
-                    );
-                    std::process::exit(1);
-                }
-                if abs_ok == Some(false) {
-                    eprintln!(
-                        "WARN: decoded throughput {agg_dec:.0} execs/s is below 80% of floor \
-                         {:.0}, but the within-run speedup {speedup:.2}x clears its floor \
-                         {:.2}x — treating as a host slow phase",
-                        abs.unwrap_or(0.0),
-                        ratio.unwrap_or(0.0),
-                    );
-                } else {
-                    println!(
-                        "Floor check passed: {agg_dec:.0} execs/s, speedup {speedup:.2}x \
-                         (floors: {:.0} execs/s, {:.2}x)",
-                        abs.unwrap_or(0.0),
-                        ratio.unwrap_or(0.0),
-                    );
-                }
-            }
+        let abs = floor("results/BENCH_floor.json", "smoke_decoded_execs_per_sec");
+        let ratio = floor("results/BENCH_floor.json", "smoke_min_speedup");
+        let speedup = agg_dec / agg_ref.max(1e-9);
+        let abs_ok = agg_dec >= abs * 0.8;
+        let ratio_ok = speedup >= ratio;
+        if !abs_ok && !ratio_ok {
+            eprintln!(
+                "FAIL: decoded throughput {agg_dec:.0} execs/s is more than 20% below the \
+                 checked-in floor {abs:.0}, and the decoded/reference speedup {speedup:.2}x \
+                 is below the speedup floor {ratio:.2}x — regression, not host noise"
+            );
+            std::process::exit(1);
+        }
+        if !abs_ok {
+            eprintln!(
+                "WARN: decoded throughput {agg_dec:.0} execs/s is below 80% of floor {abs:.0}, \
+                 but the within-run speedup {speedup:.2}x clears its floor {ratio:.2}x — \
+                 treating as a host slow phase"
+            );
+        } else {
+            println!(
+                "Floor check passed: {agg_dec:.0} execs/s, speedup {speedup:.2}x \
+                 (floors: {abs:.0} execs/s, {ratio:.2}x)"
+            );
         }
     }
 }

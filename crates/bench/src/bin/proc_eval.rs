@@ -26,10 +26,10 @@
 //! recovery.
 
 use aflrs::{Campaign, CampaignConfig, CampaignResult, Isolation, SupervisorConfig};
-use bench::{json_number, Mechanism, MechanismFactory};
+use bench::{floor, Mechanism, MechanismFactory};
 use serde::Serialize;
 use std::time::Instant;
-use vmos::{ProcFaultKind, ProcFaultPlan};
+use vmos::{PlanKind, ProcFaultKind, ProcFaultPlan};
 
 /// Smoke-mode per-campaign cycle budget. The grid multiplies campaigns,
 /// so each one stays small.
@@ -137,7 +137,7 @@ fn run_one(
 
 fn plan_for(lane: u64, epoch: u64, kind: ProcFaultKind, deadline_ms: u64) -> SupervisorConfig {
     SupervisorConfig {
-        proc_faults: ProcFaultPlan::at(lane, epoch, kind),
+        proc_faults: ProcFaultPlan::at((lane, epoch), kind),
         read_deadline_ms: deadline_ms,
         ..SupervisorConfig::default()
     }
@@ -272,7 +272,7 @@ fn main() {
 
         // Repeated-failure degradation: a worker that aborts on every
         // respawn retires its lane; the campaign finishes without it.
-        let mut faults = ProcFaultPlan::at(2, 1, ProcFaultKind::Abort);
+        let mut faults = ProcFaultPlan::at((2, 1), ProcFaultKind::Abort);
         faults.targeted[0].fires = 10;
         let sup = SupervisorConfig {
             max_lane_retries: 2,
@@ -378,24 +378,15 @@ fn main() {
         // overhead is structural; the gate catches recovery suddenly
         // costing far more than it should (tolerance 2x — wall clock is
         // noisy and the numerator is a single-campaign mean).
-        match std::fs::read_to_string("results/BENCH_proc_floor.json")
-            .ok()
-            .and_then(|s| json_number(&s, "smoke_recovery_overhead_ratio"))
-        {
-            Some(floor) => {
-                let max = floor * 2.0;
-                if overhead > max {
-                    eprintln!(
-                        "FAIL: recovery overhead {overhead:.2}x exceeds twice the checked-in \
-                         floor {floor:.2}x (maximum {max:.2}x)"
-                    );
-                    std::process::exit(1);
-                }
-                println!("Floor check passed: overhead {overhead:.2}x <= 2x floor {floor:.2}x.");
-            }
-            None => {
-                eprintln!("(no results/BENCH_proc_floor.json floor found; skipping overhead gate)");
-            }
+        let floor = floor("results/BENCH_proc_floor.json", "smoke_recovery_overhead_ratio");
+        let max = floor * 2.0;
+        if overhead > max {
+            eprintln!(
+                "FAIL: recovery overhead {overhead:.2}x exceeds twice the checked-in \
+                 floor {floor:.2}x (maximum {max:.2}x)"
+            );
+            std::process::exit(1);
         }
+        println!("Floor check passed: overhead {overhead:.2}x <= 2x floor {floor:.2}x.");
     }
 }

@@ -28,12 +28,12 @@ use aflrs::{
     RemoteService, RpcCounters, RpcServer, ServerOptions, Service, ServiceConfig, ServiceError,
     SpecResolver,
 };
-use bench::{json_number, Mechanism, MechanismFactory, MechanismResolver};
+use bench::{floor, Mechanism, MechanismFactory, MechanismResolver};
 use serde::Serialize;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use vmos::{NetFaultKind, NetFaultPlan};
+use vmos::{NetFaultKind, NetFaultPlan, PlanKind};
 
 /// Per-cell campaign budget: transport faults never touch the campaign,
 /// so a short run discriminates exactly as well as a long one.
@@ -41,15 +41,6 @@ const GRID_BUDGET: u64 = 150_000;
 const SMOKE_BUDGET: u64 = 1_500_000;
 /// Off every epoch barrier, so the churn kill lands mid-epoch.
 const CHURN_KILL: u64 = 151;
-
-const GRID_KINDS: [NetFaultKind; 6] = [
-    NetFaultKind::Drop,
-    NetFaultKind::Delay,
-    NetFaultKind::Duplicate,
-    NetFaultKind::Corrupt,
-    NetFaultKind::Disconnect,
-    NetFaultKind::PartialFrame,
-];
 
 #[derive(Serialize)]
 struct Cell {
@@ -190,7 +181,7 @@ fn grid_cell(
     let resolver: Arc<dyn SpecResolver> = Arc::new(MechanismResolver);
     let service = Arc::new(Service::new(ServiceConfig::new(&dir), resolver).expect("service"));
     let net = MemNet::new();
-    let plan = NetFaultPlan::at(0, direction, frame, kind);
+    let plan = NetFaultPlan::at((0, direction, frame), kind);
     let server = RpcServer::start(
         Arc::clone(&service),
         &net,
@@ -340,14 +331,14 @@ fn main() {
         "rpc_eval ({mode}): grid = {} fault kinds x 2 directions x 3 frames x 2 engines \
          at {GRID_BUDGET} cycles/cell, churn kill at {CHURN_KILL} execs, \
          overhead at {} cycles\n",
-        GRID_KINDS.len(),
+        NetFaultKind::ALL.len(),
         budget * 4
     );
 
     let mut cells = Vec::new();
     for (engine, decode_opt) in [("opt", true), ("plain", false)] {
         let want = service_reference(decode_opt);
-        for kind in GRID_KINDS {
+        for &kind in NetFaultKind::ALL {
             for direction in [0u8, 1u8] {
                 for frame in 0u64..3 {
                     cells.push(grid_cell(engine, decode_opt, kind, direction, frame, &want));
@@ -413,35 +404,25 @@ fn main() {
         std::process::exit(1);
     }
     if smoke {
-        let floor = std::fs::read_to_string("results/BENCH_rpc_floor.json").ok();
-        match floor.as_deref().and_then(|s| json_number(s, "fault_grid_rate")) {
-            Some(f) if rate < f => {
-                eprintln!("FAIL: fault-grid rate {rate:.3} below the checked-in floor {f:.3}");
-                std::process::exit(1);
-            }
-            Some(f) => println!("Floor check passed: fault grid {rate:.3} >= {f:.3}."),
-            None => eprintln!("(no fault_grid_rate floor found; skipping gate)"),
+        const FLOOR: &str = "results/BENCH_rpc_floor.json";
+        let f = floor(FLOOR, "fault_grid_rate");
+        if rate < f {
+            eprintln!("FAIL: fault-grid rate {rate:.3} below the checked-in floor {f:.3}");
+            std::process::exit(1);
         }
-        match floor
-            .as_deref()
-            .and_then(|s| json_number(s, "smoke_rpc_overhead_ratio"))
-        {
-            Some(f) => {
-                // Wall clock is noisy and the numerator is one campaign:
-                // gate at twice the recorded ratio (the identity gates
-                // above are the exact ones; this catches regressions in
-                // transport cost, not host phase).
-                let max = f * 2.0;
-                if ratio > max {
-                    eprintln!(
-                        "FAIL: RPC overhead {ratio:.2}x exceeds twice the checked-in \
-                         ceiling {f:.2}x (maximum {max:.2}x)"
-                    );
-                    std::process::exit(1);
-                }
-                println!("Floor check passed: overhead {ratio:.2}x <= 2x ceiling {f:.2}x.");
-            }
-            None => eprintln!("(no smoke_rpc_overhead_ratio ceiling found; skipping gate)"),
+        println!("Floor check passed: fault grid {rate:.3} >= {f:.3}.");
+        // Wall clock is noisy and the numerator is one campaign: gate at
+        // twice the recorded ratio (the identity gates above are the exact
+        // ones; this catches regressions in transport cost, not host phase).
+        let f = floor(FLOOR, "smoke_rpc_overhead_ratio");
+        let max = f * 2.0;
+        if ratio > max {
+            eprintln!(
+                "FAIL: RPC overhead {ratio:.2}x exceeds twice the checked-in \
+                 ceiling {f:.2}x (maximum {max:.2}x)"
+            );
+            std::process::exit(1);
         }
+        println!("Floor check passed: overhead {ratio:.2}x <= 2x ceiling {f:.2}x.");
     }
 }

@@ -29,7 +29,7 @@ use aflrs::{
     Campaign, CampaignConfig, CampaignResult, CampaignSpec, Service, ServiceConfig, ServiceError,
     SpecResolver,
 };
-use bench::{json_number, Mechanism, MechanismFactory, MechanismResolver};
+use bench::{floor, Mechanism, MechanismFactory, MechanismResolver};
 use serde::Serialize;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -384,38 +384,25 @@ fn main() {
         std::process::exit(1);
     }
     if smoke {
-        let floor = std::fs::read_to_string("results/BENCH_service_floor.json").ok();
-        match floor
-            .as_deref()
-            .and_then(|s| json_number(s, "churn_identity_rate"))
-        {
-            Some(f) if rate < f => {
-                eprintln!("FAIL: churn-identity rate {rate:.3} below the checked-in floor {f:.3}");
-                std::process::exit(1);
-            }
-            Some(f) => println!("Floor check passed: churn-identity {rate:.3} >= {f:.3}."),
-            None => eprintln!("(no churn_identity_rate floor found; skipping gate)"),
+        const FLOOR: &str = "results/BENCH_service_floor.json";
+        let f = floor(FLOOR, "churn_identity_rate");
+        if rate < f {
+            eprintln!("FAIL: churn-identity rate {rate:.3} below the checked-in floor {f:.3}");
+            std::process::exit(1);
         }
-        match floor
-            .as_deref()
-            .and_then(|s| json_number(s, "smoke_service_overhead_ratio"))
-        {
-            Some(f) => {
-                // Wall clock is noisy and the numerator is one campaign:
-                // gate at twice the recorded ratio (the identity gates
-                // above are the exact ones; this catches regressions in
-                // scheduling cost, not host phase).
-                let max = f * 2.0;
-                if ratio > max {
-                    eprintln!(
-                        "FAIL: service overhead {ratio:.2}x exceeds twice the checked-in \
-                         ceiling {f:.2}x (maximum {max:.2}x)"
-                    );
-                    std::process::exit(1);
-                }
-                println!("Floor check passed: overhead {ratio:.2}x <= 2x ceiling {f:.2}x.");
-            }
-            None => eprintln!("(no smoke_service_overhead_ratio ceiling found; skipping gate)"),
+        println!("Floor check passed: churn-identity {rate:.3} >= {f:.3}.");
+        // Wall clock is noisy and the numerator is one campaign: gate at
+        // twice the recorded ratio (the identity gates above are the exact
+        // ones; this catches regressions in scheduling cost, not host phase).
+        let f = floor(FLOOR, "smoke_service_overhead_ratio");
+        let max = f * 2.0;
+        if ratio > max {
+            eprintln!(
+                "FAIL: service overhead {ratio:.2}x exceeds twice the checked-in \
+                 ceiling {f:.2}x (maximum {max:.2}x)"
+            );
+            std::process::exit(1);
         }
+        println!("Floor check passed: overhead {ratio:.2}x <= 2x ceiling {f:.2}x.");
     }
 }

@@ -26,7 +26,7 @@
 //! floor exits nonzero.
 
 use aflrs::{Campaign, CampaignConfig, CampaignOutcome, CampaignResult, CheckpointConfig};
-use bench::{json_number, Mechanism, MechanismFactory};
+use bench::{floor, Mechanism, MechanismFactory};
 use serde::Serialize;
 use std::time::Instant;
 
@@ -333,26 +333,15 @@ fn main() {
         // can actually deliver) against the checked-in floor. Parallel
         // wall-clock is far noisier than throughput, so the tolerance is
         // wider than exec_throughput's (40% vs 20%).
-        match std::fs::read_to_string("results/BENCH_shard_floor.json")
-            .ok()
-            .and_then(|s| json_number(&s, "smoke_scaling_efficiency"))
-        {
-            Some(floor) => {
-                let min = floor * 0.6;
-                if efficiency < min {
-                    eprintln!(
-                        "FAIL: scaling efficiency {efficiency:.2} is more than 40% below the \
-                         checked-in floor {floor:.2} (minimum {min:.2})"
-                    );
-                    std::process::exit(1);
-                }
-                println!(
-                    "Floor check passed: efficiency {efficiency:.2} >= 60% of floor {floor:.2}."
-                );
-            }
-            None => {
-                eprintln!("(no results/BENCH_shard_floor.json floor found; skipping scaling gate)");
-            }
+        let floor = floor("results/BENCH_shard_floor.json", "smoke_scaling_efficiency");
+        let min = floor * 0.6;
+        if efficiency < min {
+            eprintln!(
+                "FAIL: scaling efficiency {efficiency:.2} is more than 40% below the \
+                 checked-in floor {floor:.2} (minimum {min:.2})"
+            );
+            std::process::exit(1);
         }
+        println!("Floor check passed: efficiency {efficiency:.2} >= 60% of floor {floor:.2}.");
     }
 }

@@ -31,10 +31,10 @@ use aflrs::{
     Campaign, CampaignConfig, CampaignError, CampaignOutcome, CampaignResult, CheckpointConfig,
     Isolation,
 };
-use bench::{json_number, Mechanism, MechanismFactory};
+use bench::{floor, Mechanism, MechanismFactory};
 use serde::Serialize;
 use std::time::Instant;
-use vmos::{DiskFaultKind, DiskFaultPlan};
+use vmos::{DiskFaultKind, DiskFaultPlan, PlanKind};
 
 const SMOKE_BUDGET: u64 = 3_000_000;
 const LANES: usize = 2;
@@ -143,7 +143,7 @@ impl Lab {
     ) -> Cell {
         let mut ck = self.dir(&format!("{}-{}-{stream}-{op}", self.tag(), kind.name()));
         ck.kill_after_execs = kill_at;
-        let mut plan = DiskFaultPlan::at(stream, op, kind);
+        let mut plan = DiskFaultPlan::at((stream, op), kind);
         plan.targeted[0].fires = fires;
         let first = self
             .leg(Some(plan), Some(&ck), false)
@@ -291,7 +291,7 @@ fn main() {
         // rotted generation back.
         let kill_at = (plain.execs / 2).max(1);
         let ops = if iso == Isolation::Process { proc_ops } else { inproc_ops };
-        for kind in DiskFaultKind::ALL {
+        for &kind in DiskFaultKind::ALL {
             for stream in 0..=(LANES as u64) {
                 for op in 0..ops {
                     let kill = (kind == DiskFaultKind::Bitrot).then_some(kill_at);
@@ -408,33 +408,24 @@ fn main() {
         std::process::exit(1);
     }
     if smoke {
-        let floor = std::fs::read_to_string("results/BENCH_storage_floor.json").ok();
-        match floor.as_deref().and_then(|s| json_number(s, "grid_pass_rate")) {
-            Some(f) if pass_rate < f => {
-                eprintln!("FAIL: grid pass rate {pass_rate:.3} below the checked-in floor {f:.3}");
-                std::process::exit(1);
-            }
-            Some(f) => println!("Floor check passed: pass rate {pass_rate:.3} >= {f:.3}."),
-            None => eprintln!("(no grid_pass_rate floor found; skipping gate)"),
+        const FLOOR: &str = "results/BENCH_storage_floor.json";
+        let f = floor(FLOOR, "grid_pass_rate");
+        if pass_rate < f {
+            eprintln!("FAIL: grid pass rate {pass_rate:.3} below the checked-in floor {f:.3}");
+            std::process::exit(1);
         }
-        match floor
-            .as_deref()
-            .and_then(|s| json_number(s, "smoke_clean_overhead_ratio"))
-        {
-            Some(f) => {
-                // Wall clock is noisy and the numerator is one campaign:
-                // gate at twice the recorded ratio.
-                let max = f * 2.0;
-                if overhead > max {
-                    eprintln!(
-                        "FAIL: clean-path overhead {overhead:.2}x exceeds twice the checked-in \
-                         ceiling {f:.2}x (maximum {max:.2}x)"
-                    );
-                    std::process::exit(1);
-                }
-                println!("Floor check passed: overhead {overhead:.2}x <= 2x ceiling {f:.2}x.");
-            }
-            None => eprintln!("(no smoke_clean_overhead_ratio ceiling found; skipping gate)"),
+        println!("Floor check passed: pass rate {pass_rate:.3} >= {f:.3}.");
+        // Wall clock is noisy and the numerator is one campaign: gate at
+        // twice the recorded ratio.
+        let f = floor(FLOOR, "smoke_clean_overhead_ratio");
+        let max = f * 2.0;
+        if overhead > max {
+            eprintln!(
+                "FAIL: clean-path overhead {overhead:.2}x exceeds twice the checked-in \
+                 ceiling {f:.2}x (maximum {max:.2}x)"
+            );
+            std::process::exit(1);
         }
+        println!("Floor check passed: overhead {overhead:.2}x <= 2x ceiling {f:.2}x.");
     }
 }

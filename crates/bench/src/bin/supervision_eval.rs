@@ -26,10 +26,10 @@
 //! exits nonzero, as does any non-identical recovery.
 
 use aflrs::{Campaign, CampaignConfig, CampaignResult, SupervisorConfig};
-use bench::{json_number, Mechanism, MechanismFactory};
+use bench::{floor, Mechanism, MechanismFactory};
 use serde::Serialize;
 use std::time::Instant;
-use vmos::{OrchFaultKind, OrchFaultPlan};
+use vmos::{OrchFaultKind, OrchFaultPlan, PlanKind};
 
 /// Smoke-mode per-campaign cycle budget. The grid multiplies campaigns,
 /// so each one stays small.
@@ -126,7 +126,7 @@ fn run_supervised(
 
 fn plan_for(lane: u64, epoch: u64, kind: OrchFaultKind) -> SupervisorConfig {
     SupervisorConfig {
-        faults: OrchFaultPlan::at(lane, epoch, kind),
+        faults: OrchFaultPlan::at((lane, epoch), kind),
         ..SupervisorConfig::default()
     }
 }
@@ -225,7 +225,7 @@ fn main() {
 
         // Repeated-failure degradation: fault one lane past its retry
         // budget; the lane retires, the campaign finishes.
-        let mut faults = OrchFaultPlan::at(2, 1, OrchFaultKind::WorkerPanic);
+        let mut faults = OrchFaultPlan::at((2, 1), OrchFaultKind::WorkerPanic);
         faults.targeted[0].fires = 10;
         let sup = SupervisorConfig {
             max_lane_retries: 2,
@@ -328,28 +328,15 @@ fn main() {
         // structural; the gate catches recovery suddenly re-running far
         // more than it should (tolerance 2x — wall clock is noisy and the
         // numerator is a single-campaign mean).
-        match std::fs::read_to_string("results/BENCH_supervision_floor.json")
-            .ok()
-            .and_then(|s| json_number(&s, "smoke_recovery_overhead_ratio"))
-        {
-            Some(floor) => {
-                let max = floor * 2.0;
-                if overhead > max {
-                    eprintln!(
-                        "FAIL: recovery overhead {overhead:.2}x exceeds twice the checked-in \
-                         floor {floor:.2}x (maximum {max:.2}x)"
-                    );
-                    std::process::exit(1);
-                }
-                println!(
-                    "Floor check passed: overhead {overhead:.2}x <= 2x floor {floor:.2}x."
-                );
-            }
-            None => {
-                eprintln!(
-                    "(no results/BENCH_supervision_floor.json floor found; skipping overhead gate)"
-                );
-            }
+        let floor = floor("results/BENCH_supervision_floor.json", "smoke_recovery_overhead_ratio");
+        let max = floor * 2.0;
+        if overhead > max {
+            eprintln!(
+                "FAIL: recovery overhead {overhead:.2}x exceeds twice the checked-in \
+                 floor {floor:.2}x (maximum {max:.2}x)"
+            );
+            std::process::exit(1);
         }
+        println!("Floor check passed: overhead {overhead:.2}x <= 2x floor {floor:.2}x.");
     }
 }

@@ -342,6 +342,26 @@ pub fn json_number(text: &str, key: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
+/// Read blessed value `key` from the floor file at `path`.
+///
+/// # Errors
+/// A message naming the file and the key when the file is unreadable or
+/// carries no number under `key`.
+pub fn read_floor(path: &str, key: &str) -> Result<f64, String> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {path} for \"{key}\": {e}"))?;
+    json_number(&text, key).ok_or_else(|| format!("{path} has no number under \"{key}\""))
+}
+
+/// [`read_floor`] for a gate: a missing floor file or key exits nonzero
+/// instead of silently passing, so a misspelt key cannot turn a CI gate off.
+pub fn floor(path: &str, key: &str) -> f64 {
+    read_floor(path, key).unwrap_or_else(|e| {
+        eprintln!("FAIL: floor gate cannot run: {e}");
+        std::process::exit(1);
+    })
+}
+
 /// Render a markdown table.
 pub fn markdown_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut s = String::new();
@@ -381,6 +401,24 @@ mod tests {
         let s = markdown_table(&["a", "b"], &[vec!["1".into(), "2".into()]]);
         assert!(s.contains("| a | b |"));
         assert!(s.contains("| 1 | 2 |"));
+    }
+
+    #[test]
+    fn floors_fail_closed() {
+        let path = std::env::temp_dir().join(format!("bench-floor-{}.json", std::process::id()));
+        let path = path.to_str().expect("utf-8 temp path");
+        std::fs::write(path, r#"{"comment": "x", "smoke_ratio": 1.5}"#).unwrap();
+        assert_eq!(read_floor(path, "smoke_ratio"), Ok(1.5));
+        let missing_key = read_floor(path, "grid_rate").unwrap_err();
+        assert!(missing_key.contains(path) && missing_key.contains("grid_rate"));
+        let misspelt = read_floor(path, "smoke_rato").unwrap_err();
+        assert!(misspelt.contains("smoke_rato"), "{misspelt}");
+        std::fs::remove_file(path).unwrap();
+        let missing_file = read_floor(path, "smoke_ratio").unwrap_err();
+        assert!(
+            missing_file.contains(path) && missing_file.contains("smoke_ratio"),
+            "{missing_file}"
+        );
     }
 
     #[test]

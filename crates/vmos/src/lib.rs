@@ -57,9 +57,9 @@ pub use engine::{
     ReferenceEngineGuard,
 };
 pub use fault::{
-    DiskFault, DiskFaultKind, DiskFaultPlan, FaultKind, FaultPlan, FaultPlane, NetFault,
-    NetFaultKind, NetFaultPlan, OrchFault, OrchFaultKind, OrchFaultPlan, ProcFault,
-    ProcFaultKind, ProcFaultPlan,
+    DiskFaultKind, DiskFaultPlan, FaultKind, FaultPlan, FaultPlane, FaultSite, NetFaultKind,
+    NetFaultPlan, OrchFaultKind, OrchFaultPlan, PlanKind, PositionPlan, ProcFaultKind,
+    ProcFaultPlan, TargetedFault,
 };
 pub use interp::{CallOutcome, CallResult, HostCtx, Machine};
 pub use os::{Os, OsError};

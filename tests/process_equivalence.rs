@@ -124,7 +124,7 @@ fn sigkill_recovery_is_exact_everywhere() {
     for lane in 0..LANES as u64 {
         for epoch in 0..EPOCHS {
             let sup = SupervisorConfig {
-                proc_faults: ProcFaultPlan::at(lane, epoch, ProcFaultKind::Kill),
+                proc_faults: ProcFaultPlan::at((lane, epoch), ProcFaultKind::Kill),
                 ..SupervisorConfig::default()
             };
             let r = run_mode(t, Isolation::Process, 1, false, false, Some(sup));
@@ -145,7 +145,7 @@ fn sigkill_recovery_is_exact_everywhere() {
 
 fn repeated_aborts_degrade_the_lane_not_the_campaign() {
     let t = targets::by_name("giftext").expect("bundled target");
-    let mut faults = ProcFaultPlan::at(2, 1, ProcFaultKind::Abort);
+    let mut faults = ProcFaultPlan::at((2, 1), ProcFaultKind::Abort);
     faults.targeted[0].fires = 10;
     let sup = SupervisorConfig {
         max_lane_retries: 2,

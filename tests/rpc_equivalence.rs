@@ -22,9 +22,10 @@ use aflrs::{
 };
 use bench::{Mechanism, MechanismFactory, MechanismResolver};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use vmos::{NetFaultKind, NetFaultPlan};
+use vmos::{NetFaultKind, NetFaultPlan, PlanKind};
 
 /// Tiny budget: the grid runs dozens of campaigns; transport faults do
 /// not touch the campaign, so a short run discriminates just as well.
@@ -82,8 +83,12 @@ fn service_reference(decode_opt: bool) -> String {
     fp
 }
 
+/// A fresh scratch directory. Unique per call, not just per tag: tests run
+/// in parallel and several build the same reference service.
 fn tmp(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("cx-rpc-{tag}-{}", std::process::id()));
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("cx-rpc-{tag}-{}-{n}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
@@ -113,15 +118,6 @@ fn fired(kind: NetFaultKind, c: &aflrs::RpcCounters) -> u64 {
     }
 }
 
-const GRID_KINDS: [NetFaultKind; 6] = [
-    NetFaultKind::Drop,
-    NetFaultKind::Delay,
-    NetFaultKind::Duplicate,
-    NetFaultKind::Corrupt,
-    NetFaultKind::Disconnect,
-    NetFaultKind::PartialFrame,
-];
-
 /// The tentpole gate: every fault kind, on each direction, at each of the
 /// first three frame positions of the client's first connection (hello /
 /// submit / await on the way out; hello-ok / submit-reply / result on the
@@ -132,7 +128,7 @@ const GRID_KINDS: [NetFaultKind; 6] = [
 fn fault_grid_is_bit_identical_on_both_engines() {
     for decode_opt in [true, false] {
         let want = service_reference(decode_opt);
-        for kind in GRID_KINDS {
+        for &kind in NetFaultKind::ALL {
             for direction in [0u8, 1u8] {
                 for frame in 0u64..3 {
                     let tag = format!(
@@ -149,7 +145,7 @@ fn fault_grid_is_bit_identical_on_both_engines() {
                     // One targeted plan, shared by value with both
                     // endpoints; each endpoint only injects on its own
                     // direction, so exactly one side fires it.
-                    let plan = NetFaultPlan::at(0, direction, frame, kind);
+                    let plan = NetFaultPlan::at((0, direction, frame), kind);
                     let server = RpcServer::start(
                         Arc::clone(&service),
                         &net,
@@ -187,7 +183,7 @@ fn lossy_wire_converges_to_the_clean_result() {
     let resolver: Arc<dyn aflrs::SpecResolver> = Arc::new(MechanismResolver);
     let service = Arc::new(Service::new(ServiceConfig::new(&dir), resolver).expect("service"));
     let net = MemNet::new();
-    let plan = NetFaultPlan::uniform_lossy(0xBAD_CAB1E, 0.12);
+    let plan = NetFaultPlan::uniform(0xBAD_CAB1E, 0.12, |k| !k.kills_connection());
     let server = RpcServer::start(
         Arc::clone(&service),
         &net,

@@ -13,6 +13,7 @@ use aflrs::{
 };
 use bench::{Mechanism, MechanismFactory, MechanismResolver};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 const BUDGET: u64 = 1_500_000;
@@ -67,8 +68,11 @@ fn builder_reference(target: &str) -> CampaignResult {
         .expect("no kill configured")
 }
 
+/// A fresh scratch directory, unique per call (tests run in parallel).
 fn tmp(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("cx-service-{tag}-{}", std::process::id()));
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("cx-service-{tag}-{}-{n}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }

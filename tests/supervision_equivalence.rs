@@ -19,7 +19,7 @@ use aflrs::{
 use closurex::executor::{Executor, ExecutorFactory};
 use closurex::harness::{ClosureXConfig, ClosureXExecutor};
 use closurex::resilience::HarnessError;
-use vmos::{OrchFaultKind, OrchFaultPlan, ReferenceEngineGuard};
+use vmos::{OrchFaultKind, OrchFaultPlan, PlanKind, ReferenceEngineGuard};
 
 const BUDGET: u64 = 3_000_000;
 
@@ -87,7 +87,7 @@ fn supervised(
 
 fn plan_for(lane: u64, epoch: u64, kind: OrchFaultKind) -> SupervisorConfig {
     SupervisorConfig {
-        faults: OrchFaultPlan::at(lane, epoch, kind),
+        faults: OrchFaultPlan::at((lane, epoch), kind),
         ..SupervisorConfig::default()
     }
 }
@@ -204,7 +204,7 @@ fn repeated_failures_degrade_the_lane_not_the_campaign() {
     // Fail lane 1 at epoch 0 more times than the retry budget allows: the
     // lane is retired, its budget folds into the survivors, and the
     // campaign still finishes with a typed degradation report.
-    let mut faults = OrchFaultPlan::at(1, 0, OrchFaultKind::WorkerPanic);
+    let mut faults = OrchFaultPlan::at((1, 0), OrchFaultKind::WorkerPanic);
     faults.targeted[0].fires = 10;
     let sup = SupervisorConfig {
         max_lane_retries: 2,
