@@ -79,17 +79,26 @@ pub(crate) const JOURNAL_MAGIC: &[u8; 4] = b"CXJL";
 pub(crate) const JOURNAL_HEADER_LEN: u64 = 16;
 
 /// When checkpoint files are flushed to stable storage.
+///
+/// Under every policy each journal record is handed to the OS before the
+/// next execution starts, so a killed *process* loses at most the record
+/// its kill interrupted. The policy only decides what survives a *power
+/// loss*; anything lost there is detected (torn tail, failed checksum,
+/// missing file) and resume falls back to what did survive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FsyncPolicy {
-    /// Never fsync — fastest; a kill may lose OS-buffered records (they
-    /// are detected as a torn tail, so correctness is unaffected).
+    /// Never fsync anything — fastest; a power loss may lose any file
+    /// written since the OS last flushed on its own.
     Never,
-    /// Fsync snapshots only (the default): a kill loses at most the
-    /// journal tail since the last snapshot flush.
+    /// The default. Fsync each snapshot's temp file before its rename,
+    /// and the directory after that rename and after rotation unlinks;
+    /// journals are never flushed. A power loss loses at most the journal
+    /// records since the last snapshot.
     #[default]
     OnSnapshot,
-    /// Fsync after every journal record: at most the in-flight execution
-    /// is lost. Paranoid and slow.
+    /// Everything `OnSnapshot` flushes, plus every journal on creation
+    /// and after each record: a power loss loses at most the in-flight
+    /// execution. Paranoid and slow.
     EveryRecord,
 }
 
@@ -636,12 +645,14 @@ impl DeltaRecord {
         d.journaled_crash_len = d.crashes.len();
     }
 
-    pub(crate) fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        self.scalars.encode(&mut w);
+    /// The one record encoder: append this record's payload to `w`. The
+    /// journal frames it in place ([`frame_record`]); tests take the bare
+    /// payload through [`DeltaRecord::encode`].
+    fn encode_into(&self, w: &mut Writer) {
+        self.scalars.encode(w);
         w.put_usize(self.new_entries.len());
         for e in &self.new_entries {
-            encode_entry(e, &mut w);
+            encode_entry(e, w);
         }
         w.put_usize(self.det_done.len());
         for &i in &self.det_done {
@@ -649,7 +660,7 @@ impl DeltaRecord {
         }
         w.put_usize(self.new_crashes.len());
         for c in &self.new_crashes {
-            encode_crash_record(c, &mut w);
+            encode_crash_record(c, w);
         }
         w.put_usize(self.crash_hits.len());
         for &(i, h) in &self.crash_hits {
@@ -661,7 +672,13 @@ impl DeltaRecord {
             w.put_u32(i);
             w.put_u8(v);
         }
-        encode_exec_state(&self.exec_state, &mut w);
+        encode_exec_state(&self.exec_state, w);
+    }
+
+    #[cfg(test)]
+    pub(crate) fn encode(&self) -> Vec<u8> {
+        let mut w = Writer::new();
+        self.encode_into(&mut w);
         w.into_bytes()
     }
 
@@ -1013,12 +1030,50 @@ fn rotate(storage: &Storage, dir: &Path, keep: usize, fsync: FsyncPolicy) -> OpO
     o
 }
 
+/// Bytes in front of each journal record's payload: the payload length
+/// (`u32`) and its FNV-1a checksum (`u64`).
+const FRAME_HEADER_LEN: usize = 12;
+
+/// Frame `rec` as one journal record — length, checksum, payload — in
+/// `buf`'s allocation. The header is reserved first and patched once the
+/// payload is encoded behind it, so the frame is built in one buffer with
+/// no second copy.
+pub(crate) fn frame_record(rec: &DeltaRecord, buf: Vec<u8>) -> Vec<u8> {
+    let mut w = Writer::reuse(buf);
+    w.put_u32(0); // payload length, patched below
+    w.put_u64(0); // payload checksum, patched below
+    rec.encode_into(&mut w);
+    let mut frame = w.into_bytes();
+    let (header, payload) = frame.split_at_mut(FRAME_HEADER_LEN);
+    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&fnv1a(payload).to_le_bytes());
+    frame
+}
+
+/// Write one whole frame, flushing it under [`FsyncPolicy::EveryRecord`].
+fn write_frame(f: &mut fs::File, frame: &[u8], fsync: FsyncPolicy) -> std::io::Result<()> {
+    f.write_all(frame)?;
+    if fsync == FsyncPolicy::EveryRecord {
+        f.sync_data()?;
+    }
+    Ok(())
+}
+
 /// The append side of the write-ahead journal. All I/O routes through the
 /// storage plane: `file` is `None` when the journal's stream degraded
 /// before (or at) creation — appends then skip, counted, and the campaign
 /// continues with in-memory state only.
+///
+/// The clean path costs one `write` per record: the journal tracks its
+/// committed end offset itself instead of asking the file, and re-encodes
+/// every record into the same frame buffer.
 pub(crate) struct Journal {
     file: Option<fs::File>,
+    /// Offset one past the last committed record: where the next append
+    /// starts, and what a retried append truncates back to.
+    end: u64,
+    /// Frame buffer reused by every append.
+    frame: Vec<u8>,
     fsync: FsyncPolicy,
     storage: Storage,
 }
@@ -1031,7 +1086,10 @@ impl Journal {
 
     /// Create (truncating) a journal at an explicit path — the sharded
     /// runner names its per-lane journals outside the `journal-{base}`
-    /// scheme but shares the format.
+    /// scheme but shares the format. The empty journal is flushed only
+    /// under [`FsyncPolicy::EveryRecord`]: under `OnSnapshot` its records
+    /// are never flushed either, so flushing the bare header bought
+    /// nothing.
     pub(crate) fn create_at(
         storage: &Storage,
         path: &Path,
@@ -1042,27 +1100,19 @@ impl Journal {
         header.extend_from_slice(JOURNAL_MAGIC);
         header.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
         header.extend_from_slice(&base.to_le_bytes());
-        let mut file = None;
+        let mut opened = None;
         let o = storage.op(false, |inj| {
-            file = None; // discard any handle from a failed attempt
+            opened = None; // discard any handle from a failed attempt
             faulted_create(path, &header, inj)?;
             let mut f = fs::OpenOptions::new().write(true).open(path)?;
-            f.seek(SeekFrom::End(0))?;
-            if fsync != FsyncPolicy::Never {
+            let end = f.seek(SeekFrom::End(0))?;
+            if fsync == FsyncPolicy::EveryRecord {
                 f.sync_data()?;
             }
-            file = Some(f);
+            opened = Some((f, end));
             Ok(())
         });
-        let file = if o == OpOutcome::Done { file } else { None };
-        (
-            Journal {
-                file,
-                fsync,
-                storage: storage.clone(),
-            },
-            o,
-        )
+        Self::opened(storage, opened, o, fsync)
     }
 
     /// Re-open an existing journal after replay, truncating away a torn
@@ -1073,51 +1123,68 @@ impl Journal {
         valid_len: u64,
         fsync: FsyncPolicy,
     ) -> (Self, OpOutcome) {
-        let mut file = None;
+        let mut opened = None;
         let o = storage.op(false, |inj| {
-            file = None;
-            let f = fs::OpenOptions::new().read(true).write(true).open(path)?;
+            opened = None;
+            let mut f = fs::OpenOptions::new().read(true).write(true).open(path)?;
             f.set_len(valid_len)?;
-            let mut f = f;
-            f.seek(SeekFrom::End(0))?;
+            let end = f.seek(SeekFrom::End(0))?;
             if let Injected::Bitrot(aux) = inj {
                 crate::storage::flip_bit_in_file(path, *aux)?;
             }
-            file = Some(f);
+            opened = Some((f, end));
             Ok(())
         });
-        let file = if o == OpOutcome::Done { file } else { None };
-        (
-            Journal {
-                file,
-                fsync,
-                storage: storage.clone(),
-            },
-            o,
-        )
+        Self::opened(storage, opened, o, fsync)
     }
 
-    /// Append one length- and checksum-framed record. One storage
-    /// operation: a retry truncates back to the record start first, so a
+    /// The journal a create/reopen operation produced: the opened file
+    /// and its end offset when the operation committed, no file otherwise.
+    fn opened(
+        storage: &Storage,
+        opened: Option<(fs::File, u64)>,
+        o: OpOutcome,
+        fsync: FsyncPolicy,
+    ) -> (Self, OpOutcome) {
+        let (file, end) = match opened {
+            Some((f, end)) if o == OpOutcome::Done => (Some(f), end),
+            _ => (None, 0),
+        };
+        let journal = Journal {
+            file,
+            end,
+            frame: Vec::new(),
+            fsync,
+            storage: storage.clone(),
+        };
+        (journal, o)
+    }
+
+    /// Append one length- and checksum-framed record at the committed end.
+    /// One storage operation; only a retry after an attempt that touched
+    /// the file truncates and seeks back to the record start first, so a
     /// short write never leaves garbage in front of the re-written frame.
     pub(crate) fn append(&mut self, rec: &DeltaRecord) -> OpOutcome {
-        let payload = rec.encode();
-        let mut frame = Vec::with_capacity(12 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        let start = match self.file.as_mut() {
-            Some(f) => f.stream_position().ok(),
-            None => None,
-        };
-        let file = &mut self.file;
-        let fsync = self.fsync;
-        self.storage.op(false, |inj| {
-            let (Some(f), Some(start)) = (file.as_mut(), start) else {
+        if self.file.is_some() {
+            self.frame = frame_record(rec, std::mem::take(&mut self.frame));
+        }
+        let Journal {
+            file,
+            end,
+            frame,
+            fsync,
+            storage,
+        } = self;
+        let mut touched = false;
+        let o = storage.op(false, |inj| {
+            let Some(f) = file.as_mut() else {
                 return Ok(());
             };
-            f.set_len(start)?;
-            f.seek(SeekFrom::Start(start))?;
+            if touched {
+                f.set_len(*end)?;
+                f.seek(SeekFrom::Start(*end))?;
+            }
+            touched = true;
             match inj {
                 Injected::Partial(aux) => {
                     let keep = (*aux as usize) % (frame.len() + 1);
@@ -1126,21 +1193,15 @@ impl Journal {
                 Injected::Bitrot(aux) => {
                     let mut rotted = frame.clone();
                     flip_bit(&mut rotted, *aux);
-                    f.write_all(&rotted)?;
-                    if fsync == FsyncPolicy::EveryRecord {
-                        f.sync_data()?;
-                    }
-                    Ok(())
+                    write_frame(f, &rotted, *fsync)
                 }
-                _ => {
-                    f.write_all(&frame)?;
-                    if fsync == FsyncPolicy::EveryRecord {
-                        f.sync_data()?;
-                    }
-                    Ok(())
-                }
+                _ => write_frame(f, frame, *fsync),
             }
-        })
+        });
+        if o == OpOutcome::Done && file.is_some() {
+            *end += frame.len() as u64;
+        }
+        o
     }
 }
 
@@ -1165,13 +1226,13 @@ pub(crate) fn read_journal(path: &Path, expected_base: u64) -> Option<(Vec<Delta
     let mut pos = JOURNAL_HEADER_LEN as usize;
     let mut dropped = 0u64;
     while pos < bytes.len() {
-        if pos + 12 > bytes.len() {
+        if pos + FRAME_HEADER_LEN > bytes.len() {
             dropped = 1; // partial frame header: one interrupted record
             break;
         }
         let len = le_u32(&bytes, pos).ok()? as usize;
         let checksum = le_u64(&bytes, pos + 4).ok()?;
-        let Some(payload) = bytes.get(pos + 12..pos + 12 + len) else {
+        let Some(payload) = bytes.get(pos + FRAME_HEADER_LEN..pos + FRAME_HEADER_LEN + len) else {
             dropped = 1; // frame overruns the file: one torn record
             break;
         };
@@ -1183,11 +1244,11 @@ pub(crate) fn read_journal(path: &Path, expected_base: u64) -> Option<(Vec<Delta
             // write). Count it and every still-framed record behind it —
             // replay cannot safely resync past corruption, but the loss
             // must be observable.
-            dropped = 1 + count_framed(&bytes, pos + 12 + len);
+            dropped = 1 + count_framed(&bytes, pos + FRAME_HEADER_LEN + len);
             break;
         };
         records.push(rec);
-        pos += 12 + len;
+        pos += FRAME_HEADER_LEN + len;
     }
     Some((records, pos as u64, dropped))
 }
@@ -1197,9 +1258,9 @@ pub(crate) fn read_journal(path: &Path, expected_base: u64) -> Option<(Vec<Delta
 /// loss behind a corrupt record — nothing here is replayed.
 fn count_framed(bytes: &[u8], mut pos: usize) -> u64 {
     let mut n = 0;
-    while pos + 12 <= bytes.len() {
+    while pos + FRAME_HEADER_LEN <= bytes.len() {
         let Ok(len) = le_u32(bytes, pos) else { break };
-        let end = pos + 12 + len as usize;
+        let end = pos + FRAME_HEADER_LEN + len as usize;
         if end > bytes.len() {
             break;
         }
@@ -1422,6 +1483,7 @@ mod tests {
     use crate::builder::Campaign;
     use closurex::harness::{ClosureXConfig, ClosureXExecutor};
     use fir::Module;
+    use vmos::DiskFaultKind;
 
     const TARGET: &str = r#"
         global total;
@@ -1714,6 +1776,176 @@ mod tests {
             "degraded checkpointing must not perturb the campaign"
         );
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A small delta record, distinct per `i`.
+    fn record(i: u64) -> DeltaRecord {
+        DeltaRecord {
+            scalars: Scalars {
+                stage: Stage::Havoc {
+                    entry: i as usize,
+                    iter: 3,
+                },
+                clock: 1_000 * i,
+                execs: i,
+                hangs: 0,
+                mgmt_cycles: 7 * i,
+                exec_cycles: 11 * i,
+                retries: 0,
+                dropped_inputs: 0,
+                harness_faults: 0,
+                consecutive_hangs: 0,
+                watchdog_trips: 0,
+                rng: [i, i + 1, i + 2, i + 3],
+                backoff_rng: [0; 4],
+                cursor: i,
+            },
+            new_entries: vec![QueueEntry {
+                data: vec![i as u8; 1 + i as usize],
+                exec_cycles: 5,
+                found_at: i,
+                det_done: false,
+                favored: i.is_multiple_of(2),
+            }],
+            det_done: vec![i],
+            new_crashes: Vec::new(),
+            crash_hits: Vec::new(),
+            virgin: vec![(i as u32, 0x7f)],
+            exec_state: None,
+        }
+    }
+
+    /// The bytes a fault-free journal based at 0 holding `records` has.
+    fn clean_journal(records: std::ops::Range<u64>) -> Vec<u8> {
+        let mut bytes = JOURNAL_MAGIC.to_vec();
+        bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&0u64.to_le_bytes());
+        for i in records {
+            bytes.extend_from_slice(&frame_record(&record(i), Vec::new()));
+        }
+        bytes
+    }
+
+    /// A fresh journal at `{tag}/journal.bin` on `storage`'s stream 0 (the
+    /// create is op 0, so the n-th append is op n).
+    fn fresh_journal(tag: &str, storage: &Storage) -> (PathBuf, Journal) {
+        let dir = tmpdir(tag);
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("journal.bin");
+        let (j, o) = Journal::create_at(storage, &path, 0, FsyncPolicy::OnSnapshot);
+        assert_eq!(o, OpOutcome::Done);
+        (path, j)
+    }
+
+    #[test]
+    fn journal_short_write_retry_rewrites_the_record_in_place() {
+        // The third append's first attempt writes a partial frame and
+        // fails; the retry must truncate back and write the whole frame.
+        let storage = Storage::new(DiskFaultPlan::at((0, 3), DiskFaultKind::ShortWrite), 3, 0);
+        let (path, mut j) = fresh_journal("j-short", &storage);
+        for i in 0..6 {
+            assert_eq!(j.append(&record(i)), OpOutcome::Done);
+        }
+        let (records, valid_len, torn) = read_journal(&path, 0).unwrap();
+        assert_eq!(records.len(), 6, "every record survives the retry");
+        assert_eq!(torn, 0);
+        assert_eq!(valid_len, fs::metadata(&path).unwrap().len());
+        assert_eq!(fs::read(&path).unwrap(), clean_journal(0..6));
+        let c = storage.counters();
+        assert_eq!((c.transient_faults, c.retries), (1, 1));
+        let _ = fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    #[test]
+    fn journal_reopen_appends_contiguously_from_valid_len() {
+        // Ops 1-3 append, op 4 reopens; the first append after the reopen
+        // (op 5) short-writes, so its retry truncates back to the end
+        // offset the reopen tracked.
+        let storage = Storage::new(DiskFaultPlan::at((0, 5), DiskFaultKind::ShortWrite), 3, 0);
+        let (path, mut j) = fresh_journal("j-reopen", &storage);
+        for i in 0..3 {
+            assert_eq!(j.append(&record(i)), OpOutcome::Done);
+        }
+        drop(j);
+        // A torn tail: the first bytes of a fourth frame.
+        let torn_frame = frame_record(&record(3), Vec::new());
+        let mut f = fs::OpenOptions::new().append(true).open(&path).unwrap();
+        f.write_all(&torn_frame[..7]).unwrap();
+        drop(f);
+        let (records, valid_len, torn) = read_journal(&path, 0).unwrap();
+        assert_eq!((records.len(), torn), (3, 1));
+
+        let (mut j, o) = Journal::reopen(&storage, &path, valid_len, FsyncPolicy::OnSnapshot);
+        assert_eq!(o, OpOutcome::Done);
+        for i in 3..5 {
+            assert_eq!(j.append(&record(i)), OpOutcome::Done);
+        }
+        assert_eq!(
+            fs::read(&path).unwrap(),
+            clean_journal(0..5),
+            "records continue right at valid_len"
+        );
+        assert_eq!(storage.counters().retries, 1);
+        let _ = fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    #[test]
+    fn journal_bitrot_append_keeps_the_next_record_aligned() {
+        // The second append commits with one bit flipped; the third
+        // short-writes, so its retry truncates back to the end offset
+        // tracked past the rotted frame.
+        let mut plan = DiskFaultPlan::at((0, 2), DiskFaultKind::Bitrot);
+        plan.targeted.push(vmos::TargetedFault {
+            site: (0, 3),
+            kind: DiskFaultKind::ShortWrite,
+            fires: 1,
+        });
+        let storage = Storage::new(plan, 3, 0);
+        let (path, mut j) = fresh_journal("j-rot", &storage);
+        for i in 0..4 {
+            assert_eq!(j.append(&record(i)), OpOutcome::Done);
+        }
+        let got = fs::read(&path).unwrap();
+        let want = clean_journal(0..4);
+        assert_eq!(got.len(), want.len(), "the rotted frame keeps its length");
+        let diff: Vec<usize> = (0..got.len()).filter(|&k| got[k] != want[k]).collect();
+        let rotted_start = clean_journal(0..1).len();
+        let rotted_end = clean_journal(0..2).len();
+        assert_eq!(diff.len(), 1, "exactly one byte differs");
+        assert!(
+            (rotted_start..rotted_end).contains(&diff[0]),
+            "the flip lands inside the rotted record; every later record is in place"
+        );
+        assert_eq!((got[diff[0]] ^ want[diff[0]]).count_ones(), 1);
+        let c = storage.counters();
+        assert_eq!((c.bitrot_injected, c.retries), (1, 1));
+        let _ = fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    #[test]
+    fn journal_appends_on_a_degraded_stream_are_skipped_and_counted() {
+        // The first append fails past its retry budget: the stream
+        // degrades, and every later append skips without touching disk.
+        let mut plan = DiskFaultPlan::at((0, 1), DiskFaultKind::Io);
+        plan.targeted[0].fires = 99;
+        let storage = Storage::new(plan, 2, 0);
+        let (path, mut j) = fresh_journal("j-degraded", &storage);
+        assert_eq!(j.append(&record(0)), OpOutcome::Skipped);
+        for i in 1..4 {
+            assert_eq!(j.append(&record(i)), OpOutcome::Skipped);
+        }
+        assert_eq!(fs::read(&path).unwrap(), clean_journal(0..0), "header only");
+        let c = storage.counters();
+        assert_eq!(c.degradations.len(), 1);
+        assert_eq!(c.writes_skipped, 3);
+
+        // A journal whose create already hit the degraded stream has no
+        // file at all; its appends are skipped and counted the same way.
+        let (mut dead, o) = Journal::create_at(&storage, &path, 0, FsyncPolicy::OnSnapshot);
+        assert_eq!(o, OpOutcome::Skipped);
+        assert_eq!(dead.append(&record(4)), OpOutcome::Skipped);
+        assert_eq!(storage.counters().writes_skipped, 5);
+        let _ = fs::remove_dir_all(path.parent().unwrap());
     }
 
     #[test]

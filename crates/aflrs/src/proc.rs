@@ -1036,8 +1036,9 @@ fn read_epoch_reply(
 }
 
 /// Send `RunEpoch` for one lane, honoring a parent-side `Kill` decision:
-/// the child is SIGKILLed right after the send — the exact kill moment is
-/// irrelevant because recovery re-runs the whole epoch from the barrier.
+/// the child is SIGKILLed right after the send and the signal fault is
+/// returned at once — the exact kill moment is irrelevant because
+/// recovery re-runs the whole epoch from the barrier.
 #[allow(clippy::too_many_arguments)]
 fn dispatch_epoch(
     child: &mut ChildProc,
@@ -1063,7 +1064,11 @@ fn dispatch_epoch(
     child.send(K_RUN_EPOCH, &encode_run_epoch(&msg))?;
     let site = (lane_idx as u64, epoch);
     if sup_cfg.proc_faults.decide(site, attempt) == Some(ProcFaultKind::Kill) {
+        // The fault is a SIGKILL during the epoch, so report it here. A
+        // short epoch may already have written its barrier frame before
+        // the signal landed; reading that frame would hide the fault.
         child.kill();
+        return Err(child.reap_fault());
     }
     Ok(())
 }

@@ -15,8 +15,8 @@ use vmos::{
 use crate::builder::Campaign;
 use crate::campaign::{CampaignConfig, Stage};
 use crate::checkpoint::{
-    load_snapshot, seal_snapshot, CampaignOutcome, CheckpointConfig, DeltaRecord, Scalars,
-    SnapshotState,
+    frame_record, load_snapshot, seal_snapshot, CampaignOutcome, CheckpointConfig, DeltaRecord,
+    Scalars, SnapshotState,
 };
 use crate::queue::QueueEntry;
 use crate::stats::{CampaignResult, CrashRecord};
@@ -245,6 +245,21 @@ proptest! {
         let bytes = rec.encode();
         let back = DeltaRecord::decode(&bytes).expect("own encoding decodes");
         prop_assert_eq!(bytes, back.encode());
+    }
+
+    /// A journal frame built in a reused buffer is exactly the payload
+    /// length, its FNV-1a checksum and the payload, whatever the buffer
+    /// held before.
+    #[test]
+    fn framed_record_is_length_checksum_payload(
+        rec in arb_delta(),
+        stale in prop::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let payload = rec.encode();
+        let frame = frame_record(&rec, stale);
+        prop_assert_eq!(&frame[..4], &(payload.len() as u32).to_le_bytes()[..]);
+        prop_assert_eq!(&frame[4..12], &vmos::wire::fnv1a(&payload).to_le_bytes()[..]);
+        prop_assert_eq!(&frame[12..], &payload[..]);
     }
 
     /// Decoding arbitrary garbage never panics (it is fed file contents an

@@ -20,8 +20,10 @@
 //!
 //! Every scenario runs with crash revalidation wired to a fresh-process
 //! executor, so the revalidation replay stream is part of what must be
-//! reproduced. Writes `results/checkpoint_eval.json`; exits nonzero on
-//! any mismatch (this is a correctness gate, not a benchmark).
+//! reproduced. Writes `results/checkpoint_eval.json`
+//! (`results/checkpoint_eval_smoke.json` under `--smoke`, so CI never
+//! overwrites the full-mode report); exits nonzero on any mismatch (this
+//! is a correctness gate, not a benchmark).
 //!
 //! `--smoke` shrinks the budget and kill count for CI.
 
@@ -386,7 +388,8 @@ fn main() {
         trials.len() - failures,
         trials.len()
     );
-    bench::write_report("checkpoint_eval", &trials);
+    let report_name = if smoke { "checkpoint_eval_smoke" } else { "checkpoint_eval" };
+    bench::write_report(report_name, &trials);
     let _ = std::fs::remove_dir_all(&lab.scratch);
     if failures > 0 {
         eprintln!("FAIL: {failures} scenario(s) diverged from the uninterrupted campaign");

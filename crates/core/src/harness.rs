@@ -17,12 +17,14 @@
 //! Construction applies the full ClosureX pass pipeline; no fuzzer or
 //! target modification is needed, mirroring the paper's AFL++ integration.
 
+use std::cell::RefCell;
 use std::sync::Arc;
 
 use fir::{Module, Section};
 use passes::pipelines::closurex_pipeline;
 use passes::{PassError, PassReport, TARGET_MAIN};
 use vmos::fs::FUZZ_INPUT_PATH;
+use vmos::mem::PageTable;
 use vmos::{CallResult, CovMap, DecodedImage, FaultPlan, FaultPlane, HostCtx, Machine, Os, Process};
 
 use crate::checkpoint::ExecutorState;
@@ -149,7 +151,16 @@ pub struct ClosureXExecutor {
     /// module the decoded-image cache is keyed by, so checkpoints written
     /// against this executor validate against what actually runs.
     fingerprint: u64,
+    /// Last `private_pages_vs(template)` result, keyed by the (process,
+    /// template) ownership stamps it was computed for. The persistent
+    /// process's private-page set almost never changes between execs, so
+    /// per-exec checkpoint exports reuse it instead of walking the table.
+    private_pages: RefCell<Option<PrivatePages>>,
 }
+
+/// A `private_pages_vs` result and the (process, template) ownership
+/// stamps it was computed for.
+type PrivatePages = ((u64, u64), Vec<u64>);
 
 impl ClosureXExecutor {
     /// Apply the ClosureX pipeline to `module` and boot the harness
@@ -187,6 +198,7 @@ impl ClosureXExecutor {
             harness_faults: 0,
             degradation: DegradationLevel::Persistent,
             fingerprint,
+            private_pages: RefCell::new(None),
         };
         // The fault plane is still disabled at construction, so boot cannot
         // be refused here; if it ever is, the first run surfaces the fault.
@@ -271,6 +283,26 @@ impl ClosureXExecutor {
                 Ok(cycles)
             }
         }
+    }
+
+    /// `proc_mem.private_pages_vs(template)`, walking the tables only when
+    /// either one's page ownership changed since the last call.
+    fn private_pages(&self, proc_mem: &PageTable, template: &PageTable) -> Vec<u64> {
+        let key = (proc_mem.ownership_stamp(), template.ownership_stamp());
+        let mut cache = self.private_pages.borrow_mut();
+        if let Some((cached_key, pages)) = cache.as_ref() {
+            if *cached_key == key {
+                debug_assert_eq!(
+                    pages,
+                    &proc_mem.private_pages_vs(template),
+                    "private-page cache went stale"
+                );
+                return pages.clone();
+            }
+        }
+        let pages = proc_mem.private_pages_vs(template);
+        *cache = Some((key, pages.clone()));
+        pages
     }
 
     /// Pass reports from instrumentation (Table 3 evidence).
@@ -706,7 +738,7 @@ impl Executor for ClosureXExecutor {
         // template — both must survive a kill/resume or the resumed run's
         // next teardown drifts.
         let (proc_cow_faults, proc_private_pages) = match (&self.proc, &self.template) {
-            (Some(p), Some(t)) => (p.mem.cow_faults(), p.mem.private_pages_vs(&t.mem)),
+            (Some(p), Some(t)) => (p.mem.cow_faults(), self.private_pages(&p.mem, &t.mem)),
             (Some(p), None) => (p.mem.cow_faults(), Vec::new()),
             _ => (0, Vec::new()),
         };
@@ -1165,6 +1197,127 @@ mod tests {
             assert_eq!(out.status, ExecStatus::Exit(4), "rewound handle re-reads");
             assert_eq!(ex.last_restore().init_rewinds, 1);
             assert_eq!(ex.last_restore().stray_fds, 0);
+        }
+    }
+
+    /// The private-page list `export_state` hands a checkpoint, checked
+    /// against a fresh walk of both page tables — the oracle the
+    /// executor's stamp-keyed cache stands in for.
+    fn assert_private_pages_match_oracle(ex: &ClosureXExecutor, ctx: &str) -> Vec<u64> {
+        let exported = ex.export_state().expect("closurex exports state").proc_private_pages;
+        let oracle = match (&ex.proc, &ex.template) {
+            (Some(p), Some(t)) => p.mem.private_pages_vs(&t.mem),
+            _ => Vec::new(),
+        };
+        assert_eq!(exported, oracle, "{ctx}: cached private pages went stale");
+        exported
+    }
+
+    #[test]
+    fn private_page_cache_matches_the_page_walk_oracle_on_every_target() {
+        let mut respawns = 0;
+        for t in targets::all() {
+            let m = t.module();
+            let mut ex = ClosureXExecutor::new(&m, ClosureXConfig::default()).unwrap();
+            // Seeds, then bug witnesses: a crash kills the persistent
+            // process, and the next run respawns it from the template.
+            let mut inputs = (t.seeds)();
+            inputs.extend((t.witnesses)().into_iter().map(|(_, input)| input));
+            for round in 0..2 {
+                for (k, input) in inputs.iter().enumerate() {
+                    ex.run(input);
+                    assert_private_pages_match_oracle(&ex, &format!("{} r{round} #{k}", t.name));
+                }
+            }
+            respawns += ex.respawns();
+
+            // A warmed-up persistent process re-running a benign seed
+            // keeps its page ownership, so exports hit the cache.
+            ex.run(&inputs[0]);
+            let stamp = ex.proc.as_ref().map(|p| p.mem.ownership_stamp());
+            ex.run(&inputs[0]);
+            assert_private_pages_match_oracle(&ex, t.name);
+            assert_eq!(
+                ex.proc.as_ref().map(|p| p.mem.ownership_stamp()),
+                stamp,
+                "{}: a steady-state exec must not change page ownership",
+                t.name
+            );
+        }
+        assert!(respawns > 0, "witnesses must exercise crash respawns");
+    }
+
+    #[test]
+    fn private_page_cache_sees_a_cow_copy_between_exports() {
+        let m = module(STATEFUL);
+        let mut ex = ClosureXExecutor::new(&m, ClosureXConfig::default()).unwrap();
+        // Right after boot the process shares every page with the
+        // template; export once so the cache holds that empty list.
+        assert!(assert_private_pages_match_oracle(&ex, "boot").is_empty());
+        // A CoW copy with no page materialized — what an exec reaching a
+        // page it never wrote before does — must invalidate the cache.
+        let (addr, _) = ex.section().expect("closure global section");
+        ex.proc.as_mut().unwrap().mem.write_uint(addr, 9, 8);
+        assert_eq!(
+            assert_private_pages_match_oracle(&ex, "after CoW"),
+            vec![addr / vmos::mem::PAGE_SIZE]
+        );
+    }
+
+    #[test]
+    fn private_page_cache_survives_fork_per_exec_degradation() {
+        let m = module(STATEFUL);
+        let cfg = ClosureXConfig {
+            integrity: IntegrityPolicy {
+                check_every: 1,
+                max_divergences: 2,
+            },
+            ..ClosureXConfig::default()
+        };
+        let mut ex = ClosureXExecutor::new(&m, cfg).unwrap();
+        ex.inject_faults(vmos::FaultPlan {
+            seed: 7,
+            restore_bitflip: 1.0,
+            ..vmos::FaultPlan::none()
+        });
+        for k in 0..6 {
+            ex.run(b"x");
+            assert_private_pages_match_oracle(&ex, &format!("exec {k}"));
+        }
+        assert_eq!(ex.degradation(), DegradationLevel::ForkPerExec);
+    }
+
+    #[test]
+    fn private_page_cache_follows_restore_state_privatize() {
+        let t = targets::by_name("gpmf-parser").expect("bundled target");
+        let m = t.module();
+        let mut inputs = (t.seeds)();
+        inputs.extend((t.witnesses)().into_iter().map(|(_, input)| input));
+        let mut killed = ClosureXExecutor::new(&m, ClosureXConfig::default()).unwrap();
+        for input in &inputs {
+            killed.run(input);
+        }
+        killed.run(&inputs[0]); // end on a live process
+        let state = killed.export_state().unwrap();
+        assert!(state.proc_alive && !state.proc_private_pages.is_empty());
+
+        // A fresh executor that already exported (and cached) its boot
+        // process's empty list, then re-privatizes the checkpointed pages.
+        let mut resumed = ClosureXExecutor::new(&m, ClosureXConfig::default()).unwrap();
+        assert_private_pages_match_oracle(&resumed, "fresh boot");
+        resumed.restore_state(&state).unwrap();
+        assert_eq!(
+            assert_private_pages_match_oracle(&resumed, "after restore"),
+            state.proc_private_pages
+        );
+        for (k, input) in inputs.iter().enumerate() {
+            killed.run(input);
+            resumed.run(input);
+            assert_eq!(
+                assert_private_pages_match_oracle(&resumed, &format!("resumed #{k}")),
+                assert_private_pages_match_oracle(&killed, &format!("killed #{k}")),
+                "a resumed process must track the killed run's page lineage"
+            );
         }
     }
 }

@@ -6,8 +6,10 @@
 //! baseline pays per test case.
 
 use std::cell::RefCell;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Page size in bytes (4 KiB, like Linux).
@@ -49,6 +51,17 @@ impl Hasher for PageHasher {
 
 type PageMap = HashMap<u64, Page, BuildHasherDefault<PageHasher>>;
 
+/// Source of [`PageTable::ownership_stamp`] values. Global, so a stamp is
+/// never reused by another table: a cache keyed by stamps cannot mistake
+/// a replacement process for the one it replaced.
+static NEXT_OWNERSHIP_STAMP: AtomicU64 = AtomicU64::new(1);
+
+fn fresh_stamp() -> u64 {
+    // Relaxed: the counter publishes no other data; `fetch_add` alone
+    // makes every value unique.
+    NEXT_OWNERSHIP_STAMP.fetch_add(1, Ordering::Relaxed)
+}
+
 /// A sparse, copy-on-write page table.
 ///
 /// Unmapped pages read as zeros and are materialized on first write.
@@ -81,6 +94,8 @@ pub struct PageTable {
     tlb: RefCell<Option<(u64, Page)>>,
     /// CoW faults taken since the last [`PageTable::reset_fault_count`].
     cow_faults: u64,
+    /// See [`PageTable::ownership_stamp`]. 0 is the empty table's stamp.
+    stamp: u64,
 }
 
 impl PageTable {
@@ -107,6 +122,17 @@ impl PageTable {
     /// Restore the CoW fault counter to a checkpointed value (resume path).
     pub fn set_cow_faults(&mut self, n: u64) {
         self.cow_faults = n;
+    }
+
+    /// Identity of the table's page *ownership*: which page object backs
+    /// each index. Every change to that — a page materialized, a CoW
+    /// copy, [`PageTable::privatize`], a [`PageTable::fork`] — draws a
+    /// fresh, never-reused stamp; writes into an already-owned page leave
+    /// it alone. Two tables with equal stamps therefore map every index to
+    /// the same page object, so [`PageTable::private_pages_vs`] is a pure
+    /// function of the two stamps and callers may cache it on them.
+    pub fn ownership_stamp(&self) -> u64 {
+        self.stamp
     }
 
     /// Page indices whose backing differs from `parent`'s: pages this table
@@ -142,6 +168,7 @@ impl PageTable {
         if Arc::strong_count(entry) > 1 {
             *entry = Arc::new(**entry);
         }
+        self.stamp = fresh_stamp();
     }
 
     /// Duplicate the table the way `fork(2)` does: share all pages.
@@ -151,6 +178,7 @@ impl PageTable {
             pages: self.pages.clone(),
             tlb: RefCell::new(None),
             cow_faults: 0,
+            stamp: fresh_stamp(),
         }
     }
 
@@ -206,12 +234,19 @@ impl PageTable {
                     *tlb = None;
                 }
             }
-            let entry = self.pages.entry(page_idx).or_insert_with(zero_page);
+            let entry = match self.pages.entry(page_idx) {
+                Entry::Occupied(e) => e.into_mut(),
+                Entry::Vacant(e) => {
+                    self.stamp = fresh_stamp();
+                    e.insert(zero_page())
+                }
+            };
             if Arc::strong_count(entry) > 1 {
                 // Copy-on-write fault: this page is shared with another
                 // process (post-fork); duplicate before writing.
                 *entry = Arc::new(**entry);
                 self.cow_faults += 1;
+                self.stamp = fresh_stamp();
             }
             let page = Arc::get_mut(entry).expect("just un-shared");
             page[in_page..in_page + n].copy_from_slice(&buf[off..off + n]);
@@ -340,6 +375,34 @@ mod tests {
         child.write_uint(0x1000, 2, 8);
         child.write_uint(0x1010, 3, 8);
         assert_eq!(child.cow_faults(), 1);
+    }
+
+    #[test]
+    fn ownership_stamp_moves_exactly_when_page_ownership_does() {
+        let mut pt = PageTable::new();
+        assert_eq!(pt.ownership_stamp(), 0, "the empty table");
+        pt.write_uint(0x1000, 1, 8);
+        let materialized = pt.ownership_stamp();
+        assert_ne!(materialized, 0, "materializing a page moves the stamp");
+        pt.write_uint(0x1008, 2, 8);
+        assert_eq!(pt.ownership_stamp(), materialized, "owned page: no move");
+
+        let mut child = pt.fork();
+        let forked = child.ownership_stamp();
+        assert_ne!(forked, materialized, "a fork gets its own stamp");
+        assert_eq!(pt.ownership_stamp(), materialized, "forking leaves the parent");
+        child.write_uint(0x1000, 3, 8);
+        let copied = child.ownership_stamp();
+        assert_ne!(copied, forked, "a CoW copy moves the stamp");
+        child.write_uint(0x1000, 4, 8);
+        assert_eq!(child.ownership_stamp(), copied);
+        assert_eq!(child.private_pages_vs(&pt), vec![1]);
+
+        let twin = child.clone();
+        assert_eq!(twin.ownership_stamp(), copied, "a clone shares every page");
+        child.privatize(5);
+        assert_ne!(child.ownership_stamp(), copied, "privatize moves the stamp");
+        assert_eq!(child.private_pages_vs(&pt), vec![1, 5]);
     }
 
     #[test]

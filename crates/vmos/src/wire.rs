@@ -72,6 +72,15 @@ impl Writer {
         Self::default()
     }
 
+    /// Empty writer over `buf`'s allocation: the contents are cleared, the
+    /// capacity is kept. A hot encoder hands the same buffer back through
+    /// `reuse` and [`Writer::into_bytes`] so it stops reallocating once
+    /// the buffer has grown to its working size.
+    pub fn reuse(mut buf: Vec<u8>) -> Self {
+        buf.clear();
+        Writer { buf }
+    }
+
     /// Consume the writer, yielding the encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
@@ -544,6 +553,17 @@ pub fn read_frame(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn reuse_clears_but_keeps_capacity() {
+        let mut buf = Vec::with_capacity(256);
+        buf.extend_from_slice(b"stale bytes");
+        let mut w = Writer::reuse(buf);
+        w.put_u32(7);
+        let bytes = w.into_bytes();
+        assert_eq!(bytes, 7u32.to_le_bytes());
+        assert!(bytes.capacity() >= 256, "the allocation is recycled");
+    }
 
     #[test]
     fn primitives_round_trip() {
