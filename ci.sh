@@ -3,18 +3,13 @@
 set -eux
 
 cargo build --release
-cargo test -q
-cargo clippy -- -D warnings
+cargo test -q --workspace
+cargo clippy --workspace --all-targets -- -D warnings
 # The benchmark (`perfbench/`) is its own package outside the workspace, so
 # the workspace build above cannot see it: build and test it here so a
 # public-API change in the crates it drives fails CI instead of the next
 # benchmark run.
 CARGO_TARGET_DIR=.bench_build cargo test --manifest-path perfbench/Cargo.toml
-# Optimizer escape hatch: with the pre-decode FIR optimizer compiled out
-# (`no-fir-opt`), the three-way reference/decoded/decoded+opt equivalence
-# gate must still hold — the unoptimized decoded lowering is the fallback
-# story, so it gets its own pass of the gate.
-cargo test -q --features no-fir-opt --test engine_equivalence
 # Checkpoint/resume correctness gate: kill-and-resume must be byte-identical.
 cargo run --release -p bench --bin checkpoint_eval -- --smoke
 # Engine determinism + throughput gate: the decoded engine must match the
@@ -54,7 +49,7 @@ cargo run --release -p bench --bin storage_eval -- --smoke
 cargo run --release -p bench --bin service_eval -- --smoke
 # Network service-plane gate: every injected wire fault (drop, delay,
 # duplicate, corrupt, disconnect, partial frame) in either direction at any
-# early frame position, on both engines, must leave the remote campaign
+# early frame position must leave the remote campaign
 # bit-identical to the in-process service; a server killed mid-campaign and
 # restored must resume the same client session exactly; and the clean-path
 # RPC overhead must stay within 2x of the blessed ceiling in

@@ -123,7 +123,6 @@ pub struct Campaign<'a> {
     supervision_set: bool,
     isolation: Isolation,
     disk_faults: Option<vmos::DiskFaultPlan>,
-    decode_opt: bool,
 }
 
 impl<'a> Campaign<'a> {
@@ -143,19 +142,7 @@ impl<'a> Campaign<'a> {
             supervision_set: false,
             isolation: Isolation::default(),
             disk_faults: None,
-            decode_opt: true,
         }
-    }
-
-    /// Enable (default) or disable the decode-time FIR optimizer for this
-    /// campaign. With `false`, every lane — in-process worker threads and
-    /// supervised child processes alike — runs the plain 1:1 decoded
-    /// streams; the run-time mirror of building with `--features
-    /// no-fir-opt`. The escape hatch for bisecting a suspected optimizer
-    /// miscompile without a rebuild.
-    pub fn decode_opt(mut self, on: bool) -> Self {
-        self.decode_opt = on;
-        self
     }
 
     /// Run on this (borrowed) executor — the single-driver mode.
@@ -273,12 +260,8 @@ impl<'a> Campaign<'a> {
             supervision_set,
             isolation,
             disk_faults,
-            decode_opt,
             ..
         } = self;
-        // Pin the thread-local optimizer switch for the duration of the
-        // run; lane workers (threads and child processes) inherit it.
-        let _opt_off = (!decode_opt).then(vmos::DecodeOptGuard::new);
         let checkpoint = Self::armed_checkpoint(checkpoint, disk_faults);
         match (factory, executor) {
             (Some(_), Some(_)) => Err(CampaignError::Config(
@@ -356,10 +339,8 @@ impl<'a> Campaign<'a> {
             supervision_set,
             isolation,
             disk_faults,
-            decode_opt,
             ..
         } = self;
-        let _opt_off = (!decode_opt).then(vmos::DecodeOptGuard::new);
         let Some(ck) = Self::armed_checkpoint(checkpoint, disk_faults) else {
             return Err(CampaignError::Config(
                 "resume needs a checkpoint directory: use Campaign::checkpoint",

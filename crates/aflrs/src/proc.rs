@@ -132,9 +132,6 @@ struct Hello {
     /// processes; the thread-inheritance trick of the in-process pool
     /// cannot cross the `exec` boundary).
     reference: bool,
-    /// Decode-time optimizer choice, inherited the same way; `false`
-    /// pins the worker onto the plain 1:1 decoded streams.
-    decode_opt: bool,
     /// Whether checkpoint journaling is armed.
     track: bool,
     fsync: FsyncPolicy,
@@ -172,7 +169,6 @@ struct Hello {
 fn encode_hello(h: &Hello) -> Vec<u8> {
     let mut w = Writer::new();
     w.put_bool(h.reference);
-    w.put_bool(h.decode_opt);
     w.put_bool(h.track);
     w.put_u8(fsync_tag(h.fsync));
     w.put_str(&h.dir);
@@ -196,7 +192,6 @@ fn encode_hello(h: &Hello) -> Vec<u8> {
 fn decode_hello(bytes: &[u8]) -> Result<Hello, WireError> {
     let mut r = Reader::new(bytes);
     let reference = r.get_bool()?;
-    let decode_opt = r.get_bool()?;
     let track = r.get_bool()?;
     let fsync = fsync_from_tag(r.get_u8()?)?;
     let dir = r.get_str()?;
@@ -223,7 +218,6 @@ fn decode_hello(bytes: &[u8]) -> Result<Hello, WireError> {
     }
     Ok(Hello {
         reference,
-        decode_opt,
         track,
         fsync,
         dir,
@@ -505,7 +499,6 @@ where
     };
 
     vmos::set_reference_engine(hello.reference);
-    vmos::set_decode_opt(hello.decode_opt);
     supervise::install_quiet_panic_hook();
 
     let factory = match parse(&hello.spec) {
@@ -907,7 +900,6 @@ impl ProcCtx<'_> {
     ) -> Hello {
         Hello {
             reference: vmos::reference_engine(),
-            decode_opt: vmos::decode_opt(),
             track: self.ck.is_some(),
             fsync: self.ck.map_or(FsyncPolicy::Never, |c| c.fsync),
             dir: self
@@ -1656,7 +1648,6 @@ mod tests {
     fn sample_hello() -> Hello {
         Hello {
             reference: true,
-            decode_opt: false,
             track: true,
             fsync: FsyncPolicy::OnSnapshot,
             dir: "/tmp/ckpt".to_string(),
@@ -1687,7 +1678,6 @@ mod tests {
         let bytes = encode_hello(&h);
         let d = decode_hello(&bytes).unwrap();
         assert_eq!(d.reference, h.reference);
-        assert_eq!(d.decode_opt, h.decode_opt);
         assert_eq!(d.track, h.track);
         assert_eq!(d.fsync, h.fsync);
         assert_eq!(d.dir, h.dir);

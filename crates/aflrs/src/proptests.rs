@@ -735,9 +735,9 @@ fn arb_campaign_spec() -> impl Strategy<Value = CampaignSpec> {
             prop::collection::vec(prop::collection::vec(any::<u8>(), 0..16), 1..4),
             any::<u64>(),
         ),
-        ((1usize..9, 1usize..5), (1u64..9, any::<bool>()), 1usize..4),
+        ((1usize..9, 1usize..5), 1u64..9, 1usize..4),
     )
-        .prop_map(|((name, factory_spec, seeds, seed), ((lanes, shards), (epochs, opt), keep))| {
+        .prop_map(|((name, factory_spec, seeds, seed), ((lanes, shards), epochs, keep))| {
             let mut s = CampaignSpec::new(
                 name,
                 factory_spec,
@@ -750,7 +750,6 @@ fn arb_campaign_spec() -> impl Strategy<Value = CampaignSpec> {
             s.lanes = lanes;
             s.shards = shards;
             s.sync_epochs = epochs;
-            s.decode_opt = opt;
             s.keep_snapshots = keep;
             s
         })

@@ -69,8 +69,9 @@ use crate::shard::{
 use crate::stats::CampaignResult;
 use crate::supervise::SupervisorConfig;
 
-/// `spec.bin` wire-format version; bump on any layout change.
-const SPEC_VERSION: u32 = 1;
+/// `spec.bin` wire-format version; bump on any layout change. Other
+/// versions are refused, so restore fails closed on them.
+const SPEC_VERSION: u32 = 2;
 /// `spec.bin` magic.
 const SPEC_MAGIC: &[u8; 4] = b"CXSP";
 /// The spec file's name inside a tenant directory.
@@ -117,9 +118,6 @@ pub struct CampaignSpec {
     /// Merge barriers across the budget (default
     /// [`DEFAULT_SYNC_EPOCHS`]); also the preemption granularity.
     pub sync_epochs: u64,
-    /// Run the decode-time FIR optimizer (default `true`; see
-    /// [`crate::Campaign::decode_opt`]).
-    pub decode_opt: bool,
     /// Snapshot generations to retain in the tenant directory.
     pub keep_snapshots: usize,
 }
@@ -140,7 +138,6 @@ impl CampaignSpec {
             lanes: DEFAULT_LANES,
             shards: 1,
             sync_epochs: DEFAULT_SYNC_EPOCHS,
-            decode_opt: true,
             keep_snapshots: 2,
         }
     }
@@ -160,7 +157,6 @@ impl CampaignSpec {
         w.put_usize(self.lanes);
         w.put_usize(self.shards);
         w.put_u64(self.sync_epochs);
-        w.put_bool(self.decode_opt);
         w.put_usize(self.keep_snapshots);
         w.into_bytes()
     }
@@ -189,7 +185,6 @@ impl CampaignSpec {
         let lanes = r.get_count()?;
         let shards = r.get_count()?;
         let sync_epochs = r.get_u64()?;
-        let decode_opt = r.get_bool()?;
         let keep_snapshots = r.get_count()?;
         if !r.is_empty() {
             return Err(vmos::WireError::Malformed("trailing campaign spec bytes"));
@@ -202,7 +197,6 @@ impl CampaignSpec {
             lanes,
             shards,
             sync_epochs,
-            decode_opt,
             keep_snapshots,
         })
     }
@@ -1176,9 +1170,6 @@ fn run_grant(
         needs_resume,
         flags,
     } = grant;
-    // The decode-opt switch is thread-local and lane workers inherit it;
-    // pin it per grant since this thread steps many tenants.
-    let _opt_off = (!spec.decode_opt).then(vmos::DecodeOptGuard::new);
     let ck = tenant_checkpoint(&shared.cfg, &spec);
     let plan = spec.plan();
     let mut resume_report = None;
@@ -1257,6 +1248,7 @@ fn tenant_checkpoint(cfg: &ServiceConfig, spec: &CampaignSpec) -> CheckpointConf
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn fair_pick_minimizes_cycles_then_id() {
@@ -1281,7 +1273,6 @@ mod tests {
         spec.lanes = 3;
         spec.shards = 2;
         spec.sync_epochs = 7;
-        spec.decode_opt = false;
         spec.keep_snapshots = 5;
         let decoded = CampaignSpec::decode(&spec.encode()).expect("roundtrip");
         assert_eq!(decoded.name, spec.name);
@@ -1292,7 +1283,6 @@ mod tests {
         assert_eq!(decoded.lanes, 3);
         assert_eq!(decoded.shards, 2);
         assert_eq!(decoded.sync_epochs, 7);
-        assert!(!decoded.decode_opt);
         assert_eq!(decoded.keep_snapshots, 5);
     }
 
@@ -1312,6 +1302,69 @@ mod tests {
         let mut bad_magic = good;
         bad_magic[4] = b'X'; // first magic byte (after the length prefix)
         assert!(CampaignSpec::decode(&bad_magic).is_err(), "bad magic");
+    }
+
+    /// A version-1 `spec.bin`, byte for byte as that format wrote it:
+    /// the current layout plus the old per-campaign optimizer flag.
+    fn encode_v1(spec: &CampaignSpec) -> Vec<u8> {
+        let mut w = vmos::Writer::new();
+        w.put_bytes(SPEC_MAGIC);
+        w.put_u32(1);
+        w.put_str(&spec.name);
+        w.put_bytes(&spec.factory_spec);
+        w.put_usize(spec.seeds.len());
+        for s in &spec.seeds {
+            w.put_bytes(s);
+        }
+        spec.cfg.encode(&mut w);
+        w.put_usize(spec.lanes);
+        w.put_usize(spec.shards);
+        w.put_u64(spec.sync_epochs);
+        w.put_bool(true);
+        w.put_usize(spec.keep_snapshots);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn version_1_spec_fails_closed() {
+        struct CountingResolver(AtomicUsize);
+        impl SpecResolver for CountingResolver {
+            fn resolve(
+                &self,
+                _: &[u8],
+            ) -> Result<Box<dyn ExecutorFactory + Send + Sync>, String> {
+                self.0.fetch_add(1, Ordering::SeqCst);
+                Err("no targets here".into())
+            }
+        }
+
+        let spec = CampaignSpec::new(
+            "old-tenant",
+            vec![7],
+            vec![b"seed".to_vec()],
+            CampaignConfig::default(),
+        );
+        let v1 = encode_v1(&spec);
+        assert!(matches!(
+            CampaignSpec::decode(&v1),
+            Err(vmos::WireError::Malformed("campaign spec version"))
+        ));
+
+        let root = std::env::temp_dir().join(format!("cx-spec-v1-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&root);
+        fs::create_dir_all(root.join(&spec.name)).expect("mkdir");
+        let spec_path = root.join(&spec.name).join(SPEC_FILE);
+        fs::write(&spec_path, &v1).expect("write spec");
+        let resolver = Arc::new(CountingResolver(Default::default()));
+        let mut cfg = ServiceConfig::new(&root);
+        cfg.workers = 1;
+        let restored = Service::restore(cfg, Arc::clone(&resolver) as Arc<dyn SpecResolver>);
+        assert!(matches!(restored, Err(AdmissionError::InvalidSpec(_))));
+        // Refused before resolution, so no tenant was admitted, and the
+        // old file is left for the operator.
+        assert_eq!(resolver.0.load(Ordering::SeqCst), 0);
+        assert_eq!(fs::read(&spec_path).expect("spec kept"), v1);
+        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -323,7 +323,6 @@ fn run_epoch_parallel(
 ) -> Result<Vec<Option<LaneFault>>, CampaignError> {
     supervise::install_quiet_panic_hook();
     let reference = vmos::reference_engine();
-    let decode_opt = vmos::decode_opt();
     let workers = workers.clamp(1, lanes.len().max(1));
     let chunk = lanes.len().div_ceil(workers).max(1);
     let faults = &sup.cfg.faults;
@@ -339,7 +338,6 @@ fn run_epoch_parallel(
             handles.push(s.spawn(move || {
                 // Worker threads inherit the coordinator's engine choice.
                 vmos::set_reference_engine(reference);
-                vmos::set_decode_opt(decode_opt);
                 lane_chunk
                     .iter_mut()
                     .enumerate()

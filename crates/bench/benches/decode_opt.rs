@@ -1,8 +1,8 @@
 //! Criterion micro-benchmarks for the decode-time FIR optimizer stack:
 //!
 //! * `decode/*` — one-time cost of lowering a target module to a
-//!   [`vmos::DecodedImage`], optimizer included vs plain streams only
-//!   (the optimizer must stay cheap enough to amortize in one campaign);
+//!   [`vmos::DecodedImage`], plain streams plus the optimizer stack (the
+//!   optimizer must stay cheap enough to amortize in one campaign);
 //! * `exec/*` — per-test-case cost on the three engine configurations
 //!   (optimized stream / plain stream / reference interpreter), isolating
 //!   what superinstruction fusion buys at the dispatch loop itself.

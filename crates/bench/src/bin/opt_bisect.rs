@@ -1,17 +1,20 @@
-//! Decode-optimizer bisection tool: times one target's campaign on each
+//! Decode-optimizer timing tool: times one target's campaign on each
 //! engine configuration (reference / plain decoded / optimized decoded)
-//! and reports best-of-N execs/sec, so individual passes can be bisected
-//! with `CLOSUREX_OPT_SKIP=pass1,pass2,...` (see `vmos::decoded`).
+//! and reports best-of-N execs/sec. Every leg must match the reference
+//! leg on execs, simulated clock, coverage hash and crash sites before a
+//! speedup is printed, so a diverged leg fails loudly instead of timing
+//! a different campaign.
 //!
 //! Usage: `opt_bisect [target ...]` (default: giftext gpmf-parser
 //! c-blosc2). Budget via `CLOSUREX_BUDGET` (default 20M cycles).
 
-use aflrs::{Campaign, CampaignConfig};
+use aflrs::{Campaign, CampaignConfig, CampaignResult};
 use bench::Mechanism;
 use std::time::Instant;
-use vmos::{DecodeOptGuard, ReferenceEngineGuard};
+use vmos::{Crash, DecodeOptGuard, ReferenceEngineGuard};
 
 const ROUNDS: usize = 3;
+const LEGS: [&str; 3] = ["reference", "plain", "optimized"];
 
 fn cfg() -> CampaignConfig {
     CampaignConfig {
@@ -23,8 +26,17 @@ fn cfg() -> CampaignConfig {
     }
 }
 
-/// One timed campaign run; returns (wall seconds, exec count).
-fn run_once(target: &targets::TargetSpec) -> (f64, u64) {
+/// The observables every leg must agree on: execs, simulated clock,
+/// coverage hash and crash sites.
+type Observed = (u64, u64, u64, Vec<Crash>);
+
+fn observed(r: &CampaignResult) -> Observed {
+    let crashes = r.crashes.iter().map(|c| c.crash.clone()).collect();
+    (r.execs, r.clock_cycles, r.coverage_hash, crashes)
+}
+
+/// One timed campaign run; returns (wall seconds, observables).
+fn run_once(target: &targets::TargetSpec) -> (f64, Observed) {
     let cfg = cfg();
     let seeds = (target.seeds)();
     let mut ex = Mechanism::ClosureX.executor(target);
@@ -35,16 +47,16 @@ fn run_once(target: &targets::TargetSpec) -> (f64, u64) {
         .expect("campaign")
         .finished()
         .expect("no kill configured");
-    (start.elapsed().as_secs_f64(), r.execs)
+    (start.elapsed().as_secs_f64(), observed(&r))
 }
 
 /// Best-of-N for all three engine configurations, with the rounds
 /// *interleaved* (ref, plain, opt, ref, plain, opt, ...) so slow drift in
 /// machine throughput hits every configuration equally instead of
 /// penalizing whichever leg runs last. Round 0 is a discarded warm-up.
-fn best3(target: &targets::TargetSpec) -> ([f64; 3], [u64; 3]) {
+fn best3(name: &str, target: &targets::TargetSpec) -> ([f64; 3], u64) {
     let mut best = [f64::INFINITY; 3];
-    let mut execs = [0u64; 3];
+    let mut want: Option<Observed> = None;
     for round in 0..=ROUNDS {
         for (i, s) in best.iter_mut().enumerate() {
             let guards = match i {
@@ -52,15 +64,20 @@ fn best3(target: &targets::TargetSpec) -> ([f64; 3], [u64; 3]) {
                 1 => (None, Some(DecodeOptGuard::new())),
                 _ => (None, None),
             };
-            let (secs, e) = run_once(target);
+            let (secs, got) = run_once(target);
             drop(guards);
+            let want = want.get_or_insert_with(|| got.clone());
+            assert_eq!(
+                &got, want,
+                "{name}: {} leg diverged from the reference (execs, clock, coverage hash, crash sites)",
+                LEGS[i]
+            );
             if round > 0 {
                 *s = s.min(secs);
             }
-            execs[i] = e;
         }
     }
-    (best, execs)
+    (best, want.expect("at least one round").0)
 }
 
 fn main() {
@@ -70,13 +87,10 @@ fn main() {
     } else {
         args.iter().map(|s| s.as_str()).collect()
     };
-    let skip = std::env::var("CLOSUREX_OPT_SKIP").unwrap_or_default();
-    println!("opt_bisect: budget {} cycles, skip=[{skip}]", bench::budget());
+    println!("opt_bisect: budget {} cycles", bench::budget());
     for name in names {
         let t = targets::by_name(name).expect("bundled target");
-        let ([ref_s, plain_s, opt_s], [execs, pe, oe]) = best3(t);
-        assert_eq!(execs, pe, "{name}: plain engine diverged");
-        assert_eq!(execs, oe, "{name}: optimized engine diverged");
+        let ([ref_s, plain_s, opt_s], execs) = best3(name, t);
         println!(
             "  {name}: {execs} execs | ref {:.0}/s | plain {:.0}/s ({:.2}x) | opt {:.0}/s ({:.2}x, {:+.1}% vs plain)",
             execs as f64 / ref_s,

@@ -5,11 +5,12 @@
 //!
 //! 1. **Fault-grid identity** — every [`vmos::NetFaultKind`] × both
 //!    directions × the first three frame positions of the client's first
-//!    connection, on both engines (optimized decoded lowering and the
-//!    plain decoded streams). Each cell submits and awaits a campaign
-//!    over the faulted wire and must (a) observe the targeted fault
-//!    actually firing and (b) read a result bit-identical to the same
-//!    campaign through the in-process [`Service`] API.
+//!    connection. Each cell submits and awaits a campaign over the
+//!    faulted wire and must (a) observe the targeted fault actually
+//!    firing and (b) read a result bit-identical to the same campaign
+//!    through the in-process [`Service`] API. Which engine runs is
+//!    independent of wire faults, so the grid runs on the default engine
+//!    only; `tests/engine_equivalence.rs` proves the engines agree.
 //! 2. **Server churn** — the campaign dies mid-epoch (simulated SIGKILL),
 //!    the RPC server is killed abruptly, and a successor server over the
 //!    restored service must resume the same client session and serve the
@@ -44,7 +45,6 @@ const CHURN_KILL: u64 = 151;
 
 #[derive(Serialize)]
 struct Cell {
-    engine: &'static str,
     fault: &'static str,
     /// 0 = client→server, 1 = server→client.
     direction: u8,
@@ -119,10 +119,9 @@ fn corpus(target: &str) -> Vec<Vec<u8>> {
     seeds
 }
 
-fn spec(name: &str, decode_opt: bool, budget: u64) -> CampaignSpec {
+fn spec(name: &str, budget: u64) -> CampaignSpec {
     let mut s = CampaignSpec::new(name, factory_spec("giftext"), corpus("giftext"), cfg(budget));
     s.shards = 1;
-    s.decode_opt = decode_opt;
     s
 }
 
@@ -153,13 +152,13 @@ fn fired(kind: NetFaultKind, c: &RpcCounters) -> u64 {
     }
 }
 
-/// Ground truth per engine: the same campaign through a local service.
-fn service_reference(decode_opt: bool) -> String {
-    let dir = scratch(if decode_opt { "ref-opt" } else { "ref-plain" });
+/// Ground truth: the same campaign through a local service.
+fn service_reference() -> String {
+    let dir = scratch("ref");
     let resolver: Arc<dyn SpecResolver> = Arc::new(MechanismResolver);
     let service = Service::new(ServiceConfig::new(&dir), resolver).expect("service starts");
     let h = service
-        .submit(spec("cell", decode_opt, GRID_BUDGET))
+        .submit(spec("cell", GRID_BUDGET))
         .expect("admission");
     let fp = fingerprint(&h.await_result().expect("local campaign finishes"));
     drop(service);
@@ -169,15 +168,8 @@ fn service_reference(decode_opt: bool) -> String {
 
 /// One grid cell: a fresh service + server + client with the targeted
 /// fault armed at both endpoints (each injects only on its own sends).
-fn grid_cell(
-    engine: &'static str,
-    decode_opt: bool,
-    kind: NetFaultKind,
-    direction: u8,
-    frame: u64,
-    want: &str,
-) -> Cell {
-    let dir = scratch(&format!("grid-{engine}-{}-{direction}-{frame}", kind.name()));
+fn grid_cell(kind: NetFaultKind, direction: u8, frame: u64, want: &str) -> Cell {
+    let dir = scratch(&format!("grid-{}-{direction}-{frame}", kind.name()));
     let resolver: Arc<dyn SpecResolver> = Arc::new(MechanismResolver);
     let service = Arc::new(Service::new(ServiceConfig::new(&dir), resolver).expect("service"));
     let net = MemNet::new();
@@ -192,7 +184,7 @@ fn grid_cell(
     );
     let client = RemoteService::connect(&net, client_opts(plan)).expect("client connects");
     let h = client
-        .submit(spec("cell", decode_opt, GRID_BUDGET))
+        .submit(spec("cell", GRID_BUDGET))
         .expect("admission");
     let r = h.await_result().expect("remote campaign finishes");
     let fault_fired = fired(kind, &client.counters()) + fired(kind, &server.counters()) > 0;
@@ -201,7 +193,6 @@ fn grid_cell(
     drop(service);
     let _ = std::fs::remove_dir_all(dir);
     Cell {
-        engine,
         fault: kind.name(),
         direction,
         frame,
@@ -237,7 +228,7 @@ fn churn_story(budget: u64) -> ChurnStory {
     let client = RemoteService::connect(&net, opts).expect("client connects");
     let session = client.session();
     let h = client
-        .submit(spec("churn", true, budget))
+        .submit(spec("churn", budget))
         .expect("admission");
     let killed_at = match h.await_result() {
         Err(RemoteError::Service(ServiceError::Killed { execs })) => execs,
@@ -275,7 +266,7 @@ fn churn_story(budget: u64) -> ChurnStory {
 fn overhead(budget: u64) -> (f64, f64) {
     let budget = budget * 4;
     // Warm-up settles the decode cache on both paths.
-    let _ = service_reference(true);
+    let _ = service_reference();
 
     let service_secs = (0..2)
         .map(|trial| {
@@ -285,7 +276,7 @@ fn overhead(budget: u64) -> (f64, f64) {
             let service =
                 Service::new(ServiceConfig::new(&dir), resolver).expect("service starts");
             let h = service
-                .submit(spec("solo", true, budget))
+                .submit(spec("solo", budget))
                 .expect("admission");
             h.await_result().expect("service campaign finishes");
             let secs = start.elapsed().as_secs_f64();
@@ -310,7 +301,7 @@ fn overhead(budget: u64) -> (f64, f64) {
             opts.await_timeout = Duration::from_secs(600);
             let client = RemoteService::connect(&net, opts).expect("client connects");
             let h = client
-                .submit(spec("solo", true, budget))
+                .submit(spec("solo", budget))
                 .expect("admission");
             h.await_result().expect("remote campaign finishes");
             let secs = start.elapsed().as_secs_f64();
@@ -328,21 +319,19 @@ fn main() {
     let budget = if smoke { SMOKE_BUDGET } else { bench::budget() };
     let mode = if smoke { "smoke" } else { "full" };
     println!(
-        "rpc_eval ({mode}): grid = {} fault kinds x 2 directions x 3 frames x 2 engines \
+        "rpc_eval ({mode}): grid = {} fault kinds x 2 directions x 3 frames \
          at {GRID_BUDGET} cycles/cell, churn kill at {CHURN_KILL} execs, \
          overhead at {} cycles\n",
         NetFaultKind::ALL.len(),
         budget * 4
     );
 
+    let want = service_reference();
     let mut cells = Vec::new();
-    for (engine, decode_opt) in [("opt", true), ("plain", false)] {
-        let want = service_reference(decode_opt);
-        for &kind in NetFaultKind::ALL {
-            for direction in [0u8, 1u8] {
-                for frame in 0u64..3 {
-                    cells.push(grid_cell(engine, decode_opt, kind, direction, frame, &want));
-                }
+    for &kind in NetFaultKind::ALL {
+        for direction in [0u8, 1u8] {
+            for frame in 0u64..3 {
+                cells.push(grid_cell(kind, direction, frame, &want));
             }
         }
     }
@@ -353,8 +342,8 @@ fn main() {
     let rate = identical as f64 / cells.len() as f64;
     for c in cells.iter().filter(|c| !(c.identical && c.fault_fired)) {
         eprintln!(
-            "DIVERGED: engine={} fault={} direction={} frame={} (fired={}, identical={})",
-            c.engine, c.fault, c.direction, c.frame, c.fault_fired, c.identical
+            "DIVERGED: fault={} direction={} frame={} (fired={}, identical={})",
+            c.fault, c.direction, c.frame, c.fault_fired, c.identical
         );
     }
     println!(

@@ -231,13 +231,11 @@ pub fn run_trials(target: &TargetSpec, mechanism: Mechanism, budget: u64) -> Vec
     // The engine switch is thread-local: carry the caller's choice (e.g.
     // exec_throughput's reference runs) into every worker.
     let reference = vmos::reference_engine();
-    let decode_opt = vmos::decode_opt();
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..TRIALS)
             .map(|trial| {
                 s.spawn(move || {
                     vmos::set_reference_engine(reference);
-                    vmos::set_decode_opt(decode_opt);
                     let cfg = CampaignConfig {
                         budget_cycles: budget,
                         seed: 0xC0FFEE + trial * 7919,

@@ -49,24 +49,12 @@ const SWITCH_TABLE_MIN_CASES: usize = 3;
 /// Run the layout pipeline over one function IR and emit the final
 /// optimized stream.
 pub(super) fn finish(mut ir: FuncIr, stats: &mut OptStats) -> DFunc {
-    let skip = std::env::var("CLOSUREX_OPT_SKIP").unwrap_or_default();
-    let skip = |name: &str| skip.split(',').any(|s| s == name);
-    if !skip("merge") {
-        merge(&mut ir, stats);
-    }
-    if !skip("chains") {
-        fold_chains(&mut ir, stats);
-    }
+    merge(&mut ir, stats);
+    fold_chains(&mut ir, stats);
     let layout = linearize(&ir);
-    if !skip("specialize") {
-        specialize(&mut ir, stats);
-    }
-    if !skip("fuse") {
-        fuse_ops(&mut ir, stats);
-    }
-    if !skip("straight") {
-        build_chains(&mut ir, stats);
-    }
+    specialize(&mut ir, stats);
+    fuse_ops(&mut ir, stats);
+    build_chains(&mut ir, stats);
     emit(ir, &layout)
 }
 

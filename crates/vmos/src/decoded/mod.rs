@@ -31,11 +31,14 @@
 //! `tests/engine_equivalence.rs` enforces all of this end-to-end, three
 //! ways (reference / decoded / decoded+opt).
 //!
+//! Every image carries both streams. The optimized one runs unless the
+//! current thread holds a [`crate::DecodeOptGuard`], which pins the plain
+//! stream for the equivalence gate and for measurement.
+//!
 //! Images are immutable and cached per module fingerprint **and optimizer
-//! discriminant** (version + compiled-in feature flags — see
-//! [`DecodedImage::cached`]), so toggling optimization can never serve a
-//! stale image and every executor in a campaign — including respawned and
-//! restored processes — shares one decode.
+//! version** (see [`DecodedImage::cached`]), so an optimizer revision can
+//! never serve a stale image and every executor in a campaign — including
+//! respawned and restored processes — shares one decode.
 
 mod fuse;
 mod inline;
@@ -679,15 +682,13 @@ impl OptStats {
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecodedImage {
     /// Plain 1:1 lowered functions, indexed by [`FunctionId`]. This is the
-    /// stream the escape hatches (`Campaign::decode_opt(false)`, the
-    /// `no-fir-opt` feature) pin.
+    /// stream [`crate::DecodeOptGuard`] pins.
     pub funcs: Vec<DFunc>,
-    /// Optimized streams, same indexing. `None` when the `no-fir-opt`
-    /// feature compiled the optimizer out.
-    pub opt_funcs: Option<Vec<DFunc>>,
+    /// Optimized streams, same indexing.
+    pub opt_funcs: Vec<DFunc>,
     /// Fingerprint of the module this image was lowered from.
     pub fingerprint: u64,
-    /// What the optimizer did (all zeros when it didn't run).
+    /// What the optimizer did.
     pub stats: OptStats,
 }
 
@@ -753,8 +754,8 @@ fn note(f: impl FnOnce(&mut DecodeCounters)) {
 }
 
 impl DecodedImage {
-    /// Lower every function of `module` and, unless compiled out, run the
-    /// decode-time optimizer stack over it.
+    /// Lower every function of `module` and run the decode-time optimizer
+    /// stack over it.
     pub fn new(module: &Module) -> Self {
         let started = std::time::Instant::now();
         let funcs: Vec<DFunc> = module
@@ -767,11 +768,7 @@ impl DecodedImage {
             version: OPT_VERSION,
             ..OptStats::default()
         };
-        let opt_funcs = if cfg!(feature = "no-fir-opt") {
-            None
-        } else {
-            Some(opt::optimize_module(module, &mut stats))
-        };
+        let opt_funcs = opt::optimize_module(module, &mut stats);
         stats.decode_micros = started.elapsed().as_micros() as u64;
         note(|c| c.lowered += 1);
         DecodedImage {
@@ -782,49 +779,20 @@ impl DecodedImage {
         }
     }
 
-    /// Does this image carry an optimized stream?
-    pub fn has_opt(&self) -> bool {
-        self.opt_funcs.is_some()
-    }
-
-    /// The discriminant mixed into the cache key: optimizer version, the
-    /// compiled-in feature set that changes what `new` produces, **and**
-    /// the runtime pass-skip list. `CLOSUREX_OPT_SKIP` is consulted
-    /// per-decode by the optimizer, so two processes (or two points in
-    /// time in one process) with different skip lists produce different
-    /// images for the same module — the key must separate them or a
-    /// resume after toggling the env would warm up against a stale image.
-    /// Under `no-fir-opt` the optimizer never runs, the skip list cannot
-    /// change the image, and it is deliberately left out of the key.
-    fn opt_discriminant() -> u64 {
-        let flags =
-            u64::from(cfg!(feature = "no-fir-opt")) | u64::from(cfg!(feature = "slow-interp")) << 1;
-        let mut d = (u64::from(OPT_VERSION) << 8 | flags).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        if !cfg!(feature = "no-fir-opt") {
-            let skip = std::env::var("CLOSUREX_OPT_SKIP").unwrap_or_default();
-            if !skip.is_empty() {
-                d ^= crate::wire::fnv1a(skip.as_bytes());
-            }
-        }
-        d
-    }
-
     /// The process-wide cache key for a module fingerprint: the
     /// fingerprint alone is **not** enough, because what an image contains
-    /// depends on the optimizer version and flag set (the historical bug
-    /// this fixes: toggling optimization could serve a stale image keyed
-    /// only by fingerprint).
+    /// depends on the optimizer revision, so [`OPT_VERSION`] is folded in.
     pub fn cache_key(fingerprint: u64) -> u64 {
-        fingerprint ^ Self::opt_discriminant()
+        fingerprint ^ (u64::from(OPT_VERSION) << 8).wrapping_mul(0x9E37_79B9_7F4A_7C15)
     }
 
     /// Lower `module`, or return the image another executor already
     /// lowered for a structurally identical module. The cache is global
     /// and keyed by [`DecodedImage::cache_key`] — [`Module::fingerprint`]
-    /// plus the optimizer version+flag discriminant — so a campaign's
-    /// respawn / restore churn — and parallel bench trials over the same
-    /// target — decode each module exactly once per process, and no
-    /// configuration change can alias another configuration's image.
+    /// plus the optimizer version — so a campaign's respawn / restore
+    /// churn — and parallel bench trials over the same target — decode
+    /// each module exactly once per process, and no optimizer revision
+    /// can alias another's image.
     pub fn cached(module: &Module) -> Arc<DecodedImage> {
         let mut map = Self::cache().lock().unwrap_or_else(PoisonError::into_inner);
         match map.entry(Self::cache_key(module.fingerprint())) {
@@ -839,7 +807,7 @@ impl DecodedImage {
     }
 
     /// Is an image for `fingerprint` (under the current optimizer
-    /// discriminant) already in the process-wide cache? Checkpoint resume
+    /// version) already in the process-wide cache? Checkpoint resume
     /// uses this to report whether the decoded image was ready before
     /// replay began.
     pub fn cache_contains(fingerprint: u64) -> bool {
@@ -873,20 +841,16 @@ impl DecodedImage {
             note(|c| c.cache_hits += 1);
             return WarmSource::Cache;
         }
-        if let Some(dir) = dir {
-            if let Some(img) = sidecar::load(dir, Self::cache_key(fp)) {
-                // An optimized image is only valid for an optimizing build
-                // (and vice versa): opt-ness must disagree with `no-fir-opt`.
-                if img.fingerprint == fp && img.has_opt() != cfg!(feature = "no-fir-opt") {
-                    note(|c| c.sidecar_loads += 1);
-                    Self::cache()
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .entry(Self::cache_key(fp))
-                        .or_insert(img);
-                    return WarmSource::Sidecar;
-                }
-            }
+        let key = Self::cache_key(fp);
+        let loaded = dir.and_then(|dir| sidecar::load(dir, key));
+        if let Some(img) = loaded.filter(|img| img.fingerprint == fp) {
+            note(|c| c.sidecar_loads += 1);
+            Self::cache()
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .entry(key)
+                .or_insert(img);
+            return WarmSource::Sidecar;
         }
         let _ = Self::cached(module);
         WarmSource::Lowered

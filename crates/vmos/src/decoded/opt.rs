@@ -121,29 +121,18 @@ pub(super) fn optimize_module(module: &Module, stats: &mut OptStats) -> Vec<DFun
         .map(|(i, f)| build_ir(module, i as u32, f))
         .collect();
 
-    let skip = std::env::var("CLOSUREX_OPT_SKIP").unwrap_or_default();
-    let skip = |name: &str| skip.split(',').any(|s| s == name);
-
     // Phase A: per-function local passes.
     for (i, ir) in irs.iter_mut().enumerate() {
-        if !skip("resolve") {
-            resolve(ir, &gmap, stats);
-        }
+        resolve(ir, &gmap, stats);
         if !ir.has_setjmp {
             let lv = liveness(&module.functions[i]);
-            if !skip("coalesce") {
-                coalesce(ir, &lv.live_out, stats);
-            }
-            if !skip("dce") {
-                dce(ir, &lv.live_out, stats);
-            }
+            coalesce(ir, &lv.live_out, stats);
+            dce(ir, &lv.live_out, stats);
         }
     }
 
     // Phase B: decode-time inlining of small leaf callees.
-    if !skip("inline") {
-        inline::inline_all(module, &mut irs, stats);
-    }
+    inline::inline_all(module, &mut irs, stats);
 
     // Phase C: layout — merge, chain folding, linearization,
     // specialization, fusion, emission.

@@ -5,13 +5,14 @@
 //! re-lower (the eager warm-up in PR 5 only moved the cost ahead of
 //! replay). This module serializes the *decoded* image to a sidecar file
 //! next to the snapshots — `decoded-{key:016x}.img`, keyed by the full
-//! decode-cache key ([`DecodedImage::cache_key`]: module fingerprint ⊕
-//! optimizer version/flags/skip-list discriminant) — so a resume, or a
-//! service restoring a thousand campaigns of one target, deserializes the
-//! op streams instead of re-running the lowering and optimizer stack.
+//! decode-cache key ([`DecodedImage::cache_key`]: module fingerprint ⊕ a
+//! function of [`super::OPT_VERSION`]) — so a resume, or a service
+//! restoring a thousand campaigns of one target, deserializes the op
+//! streams instead of re-running the lowering and optimizer stack. Every
+//! image carries both the plain and the optimized stream.
 //!
 //! The sidecar is strictly a **cache**: a missing, truncated, bit-flipped,
-//! or wrong-configuration file makes [`load`] return `None` and the caller
+//! or wrong-version file makes [`load`] return `None` and the caller
 //! re-lowers from the module. It can therefore never affect campaign
 //! observables — only how much decode work a warm-up pays. For the same
 //! reason sidecar I/O deliberately stays *outside* the `aflrs::storage`
@@ -38,8 +39,10 @@ const MAGIC: &[u8; 4] = b"CXDI";
 
 /// Bump on any layout change; readers reject other versions (and fall
 /// back to lowering — the sidecar is append-only in spirit but cheap to
-/// regenerate, so no migration machinery).
-pub const SIDECAR_VERSION: u32 = 1;
+/// regenerate, so no migration machinery). The cache key does not carry
+/// this version, so a file from another version can sit at the very path
+/// [`load`] reads; this field alone rejects it.
+pub const SIDECAR_VERSION: u32 = 2;
 
 /// `decoded-{key:016x}.img` inside `dir`.
 pub fn sidecar_path(dir: &Path, key: u64) -> PathBuf {
@@ -127,18 +130,10 @@ fn open(bytes: &[u8], want_key: u64) -> Result<DecodedImage, WireError> {
 fn encode_image(img: &DecodedImage, w: &mut Writer) {
     w.put_u64(img.fingerprint);
     encode_stats(&img.stats, w);
-    w.put_usize(img.funcs.len());
-    for f in &img.funcs {
-        encode_func(f, w);
-    }
-    match &img.opt_funcs {
-        None => w.put_bool(false),
-        Some(fs) => {
-            w.put_bool(true);
-            w.put_usize(fs.len());
-            for f in fs {
-                encode_func(f, w);
-            }
+    for fs in [&img.funcs, &img.opt_funcs] {
+        w.put_usize(fs.len());
+        for f in fs {
+            encode_func(f, w);
         }
     }
 }
@@ -146,27 +141,23 @@ fn encode_image(img: &DecodedImage, w: &mut Writer) {
 fn decode_image(r: &mut Reader<'_>) -> Result<DecodedImage, WireError> {
     let fingerprint = r.get_u64()?;
     let stats = decode_stats(r)?;
-    let n = bounded_count(r)?;
-    let mut funcs = Vec::with_capacity(n);
-    for _ in 0..n {
-        funcs.push(decode_func(r)?);
-    }
-    let opt_funcs = if r.get_bool()? {
-        let n = bounded_count(r)?;
-        let mut fs = Vec::with_capacity(n);
-        for _ in 0..n {
-            fs.push(decode_func(r)?);
-        }
-        Some(fs)
-    } else {
-        None
-    };
+    let funcs = decode_funcs(r)?;
+    let opt_funcs = decode_funcs(r)?;
     Ok(DecodedImage {
         funcs,
         opt_funcs,
         fingerprint,
         stats,
     })
+}
+
+fn decode_funcs(r: &mut Reader<'_>) -> Result<Vec<DFunc>, WireError> {
+    let n = bounded_count(r)?;
+    let mut fs = Vec::with_capacity(n);
+    for _ in 0..n {
+        fs.push(decode_func(r)?);
+    }
+    Ok(fs)
 }
 
 fn encode_stats(s: &OptStats, w: &mut Writer) {
@@ -1172,6 +1163,7 @@ fn decode_chain_op(r: &mut Reader<'_>) -> Result<ChainOp, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decoded::{decode_counters, WarmSource};
     use fir::builder::ModuleBuilder;
     use fir::Module;
 
@@ -1245,5 +1237,52 @@ mod tests {
             bad[i] ^= 0x40;
             assert!(open(&bad, key).is_err() || bad == good);
         }
+    }
+
+    /// [`seal`] with the version field forced to `version`.
+    fn seal_as(img: &DecodedImage, key: u64, version: u32) -> Vec<u8> {
+        let mut payload = Writer::new();
+        encode_image(img, &mut payload);
+        let payload = payload.into_bytes();
+        let mut w = Writer::new();
+        w.put_bytes(&MAGIC[..]);
+        w.put_u32(version);
+        w.put_u64(key);
+        w.put_u64(fnv1a(&payload));
+        w.put_bytes(&payload);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn other_versions_are_rejected_and_fall_through_to_lowering() {
+        // The cache key does not depend on SIDECAR_VERSION, so a sidecar
+        // from another version sits at the very path this build reads.
+        // Only the version field stands between it and the decoder.
+        let mut m = sample_module();
+        m.name = "sidecar-version-probe".into();
+        let img = DecodedImage::new(&m);
+        let key = DecodedImage::cache_key(img.fingerprint);
+        assert_eq!(seal_as(&img, key, SIDECAR_VERSION), seal(&img, key));
+        for version in [1, SIDECAR_VERSION + 1] {
+            let stale = seal_as(&img, key, version);
+            assert!(matches!(
+                open(&stale, key),
+                Err(WireError::Malformed("sidecar version"))
+            ));
+        }
+
+        let dir = std::env::temp_dir().join(format!("cx-sidecar-v-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).expect("mkdir");
+        fs::write(sidecar_path(&dir, key), seal_as(&img, key, 1)).expect("write");
+        assert!(load(&dir, key).is_none());
+        assert!(!DecodedImage::cache_contains(img.fingerprint));
+        let loads = decode_counters().sidecar_loads;
+        assert_eq!(
+            DecodedImage::warm_with_sidecar(&m, Some(&dir)),
+            WarmSource::Lowered
+        );
+        assert_eq!(decode_counters().sidecar_loads, loads);
+        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -141,191 +141,188 @@ fn warm_populates_the_cache_and_reports_hits() {
 #[test]
 fn cache_key_mixes_the_optimizer_discriminant() {
     // The historical bug: images keyed by fingerprint alone, so a build
-    // with a different optimizer configuration could be served another
-    // configuration's stream. The key must differ from the raw
-    // fingerprint for every fingerprint.
+    // with a different optimizer revision could be served another
+    // revision's stream. The key must differ from the raw fingerprint for
+    // every fingerprint.
     for fp in [0u64, 1, 0xdead_beef, u64::MAX] {
         assert_ne!(DecodedImage::cache_key(fp), fp);
     }
+    // Pinned: sidecar files are named by this key, so changing it
+    // orphans every sidecar on disk.
+    assert_eq!(DecodedImage::cache_key(0), 0x3779_b97f_4a7c_1500);
 }
 
-#[cfg(not(feature = "no-fir-opt"))]
-mod optimized {
-    use super::*;
+#[test]
+fn loop_header_fuses_into_the_cov_cmp_br_triple() {
+    let img = DecodedImage::new(&loop_module());
+    let stats = &img.stats;
+    assert!(stats.fused_cov_cmp_br >= 1, "stats: {stats:?}");
+    assert!(stats.movs_coalesced >= 2, "latch movs coalesce: {stats:?}");
+    let df = &img.opt_funcs[0];
+    assert!(df.ops.iter().any(|op| matches!(op, DOp::CovCmpBr { .. })));
+    // The plain stream must stay strictly 1:1.
+    assert!(img.funcs[0]
+        .ops
+        .iter()
+        .all(|op| !matches!(op, DOp::CovCmpBr { .. } | DOp::CovEdgeK { .. })));
+    assert!(img.funcs[0].pre.iter().all(|&p| p == 0));
+}
 
-    #[test]
-    fn loop_header_fuses_into_the_cov_cmp_br_triple() {
-        let img = DecodedImage::new(&loop_module());
-        assert!(img.has_opt());
-        let stats = &img.stats;
-        assert!(stats.fused_cov_cmp_br >= 1, "stats: {stats:?}");
-        assert!(stats.movs_coalesced >= 2, "latch movs coalesce: {stats:?}");
-        let df = &img.opt_funcs.as_ref().unwrap()[0];
-        assert!(df.ops.iter().any(|op| matches!(op, DOp::CovCmpBr { .. })));
-        // The plain stream must stay strictly 1:1.
-        assert!(img.funcs[0]
-            .ops
-            .iter()
-            .all(|op| !matches!(op, DOp::CovCmpBr { .. } | DOp::CovEdgeK { .. })));
-        assert!(img.funcs[0].pre.iter().all(|&p| p == 0));
-    }
-
-    /// Every eliminated or fused source instruction must still be charged
-    /// exactly once: live pcs + `pre` counters + fused-component extras
-    /// must add up to the source instruction count.
-    #[test]
-    fn charge_capacity_matches_the_source_instruction_count() {
-        let m = loop_module();
-        let img = DecodedImage::new(&m);
-        let f = &m.functions[0];
-        let source_total: usize = f.blocks.iter().map(|b| b.insts.len() + 1).sum();
-        let df = &img.opt_funcs.as_ref().unwrap()[0];
-        let extras: usize = df
-            .ops
-            .iter()
-            .map(|op| match op {
-                DOp::CovCmpBr { .. } => 2,
-                DOp::CmpBr { .. }
-                | DOp::BinBr { .. }
-                | DOp::MovBr { .. }
-                | DOp::StoreBr { .. }
-                | DOp::BinLoad { .. }
-                | DOp::LoadBin { .. } => 1,
-                DOp::BrChain { skipped, .. } => *skipped as usize,
-                // A chain charges each component (head rides the stream
-                // charge) plus every absorbed eliminated slot plus the
-                // absorbed branch, if any.
-                DOp::Chain { comps, tail } => {
-                    let comp_charges: usize = comps
-                        .iter()
-                        .skip(1)
-                        .map(|c| 1 + c.pre as usize)
-                        .sum();
-                    comp_charges
-                        + match tail {
-                            ChainTail::Next => 0,
-                            ChainTail::Br { pre, .. } => 1 + *pre as usize,
-                            ChainTail::CondBr { pre, .. } => 1 + *pre as usize,
-                        }
-                }
-                _ => 0,
-            })
-            .sum();
-        let pres: usize = df.pre.iter().map(|&p| p as usize).sum();
-        assert_eq!(df.ops.len() + pres + extras, source_total);
-    }
-
-    #[test]
-    fn resume_map_is_total_over_source_coordinates() {
-        for m in [sample_module(), loop_module()] {
-            let img = DecodedImage::new(&m);
-            for (fi, f) in m.functions.iter().enumerate() {
-                let df = &img.opt_funcs.as_ref().unwrap()[fi];
-                for (bi, b) in f.blocks.iter().enumerate() {
-                    for ip in 0..=b.insts.len() {
-                        let pc = df.src_pc(bi as u32, ip);
-                        assert!(
-                            (pc as usize) < df.ops.len(),
-                            "{}: ({bi},{ip}) -> {pc} out of range",
-                            f.name
-                        );
+/// Every eliminated or fused source instruction must still be charged
+/// exactly once: live pcs + `pre` counters + fused-component extras
+/// must add up to the source instruction count.
+#[test]
+fn charge_capacity_matches_the_source_instruction_count() {
+    let m = loop_module();
+    let img = DecodedImage::new(&m);
+    let f = &m.functions[0];
+    let source_total: usize = f.blocks.iter().map(|b| b.insts.len() + 1).sum();
+    let df = &img.opt_funcs[0];
+    let extras: usize = df
+        .ops
+        .iter()
+        .map(|op| match op {
+            DOp::CovCmpBr { .. } => 2,
+            DOp::CmpBr { .. }
+            | DOp::BinBr { .. }
+            | DOp::MovBr { .. }
+            | DOp::StoreBr { .. }
+            | DOp::BinLoad { .. }
+            | DOp::LoadBin { .. } => 1,
+            DOp::BrChain { skipped, .. } => *skipped as usize,
+            // A chain charges each component (head rides the stream
+            // charge) plus every absorbed eliminated slot plus the
+            // absorbed branch, if any.
+            DOp::Chain { comps, tail } => {
+                let comp_charges: usize = comps
+                    .iter()
+                    .skip(1)
+                    .map(|c| 1 + c.pre as usize)
+                    .sum();
+                comp_charges
+                    + match tail {
+                        ChainTail::Next => 0,
+                        ChainTail::Br { pre, .. } => 1 + *pre as usize,
+                        ChainTail::CondBr { pre, .. } => 1 + *pre as usize,
                     }
+            }
+            _ => 0,
+        })
+        .sum();
+    let pres: usize = df.pre.iter().map(|&p| p as usize).sum();
+    assert_eq!(df.ops.len() + pres + extras, source_total);
+}
+
+#[test]
+fn resume_map_is_total_over_source_coordinates() {
+    for m in [sample_module(), loop_module()] {
+        let img = DecodedImage::new(&m);
+        for (fi, f) in m.functions.iter().enumerate() {
+            let df = &img.opt_funcs[fi];
+            for (bi, b) in f.blocks.iter().enumerate() {
+                for ip in 0..=b.insts.len() {
+                    let pc = df.src_pc(bi as u32, ip);
+                    assert!(
+                        (pc as usize) < df.ops.len(),
+                        "{}: ({bi},{ip}) -> {pc} out of range",
+                        f.name
+                    );
                 }
             }
         }
     }
+}
 
-    #[test]
-    fn small_leaf_callees_inline_at_decode_time() {
-        let mut mb = ModuleBuilder::new("m");
-        let mut g = mb.function_with_params("inc", 1);
-        let d = g.add(Operand::Reg(g.param(0)), Operand::Imm(1));
-        g.ret(Some(Operand::Reg(d)));
-        g.finish();
-        let mut f = mb.function_with_params("count", 1);
-        let n = f.param(0);
-        let i = f.const_i64(0);
-        let hdr = f.new_block();
-        let body = f.new_block();
-        let done = f.new_block();
-        f.br(hdr);
-        f.switch_to(hdr);
-        let c = f.cmp(CmpPred::SLt, Operand::Reg(i), Operand::Reg(n));
-        f.cond_br(Operand::Reg(c), body, done);
-        f.switch_to(body);
-        let i2 = f.call("inc", vec![Operand::Reg(i)]);
-        f.mov_to(i, Operand::Reg(i2));
-        f.br(hdr);
-        f.switch_to(done);
-        f.ret(Some(Operand::Reg(i)));
-        f.finish();
-        let m = mb.finish();
-        let img = DecodedImage::new(&m);
-        assert!(img.stats.inline_sites >= 1, "stats: {:?}", img.stats);
-        assert_eq!(img.stats.inlined_callees, 1);
-        let count = &img.opt_funcs.as_ref().unwrap()[m.function_id("count").unwrap().0 as usize];
-        assert!(count.ops.iter().any(|op| matches!(op, DOp::InlineEnter { .. })));
-        assert!(count.ops.iter().any(|op| matches!(op, DOp::InlineRet { .. })));
-        assert!(count.ops.iter().all(|op| !matches!(op, DOp::CallFn { .. })));
-        // The inline window extends the register file beyond the source's.
-        let src_regs = m.function("count").unwrap().num_regs;
-        assert!(count.num_regs > src_regs);
-        // The plain stream still calls.
-        assert!(img.funcs[m.function_id("count").unwrap().0 as usize]
-            .ops
-            .iter()
-            .any(|op| matches!(op, DOp::CallFn { .. })));
-    }
+#[test]
+fn small_leaf_callees_inline_at_decode_time() {
+    let mut mb = ModuleBuilder::new("m");
+    let mut g = mb.function_with_params("inc", 1);
+    let d = g.add(Operand::Reg(g.param(0)), Operand::Imm(1));
+    g.ret(Some(Operand::Reg(d)));
+    g.finish();
+    let mut f = mb.function_with_params("count", 1);
+    let n = f.param(0);
+    let i = f.const_i64(0);
+    let hdr = f.new_block();
+    let body = f.new_block();
+    let done = f.new_block();
+    f.br(hdr);
+    f.switch_to(hdr);
+    let c = f.cmp(CmpPred::SLt, Operand::Reg(i), Operand::Reg(n));
+    f.cond_br(Operand::Reg(c), body, done);
+    f.switch_to(body);
+    let i2 = f.call("inc", vec![Operand::Reg(i)]);
+    f.mov_to(i, Operand::Reg(i2));
+    f.br(hdr);
+    f.switch_to(done);
+    f.ret(Some(Operand::Reg(i)));
+    f.finish();
+    let m = mb.finish();
+    let img = DecodedImage::new(&m);
+    assert!(img.stats.inline_sites >= 1, "stats: {:?}", img.stats);
+    assert_eq!(img.stats.inlined_callees, 1);
+    let count = &img.opt_funcs[m.function_id("count").unwrap().0 as usize];
+    assert!(count.ops.iter().any(|op| matches!(op, DOp::InlineEnter { .. })));
+    assert!(count.ops.iter().any(|op| matches!(op, DOp::InlineRet { .. })));
+    assert!(count.ops.iter().all(|op| !matches!(op, DOp::CallFn { .. })));
+    // The inline window extends the register file beyond the source's.
+    let src_regs = m.function("count").unwrap().num_regs;
+    assert!(count.num_regs > src_regs);
+    // The plain stream still calls.
+    assert!(img.funcs[m.function_id("count").unwrap().0 as usize]
+        .ops
+        .iter()
+        .any(|op| matches!(op, DOp::CallFn { .. })));
+}
 
-    #[test]
-    fn dense_switches_become_jump_tables() {
-        let mut mb = ModuleBuilder::new("m");
-        let mut f = mb.function_with_params("classify", 1);
-        let v = f.param(0);
-        let a = f.new_block();
-        let b = f.new_block();
-        let c = f.new_block();
-        let dflt = f.new_block();
-        f.switch(Operand::Reg(v), vec![(10, a), (11, b), (12, c)], dflt);
-        for (blk, r) in [(a, 1i64), (b, 2), (c, 3), (dflt, 0)] {
-            f.switch_to(blk);
-            f.ret(Some(Operand::Imm(r)));
-        }
-        f.finish();
-        let m = mb.finish();
-        let img = DecodedImage::new(&m);
-        assert_eq!(img.stats.switch_tables, 1);
-        let df = &img.opt_funcs.as_ref().unwrap()[0];
-        let table = df
-            .ops
-            .iter()
-            .find_map(|op| match op {
-                DOp::SwitchTable { base, table, .. } => Some((*base, table.len())),
-                _ => None,
-            })
-            .expect("switch specialized");
-        assert_eq!(table, (10, 3));
+#[test]
+fn dense_switches_become_jump_tables() {
+    let mut mb = ModuleBuilder::new("m");
+    let mut f = mb.function_with_params("classify", 1);
+    let v = f.param(0);
+    let a = f.new_block();
+    let b = f.new_block();
+    let c = f.new_block();
+    let dflt = f.new_block();
+    f.switch(Operand::Reg(v), vec![(10, a), (11, b), (12, c)], dflt);
+    for (blk, r) in [(a, 1i64), (b, 2), (c, 3), (dflt, 0)] {
+        f.switch_to(blk);
+        f.ret(Some(Operand::Imm(r)));
     }
+    f.finish();
+    let m = mb.finish();
+    let img = DecodedImage::new(&m);
+    assert_eq!(img.stats.switch_tables, 1);
+    let df = &img.opt_funcs[0];
+    let table = df
+        .ops
+        .iter()
+        .find_map(|op| match op {
+            DOp::SwitchTable { base, table, .. } => Some((*base, table.len())),
+            _ => None,
+        })
+        .expect("switch specialized");
+    assert_eq!(table, (10, 3));
+}
 
-    #[test]
-    fn setjmp_functions_skip_elimination_but_not_layout() {
-        let mut mb = ModuleBuilder::new("m");
-        let g = mb.global(fir::Global::zeroed("jbuf", 64));
-        let mut f = mb.function("main");
-        let a = f.addr_of(g);
-        let v = f.call("setjmp", vec![Operand::Reg(a)]);
-        // A dead temp that DCE would normally erase.
-        let dead = f.add(Operand::Reg(v), Operand::Imm(1));
-        let _ = dead;
-        f.ret(Some(Operand::Reg(v)));
-        f.finish();
-        let m = mb.finish();
-        let img = DecodedImage::new(&m);
-        let df = &img.opt_funcs.as_ref().unwrap()[0];
-        // Nothing eliminated: longjmp re-entry makes static liveness moot.
-        assert!(df.pre.iter().all(|&p| p == 0));
-        assert_eq!(df.ops.len(), img.funcs[0].ops.len());
-    }
+#[test]
+fn setjmp_functions_skip_elimination_but_not_layout() {
+    let mut mb = ModuleBuilder::new("m");
+    let g = mb.global(fir::Global::zeroed("jbuf", 64));
+    let mut f = mb.function("main");
+    let a = f.addr_of(g);
+    let v = f.call("setjmp", vec![Operand::Reg(a)]);
+    // A dead temp that DCE would normally erase.
+    let dead = f.add(Operand::Reg(v), Operand::Imm(1));
+    let _ = dead;
+    f.ret(Some(Operand::Reg(v)));
+    f.finish();
+    let m = mb.finish();
+    let img = DecodedImage::new(&m);
+    let df = &img.opt_funcs[0];
+    // Nothing eliminated: longjmp re-entry makes static liveness moot.
+    assert!(df.pre.iter().all(|&p| p == 0));
+    assert_eq!(df.ops.len(), img.funcs[0].ops.len());
 }
 
 #[test]

@@ -4,17 +4,20 @@
 //! fast paths are *host-speed* optimizations: they must leave every
 //! simulated observable — cycle counts, coverage hashes, crash sites,
 //! checkpoint bytes — bit-for-bit identical to the original tree-walking
-//! interpreter. To make that claim testable, the original engine survives
-//! as a **reference path** that can be selected two ways:
+//! interpreter. To make that claim testable, two thread-scoped guards
+//! select what the current thread runs:
 //!
-//! * at compile time with `--features slow-interp`, which forces every
-//!   thread onto the reference path (the golden equivalence tests build
-//!   the workspace twice and compare results across binaries);
-//! * at run time, per thread, with [`set_reference_engine`] — used by the
-//!   in-process golden tests and by the `exec_throughput` bench, which
-//!   measures both engines in the same run to report the speedup.
+//! * [`ReferenceEngineGuard`] (or [`set_reference_engine`]) selects the
+//!   original interpreter, the oracle. Campaigns carry this choice to
+//!   their shard threads and worker processes, so the equivalence gates,
+//!   the `exec_throughput` bench and perfbench can run both engines in
+//!   one binary;
+//! * [`DecodeOptGuard`] pins the decoded engine's plain 1:1 stream
+//!   instead of the optimized one. It covers the current thread only;
+//!   the three-way equivalence gate, `opt_bisect` and the `decode_opt`
+//!   bench use it on single-driver campaigns.
 //!
-//! The switch is thread-local so parallel bench trials can pin different
+//! Both switches are thread-local so parallel trials can pin different
 //! engines without racing each other.
 
 use std::cell::Cell;
@@ -30,12 +33,11 @@ pub fn set_reference_engine(on: bool) {
     FORCE_REFERENCE.with(|c| c.set(on));
 }
 
-/// Is the current thread on the reference (pre-change) path? True when the
-/// `slow-interp` feature is compiled in or [`set_reference_engine`] was
-/// called with `true` on this thread.
+/// Is the current thread on the reference (pre-change) path? True when
+/// [`set_reference_engine`] was called with `true` on this thread.
 #[inline]
 pub fn reference_engine() -> bool {
-    cfg!(feature = "slow-interp") || FORCE_REFERENCE.with(Cell::get)
+    FORCE_REFERENCE.with(Cell::get)
 }
 
 /// RAII guard: reference engine on while alive, restored on drop. Keeps
@@ -67,26 +69,17 @@ impl Drop for ReferenceEngineGuard {
     }
 }
 
-/// Enable (default) or disable the decode-time-optimized op streams on
-/// the **current thread**. With optimization off, the decoded engine runs
-/// the plain 1:1 streams — still the fast engine, just unoptimized. The
-/// escape hatch behind `Campaign::decode_opt(false)`.
-pub fn set_decode_opt(on: bool) {
-    DISABLE_DECODE_OPT.with(|c| c.set(!on));
-}
-
 /// Should the decoded engine use optimized streams on this thread? False
-/// when the `no-fir-opt` feature compiled the optimizer out or
-/// [`set_decode_opt`] turned it off here.
+/// while a [`DecodeOptGuard`] is alive here.
 #[inline]
 pub fn decode_opt() -> bool {
-    !cfg!(feature = "no-fir-opt") && !DISABLE_DECODE_OPT.with(Cell::get)
+    !DISABLE_DECODE_OPT.with(Cell::get)
 }
 
-/// RAII guard: decode-time optimization **off** while alive, previous
-/// state restored on drop. The three-way equivalence tests use this to
-/// pin the plain decoded stream the way [`ReferenceEngineGuard`] pins the
-/// reference interpreter.
+/// RAII guard: decode-time optimization **off** on the current thread
+/// while alive, previous state restored on drop. The decoded engine then
+/// runs the plain 1:1 streams — still the fast engine, just unoptimized.
+/// Threads and worker processes a campaign spawns do not inherit it.
 #[derive(Debug)]
 pub struct DecodeOptGuard {
     prev: bool,
@@ -119,7 +112,7 @@ mod tests {
 
     #[test]
     fn decode_opt_guard_pins_plain_streams_and_restores() {
-        assert!(decode_opt() || cfg!(feature = "no-fir-opt"));
+        assert!(decode_opt());
         {
             let _g = DecodeOptGuard::new();
             assert!(!decode_opt());
@@ -129,22 +122,19 @@ mod tests {
             }
             assert!(!decode_opt(), "outer guard still active");
         }
-        assert!(decode_opt() || cfg!(feature = "no-fir-opt"));
+        assert!(decode_opt());
     }
 
     #[test]
     fn decode_opt_switch_is_thread_local() {
         let _g = DecodeOptGuard::new();
         let other = std::thread::spawn(decode_opt).join().unwrap();
-        assert!(
-            other || cfg!(feature = "no-fir-opt"),
-            "other threads keep optimization on"
-        );
+        assert!(other, "other threads keep optimization on");
     }
 
     #[test]
     fn guard_restores_previous_state() {
-        assert!(!reference_engine() || cfg!(feature = "slow-interp"));
+        assert!(!reference_engine());
         {
             let _g = ReferenceEngineGuard::new();
             assert!(reference_engine());
@@ -154,16 +144,13 @@ mod tests {
             }
             assert!(reference_engine(), "outer guard still active");
         }
-        assert!(!reference_engine() || cfg!(feature = "slow-interp"));
+        assert!(!reference_engine());
     }
 
     #[test]
     fn switch_is_thread_local() {
         let _g = ReferenceEngineGuard::new();
         let other = std::thread::spawn(reference_engine).join().unwrap();
-        assert!(
-            !other || cfg!(feature = "slow-interp"),
-            "other threads keep the default engine"
-        );
+        assert!(!other, "other threads keep the default engine");
     }
 }

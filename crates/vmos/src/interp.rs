@@ -515,12 +515,13 @@ impl<'m> Machine<'m> {
             };
         }
 
-        // Stream select: the optimized stream when the image carries one
-        // and the thread/feature switches allow it, else the plain 1:1
-        // stream. Both resume from the same source coordinates.
-        let funcs: &[DFunc] = match &img.opt_funcs {
-            Some(opt) if crate::engine::decode_opt() => opt,
-            _ => &img.funcs,
+        // Stream select: the optimized stream unless this thread holds a
+        // `DecodeOptGuard`, else the plain 1:1 stream. Both resume from
+        // the same source coordinates.
+        let funcs: &[DFunc] = if crate::engine::decode_opt() {
+            &img.opt_funcs
+        } else {
+            &img.funcs
         };
 
         let (mut fidx, mut pc) = {

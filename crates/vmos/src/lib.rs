@@ -53,8 +53,7 @@ pub use decoded::{
     decode_counters, reset_decode_counters, DecodeCounters, DecodedImage, OptStats, WarmSource,
 };
 pub use engine::{
-    decode_opt, reference_engine, set_decode_opt, set_reference_engine, DecodeOptGuard,
-    ReferenceEngineGuard,
+    decode_opt, reference_engine, set_reference_engine, DecodeOptGuard, ReferenceEngineGuard,
 };
 pub use fault::{
     DiskFaultKind, DiskFaultPlan, FaultKind, FaultPlan, FaultPlane, FaultSite, NetFaultKind,

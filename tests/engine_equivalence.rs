@@ -18,11 +18,9 @@
 //! * **optimized decoded** — the default: superinstruction fusion, block
 //!   linearization, operand pre-resolution and decode-time inlining.
 //!
-//! Building the workspace with `--features slow-interp` forces every leg
-//! onto the reference path; `--features no-fir-opt` compiles the
-//! optimizer out so the "optimized" leg degrades to the plain streams.
-//! The tests must pass identically under both features — that is the
-//! point: no switch position may change a single observable bit.
+//! Every leg is a single-driver campaign on the test thread, which is
+//! where both guards apply, so one test binary covers all three and no
+//! switch position may change a single observable bit.
 
 use aflrs::{Campaign, CampaignConfig, CampaignOutcome, CampaignResult, CheckpointConfig};
 use closurex::harness::{ClosureXConfig, ClosureXExecutor};
@@ -136,9 +134,9 @@ fn gpmf_campaign_with_crashes_is_bit_identical_across_engines() {
 fn engine_pins_do_not_leak_across_legs() {
     let t = targets::by_name("giftext").expect("bundled target");
     let _ = campaign(t, Engine::Reference);
-    assert!(!vmos::reference_engine() || cfg!(feature = "slow-interp"));
+    assert!(!vmos::reference_engine());
     let _ = campaign(t, Engine::DecodedPlain);
-    assert!(vmos::decode_opt() || cfg!(feature = "no-fir-opt"));
+    assert!(vmos::decode_opt());
 }
 
 /// Collect `(file name, bytes)` of every checkpoint artifact in `dir`,

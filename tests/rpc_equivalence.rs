@@ -6,8 +6,9 @@
 //! they live outside the result), across
 //!
 //! * the full deterministic [`NetFaultPlan`] grid — every fault kind ×
-//!   both directions × every early frame position, on both engines
-//!   (optimized decoded lowering and the plain decoded streams),
+//!   both directions × every early frame position (on the default engine:
+//!   which engine runs is independent of wire faults, and
+//!   `tests/engine_equivalence.rs` proves the engines agree),
 //! * a server crash ([`RpcServer::kill`]) with service churn and restore,
 //!   the client resuming its session against the successor server,
 //! * retried `Submit`s landing as duplicates (admission-level idempotency
@@ -63,20 +64,19 @@ fn corpus(target: &str) -> Vec<Vec<u8>> {
     seeds
 }
 
-fn spec(name: &str, decode_opt: bool) -> CampaignSpec {
+fn spec(name: &str) -> CampaignSpec {
     let mut s = CampaignSpec::new(name, factory_spec("giftext"), corpus("giftext"), cfg());
     s.shards = 1;
-    s.decode_opt = decode_opt;
     s
 }
 
-/// Ground truth per engine: the same campaign through a *local* (no RPC)
-/// service over its own directory.
-fn service_reference(decode_opt: bool) -> String {
-    let dir = tmp(if decode_opt { "ref-opt" } else { "ref-plain" });
+/// Ground truth: the same campaign through a *local* (no RPC) service
+/// over its own directory.
+fn service_reference() -> String {
+    let dir = tmp("ref");
     let resolver: Arc<dyn aflrs::SpecResolver> = Arc::new(MechanismResolver);
     let service = Service::new(ServiceConfig::new(&dir), resolver).expect("service starts");
-    let h = service.submit(spec("grid", decode_opt)).expect("admission");
+    let h = service.submit(spec("grid")).expect("admission");
     let fp = fingerprint(&h.await_result().expect("local campaign finishes"));
     drop(service);
     let _ = std::fs::remove_dir_all(dir);
@@ -122,53 +122,45 @@ fn fired(kind: NetFaultKind, c: &aflrs::RpcCounters) -> u64 {
 /// first three frame positions of the client's first connection (hello /
 /// submit / await on the way out; hello-ok / submit-reply / result on the
 /// way back). The remote result must be bit-identical to the in-process
-/// service run, on both engines, and the targeted fault must demonstrably
-/// have fired.
+/// service run, and the targeted fault must demonstrably have fired.
 #[test]
-fn fault_grid_is_bit_identical_on_both_engines() {
-    for decode_opt in [true, false] {
-        let want = service_reference(decode_opt);
-        for &kind in NetFaultKind::ALL {
-            for direction in [0u8, 1u8] {
-                for frame in 0u64..3 {
-                    let tag = format!(
-                        "{}-d{direction}-f{frame}-{}",
-                        kind.name(),
-                        if decode_opt { "opt" } else { "plain" }
-                    );
-                    let dir = tmp(&tag);
-                    let resolver: Arc<dyn aflrs::SpecResolver> = Arc::new(MechanismResolver);
-                    let service = Arc::new(
-                        Service::new(ServiceConfig::new(&dir), resolver).expect("service"),
-                    );
-                    let net = MemNet::new();
-                    // One targeted plan, shared by value with both
-                    // endpoints; each endpoint only injects on its own
-                    // direction, so exactly one side fires it.
-                    let plan = NetFaultPlan::at((0, direction, frame), kind);
-                    let server = RpcServer::start(
-                        Arc::clone(&service),
-                        &net,
-                        ServerOptions {
-                            fault_plan: plan.clone(),
-                            ..ServerOptions::default()
-                        },
-                    );
-                    let client =
-                        RemoteService::connect(&net, client_opts(plan)).expect("client connects");
-                    let h = client.submit(spec("grid", decode_opt)).expect("admission");
-                    let r = h.await_result().expect("remote campaign finishes");
-                    assert_eq!(
-                        fingerprint(&r),
-                        want,
-                        "{tag}: the faulted wire must not alter the result"
-                    );
-                    let hit = fired(kind, &client.counters()) + fired(kind, &server.counters());
-                    assert!(hit > 0, "{tag}: the targeted fault never fired");
-                    server.stop();
-                    drop(service);
-                    let _ = std::fs::remove_dir_all(dir);
-                }
+fn fault_grid_is_bit_identical() {
+    let want = service_reference();
+    for &kind in NetFaultKind::ALL {
+        for direction in [0u8, 1u8] {
+            for frame in 0u64..3 {
+                let tag = format!("{}-d{direction}-f{frame}", kind.name());
+                let dir = tmp(&tag);
+                let resolver: Arc<dyn aflrs::SpecResolver> = Arc::new(MechanismResolver);
+                let service =
+                    Arc::new(Service::new(ServiceConfig::new(&dir), resolver).expect("service"));
+                let net = MemNet::new();
+                // One targeted plan, shared by value with both endpoints;
+                // each endpoint only injects on its own direction, so
+                // exactly one side fires it.
+                let plan = NetFaultPlan::at((0, direction, frame), kind);
+                let server = RpcServer::start(
+                    Arc::clone(&service),
+                    &net,
+                    ServerOptions {
+                        fault_plan: plan.clone(),
+                        ..ServerOptions::default()
+                    },
+                );
+                let client =
+                    RemoteService::connect(&net, client_opts(plan)).expect("client connects");
+                let h = client.submit(spec("grid")).expect("admission");
+                let r = h.await_result().expect("remote campaign finishes");
+                assert_eq!(
+                    fingerprint(&r),
+                    want,
+                    "{tag}: the faulted wire must not alter the result"
+                );
+                let hit = fired(kind, &client.counters()) + fired(kind, &server.counters());
+                assert!(hit > 0, "{tag}: the targeted fault never fired");
+                server.stop();
+                drop(service);
+                let _ = std::fs::remove_dir_all(dir);
             }
         }
     }
@@ -178,7 +170,7 @@ fn fault_grid_is_bit_identical_on_both_engines() {
 /// through it and the result is still bit-identical.
 #[test]
 fn lossy_wire_converges_to_the_clean_result() {
-    let want = service_reference(true);
+    let want = service_reference();
     let dir = tmp("lossy");
     let resolver: Arc<dyn aflrs::SpecResolver> = Arc::new(MechanismResolver);
     let service = Arc::new(Service::new(ServiceConfig::new(&dir), resolver).expect("service"));
@@ -195,7 +187,7 @@ fn lossy_wire_converges_to_the_clean_result() {
     let mut opts = client_opts(plan);
     opts.max_attempts = 32;
     let client = RemoteService::connect(&net, opts).expect("client connects");
-    let h = client.submit(spec("lossy", true)).expect("admission");
+    let h = client.submit(spec("lossy")).expect("admission");
     let r = h.await_result().expect("remote campaign finishes through the loss");
     assert_eq!(fingerprint(&r), want, "loss is retried away, never absorbed");
     server.stop();
@@ -302,7 +294,7 @@ fn duplicate_submits_dedupe_only_on_identical_specs() {
     let b = RemoteService::connect(&net, client_opts(NetFaultPlan::none())).expect("client b");
     assert_ne!(a.session(), b.session(), "distinct sessions");
 
-    let s = spec("dedup", true);
+    let s = spec("dedup");
     a.submit(s.clone()).expect("first admission");
     // The same bytes again, from a session whose journal has never seen
     // the request: admitted-as-duplicate collapses to success.
@@ -312,7 +304,7 @@ fn duplicate_submits_dedupe_only_on_identical_specs() {
         "the dedup path, not a fresh admission, must have served it"
     );
     // Same name, different campaign: a real conflict, refused.
-    let mut conflicting = spec("dedup", false);
+    let mut conflicting = spec("dedup");
     conflicting.cfg.seed ^= 1;
     match b.submit(conflicting) {
         Err(RemoteError::Admission(RemoteAdmissionError::Duplicate(name))) => {
@@ -328,7 +320,7 @@ fn duplicate_submits_dedupe_only_on_identical_specs() {
         .expect("campaign finishes");
     // The tenant name never reaches the result: the deduped campaign is
     // bit-identical to the reference run under any name.
-    assert_eq!(fingerprint(&r), service_reference(true));
+    assert_eq!(fingerprint(&r), service_reference());
     server.stop();
     let _ = std::fs::remove_dir_all(dir);
 }
@@ -338,7 +330,7 @@ fn duplicate_submits_dedupe_only_on_identical_specs() {
 /// it runs through the same `execute_op` the server would have used.
 #[test]
 fn degraded_local_fallback_is_bit_identical() {
-    let want = service_reference(true);
+    let want = service_reference();
     let dir = tmp("degraded");
     let resolver: Arc<dyn aflrs::SpecResolver> = Arc::new(MechanismResolver);
     let fallback =
@@ -352,7 +344,7 @@ fn degraded_local_fallback_is_bit_identical() {
     let client = RemoteService::connect(&net, opts).expect("degraded connect succeeds");
     assert_eq!(client.served_by(), ServedBy::Degraded(Degraded::Local));
     assert_eq!(client.session(), 0, "no server ever assigned a session");
-    let h = client.submit(spec("grid", true)).expect("degraded admission");
+    let h = client.submit(spec("grid")).expect("degraded admission");
     assert!(h.status().is_ok());
     let r = h.await_result().expect("degraded campaign finishes");
     assert_eq!(
