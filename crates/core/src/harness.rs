@@ -356,7 +356,7 @@ impl ClosureXExecutor {
     }
 
     /// Verify post-restore state against the boot ground truth: global
-    /// section hash, then heap census, then fd census. Returns the first
+    /// section bytes, then heap census, then fd census. Returns the first
     /// divergence found.
     fn check_integrity(&mut self) -> Option<RestoreDivergence> {
         self.integrity_checks += 1;
@@ -365,11 +365,13 @@ impl ClosureXExecutor {
         if let Some((addr, size)) = self.section {
             let cycles = self.os.cost.bulk(1, size);
             self.os.mgmt_cycles += cycles;
-            let actual = fnv1a(&p.read_bytes(addr, size as usize));
-            if actual != self.boot_hash {
+            // Compare against the snapshot `boot_hash` was taken of; hash
+            // only to report a mismatch.
+            let current = p.read_bytes(addr, size as usize);
+            if current != self.snapshot {
                 return Some(RestoreDivergence::GlobalSectionHash {
                     expected: self.boot_hash,
-                    actual,
+                    actual: fnv1a(&current),
                 });
             }
         }

@@ -218,14 +218,21 @@ impl VirginMap {
     fn merge_inner(&mut self, run: &CovMap, mut changed: Option<&mut Vec<(usize, u8)>>) -> bool {
         if !crate::engine::reference_engine() {
             // Fast path: the run's touched list is exactly its nonzero
-            // slots, so visiting it (sorted, to preserve the reference
-            // scan's index-ascending order — journal delta bytes depend on
-            // it) performs the identical sequence of byte merges in
-            // O(touched) instead of O(MAP_SIZE).
-            let mut idxs = run.touched.clone();
-            idxs.sort_unstable();
+            // slots, each listed once, so visiting it performs the same
+            // byte merges as the reference scan in O(touched) instead of
+            // O(MAP_SIZE). Each merge touches only its own byte, so the
+            // order is free — except for the journal delta, whose bytes
+            // follow the reference scan's ascending index order.
+            let mut sorted;
+            let idxs: &[u16] = if changed.is_some() {
+                sorted = run.touched.clone();
+                sorted.sort_unstable();
+                &sorted
+            } else {
+                &run.touched
+            };
             let mut new = false;
-            for idx in idxs {
+            for &idx in idxs {
                 let i = idx as usize;
                 let bucket = classify_count(run.map[i]);
                 let v = &mut self.virgin[i];

@@ -765,10 +765,7 @@ fn build_chains(ir: &mut FuncIr, stats: &mut OptStats) {
             }
             stats.chains += 1;
             stats.chain_comps += comps.len() as u64;
-            block.slots[i].op = DOp::Chain {
-                comps: comps.into_boxed_slice(),
-                tail,
-            };
+            block.slots[i].op = DOp::chain(comps.into_boxed_slice(), tail);
             i = committed + 1;
         }
     }

@@ -264,9 +264,16 @@ pub enum DOp {
     /// reports the right source location; pure register and coverage
     /// components may cross merge seams because their site is never
     /// observable.
+    ///
+    /// `rest` is everything the chain charges after its head: each later
+    /// component's `pre + 1` plus the tail's charge. When the remaining
+    /// fuel covers it, no per-component check can fail, so the engine
+    /// skips them and charges `rest` once. It is derived from `comps` and
+    /// `tail` by [`DOp::chain`] and never serialized.
     Chain {
         comps: Box<[ChainComp]>,
         tail: ChainTail,
+        rest: u64,
     },
 }
 
@@ -345,7 +352,28 @@ pub enum ChainTail {
     },
 }
 
+impl ChainTail {
+    /// Instructions the tail charges: its absorbed `pre`, then the branch.
+    fn charge(&self) -> u64 {
+        match self {
+            ChainTail::Next => 0,
+            ChainTail::Br { pre, .. } | ChainTail::CondBr { pre, .. } => u64::from(*pre) + 1,
+        }
+    }
+}
+
 impl DOp {
+    /// A [`DOp::Chain`] with its derived `rest` charge.
+    pub(crate) fn chain(comps: Box<[ChainComp]>, tail: ChainTail) -> DOp {
+        let rest = comps
+            .iter()
+            .skip(1)
+            .map(|c| u64::from(c.pre) + 1)
+            .sum::<u64>()
+            + tail.charge();
+        DOp::Chain { comps, tail, rest }
+    }
+
     /// Rewrite every flat-pc (or, inside the optimizer, block-index)
     /// branch-target field through `f`. This is the single source of truth
     /// for "which `u32`s are control-flow targets" — the optimizer uses it
@@ -459,7 +487,7 @@ impl DOp {
             DOp::Ret(Some(v)) | DOp::InlineRet { val: Some(v), .. } => f(v),
             DOp::CondBr { cond, .. } => f(cond),
             DOp::Switch { value, .. } | DOp::SwitchTable { value, .. } => f(value),
-            DOp::Chain { comps, tail } => {
+            DOp::Chain { comps, tail, .. } => {
                 if let ChainTail::CondBr { cond, .. } = tail {
                     f(cond);
                 }

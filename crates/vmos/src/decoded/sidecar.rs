@@ -794,7 +794,7 @@ fn encode_op(op: &DOp, w: &mut Writer) {
             w.put_u32(*sp_slot);
             w.put_u32(*resume);
         }
-        DOp::Chain { comps, tail } => {
+        DOp::Chain { comps, tail, .. } => {
             w.put_u8(32);
             w.put_usize(comps.len());
             for c in comps.iter() {
@@ -1037,10 +1037,7 @@ fn decode_op(r: &mut Reader<'_>) -> Result<DOp, WireError> {
                 },
                 _ => return Err(WireError::Malformed("chain tail tag")),
             };
-            DOp::Chain {
-                comps: comps.into_boxed_slice(),
-                tail,
-            }
+            DOp::chain(comps.into_boxed_slice(), tail)
         }
         _ => return Err(WireError::Malformed("dop tag")),
     })

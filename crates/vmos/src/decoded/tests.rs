@@ -193,18 +193,20 @@ fn charge_capacity_matches_the_source_instruction_count() {
             // A chain charges each component (head rides the stream
             // charge) plus every absorbed eliminated slot plus the
             // absorbed branch, if any.
-            DOp::Chain { comps, tail } => {
+            DOp::Chain { comps, tail, rest } => {
                 let comp_charges: usize = comps
                     .iter()
                     .skip(1)
                     .map(|c| 1 + c.pre as usize)
                     .sum();
-                comp_charges
+                let charge = comp_charges
                     + match tail {
                         ChainTail::Next => 0,
                         ChainTail::Br { pre, .. } => 1 + *pre as usize,
                         ChainTail::CondBr { pre, .. } => 1 + *pre as usize,
-                    }
+                    };
+                assert_eq!(*rest, charge as u64, "derived chain charge");
+                charge
             }
             _ => 0,
         })

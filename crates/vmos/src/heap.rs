@@ -10,6 +10,7 @@
 //!   harness (to sweep leaked chunks between test cases, paper Fig. 5) and
 //!   by the correctness evaluation (§6.1.4).
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
 
 /// Base virtual address of the heap region.
@@ -68,6 +69,11 @@ pub struct HeapState {
     live_bytes: u64,
     limit_bytes: u64,
     total_allocs: u64,
+    /// `[start, start + rounded)` of the last live chunk
+    /// [`HeapState::access_ok`] accepted an access in; `(0, 0)` caches
+    /// nothing. Host-only and never serialized; [`HeapState::free`]
+    /// clears it, so it never covers a freed chunk.
+    last_ok: Cell<(u64, u64)>,
 }
 
 impl HeapState {
@@ -91,6 +97,7 @@ impl HeapState {
             live_bytes: 0,
             limit_bytes,
             total_allocs: 0,
+            last_ok: Cell::new((0, 0)),
         }
     }
 
@@ -161,6 +168,7 @@ impl HeapState {
     pub fn free(&mut self, addr: u64) -> Result<(), HeapError> {
         match self.chunks.get_mut(&addr) {
             Some(c) if c.state == ChunkState::Allocated => {
+                self.last_ok.set((0, 0));
                 c.state = ChunkState::Freed;
                 self.live_bytes -= c.rounded;
                 self.free_by_size.entry(c.rounded).or_default().push(addr);
@@ -179,16 +187,18 @@ impl HeapState {
             .map(|c| c.size)
     }
 
+    /// The chunk whose *rounded* extent holds `addr`, with its start.
+    fn covering(&self, addr: u64) -> Option<(u64, &Chunk)> {
+        let (&start, chunk) = self.chunks.range(..=addr).next_back()?;
+        (addr < start + chunk.rounded).then_some((start, chunk))
+    }
+
     /// Validate an access of `len` bytes at `addr`.
     pub fn check_access(&self, addr: u64, len: u64) -> AccessVerdict {
-        let Some((start, chunk)) = self.chunks.range(..=addr).next_back() else {
+        // Access must begin inside the chunk's *rounded* extent.
+        let Some((start, chunk)) = self.covering(addr) else {
             return AccessVerdict::Unaddressable;
         };
-        let start = *start;
-        // Access must begin inside the chunk's *rounded* extent.
-        if addr >= start + chunk.rounded {
-            return AccessVerdict::Unaddressable;
-        }
         if chunk.state == ChunkState::Freed {
             return AccessVerdict::UseAfterFree;
         }
@@ -196,6 +206,31 @@ impl HeapState {
             return AccessVerdict::OutOfBounds;
         }
         AccessVerdict::Ok
+    }
+
+    /// `check_access(addr, len) == AccessVerdict::Ok`, answered from the
+    /// last accepted chunk when `addr` falls inside it: chunks never
+    /// overlap, so that chunk is the one the side-table lookup would find.
+    #[inline]
+    pub(crate) fn access_ok(&self, addr: u64, len: u64) -> bool {
+        let (start, end) = self.last_ok.get();
+        if start <= addr && addr < end {
+            return addr + len.max(1) <= end;
+        }
+        self.access_ok_miss(addr, len)
+    }
+
+    #[inline(never)]
+    fn access_ok_miss(&self, addr: u64, len: u64) -> bool {
+        match self.covering(addr) {
+            Some((start, c))
+                if c.state == ChunkState::Allocated && addr + len.max(1) <= start + c.rounded =>
+            {
+                self.last_ok.set((start, start + c.rounded));
+                true
+            }
+            _ => false,
+        }
     }
 
     /// Addresses of all live chunks — the leak set the ClosureX harness

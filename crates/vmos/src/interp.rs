@@ -6,7 +6,7 @@ use fir::{BinOp, Inst, Module, Operand, Terminator};
 use crate::cost::CostModel;
 use crate::cov::CovMap;
 use crate::crash::{Crash, CrashKind};
-use crate::decoded::{ChainOp, ChainTail, DFunc, DOp, DecodedImage};
+use crate::decoded::{ChainComp, ChainOp, ChainTail, DFunc, DOp, DecodedImage};
 use crate::hostcalls::{self, HostRet};
 use crate::os::Os;
 use crate::process::{Frame, JmpCtx, Process, MAX_CALL_DEPTH, STACK_MAX_BYTES, STACK_TOP};
@@ -583,6 +583,17 @@ impl<'m> Machine<'m> {
                     cycles += inst_cost;
                 };
             }
+            // The memory check at this pc's site: the inlined verdict, and
+            // the out-of-line crash only when it rejects the access.
+            macro_rules! check_mem {
+                ($a:expr, $bytes:expr, $is_write:expr) => {
+                    if !p.access_ok($a, $bytes, $is_write) {
+                        finish!(CallResult::Crashed(access_crash(
+                            p, funcs, df, pc, $a, $bytes, $is_write
+                        )));
+                    }
+                };
+            }
             macro_rules! set_reg {
                 ($dst:expr, $v:expr) => {
                     p.frames.last_mut().expect("frame").regs[$dst as usize] = $v
@@ -637,12 +648,7 @@ impl<'m> Machine<'m> {
                 }
                 DOp::Load { dst, addr, bytes } => {
                     let a = read_op(p, *addr) as u64;
-                    let fname = &funcs[df.fname_of[pc as usize] as usize].name;
-                    if let Err(c) =
-                        p.check_access(a, *bytes, false, fname, df.block_of[pc as usize])
-                    {
-                        finish!(CallResult::Crashed(c));
-                    }
+                    check_mem!(a, *bytes, false);
                     let v = p.mem.read_uint(a, *bytes) as i64;
                     set_reg!(*dst, v);
                     pc += 1;
@@ -651,12 +657,7 @@ impl<'m> Machine<'m> {
                     let fr = p.frames.last().expect("frame");
                     let a = reg_read(&fr.regs, *addr) as u64;
                     let v = reg_read(&fr.regs, *value);
-                    let fname = &funcs[df.fname_of[pc as usize] as usize].name;
-                    if let Err(c) =
-                        p.check_access(a, *bytes, true, fname, df.block_of[pc as usize])
-                    {
-                        finish!(CallResult::Crashed(c));
-                    }
+                    check_mem!(a, *bytes, true);
                     p.mem.write_uint(a, v as u64, *bytes);
                     pc += 1;
                 }
@@ -945,11 +946,7 @@ impl<'m> Machine<'m> {
                     let fr = p.frames.last().expect("frame");
                     let a = reg_read(&fr.regs, *addr) as u64;
                     let v = reg_read(&fr.regs, *value);
-                    let fname = &funcs[df.fname_of[pc as usize] as usize].name;
-                    if let Err(c) = p.check_access(a, *bytes, true, fname, df.block_of[pc as usize])
-                    {
-                        finish!(CallResult::Crashed(c));
-                    }
+                    check_mem!(a, *bytes, true);
                     p.mem.write_uint(a, v as u64, *bytes);
                     charge!();
                     pc = *target;
@@ -974,12 +971,7 @@ impl<'m> Machine<'m> {
                     // The address reads the just-written register when the
                     // fusion was an addr-compute + load pair.
                     let a = read_op(p, *addr) as u64;
-                    let fname = &funcs[df.fname_of[pc as usize] as usize].name;
-                    if let Err(c) =
-                        p.check_access(a, *bytes, false, fname, df.block_of[pc as usize])
-                    {
-                        finish!(CallResult::Crashed(c));
-                    }
+                    check_mem!(a, *bytes, false);
                     let v = p.mem.read_uint(a, *bytes) as i64;
                     set_reg!(*ldst, v);
                     pc += 1;
@@ -994,12 +986,7 @@ impl<'m> Machine<'m> {
                     rhs,
                 } => {
                     let a = read_op(p, *addr) as u64;
-                    let fname = &funcs[df.fname_of[pc as usize] as usize].name;
-                    if let Err(c) =
-                        p.check_access(a, *bytes, false, fname, df.block_of[pc as usize])
-                    {
-                        finish!(CallResult::Crashed(c));
-                    }
+                    check_mem!(a, *bytes, false);
                     let v = p.mem.read_uint(a, *bytes) as i64;
                     set_reg!(*ldst, v);
                     charge!();
@@ -1084,143 +1071,223 @@ impl<'m> Machine<'m> {
                     p.sp = sp;
                     pc = *resume;
                 }
-                DOp::Chain { comps, tail } => {
+                DOp::Chain { comps, tail, rest } => {
                     // Component 0's charge is the loop-top charge already
-                    // applied; later components bulk-charge their absorbed
-                    // `pre` (clamped) and then themselves, so the fuel
-                    // position of every effect matches the reference.
-                    for (k, comp) in comps.iter().enumerate() {
-                        if k > 0 {
-                            if comp.pre != 0 {
-                                let take = (fuel - insts).min(u64::from(comp.pre));
-                                insts += take;
-                                cycles += take * inst_cost;
-                                if take < u64::from(comp.pre) {
-                                    finish!(CallResult::OutOfFuel);
-                                }
-                            }
-                            charge!();
-                        }
-                        match &comp.op {
-                            ChainOp::Const { dst, value } => set_reg!(*dst, *value),
-                            ChainOp::Mov { dst, src } => {
-                                let fr = p.frames.last_mut().expect("frame");
-                                fr.regs[*dst as usize] = reg_read(&fr.regs, *src);
-                            }
-                            ChainOp::Bin { op, dst, lhs, rhs } => {
-                                let fr = p.frames.last_mut().expect("frame");
-                                let a = reg_read(&fr.regs, *lhs);
-                                let b = reg_read(&fr.regs, *rhs);
-                                match eval_bin(*op, a, b) {
-                                    Ok(v) => fr.regs[*dst as usize] = v,
-                                    Err(detail) => {
-                                        crash_here!(CrashKind::DivisionByZero, detail)
-                                    }
-                                }
-                            }
-                            ChainOp::Cmp {
-                                pred,
-                                dst,
-                                lhs,
-                                rhs,
-                            } => {
-                                let fr = p.frames.last_mut().expect("frame");
-                                let v = i64::from(
-                                    pred.eval(reg_read(&fr.regs, *lhs), reg_read(&fr.regs, *rhs)),
-                                );
-                                fr.regs[*dst as usize] = v;
-                            }
-                            ChainOp::Select {
-                                dst,
-                                cond,
-                                if_true,
-                                if_false,
-                            } => {
-                                let fr = p.frames.last_mut().expect("frame");
-                                let v = if reg_read(&fr.regs, *cond) != 0 {
-                                    reg_read(&fr.regs, *if_true)
-                                } else {
-                                    reg_read(&fr.regs, *if_false)
-                                };
-                                fr.regs[*dst as usize] = v;
-                            }
-                            ChainOp::Cov { id } => {
-                                let idx = p.cov_state.edge(*id, ctx.cov);
-                                if let Some(tr) = ctx.trace.as_deref_mut() {
-                                    tr.push(idx);
-                                }
-                            }
-                            ChainOp::Load { dst, addr, bytes } => {
-                                let a = read_op(p, *addr) as u64;
-                                let fname = &funcs[df.fname_of[pc as usize] as usize].name;
-                                if let Err(c) =
-                                    p.check_access(a, *bytes, false, fname, df.block_of[pc as usize])
-                                {
-                                    finish!(CallResult::Crashed(c));
-                                }
-                                let v = p.mem.read_uint(a, *bytes) as i64;
-                                set_reg!(*dst, v);
-                            }
-                            ChainOp::Store { addr, value, bytes } => {
-                                let fr = p.frames.last().expect("frame");
-                                let a = reg_read(&fr.regs, *addr) as u64;
-                                let v = reg_read(&fr.regs, *value);
-                                let fname = &funcs[df.fname_of[pc as usize] as usize].name;
-                                if let Err(c) =
-                                    p.check_access(a, *bytes, true, fname, df.block_of[pc as usize])
-                                {
-                                    finish!(CallResult::Crashed(c));
-                                }
-                                p.mem.write_uint(a, v as u64, *bytes);
-                            }
-                            ChainOp::AddrOf { dst, global } => {
-                                let a = p.globals.addr_of(*global).expect("verified global") as i64;
-                                set_reg!(*dst, a);
-                            }
-                        }
+                    // applied. The register file leaves the frame for the
+                    // run so components index it directly; nothing a
+                    // component does reads the frame stack.
+                    let mut regs = std::mem::take(&mut p.frames.last_mut().expect("frame").regs);
+                    macro_rules! run {
+                        ($checked:literal) => {
+                            run_chain::<$checked>(
+                                comps,
+                                tail,
+                                *rest,
+                                pc,
+                                &mut regs,
+                                p,
+                                ctx,
+                                fuel,
+                                inst_cost,
+                                &mut insts,
+                                &mut cycles,
+                            )
+                        };
                     }
-                    match tail {
-                        ChainTail::Next => pc += 1,
-                        ChainTail::Br { pre, target } => {
-                            // The absorbed branch: its own eliminated
-                            // predecessors first, then the branch charge.
-                            if *pre != 0 {
-                                let take = (fuel - insts).min(u64::from(*pre));
-                                insts += take;
-                                cycles += take * inst_cost;
-                                if take < u64::from(*pre) {
-                                    finish!(CallResult::OutOfFuel);
-                                }
-                            }
-                            charge!();
-                            pc = *target;
+                    let run = if fuel - insts >= *rest {
+                        run!(false)
+                    } else {
+                        run!(true)
+                    };
+                    p.frames.last_mut().expect("frame").regs = regs;
+                    match run {
+                        Ok(next) => pc = next,
+                        Err(ChainStop::OutOfFuel) => finish!(CallResult::OutOfFuel),
+                        Err(ChainStop::DivTrap(detail)) => {
+                            crash_here!(CrashKind::DivisionByZero, detail)
                         }
-                        ChainTail::CondBr {
-                            pre,
-                            cond,
-                            if_true,
-                            if_false,
-                        } => {
-                            if *pre != 0 {
-                                let take = (fuel - insts).min(u64::from(*pre));
-                                insts += take;
-                                cycles += take * inst_cost;
-                                if take < u64::from(*pre) {
-                                    finish!(CallResult::OutOfFuel);
-                                }
-                            }
-                            charge!();
-                            pc = if read_op(p, *cond) != 0 {
-                                *if_true
-                            } else {
-                                *if_false
-                            };
-                        }
+                        Err(ChainStop::Access {
+                            addr,
+                            len,
+                            is_write,
+                        }) => finish!(CallResult::Crashed(access_crash(
+                            p, funcs, df, pc, addr, len, is_write
+                        ))),
                     }
                 }
             }
         }
     }
+}
+
+/// Why a [`DOp::Chain`] stopped before handing control on.
+enum ChainStop {
+    OutOfFuel,
+    /// A division trapped, with its crash detail.
+    DivTrap(String),
+    /// [`Process::access_ok`] rejected a load or store.
+    Access {
+        addr: u64,
+        len: u64,
+        is_write: bool,
+    },
+}
+
+/// Run a [`DOp::Chain`]'s components and tail after the head's charge;
+/// returns the next pc.
+///
+/// `CHECKED` is the reference order: each later component bulk-charges
+/// its `pre` (clamped) and then itself behind a fuel check, so the fuel
+/// position of every effect matches the reference. The unchecked form
+/// runs only when the remaining fuel covers `rest`, where none of those
+/// checks can fail: it charges `rest` once at the end, or, when
+/// component `k` traps, the prefix through `k` — the same `insts` and
+/// `cycles` the checked form reaches.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn run_chain<const CHECKED: bool>(
+    comps: &[ChainComp],
+    tail: &ChainTail,
+    rest: u64,
+    pc: u32,
+    regs: &mut [i64],
+    p: &mut Process,
+    ctx: &mut HostCtx<'_>,
+    fuel: u64,
+    inst_cost: u64,
+    insts: &mut u64,
+    cycles: &mut u64,
+) -> Result<u32, ChainStop> {
+    macro_rules! charge {
+        ($pre:expr) => {
+            if CHECKED {
+                let pre = u64::from($pre);
+                if pre != 0 {
+                    let take = (fuel - *insts).min(pre);
+                    *insts += take;
+                    *cycles += take * inst_cost;
+                    if take < pre {
+                        return Err(ChainStop::OutOfFuel);
+                    }
+                }
+                if *insts >= fuel {
+                    return Err(ChainStop::OutOfFuel);
+                }
+                *insts += 1;
+                *cycles += inst_cost;
+            }
+        };
+    }
+    macro_rules! trap {
+        ($k:expr, $stop:expr) => {{
+            if !CHECKED {
+                let prefix: u64 = comps[1..=$k].iter().map(|c| u64::from(c.pre) + 1).sum();
+                *insts += prefix;
+                *cycles += prefix * inst_cost;
+            }
+            return Err($stop);
+        }};
+    }
+    for (k, comp) in comps.iter().enumerate() {
+        if k > 0 {
+            charge!(comp.pre);
+        }
+        match &comp.op {
+            ChainOp::Const { dst, value } => regs[*dst as usize] = *value,
+            ChainOp::Mov { dst, src } => regs[*dst as usize] = reg_read(regs, *src),
+            ChainOp::Bin { op, dst, lhs, rhs } => {
+                match eval_bin(*op, reg_read(regs, *lhs), reg_read(regs, *rhs)) {
+                    Ok(v) => regs[*dst as usize] = v,
+                    Err(detail) => trap!(k, ChainStop::DivTrap(detail)),
+                }
+            }
+            ChainOp::Cmp {
+                pred,
+                dst,
+                lhs,
+                rhs,
+            } => {
+                regs[*dst as usize] =
+                    i64::from(pred.eval(reg_read(regs, *lhs), reg_read(regs, *rhs)));
+            }
+            ChainOp::Select {
+                dst,
+                cond,
+                if_true,
+                if_false,
+            } => {
+                regs[*dst as usize] = if reg_read(regs, *cond) != 0 {
+                    reg_read(regs, *if_true)
+                } else {
+                    reg_read(regs, *if_false)
+                };
+            }
+            ChainOp::Cov { id } => {
+                let idx = p.cov_state.edge(*id, ctx.cov);
+                if let Some(tr) = ctx.trace.as_deref_mut() {
+                    tr.push(idx);
+                }
+            }
+            ChainOp::Load { dst, addr, bytes } => {
+                let a = reg_read(regs, *addr) as u64;
+                if !p.access_ok(a, *bytes, false) {
+                    trap!(
+                        k,
+                        ChainStop::Access {
+                            addr: a,
+                            len: *bytes,
+                            is_write: false
+                        }
+                    );
+                }
+                regs[*dst as usize] = p.mem.read_uint(a, *bytes) as i64;
+            }
+            ChainOp::Store { addr, value, bytes } => {
+                let a = reg_read(regs, *addr) as u64;
+                if !p.access_ok(a, *bytes, true) {
+                    trap!(
+                        k,
+                        ChainStop::Access {
+                            addr: a,
+                            len: *bytes,
+                            is_write: true
+                        }
+                    );
+                }
+                p.mem.write_uint(a, reg_read(regs, *value) as u64, *bytes);
+            }
+            ChainOp::AddrOf { dst, global } => {
+                regs[*dst as usize] = p.globals.addr_of(*global).expect("verified global") as i64;
+            }
+        }
+    }
+    let next = match tail {
+        ChainTail::Next => pc + 1,
+        ChainTail::Br { pre, target } => {
+            // The absorbed branch: its own eliminated predecessors first,
+            // then the branch charge.
+            charge!(*pre);
+            *target
+        }
+        ChainTail::CondBr {
+            pre,
+            cond,
+            if_true,
+            if_false,
+        } => {
+            charge!(*pre);
+            if reg_read(regs, *cond) != 0 {
+                *if_true
+            } else {
+                *if_false
+            }
+        }
+    };
+    if !CHECKED {
+        *insts += rest;
+        *cycles += rest * inst_cost;
+    }
+    Ok(next)
 }
 
 /// Upper bound on retired register files kept for reuse per thread; deep
@@ -1234,6 +1301,23 @@ thread_local! {
     /// allocated ones and nothing here can reach a checkpoint.
     static REG_POOL: std::cell::RefCell<Vec<Vec<i64>>> =
         const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// The crash a rejected access reports at `pc`'s site in `df`.
+#[cold]
+#[inline(never)]
+fn access_crash(
+    p: &Process,
+    funcs: &[DFunc],
+    df: &DFunc,
+    pc: u32,
+    addr: u64,
+    len: u64,
+    is_write: bool,
+) -> Crash {
+    let fname = &funcs[df.fname_of[pc as usize] as usize].name;
+    p.check_access_slow(addr, len, is_write, fname, df.block_of[pc as usize])
+        .expect_err("the access fast path rejected this access")
 }
 
 fn read_op(p: &Process, o: Operand) -> i64 {
@@ -1259,6 +1343,7 @@ fn reg_read(regs: &[i64], o: Operand) -> i64 {
 /// (`/ 0`, `i64::MIN / -1`) reported as crash detail strings. Public so
 /// compiler-side constant folding (`passes::optimize::fold_bin`) can be
 /// differentially tested against the engine it must agree with.
+#[inline(always)]
 pub fn eval_bin(op: BinOp, a: i64, b: i64) -> Result<i64, String> {
     Ok(match op {
         BinOp::Add => a.wrapping_add(b),
@@ -1266,25 +1351,25 @@ pub fn eval_bin(op: BinOp, a: i64, b: i64) -> Result<i64, String> {
         BinOp::Mul => a.wrapping_mul(b),
         BinOp::UDiv => {
             if b == 0 {
-                return Err(format!("{a} udiv 0"));
+                return Err(div_trap(op, a, b));
             }
             ((a as u64) / (b as u64)) as i64
         }
         BinOp::SDiv => {
             if b == 0 || (a == i64::MIN && b == -1) {
-                return Err(format!("{a} sdiv {b}"));
+                return Err(div_trap(op, a, b));
             }
             a / b
         }
         BinOp::URem => {
             if b == 0 {
-                return Err(format!("{a} urem 0"));
+                return Err(div_trap(op, a, b));
             }
             ((a as u64) % (b as u64)) as i64
         }
         BinOp::SRem => {
             if b == 0 || (a == i64::MIN && b == -1) {
-                return Err(format!("{a} srem {b}"));
+                return Err(div_trap(op, a, b));
             }
             a % b
         }
@@ -1295,6 +1380,20 @@ pub fn eval_bin(op: BinOp, a: i64, b: i64) -> Result<i64, String> {
         BinOp::LShr => ((a as u64) >> (b as u32 & 63)) as i64,
         BinOp::AShr => a >> (b as u32 & 63),
     })
+}
+
+/// The crash detail of a trapping division, kept out of line so
+/// [`eval_bin`]'s arithmetic inlines into the dispatch loops.
+#[cold]
+#[inline(never)]
+fn div_trap(op: BinOp, a: i64, b: i64) -> String {
+    match op {
+        BinOp::UDiv => format!("{a} udiv 0"),
+        BinOp::SDiv => format!("{a} sdiv {b}"),
+        BinOp::URem => format!("{a} urem 0"),
+        BinOp::SRem => format!("{a} srem {b}"),
+        _ => unreachable!("only divisions trap"),
+    }
 }
 
 #[cfg(test)]

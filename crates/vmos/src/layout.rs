@@ -6,6 +6,8 @@
 //! `CLOSURE_GLOBAL_SECTION_ADDR` / `CLOSURE_GLOBAL_SECTION_SIZE`
 //! environment variables populated via `readelf`.
 
+use std::cell::Cell;
+
 use fir::{GlobalId, Module, Section};
 
 use crate::mem::PageTable;
@@ -45,6 +47,11 @@ pub struct GlobalMap {
     slots: Vec<GlobalSlot>, // sorted by start
     sections: Vec<(Section, u64, u64)>,
     end: u64,
+    /// `(start, end, writable)` of the last slot [`GlobalMap::access_ok`]
+    /// accepted an access in; `(0, 0, _)` caches nothing. Host-only: the
+    /// layout never changes after [`GlobalMap::layout`], so the entry can
+    /// never go stale, and it is never serialized.
+    last_hit: Cell<(u64, u64, bool)>,
 }
 
 impl GlobalMap {
@@ -82,6 +89,7 @@ impl GlobalMap {
             slots,
             sections,
             end: cursor,
+            last_hit: Cell::new((0, 0, false)),
         }
     }
 
@@ -108,6 +116,34 @@ impl GlobalMap {
         let idx = self.slots.partition_point(|s| s.start <= addr);
         let slot = self.slots.get(idx.checked_sub(1)?)?;
         (addr < slot.end()).then_some(slot)
+    }
+
+    /// True exactly when an access of `len` bytes at `addr`, which must lie
+    /// inside the region, is accepted: it starts in a slot, ends by the
+    /// slot's end, and writes only a writable slot.
+    ///
+    /// Nonzero-size slots are disjoint, so `start <= addr < end` of the
+    /// cached slot means [`GlobalMap::find`] would return that same slot,
+    /// and the verdict can be read off the cache without a search.
+    #[inline]
+    pub(crate) fn access_ok(&self, addr: u64, len: u64, is_write: bool) -> bool {
+        let (start, end, writable) = self.last_hit.get();
+        if start <= addr && addr < end {
+            return addr + len <= end && (writable || !is_write);
+        }
+        self.access_ok_miss(addr, len, is_write)
+    }
+
+    #[inline(never)]
+    fn access_ok_miss(&self, addr: u64, len: u64, is_write: bool) -> bool {
+        let Some(slot) = self.find(addr) else {
+            return false;
+        };
+        let ok = addr + len <= slot.end() && (slot.writable || !is_write);
+        if ok {
+            self.last_hit.set((slot.start, slot.end(), slot.writable));
+        }
+        ok
     }
 
     /// Address of a global by id.

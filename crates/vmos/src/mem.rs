@@ -226,46 +226,106 @@ impl PageTable {
             let page_idx = a / PAGE_SIZE;
             let in_page = (a % PAGE_SIZE) as usize;
             let n = ((PAGE_SIZE as usize) - in_page).min(buf.len() - off);
-            // Drop our own TLB reference to this page *before* the CoW
-            // strong-count test — see the type-level comment.
-            {
-                let mut tlb = self.tlb.borrow_mut();
-                if matches!(*tlb, Some((ci, _)) if ci == page_idx) {
-                    *tlb = None;
-                }
-            }
-            let entry = match self.pages.entry(page_idx) {
-                Entry::Occupied(e) => e.into_mut(),
-                Entry::Vacant(e) => {
-                    self.stamp = fresh_stamp();
-                    e.insert(zero_page())
-                }
-            };
-            if Arc::strong_count(entry) > 1 {
-                // Copy-on-write fault: this page is shared with another
-                // process (post-fork); duplicate before writing.
-                *entry = Arc::new(**entry);
-                self.cow_faults += 1;
-                self.stamp = fresh_stamp();
-            }
-            let page = Arc::get_mut(entry).expect("just un-shared");
+            let page = self.owned_page(page_idx);
             page[in_page..in_page + n].copy_from_slice(&buf[off..off + n]);
             a += n as u64;
             off += n;
         }
     }
 
+    /// The page at `page_idx`, made writable: materialized if unmapped,
+    /// copied (one CoW fault) if shared.
+    #[inline]
+    fn owned_page(&mut self, page_idx: u64) -> &mut [u8; PAGE_SIZE as usize] {
+        // Drop our own TLB reference to this page *before* the CoW
+        // strong-count test — see the type-level comment.
+        {
+            let mut tlb = self.tlb.borrow_mut();
+            if matches!(*tlb, Some((ci, _)) if ci == page_idx) {
+                *tlb = None;
+            }
+        }
+        let entry = match self.pages.entry(page_idx) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                self.stamp = fresh_stamp();
+                e.insert(zero_page())
+            }
+        };
+        if Arc::strong_count(entry) > 1 {
+            // Copy-on-write fault: this page is shared with another
+            // process (post-fork); duplicate before writing.
+            *entry = Arc::new(**entry);
+            self.cow_faults += 1;
+            self.stamp = fresh_stamp();
+        }
+        Arc::get_mut(entry).expect("just un-shared")
+    }
+
     /// Read a little-endian unsigned integer of `width` bytes (1/2/4/8).
+    #[inline]
     pub fn read_uint(&self, addr: u64, width: u64) -> u64 {
+        match width {
+            1 => self.read_n::<1>(addr),
+            2 => self.read_n::<2>(addr),
+            4 => self.read_n::<4>(addr),
+            8 => self.read_n::<8>(addr),
+            _ => {
+                let mut buf = [0u8; 8];
+                self.read(addr, &mut buf[..width as usize]);
+                u64::from_le_bytes(buf)
+            }
+        }
+    }
+
+    /// [`PageTable::read`] of a `W`-byte integer: a constant-size copy
+    /// when it fits in one page, the slice path when it straddles two.
+    fn read_n<const W: usize>(&self, addr: u64) -> u64 {
         let mut buf = [0u8; 8];
-        self.read(addr, &mut buf[..width as usize]);
+        let page_idx = addr / PAGE_SIZE;
+        let in_page = (addr % PAGE_SIZE) as usize;
+        if in_page + W > PAGE_SIZE as usize {
+            self.read(addr, &mut buf[..W]);
+            return u64::from_le_bytes(buf);
+        }
+        if let Some((ci, p)) = self.tlb.borrow().as_ref() {
+            if *ci == page_idx {
+                buf[..W].copy_from_slice(&p[in_page..in_page + W]);
+                return u64::from_le_bytes(buf);
+            }
+        }
+        if let Some(p) = self.pages.get(&page_idx) {
+            buf[..W].copy_from_slice(&p[in_page..in_page + W]);
+            *self.tlb.borrow_mut() = Some((page_idx, Arc::clone(p)));
+        }
         u64::from_le_bytes(buf)
     }
 
     /// Write the low `width` bytes of `value`, little-endian.
+    #[inline]
     pub fn write_uint(&mut self, addr: u64, value: u64, width: u64) {
+        match width {
+            1 => self.write_n::<1>(addr, value),
+            2 => self.write_n::<2>(addr, value),
+            4 => self.write_n::<4>(addr, value),
+            8 => self.write_n::<8>(addr, value),
+            _ => self.write(addr, &value.to_le_bytes()[..width as usize]),
+        }
+    }
+
+    /// [`PageTable::write`] of a `W`-byte integer: the same TLB, CoW and
+    /// stamp steps, then a constant-size copy when it fits in one page;
+    /// the slice path when it straddles two.
+    fn write_n<const W: usize>(&mut self, addr: u64, value: u64) {
         let bytes = value.to_le_bytes();
-        self.write(addr, &bytes[..width as usize]);
+        let page_idx = addr / PAGE_SIZE;
+        let in_page = (addr % PAGE_SIZE) as usize;
+        if in_page + W > PAGE_SIZE as usize {
+            self.write(addr, &bytes[..W]);
+            return;
+        }
+        let page = self.owned_page(page_idx);
+        page[in_page..in_page + W].copy_from_slice(&bytes[..W]);
     }
 
     /// Read a NUL-terminated string (capped at `max` bytes).
@@ -338,6 +398,25 @@ mod tests {
     }
 
     #[test]
+    fn uint_access_straddling_pages_matches_byte_access() {
+        for w in [2u64, 4, 8] {
+            let mut parent = PageTable::new();
+            parent.write(PAGE_SIZE - 8, &[0xEE; 16]);
+            let mut child = parent.fork();
+            let addr = PAGE_SIZE - w / 2;
+            let mask = u64::MAX >> (64 - 8 * w);
+            let v = 0x0123_4567_89AB_CDEF_u64 & mask;
+            child.write_uint(addr, v, w);
+            assert_eq!(child.cow_faults(), 2, "width {w}: one fault per page");
+            assert_eq!(child.read_uint(addr, w), v);
+            let mut bytes = vec![0u8; w as usize];
+            child.read(addr, &mut bytes);
+            assert_eq!(bytes, v.to_le_bytes()[..w as usize]);
+            assert_eq!(parent.read_uint(addr, w), 0xEEEE_EEEE_EEEE_EEEE & mask);
+        }
+    }
+
+    #[test]
     fn fork_shares_then_cow_on_write() {
         let mut parent = PageTable::new();
         parent.write_uint(0x1000, 42, 8);
@@ -390,7 +469,11 @@ mod tests {
         let mut child = pt.fork();
         let forked = child.ownership_stamp();
         assert_ne!(forked, materialized, "a fork gets its own stamp");
-        assert_eq!(pt.ownership_stamp(), materialized, "forking leaves the parent");
+        assert_eq!(
+            pt.ownership_stamp(),
+            materialized,
+            "forking leaves the parent"
+        );
         child.write_uint(0x1000, 3, 8);
         let copied = child.ownership_stamp();
         assert_ne!(copied, forked, "a CoW copy moves the stamp");

@@ -133,7 +133,57 @@ impl Process {
     ///
     /// # Errors
     /// The appropriate [`Crash`] for the faulting access.
+    #[inline]
     pub fn check_access(
+        &self,
+        addr: u64,
+        len: u64,
+        is_write: bool,
+        function: &str,
+        block: u32,
+    ) -> Result<(), Crash> {
+        if self.access_ok(addr, len, is_write) {
+            Ok(())
+        } else {
+            self.check_access_slow(addr, len, is_write, function, block)
+        }
+    }
+
+    /// The verdict of [`Process::check_access`] without the crash: a few
+    /// compares when the access lands in the global slot or heap chunk
+    /// the previous accepted access did. Walks the regions in the same
+    /// order as the slow path: null page, globals, heap, stack.
+    #[inline]
+    pub(crate) fn access_ok(&self, addr: u64, len: u64, is_write: bool) -> bool {
+        let ok = if addr < NULL_PAGE_END {
+            false
+        } else if self.globals.contains(addr) {
+            self.globals.access_ok(addr, len, is_write)
+        } else if (self.heap.base()..self.heap.high_water().max(self.heap.base())).contains(&addr) {
+            self.heap.access_ok(addr, len)
+        } else if (STACK_TOP - STACK_MAX_BYTES..STACK_TOP).contains(&addr) {
+            addr + len <= STACK_TOP
+        } else {
+            false
+        };
+        debug_assert_eq!(
+            ok,
+            self.check_access_slow(addr, len, is_write, "", 0).is_ok(),
+            "access fast path disagrees with the region walk at {addr:#x}+{len} (write: {is_write})"
+        );
+        ok
+    }
+
+    /// The full region walk behind [`Process::check_access`], and the only
+    /// code that builds an access [`Crash`]. Runs only once
+    /// [`Process::access_ok`] has rejected the access (and, in debug
+    /// builds, as that fast path's oracle).
+    ///
+    /// # Errors
+    /// The appropriate [`Crash`] for the faulting access.
+    #[cold]
+    #[inline(never)]
+    pub(crate) fn check_access_slow(
         &self,
         addr: u64,
         len: u64,
@@ -302,6 +352,192 @@ mod tests {
         assert!(p.check_access(STACK_TOP - 64, 32, true, "f", 0).is_ok());
         let e = p.check_access(0x6000_0000, 8, false, "f", 0).unwrap_err();
         assert_eq!(e.kind, CrashKind::UnaddressableAccess);
+    }
+
+    /// `check_access` on `p`, returning the crash kind and detail. In debug
+    /// builds every call also checks the fast path against the region walk.
+    fn verdict(p: &Process, addr: u64, len: u64, is_write: bool) -> Option<(CrashKind, String)> {
+        let fast = p.check_access(addr, len, is_write, "f", 0);
+        let slow = p.check_access_slow(addr, len, is_write, "f", 0);
+        assert_eq!(fast, slow, "fast and slow verdicts at {addr:#x}+{len}");
+        fast.err().map(|c| (c.kind, c.detail))
+    }
+
+    fn kind(p: &Process, addr: u64, len: u64, is_write: bool) -> Option<CrashKind> {
+        verdict(p, addr, len, is_write).map(|(k, _)| k)
+    }
+
+    /// `ro` (8 bytes, rodata), then in .bss: zero-size `z0`, `rw` (20
+    /// bytes, padded to 32), zero-size `tail` at the very end.
+    fn padded_proc() -> Process {
+        let mut mb = ModuleBuilder::new("m");
+        mb.global(Global::constant("ro", vec![9; 8]));
+        mb.global(Global::zeroed("z0", 0));
+        mb.global(Global::zeroed("rw", 20));
+        mb.global(Global::zeroed("tail", 0));
+        Process::load(&mb.finish(), 1 << 20, 16, 1)
+    }
+
+    #[test]
+    fn access_fast_path_null_page() {
+        let p = padded_proc();
+        for addr in [0, 1, NULL_PAGE_END - 8, NULL_PAGE_END - 1] {
+            assert_eq!(kind(&p, addr, 8, false), Some(CrashKind::NullPtrDeref));
+            assert_eq!(kind(&p, addr, 1, true), Some(CrashKind::NullPtrDeref));
+        }
+    }
+
+    #[test]
+    fn access_fast_path_rodata_store_after_cached_read() {
+        let p = padded_proc();
+        let ro = p.globals.addr_of_name("ro").unwrap();
+        assert_eq!(kind(&p, ro, 8, false), None, "warms the slot cache");
+        let (k, detail) = verdict(&p, ro, 8, true).unwrap();
+        assert_eq!(k, CrashKind::InvalidWrite);
+        assert_eq!(detail, "write to read-only 'ro'");
+        assert_eq!(kind(&p, ro + 4, 4, false), None);
+        assert_eq!(
+            kind(&p, ro + 4, 8, false),
+            Some(CrashKind::OutOfBoundsAccess)
+        );
+    }
+
+    #[test]
+    fn access_fast_path_padding_gap_and_zero_size_globals() {
+        let p = padded_proc();
+        let rw = p.globals.addr_of_name("rw").unwrap();
+        assert_eq!(
+            p.globals.addr_of_name("z0"),
+            Some(rw),
+            "zero-size slot shares rw's start"
+        );
+        assert_eq!(kind(&p, rw, 8, true), None, "z0's address resolves to rw");
+        assert_eq!(kind(&p, rw + 19, 1, true), None);
+        // The padding after rw's 20 bytes is a gap, cached slot or not.
+        let (k, detail) = verdict(&p, rw + 20, 1, false).unwrap();
+        assert_eq!(k, CrashKind::InvalidRead);
+        assert!(detail.ends_with("(global gap)"), "{detail}");
+        assert_eq!(kind(&p, rw + 24, 8, true), Some(CrashKind::InvalidWrite));
+        assert_eq!(
+            kind(&p, rw + 16, 8, true),
+            Some(CrashKind::OutOfBoundsAccess)
+        );
+        assert_eq!(
+            kind(&p, rw, 0, false),
+            None,
+            "zero-length access inside a slot"
+        );
+        assert_eq!(kind(&p, rw + 20, 0, false), Some(CrashKind::InvalidRead));
+        // `tail` starts at the region's end: outside every region.
+        let tail = p.globals.addr_of_name("tail").unwrap();
+        assert_eq!(tail, p.globals.end());
+        assert_eq!(
+            kind(&p, tail, 1, false),
+            Some(CrashKind::UnaddressableAccess)
+        );
+    }
+
+    #[test]
+    fn access_fast_path_heap_live_freed_guard_and_oob() {
+        let mut p = padded_proc();
+        let a = p.heap.alloc(20).unwrap(); // rounded to 32
+        let b = p.heap.alloc(16).unwrap();
+        assert_eq!(kind(&p, a, 8, true), None);
+        assert_eq!(
+            kind(&p, a + 24, 8, false),
+            None,
+            "inside the rounded extent"
+        );
+        assert_eq!(
+            kind(&p, a + 28, 8, false),
+            Some(CrashKind::OutOfBoundsAccess)
+        );
+        let (k, detail) = verdict(&p, a + 32, 1, false).unwrap();
+        assert_eq!(
+            (k, detail.starts_with("heap gap")),
+            (CrashKind::UnaddressableAccess, true)
+        );
+        assert_eq!(kind(&p, b, 16, false), None, "moves the cache to b");
+        assert_eq!(kind(&p, a, 8, false), None, "and back to a");
+        p.heap.free(b).unwrap();
+        let (k, detail) = verdict(&p, b + 8, 1, true).unwrap();
+        assert_eq!(k, CrashKind::UnaddressableAccess);
+        assert!(detail.starts_with("use-after-free"), "{detail}");
+        let high = p.heap.high_water();
+        assert_eq!(
+            kind(&p, high, 1, false),
+            Some(CrashKind::UnaddressableAccess)
+        );
+    }
+
+    #[test]
+    fn access_fast_path_use_after_free_of_the_cached_chunk() {
+        let mut p = padded_proc();
+        let a = p.heap.alloc(64).unwrap();
+        assert_eq!(kind(&p, a + 8, 8, false), None, "the cache now holds a");
+        p.heap.free(a).unwrap();
+        let (k, detail) = verdict(&p, a + 8, 8, false).unwrap();
+        assert_eq!(k, CrashKind::UnaddressableAccess);
+        assert_eq!(detail, format!("use-after-free at {:#x}", a + 8));
+        let again = p.heap.alloc(60).unwrap();
+        assert_eq!(again, a, "same size class: the chunk is reused");
+        assert_eq!(kind(&p, a + 8, 8, true), None);
+    }
+
+    #[test]
+    fn access_fast_path_stack_top_edge_and_unmapped() {
+        let p = padded_proc();
+        assert_eq!(kind(&p, STACK_TOP - 8, 8, true), None);
+        assert_eq!(kind(&p, STACK_TOP - STACK_MAX_BYTES, 8, false), None);
+        let (k, detail) = verdict(&p, STACK_TOP - 4, 8, true).unwrap();
+        assert_eq!(
+            (k, detail.starts_with("past stack top")),
+            (CrashKind::InvalidWrite, true)
+        );
+        for addr in [
+            STACK_TOP,
+            STACK_TOP - STACK_MAX_BYTES - 1,
+            0x6000_0000,
+            u64::MAX - 16,
+        ] {
+            assert_eq!(
+                kind(&p, addr, 8, false),
+                Some(CrashKind::UnaddressableAccess)
+            );
+        }
+    }
+
+    /// Sweep addresses across every region edge with warm caches in
+    /// between; each probe compares the fast verdict with the region walk.
+    #[test]
+    fn access_fast_path_agrees_with_region_walk_everywhere() {
+        let mut p = padded_proc();
+        let chunks: Vec<u64> = [1, 16, 20, 33]
+            .iter()
+            .map(|&n| p.heap.alloc(n).unwrap())
+            .collect();
+        p.heap.free(chunks[1]).unwrap();
+        let mut probes = vec![0, NULL_PAGE_END - 1, NULL_PAGE_END, GLOBAL_BASE - 1];
+        for slot in p.globals.slots() {
+            probes.extend([slot.start, slot.end()]);
+        }
+        for &c in &chunks {
+            probes.extend([c, c + 16, c + 32, c + 48]);
+        }
+        probes.extend([p.heap.high_water(), STACK_TOP - STACK_MAX_BYTES, STACK_TOP]);
+        for &base in &probes {
+            for delta in [-9i64, -8, -1, 0, 1, 7, 8, 15] {
+                let addr = base.wrapping_add_signed(delta);
+                if addr > u64::MAX - 16 {
+                    continue;
+                }
+                for len in [0, 1, 2, 4, 8, 16] {
+                    for is_write in [false, true] {
+                        verdict(&p, addr, len, is_write);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

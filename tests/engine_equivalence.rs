@@ -5,9 +5,11 @@
 //! "Observable" means everything a campaign can see or persist: execution
 //! counts, the simulated cycle clock, the accumulated coverage hash, crash
 //! sites, and the bytes of checkpoint snapshots (`ckpt-*`) and journals
-//! (`journal-*`). Two targets are exercised: `giftext` (bug-free, deep
-//! format loop) and `gpmf-parser` (planted bugs, so real crash sites flow
-//! through both engines).
+//! (`journal-*`). Two targets are exercised in depth: `giftext` (bug-free,
+//! deep format loop) and `gpmf-parser` (planted bugs, so real crash sites
+//! flow through both engines); every bundled target runs the same legs at
+//! a smoke budget. Below the campaign level, trapping `Chain` components
+//! are swept across every fuel position.
 //!
 //! The gate is **three-way**:
 //!
@@ -24,9 +26,16 @@
 
 use aflrs::{Campaign, CampaignConfig, CampaignOutcome, CampaignResult, CheckpointConfig};
 use closurex::harness::{ClosureXConfig, ClosureXExecutor};
-use vmos::{DecodeOptGuard, ReferenceEngineGuard};
+use fir::{BinOp, Module};
+use vmos::decoded::{ChainOp, DOp};
+use vmos::{
+    CallOutcome, CovMap, CrashKind, DecodeOptGuard, DecodedImage, HostCtx, Machine, Os,
+    ReferenceEngineGuard,
+};
 
 const BUDGET: u64 = 3_000_000;
+/// Per-target budget of the all-targets smoke legs.
+const SMOKE_BUDGET: u64 = 400_000;
 
 /// Which of the three engine configurations a campaign leg runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,8 +67,12 @@ impl Engine {
 }
 
 fn cfg() -> CampaignConfig {
+    cfg_with_budget(BUDGET)
+}
+
+fn cfg_with_budget(budget_cycles: u64) -> CampaignConfig {
     CampaignConfig {
-        budget_cycles: BUDGET,
+        budget_cycles,
         seed: 0xC0FFEE,
         deterministic_stage: true,
         stop_after_crashes: 0,
@@ -68,11 +81,19 @@ fn cfg() -> CampaignConfig {
 }
 
 fn campaign(target: &targets::TargetSpec, engine: Engine) -> CampaignResult {
+    campaign_with_budget(target, engine, BUDGET)
+}
+
+fn campaign_with_budget(
+    target: &targets::TargetSpec,
+    engine: Engine,
+    budget_cycles: u64,
+) -> CampaignResult {
     let _guards = engine.pin();
     let m = target.module();
     let mut ex = ClosureXExecutor::new(&m, ClosureXConfig::default()).expect("instrument");
     let seeds = (target.seeds)();
-    Campaign::new(&seeds, &cfg())
+    Campaign::new(&seeds, &cfg_with_budget(budget_cycles))
         .executor(&mut ex)
         .run()
         .expect("plain campaign config is always valid")
@@ -125,6 +146,138 @@ fn gpmf_campaign_with_crashes_is_bit_identical_across_engines() {
     assert!(
         !reference.crashes.is_empty(),
         "gpmf has planted bugs; the crash-site comparison must not be vacuous"
+    );
+}
+
+#[test]
+fn every_target_is_bit_identical_across_engines_at_smoke_budget() {
+    for t in targets::all() {
+        let reference = campaign_with_budget(t, Engine::Reference, SMOKE_BUDGET);
+        assert!(
+            reference.execs > 0,
+            "{}: campaign must actually run",
+            t.name
+        );
+        for engine in [Engine::DecodedPlain, Engine::DecodedOpt] {
+            let leg = campaign_with_budget(t, engine, SMOKE_BUDGET);
+            assert_observables_equal(&leg, &reference, &format!("{} [{}]", t.name, engine.name()));
+        }
+    }
+}
+
+/// Run `main(arg)` with `fuel` on `engine` in a fresh process.
+fn call_main(m: &Module, img: &DecodedImage, engine: Engine, arg: i64, fuel: u64) -> CallOutcome {
+    let _guards = engine.pin();
+    let mut os = Os::new();
+    let (mut p, _) = os.spawn(m);
+    let mut cov = CovMap::new();
+    let mut ctx = HostCtx::new(&mut os, &mut cov);
+    Machine::with_image(m, img).call(&mut p, &mut ctx, "main", &[arg], fuel)
+}
+
+/// Compile `src`, check that `main`'s optimized stream holds a `Chain`
+/// whose component `k > 0` is the trapping kind `trap`, and sweep fuel
+/// over every position until the chain runs block-charged — so across
+/// its boundary (`rest - 1`, `rest`, `rest + 1` left after its head) —
+/// requiring both decoded streams to match the reference in result,
+/// crash site, `insts` and `cycles`.
+fn chain_trap_sweep(src: &str, arg: i64, trap: fn(&ChainOp) -> bool, kind: CrashKind) {
+    let m = minic::compile("chain_trap", src).expect("MinC source compiles");
+    let img = DecodedImage::new(&m);
+    let main = &img.opt_funcs[m.function_id("main").expect("main").0 as usize];
+    let rest = main
+        .ops
+        .iter()
+        .find_map(|op| match op {
+            DOp::Chain { comps, rest, .. } if comps.iter().skip(1).any(|c| trap(&c.op)) => {
+                Some(*rest)
+            }
+            _ => None,
+        })
+        .unwrap_or_else(|| {
+            panic!(
+                "the trap must sit in a chain, after its head: {:?}",
+                main.ops
+            )
+        });
+    let full = call_main(&m, &img, Engine::Reference, arg, u64::MAX);
+    assert_eq!(
+        full.result.crash().map(|c| c.kind),
+        Some(kind),
+        "{:?}",
+        full.result
+    );
+    // Every exec reaching the chain's head has charged less than the
+    // crash's total, so this bound passes `rest + 1` left after the head.
+    for fuel in 1..=full.insts + rest + 1 {
+        let reference = call_main(&m, &img, Engine::Reference, arg, fuel);
+        for engine in [Engine::DecodedPlain, Engine::DecodedOpt] {
+            let leg = call_main(&m, &img, engine, arg, fuel);
+            let what = format!("fuel {fuel} [{}]", engine.name());
+            assert_eq!(
+                leg.result, reference.result,
+                "{what}: result and crash site"
+            );
+            assert_eq!(leg.insts, reference.insts, "{what}: insts");
+            assert_eq!(leg.cycles, reference.cycles, "{what}: cycles");
+        }
+    }
+}
+
+#[test]
+fn chain_division_trap_matches_reference_at_every_fuel() {
+    chain_trap_sweep(
+        "global g;
+         fn main(d) {
+             var a = g + 1;
+             var b = a * 3;
+             var c = b / d;
+             g = c + b;
+             return c;
+         }",
+        0,
+        |op| {
+            matches!(
+                op,
+                ChainOp::Bin {
+                    op: BinOp::SDiv,
+                    ..
+                }
+            )
+        },
+        CrashKind::DivisionByZero,
+    );
+}
+
+#[test]
+fn chain_heap_oob_load_matches_reference_at_every_fuel() {
+    chain_trap_sweep(
+        "fn main(i) {
+             var p = malloc(16);
+             var x = i + 1;
+             var y = x * 2;
+             var v = load64(p + y);
+             return v + y;
+         }",
+        5,
+        |op| matches!(op, ChainOp::Load { .. }),
+        CrashKind::OutOfBoundsAccess,
+    );
+}
+
+#[test]
+fn chain_rodata_store_matches_reference_at_every_fuel() {
+    chain_trap_sweep(
+        "const global RO = \"abcdefgh\";
+         fn main(v) {
+             var a = v + 1;
+             var b = a * 2;
+             store8(RO + 1, b);
+             return b;
+         }",
+        3,
+        |op| matches!(op, ChainOp::Store { .. }),
+        CrashKind::InvalidWrite,
     );
 }
 
