@@ -316,7 +316,7 @@ impl<'a> Campaign<'a> {
     /// [`ResumeReport`] is also embedded as
     /// [`CampaignResult::resume`](crate::CampaignResult::resume) — compare
     /// resumed results against never-killed ones with
-    /// [`sans_resume`](crate::CampaignResult::sans_resume).
+    /// [`outcome_diff`](crate::CampaignResult::outcome_diff).
     pub fn resume(self) -> Result<(CampaignOutcome, ResumeReport), CampaignError> {
         let (mut outcome, report) = self.resume_raw()?;
         if let CampaignOutcome::Finished(result) = &mut outcome {

@@ -48,9 +48,10 @@
 //!           attempts exhausted ──▶ Degraded(Local) in-process fallback
 //! ```
 //!
-//! The equivalence gate (`tests/rpc_equivalence.rs`) holds the remote
-//! path to bit-identical results vs. the in-process service under the
-//! full fault grid; `rpc_eval` bounds the clean-path overhead.
+//! The RPC identity grid (`bench::planes::rpc`, run by
+//! `tests/rpc_equivalence.rs` and `plane_eval`) holds the remote path to
+//! bit-identical results vs. the in-process service under the full fault
+//! grid, and `plane_eval` bounds the clean-path overhead.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;

@@ -38,7 +38,7 @@
 //! tenant, and resumes each campaign from its newest valid snapshot plus
 //! journal tail — to the bit-identical [`CampaignResult`] the unkilled
 //! service would have produced (compare with
-//! [`CampaignResult::sans_resume`]). The decoded-image sidecar written
+//! [`CampaignResult::outcome_diff`]). The decoded-image sidecar written
 //! next to each tenant's snapshots makes that restore cheap: the first
 //! resumed tenant revives the image from the sidecar and every later
 //! tenant over the same target hits the process-wide cache, so a

@@ -1,6 +1,6 @@
 //! Campaign results: throughput, coverage, and deduplicated crash records.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use vmos::Crash;
 
 use crate::storage::StorageCounters;
@@ -57,12 +57,12 @@ pub struct ResilienceCounters {
     /// and hangs, executor rebuilds, recoveries, and lane degradations.
     /// Describes the *recovery process*, not the fuzzing outcome — a
     /// recovered campaign matches its unfaulted twin everywhere except
-    /// this block (see [`CampaignResult::sans_supervision`]).
+    /// this block (see [`CampaignResult::outcome_diff`]).
     pub supervision: SupervisionCounters,
     /// Storage-plane accounting: transient-error retries, crash boundaries
     /// hit, scrub-and-repair work, and typed degradations to in-memory
     /// checkpointing. Like `supervision`, this describes recovery, not the
-    /// fuzzing outcome (see [`CampaignResult::sans_storage`]).
+    /// fuzzing outcome (see [`CampaignResult::outcome_diff`]).
     pub storage: StorageCounters,
 }
 
@@ -129,7 +129,7 @@ pub struct CampaignResult {
     /// replayed, what corruption was repaired, and whether the decoded
     /// image was warm. `None` on a campaign that ran start-to-finish.
     /// Describes the *resume process*, not the fuzzing outcome — the
-    /// bit-identity comparison key is [`CampaignResult::sans_resume`].
+    /// bit-identity comparison key is [`CampaignResult::outcome_diff`].
     pub resume: Option<crate::checkpoint::ResumeReport>,
 }
 
@@ -151,32 +151,36 @@ impl CampaignResult {
         self.mgmt_cycles as f64 / total as f64
     }
 
-    /// This result with the supervision block zeroed — the comparison key
-    /// for recovery equivalence. A supervised campaign that recovered from
-    /// injected faults necessarily *reports* those recoveries, so "bit-
-    /// identical to the unfaulted run" means: identical everywhere except
-    /// `resilience.supervision`, which is exactly what this projection
-    /// compares.
+    /// The first difference between two results under the bit-identity
+    /// key, or `None` when they agree. The key is every field except the
+    /// three recovery reports — `resilience.supervision`,
+    /// `resilience.storage` and `resume` — which describe how a run was
+    /// recovered (faults contained, storage repaired, journal replayed),
+    /// not what it computed. A difference is reported as the path of the
+    /// first differing field with both values, e.g.
+    /// `crashes[1].hits: 3 vs 4`.
+    pub fn outcome_diff(&self, other: &CampaignResult) -> Option<String> {
+        first_diff(String::new(), &self.to_value(), &other.to_value())
+    }
+
+    /// This result with the supervision block zeroed. Kept for
+    /// perfbench's `outcome_key`; compare through [`Self::outcome_diff`].
     pub fn sans_supervision(&self) -> CampaignResult {
         let mut r = self.clone();
         r.resilience.supervision = SupervisionCounters::default();
         r
     }
 
-    /// This result with the storage block zeroed — the comparison key for
-    /// storage-fault equivalence, mirroring [`Self::sans_supervision`]: a
-    /// campaign that retried, repaired, or degraded necessarily *reports*
-    /// that work, and is otherwise identical to an unfaulted twin.
+    /// This result with the storage block zeroed. Kept for perfbench's
+    /// `outcome_key`; compare through [`Self::outcome_diff`].
     pub fn sans_storage(&self) -> CampaignResult {
         let mut r = self.clone();
         r.resilience.storage = StorageCounters::default();
         r
     }
 
-    /// This result with the resume report stripped — the comparison key
-    /// for kill/resume bit-identity, mirroring [`Self::sans_supervision`]:
-    /// a resumed campaign necessarily *reports* how it resumed, and is
-    /// otherwise identical to a twin that never died.
+    /// This result with the resume report stripped. Kept for perfbench's
+    /// `outcome_key`; compare through [`Self::outcome_diff`].
     pub fn sans_resume(&self) -> CampaignResult {
         let mut r = self.clone();
         r.resume = None;
@@ -189,6 +193,61 @@ impl CampaignResult {
             .iter()
             .filter(|c| c.crash.kind.is_resource_exhaustion())
             .count()
+    }
+}
+
+/// Fields outside the bit-identity key (see
+/// [`CampaignResult::outcome_diff`]).
+const RECOVERY_REPORTS: [&str; 3] = ["resilience.supervision", "resilience.storage", "resume"];
+
+/// Depth-first walk of two serialized results, in field order: the path
+/// and both values of the first leaf that differs.
+fn first_diff(path: String, a: &Value, b: &Value) -> Option<String> {
+    if RECOVERY_REPORTS.contains(&path.as_str()) {
+        return None;
+    }
+    match (a, b) {
+        (Value::Object(x), Value::Object(y))
+            if x.len() == y.len() && x.iter().zip(y).all(|((k, _), (l, _))| k == l) =>
+        {
+            x.iter().zip(y).find_map(|((k, va), (_, vb))| {
+                let sub = if path.is_empty() {
+                    k.clone()
+                } else {
+                    format!("{path}.{k}")
+                };
+                first_diff(sub, va, vb)
+            })
+        }
+        (Value::Array(x), Value::Array(y)) => x
+            .iter()
+            .zip(y)
+            .enumerate()
+            .find_map(|(i, (va, vb))| first_diff(format!("{path}[{i}]"), va, vb))
+            .or_else(|| {
+                (x.len() != y.len()).then(|| format!("{path}: {} vs {} items", x.len(), y.len()))
+            }),
+        _ if a == b => None,
+        _ => Some(format!("{path}: {} vs {}", brief(a), brief(b))),
+    }
+}
+
+/// A leaf value as it reads in a diff message; compound values are cut
+/// short.
+fn brief(v: &Value) -> String {
+    let s = match v {
+        Value::Null => "null".to_string(),
+        Value::Bool(b) => b.to_string(),
+        Value::I64(n) => n.to_string(),
+        Value::U64(n) => n.to_string(),
+        Value::F64(n) => n.to_string(),
+        Value::Str(s) => format!("{s:?}"),
+        compound => format!("{compound:?}"),
+    };
+    if s.len() > 80 {
+        format!("{}…", &s[..s.floor_char_boundary(80)])
+    } else {
+        s
     }
 }
 
@@ -249,5 +308,66 @@ mod tests {
         };
         assert_eq!(r.false_crashes(), 1);
         assert_eq!(r.crashes[0].found_at_seconds(), 3);
+    }
+
+    #[test]
+    fn outcome_diff_names_the_first_differing_field() {
+        let crash = |hits| CrashRecord {
+            crash: Crash {
+                kind: CrashKind::NullPtrDeref,
+                function: "f".into(),
+                block: 0,
+                detail: String::new(),
+            },
+            found_at_cycles: 7,
+            input: vec![1, 2],
+            hits,
+            flaky: false,
+        };
+        let a = CampaignResult {
+            executor: "x".into(),
+            execs: 10,
+            clock_cycles: 100,
+            edges_found: 5,
+            coverage_hash: 0xAB,
+            crashes: vec![crash(1), crash(3)],
+            queue_len: 2,
+            hangs: 0,
+            mgmt_cycles: 25,
+            exec_cycles: 75,
+            queue_inputs: vec![vec![0], vec![1, 2]],
+            resilience: ResilienceCounters::default(),
+            resume: None,
+        };
+        assert_eq!(a.outcome_diff(&a.clone()), None);
+
+        let mut b = a.clone();
+        b.crashes[1].hits = 4;
+        assert_eq!(
+            a.outcome_diff(&b).as_deref(),
+            Some("crashes[1].hits: 3 vs 4")
+        );
+
+        // The recovery reports sit outside the key.
+        let mut c = a.clone();
+        c.resume = Some(crate::checkpoint::ResumeReport {
+            records_applied: 9,
+            ..Default::default()
+        });
+        c.resilience.supervision.recovered = 1;
+        c.resilience.storage.retries = 2;
+        assert_eq!(a.outcome_diff(&c), None);
+
+        let mut d = a.clone();
+        d.resilience.retries = 1;
+        assert_eq!(
+            a.outcome_diff(&d).as_deref(),
+            Some("resilience.retries: 0 vs 1")
+        );
+        d.queue_inputs.push(vec![9]);
+        assert_eq!(
+            d.outcome_diff(&a).as_deref(),
+            Some("queue_inputs: 3 vs 2 items")
+        );
     }
 }

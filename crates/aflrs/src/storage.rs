@@ -65,7 +65,7 @@ pub struct StorageDegradation {
 /// *recovery process*, not the campaign's fuzzing outcome: every field is
 /// zero on a clean run, and a fault-recovered run matches its unfaulted
 /// twin everywhere except this block (see
-/// [`CampaignResult::sans_storage`](crate::CampaignResult::sans_storage)).
+/// [`CampaignResult::outcome_diff`](crate::CampaignResult::outcome_diff)).
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StorageCounters {
     /// Transient write errors observed (injected or real).

@@ -104,5 +104,5 @@ fn main() {
     );
     println!("\nDirty-only restore trades a scan for fewer writes; disabling any sweep");
     println!("reintroduces exactly the inconsistency class it guards against.");
-    bench::write_report("ablation_restore", &rows);
+    bench::write_report("ablation_restore", &rows).expect("report written");
 }

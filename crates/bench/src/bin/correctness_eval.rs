@@ -82,5 +82,5 @@ fn main() {
         )
     );
     println!("\nPaper: all targets, all queue entries equivalent to fresh-process execution.");
-    bench::write_report("correctness_eval", &json);
+    bench::write_report("correctness_eval", &json).expect("report written");
 }

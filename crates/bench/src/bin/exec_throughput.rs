@@ -277,7 +277,8 @@ fn main() {
             optimizer: opt_rows,
             aggregate: agg,
         },
-    );
+    )
+    .expect("report written");
 
     if !all_deterministic {
         eprintln!("FAIL: decoded engine diverged from the reference engine");

@@ -66,5 +66,5 @@ fn main() {
         )
     );
     println!("\nShape check: fresh >> forkserver >> ClosureX ≈ naive-persistent (+ restore).");
-    bench::write_report("fig_continuum", &json);
+    bench::write_report("fig_continuum", &json).expect("report written");
 }

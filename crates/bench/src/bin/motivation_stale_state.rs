@@ -77,5 +77,5 @@ fn main() {
     println!("\nNaive persistent mode reports crashes that vanish on re-execution (wasted");
     println!("triage) — fd starvation, heap exhaustion, stale flags. Every ClosureX crash");
     println!("reproduces, because every test case ran from fresh-equivalent state.");
-    bench::write_report("motivation_stale_state", &json);
+    bench::write_report("motivation_stale_state", &json).expect("report written");
 }

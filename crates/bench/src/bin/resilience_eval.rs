@@ -313,5 +313,5 @@ fn main() {
         "Naive persistence under faults: {naive_false} false crashes, \
          {naive_dead} trials failed to complete."
     );
-    bench::write_report("resilience_eval", &rows);
+    bench::write_report("resilience_eval", &rows).expect("report written");
 }

@@ -38,5 +38,5 @@ fn main() {
         "{}",
         bench::markdown_table(&["Benchmark", "Input Format", "Executable Size"], &rows)
     );
-    bench::write_report("table4_benchmarks", &json);
+    bench::write_report("table4_benchmarks", &json).expect("report written");
 }

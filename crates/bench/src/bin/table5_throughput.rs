@@ -59,5 +59,5 @@ fn main() {
         )
     );
     println!("\nPaper: speedups 2.36–4.79x, average 3.53x, p = 0.0079 everywhere.");
-    bench::write_report("table5_throughput", &json);
+    bench::write_report("table5_throughput", &json).expect("report written");
 }

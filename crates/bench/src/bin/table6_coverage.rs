@@ -67,5 +67,5 @@ fn main() {
         )
     );
     println!("\nPaper: average +7.8%, significant on 5/10 benchmarks.");
-    bench::write_report("table6_coverage", &json);
+    bench::write_report("table6_coverage", &json).expect("report written");
 }

@@ -94,5 +94,5 @@ fn main() {
     );
     println!("Head-to-head wins where both found the bug: {cx_wins}/{comparisons}.");
     println!("Paper: 15 0-days (4 CVEs), ClosureX 1.9x faster, 25% more finding trials.");
-    bench::write_report("table7_time_to_bug", &json);
+    bench::write_report("table7_time_to_bug", &json).expect("report written");
 }

@@ -23,6 +23,8 @@ use closurex::resilience::HarnessError;
 use serde::Serialize;
 use targets::TargetSpec;
 
+pub mod planes;
+
 /// Number of trials per configuration (the paper's 5).
 pub const TRIALS: u64 = 5;
 
@@ -314,17 +316,19 @@ pub fn total_cfg_edges(target: &TargetSpec) -> usize {
         .sum()
 }
 
-/// Write a JSON report under `results/`.
-pub fn write_report<T: Serialize>(name: &str, value: &T) {
+/// Write a JSON report to `results/<name>.json`.
+///
+/// # Errors
+/// A message naming the path when the directory or file cannot be written.
+pub fn write_report<T: Serialize>(name: &str, value: &T) -> Result<(), String> {
     let dir = std::path::Path::new("results");
-    if std::fs::create_dir_all(dir).is_err() {
-        return;
-    }
     let path = dir.join(format!("{name}.json"));
-    if let Ok(json) = serde_json::to_string_pretty(value) {
-        let _ = std::fs::write(&path, json);
-        eprintln!("(wrote {})", path.display());
-    }
+    let json = serde_json::to_string_pretty(value).map_err(|e| e.to_string())?;
+    std::fs::create_dir_all(dir)
+        .and_then(|()| std::fs::write(&path, json))
+        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    eprintln!("(wrote {})", path.display());
+    Ok(())
 }
 
 /// Pull a bare number out of a flat JSON object by key — the deserializer

@@ -885,8 +885,9 @@ impl DecodedImage {
     }
 
     /// Drop every image from the process-wide cache. Test/bench hook: lets
-    /// one process simulate a server restart (`service_eval` restores N
-    /// campaigns against a cold cache and asserts exactly one decode).
+    /// one process simulate a server restart (the service grid's
+    /// decode-once cell restores N campaigns against a cold cache and
+    /// asserts exactly one decode).
     pub fn cache_evict_all() {
         Self::cache()
             .lock()

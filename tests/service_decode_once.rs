@@ -1,0 +1,11 @@
+//! Service restore decodes once: 100 same-target tenants, killed and
+//! restored against a cold decoded-image cache, cost zero module lowerings
+//! and one sidecar load. The decode counters are process-global, so this
+//! cell has a test binary, and a single `#[test]`, of its own.
+
+use bench::planes::{check, service};
+
+#[test]
+fn restore_decodes_once() {
+    check(service::restore_decodes_once);
+}

@@ -1,175 +1,26 @@
-//! Golden sharding equivalence: the worker count of a sharded campaign is
-//! a pure throughput knob. On a fixed lane decomposition, `shards ∈ {1,
-//! 2, 4}` must produce the *identical* `CampaignResult` — coverage hash,
-//! queue inputs, crash records, cycle accounting, resilience counters —
-//! on both the decoded-bytecode engine and the AST-walking reference, and
-//! a sharded checkpointed campaign killed mid-run must resume to the same
-//! result.
-//!
-//! Two targets are exercised: `giftext` (bug-free, deep format loop) and
-//! `gpmf-parser` (planted bugs, so the crash-dedup merge at epoch
-//! barriers is not vacuous).
+//! Shard plane identity at test size: the worker count of a sharded
+//! campaign is a pure throughput knob, on both engines and across a
+//! kill and resume. The parts live in `bench::planes::shard`; `plane_eval`
+//! runs the same grid at smoke and full size.
 
-use aflrs::{Campaign, CampaignConfig, CampaignOutcome, CampaignResult, CheckpointConfig};
-use closurex::executor::{Executor, ExecutorFactory};
-use closurex::harness::{ClosureXConfig, ClosureXExecutor};
-use closurex::resilience::HarnessError;
-use vmos::ReferenceEngineGuard;
-
-const BUDGET: u64 = 3_000_000;
-
-fn cfg() -> CampaignConfig {
-    cfg_with(BUDGET)
-}
-
-fn cfg_with(budget: u64) -> CampaignConfig {
-    CampaignConfig {
-        budget_cycles: budget,
-        seed: 0xC0FFEE,
-        deterministic_stage: true,
-        stop_after_crashes: 0,
-        ..CampaignConfig::default()
-    }
-}
-
-/// Per-lane ClosureX executors over one compiled module.
-struct CxFactory {
-    module: fir::Module,
-}
-
-impl CxFactory {
-    fn for_target(t: &targets::TargetSpec) -> Self {
-        CxFactory { module: t.module() }
-    }
-}
-
-impl ExecutorFactory for CxFactory {
-    fn build(&self) -> Result<Box<dyn Executor + Send>, HarnessError> {
-        ClosureXExecutor::new(&self.module, ClosureXConfig::default())
-            .map(|ex| Box::new(ex) as Box<dyn Executor + Send>)
-            .map_err(|e| HarnessError::BootFailed(e.to_string()))
-    }
-}
-
-/// Everything a campaign reports, as one comparable string.
-fn fingerprint(r: &CampaignResult) -> String {
-    format!("{:?}", r.sans_resume())
-}
-
-/// The target's benign corpus, optionally spiked with its bug witnesses.
-/// Witness seeds put real crash sites in front of multiple lanes, so the
-/// crash-dedup merge at epoch barriers has actual work to do.
-fn corpus(t: &targets::TargetSpec, with_witnesses: bool) -> Vec<Vec<u8>> {
-    let mut seeds = (t.seeds)();
-    if with_witnesses {
-        seeds.extend((t.witnesses)().into_iter().map(|(_, input)| input));
-    }
-    seeds
-}
-
-fn sharded(
-    t: &targets::TargetSpec,
-    shards: usize,
-    with_witnesses: bool,
-    reference: bool,
-) -> CampaignResult {
-    let _guard = reference.then(ReferenceEngineGuard::new);
-    let factory = CxFactory::for_target(t);
-    let seeds = corpus(t, with_witnesses);
-    Campaign::new(&seeds, &cfg())
-        .factory(&factory)
-        .shards(shards)
-        .run()
-        .expect("sharded campaign runs")
-        .finished()
-        .expect("no kill configured")
-}
-
-fn worker_count_invariant_on(name: &str, with_witnesses: bool, reference: bool) -> CampaignResult {
-    let t = targets::by_name(name).expect("bundled target");
-    let baseline = sharded(t, 1, with_witnesses, reference);
-    assert!(baseline.execs > 50, "{name}: campaign must actually run");
-    let want = fingerprint(&baseline);
-    for shards in [2, 4] {
-        let r = sharded(t, shards, with_witnesses, reference);
-        assert_eq!(
-            fingerprint(&r),
-            want,
-            "{name}: shards={shards} must be bit-identical to shards=1"
-        );
-    }
-    baseline
-}
+use bench::planes::{check, shard};
 
 #[test]
 fn giftext_sharding_is_worker_count_invariant() {
-    worker_count_invariant_on("giftext", false, false);
+    check(shard::giftext_sharding_is_worker_count_invariant);
 }
 
 #[test]
 fn gpmf_sharding_with_crashes_is_worker_count_invariant() {
-    let baseline = worker_count_invariant_on("gpmf-parser", true, false);
-    assert!(
-        !baseline.crashes.is_empty(),
-        "gpmf has planted bugs; the crash-merge comparison must not be vacuous"
-    );
+    check(shard::gpmf_sharding_with_crashes_is_worker_count_invariant);
 }
 
 #[test]
 fn sharding_is_worker_count_invariant_on_reference_engine() {
-    let decoded_gif = worker_count_invariant_on("giftext", false, false);
-    let reference_gif = worker_count_invariant_on("giftext", false, true);
-    // Cross-engine: the sharded schedule itself is engine-independent.
-    assert_eq!(
-        fingerprint(&decoded_gif),
-        fingerprint(&reference_gif),
-        "giftext: sharded result must not depend on the execution engine"
-    );
-    worker_count_invariant_on("gpmf-parser", true, true);
+    check(shard::sharding_is_worker_count_invariant_on_reference_engine);
 }
 
 #[test]
 fn sharded_kill_and_resume_reproduces_uninterrupted_result() {
-    let t = targets::by_name("gpmf-parser").expect("bundled target");
-    let factory = CxFactory::for_target(t);
-    let seeds = corpus(t, true);
-
-    // Ground truth: the uninterrupted sharded campaign (any worker count;
-    // use 1 so a merge bug can't contaminate both sides identically).
-    let want = fingerprint(&sharded(t, 1, true, false));
-
-    let dir = std::env::temp_dir().join(format!("cx-shard-resume-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let mut ck = CheckpointConfig::new(dir.clone());
-    // Off any epoch boundary: the kill lands mid-epoch and resume must
-    // replay the per-lane journals of the interrupted epoch.
-    ck.kill_after_execs = Some(97);
-    let out = Campaign::new(&seeds, &cfg())
-        .factory(&factory)
-        .shards(2)
-        .checkpoint(ck.clone())
-        .run()
-        .expect("first sharded leg");
-    let CampaignOutcome::Killed { execs } = out else {
-        panic!("kill_after_execs must fire before the budget runs out");
-    };
-    assert!(execs >= 97);
-
-    ck.kill_after_execs = None;
-    let (resumed, info) = Campaign::new(&seeds, &cfg())
-        .factory(&factory)
-        .shards(4)
-        .checkpoint(ck)
-        .resume()
-        .expect("sharded resume");
-    let CampaignOutcome::Finished(resumed) = resumed else {
-        panic!("resumed sharded campaign must finish");
-    };
-    assert_eq!(
-        fingerprint(&resumed),
-        want,
-        "sharded kill/resume (even at a different worker count) must \
-         reproduce the uninterrupted result; resume info: {info:?}"
-    );
-    let _ = std::fs::remove_dir_all(dir);
+    check(shard::sharded_kill_and_resume_reproduces_uninterrupted_result);
 }
