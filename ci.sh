@@ -27,9 +27,11 @@ cargo run --release -p bench --bin exec_throughput -- --smoke
 # - process (BENCH_proc): lane-per-process runs match in-process, every
 #   worker death (abort, OOM, stall, corrupt frame) recovers exactly;
 #   non-stall recovery overhead <= 2x smoke_recovery_overhead_ratio;
-# - storage: every disk fault at every probed I/O boundary, both isolation
-#   modes, retries, degrades typed or resumes exactly; grid_pass_rate >= 1.0
-#   and clean-path overhead <= 2x smoke_clean_overhead_ratio;
+# - storage: every disk fault at every probed I/O boundary of the
+#   coordinator stream (sharded lanes do no I/O between barriers), both
+#   isolation modes, retries, degrades typed or resumes exactly;
+#   grid_pass_rate >= 1.0 and clean-path overhead <= 2x
+#   smoke_clean_overhead_ratio;
 # - service: a killed and restored service resumes every tenant exactly on
 #   both engines and worker shapes, a 100-tenant restore decodes once;
 #   churn_identity_rate >= 1.0, overhead <= 2x smoke_service_overhead_ratio;

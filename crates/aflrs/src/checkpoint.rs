@@ -98,7 +98,9 @@ pub enum FsyncPolicy {
     OnSnapshot,
     /// Everything `OnSnapshot` flushes, plus every journal on creation
     /// and after each record: a power loss loses at most the in-flight
-    /// execution. Paranoid and slow.
+    /// execution. Paranoid and slow. Only the single-driver journal has
+    /// records; sharded campaigns keep no journal, so for them this is
+    /// `OnSnapshot`.
     EveryRecord,
 }
 
@@ -166,7 +168,9 @@ pub enum CampaignOutcome {
     /// The simulated kill fired after `execs` executions; resume with
     /// [`crate::Campaign::resume`].
     Killed {
-        /// Executions completed (and journaled) before the kill.
+        /// Executions completed before the kill (a single-driver campaign
+        /// journaled every one; a sharded one re-runs those since its last
+        /// barrier).
         execs: u64,
     },
 }
@@ -187,16 +191,21 @@ impl CampaignOutcome {
 /// and single-campaign resume report through the same struct.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ResumeReport {
-    /// Execution count of the snapshot the resume started from.
+    /// Execution count of the snapshot the resume started from (summed
+    /// over lanes for a sharded campaign). A campaign killed past it
+    /// re-runs or replays the difference.
     pub snapshot_execs: u64,
-    /// Journal records replayed on top of the snapshot.
+    /// Journal records replayed on top of the snapshot. Single-driver
+    /// only: a sharded resume re-runs the interrupted epoch instead of
+    /// replaying a journal, so this stays 0 there.
     pub records_applied: u64,
     /// Snapshots that failed validation (corrupt / truncated / wrong
     /// version) and were skipped in favor of an older one.
     pub corrupt_snapshots_skipped: u64,
     /// Journal records dropped because they sat in (or beyond) a torn or
     /// checksum-failing region. Silent journal loss is observable: each
-    /// dropped record is one execution resume will re-run.
+    /// dropped record is one execution resume will re-run. Single-driver
+    /// only, like `records_applied`.
     pub torn_records: u64,
     /// Corrupt snapshot generations rewritten during replay from an older
     /// good generation plus the journal chain (scrub-and-repair).
@@ -374,7 +383,7 @@ fn decode_rng(r: &mut Reader<'_>) -> Result<[u64; 4], WireError> {
     Ok(s)
 }
 
-fn encode_exec_state(es: &Option<ExecutorState>, w: &mut Writer) {
+pub(crate) fn encode_exec_state(es: &Option<ExecutorState>, w: &mut Writer) {
     match es {
         Some(s) => {
             w.put_bool(true);
@@ -384,7 +393,7 @@ fn encode_exec_state(es: &Option<ExecutorState>, w: &mut Writer) {
     }
 }
 
-fn decode_exec_state(r: &mut Reader<'_>) -> Result<Option<ExecutorState>, WireError> {
+pub(crate) fn decode_exec_state(r: &mut Reader<'_>) -> Result<Option<ExecutorState>, WireError> {
     Ok(if r.get_bool()? {
         Some(ExecutorState::decode(r)?)
     } else {
@@ -449,7 +458,7 @@ impl Scalars {
         d.queue.set_cursor(self.cursor as usize);
     }
 
-    fn encode(&self, w: &mut Writer) {
+    pub(crate) fn encode(&self, w: &mut Writer) {
         self.stage.encode(w);
         w.put_u64(self.clock);
         w.put_u64(self.execs);
@@ -466,7 +475,7 @@ impl Scalars {
         w.put_u64(self.cursor);
     }
 
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(Scalars {
             stage: Stage::decode(r)?,
             clock: r.get_u64()?,
@@ -527,15 +536,7 @@ impl SnapshotState {
     pub(crate) fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
         self.scalars.encode(&mut w);
-        w.put_usize(self.entries.len());
-        for e in &self.entries {
-            encode_entry(e, &mut w);
-        }
-        self.virgin.encode(&mut w);
-        w.put_usize(self.crashes.len());
-        for c in &self.crashes {
-            encode_crash_record(c, &mut w);
-        }
+        encode_collections(&self.entries, &self.virgin, &self.crashes, &mut w);
         encode_exec_state(&self.exec_state, &mut w);
         w.into_bytes()
     }
@@ -543,23 +544,7 @@ impl SnapshotState {
     pub(crate) fn decode(bytes: &[u8]) -> Result<Self, WireError> {
         let mut r = Reader::new(bytes);
         let scalars = Scalars::decode(&mut r)?;
-        let n = r.get_count()?;
-        if n > r.remaining() / 8 {
-            return Err(WireError::Truncated);
-        }
-        let mut entries = Vec::with_capacity(n);
-        for _ in 0..n {
-            entries.push(decode_entry(&mut r)?);
-        }
-        let virgin = VirginMap::decode(&mut r)?;
-        let n = r.get_count()?;
-        if n > r.remaining() / 8 {
-            return Err(WireError::Truncated);
-        }
-        let mut crashes = Vec::with_capacity(n);
-        for _ in 0..n {
-            crashes.push(decode_crash_record(&mut r)?);
-        }
+        let (entries, virgin, crashes) = decode_collections(&mut r)?;
         let exec_state = decode_exec_state(&mut r)?;
         if !r.is_empty() {
             return Err(WireError::Malformed("trailing snapshot bytes"));
@@ -572,6 +557,48 @@ impl SnapshotState {
             exec_state,
         })
     }
+}
+
+/// The campaign collections a snapshot carries: queue entries, virgin map
+/// and crash records. A shard snapshot stores the merged copy once.
+pub(crate) type Collections = (Vec<QueueEntry>, VirginMap, Vec<CrashRecord>);
+
+pub(crate) fn encode_collections(
+    entries: &[QueueEntry],
+    virgin: &VirginMap,
+    crashes: &[CrashRecord],
+    w: &mut Writer,
+) {
+    w.put_usize(entries.len());
+    for e in entries {
+        encode_entry(e, w);
+    }
+    virgin.encode(w);
+    w.put_usize(crashes.len());
+    for c in crashes {
+        encode_crash_record(c, w);
+    }
+}
+
+pub(crate) fn decode_collections(r: &mut Reader<'_>) -> Result<Collections, WireError> {
+    let n = r.get_count()?;
+    if n > r.remaining() / 8 {
+        return Err(WireError::Truncated);
+    }
+    let mut entries = Vec::with_capacity(n);
+    for _ in 0..n {
+        entries.push(decode_entry(r)?);
+    }
+    let virgin = VirginMap::decode(r)?;
+    let n = r.get_count()?;
+    if n > r.remaining() / 8 {
+        return Err(WireError::Truncated);
+    }
+    let mut crashes = Vec::with_capacity(n);
+    for _ in 0..n {
+        crashes.push(decode_crash_record(r)?);
+    }
+    Ok((entries, virgin, crashes))
 }
 
 /// One journaled execution: the absolute post-execution scalars plus the
@@ -789,12 +816,32 @@ pub(crate) const SNAPSHOT_HEADER_LEN: usize = 32;
 /// for one target can never be replayed onto another.
 pub(crate) fn seal_snapshot(payload: &[u8], fingerprint: u64) -> Vec<u8> {
     let mut bytes = Vec::with_capacity(payload.len() + SNAPSHOT_HEADER_LEN);
-    bytes.extend_from_slice(SNAPSHOT_MAGIC);
-    bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    bytes.extend_from_slice(&fingerprint.to_le_bytes());
-    bytes.extend_from_slice(&fnv1a(payload).to_le_bytes());
-    bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    bytes.resize(SNAPSHOT_HEADER_LEN, 0);
     bytes.extend_from_slice(payload);
+    seal_in_place(bytes, FORMAT_VERSION, fingerprint)
+}
+
+/// A writer whose first [`SNAPSHOT_HEADER_LEN`] bytes are reserved for the
+/// seal: encode the payload behind them, then [`seal_in_place`], so a
+/// large snapshot is built in one buffer with no second copy.
+pub(crate) fn sealed_writer(capacity: usize) -> Writer {
+    let mut w = Writer::reuse(Vec::with_capacity(SNAPSHOT_HEADER_LEN + capacity));
+    for _ in 0..SNAPSHOT_HEADER_LEN / 8 {
+        w.put_u64(0);
+    }
+    w
+}
+
+/// Fill in the header reserved at the front of `bytes` (magic, `version`,
+/// target fingerprint, payload checksum and length) over the payload
+/// behind it.
+pub(crate) fn seal_in_place(mut bytes: Vec<u8>, version: u32, fingerprint: u64) -> Vec<u8> {
+    let (header, payload) = bytes.split_at_mut(SNAPSHOT_HEADER_LEN);
+    header[0..4].copy_from_slice(SNAPSHOT_MAGIC);
+    header[4..8].copy_from_slice(&version.to_le_bytes());
+    header[8..16].copy_from_slice(&fingerprint.to_le_bytes());
+    header[16..24].copy_from_slice(&fnv1a(payload).to_le_bytes());
+    header[24..32].copy_from_slice(&(payload.len() as u64).to_le_bytes());
     bytes
 }
 
@@ -894,14 +941,15 @@ fn le_u64(bytes: &[u8], at: usize) -> Result<u64, WireError> {
         .ok_or(WireError::Truncated)
 }
 
-/// Validate a sealed snapshot's header + checksum, returning the embedded
-/// target fingerprint and the payload slice.
-pub(crate) fn open_sealed(bytes: &[u8]) -> Result<(u64, &[u8]), WireError> {
+/// Validate a sealed snapshot's header + checksum against the expected
+/// format `version`, returning the embedded target fingerprint and the
+/// payload slice.
+pub(crate) fn open_sealed(bytes: &[u8], expected: u32) -> Result<(u64, &[u8]), WireError> {
     if bytes.len() < SNAPSHOT_HEADER_LEN || &bytes[0..4] != SNAPSHOT_MAGIC {
         return Err(WireError::Malformed("snapshot magic"));
     }
     let version = le_u32(bytes, 4)?;
-    if version != FORMAT_VERSION {
+    if version != expected {
         return Err(WireError::Malformed("snapshot version"));
     }
     let fingerprint = le_u64(bytes, 8)?;
@@ -921,7 +969,7 @@ pub(crate) fn open_sealed(bytes: &[u8]) -> Result<(u64, &[u8]), WireError> {
 /// fingerprint embedded in its header.
 pub(crate) fn load_snapshot(path: &Path) -> Result<(SnapshotState, u64), WireError> {
     let bytes = fs::read(path).map_err(|_| WireError::Truncated)?;
-    let (fingerprint, payload) = open_sealed(&bytes)?;
+    let (fingerprint, payload) = open_sealed(&bytes, FORMAT_VERSION)?;
     Ok((SnapshotState::decode(payload)?, fingerprint))
 }
 
@@ -1084,13 +1132,11 @@ impl Journal {
         Self::create_at(storage, &journal_path(dir, base), base, fsync)
     }
 
-    /// Create (truncating) a journal at an explicit path — the sharded
-    /// runner names its per-lane journals outside the `journal-{base}`
-    /// scheme but shares the format. The empty journal is flushed only
-    /// under [`FsyncPolicy::EveryRecord`]: under `OnSnapshot` its records
-    /// are never flushed either, so flushing the bare header bought
-    /// nothing.
-    pub(crate) fn create_at(
+    /// Create (truncating) a journal at an explicit path. The empty
+    /// journal is flushed only under [`FsyncPolicy::EveryRecord`]: under
+    /// `OnSnapshot` its records are never flushed either, so flushing the
+    /// bare header bought nothing.
+    fn create_at(
         storage: &Storage,
         path: &Path,
         base: u64,
@@ -1117,7 +1163,7 @@ impl Journal {
 
     /// Re-open an existing journal after replay, truncating away a torn
     /// tail (`valid_len` is the last byte replay validated).
-    pub(crate) fn reopen(
+    fn reopen(
         storage: &Storage,
         path: &Path,
         valid_len: u64,
@@ -1213,7 +1259,7 @@ impl Journal {
 /// framing itself is destroyed (a true torn tail). A journal whose
 /// *header* is invalid yields `None` (it cannot be chained or appended to).
 #[allow(clippy::type_complexity)]
-pub(crate) fn read_journal(path: &Path, expected_base: u64) -> Option<(Vec<DeltaRecord>, u64, u64)> {
+fn read_journal(path: &Path, expected_base: u64) -> Option<(Vec<DeltaRecord>, u64, u64)> {
     let bytes = fs::read(path).ok()?;
     if bytes.len() < JOURNAL_HEADER_LEN as usize
         || &bytes[0..4] != JOURNAL_MAGIC

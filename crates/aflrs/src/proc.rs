@@ -38,13 +38,14 @@
 //!
 //! Respawn recovery mirrors the in-process executor rebuild exactly: the
 //! fresh child restores the executor state exported at the epoch barrier
-//! (`Hello.exec_restore`), recreates the epoch journal at the barrier's
-//! exec base, and re-runs the epoch from the same stripped snapshot. The
-//! wall-clock read deadline only decides *when* the supervisor acts; the
-//! re-run itself is a pure function of the barrier state, so recovery
-//! erases any trace of the fault from the campaign result.
+//! (`Hello.exec_restore`) and re-runs the epoch from the same stripped
+//! snapshot. The wall-clock read deadline only decides *when* the
+//! supervisor acts; the re-run itself is a pure function of the barrier
+//! state, so recovery erases any trace of the fault from the campaign
+//! result. Checkpoint resume is the same re-run: workers do no I/O of
+//! their own, and the supervisor seals each barrier's lane states into
+//! the shard snapshot a resume respawns the workers from.
 
-use std::path::Path;
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::mpsc;
 use std::time::Duration;
@@ -53,20 +54,20 @@ use closurex::checkpoint::ExecutorState;
 use closurex::executor::ExecutorFactory;
 use closurex::resilience::ResilienceReport;
 use vmos::wire::{read_frame, write_frame, FrameError, FRAME_MAGIC, MAX_FRAME_LEN};
-use vmos::{DiskFaultPlan, OrchFaultPlan, ProcFaultKind, ProcFaultPlan, Reader, WireError, Writer};
+use vmos::{OrchFaultPlan, ProcFaultKind, ProcFaultPlan, Reader, WireError, Writer};
 
 use crate::builder::CampaignError;
 use crate::campaign::{CampaignConfig, Driver};
 use crate::checkpoint::{
-    check_target, read_journal, storage_for, sweep_orphan_tmp, CampaignOutcome, CheckpointConfig,
-    CheckpointError, FsyncPolicy, Journal, ResumeReport, SnapshotState,
+    check_target, decode_exec_state, encode_exec_state, storage_for, sweep_orphan_tmp,
+    CampaignOutcome, CheckpointConfig, CheckpointError, ResumeReport, SnapshotState,
 };
 use crate::shard::{
-    assemble_parts, barrier_state, lane_config, list_shard_snapshots, load_shard_snapshot,
-    rotate_shards, run_lane_epoch, shard_journal_path, stripped, write_shard_snapshot_states,
-    Global, KillSwitch, Lane, LaneAttempt, ShardPlan,
+    assemble_parts, barrier_state, lane_config, lane_seeds, load_newest_shard_snapshot,
+    rotate_shards, run_lane_epoch, write_shard_snapshot, Global, KillSwitch, Lane, LaneAttempt,
+    ShardPlan,
 };
-use crate::storage::{OpOutcome, Storage, StorageCounters};
+use crate::storage::{OpOutcome, Storage};
 use crate::supervise::{self, LaneFault, Supervisor, SupervisorConfig};
 
 /// Environment variable marking a process as a spawned worker lane.
@@ -90,41 +91,6 @@ const K_FATAL: u8 = 19;
 // count before allocating.
 // ---------------------------------------------------------------------------
 
-fn fsync_tag(f: FsyncPolicy) -> u8 {
-    match f {
-        FsyncPolicy::Never => 0,
-        FsyncPolicy::OnSnapshot => 1,
-        FsyncPolicy::EveryRecord => 2,
-    }
-}
-
-fn fsync_from_tag(tag: u8) -> Result<FsyncPolicy, WireError> {
-    Ok(match tag {
-        0 => FsyncPolicy::Never,
-        1 => FsyncPolicy::OnSnapshot,
-        2 => FsyncPolicy::EveryRecord,
-        _ => return Err(WireError::Malformed("fsync tag")),
-    })
-}
-
-fn put_exec_state(w: &mut Writer, es: &Option<ExecutorState>) {
-    match es {
-        Some(es) => {
-            w.put_bool(true);
-            es.encode(w);
-        }
-        None => w.put_bool(false),
-    }
-}
-
-fn get_exec_state(r: &mut Reader<'_>) -> Result<Option<ExecutorState>, WireError> {
-    Ok(if r.get_bool()? {
-        Some(ExecutorState::decode(r)?)
-    } else {
-        None
-    })
-}
-
 /// The one-time handshake: everything a fresh worker needs to build its
 /// executor pair and run epochs for one lane.
 struct Hello {
@@ -132,11 +98,6 @@ struct Hello {
     /// processes; the thread-inheritance trick of the in-process pool
     /// cannot cross the `exec` boundary).
     reference: bool,
-    /// Whether checkpoint journaling is armed.
-    track: bool,
-    fsync: FsyncPolicy,
-    /// Checkpoint directory (empty when `track` is off).
-    dir: String,
     /// This worker's lane index.
     lane: u64,
     /// The factory recipe ([`ExecutorFactory::worker_spec`]); the worker
@@ -153,14 +114,6 @@ struct Hello {
     /// Process-layer fault plan: the child performs its own abort / OOM /
     /// stall / garbage-frame sabotage; `Kill` is the parent's job.
     proc_faults: ProcFaultPlan,
-    /// Storage fault plan: the child mediates its own journal I/O through
-    /// a [`Storage`] bound to stream `1 + lane`, exactly where the
-    /// in-process engine injects.
-    disk_faults: DiskFaultPlan,
-    /// Transient-storage-error retry budget (see `CheckpointConfig`).
-    storage_retries: u32,
-    /// Storage retry backoff base in simulated cycles.
-    storage_backoff_cycles: u64,
     /// Executor state to restore after building (respawn recovery and
     /// checkpoint resume); `None` on a fresh first spawn.
     exec_restore: Option<ExecutorState>,
@@ -169,9 +122,6 @@ struct Hello {
 fn encode_hello(h: &Hello) -> Vec<u8> {
     let mut w = Writer::new();
     w.put_bool(h.reference);
-    w.put_bool(h.track);
-    w.put_u8(fsync_tag(h.fsync));
-    w.put_str(&h.dir);
     w.put_u64(h.lane);
     w.put_bytes(&h.spec);
     h.cfg.encode(&mut w);
@@ -182,19 +132,13 @@ fn encode_hello(h: &Hello) -> Vec<u8> {
     h.faults.encode(&mut w);
     w.put_u64(h.hang_deadline_ticks);
     h.proc_faults.encode(&mut w);
-    h.disk_faults.encode(&mut w);
-    w.put_u32(h.storage_retries);
-    w.put_u64(h.storage_backoff_cycles);
-    put_exec_state(&mut w, &h.exec_restore);
+    encode_exec_state(&h.exec_restore, &mut w);
     w.into_bytes()
 }
 
 fn decode_hello(bytes: &[u8]) -> Result<Hello, WireError> {
     let mut r = Reader::new(bytes);
     let reference = r.get_bool()?;
-    let track = r.get_bool()?;
-    let fsync = fsync_from_tag(r.get_u8()?)?;
-    let dir = r.get_str()?;
     let lane = r.get_u64()?;
     let spec = r.get_bytes()?;
     let cfg = CampaignConfig::decode(&mut r)?;
@@ -209,18 +153,12 @@ fn decode_hello(bytes: &[u8]) -> Result<Hello, WireError> {
     let faults = OrchFaultPlan::decode(&mut r)?;
     let hang_deadline_ticks = r.get_u64()?;
     let proc_faults = ProcFaultPlan::decode(&mut r)?;
-    let disk_faults = DiskFaultPlan::decode(&mut r)?;
-    let storage_retries = r.get_u32()?;
-    let storage_backoff_cycles = r.get_u64()?;
-    let exec_restore = get_exec_state(&mut r)?;
+    let exec_restore = decode_exec_state(&mut r)?;
     if !r.is_empty() {
         return Err(WireError::Malformed("trailing hello bytes"));
     }
     Ok(Hello {
         reference,
-        track,
-        fsync,
-        dir,
         lane,
         spec,
         cfg,
@@ -228,9 +166,6 @@ fn decode_hello(bytes: &[u8]) -> Result<Hello, WireError> {
         faults,
         hang_deadline_ticks,
         proc_faults,
-        disk_faults,
-        storage_retries,
-        storage_backoff_cycles,
         exec_restore,
     })
 }
@@ -250,7 +185,7 @@ fn encode_ack(a: &Ack) -> Vec<u8> {
     w.put_str(&a.executor);
     w.put_u64(a.fingerprint);
     a.report.encode(&mut w);
-    put_exec_state(&mut w, &a.exec_state);
+    encode_exec_state(&a.exec_state, &mut w);
     w.into_bytes()
 }
 
@@ -259,7 +194,7 @@ fn decode_ack(bytes: &[u8]) -> Result<Ack, WireError> {
     let executor = r.get_str()?;
     let fingerprint = r.get_u64()?;
     let report = ResilienceReport::decode(&mut r)?;
-    let exec_state = get_exec_state(&mut r)?;
+    let exec_state = decode_exec_state(&mut r)?;
     if !r.is_empty() {
         return Err(WireError::Malformed("trailing ack bytes"));
     }
@@ -268,44 +203,6 @@ fn decode_ack(bytes: &[u8]) -> Result<Ack, WireError> {
         fingerprint,
         report,
         exec_state,
-    })
-}
-
-/// How the worker should (re)open its epoch journal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum JournalMode {
-    /// No journaling (checkpointing off, or nothing left to run).
-    Off,
-    /// Fresh journal based at `base` execs (fresh epochs and recovery
-    /// re-runs, which truncate the faulted attempt's partial records).
-    Create { base: u64 },
-    /// Reopen the existing journal, truncated to `valid_len` bytes
-    /// (checkpoint resume continuing a half-written epoch).
-    Reopen { valid_len: u64 },
-}
-
-fn put_journal_mode(w: &mut Writer, m: JournalMode) {
-    match m {
-        JournalMode::Off => w.put_u8(0),
-        JournalMode::Create { base } => {
-            w.put_u8(1);
-            w.put_u64(base);
-        }
-        JournalMode::Reopen { valid_len } => {
-            w.put_u8(2);
-            w.put_u64(valid_len);
-        }
-    }
-}
-
-fn get_journal_mode(r: &mut Reader<'_>) -> Result<JournalMode, WireError> {
-    Ok(match r.get_u8()? {
-        0 => JournalMode::Off,
-        1 => JournalMode::Create { base: r.get_u64()? },
-        2 => JournalMode::Reopen {
-            valid_len: r.get_u64()?,
-        },
-        _ => return Err(WireError::Malformed("journal mode tag")),
     })
 }
 
@@ -321,9 +218,8 @@ struct RunEpochMsg {
     budget_cycles: u64,
     state: SnapshotState,
     /// Simulated-SIGKILL hook: `(limit, base)` — stop once `base` plus the
-    /// lane's own journaled execs reaches `limit`.
+    /// lane's own execs reaches `limit`.
     kill: Option<(u64, u64)>,
-    journal: JournalMode,
 }
 
 fn encode_run_epoch(m: &RunEpochMsg) -> Vec<u8> {
@@ -341,7 +237,6 @@ fn encode_run_epoch(m: &RunEpochMsg) -> Vec<u8> {
         }
         None => w.put_bool(false),
     }
-    put_journal_mode(&mut w, m.journal);
     w.into_bytes()
 }
 
@@ -357,7 +252,6 @@ fn decode_run_epoch(bytes: &[u8]) -> Result<RunEpochMsg, WireError> {
     } else {
         None
     };
-    let journal = get_journal_mode(&mut r)?;
     if !r.is_empty() {
         return Err(WireError::Malformed("trailing run-epoch bytes"));
     }
@@ -368,7 +262,6 @@ fn decode_run_epoch(bytes: &[u8]) -> Result<RunEpochMsg, WireError> {
         budget_cycles,
         state,
         kill,
-        journal,
     })
 }
 
@@ -380,9 +273,6 @@ struct BarrierMsg {
     killed: bool,
     state: SnapshotState,
     report: ResilienceReport,
-    /// The child's storage-plane accounting since the previous barrier
-    /// (drained per epoch, so the supervisor's absorb never double-counts).
-    storage: StorageCounters,
 }
 
 fn encode_barrier(b: &BarrierMsg) -> Vec<u8> {
@@ -390,7 +280,6 @@ fn encode_barrier(b: &BarrierMsg) -> Vec<u8> {
     w.put_bool(b.killed);
     w.put_bytes(&b.state.encode());
     b.report.encode(&mut w);
-    b.storage.encode(&mut w);
     w.into_bytes()
 }
 
@@ -399,7 +288,6 @@ fn decode_barrier(bytes: &[u8]) -> Result<BarrierMsg, WireError> {
     let killed = r.get_bool()?;
     let state = SnapshotState::decode(&r.get_bytes()?)?;
     let report = ResilienceReport::decode(&mut r)?;
-    let storage = StorageCounters::decode(&mut r)?;
     if !r.is_empty() {
         return Err(WireError::Malformed("trailing barrier bytes"));
     }
@@ -407,7 +295,6 @@ fn decode_barrier(bytes: &[u8]) -> Result<BarrierMsg, WireError> {
         killed,
         state,
         report,
-        storage,
     })
 }
 
@@ -541,17 +428,6 @@ where
 
     let mut cfg = hello.cfg.clone();
     let lane_idx = hello.lane;
-    let dir = Path::new(&hello.dir);
-    // The child's storage plane, bound to this lane's stream. A respawned
-    // child starts a fresh plane (op indices reset), so `RunEpoch.attempt`
-    // offsets the fault coordinates — faults consumed by a crashed attempt
-    // do not re-fire on the supervisor's re-run.
-    let storage = Storage::new(
-        hello.disk_faults.clone(),
-        hello.storage_retries,
-        hello.storage_backoff_cycles,
-    )
-    .stream(1 + hello.lane);
 
     loop {
         let (kind, payload) = match read_frame(&mut stdin, MAX_FRAME_LEN) {
@@ -571,33 +447,10 @@ where
                     }
                 };
                 cfg.budget_cycles = msg.budget_cycles;
-                let epoch_storage = storage.with_base_attempt(msg.attempt);
-                let journal = match msg.journal {
-                    JournalMode::Off => None,
-                    JournalMode::Create { base } => {
-                        let path = shard_journal_path(dir, msg.epoch, lane_idx as usize);
-                        let (j, o) = Journal::create_at(&epoch_storage, &path, base, hello.fsync);
-                        if o.crashed() {
-                            // An injected crash boundary: die the way the
-                            // machine would — the supervisor contains it as
-                            // a signal fault and re-runs the epoch.
-                            std::process::abort();
-                        }
-                        Some(j)
-                    }
-                    JournalMode::Reopen { valid_len } => {
-                        let path = shard_journal_path(dir, msg.epoch, lane_idx as usize);
-                        let (j, o) = Journal::reopen(&epoch_storage, &path, valid_len, hello.fsync);
-                        if o.crashed() {
-                            std::process::abort();
-                        }
-                        Some(j)
-                    }
-                };
 
                 // Scheduled self-sabotage for this attempt. `Kill` belongs
                 // to the parent; everything else the child performs on
-                // itself, `trip_after` journaled execs into the epoch (or
+                // itself, `trip_after` execs into the epoch (or
                 // at the barrier for shorter epochs) via a private kill
                 // switch — the real one is ignored for a doomed attempt,
                 // since recovery re-runs the epoch wholesale either way.
@@ -621,7 +474,6 @@ where
                     cfg: cfg.clone(),
                     seeds: hello.seeds.clone(),
                     state: msg.state,
-                    journal,
                 };
                 let watch = LaneAttempt {
                     lane: lane_idx,
@@ -632,14 +484,12 @@ where
                 let outcome = {
                     let lane = &mut lane;
                     supervise::contain(|| {
-                        run_lane_epoch(lane, msg.epoch, msg.epochs, hello.track, kill_ref, &watch)
+                        run_lane_epoch(lane, msg.epoch, msg.epochs, kill_ref, &watch)
                     })
                 };
                 let state = lane.state;
                 executor = lane.executor;
                 revalidator = lane.revalidator;
-                // `lane.journal` dropped here: the epoch's records are on
-                // disk whatever happens next.
 
                 match outcome {
                     Err(panic_payload) => {
@@ -659,11 +509,6 @@ where
                         }
                     }
                     Ok(Ok(None)) => {
-                        if epoch_storage.crashed() {
-                            // A journal append hit an injected crash
-                            // boundary mid-epoch: no barrier — die here.
-                            std::process::abort();
-                        }
                         if let Some(kind) = self_fault {
                             perform_self_fault(kind, &mut stdout);
                         }
@@ -674,7 +519,6 @@ where
                             killed,
                             state: st,
                             report: executor.resilience(),
-                            storage: epoch_storage.take_counters(),
                         };
                         if write_frame(&mut stdout, K_BARRIER, &encode_barrier(&b)).is_err() {
                             return 0;
@@ -883,9 +727,8 @@ struct ProcCtx<'a> {
     epochs: u64,
     executor_name: String,
     fingerprint: u64,
-    /// The supervisor's storage plane (stream 0: shard snapshots, rotation,
-    /// sweeps). Children run their own planes and ship the counters back in
-    /// each barrier, absorbed here.
+    /// The supervisor's storage plane (shard snapshots, rotation, sweeps);
+    /// workers do no I/O of their own.
     storage: Option<Storage>,
 }
 
@@ -900,11 +743,6 @@ impl ProcCtx<'_> {
     ) -> Hello {
         Hello {
             reference: vmos::reference_engine(),
-            track: self.ck.is_some(),
-            fsync: self.ck.map_or(FsyncPolicy::Never, |c| c.fsync),
-            dir: self
-                .ck
-                .map_or(String::new(), |c| c.dir.to_string_lossy().into_owned()),
             lane: lane as u64,
             spec: self.spec.clone(),
             cfg: lane_cfg.clone(),
@@ -912,11 +750,6 @@ impl ProcCtx<'_> {
             faults: sup_cfg.faults.clone(),
             hang_deadline_ticks: sup_cfg.hang_deadline_ticks,
             proc_faults: sup_cfg.proc_faults.clone(),
-            disk_faults: self
-                .ck
-                .map_or_else(DiskFaultPlan::none, |c| c.disk_faults.clone()),
-            storage_retries: self.ck.map_or(3, |c| c.storage_retries),
-            storage_backoff_cycles: self.ck.map_or(0, |c| c.storage_backoff_cycles),
             exec_restore,
         }
     }
@@ -1039,7 +872,6 @@ fn dispatch_epoch(
     attempt: u32,
     budget_cycles: u64,
     state: &SnapshotState,
-    journal: JournalMode,
     kill: Option<(u64, u64)>,
     ctx: &ProcCtx<'_>,
     sup_cfg: &SupervisorConfig,
@@ -1049,9 +881,11 @@ fn dispatch_epoch(
         epochs: ctx.epochs,
         attempt,
         budget_cycles,
-        state: stripped(state),
+        state: SnapshotState {
+            exec_state: None,
+            ..state.clone()
+        },
         kill,
-        journal,
     };
     child.send(K_RUN_EPOCH, &encode_run_epoch(&msg))?;
     let site = (lane_idx as u64, epoch);
@@ -1067,10 +901,10 @@ fn dispatch_epoch(
 
 /// Rebuild a faulted worker lane from its epoch-barrier snapshot and
 /// re-run the epoch — the out-of-process mirror of `shard::recover_lane`.
-/// The respawned child restores the snapshot's executor export, recreates
-/// the journal at the snapshot's exec base, and replays the epoch; past
-/// the retry budget the lane is retired, with one final respawn to collect
-/// a sane resilience report and the unspent budget folded into survivors.
+/// The respawned child restores the snapshot's executor export and replays
+/// the epoch; past the retry budget the lane is retired, with one final
+/// respawn to collect a sane resilience report and the unspent budget
+/// folded into survivors.
 #[allow(clippy::too_many_arguments)]
 fn recover_proc_lane(
     ctx: &ProcCtx<'_>,
@@ -1153,13 +987,6 @@ fn recover_proc_lane(
             Err(f) => Err(f),
             Ok((mut child, ack)) => {
                 lanes[idx].report = ack.report;
-                let journal = if ctx.ck.is_some() {
-                    JournalMode::Create {
-                        base: snap.scalars.execs,
-                    }
-                } else {
-                    JournalMode::Off
-                };
                 let sent = dispatch_epoch(
                     &mut child,
                     idx,
@@ -1167,7 +994,6 @@ fn recover_proc_lane(
                     attempt,
                     lane_cfg.budget_cycles,
                     snap,
-                    journal,
                     kill,
                     ctx,
                     &sup.cfg,
@@ -1182,9 +1008,6 @@ fn recover_proc_lane(
         };
         match outcome {
             Ok(barrier) => {
-                if let Some(st) = &ctx.storage {
-                    st.absorb(&barrier.storage);
-                }
                 lanes[idx].state = barrier.state;
                 lanes[idx].report = barrier.report;
                 sup.counters.recovered += 1;
@@ -1198,25 +1021,6 @@ fn recover_proc_lane(
     }
 }
 
-/// Create (and immediately close) a retired lane's journal file, keeping
-/// the on-disk epoch layout identical to the in-process engine's, which
-/// opens a journal for every lane — dead or alive.
-fn touch_dead_lane_journal(
-    storage: &Storage,
-    ck: &CheckpointConfig,
-    epoch: u64,
-    lane: usize,
-    base: u64,
-) -> OpOutcome {
-    let (_, o) = Journal::create_at(
-        &storage.stream(1 + lane as u64),
-        &shard_journal_path(&ck.dir, epoch, lane),
-        base,
-        ck.fsync,
-    );
-    o
-}
-
 /// The epoch loop shared by fresh runs and resumes — the out-of-process
 /// mirror of `shard::run_epochs`, with the same ordering: run (dispatch +
 /// collect), kill check, recovery, merge, checkpoint, early stop.
@@ -1227,10 +1031,8 @@ fn run_proc_epochs(
     global: &mut Global,
     start_epoch: u64,
     kill_limit: Option<u64>,
-    mut first_epoch_journals: Option<Vec<JournalMode>>,
     sup: &mut Supervisor,
 ) -> Result<CampaignOutcome, CampaignError> {
-    let track = ctx.ck.is_some();
     for epoch in start_epoch..ctx.epochs {
         let base_total: u64 = lanes.iter().map(|l| l.state.scalars.execs).sum();
         if kill_limit.is_some_and(|k| base_total >= k) {
@@ -1239,33 +1041,16 @@ fn run_proc_epochs(
             return Ok(CampaignOutcome::Killed { execs: base_total });
         }
         let kill = kill_limit.map(|k| (k, base_total));
-        let journal_overrides = first_epoch_journals.take();
-
-        // Recovery snapshots: the lane states already carry the executor
-        // export from the previous barrier (or the handshake ack).
-        let recovery: Vec<Option<SnapshotState>> = lanes
-            .iter()
-            .enumerate()
-            .map(|(i, l)| (!sup.dead[i]).then(|| l.state.clone()))
-            .collect();
 
         // Dispatch the epoch to every live worker, then collect replies in
         // lane order — the children run concurrently regardless of the
         // collection order, and the merge is insensitive to it.
         let mut sent: Vec<Option<Result<(), LaneFault>>> = Vec::with_capacity(lanes.len());
-        for idx in 0..lanes.len() {
+        for (idx, lane) in lanes.iter_mut().enumerate() {
             if sup.dead[idx] {
                 sent.push(None);
                 continue;
             }
-            let journal = match &journal_overrides {
-                Some(modes) => modes[idx],
-                None if track => JournalMode::Create {
-                    base: lanes[idx].state.scalars.execs,
-                },
-                None => JournalMode::Off,
-            };
-            let lane = &mut lanes[idx];
             let outcome = match lane.child.as_mut() {
                 Some(child) => dispatch_epoch(
                     child,
@@ -1274,7 +1059,6 @@ fn run_proc_epochs(
                     0,
                     lane.cfg.budget_cycles,
                     &lane.state,
-                    journal,
                     kill,
                     ctx,
                     &sup.cfg,
@@ -1300,9 +1084,6 @@ fn run_proc_epochs(
             match reply {
                 Ok(barrier) => {
                     any_killed |= barrier.killed;
-                    if let Some(st) = &ctx.storage {
-                        st.absorb(&barrier.storage);
-                    }
                     lanes[idx].state = barrier.state;
                     lanes[idx].report = barrier.report;
                 }
@@ -1312,9 +1093,8 @@ fn run_proc_epochs(
 
         if any_killed {
             // Simulated SIGKILL: stop right here — no recovery, no merge,
-            // no snapshot (resume replays the journals whatever state the
-            // killed epoch left them in), exactly like the in-process
-            // engine.
+            // no snapshot (resume re-runs this epoch from the last
+            // barrier), exactly like the in-process engine.
             let total: u64 = lanes.iter().map(|l| l.state.scalars.execs).sum();
             return Ok(CampaignOutcome::Killed { execs: total });
         }
@@ -1323,41 +1103,21 @@ fn run_proc_epochs(
             let Some(fault) = faults[idx].take() else {
                 continue;
             };
-            let Some(snap) = &recovery[idx] else { continue };
-            recover_proc_lane(ctx, lanes, idx, epoch, snap, fault, kill, sup)?;
+            // A faulted lane's state is still its barrier state, executor
+            // export included: that is its recovery snapshot.
+            let snap = lanes[idx].state.clone();
+            recover_proc_lane(ctx, lanes, idx, epoch, &snap, fault, kill, sup)?;
         }
 
         let mut states: Vec<&mut SnapshotState> = lanes.iter_mut().map(|l| &mut l.state).collect();
         global.merge_epoch_states(&mut states);
 
         if let (Some(ck), Some(st)) = (ctx.ck, ctx.storage.as_ref()) {
-            let snap_states: Vec<SnapshotState> = lanes.iter().map(|l| l.state.clone()).collect();
-            let mut crashed = write_shard_snapshot_states(
-                st,
-                ck,
-                epoch + 1,
-                &snap_states,
-                ctx.fingerprint,
-            )
-            .crashed()
-                || rotate_shards(st, ck).crashed();
-            if !crashed && epoch + 1 < ctx.epochs {
-                // Live workers create their own journals when the next
-                // `RunEpoch` arrives; retired lanes get theirs here for
-                // on-disk parity with the in-process engine.
-                for (i, lane) in lanes.iter().enumerate() {
-                    if sup.dead[i]
-                        && touch_dead_lane_journal(st, ck, epoch + 1, i, lane.state.scalars.execs)
-                            .crashed()
-                    {
-                        crashed = true;
-                        break;
-                    }
-                }
-            }
-            if crashed {
+            if write_barrier(ctx, ck, st, epoch + 1, global, lanes).crashed()
+                || rotate_shards(st, ck).crashed()
+            {
                 // A supervisor-side storage crash boundary: the machine is
-                // dead. Resume replays whatever reached the disk.
+                // dead. Resume re-runs from the newest durable barrier.
                 let total: u64 = lanes.iter().map(|l| l.state.scalars.execs).sum();
                 return Ok(CampaignOutcome::Killed { execs: total });
             }
@@ -1389,6 +1149,23 @@ fn run_proc_epochs(
     )))
 }
 
+/// Seal the lanes' barrier states (executor exports from the workers) as
+/// the shard snapshot for `epoch`.
+fn write_barrier(
+    ctx: &ProcCtx<'_>,
+    ck: &CheckpointConfig,
+    storage: &Storage,
+    epoch: u64,
+    global: &Global,
+    lanes: &[ProcLane],
+) -> OpOutcome {
+    let parts: Vec<_> = lanes
+        .iter()
+        .map(|l| (&l.state.scalars, &l.state.exec_state))
+        .collect();
+    write_shard_snapshot(storage, ck, epoch, global, &parts, ctx.fingerprint)
+}
+
 /// Run a lane-per-process campaign — `shard::run_sharded` with every lane
 /// behind a supervised worker process. Requires a factory that implements
 /// [`ExecutorFactory::worker_spec`]; `plan.workers` is ignored (each lane
@@ -1407,8 +1184,6 @@ pub(crate) fn run_proc(
         ));
     };
     let lanes_n = plan.lanes.max(1);
-    let epochs = plan.sync_epochs.max(1);
-    let track = ck.is_some();
 
     // One scratch executor builds the initial per-lane barrier states (a
     // fresh driver's state is a pure function of config and seeds — the
@@ -1417,18 +1192,13 @@ pub(crate) fn run_proc(
     let mut lanes: Vec<ProcLane> = Vec::with_capacity(lanes_n);
     for i in 0..lanes_n {
         let lane_cfg = lane_config(cfg, i, lanes_n);
-        let lane_seeds: Vec<Vec<u8>> = seeds
-            .iter()
-            .enumerate()
-            .filter(|(j, _)| j % lanes_n == i)
-            .map(|(_, s)| s.clone())
-            .collect();
+        let lane_seeds = lane_seeds(seeds, i, lanes_n);
         let state = barrier_state(&Driver::new(
             scratch.as_mut(),
             None,
             &lane_seeds,
             &lane_cfg,
-            track,
+            false,
         ));
         lanes.push(ProcLane {
             child: None,
@@ -1453,7 +1223,7 @@ pub(crate) fn run_proc(
         spec,
         cfg,
         ck,
-        epochs,
+        epochs: plan.sync_epochs.max(1),
         executor_name: String::new(),
         fingerprint: 0,
         storage: ck.map(storage_for),
@@ -1470,33 +1240,29 @@ pub(crate) fn run_proc(
         lane.state.exec_state = ack.exec_state;
     }
 
+    let mut global = Global::new();
     if let (Some(ck), Some(st)) = (ck, ctx.storage.as_ref()) {
-        let snap_states: Vec<SnapshotState> = lanes.iter().map(|l| l.state.clone()).collect();
         if st.op(false, |_| std::fs::create_dir_all(&ck.dir)).crashed()
             || sweep_orphan_tmp(st, &ck.dir).crashed()
-            || write_shard_snapshot_states(st, ck, 0, &snap_states, ctx.fingerprint).crashed()
+            || write_barrier(&ctx, ck, st, 0, &global, &lanes).crashed()
         {
             return Ok(CampaignOutcome::Killed { execs: 0 });
         }
     }
 
-    let mut global = Global::new();
     run_proc_epochs(
         &ctx,
         &mut lanes,
         &mut global,
         0,
         ck.and_then(|c| c.kill_after_execs),
-        None,
         &mut sup,
     )
 }
 
 /// Resume a killed lane-per-process campaign from its shard checkpoint —
-/// `shard::resume_sharded` with the journal replay performed on a scratch
-/// driver (state only; no input re-executes) and the interrupted epoch's
-/// journals handed to the respawned workers to reopen at their valid
-/// length.
+/// `shard::resume_sharded` with the workers respawned from the snapshot's
+/// lane states and executor exports, re-running the interrupted epoch.
 pub(crate) fn resume_proc(
     factory: &dyn ExecutorFactory,
     seeds: &[Vec<u8>],
@@ -1511,108 +1277,48 @@ pub(crate) fn resume_proc(
         ));
     };
     let lanes_n = plan.lanes.max(1);
-    let epochs = plan.sync_epochs.max(1);
     let mut info = ResumeReport::default();
     let storage = storage_for(ck);
     if sweep_orphan_tmp(&storage, &ck.dir).crashed() {
         return Ok((CampaignOutcome::Killed { execs: 0 }, info));
     }
-    let snaps = list_shard_snapshots(&ck.dir).map_err(CheckpointError::Io)?;
-    let mut chosen = None;
-    for (epoch, path) in snaps.iter().rev() {
-        match load_shard_snapshot(path) {
-            Ok((e, states, fp)) if e == *epoch => {
-                chosen = Some((e, states, fp));
-                break;
-            }
-            _ => {
-                info.corrupt_snapshots_skipped += 1;
-                storage.note_corrupt_snapshot();
-            }
-        }
-    }
-    let Some((epoch, states, fp)) = chosen else {
-        return Err(CampaignError::Checkpoint(CheckpointError::NoUsableSnapshot));
-    };
-    if states.len() != lanes_n {
-        return Err(CampaignError::Config(
-            "shard snapshot lane count disagrees with the configured lanes",
-        ));
-    }
-    info.snapshot_execs = states.iter().map(|s| s.scalars.execs).sum();
-
-    // The scratch executor validates the snapshot's target fingerprint and
-    // hosts the journal replay (replay is a pure state patch; the executor
-    // never runs an input). The real executors live in the workers.
-    // Warm the cache through the sidecar before the scratch build — a
-    // cold-cache construction would lower and waste the sidecar.
-    let warm = factory.warm_decoded_image(Some(&ck.dir));
-    let mut scratch = factory.build().map_err(CampaignError::Build)?;
-    check_target(fp, &*scratch).map_err(CampaignError::Checkpoint)?;
-    info.note_decoded_image(warm.or_else(|| scratch.warm_decoded_image(Some(&ck.dir))));
-
-    let mut global = Global::from_state(&states[0]);
-    let mut lanes: Vec<ProcLane> = Vec::with_capacity(lanes_n);
-    let mut journal_modes: Vec<JournalMode> = Vec::with_capacity(lanes_n);
-    for (i, st) in states.into_iter().enumerate() {
-        let lane_cfg = lane_config(cfg, i, lanes_n);
-        let lane_seeds: Vec<Vec<u8>> = seeds
-            .iter()
-            .enumerate()
-            .filter(|(j, _)| j % lanes_n == i)
-            .map(|(_, s)| s.clone())
-            .collect();
-        let jpath = shard_journal_path(&ck.dir, epoch, i);
-        let base = st.scalars.execs;
-        let mut last_exec_state = st.exec_state.clone();
-        let mut d = Driver::new(scratch.as_mut(), None, &lane_seeds, &lane_cfg, true);
-        // Strip the executor export before applying: the scratch executor
-        // is a replay substrate, not a lane.
-        stripped(&st).apply(&mut d).map_err(CampaignError::Checkpoint)?;
-        let mode = if epoch < epochs {
-            match read_journal(&jpath, base) {
-                Some((records, valid_len, dropped)) => {
-                    for rec in &records {
-                        rec.apply(&mut d);
-                        if rec.exec_state.is_some() {
-                            last_exec_state.clone_from(&rec.exec_state);
-                        }
-                        info.records_applied += 1;
-                    }
-                    if dropped > 0 {
-                        info.torn_records += dropped;
-                        storage.note_torn_records(dropped);
-                    }
-                    JournalMode::Reopen { valid_len }
-                }
-                // Killed before this lane's journal reached the disk.
-                None => JournalMode::Create { base },
-            }
-        } else {
-            JournalMode::Off
-        };
-        let mut state = barrier_state(&d);
-        drop(d);
-        state.exec_state = last_exec_state;
-        lanes.push(ProcLane {
-            child: None,
-            cfg: lane_cfg,
-            seeds: lane_seeds,
-            state,
-            report: ResilienceReport::default(),
-        });
-        journal_modes.push(mode);
-    }
-    drop(scratch);
+    let snap = load_newest_shard_snapshot(&storage, ck, lanes_n, &mut info)?;
     info.sweep_warnings = storage.counters().sweep_warnings;
+
+    // The scratch executor validates the snapshot's target fingerprint;
+    // the real executors live in the workers. Warm the cache through the
+    // sidecar before the scratch build — a cold-cache construction would
+    // lower and waste the sidecar.
+    let warm = factory.warm_decoded_image(Some(&ck.dir));
+    let scratch = factory.build().map_err(CampaignError::Build)?;
+    check_target(snap.fingerprint, &*scratch).map_err(CampaignError::Checkpoint)?;
+    info.note_decoded_image(warm.or_else(|| scratch.warm_decoded_image(Some(&ck.dir))));
+    drop(scratch);
+
+    let mut global = snap.global;
+    let mut lanes: Vec<ProcLane> = snap
+        .lanes
+        .into_iter()
+        .enumerate()
+        .map(|(i, lb)| ProcLane {
+            child: None,
+            cfg: lane_config(cfg, i, lanes_n),
+            seeds: lane_seeds(seeds, i, lanes_n),
+            state: SnapshotState {
+                exec_state: lb.exec_state.clone(),
+                ..lb.state(&global)
+            },
+            report: ResilienceReport::default(),
+        })
+        .collect();
 
     let mut ctx = ProcCtx {
         spec,
         cfg,
         ck: Some(ck),
-        epochs,
+        epochs: plan.sync_epochs.max(1),
         executor_name: String::new(),
-        fingerprint: fp,
+        fingerprint: snap.fingerprint,
         storage: Some(storage),
     };
     // Supervision state is in-memory only: a resume starts every lane live
@@ -1633,9 +1339,8 @@ pub(crate) fn resume_proc(
         &ctx,
         &mut lanes,
         &mut global,
-        epoch,
+        snap.epoch,
         ck.kill_after_execs,
-        Some(journal_modes),
         &mut sup,
     )?;
     Ok((outcome, info))
@@ -1648,9 +1353,6 @@ mod tests {
     fn sample_hello() -> Hello {
         Hello {
             reference: true,
-            track: true,
-            fsync: FsyncPolicy::OnSnapshot,
-            dir: "/tmp/ckpt".to_string(),
             lane: 3,
             spec: vec![9, 9, 9],
             cfg: CampaignConfig {
@@ -1662,9 +1364,6 @@ mod tests {
             faults: OrchFaultPlan::none(),
             hang_deadline_ticks: 2048,
             proc_faults: ProcFaultPlan::at((1, 2), ProcFaultKind::Abort),
-            disk_faults: DiskFaultPlan::at((1, 4), vmos::DiskFaultKind::ShortWrite),
-            storage_retries: 5,
-            storage_backoff_cycles: 1234,
             exec_restore: Some(ExecutorState {
                 respawns: 7,
                 ..ExecutorState::default()
@@ -1678,9 +1377,6 @@ mod tests {
         let bytes = encode_hello(&h);
         let d = decode_hello(&bytes).unwrap();
         assert_eq!(d.reference, h.reference);
-        assert_eq!(d.track, h.track);
-        assert_eq!(d.fsync, h.fsync);
-        assert_eq!(d.dir, h.dir);
         assert_eq!(d.lane, h.lane);
         assert_eq!(d.spec, h.spec);
         assert_eq!(d.cfg.budget_cycles, h.cfg.budget_cycles);
@@ -1690,9 +1386,6 @@ mod tests {
         assert_eq!(d.faults, h.faults);
         assert_eq!(d.hang_deadline_ticks, h.hang_deadline_ticks);
         assert_eq!(d.proc_faults, h.proc_faults);
-        assert_eq!(d.disk_faults, h.disk_faults);
-        assert_eq!(d.storage_retries, h.storage_retries);
-        assert_eq!(d.storage_backoff_cycles, h.storage_backoff_cycles);
         assert_eq!(d.exec_restore, h.exec_restore);
     }
 
@@ -1723,24 +1416,6 @@ mod tests {
     }
 
     #[test]
-    fn journal_modes_round_trip() {
-        for m in [
-            JournalMode::Off,
-            JournalMode::Create { base: 77 },
-            JournalMode::Reopen { valid_len: 1024 },
-        ] {
-            let mut w = Writer::new();
-            put_journal_mode(&mut w, m);
-            let bytes = w.into_bytes();
-            assert_eq!(get_journal_mode(&mut Reader::new(&bytes)).unwrap(), m);
-        }
-        let mut w = Writer::new();
-        w.put_u8(7);
-        let bytes = w.into_bytes();
-        assert!(get_journal_mode(&mut Reader::new(&bytes)).is_err());
-    }
-
-    #[test]
     fn fault_reports_round_trip() {
         for f in [
             LaneFault::Panic("boom".to_string()),
@@ -1750,18 +1425,6 @@ mod tests {
             assert_eq!(decode_fault(&encode_fault(&f)).unwrap(), f);
         }
         assert!(decode_fault(&[9]).is_err());
-    }
-
-    #[test]
-    fn fsync_tags_round_trip() {
-        for f in [
-            FsyncPolicy::Never,
-            FsyncPolicy::OnSnapshot,
-            FsyncPolicy::EveryRecord,
-        ] {
-            assert_eq!(fsync_from_tag(fsync_tag(f)).unwrap(), f);
-        }
-        assert!(fsync_from_tag(3).is_err());
     }
 
     #[test]

@@ -207,7 +207,7 @@ fn arb_delta() -> impl Strategy<Value = DeltaRecord> {
         )
 }
 
-const RESUME_TARGET: &str = r#"
+pub(crate) const RESUME_TARGET: &str = r#"
     fn main() {
         var f = fopen("/fuzz/input", 0);
         if (f == 0) { exit(1); }
@@ -376,8 +376,8 @@ proptest! {
 }
 
 /// Builds one ClosureX executor per lane over a shared module.
-struct CxFactory<'m> {
-    module: &'m fir::Module,
+pub(crate) struct CxFactory<'m> {
+    pub(crate) module: &'m fir::Module,
 }
 
 impl ExecutorFactory for CxFactory<'_> {
@@ -536,7 +536,6 @@ proptest! {
     #[test]
     fn storage_faults_never_lose_data(
         seed in 1u64..4,
-        stream in 0u64..4,
         op in 0u64..10,
         kind_ix in 0usize..6,
         fires in 1u32..=5,
@@ -557,14 +556,14 @@ proptest! {
         // `fires` beyond the default retry budget (3) models permanently
         // broken storage: the transient kinds must then take the typed
         // degradation exit instead of erroring out.
-        let mut plan = DiskFaultPlan::at((stream, op), DiskFaultKind::ALL[kind_ix]);
+        // Every storage op is on the coordinator stream, 0.
+        let mut plan = DiskFaultPlan::at((0, op), DiskFaultKind::ALL[kind_ix]);
         plan.targeted[0].fires = fires;
 
         let dir = std::env::temp_dir().join(format!(
-            "closurex-prop-disk-{}-{}-{}-{}-{}-{}",
+            "closurex-prop-disk-{}-{}-{}-{}-{}",
             std::process::id(),
             seed,
-            stream,
             op,
             kind_ix,
             u8::from(sharded),

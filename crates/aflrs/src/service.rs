@@ -32,12 +32,13 @@
 //!
 //! Admission persists the spec (`spec.bin`, wire-encoded) in the tenant's
 //! directory before the campaign first runs; every grant leaves behind the
-//! usual shard snapshots and journals. Killing the whole service process
-//! at an arbitrary point therefore loses nothing:
-//! [`Service::restore`] re-reads every `spec.bin`, re-admits every
-//! tenant, and resumes each campaign from its newest valid snapshot plus
-//! journal tail — to the bit-identical [`CampaignResult`] the unkilled
-//! service would have produced (compare with
+//! usual shard snapshots, one per barrier. Killing the whole service
+//! process at an arbitrary point therefore loses nothing that cannot be
+//! recomputed: [`Service::restore`] re-reads every `spec.bin`, re-admits
+//! every tenant, and resumes each campaign from its newest valid barrier
+//! snapshot, re-running the interrupted epoch — to the bit-identical
+//! [`CampaignResult`] the unkilled service would have produced (compare
+//! with
 //! [`CampaignResult::outcome_diff`]). The decoded-image sidecar written
 //! next to each tenant's snapshots makes that restore cheap: the first
 //! resumed tenant revives the image from the sidecar and every later
@@ -257,7 +258,7 @@ pub enum ServiceError {
     /// [`CampaignHandle::kill`]) after `execs` executions; it is resumable
     /// via [`CampaignHandle::resume`] or a service restart.
     Killed {
-        /// Executions journaled before the kill.
+        /// Executions completed before the kill.
         execs: u64,
     },
     /// The campaign errored out (factory failure, corrupt checkpoint, …).
@@ -293,7 +294,7 @@ pub enum CampaignState {
     /// Dead but resumable from disk (simulated SIGKILL or
     /// [`CampaignHandle::kill`]).
     Killed {
-        /// Executions journaled before the kill.
+        /// Executions completed before the kill.
         execs: u64,
     },
     /// Done; [`CampaignHandle::await_result`] returns the result.
@@ -307,7 +308,7 @@ pub enum CampaignState {
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Root directory; each tenant gets `dir/<name>/` for its spec,
-    /// snapshots, journals, and decoded-image sidecar.
+    /// shard snapshots, and decoded-image sidecar.
     pub dir: PathBuf,
     /// Scheduler threads — the bound on campaigns stepping concurrently
     /// (each campaign additionally uses its own `shards` threads while
@@ -340,8 +341,8 @@ pub struct ServiceConfig {
     /// Terminal-campaign retention budget: when `Some(n)` and more than
     /// `n` terminal (killed / finished / failed) tenants exist, the oldest
     /// beyond the budget are archived — checkpoint generations rotated
-    /// down to the single newest sealed snapshot (plus the journals that
-    /// resume it). Killed tenants stay resumable from that snapshot.
+    /// down to the single newest sealed snapshot. Killed tenants stay
+    /// resumable from that snapshot.
     /// Sweep failures are warnings, never fatal. `None` disables.
     pub retain_terminal: Option<usize>,
 }
@@ -570,8 +571,8 @@ pub fn fair_pick(candidates: &[(usize, u64)]) -> Option<usize> {
 /// Dropping the service is a *graceful* shutdown: in-flight grants finish
 /// their epoch, workers exit, campaigns stay durable on disk. The abrupt
 /// death the churn evaluation exercises is simulated with
-/// [`ServiceConfig::kill_after_execs`], which kills mid-epoch with torn
-/// journal tails.
+/// [`ServiceConfig::kill_after_execs`], which kills mid-epoch, losing the
+/// work since the last barrier to a re-run.
 pub struct Service {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,

@@ -45,33 +45,40 @@
 //!
 //! # Sharded checkpointing
 //!
-//! With a [`CheckpointConfig`], barriers double as checkpoints:
-//! `shard-ckpt-{epoch:06}.bin` holds every lane's post-merge snapshot
-//! (including exported executor state) sealed under the same
-//! fingerprint-carrying header as single-driver snapshots, and each lane
-//! journals its epoch executions to `shard-journal-{epoch:06}-{lane:03}.bin`.
-//! `CheckpointConfig::snapshot_every_execs` is ignored in sharded mode —
-//! the epoch barrier is the snapshot cadence. Resume loads the newest
-//! valid shard snapshot, rebuilds the lanes from the factory, replays each
-//! lane's journal for the interrupted epoch (truncating torn tails), and
-//! continues — reproducing the uninterrupted campaign exactly.
+//! With a [`CheckpointConfig`], barriers are the campaign's only
+//! durability points. `shard-ckpt-{epoch:06}.bin` (six digits or more)
+//! holds the merged queue, virgin map and crash records once, plus every
+//! lane's scalars and exported executor state, sealed under the same
+//! fingerprint-carrying header as single-driver snapshots with a format
+//! version of its own ([`SHARD_FORMAT_VERSION`]). Lanes write nothing
+//! between barriers, and `CheckpointConfig::snapshot_every_execs` is
+//! ignored: the epoch barrier is the snapshot cadence.
+//!
+//! Resume loads the newest valid shard snapshot, rebuilds every lane from
+//! the factory, restores each lane's executor state and re-runs the
+//! interrupted epoch. An execution is a pure function of its input and the
+//! restored state, so the re-run recomputes the lost work bit-for-bit —
+//! the same argument supervised recovery rests on. A kill costs at most
+//! one epoch of recomputation.
 
 use std::collections::HashMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
+use closurex::checkpoint::ExecutorState;
 use closurex::executor::{Executor, ExecutorFactory};
 use vmos::cov::VirginMap;
 use vmos::wire::fnv1a;
-use vmos::{OrchFaultKind, OrchFaultPlan, Reader, WireError, Writer};
+use vmos::{OrchFaultKind, OrchFaultPlan, Reader, WireError};
 
 use crate::builder::CampaignError;
 use crate::campaign::{CampaignConfig, Driver, Stage, StepOutcome};
 use crate::checkpoint::{
-    check_target, open_sealed, read_journal, seal_snapshot, storage_for, sweep_orphan_tmp,
-    write_sealed, CampaignOutcome, CheckpointConfig, CheckpointError, DeltaRecord, Journal,
-    ResumeReport, Scalars, SnapshotState,
+    check_target, decode_collections, decode_exec_state, encode_collections, encode_exec_state,
+    open_sealed, seal_in_place, sealed_writer, storage_for, sweep_orphan_tmp, write_sealed,
+    CampaignOutcome, CheckpointConfig, CheckpointError, FsyncPolicy, ResumeReport, Scalars,
+    SnapshotState,
 };
 use crate::queue::QueueEntry;
 use crate::storage::{fsync_dir, OpOutcome, Storage, StorageCounters};
@@ -121,6 +128,16 @@ pub(crate) fn lane_config(cfg: &CampaignConfig, lane: usize, lanes: usize) -> Ca
     c
 }
 
+/// Lane `lane`'s round-robin slice of the seed corpus.
+pub(crate) fn lane_seeds(seeds: &[Vec<u8>], lane: usize, lanes: usize) -> Vec<Vec<u8>> {
+    seeds
+        .iter()
+        .enumerate()
+        .filter(|(j, _)| j % lanes == lane)
+        .map(|(_, s)| s.clone())
+        .collect()
+}
+
 /// The lane clock at which epoch `epoch` (of `epochs`) ends. The final
 /// epoch runs to the exact lane budget.
 fn epoch_limit(budget: u64, epoch: u64, epochs: u64) -> u64 {
@@ -133,15 +150,50 @@ fn epoch_limit(budget: u64, epoch: u64, epochs: u64) -> u64 {
 
 /// One lane: an owned executor pair plus the campaign state carried across
 /// epochs. `state.exec_state` is always `None` here — the live executor
-/// *is* the executor state between barriers; it is only exported when a
-/// shard snapshot is written.
+/// *is* the executor state between barriers; it is exported once per
+/// barrier, into the lane's [`LaneBarrier`].
 pub(crate) struct Lane {
     pub(crate) executor: Box<dyn Executor + Send>,
     pub(crate) revalidator: Option<Box<dyn Executor + Send>>,
     pub(crate) cfg: CampaignConfig,
     pub(crate) seeds: Vec<Vec<u8>>,
     pub(crate) state: SnapshotState,
-    pub(crate) journal: Option<Journal>,
+}
+
+/// One lane's share of a barrier: its scalars and its executor state,
+/// exported once. The merged collections are the same for every lane
+/// after a merge, so they live once, in [`Global`]. A barrier is both
+/// what the shard snapshot seals and the point a faulted lane of the
+/// following epoch is recovered from.
+#[derive(Debug, Clone)]
+pub(crate) struct LaneBarrier {
+    pub(crate) scalars: Scalars,
+    pub(crate) exec_state: Option<ExecutorState>,
+}
+
+impl LaneBarrier {
+    /// Capture every lane's share of the barrier it stands at.
+    fn capture(lanes: &[Lane]) -> Vec<LaneBarrier> {
+        lanes
+            .iter()
+            .map(|l| LaneBarrier {
+                scalars: l.state.scalars.clone(),
+                exec_state: l.executor.export_state(),
+            })
+            .collect()
+    }
+
+    /// The lane's full barrier state, collections from `global`, executor
+    /// export left out.
+    pub(crate) fn state(&self, global: &Global) -> SnapshotState {
+        SnapshotState {
+            scalars: self.scalars.clone(),
+            entries: global.entries.clone(),
+            virgin: global.virgin.clone(),
+            crashes: global.crashes.clone(),
+            exec_state: None,
+        }
+    }
 }
 
 /// Snapshot a driver for the inter-epoch handoff (no executor export).
@@ -172,9 +224,9 @@ impl KillSwitch {
         }
     }
 
-    /// Count one journaled execution; returns `true` once the campaign
-    /// must stop (the kill may overshoot `limit` by in-flight lanes —
-    /// resume is kill-point agnostic, so that is harmless).
+    /// Count one execution; returns `true` once the campaign must stop
+    /// (the kill may overshoot `limit` by in-flight lanes — resume is
+    /// kill-point agnostic, so that is harmless).
     pub(crate) fn record_exec(&self) -> bool {
         if self.execs.fetch_add(1, Ordering::SeqCst) + 1 >= self.limit {
             self.stop.store(true, Ordering::SeqCst);
@@ -200,8 +252,7 @@ pub(crate) struct LaneAttempt<'p> {
     pub(crate) hang_deadline: u64,
 }
 
-/// Run one lane from its carried state to the epoch's clock limit,
-/// journaling each execution when checkpointing is on.
+/// Run one lane from its carried state to the epoch's clock limit.
 ///
 /// Supervised: the orchestration fault plan may decide this attempt fails
 /// (an injected panic unwinds out of here and is contained by the caller;
@@ -215,7 +266,6 @@ pub(crate) fn run_lane_epoch(
     lane: &mut Lane,
     epoch: u64,
     epochs: u64,
-    track: bool,
     kill: Option<&KillSwitch>,
     watch: &LaneAttempt<'_>,
 ) -> Result<Option<LaneFault>, CheckpointError> {
@@ -228,7 +278,7 @@ pub(crate) fn run_lane_epoch(
         .revalidator
         .as_deref_mut()
         .map(|r| r as &mut dyn Executor);
-    let mut d = Driver::new(lane.executor.as_mut(), revalidator, &lane.seeds, &lane.cfg, track);
+    let mut d = Driver::new(lane.executor.as_mut(), revalidator, &lane.seeds, &lane.cfg, false);
     lane.state.clone().apply(&mut d)?;
     let mut steps: u64 = 0;
     let mut stalled: u64 = 0;
@@ -256,18 +306,6 @@ pub(crate) fn run_lane_epoch(
                 break;
             }
             steps += 1;
-            if track {
-                if let Some(j) = lane.journal.as_mut() {
-                    if j.append(&DeltaRecord::take(&mut d)).crashed() {
-                        // An injected crash boundary in this lane's journal
-                        // stream: the machine is dead. Stop stepping; the
-                        // coordinator sees the plane-wide crash flag after
-                        // the epoch and kills the campaign.
-                        killed = true;
-                        break;
-                    }
-                }
-            }
             if kill.is_some_and(|k| k.record_exec()) {
                 killed = true;
                 break;
@@ -317,7 +355,6 @@ fn run_epoch_parallel(
     epoch: u64,
     epochs: u64,
     workers: usize,
-    track: bool,
     kill: Option<&KillSwitch>,
     sup: &Supervisor,
 ) -> Result<Vec<Option<LaneFault>>, CampaignError> {
@@ -353,7 +390,7 @@ fn run_epoch_parallel(
                             hang_deadline,
                         };
                         match supervise::contain(|| {
-                            run_lane_epoch(l, epoch, epochs, track, kill, &watch)
+                            run_lane_epoch(l, epoch, epochs, kill, &watch)
                         }) {
                             Ok(r) => r,
                             Err(payload) => Ok(Some(LaneFault::Panic(payload))),
@@ -383,62 +420,49 @@ fn run_epoch_parallel(
         .collect()
 }
 
-/// A lane's epoch-barrier recovery snapshot, minus the executor export
-/// (which the recovered executor was just restored from).
-pub(crate) fn stripped(snap: &SnapshotState) -> SnapshotState {
-    let mut st = snap.clone();
-    st.exec_state = None;
-    st
-}
-
-/// Rebuild a faulted lane from its epoch-barrier snapshot and re-run the
-/// epoch, retrying up to the supervisor's budget; past it, retire the lane
-/// and fold its unspent cycles into the live siblings (the degradation
-/// ladder — typed and reported, never a silent drop).
+/// Rebuild a faulted lane from its epoch barrier and re-run the epoch,
+/// retrying up to the supervisor's budget; past it, retire the lane and
+/// fold its unspent cycles into the live siblings (the degradation ladder
+/// — typed and reported, never a silent drop).
 ///
 /// Recovery runs on the coordinator thread: re-runs are rare, lane order
 /// keeps them deterministic, and the rebuilt executor reuses the exact
 /// `export_state`/`restore_state` contract checkpoint resume is built on —
-/// so a recovered epoch replays the faulted one bit-for-bit.
+/// so a recovered epoch replays the faulted one bit-for-bit. `global` still
+/// holds the barrier's merged collections: the merge of this epoch runs
+/// only after every faulted lane is recovered.
 #[allow(clippy::too_many_arguments)]
 fn recover_lane(
     lanes: &mut [Lane],
     idx: usize,
     epoch: u64,
     epochs: u64,
-    snap: &SnapshotState,
+    barrier: &LaneBarrier,
+    global: &Global,
     first_fault: LaneFault,
     factory: &dyn ExecutorFactory,
-    ck: Option<&CheckpointConfig>,
-    storage: Option<&Storage>,
     kill: Option<&KillSwitch>,
     sup: &mut Supervisor,
 ) -> Result<(), CampaignError> {
-    let track = ck.is_some();
-    let restore_err =
-        |e| CampaignError::Checkpoint(CheckpointError::Executor(e));
     let mut fault = first_fault;
     let mut attempt: u32 = 1;
     loop {
         sup.counters.record(&fault);
+        // Quarantine + rebuild: fresh executor pair from the factory,
+        // restored to the barrier's exported state, lane state reset to
+        // the barrier copy. A retired lane is rebuilt one last time too,
+        // so the final resilience report reads from a sane instance.
+        lanes[idx].executor = build_executor(factory, barrier.exec_state.as_ref())?;
+        lanes[idx].revalidator = factory.build_revalidator().map_err(CampaignError::Build)?;
+        lanes[idx].state = barrier.state(global);
         if attempt > sup.cfg.max_lane_retries {
-            // Degradation: retire the lane at its barrier state. Rebuild
-            // its executor one last time so the final resilience report
-            // reads from a sane instance, then hand the unspent budget to
-            // the live siblings (even split, remainder on the first).
+            // Degradation: retire the lane at its barrier state and hand
+            // the unspent budget to the live siblings (even split,
+            // remainder on the first).
             let reclaimed = lanes[idx]
                 .cfg
                 .budget_cycles
-                .saturating_sub(snap.scalars.clock);
-            let mut executor = factory.build().map_err(CampaignError::Build)?;
-            if let Some(es) = &snap.exec_state {
-                executor.restore_state(es).map_err(restore_err)?;
-            }
-            lanes[idx].executor = executor;
-            lanes[idx].revalidator =
-                factory.build_revalidator().map_err(CampaignError::Build)?;
-            lanes[idx].state = stripped(snap);
-            lanes[idx].journal = None;
+                .saturating_sub(barrier.scalars.clock);
             sup.dead[idx] = true;
             if sup.live() == 0 {
                 return Err(CampaignError::AllLanesLost { epoch });
@@ -460,32 +484,6 @@ fn recover_lane(
             });
             return Ok(());
         }
-        // Quarantine + rebuild: fresh executor pair from the factory,
-        // restored to the barrier's exported state, lane state reset to
-        // the barrier copy, journal recreated (truncating the faulted
-        // attempt's partial records).
-        let mut executor = factory.build().map_err(CampaignError::Build)?;
-        if let Some(es) = &snap.exec_state {
-            executor.restore_state(es).map_err(restore_err)?;
-        }
-        lanes[idx].executor = executor;
-        lanes[idx].revalidator = factory.build_revalidator().map_err(CampaignError::Build)?;
-        lanes[idx].state = stripped(snap);
-        if let (Some(ck), Some(st)) = (ck, storage) {
-            let (j, o) = Journal::create_at(
-                &st.stream(1 + idx as u64),
-                &shard_journal_path(&ck.dir, epoch, idx),
-                snap.scalars.execs,
-                ck.fsync,
-            );
-            lanes[idx].journal = Some(j);
-            if o.crashed() {
-                // The recreate hit an injected crash boundary: the machine
-                // is dead. Leave the lane at its barrier state; the epoch
-                // loop sees the plane-wide flag and kills the campaign.
-                return Ok(());
-            }
-        }
         sup.counters.lane_rebuilds += 1;
         let outcome = {
             let watch = LaneAttempt {
@@ -495,7 +493,7 @@ fn recover_lane(
                 hang_deadline: sup.cfg.hang_deadline_ticks,
             };
             let lane = &mut lanes[idx];
-            supervise::contain(|| run_lane_epoch(lane, epoch, epochs, track, kill, &watch))
+            supervise::contain(|| run_lane_epoch(lane, epoch, epochs, kill, &watch))
         };
         match outcome {
             Ok(Ok(None)) => {
@@ -512,6 +510,28 @@ fn recover_lane(
                 attempt += 1;
             }
         }
+    }
+}
+
+/// A fresh executor from the factory, restored to `exec_state` when given.
+fn build_executor(
+    factory: &dyn ExecutorFactory,
+    exec_state: Option<&ExecutorState>,
+) -> Result<Box<dyn Executor + Send>, CampaignError> {
+    let mut executor = factory.build().map_err(CampaignError::Build)?;
+    restore_executor(executor.as_mut(), exec_state)?;
+    Ok(executor)
+}
+
+fn restore_executor(
+    executor: &mut dyn Executor,
+    exec_state: Option<&ExecutorState>,
+) -> Result<(), CampaignError> {
+    match exec_state {
+        Some(es) => executor
+            .restore_state(es)
+            .map_err(|e| CampaignError::Checkpoint(CheckpointError::Executor(e))),
+        None => Ok(()),
     }
 }
 
@@ -537,13 +557,12 @@ impl Global {
         }
     }
 
-    /// Rebuild the global state from a barrier snapshot (every lane's
-    /// post-merge collections are identical; lane 0's copy is canonical).
-    pub(crate) fn from_state(st: &SnapshotState) -> Self {
+    /// Rebuild the global state from a barrier's merged collections.
+    fn from_parts(entries: Vec<QueueEntry>, virgin: VirginMap, crashes: Vec<CrashRecord>) -> Self {
         let mut g = Global {
-            entries: st.entries.clone(),
-            virgin: st.virgin.clone(),
-            crashes: st.crashes.clone(),
+            entries,
+            virgin,
+            crashes,
             input_index: HashMap::new(),
             site_index: HashMap::new(),
         };
@@ -725,192 +744,193 @@ pub(crate) fn assemble_parts(
 // Sharded checkpoint files.
 // ---------------------------------------------------------------------------
 
+/// Shard snapshot format version, separate from the single-driver
+/// [`crate::checkpoint`] version. v4: the merged collections once, then
+/// each lane's scalars and executor state (v3 and older held one full
+/// lane snapshot per lane and are refused, never misparsed).
+pub(crate) const SHARD_FORMAT_VERSION: u32 = 4;
+
 pub(crate) fn shard_snapshot_path(dir: &Path, epoch: u64) -> PathBuf {
     dir.join(format!("shard-ckpt-{epoch:06}.bin"))
 }
 
-pub(crate) fn shard_journal_path(dir: &Path, epoch: u64, lane: usize) -> PathBuf {
-    dir.join(format!("shard-journal-{epoch:06}-{lane:03}.bin"))
-}
-
+/// The epoch of a `shard-ckpt-N.bin` name. [`shard_snapshot_path`] pads to
+/// six digits and writes more past epoch 999,999, so any run of six or
+/// more digits is accepted.
 fn parse_shard_snapshot(name: &str) -> Option<u64> {
     let rest = name.strip_prefix("shard-ckpt-")?.strip_suffix(".bin")?;
-    (rest.len() == 6 && rest.bytes().all(|b| b.is_ascii_digit()))
+    (rest.len() >= 6 && rest.bytes().all(|b| b.is_ascii_digit()))
         .then(|| rest.parse().ok())
         .flatten()
 }
 
-fn parse_shard_journal(name: &str) -> Option<(u64, usize)> {
-    let rest = name.strip_prefix("shard-journal-")?.strip_suffix(".bin")?;
-    let (e, l) = rest.split_once('-')?;
-    let digits = |s: &str, n| s.len() == n && s.bytes().all(|b| b.is_ascii_digit());
-    (digits(e, 6) && digits(l, 3))
-        .then(|| Some((e.parse().ok()?, l.parse().ok()?)))
-        .flatten()
+/// What one scan of a sharded checkpoint directory finds.
+struct ShardDir {
+    /// Shard snapshots, ascending by epoch.
+    snapshots: Vec<(u64, PathBuf)>,
+    /// Files the sharded engine never reads and may always delete:
+    /// orphaned snapshot temp files, and per-lane `shard-journal-*` files
+    /// an older build left behind.
+    debris: Vec<PathBuf>,
 }
 
-/// All `shard-ckpt-N.bin` files, sorted ascending by epoch.
-pub(crate) fn list_shard_snapshots(dir: &Path) -> std::io::Result<Vec<(u64, PathBuf)>> {
-    let mut out = Vec::new();
+fn scan_shard_dir(dir: &Path) -> std::io::Result<ShardDir> {
+    let mut found = ShardDir {
+        snapshots: Vec::new(),
+        debris: Vec::new(),
+    };
     for entry in fs::read_dir(dir)? {
         let entry = entry?;
-        if let Some(n) = entry.file_name().to_str().and_then(parse_shard_snapshot) {
-            out.push((n, entry.path()));
+        let name = entry.file_name();
+        let Some(name) = name.to_str() else { continue };
+        let orphan_tmp = name.ends_with(".tmp")
+            && (name.starts_with("ckpt-") || name.starts_with("shard-ckpt-"));
+        if let Some(epoch) = parse_shard_snapshot(name) {
+            found.snapshots.push((epoch, entry.path()));
+        } else if orphan_tmp || name.starts_with("shard-journal-") {
+            found.debris.push(entry.path());
         }
     }
-    out.sort_by_key(|(n, _)| *n);
-    Ok(out)
+    found.snapshots.sort_by_key(|(n, _)| *n);
+    Ok(found)
 }
 
-/// Write the barrier snapshot for `epoch`: every lane's state with its
-/// executor exported, sealed under the target fingerprint.
-fn write_shard_snapshot(
-    storage: &Storage,
-    ck: &CheckpointConfig,
-    epoch: u64,
-    lanes: &mut [Lane],
-) -> OpOutcome {
-    let states: Vec<SnapshotState> = lanes
-        .iter_mut()
-        .map(|lane| {
-            let mut st = lane.state.clone();
-            st.exec_state = lane.executor.export_state();
-            st
-        })
-        .collect();
-    let fp = lanes
-        .first()
-        .and_then(|l| l.executor.module_fingerprint())
-        .unwrap_or(0);
-    write_shard_snapshot_states(storage, ck, epoch, &states, fp)
-}
-
-/// [`write_shard_snapshot`] on pre-exported states — lane-per-process
-/// campaigns receive each lane's state (executor export included) over the
-/// wire and persist it from the supervisor side.
-pub(crate) fn write_shard_snapshot_states(
-    storage: &Storage,
-    ck: &CheckpointConfig,
-    epoch: u64,
-    states: &[SnapshotState],
-    fp: u64,
-) -> OpOutcome {
-    let mut w = Writer::new();
-    w.put_u64(epoch);
-    w.put_usize(states.len());
-    for st in states {
-        w.put_bytes(&st.encode());
+/// One scan of `dir`: delete its debris and every shard snapshot but the
+/// newest `keep`. Returns `(files removed, unlink failures)`.
+fn prune_shard_dir(dir: &Path, keep: usize) -> std::io::Result<(u64, u64)> {
+    let ShardDir { snapshots, debris } = scan_shard_dir(dir)?;
+    let old = snapshots.len().saturating_sub(keep);
+    let (mut removed, mut failed) = (0, 0);
+    for path in debris.iter().chain(snapshots[..old].iter().map(|(_, p)| p)) {
+        match fs::remove_file(path) {
+            Ok(()) => removed += 1,
+            Err(_) => failed += 1,
+        }
     }
-    let bytes = seal_snapshot(&w.into_bytes(), fp);
+    Ok((removed, failed))
+}
+
+/// Seal and write the barrier snapshot for `epoch`: the merged
+/// collections once, then each lane's scalars and exported executor
+/// state, encoded into one buffer and sealed in place.
+pub(crate) fn write_shard_snapshot<'a>(
+    storage: &Storage,
+    ck: &CheckpointConfig,
+    epoch: u64,
+    global: &Global,
+    lanes: &[(&'a Scalars, &'a Option<ExecutorState>)],
+    fingerprint: u64,
+) -> OpOutcome {
+    let queued: usize = global.entries.iter().map(|e| e.data.len() + 40).sum();
+    let mut w = sealed_writer(queued + vmos::MAP_SIZE + 1024 * (lanes.len() + 1));
+    w.put_u64(epoch);
+    encode_collections(&global.entries, &global.virgin, &global.crashes, &mut w);
+    w.put_usize(lanes.len());
+    for (scalars, exec_state) in lanes {
+        scalars.encode(&mut w);
+        encode_exec_state(exec_state, &mut w);
+    }
+    let bytes = seal_in_place(w.into_bytes(), SHARD_FORMAT_VERSION, fingerprint);
     write_sealed(storage, &shard_snapshot_path(&ck.dir, epoch), &bytes, ck.fsync)
 }
 
-/// Load and validate one shard snapshot: `(epoch, per-lane states, target
-/// fingerprint)`.
-#[allow(clippy::type_complexity)]
-pub(crate) fn load_shard_snapshot(
-    path: &Path,
-) -> Result<(u64, Vec<SnapshotState>, u64), WireError> {
+/// A loaded and validated shard snapshot.
+pub(crate) struct ShardSnapshot {
+    pub(crate) epoch: u64,
+    pub(crate) global: Global,
+    pub(crate) lanes: Vec<LaneBarrier>,
+    /// Target fingerprint from the seal.
+    pub(crate) fingerprint: u64,
+}
+
+pub(crate) fn load_shard_snapshot(path: &Path) -> Result<ShardSnapshot, WireError> {
     let bytes = fs::read(path).map_err(|_| WireError::Truncated)?;
-    let (fp, payload) = open_sealed(&bytes)?;
+    let (fingerprint, payload) = open_sealed(&bytes, SHARD_FORMAT_VERSION)?;
     let mut r = Reader::new(payload);
     let epoch = r.get_u64()?;
+    let (entries, virgin, crashes) = decode_collections(&mut r)?;
     let n = r.get_count()?;
     if n > r.remaining() {
         return Err(WireError::Truncated);
     }
-    let mut states = Vec::with_capacity(n);
+    let mut lanes = Vec::with_capacity(n);
     for _ in 0..n {
-        let buf = r.get_bytes()?;
-        states.push(SnapshotState::decode(&buf)?);
+        lanes.push(LaneBarrier {
+            scalars: Scalars::decode(&mut r)?,
+            exec_state: decode_exec_state(&mut r)?,
+        });
     }
     if !r.is_empty() {
         return Err(WireError::Malformed("trailing shard snapshot bytes"));
     }
-    Ok((epoch, states, fp))
+    Ok(ShardSnapshot {
+        epoch,
+        global: Global::from_parts(entries, virgin, crashes),
+        lanes,
+        fingerprint,
+    })
 }
 
-/// Archival rotation for a terminal tenant: keep only the single newest
-/// shard snapshot (the sealed archive) plus the journals at or past its
-/// epoch — exactly what [`EpochSession::resume`] needs to revive a killed
-/// campaign — and delete every older generation. `spec.bin` and the
-/// decoded-image sidecar are untouched (the sweep only looks at
-/// `shard-ckpt-*` / `shard-journal-*` names). Returns `(files removed,
-/// warnings)`; failures are never fatal — callers surface the warning
-/// count and the extra files simply linger.
-pub(crate) fn archive_shard_dir(dir: &Path) -> (u64, u64) {
-    let mut removed = 0u64;
-    let mut warnings = 0u64;
-    let snaps = match list_shard_snapshots(dir) {
-        Ok(s) => s,
-        Err(_) => return (0, 1),
-    };
-    let Some(&(cutoff, _)) = snaps.last() else {
-        return (0, 0); // never snapshotted — nothing to seal
-    };
-    for (_, path) in &snaps[..snaps.len() - 1] {
-        match fs::remove_file(path) {
-            Ok(()) => removed += 1,
-            Err(_) => warnings += 1,
-        }
-    }
-    let entries = match fs::read_dir(dir) {
-        Ok(e) => e,
-        Err(_) => return (removed, warnings + 1),
-    };
-    for entry in entries {
-        let Ok(entry) = entry else {
-            warnings += 1;
-            continue;
-        };
-        if let Some((e, _)) = entry.file_name().to_str().and_then(parse_shard_journal) {
-            if e < cutoff {
-                match fs::remove_file(entry.path()) {
-                    Ok(()) => removed += 1,
-                    Err(_) => warnings += 1,
-                }
+/// The snapshot a sharded resume starts from: the newest one that
+/// validates, skipping (and counting) corrupt ones. A pre-v4 shard
+/// snapshot never validates, so a directory holding only those resumes
+/// to a typed error; lane journals an older build left are never read.
+pub(crate) fn load_newest_shard_snapshot(
+    storage: &Storage,
+    ck: &CheckpointConfig,
+    lanes: usize,
+    info: &mut ResumeReport,
+) -> Result<ShardSnapshot, CampaignError> {
+    let snaps = scan_shard_dir(&ck.dir).map_err(CheckpointError::Io)?.snapshots;
+    let mut chosen = None;
+    for (epoch, path) in snaps.iter().rev() {
+        match load_shard_snapshot(path) {
+            Ok(snap) if snap.epoch == *epoch => {
+                chosen = Some(snap);
+                break;
+            }
+            _ => {
+                info.corrupt_snapshots_skipped += 1;
+                storage.note_corrupt_snapshot();
             }
         }
     }
-    (removed, warnings)
+    let snap = chosen.ok_or(CampaignError::Checkpoint(CheckpointError::NoUsableSnapshot))?;
+    if snap.lanes.len() != lanes {
+        return Err(CampaignError::Config(
+            "shard snapshot lane count disagrees with the configured lanes",
+        ));
+    }
+    info.snapshot_execs = snap.lanes.iter().map(|l| l.scalars.execs).sum();
+    Ok(snap)
 }
 
-/// Keep the newest `keep` shard snapshots; drop older ones and the
-/// journals of epochs nothing can resume from anymore. Unlink failures
+/// Archival rotation for a terminal tenant: keep only the single newest
+/// shard snapshot (the sealed archive) — exactly what
+/// [`EpochSession::resume`] needs to revive a killed campaign — and delete
+/// every older generation and all debris, in one directory scan.
+/// `spec.bin` and the decoded-image sidecar are untouched. Returns
+/// `(files removed, warnings)`; failures are never fatal — callers surface
+/// the warning count and the extra files simply linger.
+pub(crate) fn archive_shard_dir(dir: &Path) -> (u64, u64) {
+    match prune_shard_dir(dir, 1) {
+        Ok((removed, failed)) => {
+            let synced = removed == 0 || fsync_dir(dir).is_ok();
+            (removed, failed + u64::from(!synced))
+        }
+        Err(_) => (0, 1),
+    }
+}
+
+/// The barrier's directory upkeep, in one scan: keep the newest `keep`
+/// shard snapshots and delete older ones and all debris. Unlink failures
 /// are counted warnings; successful unlinks are made durable with a
 /// directory fsync (mirroring the single-driver rotation).
 pub(crate) fn rotate_shards(storage: &Storage, ck: &CheckpointConfig) -> OpOutcome {
     let dir = &ck.dir;
-    let o = sweep_orphan_tmp(storage, dir);
-    if o.crashed() {
-        return o;
-    }
-    let mut failed = 0u64;
-    let mut removed = false;
+    let (mut removed, mut failed) = (0, 0);
     let o = storage.cleanup_op(|_| {
-        let snaps = list_shard_snapshots(dir)?;
-        let keep = ck.keep_snapshots.max(1);
-        if snaps.len() <= keep {
-            return Ok(());
-        }
-        let cutoff = snaps[snaps.len() - keep].0;
-        for (_, path) in &snaps[..snaps.len() - keep] {
-            match fs::remove_file(path) {
-                Ok(()) => removed = true,
-                Err(_) => failed += 1,
-            }
-        }
-        for entry in fs::read_dir(dir)? {
-            let entry = entry?;
-            if let Some((e, _)) = entry.file_name().to_str().and_then(parse_shard_journal) {
-                if e < cutoff {
-                    match fs::remove_file(entry.path()) {
-                        Ok(()) => removed = true,
-                        Err(_) => failed += 1,
-                    }
-                }
-            }
-        }
+        (removed, failed) = prune_shard_dir(dir, ck.keep_snapshots.max(1))?;
         Ok(())
     });
     if failed > 0 {
@@ -919,77 +939,51 @@ pub(crate) fn rotate_shards(storage: &Storage, ck: &CheckpointConfig) -> OpOutco
     if o.crashed() {
         return o;
     }
-    if removed && ck.fsync != crate::checkpoint::FsyncPolicy::Never {
+    if removed > 0 && ck.fsync != FsyncPolicy::Never {
         // Op: unlinks are directory mutations too — make them durable.
         return storage.op(false, |_| fsync_dir(dir));
     }
     o
 }
 
-/// Open each lane's journal for `epoch`, based at the lane's current exec
-/// count. Each lane gets its own storage stream (`1 + lane`), so one
-/// lane's fault history or degradation never perturbs a sibling's.
-/// Returns `true` when an injected crash boundary fired mid-create.
-fn open_journals(
-    storage: &Storage,
-    ck: &CheckpointConfig,
-    epoch: u64,
-    lanes: &mut [Lane],
-) -> bool {
-    for (i, lane) in lanes.iter_mut().enumerate() {
-        let (j, o) = Journal::create_at(
-            &storage.stream(1 + i as u64),
-            &shard_journal_path(&ck.dir, epoch, i),
-            lane.state.scalars.execs,
-            ck.fsync,
-        );
-        lane.journal = Some(j);
-        if o.crashed() {
-            return true;
-        }
-    }
-    false
-}
-
 // ---------------------------------------------------------------------------
 // The sharded campaign loop.
 // ---------------------------------------------------------------------------
 
-fn build_lanes(
+/// Build lane `i` of `lanes_n`: a fresh executor pair from the factory
+/// with the lane's config and seed slice, at `state`, or at the start of
+/// the campaign when `None`.
+fn build_lane(
     factory: &dyn ExecutorFactory,
     seeds: &[Vec<u8>],
     cfg: &CampaignConfig,
-    lanes_n: usize,
-    track: bool,
-) -> Result<Vec<Lane>, CampaignError> {
-    let mut lanes = Vec::with_capacity(lanes_n);
-    for i in 0..lanes_n {
-        let mut executor = factory.build().map_err(CampaignError::Build)?;
-        let revalidator = factory.build_revalidator().map_err(CampaignError::Build)?;
-        let lane_cfg = lane_config(cfg, i, lanes_n);
-        let lane_seeds: Vec<Vec<u8>> = seeds
-            .iter()
-            .enumerate()
-            .filter(|(j, _)| j % lanes_n == i)
-            .map(|(_, s)| s.clone())
-            .collect();
-        let state = barrier_state(&Driver::new(
-            executor.as_mut(),
-            None,
-            &lane_seeds,
-            &lane_cfg,
-            track,
-        ));
-        lanes.push(Lane {
-            executor,
-            revalidator,
-            cfg: lane_cfg,
-            seeds: lane_seeds,
-            state,
-            journal: None,
-        });
-    }
-    Ok(lanes)
+    (i, lanes_n): (usize, usize),
+    state: Option<SnapshotState>,
+) -> Result<Lane, CampaignError> {
+    let mut executor = factory.build().map_err(CampaignError::Build)?;
+    let revalidator = factory.build_revalidator().map_err(CampaignError::Build)?;
+    let cfg = lane_config(cfg, i, lanes_n);
+    let seeds = lane_seeds(seeds, i, lanes_n);
+    let state = match state {
+        Some(st) => st,
+        None => barrier_state(&Driver::new(executor.as_mut(), None, &seeds, &cfg, false)),
+    };
+    Ok(Lane {
+        executor,
+        revalidator,
+        cfg,
+        seeds,
+        state,
+    })
+}
+
+/// The target fingerprint sealed into shard snapshots (0 when the
+/// mechanism pins none).
+fn fingerprint(lanes: &[Lane]) -> u64 {
+    lanes
+        .first()
+        .and_then(|l| l.executor.module_fingerprint())
+        .unwrap_or(0)
 }
 
 /// How one [`EpochSession::step_epoch`] call left the campaign.
@@ -998,9 +992,10 @@ pub(crate) enum EpochStatus {
     /// The epoch ran and merged at its barrier; more epochs remain.
     Running,
     /// Simulated SIGKILL or storage crash boundary: the campaign is dead
-    /// but resumable from what reached the disk.
+    /// but resumable from its newest durable barrier.
     Killed {
-        /// Executions completed (and journaled) before the kill.
+        /// Executions completed before the kill (those since the last
+        /// barrier are re-run by a resume).
         execs: u64,
     },
     /// No epochs remain (budget spent or early-stop fired): call
@@ -1039,15 +1034,19 @@ pub(crate) struct SessionProgress {
 /// this granularity; [`run_sharded`]/[`resume_sharded`] below are the
 /// drive-to-completion wrappers the single-campaign API uses.
 ///
-/// Each epoch runs under supervision: before the lanes start, the
-/// coordinator captures a per-lane recovery snapshot (barrier state +
-/// exported executor state — the same pair a shard checkpoint persists);
-/// lanes that come back faulted are rebuilt and re-run from it before the
-/// merge, so the barrier only ever sees lane states a clean run would have
-/// produced. Snapshot capture and recovery charge no simulated cycles.
+/// Each epoch runs under supervision: at every barrier the coordinator
+/// exports each lane's executor state once, into a [`LaneBarrier`] — the
+/// same record a shard checkpoint seals. Lanes that come back faulted from
+/// the next epoch are rebuilt and re-run from it before the merge, so the
+/// barrier only ever sees lane states a clean run would have produced.
+/// Barrier capture and recovery charge no simulated cycles.
 pub(crate) struct EpochSession {
     lanes: Vec<Lane>,
     global: Global,
+    /// Every lane's share of the last barrier.
+    barrier: Vec<LaneBarrier>,
+    /// Target fingerprint sealed into shard snapshots.
+    fingerprint: u64,
     /// Next epoch to run.
     epoch: u64,
     epochs: u64,
@@ -1061,19 +1060,19 @@ pub(crate) struct EpochSession {
 
 /// What starting (or resuming) a session produced: a live session, or a
 /// campaign already dead on disk because an injected storage crash
-/// boundary fired while laying down the initial snapshot/journals (or
-/// during resume replay).
+/// boundary fired while laying down the initial snapshot (or sweeping
+/// before a resume).
 pub(crate) enum SessionStart {
     Live(Box<EpochSession>),
     Dead {
-        /// Executions journaled before the crash boundary.
+        /// Executions completed before the crash boundary.
         execs: u64,
     },
 }
 
 impl EpochSession {
     /// Build the lanes and, when checkpointing, lay down the initial
-    /// snapshot, journals, and decoded-image sidecar.
+    /// snapshot and decoded-image sidecar.
     pub(crate) fn start(
         factory: &dyn ExecutorFactory,
         seeds: &[Vec<u8>],
@@ -1083,47 +1082,46 @@ impl EpochSession {
         sup_cfg: &SupervisorConfig,
     ) -> Result<SessionStart, CampaignError> {
         let lanes_n = plan.lanes.max(1);
-        let epochs = plan.sync_epochs.max(1);
-        let track = ck.is_some();
-        let mut lanes = build_lanes(factory, seeds, cfg, lanes_n, track)?;
-        let sup = Supervisor::new(sup_cfg.clone(), lanes_n);
-        let kill = ck
-            .and_then(|c| c.kill_after_execs)
-            .map(|k| KillSwitch::new(k, 0));
-        let storage = ck.map(storage_for);
-        if let (Some(ck), Some(st)) = (ck, storage.as_ref()) {
+        let lanes = (0..lanes_n)
+            .map(|i| build_lane(factory, seeds, cfg, (i, lanes_n), None))
+            .collect::<Result<Vec<_>, _>>()?;
+        let session = EpochSession {
+            barrier: LaneBarrier::capture(&lanes),
+            fingerprint: fingerprint(&lanes),
+            sup: Supervisor::new(sup_cfg.clone(), lanes_n),
+            lanes,
+            global: Global::new(),
+            epoch: 0,
+            epochs: plan.sync_epochs.max(1),
+            cfg: cfg.clone(),
+            plan: plan.clone(),
+            ck: ck.cloned(),
+            storage: ck.map(storage_for),
+            kill: ck
+                .and_then(|c| c.kill_after_execs)
+                .map(|k| KillSwitch::new(k, 0)),
+        };
+        if let (Some(ck), Some(st)) = (ck, session.storage.as_ref()) {
             if st.op(false, |_| fs::create_dir_all(&ck.dir)).crashed()
                 || sweep_orphan_tmp(st, &ck.dir).crashed()
-                || write_shard_snapshot(st, ck, 0, &mut lanes).crashed()
-                || open_journals(st, ck, 0, &mut lanes)
+                || session.write_snapshot(0).crashed()
             {
                 return Ok(SessionStart::Dead { execs: 0 });
             }
             // Best-effort decoded-image sidecar next to the snapshots, so
             // resume — possibly in another process — skips the re-lower.
             // Outside the storage fault plane: a cache, not campaign state.
-            if let Some(lane) = lanes.first() {
+            if let Some(lane) = session.lanes.first() {
                 lane.executor.save_decoded_sidecar(&ck.dir);
             }
         }
-        Ok(SessionStart::Live(Box::new(EpochSession {
-            lanes,
-            global: Global::new(),
-            epoch: 0,
-            epochs,
-            cfg: cfg.clone(),
-            plan: plan.clone(),
-            ck: ck.cloned(),
-            storage,
-            kill,
-            sup,
-        })))
+        Ok(SessionStart::Live(Box::new(session)))
     }
 
     /// Resume a killed sharded campaign: newest valid shard snapshot,
-    /// lanes rebuilt from the factory (fingerprint-checked), per-lane
-    /// journal replay with torn tails truncated. The returned session
-    /// continues from the interrupted epoch.
+    /// lanes rebuilt from the factory (fingerprint-checked) and restored to
+    /// their barrier executor states. The returned session re-runs the
+    /// interrupted epoch.
     pub(crate) fn resume(
         factory: &dyn ExecutorFactory,
         seeds: &[Vec<u8>],
@@ -1133,37 +1131,13 @@ impl EpochSession {
         sup_cfg: &SupervisorConfig,
     ) -> Result<(SessionStart, ResumeReport), CampaignError> {
         let lanes_n = plan.lanes.max(1);
-        let epochs = plan.sync_epochs.max(1);
         let mut info = ResumeReport::default();
         let storage = storage_for(ck);
         if sweep_orphan_tmp(&storage, &ck.dir).crashed() {
             return Ok((SessionStart::Dead { execs: 0 }, info));
         }
-        let snaps = list_shard_snapshots(&ck.dir).map_err(CheckpointError::Io)?;
-        let mut chosen = None;
-        for (epoch, path) in snaps.iter().rev() {
-            match load_shard_snapshot(path) {
-                Ok((e, states, fp)) if e == *epoch => {
-                    chosen = Some((e, states, fp));
-                    break;
-                }
-                _ => {
-                    info.corrupt_snapshots_skipped += 1;
-                    storage.note_corrupt_snapshot();
-                }
-            }
-        }
-        let Some((epoch, states, fp)) = chosen else {
-            return Err(CampaignError::Checkpoint(CheckpointError::NoUsableSnapshot));
-        };
-        if states.len() != lanes_n {
-            return Err(CampaignError::Config(
-                "shard snapshot lane count disagrees with the configured lanes",
-            ));
-        }
-        info.snapshot_execs = states.iter().map(|s| s.scalars.execs).sum();
-
-        let global = Global::from_state(&states[0]);
+        let snap = load_newest_shard_snapshot(&storage, ck, lanes_n, &mut info)?;
+        info.sweep_warnings = storage.counters().sweep_warnings;
         // Warm the process-wide decoded-image cache through the sidecar
         // *before* any lane executor is built — construction lowers
         // eagerly on a cold cache, which would waste the sidecar. Falls
@@ -1171,112 +1145,63 @@ impl EpochSession {
         // factory-level warm.
         let mut warm = factory.warm_decoded_image(Some(&ck.dir));
         let mut lanes = Vec::with_capacity(lanes_n);
-        let mut total_execs = 0;
-        for (i, st) in states.into_iter().enumerate() {
-            let mut executor = factory.build().map_err(CampaignError::Build)?;
+        for (i, lb) in snap.lanes.iter().enumerate() {
+            let state = Some(lb.state(&snap.global));
+            let mut lane = build_lane(factory, seeds, cfg, (i, lanes_n), state)?;
             if i == 0 {
-                // All lanes share the module: checking one copy suffices.
-                check_target(fp, &*executor).map_err(CampaignError::Checkpoint)?;
+                // All lanes share the module: checking one copy suffices,
+                // before any state is restored into it.
+                check_target(snap.fingerprint, &*lane.executor)
+                    .map_err(CampaignError::Checkpoint)?;
                 if warm.is_none() {
-                    warm = executor.warm_decoded_image(Some(&ck.dir));
+                    warm = lane.executor.warm_decoded_image(Some(&ck.dir));
                 }
                 info.note_decoded_image(warm);
             }
-            let mut revalidator = factory.build_revalidator().map_err(CampaignError::Build)?;
-            let lane_cfg = lane_config(cfg, i, lanes_n);
-            let lane_seeds: Vec<Vec<u8>> = seeds
-                .iter()
-                .enumerate()
-                .filter(|(j, _)| j % lanes_n == i)
-                .map(|(_, s)| s.clone())
-                .collect();
-            let jpath = shard_journal_path(&ck.dir, epoch, i);
-            let base = st.scalars.execs;
-            let mut last_exec_state = st.exec_state.clone();
-            let rv = revalidator.as_deref_mut().map(|r| r as &mut dyn Executor);
-            let mut d = Driver::new(executor.as_mut(), rv, &lane_seeds, &lane_cfg, true);
-            st.apply(&mut d).map_err(CampaignError::Checkpoint)?;
-            let journal = if epoch < epochs {
-                let lane_storage = storage.stream(1 + i as u64);
-                let (j, o) = match read_journal(&jpath, base) {
-                    Some((records, valid_len, dropped)) => {
-                        for rec in &records {
-                            rec.apply(&mut d);
-                            if rec.exec_state.is_some() {
-                                last_exec_state.clone_from(&rec.exec_state);
-                            }
-                            info.records_applied += 1;
-                        }
-                        if dropped > 0 {
-                            info.torn_records += dropped;
-                            storage.note_torn_records(dropped);
-                        }
-                        Journal::reopen(&lane_storage, &jpath, valid_len, ck.fsync)
-                    }
-                    // Killed before this lane's journal reached the disk:
-                    // start it fresh from the snapshot base.
-                    None => Journal::create_at(&lane_storage, &jpath, base, ck.fsync),
-                };
-                if o.crashed() {
-                    let execs = total_execs + d.execs;
-                    return Ok((SessionStart::Dead { execs }, info));
-                }
-                Some(j)
-            } else {
-                None
-            };
-            if let Some(es) = &last_exec_state {
-                d.executor
-                    .restore_state(es)
-                    .map_err(|e| CampaignError::Checkpoint(CheckpointError::Executor(e)))?;
-            }
-            total_execs += d.execs;
-            let state = barrier_state(&d);
-            drop(d);
-            lanes.push(Lane {
-                executor,
-                revalidator,
-                cfg: lane_cfg,
-                seeds: lane_seeds,
-                state,
-                journal,
-            });
+            restore_executor(lane.executor.as_mut(), lb.exec_state.as_ref())?;
+            lanes.push(lane);
         }
-        info.sweep_warnings = storage.counters().sweep_warnings;
-
-        let kill = ck
-            .kill_after_execs
-            .map(|k| KillSwitch::new(k, total_execs));
-        // Supervision state is in-memory only: a resume starts every lane
-        // live with fresh counters (retirement and fault tallies are part
-        // of the recovery *report*, not the persisted campaign state).
-        let sup = Supervisor::new(sup_cfg.clone(), lanes_n);
-        Ok((
-            SessionStart::Live(Box::new(EpochSession {
-                lanes,
-                global,
-                epoch,
-                epochs,
-                cfg: cfg.clone(),
-                plan: plan.clone(),
-                ck: Some(ck.clone()),
-                storage: Some(storage),
-                kill,
-                sup,
-            })),
-            info,
-        ))
+        let session = EpochSession {
+            fingerprint: fingerprint(&lanes),
+            // Supervision state is in-memory only: a resume starts every
+            // lane live with fresh counters (retirement and fault tallies
+            // are part of the recovery *report*, not the persisted
+            // campaign state).
+            sup: Supervisor::new(sup_cfg.clone(), lanes_n),
+            lanes,
+            global: snap.global,
+            barrier: snap.lanes,
+            epoch: snap.epoch,
+            epochs: plan.sync_epochs.max(1),
+            cfg: cfg.clone(),
+            plan: plan.clone(),
+            ck: Some(ck.clone()),
+            storage: Some(storage),
+            kill: ck
+                .kill_after_execs
+                .map(|k| KillSwitch::new(k, info.snapshot_execs)),
+        };
+        Ok((SessionStart::Live(Box::new(session)), info))
     }
 
-    /// Sum of the lanes' journaled exec counters — what the harness
-    /// reports as "killed at N execs" when a storage crash boundary fires.
+    /// Seal the current barrier as the snapshot for `epoch`.
+    fn write_snapshot(&self, epoch: u64) -> OpOutcome {
+        let (Some(ck), Some(st)) = (self.ck.as_ref(), self.storage.as_ref()) else {
+            return OpOutcome::Done;
+        };
+        let lanes: Vec<_> = self.barrier.iter().map(|b| (&b.scalars, &b.exec_state)).collect();
+        write_shard_snapshot(st, ck, epoch, &self.global, &lanes, self.fingerprint)
+    }
+
+    /// Sum of the lanes' exec counters — what the harness reports as
+    /// "killed at N execs" when a storage crash boundary fires.
     fn lanes_execs(&self) -> u64 {
         self.lanes.iter().map(|l| l.state.scalars.execs).sum()
     }
 
-    /// Run exactly one epoch to its merge barrier (including checkpoint
-    /// rotation when armed). Returns what to do next; a `Killed` session
-    /// must not be stepped again.
+    /// Run exactly one epoch to its merge barrier (including the barrier
+    /// snapshot and rotation when checkpointing). Returns what to do next;
+    /// a `Killed` session must not be stepped again.
     pub(crate) fn step_epoch(
         &mut self,
         factory: &dyn ExecutorFactory,
@@ -1285,73 +1210,41 @@ impl EpochSession {
             return Ok(EpochStatus::Finished);
         }
         let epoch = self.epoch;
-        let track = self.ck.is_some();
-        // Recovery snapshots for this epoch: barrier state + executor
-        // export, per live lane. Dead lanes have nothing to recover.
-        let recovery: Vec<Option<SnapshotState>> = self
-            .lanes
-            .iter_mut()
-            .enumerate()
-            .map(|(i, l)| {
-                (!self.sup.dead[i]).then(|| {
-                    let mut st = l.state.clone();
-                    st.exec_state = l.executor.export_state();
-                    st
-                })
-            })
-            .collect();
         let faults = run_epoch_parallel(
             &mut self.lanes,
             epoch,
             self.epochs,
             self.plan.workers,
-            track,
             self.kill.as_ref(),
             &self.sup,
         )?;
         if let Some(k) = &self.kill {
             if k.stopped() {
                 // Simulated SIGKILL: stop right here — no barrier, no
-                // snapshot, no recovery (resume replays the journals
-                // whatever state the faulted lane left them in).
+                // snapshot, no recovery. Resume re-runs this epoch from
+                // the last barrier.
                 return Ok(EpochStatus::Killed { execs: k.execs() });
             }
         }
-        if self.storage.as_ref().is_some_and(Storage::crashed) {
-            // A lane's journal stream hit an injected crash boundary: the
-            // machine died mid-epoch. No recovery, no barrier — resume
-            // replays whatever prefix reached the disk.
-            return Ok(EpochStatus::Killed { execs: self.lanes_execs() });
-        }
         for (idx, fault) in faults.into_iter().enumerate() {
             let Some(fault) = fault else { continue };
-            let Some(snap) = &recovery[idx] else { continue };
             recover_lane(
                 &mut self.lanes,
                 idx,
                 epoch,
                 self.epochs,
-                snap,
+                &self.barrier[idx],
+                &self.global,
                 fault,
                 factory,
-                self.ck.as_ref(),
-                self.storage.as_ref(),
                 self.kill.as_ref(),
                 &mut self.sup,
             )?;
-            if self.storage.as_ref().is_some_and(Storage::crashed) {
-                return Ok(EpochStatus::Killed { execs: self.lanes_execs() });
-            }
         }
         self.global.merge_epoch(&mut self.lanes);
+        self.barrier = LaneBarrier::capture(&self.lanes);
         if let (Some(ck), Some(st)) = (self.ck.as_ref(), self.storage.as_ref()) {
-            for lane in self.lanes.iter_mut() {
-                lane.journal = None; // close the finished epoch's journals
-            }
-            if write_shard_snapshot(st, ck, epoch + 1, &mut self.lanes).crashed()
-                || rotate_shards(st, ck).crashed()
-                || (epoch + 1 < self.epochs && open_journals(st, ck, epoch + 1, &mut self.lanes))
-            {
+            if self.write_snapshot(epoch + 1).crashed() || rotate_shards(st, ck).crashed() {
                 return Ok(EpochStatus::Killed { execs: self.lanes_execs() });
             }
         }
@@ -1482,40 +1375,50 @@ mod tests {
         assert_eq!(epoch_limit(budget, 7, 8), budget, "final epoch is exact");
     }
 
-    #[test]
-    fn archive_keeps_newest_snapshot_and_its_journals() {
-        let dir = std::env::temp_dir()
-            .join(format!("cx-archive-unit-{}", std::process::id()));
+    fn temp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("cx-shard-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).expect("tempdir");
+        dir
+    }
+
+    fn names(dir: &Path) -> Vec<String> {
+        let mut left: Vec<String> = fs::read_dir(dir)
+            .expect("dir")
+            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+            .collect();
+        left.sort();
+        left
+    }
+
+    /// Per-lane journals an older build wrote next to its snapshots.
+    fn stray_journal(dir: &Path, epoch: u64, lane: usize) -> PathBuf {
+        let path = dir.join(format!("shard-journal-{epoch:06}-{lane:03}.bin"));
+        fs::write(&path, b"CXJL stale journal bytes").expect("write");
+        path
+    }
+
+    #[test]
+    fn archive_keeps_newest_snapshot_and_deletes_stray_journals() {
+        let dir = temp_dir("archive");
         for epoch in [1u64, 3, 7] {
             fs::write(shard_snapshot_path(&dir, epoch), b"snap").expect("write");
         }
         for epoch in 0..9u64 {
-            fs::write(shard_journal_path(&dir, epoch, 0), b"jrnl").expect("write");
+            stray_journal(&dir, epoch, 0);
         }
+        fs::write(dir.join("shard-ckpt-000008.tmp"), b"torn").expect("write");
         fs::write(dir.join("spec.bin"), b"spec").expect("write");
         fs::write(dir.join("decoded-image.bin"), b"sidecar").expect("write");
 
         let (removed, warnings) = archive_shard_dir(&dir);
         assert_eq!(warnings, 0);
-        // 2 older snapshots + journals for epochs 0..=6.
-        assert_eq!(removed, 2 + 7);
-        let mut left: Vec<String> = fs::read_dir(&dir)
-            .expect("dir")
-            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
-            .collect();
-        left.sort();
+        // 2 older snapshots, 9 journals, 1 orphaned temp file.
+        assert_eq!(removed, 2 + 9 + 1);
         assert_eq!(
-            left,
-            vec![
-                "decoded-image.bin".to_string(),
-                "shard-ckpt-000007.bin".to_string(),
-                "shard-journal-000007-000.bin".to_string(),
-                "shard-journal-000008-000.bin".to_string(),
-                "spec.bin".to_string(),
-            ],
-            "only the sealed snapshot, its resume journals, and non-shard files survive"
+            names(&dir),
+            ["decoded-image.bin", "shard-ckpt-000007.bin", "spec.bin"],
+            "only the sealed snapshot and non-shard files survive"
         );
         // Idempotent: a second sweep finds nothing to remove.
         assert_eq!(archive_shard_dir(&dir), (0, 0));
@@ -1523,18 +1426,36 @@ mod tests {
     }
 
     #[test]
-    fn archive_without_snapshots_is_a_no_op() {
-        let dir = std::env::temp_dir()
-            .join(format!("cx-archive-empty-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).expect("tempdir");
-        fs::write(shard_journal_path(&dir, 0, 0), b"jrnl").expect("write");
+    fn archive_without_snapshots_only_clears_debris() {
+        let dir = temp_dir("archive-empty");
+        let journal = stray_journal(&dir, 0, 0);
+        fs::write(dir.join("spec.bin"), b"spec").expect("write");
+        assert_eq!(archive_shard_dir(&dir), (1, 0));
+        assert!(!journal.exists());
+        assert_eq!(names(&dir), ["spec.bin"]);
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn rotation_keeps_the_newest_snapshots_in_one_scan_and_deletes_stray_journals() {
+        let dir = temp_dir("rotate");
+        for epoch in 0..5u64 {
+            fs::write(shard_snapshot_path(&dir, epoch), b"snap").expect("write");
+            stray_journal(&dir, epoch, 1);
+        }
+        fs::write(dir.join("shard-ckpt-000005.tmp"), b"torn").expect("write");
+        fs::write(dir.join("spec.bin"), b"spec").expect("write");
+        let ck = CheckpointConfig {
+            keep_snapshots: 2,
+            ..CheckpointConfig::new(&dir)
+        };
+        let storage = Storage::quiet();
+        assert_eq!(rotate_shards(&storage, &ck), OpOutcome::Done);
         assert_eq!(
-            archive_shard_dir(&dir),
-            (0, 0),
-            "no sealed snapshot yet: journals must survive untouched"
+            names(&dir),
+            ["shard-ckpt-000003.bin", "shard-ckpt-000004.bin", "spec.bin"]
         );
-        assert!(shard_journal_path(&dir, 0, 0).is_file());
+        assert!(storage.counters().is_quiet(), "{:?}", storage.counters());
         let _ = fs::remove_dir_all(dir);
     }
 
@@ -1542,11 +1463,155 @@ mod tests {
     fn shard_file_names_round_trip() {
         assert_eq!(parse_shard_snapshot("shard-ckpt-000007.bin"), Some(7));
         assert_eq!(parse_shard_snapshot("shard-ckpt-7.bin"), None);
-        assert_eq!(
-            parse_shard_journal("shard-journal-000003-002.bin"),
-            Some((3, 2))
-        );
-        assert_eq!(parse_shard_journal("shard-journal-3-2.bin"), None);
-        assert_eq!(parse_shard_journal("ckpt-000000000001.bin"), None);
+        assert_eq!(parse_shard_snapshot("shard-ckpt-00007.bin"), None);
+        assert_eq!(parse_shard_snapshot("shard-ckpt-00000x.bin"), None);
+        assert_eq!(parse_shard_snapshot("ckpt-000000000001.bin"), None);
+        assert_eq!(parse_shard_snapshot("shard-journal-000003-002.bin"), None);
+        // Past epoch 999,999 the padded name grows a seventh digit, and it
+        // must stay visible to resume and rotation.
+        let dir = Path::new("/ckpt");
+        for epoch in [0, 7, 999_999, 1_000_000, 12_345_678, u64::MAX] {
+            let path = shard_snapshot_path(dir, epoch);
+            let name = path.file_name().and_then(|n| n.to_str()).expect("utf-8 name");
+            assert_eq!(parse_shard_snapshot(name), Some(epoch), "{name}");
+        }
+        assert_eq!(parse_shard_snapshot("shard-ckpt-99999999999999999999999.bin"), None);
+    }
+
+    #[test]
+    fn scan_orders_snapshots_numerically_past_six_digits() {
+        let dir = temp_dir("scan");
+        for epoch in [1_000_000u64, 999_999, 2] {
+            fs::write(shard_snapshot_path(&dir, epoch), b"snap").expect("write");
+        }
+        let epochs: Vec<u64> = scan_shard_dir(&dir)
+            .expect("scan")
+            .snapshots
+            .into_iter()
+            .map(|(e, _)| e)
+            .collect();
+        assert_eq!(epochs, [2, 999_999, 1_000_000]);
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    /// A 2-lane, 3-epoch checkpointed campaign over the property-test
+    /// target, optionally killed, optionally resumed.
+    fn campaign(
+        dir: &Path,
+        kill: Option<u64>,
+        resume: bool,
+    ) -> Result<CampaignOutcome, CampaignError> {
+        campaign_on(crate::proptests::RESUME_TARGET, dir, kill, resume)
+    }
+
+    fn campaign_on(
+        src: &str,
+        dir: &Path,
+        kill: Option<u64>,
+        resume: bool,
+    ) -> Result<CampaignOutcome, CampaignError> {
+        let module = minic::compile("t", src).expect("compiles");
+        let factory = crate::proptests::CxFactory { module: &module };
+        let cfg = CampaignConfig {
+            budget_cycles: 1_500_000,
+            seed: 3,
+            ..CampaignConfig::default()
+        };
+        let seeds = vec![b"go".to_vec(), b"CX!".to_vec()];
+        let mut ck = CheckpointConfig::new(dir);
+        ck.kill_after_execs = kill;
+        let c = crate::Campaign::new(&seeds, &cfg)
+            .factory(&factory)
+            .lanes(2)
+            .sync_epochs(3)
+            .shards(1)
+            .checkpoint(ck);
+        if resume {
+            c.resume().map(|(out, _)| out)
+        } else {
+            c.run()
+        }
+    }
+
+    #[test]
+    fn a_pre_v4_shard_snapshot_resumes_to_a_typed_error() {
+        let dir = temp_dir("v3");
+        // The v3 layout: epoch, lane count, then one full snapshot per
+        // lane, sealed under the single-driver format version.
+        let mut w = vmos::Writer::new();
+        w.put_u64(1);
+        w.put_usize(2);
+        for _ in 0..2 {
+            let st = SnapshotState {
+                scalars: Scalars {
+                    stage: Stage::Pick,
+                    clock: 10,
+                    execs: 3,
+                    hangs: 0,
+                    mgmt_cycles: 0,
+                    exec_cycles: 0,
+                    retries: 0,
+                    dropped_inputs: 0,
+                    harness_faults: 0,
+                    consecutive_hangs: 0,
+                    watchdog_trips: 0,
+                    rng: [1, 2, 3, 4],
+                    backoff_rng: [5, 6, 7, 8],
+                    cursor: 0,
+                },
+                entries: Vec::new(),
+                virgin: VirginMap::new(),
+                crashes: Vec::new(),
+                exec_state: None,
+            };
+            w.put_bytes(&st.encode());
+        }
+        let v3 = crate::checkpoint::seal_snapshot(&w.into_bytes(), 0);
+        assert_eq!(&v3[4..8], &3u32.to_le_bytes(), "sealed as v3");
+        let path = shard_snapshot_path(&dir, 1);
+        fs::write(&path, &v3).expect("write");
+        assert!(load_shard_snapshot(&path).is_err(), "a v3 file must not parse as v4");
+        match campaign(&dir, None, true) {
+            Err(CampaignError::Checkpoint(CheckpointError::NoUsableSnapshot)) => {}
+            other => panic!("expected NoUsableSnapshot, got {other:?}"),
+        }
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn resume_against_another_target_is_refused() {
+        let dir = temp_dir("mismatch");
+        let killed = campaign(&dir, Some(40), false).expect("killed run");
+        assert!(matches!(killed, CampaignOutcome::Killed { .. }), "{killed:?}");
+        let other = "fn main() { return 0; }";
+        match campaign_on(other, &dir, None, true) {
+            Err(CampaignError::Checkpoint(CheckpointError::TargetMismatch { .. })) => {}
+            other => panic!("expected TargetMismatch, got {other:?}"),
+        }
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn stray_lane_journals_are_ignored_by_resume() {
+        let dir = temp_dir("stray");
+        let want = campaign(&dir, None, false)
+            .expect("run")
+            .finished()
+            .expect("no kill planned");
+        fs::remove_dir_all(&dir).expect("clear");
+        let killed = campaign(&dir, Some(want.execs / 2), false).expect("killed run");
+        assert!(matches!(killed, CampaignOutcome::Killed { .. }), "{killed:?}");
+        // Journals an older build would have left for the torn epoch, one
+        // of them garbage.
+        for lane in 0..2 {
+            stray_journal(&dir, 1, lane);
+        }
+        fs::write(dir.join("shard-journal-000002-000.bin"), [0xFF; 64]).expect("write");
+        let got = campaign(&dir, None, true)
+            .expect("resume")
+            .finished()
+            .expect("no kill planned");
+        assert_eq!(want.outcome_diff(&got), None);
+        let _ = fs::remove_dir_all(dir);
     }
 }

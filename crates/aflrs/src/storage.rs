@@ -26,17 +26,17 @@
 //!
 //! Fault injection is driven by a position-pure
 //! [`DiskFaultPlan`](vmos::DiskFaultPlan): decisions are keyed by
-//! `(stream, op, attempt)`, where stream 0 is the campaign's coordinator
-//! control plane (snapshots, rotation, sweeps) and stream `1 + lane` is
-//! that lane's journal stream. Per-stream operation numbering makes the
-//! same plan hit the same operation regardless of how concurrent lanes
-//! interleave — the same scheduling-independence argument as
-//! [`OrchFaultPlan`](vmos::OrchFaultPlan).
+//! `(stream, op, attempt)`. Every campaign has one stream, stream 0, the
+//! coordinator: the single driver's snapshots, journal and rotation, or a
+//! sharded campaign's barrier snapshots, rotation and sweeps. Lanes do no
+//! I/O of their own (a sharded campaign is durable only at its barriers),
+//! so the operation numbering is the coordinator's program order and
+//! cannot depend on how concurrent lanes interleave. A plan keyed at any
+//! other stream never fires.
 
 use std::fs;
 use std::io::{self, Read as _, Seek, SeekFrom, Write as _};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use serde::{Deserialize, Serialize};
@@ -48,8 +48,7 @@ use vmos::{DiskFaultKind, DiskFaultPlan, PlanKind, Reader, WireError, Writer};
 /// result carries every degradation, never a silent drop.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StorageDegradation {
-    /// Which I/O stream degraded (0 = coordinator, `1 + lane` = that
-    /// lane's journal stream).
+    /// Which I/O stream degraded (always 0, the coordinator).
     pub stream: u64,
     /// Operation index whose repeated failures exhausted the budget.
     pub op: u64,
@@ -100,7 +99,7 @@ impl StorageCounters {
         self == &StorageCounters::default()
     }
 
-    /// Fold another campaign's (or worker's) counters into this one.
+    /// Fold another campaign's counters into this one.
     pub fn absorb(&mut self, other: &StorageCounters) {
         self.transient_faults += other.transient_faults;
         self.retries += other.retries;
@@ -115,7 +114,7 @@ impl StorageCounters {
         self.degradations.extend(other.degradations.iter().cloned());
     }
 
-    /// Encode for transfer from a worker process (barrier reporting).
+    /// Encode for the wire (results travel over RPC).
     pub(crate) fn encode(&self, w: &mut Writer) {
         w.put_u64(self.transient_faults);
         w.put_u64(self.retries);
@@ -187,8 +186,7 @@ pub(crate) enum OpOutcome {
     Done,
     /// An injected crash fault fired at this boundary: the machine is
     /// "dead" — partial bytes may be on disk, and the caller must stop
-    /// the run exactly as a power loss would (`CampaignOutcome::Killed`
-    /// in-process, `process::abort()` in a worker).
+    /// the run exactly as a power loss would (`CampaignOutcome::Killed`).
     Crashed,
     /// The stream is degraded (now or previously): the operation was
     /// dropped, counted, and the campaign continues in-memory.
@@ -234,65 +232,44 @@ struct StreamState {
     degraded: bool,
 }
 
+/// The one I/O stream: the coordinator's.
+const STREAM: u64 = 0;
+
 struct StorageShared {
     plan: DiskFaultPlan,
     max_retries: u32,
     backoff_cycles: u64,
-    /// Set when any stream hits an injected crash boundary; the epoch
-    /// loops poll it to stop the run.
-    crashed: AtomicBool,
     state: Mutex<SharedState>,
 }
 
 struct SharedState {
     counters: StorageCounters,
-    streams: Vec<StreamState>,
+    stream: StreamState,
 }
 
-impl SharedState {
-    fn stream(&mut self, stream: u64) -> &mut StreamState {
-        let idx = stream as usize;
-        while self.streams.len() <= idx {
-            self.streams.push(StreamState {
-                ops: 0,
-                degraded: false,
-            });
-        }
-        &mut self.streams[idx]
-    }
-}
-
-/// A handle onto the campaign's storage plane, bound to one I/O stream.
-/// Cheap to clone; clones share the fault plan, counters, and per-stream
-/// operation numbering.
+/// A handle onto the campaign's storage plane. Cheap to clone; clones
+/// share the fault plan, counters, and operation numbering.
 #[derive(Clone)]
 pub(crate) struct Storage {
     shared: Arc<StorageShared>,
-    stream: u64,
-    /// Added to the attempt coordinate of every fault decision. Worker
-    /// processes set this to their lane-epoch attempt so a targeted fault
-    /// consumed by attempt 0 does not re-fire when the supervisor re-runs
-    /// the epoch in a respawned worker.
-    base_attempt: u32,
 }
 
 impl Storage {
-    /// A storage plane with `plan` injected, bound to stream 0 (the
-    /// coordinator control plane).
+    /// A storage plane with `plan` injected.
     pub(crate) fn new(plan: DiskFaultPlan, max_retries: u32, backoff_cycles: u64) -> Self {
         Storage {
             shared: Arc::new(StorageShared {
                 plan,
                 max_retries,
                 backoff_cycles,
-                crashed: AtomicBool::new(false),
                 state: Mutex::new(SharedState {
                     counters: StorageCounters::default(),
-                    streams: Vec::new(),
+                    stream: StreamState {
+                        ops: 0,
+                        degraded: false,
+                    },
                 }),
             }),
-            stream: 0,
-            base_attempt: 0,
         }
     }
 
@@ -303,48 +280,9 @@ impl Storage {
         Storage::new(DiskFaultPlan::none(), 3, 2_000)
     }
 
-    /// This plane, rebound to `stream` (shares counters and numbering).
-    pub(crate) fn stream(&self, stream: u64) -> Storage {
-        Storage {
-            shared: Arc::clone(&self.shared),
-            stream,
-            base_attempt: self.base_attempt,
-        }
-    }
-
-    /// This plane with fault decisions offset by `base_attempt`.
-    pub(crate) fn with_base_attempt(&self, base_attempt: u32) -> Storage {
-        Storage {
-            shared: Arc::clone(&self.shared),
-            stream: self.stream,
-            base_attempt,
-        }
-    }
-
-    /// Has any stream hit an injected crash boundary?
-    pub(crate) fn crashed(&self) -> bool {
-        self.shared.crashed.load(Ordering::SeqCst)
-    }
-
     /// Snapshot of the accumulated counters.
     pub(crate) fn counters(&self) -> StorageCounters {
         self.shared.state.lock().expect("storage lock").counters.clone()
-    }
-
-    /// Drain the accumulated counters (worker barrier reporting: each
-    /// barrier ships the delta since the previous one).
-    pub(crate) fn take_counters(&self) -> StorageCounters {
-        std::mem::take(&mut self.shared.state.lock().expect("storage lock").counters)
-    }
-
-    /// Fold a worker's reported counters into this plane's.
-    pub(crate) fn absorb(&self, other: &StorageCounters) {
-        self.shared
-            .state
-            .lock()
-            .expect("storage lock")
-            .counters
-            .absorb(other);
     }
 
     /// Record `n` cleanup failures observed inside a sweep/rotation body
@@ -415,20 +353,18 @@ impl Storage {
         let shared = &*self.shared;
         let op = {
             let mut st = shared.state.lock().expect("storage lock");
-            let s = st.stream(self.stream);
-            if s.degraded {
+            if st.stream.degraded {
                 st.counters.writes_skipped += 1;
                 return OpOutcome::Skipped;
             }
-            let op = s.ops;
-            s.ops += 1;
+            let op = st.stream.ops;
+            st.stream.ops += 1;
             op
         };
         let mut attempt: u32 = 0;
         loop {
-            let coord = self.base_attempt.saturating_add(attempt);
-            let decided = shared.plan.decide((self.stream, op), coord);
-            let aux = shared.plan.aux_bits((self.stream, op), coord);
+            let decided = shared.plan.decide((STREAM, op), attempt);
+            let aux = shared.plan.aux_bits((STREAM, op), attempt);
             let failed: io::Result<()> = match decided {
                 None => body(&Injected::None),
                 Some(DiskFaultKind::NoSpace) => Err(io::Error::from_raw_os_error(28)), // ENOSPC
@@ -441,7 +377,6 @@ impl Storage {
                     let _ = body(&Injected::Partial(aux));
                     let mut st = shared.state.lock().expect("storage lock");
                     st.counters.crashes += 1;
-                    shared.crashed.store(true, Ordering::SeqCst);
                     return OpOutcome::Crashed;
                 }
                 Some(DiskFaultKind::RenameLost) => {
@@ -453,7 +388,6 @@ impl Storage {
                     let _ = body(&inj);
                     let mut st = shared.state.lock().expect("storage lock");
                     st.counters.crashes += 1;
-                    shared.crashed.store(true, Ordering::SeqCst);
                     return OpOutcome::Crashed;
                 }
                 Some(DiskFaultKind::Bitrot) => {
@@ -479,12 +413,12 @@ impl Storage {
             st.counters.transient_faults += 1;
             if attempt >= shared.max_retries {
                 st.counters.degradations.push(StorageDegradation {
-                    stream: self.stream,
+                    stream: STREAM,
                     op,
                     attempts: u64::from(attempt) + 1,
                     last_error,
                 });
-                st.stream(self.stream).degraded = true;
+                st.stream.degraded = true;
                 return OpOutcome::Skipped;
             }
             attempt += 1;
@@ -570,7 +504,6 @@ mod tests {
             );
         }
         assert!(s.counters().is_quiet(), "clean runs leave zero counters");
-        assert!(!s.crashed());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -590,49 +523,43 @@ mod tests {
 
     #[test]
     fn exhausted_budget_degrades_stream_not_campaign() {
-        let mut plan = DiskFaultPlan::at((2, 0), DiskFaultKind::Io);
+        let mut plan = DiskFaultPlan::at((0, 1), DiskFaultKind::Io);
         plan.targeted[0].fires = 99;
         let s = Storage::new(plan, 2, 0);
-        let lane = s.stream(2);
-        assert_eq!(lane.op(false, |_| Ok(())), OpOutcome::Skipped);
+        assert_eq!(s.op(false, |_| Ok(())), OpOutcome::Done);
+        assert_eq!(s.op(false, |_| Ok(())), OpOutcome::Skipped);
         // The stream is now in-memory: later ops skip without touching disk.
         let mut body_ran = false;
         assert_eq!(
-            lane.op(false, |_| {
+            s.op(false, |_| {
                 body_ran = true;
                 Ok(())
             }),
             OpOutcome::Skipped
         );
         assert!(!body_ran, "degraded streams must not attempt I/O");
-        // Sibling streams are untouched.
-        assert_eq!(s.op(false, |_| Ok(())), OpOutcome::Done);
         let c = s.counters();
         assert_eq!(c.degradations.len(), 1);
-        assert_eq!(c.degradations[0].stream, 2);
+        assert_eq!(c.degradations[0].stream, 0);
+        assert_eq!(c.degradations[0].op, 1);
         assert_eq!(c.degradations[0].attempts, 3);
         assert_eq!(c.degradations[0].last_error, "io_error");
         assert_eq!(c.writes_skipped, 1);
     }
 
     #[test]
-    fn crash_boundary_sets_the_dead_flag() {
-        let plan = DiskFaultPlan::at((0, 0), DiskFaultKind::CrashAtBoundary);
-        let s = Storage::new(plan, 3, 0);
-        assert_eq!(s.op(false, |_| Ok(())), OpOutcome::Crashed);
-        assert!(s.crashed());
-        assert_eq!(s.counters().crashes, 1);
+    fn plans_keyed_off_the_coordinator_stream_never_fire() {
+        let s = Storage::new(DiskFaultPlan::at((1, 0), DiskFaultKind::CrashAtBoundary), 3, 0);
+        assert_eq!(s.op(false, |_| Ok(())), OpOutcome::Done);
+        assert!(s.counters().is_quiet());
     }
 
     #[test]
-    fn base_attempt_clears_consumed_faults() {
-        let plan = DiskFaultPlan::at((1, 0), DiskFaultKind::CrashAtBoundary);
-        let retry = Storage::new(plan, 3, 0).stream(1).with_base_attempt(1);
-        assert_eq!(
-            retry.op(false, |_| Ok(())),
-            OpOutcome::Done,
-            "a fires=1 fault consumed by attempt 0 must not re-fire on the re-run"
-        );
+    fn crash_boundary_reports_a_crash() {
+        let plan = DiskFaultPlan::at((0, 0), DiskFaultKind::CrashAtBoundary);
+        let s = Storage::new(plan, 3, 0);
+        assert_eq!(s.op(false, |_| Ok(())), OpOutcome::Crashed);
+        assert_eq!(s.counters().crashes, 1);
     }
 
     #[test]

@@ -24,7 +24,7 @@ use std::time::Instant;
 
 use aflrs::{
     Campaign, CampaignConfig, CampaignError, CampaignOutcome, CampaignResult, CampaignSpec,
-    CheckpointConfig, Isolation,
+    CheckpointConfig, Isolation, ResumeReport,
 };
 use serde::Serialize;
 use vmos::ReferenceEngineGuard;
@@ -130,6 +130,46 @@ pub fn assert_passed(cells: &[Cell]) {
 /// Run one test-size part and panic unless every cell passed.
 pub fn check(part: Part) {
     assert_passed(&run(Size::Test, &[part]));
+}
+
+/// The `main` of a plane test binary built with `harness = false`, whose
+/// parts run lane-per-process campaigns: the supervisor spawns lane
+/// workers by re-exec'ing the current executable, so this installs
+/// [`aflrs::worker_main_hook`] first, then runs each named part through
+/// [`check`], reporting in libtest's format, and exits nonzero if any
+/// part failed.
+pub fn test_main(parts: &[(&str, Part)]) {
+    use std::io::Write as _;
+    aflrs::worker_main_hook(crate::factory_from_spec);
+    println!("\nrunning {} tests", parts.len());
+    let mut failed = 0usize;
+    for &(name, part) in parts {
+        print!("test {name} ... ");
+        let _ = std::io::stdout().flush();
+        match std::panic::catch_unwind(|| check(part)) {
+            Ok(()) => println!("ok"),
+            Err(_) => {
+                println!("FAILED");
+                failed += 1;
+            }
+        }
+    }
+    println!(
+        "\ntest result: {}. {} passed; {failed} failed\n",
+        if failed == 0 { "ok" } else { "FAILED" },
+        parts.len() - failed
+    );
+    if failed > 0 {
+        std::process::exit(1);
+    }
+}
+
+/// Name each part as the test harness would list it.
+#[macro_export]
+macro_rules! named_parts {
+    ($plane:ident: $($part:ident),* $(,)?) => {
+        [$((stringify!($part), $crate::planes::$plane::$part as $crate::planes::Part)),*]
+    };
 }
 
 /// Run `parts` in order at `size`.
@@ -314,20 +354,39 @@ pub(crate) fn finished(
 
 /// A leg that had a kill planned at `kill_at` execs must have died there:
 /// a leg that finished, or died short of the kill point, proves nothing
-/// about resuming from it.
+/// about resuming from it. Returns the executions the kill left behind.
 pub(crate) fn killed(
     out: Result<CampaignOutcome, CampaignError>,
     kill_at: u64,
-) -> Result<(), String> {
+) -> Result<u64, String> {
     match out.map_err(|e| e.to_string())? {
-        CampaignOutcome::Killed { execs } => ensure(execs >= kill_at, || {
-            format!("killed at {execs} execs, short of the planned kill at {kill_at}")
-        }),
+        CampaignOutcome::Killed { execs } => {
+            ensure(execs >= kill_at, || {
+                format!("killed at {execs} execs, short of the planned kill at {kill_at}")
+            })?;
+            Ok(execs)
+        }
         CampaignOutcome::Finished(r) => Err(format!(
             "the planned kill never fired: the campaign finished after {} execs",
             r.execs
         )),
     }
+}
+
+/// The resume report a resumed result carries.
+pub(crate) fn resume_report(r: &CampaignResult) -> Result<&ResumeReport, String> {
+    r.resume
+        .as_ref()
+        .ok_or_else(|| "resumed result carries no resume report".to_string())
+}
+
+/// A campaign killed at `killed_at` execs and resumed from `report`'s
+/// snapshot re-ran work: the kill landed strictly past the snapshot, so
+/// the resume recomputed (or, single-driver, replayed) the difference.
+pub(crate) fn reran(killed_at: u64, report: &ResumeReport) -> Result<(), String> {
+    ensure(killed_at > report.snapshot_execs, || {
+        format!("the kill at {killed_at} execs left nothing past the resumed snapshot: {report:?}")
+    })
 }
 
 /// The campaign settings every grid varies only in seed and budget.
@@ -450,18 +509,34 @@ impl Setup {
     pub(crate) fn kill_and_resume(
         &self,
         kill_at: u64,
+        first: (usize, Isolation),
+        second: (usize, Isolation),
+    ) -> Result<CampaignResult, String> {
+        let (r, _) = self.kill_then_resume(kill_at, first, second, |_| Ok(()))?;
+        Ok(r)
+    }
+
+    /// [`Setup::kill_and_resume`] running `between` over the checkpoint
+    /// directory before the resume; also returns the executions the kill
+    /// left behind.
+    pub(crate) fn kill_then_resume(
+        &self,
+        kill_at: u64,
         (shards, iso): (usize, Isolation),
         (resume_shards, resume_iso): (usize, Isolation),
-    ) -> Result<CampaignResult, String> {
+        between: impl FnOnce(&Path) -> Result<(), String>,
+    ) -> Result<(CampaignResult, u64), String> {
         in_scratch("resume", |dir| {
             let mut ck = CheckpointConfig::new(dir);
             ck.kill_after_execs = Some(kill_at);
             let first = self.leg(shards, false, |c| c.isolation(iso).checkpoint(ck.clone()));
-            killed(first, kill_at)?;
+            let killed_at = killed(first, kill_at)?;
+            between(dir)?;
             ck.kill_after_execs = None;
-            finished(self.leg(resume_shards, true, |c| {
+            let r = finished(self.leg(resume_shards, true, |c| {
                 c.isolation(resume_iso).checkpoint(ck)
-            }))
+            }))?;
+            Ok((r, killed_at))
         })
     }
 }
@@ -527,7 +602,7 @@ mod tests {
         assert!(why.contains("short of the planned kill at 97"), "{why}");
         assert_eq!(
             killed(Ok(CampaignOutcome::Killed { execs: 97 }), 97),
-            Ok(())
+            Ok(97)
         );
     }
 }

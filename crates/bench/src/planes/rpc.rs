@@ -25,7 +25,8 @@ use aflrs::{
 use vmos::{NetFaultKind, NetFaultPlan, PlanKind};
 
 use super::{
-    budget, cfg, ensure, in_scratch, same, tenant, Block, Cell, Fail, Grid, Part, Role, Setup, Size,
+    budget, cfg, ensure, in_scratch, reran, resume_report, same, tenant, Block, Cell, Fail, Grid,
+    Part, Role, Setup, Size,
 };
 use crate::MechanismResolver;
 
@@ -274,13 +275,16 @@ fn server_churn(g: &mut Grid, seed: u64, budget: u64, shards: usize) {
             let h = client
                 .submit(tenant("churn", TARGET, shards, cfg(seed, budget)))
                 .fail()?;
-            match h.await_result() {
+            let killed_at = match h.await_result() {
                 Err(RemoteError::Service(ServiceError::Killed { execs }))
-                    if execs >= CHURN_KILL => {}
+                    if execs >= CHURN_KILL =>
+                {
+                    execs
+                }
                 other => return Err(format!("expected the kill over the wire, got {other:?}")),
-            }
-            // Abrupt server death; the durable state is spec.bin, the torn
-            // shard checkpoints and the reply journal.
+            };
+            // Abrupt server death; the durable state is spec.bin, the
+            // shard snapshots up to the last barrier and the reply journal.
             server.kill();
             drop(first);
             let second = Service::restore(ServiceConfig::new(dir), resolver()).fail()?;
@@ -293,13 +297,7 @@ fn server_churn(g: &mut Grid, seed: u64, budget: u64, shards: usize) {
             server.stop();
             let r = r?;
             same(&r, &want, BOTH)?;
-            let report = r
-                .resume
-                .as_ref()
-                .ok_or("restored result carries no resume report")?;
-            ensure(report.records_applied > 0, || {
-                format!("no journal tail replayed: {report:?}")
-            })?;
+            reran(killed_at, resume_report(&r)?)?;
             ensure(
                 client.session() == session && client.counters().sessions_resumed > 0,
                 || "the successor server reassigned the session instead of resuming it".to_string(),

@@ -21,8 +21,8 @@ use std::time::{Duration, Instant};
 use aflrs::{CampaignResult, CampaignSpec, Service, ServiceConfig, ServiceError};
 
 use super::{
-    budget, cfg, ensure, in_scratch, same, scratch, tenant, Block, Cell, Fail, Grid, Part, Role,
-    Setup, Size,
+    budget, cfg, ensure, in_scratch, reran, resume_report, same, scratch, tenant, Block, Cell,
+    Fail, Grid, Part, Role, Setup, Size,
 };
 use crate::MechanismResolver;
 
@@ -65,20 +65,22 @@ fn restore(svc: ServiceConfig) -> Result<Service, String> {
 }
 
 /// A service over `svc` that runs `specs` side by side until each dies at
-/// the armed kill switch.
+/// the armed kill switch; also returns each tenant's execs at its kill, in
+/// spec order.
 fn killed(
     svc: ServiceConfig,
     specs: impl IntoIterator<Item = CampaignSpec>,
-) -> Result<Service, String> {
+) -> Result<(Service, Vec<u64>), String> {
     let kill = svc.kill_after_execs.ok_or("no kill switch armed")?;
     let service = start(svc)?;
     let handles = specs
         .into_iter()
         .map(|spec| service.submit(spec).fail())
         .collect::<Result<Vec<_>, _>>()?;
+    let mut kills = Vec::with_capacity(handles.len());
     for h in handles {
         match h.await_result() {
-            Err(ServiceError::Killed { execs }) if execs >= kill => {}
+            Err(ServiceError::Killed { execs }) if execs >= kill => kills.push(execs),
             other => {
                 return Err(format!(
                     "{}: expected a kill at {kill} execs, got {other:?}",
@@ -87,7 +89,7 @@ fn killed(
             }
         }
     }
-    Ok(service)
+    Ok((service, kills))
 }
 
 /// `ServiceConfig` over `dir` with the kill switch armed at `kill`.
@@ -206,7 +208,8 @@ fn eval_churn(g: &mut Grid, reference: bool) {
 
 /// One churn round: the tenants (name, target, shards, reference) die
 /// together at `kill` execs, then a restored service resumes each to its
-/// reference from a warm decoded image.
+/// reference from a warm decoded image, re-running the work past its
+/// last barrier.
 fn churn(
     g: &mut Grid,
     shape: &Shape,
@@ -221,19 +224,28 @@ fn churn(
         let specs = tenants
             .iter()
             .map(|&(name, target, shards, _)| shape.tenant(name, target, shards));
-        drop(killed(killing(&dir, kill), specs)?);
-        restore(ServiceConfig::new(&dir))
+        let (_, kills) = killed(killing(&dir, kill), specs)?;
+        Ok((restore(ServiceConfig::new(&dir))?, kills))
     });
-    if let Some(service) = restored {
-        for &(name, target, shards, want) in tenants {
-            g.cell(target, format!("{engine} {name} shards={shards} kill@{kill}"), || {
-                let r = service.handle(name).ok_or("tenant not restored")?.await_result().fail()?;
-                same(&r, want, BOTH)?;
-                let report = r.resume.as_ref().ok_or("restored result carries no resume report")?;
-                ensure(report.records_applied > 0 && report.decoded_image_ready, || {
-                    format!("resume must replay a journal tail from a warm decoded image: {report:?}")
-                })
-            });
+    if let Some((service, kills)) = restored {
+        for (&(name, target, shards, want), &killed_at) in tenants.iter().zip(&kills) {
+            g.cell(
+                target,
+                format!("{engine} {name} shards={shards} kill@{kill}"),
+                || {
+                    let r = service
+                        .handle(name)
+                        .ok_or("tenant not restored")?
+                        .await_result()
+                        .fail()?;
+                    same(&r, want, BOTH)?;
+                    let report = resume_report(&r)?;
+                    reran(killed_at, report)?;
+                    ensure(report.decoded_image_ready, || {
+                        format!("resume must start from a warm decoded image: {report:?}")
+                    })
+                },
+            );
         }
         let stats = service.stats();
         let n = tenants.len();
@@ -298,7 +310,7 @@ fn archival(g: &mut Grid, shape: &Shape, want: &CampaignResult) {
         in_scratch("service-archive", |dir| {
             let mut svc = killing(dir, 151);
             svc.retain_terminal = Some(0);
-            let service = killed(svc, [shape.tenant("sealed", "giftext", 2)])?;
+            let (service, kills) = killed(svc, [shape.tenant("sealed", "giftext", 2)])?;
             // The sweep runs on the worker thread after the tenant parks:
             // wait for the counter rather than race it.
             let deadline = Instant::now() + Duration::from_secs(10);
@@ -330,13 +342,7 @@ fn archival(g: &mut Grid, shape: &Shape, want: &CampaignResult) {
                 .await_result()
                 .fail()?;
             same(&r, want, BOTH)?;
-            let report = r
-                .resume
-                .as_ref()
-                .ok_or("restored result carries no resume report")?;
-            ensure(report.records_applied > 0, || {
-                format!("the sealed journal tail was not replayed: {report:?}")
-            })
+            reran(kills[0], resume_report(&r)?)
         })
     });
 }
@@ -360,7 +366,7 @@ pub fn restore_decodes_once(g: &mut Grid) {
             let mut svc = killing(dir, 97);
             svc.max_campaigns = TENANTS;
             let specs = (0..TENANTS).map(|i| shape.tenant(&format!("gif-{i:03}"), "giftext", 1));
-            drop(killed(svc, specs)?);
+            drop(killed(svc, specs)?.0);
             // A server restart: cold decoded-image cache, zero counters.
             vmos::DecodedImage::cache_evict_all();
             vmos::reset_decode_counters();

@@ -1,8 +1,10 @@
 //! Storage plane: the ALICE-style crash-consistency gauntlet over
 //! checkpoint storage. A deterministic disk fault — ENOSPC, EIO, a short
 //! write, a machine death at the I/O boundary, a lost rename, silent
-//! bitrot — is injected at a grid of I/O operation boundaries on every
-//! storage stream (the coordinator, and each lane journal), and every cell
+//! bitrot — is injected at a grid of I/O operation boundaries of the
+//! campaign's one storage stream, the coordinator's: the single driver's
+//! snapshots, journal and rotation, or a sharded campaign's barrier
+//! snapshots and rotation (lanes do no I/O between barriers). Every cell
 //! must end in a sanctioned state:
 //!
 //! * transient kinds retry with seeded backoff, or degrade to in-memory
@@ -57,10 +59,10 @@ const PROBE: &str = r#"
 /// How a lab's campaigns execute.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Mode {
-    /// One driver, one executor: every storage op is on stream 0.
+    /// One driver, one executor.
     Single,
-    /// 2 workers over 2 lanes × 2 epochs: stream 0 is the coordinator,
-    /// stream `1 + lane` that lane's journal.
+    /// 2 workers over 2 lanes × 2 epochs: the coordinator writes the
+    /// barrier snapshots; lanes write nothing.
     Sharded(Isolation),
 }
 
@@ -159,12 +161,12 @@ impl Lab {
         }
     }
 
-    /// Inject `kind` `fires` times at `(stream, op)` under an optional
-    /// kill switch, and recover by the ALICE rules. A planned kill must
-    /// fire.
+    /// Inject `kind` `fires` times at coordinator op `op` under an
+    /// optional kill switch, and recover by the ALICE rules. A planned
+    /// kill must fire.
     fn recover(
         &self,
-        (kind, (stream, op), fires): (DiskFaultKind, (u64, u64), u32),
+        (kind, op, fires): (DiskFaultKind, u64, u32),
         kill: Option<u64>,
     ) -> Result<(CampaignResult, Recovery), String> {
         in_scratch("storage-cell", |dir| {
@@ -173,7 +175,7 @@ impl Lab {
             // gives the single driver several generations to fault.
             ck.snapshot_every_execs = 30;
             ck.kill_after_execs = kill;
-            let mut plan = DiskFaultPlan::at((stream, op), kind);
+            let mut plan = DiskFaultPlan::at((0, op), kind);
             plan.targeted[0].fires = fires;
             let first = self
                 .leg(Some(plan), Some(&ck), false)
@@ -205,12 +207,12 @@ impl Lab {
         &self,
         g: &mut Grid,
         want: &CampaignResult,
-        fault: (DiskFaultKind, (u64, u64), u32),
+        fault: (DiskFaultKind, u64, u32),
         kill: Option<u64>,
         verdict: impl FnOnce(&CampaignResult, Recovery) -> Result<T, String>,
     ) -> Option<T> {
-        let (kind, at, fires) = fault;
-        let label = format!("{:?} {} x{fires} at {at:?}", self.mode, kind.name());
+        let (kind, op, fires) = fault;
+        let label = format!("{:?} {} x{fires} at op {op}", self.mode, kind.name());
         g.cell(self.name, label, || {
             let (r, how) = self.recover(fault, kill)?;
             same(&r, want, self.keep())?;
@@ -255,7 +257,7 @@ fn process_sweep(g: &mut Grid) {
     sweep(g, &Lab::giftext(g.size(), Isolation::Process));
 }
 
-/// Every fault kind at every probed boundary of every stream, then the
+/// Every fault kind at every probed coordinator boundary, then the
 /// degradation ladder, over one lab; the in-process lab also times the
 /// clean storage path.
 fn sweep(g: &mut Grid, lab: &Lab) {
@@ -284,42 +286,40 @@ fn sweep(g: &mut Grid, lab: &Lab) {
             },
         );
     });
-    // Later boundaries on a stream repeat the same operation shapes
-    // (journal appends), so a bounded prefix covers every distinct
-    // boundary kind; full mode pushes deeper.
-    let (inproc_ops, proc_ops) = if g.size() == Size::Full {
-        (12, 6)
+    // In process every coordinator boundary is probed, and one past the
+    // end. Process-mode cells spawn workers per leg, so at smoke size
+    // they probe the start-up boundaries and the first barrier
+    // snapshot's temp write and fsync.
+    let ops = if lab.mode == Mode::Sharded(Isolation::Process) && g.size() == Size::Smoke {
+        6
     } else {
-        (4, 2)
-    };
-    let ops = if lab.mode == Mode::Sharded(Isolation::Process) {
-        proc_ops
-    } else {
-        inproc_ops
+        SHARDED_OPS + 1
     };
     // Rot lands silently, so bitrot cells die young enough that the
     // resume reads the rotted generation back.
     let kill_at = (want.execs / 2).max(1);
     for &kind in DiskFaultKind::ALL {
         let kill = (kind == DiskFaultKind::Bitrot).then_some(kill_at);
-        for stream in 0..=2 {
-            for op in 0..ops {
-                lab.cell(g, &want, (kind, (stream, op), 1), kill, |_, _| Ok(()));
-            }
+        for op in 0..ops {
+            lab.cell(g, &want, (kind, op, 1), kill, |_, _| Ok(()));
         }
     }
     // Permanently broken storage must take the typed in-memory exit.
     for kind in TRANSIENT {
-        for stream in 0..=2 {
-            lab.cell(g, &want, (kind, (stream, 0), 10), None, |r, _| {
-                let st = &r.resilience.storage;
-                ensure(!st.degradations.is_empty() || st.sweep_warnings > 0, || {
-                    format!("broken storage did not take the typed exit: {st:?}")
-                })
-            });
-        }
+        lab.cell(g, &want, (kind, 0, 10), None, |r, _| {
+            let st = &r.resilience.storage;
+            ensure(!st.degradations.is_empty() || st.sweep_warnings > 0, || {
+                format!("broken storage did not take the typed exit: {st:?}")
+            })
+        });
     }
 }
+
+/// Coordinator storage ops of a 2-lane, 2-epoch sharded run: directory
+/// creation, the start-up sweep, three barrier snapshots of four ops each
+/// (temp write, fsync, rename, directory fsync), two rotations and the
+/// directory fsync after the one that unlinks.
+const SHARDED_OPS: u64 = 17;
 
 const TRANSIENT: [DiskFaultKind; 3] = [
     DiskFaultKind::NoSpace,
@@ -349,8 +349,8 @@ fn survived(how: Recovery) -> Result<(), String> {
     })
 }
 
-/// A crash at each of the first 6 boundaries of every sharded stream
-/// resumes exactly.
+/// A crash at every coordinator boundary of the sharded run, and one
+/// past the end, resumes exactly.
 pub fn sharded_crash_at_every_boundary_resumes_exactly(g: &mut Grid) {
     let lab = Lab::probe(Mode::Sharded(Isolation::InProcess));
     let Some(want) = lab.reference(g, Role::Untimed) else {
@@ -358,12 +358,8 @@ pub fn sharded_crash_at_every_boundary_resumes_exactly(g: &mut Grid) {
     };
     let mut kills = 0;
     for kind in CRASHES {
-        for stream in 0..3 {
-            for op in 0..6 {
-                kills += lab
-                    .cell(g, &want, (kind, (stream, op), 1), None, died)
-                    .unwrap_or(0);
-            }
+        for op in 0..=SHARDED_OPS {
+            kills += lab.cell(g, &want, (kind, op, 1), None, died).unwrap_or(0);
         }
     }
     exercised(g, "crash recovery", kills);
@@ -380,9 +376,7 @@ pub fn single_driver_crash_grid_resumes_exactly(g: &mut Grid) {
     let mut kills = 0;
     for kind in CRASHES {
         for op in 0..10 {
-            kills += lab
-                .cell(g, &want, (kind, (0, op), 1), None, died)
-                .unwrap_or(0);
+            kills += lab.cell(g, &want, (kind, op, 1), None, died).unwrap_or(0);
         }
     }
     exercised(g, "crash recovery", kills);
@@ -397,31 +391,29 @@ pub fn transient_faults_retry_or_degrade_typed(g: &mut Grid) {
     };
     let (mut retried, mut degraded) = (0, 0);
     for kind in TRANSIENT {
-        for stream in 0..3 {
-            for (op, fires) in [(0, 1), (2, 1), (1, 5), (3, 5)] {
-                let tally = lab.cell(g, &want, (kind, (stream, op), fires), None, |r, how| {
-                    survived(how)?;
-                    let st = &r.resilience.storage;
-                    if st.transient_faults == 0 {
-                        Ok((0, 0))
-                    } else if fires > 3 {
-                        // Past the default retry budget: the stream drops
-                        // to in-memory checkpointing with a typed report.
-                        ensure(!st.degradations.is_empty(), || {
-                            format!("retries exhausted without a typed degradation: {st:?}")
-                        })?;
-                        Ok((0, 1))
-                    } else {
-                        ensure(st.retries > 0 && st.backoff_cycles > 0, || {
-                            format!("a single fire must be retried with seeded backoff: {st:?}")
-                        })?;
-                        Ok((1, 0))
-                    }
-                });
-                let (r, d) = tally.unwrap_or_default();
-                retried += r;
-                degraded += d;
-            }
+        for (op, fires) in [(0, 1), (2, 1), (1, 5), (3, 5)] {
+            let tally = lab.cell(g, &want, (kind, op, fires), None, |r, how| {
+                survived(how)?;
+                let st = &r.resilience.storage;
+                if st.transient_faults == 0 {
+                    Ok((0, 0))
+                } else if fires > 3 {
+                    // Past the default retry budget: the stream drops to
+                    // in-memory checkpointing with a typed report.
+                    ensure(!st.degradations.is_empty(), || {
+                        format!("retries exhausted without a typed degradation: {st:?}")
+                    })?;
+                    Ok((0, 1))
+                } else {
+                    ensure(st.retries > 0 && st.backoff_cycles > 0, || {
+                        format!("a single fire must be retried with seeded backoff: {st:?}")
+                    })?;
+                    Ok((1, 0))
+                }
+            });
+            let (r, d) = tally.unwrap_or_default();
+            retried += r;
+            degraded += d;
         }
     }
     exercised(g, "the retry path", retried);
@@ -440,7 +432,7 @@ pub fn bitrot_is_scrubbed_on_resume(g: &mut Grid) {
     let kill_at = 40;
     let mut scrubbed = 0;
     for op in 0..52 {
-        let fault = (DiskFaultKind::Bitrot, (0, op), 1);
+        let fault = (DiskFaultKind::Bitrot, op, 1);
         scrubbed += lab
             .cell(g, &want, fault, Some(kill_at), |r, how| {
                 ensure(how == Recovery::Resumed, || {
@@ -464,7 +456,7 @@ pub fn cleanup_failures_warn_and_continue(g: &mut Grid) {
     let mut warned = 0;
     for op in 0..8 {
         warned += lab
-            .cell(g, &want, (DiskFaultKind::Io, (0, op), 1), None, |r, how| {
+            .cell(g, &want, (DiskFaultKind::Io, op, 1), None, |r, how| {
                 survived(how)?;
                 Ok(r.resilience.storage.sweep_warnings)
             })

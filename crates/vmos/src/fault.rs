@@ -404,9 +404,9 @@ pub type OrchFaultPlan = PositionPlan<OrchFaultKind>;
 /// Process faults on `(lane, epoch)` sites; the supervisor and the
 /// targeted worker both evaluate the plan.
 pub type ProcFaultPlan = PositionPlan<ProcFaultKind>;
-/// Storage faults on `(stream, op)` sites: stream 0 is the campaign's
-/// coordinator control plane, `1 + lane` that lane's journal stream, and
-/// each stream numbers its own operations. The attempt is the retry count.
+/// Storage faults on `(stream, op)` sites: a campaign's storage plane
+/// numbers its operations on stream 0, its coordinator (lanes do no
+/// I/O). The attempt is the retry count.
 pub type DiskFaultPlan = PositionPlan<DiskFaultKind>;
 /// Network faults on `(conn, direction, frame)` sites: each direction of
 /// each connection numbers its own frames. The attempt is how often the

@@ -6,15 +6,17 @@
 //! one, every engine writes the same bytes). They cannot notice a change
 //! that alters the bytes consistently everywhere — a reordered field, a
 //! re-framed journal record, an extra header byte. These constants can:
-//! they were computed once and must never move unless the on-disk format
-//! (`FORMAT_VERSION`) deliberately changes. Any rework of how snapshots
-//! or journal records are encoded and written has to keep them green.
+//! they were computed once and must never move unless an on-disk format
+//! (the single-driver `FORMAT_VERSION` or the shard snapshot's own
+//! version) deliberately changes. Any rework of how snapshots or journal
+//! records are encoded and written has to keep them green.
 //!
 //! Two campaigns on `gpmf-parser` are pinned: a single-driver run
 //! (`ckpt-*` snapshots plus `journal-*` write-ahead journals) and a
 //! 4-lane sharded run on one worker thread (`shard-ckpt-*` epoch
-//! snapshots plus per-lane `shard-journal-*` journals). The decoded-image
-//! sidecar is a cache, not campaign state, and is left out.
+//! snapshots only: a sharded campaign is durable at its barriers and
+//! keeps no journal). The decoded-image sidecar is a cache, not campaign
+//! state, and is left out.
 
 use aflrs::{Campaign, CampaignConfig, CampaignOutcome, CheckpointConfig};
 use closurex::executor::{Executor, ExecutorFactory};
@@ -111,47 +113,15 @@ const SINGLE_DRIVER: &[(&str, u64, u64)] = &[
 
 /// Four lanes, eight epochs, every epoch kept.
 const SHARDED: &[(&str, u64, u64)] = &[
-    ("shard-ckpt-000000.bin", 263488, 0x2a8a6a1a66ae3b18),
-    ("shard-ckpt-000001.bin", 268000, 0x0c7fa2d3d87d4ce2),
-    ("shard-ckpt-000002.bin", 268024, 0x256392e6c1dc362c),
-    ("shard-ckpt-000003.bin", 270248, 0xd97979408a725484),
-    ("shard-ckpt-000004.bin", 270248, 0xf4a0c5d7d0ad8335),
-    ("shard-ckpt-000005.bin", 270400, 0x087a7edca2b90092),
-    ("shard-ckpt-000006.bin", 270400, 0x84b4a572b1b8abf9),
-    ("shard-ckpt-000007.bin", 270400, 0xd88b25bddcbb7029),
-    ("shard-ckpt-000008.bin", 270400, 0xb4f0a55d0542a3ce),
-    ("shard-journal-000000-000.bin", 7364, 0xa441d15089ae512a),
-    ("shard-journal-000000-001.bin", 7573, 0x694564fc37e6295e),
-    ("shard-journal-000000-002.bin", 7537, 0x66d99784eede7f56),
-    ("shard-journal-000000-003.bin", 7455, 0xc97649bb8a938f36),
-    ("shard-journal-000001-000.bin", 7168, 0x2914a69b8aeca06f),
-    ("shard-journal-000001-001.bin", 7168, 0x9ef142a5038d7a8b),
-    ("shard-journal-000001-002.bin", 7168, 0x46d9de192cfce867),
-    ("shard-journal-000001-003.bin", 7168, 0x4dca165b72790b1e),
-    ("shard-journal-000002-000.bin", 7423, 0x3b4c607a7df07367),
-    ("shard-journal-000002-001.bin", 7344, 0xb61167824bd0b692),
-    ("shard-journal-000002-002.bin", 7227, 0xb11e05f1fc81e905),
-    ("shard-journal-000002-003.bin", 7312, 0xb02e8e125bd8ae85),
-    ("shard-journal-000003-000.bin", 7168, 0xf5a62614bf628f9f),
-    ("shard-journal-000003-001.bin", 7544, 0x2ea90f7b5357f879),
-    ("shard-journal-000003-002.bin", 7544, 0xd5d310c99250b25f),
-    ("shard-journal-000003-003.bin", 7544, 0x57f727d739a45664),
-    ("shard-journal-000004-000.bin", 7536, 0x455798bb7a2d063f),
-    ("shard-journal-000004-001.bin", 7208, 0x847f9cfa9d0f2564),
-    ("shard-journal-000004-002.bin", 7160, 0x48817d99f555bd83),
-    ("shard-journal-000004-003.bin", 7160, 0xa927e68c5d1fda22),
-    ("shard-journal-000005-000.bin", 7168, 0xed06533583e5fca0),
-    ("shard-journal-000005-001.bin", 7168, 0x476c1fd819cf8b66),
-    ("shard-journal-000005-002.bin", 7168, 0x8f411d921121412b),
-    ("shard-journal-000005-003.bin", 7168, 0x99a8df45f376ff4a),
-    ("shard-journal-000006-000.bin", 7544, 0xd44bdd499fb686f3),
-    ("shard-journal-000006-001.bin", 7544, 0xdc690a79b1db3da9),
-    ("shard-journal-000006-002.bin", 7544, 0xc3a5b1c8e9be0f92),
-    ("shard-journal-000006-003.bin", 7544, 0x7effd7cfacda333f),
-    ("shard-journal-000007-000.bin", 7168, 0x87b048f7441d430b),
-    ("shard-journal-000007-001.bin", 7544, 0x8353d3680fe14f5f),
-    ("shard-journal-000007-002.bin", 7544, 0x11e9fc9bea3ca9af),
-    ("shard-journal-000007-003.bin", 7544, 0x4a08b69bfe68d6d1),
+    ("shard-ckpt-000000.bin", 66776, 0x0ce5fcf8e7aa3793),
+    ("shard-ckpt-000001.bin", 67982, 0xe1bc60d1abd57514),
+    ("shard-ckpt-000002.bin", 68006, 0xa7342c8e154e51b8),
+    ("shard-ckpt-000003.bin", 68562, 0x5bbf3568886bfc24),
+    ("shard-ckpt-000004.bin", 68562, 0x35474464834ae716),
+    ("shard-ckpt-000005.bin", 68600, 0xa848a345662373fb),
+    ("shard-ckpt-000006.bin", 68600, 0x24f62a36bdfcf63f),
+    ("shard-ckpt-000007.bin", 68600, 0x87e3d9c54cea5c37),
+    ("shard-ckpt-000008.bin", 68600, 0x7930a1c4598b3a61),
 ];
 
 #[test]
@@ -187,7 +157,7 @@ fn sharded_checkpoint_files_match_golden_digests() {
         .lanes(4)
         .shards(1)
         .checkpoint(CheckpointConfig {
-            keep_snapshots: 1000, // keep every epoch's snapshot and journals
+            keep_snapshots: 1000, // keep every epoch's snapshot
             ..CheckpointConfig::new(&dir)
         })
         .run()

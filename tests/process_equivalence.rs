@@ -7,22 +7,11 @@
 //! full size.
 //!
 //! This test is `harness = false`: the supervisor spawns lane workers by
-//! re-exec'ing the current executable, so `main` installs
-//! [`aflrs::worker_main_hook`] before anything else.
-
-use bench::planes::{check, process, Part};
-
-/// Each part under its own name, as the test harness would list it.
-macro_rules! parts {
-    ($($part:ident),* $(,)?) => {
-        [$((stringify!($part), process::$part as Part)),*]
-    };
-}
+//! re-exec'ing the current executable, so `main` is
+//! [`bench::planes::test_main`], which installs the worker hook first.
 
 fn main() {
-    aflrs::worker_main_hook(bench::factory_from_spec);
-
-    let parts = parts![
+    bench::planes::test_main(&bench::named_parts![process:
         process_matches_in_process_on_giftext,
         process_matches_in_process_on_gpmf_with_crashes,
         process_identity_holds_on_reference_engine,
@@ -30,27 +19,5 @@ fn main() {
         every_worker_death_recovers_exactly,
         repeated_aborts_degrade_the_lane_not_the_campaign,
         kill_and_resume_crosses_isolation_modes,
-    ];
-    println!("\nrunning {} tests", parts.len());
-    let mut failed = 0usize;
-    for (name, part) in parts {
-        use std::io::Write as _;
-        print!("test {name} ... ");
-        let _ = std::io::stdout().flush();
-        match std::panic::catch_unwind(|| check(part)) {
-            Ok(()) => println!("ok"),
-            Err(_) => {
-                println!("FAILED");
-                failed += 1;
-            }
-        }
-    }
-    println!(
-        "\ntest result: {}. {} passed; {failed} failed\n",
-        if failed == 0 { "ok" } else { "FAILED" },
-        parts.len() - failed
-    );
-    if failed > 0 {
-        std::process::exit(1);
-    }
+    ]);
 }
