@@ -70,7 +70,7 @@ impl Executor for FreshProcessExecutor {
 
     fn run(&mut self, input: &[u8]) -> ExecOutcome {
         self.cov.clear();
-        self.os.fs.write_file(FUZZ_INPUT_PATH, input.to_vec());
+        self.os.fs.overwrite_file(FUZZ_INPUT_PATH, input);
         let (mut p, spawn_cycles) = match self.os.try_spawn(&self.module) {
             Ok(r) => r,
             Err(e) => {

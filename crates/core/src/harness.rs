@@ -25,10 +25,14 @@ use passes::pipelines::closurex_pipeline;
 use passes::{PassError, PassReport, TARGET_MAIN};
 use vmos::fs::FUZZ_INPUT_PATH;
 use vmos::mem::PageTable;
-use vmos::{CallResult, CovMap, DecodedImage, FaultPlan, FaultPlane, HostCtx, Machine, Os, Process};
+use vmos::{
+    CallResult, CovMap, DecodedImage, FaultPlan, FaultPlane, ForkServer, HostCtx, Machine, Os,
+    Process,
+};
 
 use crate::checkpoint::ExecutorState;
 use crate::executor::{ExecOutcome, ExecStatus, Executor, DEFAULT_FUEL};
+use crate::forkserver::{fork_exec, ChildCall};
 use crate::resilience::{
     fnv1a, DegradationLevel, HarnessError, IntegrityPolicy, ResilienceReport, RestoreDivergence,
 };
@@ -121,10 +125,12 @@ pub struct ClosureXExecutor {
     last_restore: RestoreStats,
     baseline_heap_bytes: u64,
     respawns: u64,
-    /// Pristine post-boot process image. After a crash kills the
-    /// persistent process, recovery is a `fork` of this template (the
-    /// AFL++-forkserver integration the paper uses), not a full re-exec.
-    template: Option<Process>,
+    /// Forkserver over the pristine post-boot process image. After a
+    /// crash kills the persistent process, recovery is a `fork` of this
+    /// template (the AFL++-forkserver integration the paper uses), not a
+    /// full re-exec; the fork-per-exec rung runs every input in its
+    /// recycled child.
+    template: Option<ForkServer>,
     /// FNV-1a of the boot-time global snapshot (integrity ground truth).
     boot_hash: u64,
     /// Open descriptors right after boot (integrity ground truth).
@@ -223,7 +229,7 @@ impl ClosureXExecutor {
             p.rt.in_init_phase = true;
             self.os
                 .fs
-                .write_file(FUZZ_INPUT_PATH, self.cfg.warmup_input.clone());
+                .overwrite_file(FUZZ_INPUT_PATH, &self.cfg.warmup_input);
             let machine = Machine::with_image(&self.module, &self.image);
             let mut warm_cov = CovMap::new();
             let mut ctx = HostCtx::new(&mut self.os, &mut warm_cov);
@@ -248,7 +254,7 @@ impl ClosureXExecutor {
         self.boot_hash = fnv1a(&self.snapshot);
         self.baseline_heap_bytes = p.heap.live_bytes();
         self.baseline_fd_open = p.fds.open_count();
-        self.template = Some(p.clone());
+        self.template = Some(ForkServer::new(p.clone()));
         self.proc = Some(p);
         Ok(boot_cycles)
     }
@@ -269,7 +275,7 @@ impl ClosureXExecutor {
             self.respawns += 1;
             return Ok(cycles);
         };
-        match self.os.try_fork(template) {
+        match self.os.try_fork(template.parent()) {
             Ok((child, cycles)) => {
                 self.proc = Some(child);
                 self.respawns += 1;
@@ -427,7 +433,7 @@ impl ClosureXExecutor {
         trace: Option<&mut Vec<u16>>,
         capture_globals: bool,
     ) -> (ExecOutcome, Option<Vec<u8>>) {
-        let Some(template) = self.template.as_ref() else {
+        let Some(template) = self.template.as_mut() else {
             self.harness_faults += 1;
             return (
                 ExecOutcome {
@@ -439,52 +445,18 @@ impl ClosureXExecutor {
                 None,
             );
         };
-        let (mut child, fork_cycles) = match self.os.try_fork(template) {
-            Ok(r) => r,
-            Err(e) => {
-                self.harness_faults += 1;
-                return (
-                    ExecOutcome {
-                        status: ExecStatus::Fault(HarnessError::ForkFailed(e.to_string())),
-                        exec_cycles: 0,
-                        mgmt_cycles: self.os.cost.fork(0),
-                        insts: 0,
-                    },
-                    None,
-                );
-            }
-        };
-        child.cov_state.reset();
         let machine = Machine::with_image(&self.module, &self.image);
-        let out = {
-            let mut ctx = match trace {
-                Some(t) => HostCtx::with_trace(&mut self.os, &mut self.cov, t),
-                None => HostCtx::new(&mut self.os, &mut self.cov),
-            };
-            machine.call(&mut child, &mut ctx, TARGET_MAIN, &[0, 0], self.cfg.fuel)
+        let call = ChildCall {
+            entry: TARGET_MAIN,
+            fuel: self.cfg.fuel,
+            pipe_cycles: 0,
+            trace,
+            capture: self.section.filter(|_| capture_globals),
         };
-        let captured = if capture_globals {
-            self.section
-                .map(|(addr, size)| child.read_bytes(addr, size as usize))
-        } else {
-            None
-        };
-        let teardown = self.os.teardown(child);
-        let status = match out.result {
-            CallResult::Return(v) => ExecStatus::Exit(v as i32),
-            CallResult::Exited(c) | CallResult::ExitHooked(c) => ExecStatus::Exit(c),
-            CallResult::Crashed(c) => ExecStatus::Crash(c),
-            CallResult::OutOfFuel => ExecStatus::Hang,
-        };
-        (
-            ExecOutcome {
-                status,
-                exec_cycles: out.cycles,
-                mgmt_cycles: fork_cycles + teardown,
-                insts: out.insts,
-            },
-            captured,
-        )
+        fork_exec(&mut self.os, template, &machine, &mut self.cov, call).unwrap_or_else(|fault| {
+            self.harness_faults += 1;
+            (fault, None)
+        })
     }
 
     /// Run one test case, optionally capturing a path trace and the global
@@ -498,7 +470,7 @@ impl ClosureXExecutor {
         capture_globals: bool,
     ) -> (ExecOutcome, Option<Vec<u8>>) {
         self.cov.clear();
-        self.os.fs.write_file(FUZZ_INPUT_PATH, input.to_vec());
+        self.os.fs.overwrite_file(FUZZ_INPUT_PATH, input);
         if self.degradation == DegradationLevel::ForkPerExec {
             return self.run_fork_per_exec(trace, capture_globals);
         }
@@ -740,7 +712,10 @@ impl Executor for ClosureXExecutor {
         // template — both must survive a kill/resume or the resumed run's
         // next teardown drifts.
         let (proc_cow_faults, proc_private_pages) = match (&self.proc, &self.template) {
-            (Some(p), Some(t)) => (p.mem.cow_faults(), self.private_pages(&p.mem, &t.mem)),
+            (Some(p), Some(t)) => (
+                p.mem.cow_faults(),
+                self.private_pages(&p.mem, &t.parent().mem),
+            ),
             (Some(p), None) => (p.mem.cow_faults(), Vec::new()),
             _ => (0, Vec::new()),
         };
@@ -1208,7 +1183,7 @@ mod tests {
     fn assert_private_pages_match_oracle(ex: &ClosureXExecutor, ctx: &str) -> Vec<u64> {
         let exported = ex.export_state().expect("closurex exports state").proc_private_pages;
         let oracle = match (&ex.proc, &ex.template) {
-            (Some(p), Some(t)) => p.mem.private_pages_vs(&t.mem),
+            (Some(p), Some(t)) => p.mem.private_pages_vs(&t.parent().mem),
             _ => Vec::new(),
         };
         assert_eq!(exported, oracle, "{ctx}: cached private pages went stale");

@@ -87,7 +87,7 @@ impl Executor for NaivePersistentExecutor {
 
     fn run(&mut self, input: &[u8]) -> ExecOutcome {
         self.cov.clear();
-        self.os.fs.write_file(FUZZ_INPUT_PATH, input.to_vec());
+        self.os.fs.overwrite_file(FUZZ_INPUT_PATH, input);
         let mut mgmt = self.os.cost.persistent_loop;
         if self.proc.is_none() {
             let attempt = match &self.template {

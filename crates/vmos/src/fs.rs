@@ -25,6 +25,21 @@ impl SimFs {
         self.files.insert(path.into(), data);
     }
 
+    /// Create or replace a file with a copy of `data`, reusing the old
+    /// contents' buffer and path when the file exists — the per-exec test
+    /// case write allocates nothing once the buffer is large enough.
+    pub fn overwrite_file(&mut self, path: &str, data: &[u8]) {
+        match self.files.get_mut(path) {
+            Some(buf) => {
+                buf.clear();
+                buf.extend_from_slice(data);
+            }
+            None => {
+                self.files.insert(path.to_string(), data.to_vec());
+            }
+        }
+    }
+
     /// Read a file's contents.
     pub fn read_file(&self, path: &str) -> Option<&[u8]> {
         self.files.get(path).map(|v| v.as_slice())
@@ -74,5 +89,30 @@ mod tests {
         fs.write_file(FUZZ_INPUT_PATH, vec![1]);
         fs.write_file(FUZZ_INPUT_PATH, vec![2, 3]);
         assert_eq!(fs.read_file(FUZZ_INPUT_PATH), Some(&[2u8, 3][..]));
+    }
+
+    #[test]
+    fn overwrite_in_place_longer_shorter_and_empty() {
+        let mut fs = SimFs::new();
+        fs.overwrite_file(FUZZ_INPUT_PATH, b"abc");
+        assert_eq!(fs.read_file(FUZZ_INPUT_PATH), Some(&b"abc"[..]), "creates");
+        fs.overwrite_file(FUZZ_INPUT_PATH, b"longer input");
+        assert_eq!(fs.read_file(FUZZ_INPUT_PATH), Some(&b"longer input"[..]));
+        let buf = fs.read_file(FUZZ_INPUT_PATH).unwrap().as_ptr();
+        fs.overwrite_file(FUZZ_INPUT_PATH, b"xy");
+        assert_eq!(
+            fs.read_file(FUZZ_INPUT_PATH).unwrap().as_ptr(),
+            buf,
+            "a shorter overwrite reuses the buffer"
+        );
+        assert_eq!(
+            fs.read_file(FUZZ_INPUT_PATH),
+            Some(&b"xy"[..]),
+            "no stale tail"
+        );
+        fs.overwrite_file(FUZZ_INPUT_PATH, b"");
+        assert_eq!(fs.read_file(FUZZ_INPUT_PATH), Some(&b""[..]));
+        assert!(fs.exists(FUZZ_INPUT_PATH), "an empty file still exists");
+        assert_eq!(fs.len(), 1);
     }
 }

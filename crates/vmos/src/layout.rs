@@ -7,6 +7,7 @@
 //! environment variables populated via `readelf`.
 
 use std::cell::Cell;
+use std::sync::Arc;
 
 use fir::{GlobalId, Module, Section};
 
@@ -44,14 +45,22 @@ impl GlobalSlot {
 /// The loaded-globals map of one process image.
 #[derive(Debug, Clone, Default)]
 pub struct GlobalMap {
-    slots: Vec<GlobalSlot>, // sorted by start
-    sections: Vec<(Section, u64, u64)>,
+    /// Immutable once [`GlobalMap::layout`] returns, so every clone (a
+    /// fork, a template copy) shares it instead of copying each name.
+    layout: Arc<Layout>,
     end: u64,
     /// `(start, end, writable)` of the last slot [`GlobalMap::access_ok`]
     /// accepted an access in; `(0, 0, _)` caches nothing. Host-only: the
     /// layout never changes after [`GlobalMap::layout`], so the entry can
     /// never go stale, and it is never serialized.
     last_hit: Cell<(u64, u64, bool)>,
+}
+
+/// The slots and sections of a [`GlobalMap`].
+#[derive(Debug, Default)]
+struct Layout {
+    slots: Vec<GlobalSlot>, // sorted by start
+    sections: Vec<(Section, u64, u64)>,
 }
 
 impl GlobalMap {
@@ -86,8 +95,7 @@ impl GlobalMap {
             }
         }
         GlobalMap {
-            slots,
-            sections,
+            layout: Arc::new(Layout { slots, sections }),
             end: cursor,
             last_hit: Cell::new((0, 0, false)),
         }
@@ -95,7 +103,7 @@ impl GlobalMap {
 
     /// Copy every global's initial image into memory.
     pub fn load_into(&self, module: &Module, mem: &mut PageTable) {
-        for slot in &self.slots {
+        for slot in &self.layout.slots {
             let g = &module.globals[slot.gid.0 as usize];
             mem.write(slot.start, &g.image());
         }
@@ -113,8 +121,9 @@ impl GlobalMap {
 
     /// The slot covering `addr`, if any.
     pub fn find(&self, addr: u64) -> Option<&GlobalSlot> {
-        let idx = self.slots.partition_point(|s| s.start <= addr);
-        let slot = self.slots.get(idx.checked_sub(1)?)?;
+        let slots = &self.layout.slots;
+        let idx = slots.partition_point(|s| s.start <= addr);
+        let slot = slots.get(idx.checked_sub(1)?)?;
         (addr < slot.end()).then_some(slot)
     }
 
@@ -148,18 +157,27 @@ impl GlobalMap {
 
     /// Address of a global by id.
     pub fn addr_of(&self, gid: GlobalId) -> Option<u64> {
-        self.slots.iter().find(|s| s.gid == gid).map(|s| s.start)
+        self.layout
+            .slots
+            .iter()
+            .find(|s| s.gid == gid)
+            .map(|s| s.start)
     }
 
     /// Address of a global by name.
     pub fn addr_of_name(&self, name: &str) -> Option<u64> {
-        self.slots.iter().find(|s| s.name == name).map(|s| s.start)
+        self.layout
+            .slots
+            .iter()
+            .find(|s| s.name == name)
+            .map(|s| s.start)
     }
 
     /// `(start, size)` of a section, if non-empty — the
     /// `CLOSURE_GLOBAL_SECTION_ADDR/SIZE` analog.
     pub fn section_range(&self, section: Section) -> Option<(u64, u64)> {
-        self.sections
+        self.layout
+            .sections
             .iter()
             .find(|(s, _, _)| *s == section)
             .map(|(_, a, l)| (*a, *l))
@@ -167,7 +185,7 @@ impl GlobalMap {
 
     /// All slots, sorted by address.
     pub fn slots(&self) -> &[GlobalSlot] {
-        &self.slots
+        &self.layout.slots
     }
 }
 
@@ -233,6 +251,21 @@ mod tests {
             mem.read_uint(ro, 4) as u32,
             u32::from_le_bytes([1, 2, 3, 4])
         );
+    }
+
+    #[test]
+    fn clones_share_the_layout_but_not_the_slot_cache() {
+        let m = module();
+        let gm = GlobalMap::layout(&m);
+        let c = gm.addr_of_name("counter").unwrap();
+        assert!(gm.access_ok(c, 8, true), "warms the original's cache");
+        let twin = gm.clone();
+        assert!(Arc::ptr_eq(&gm.layout, &twin.layout), "no per-clone copy");
+        assert_eq!(twin.slots(), gm.slots());
+        let s = gm.addr_of_name("scratch").unwrap();
+        assert!(twin.access_ok(s, 8, true), "moves only the twin's cache");
+        assert_eq!(gm.last_hit.get(), (c, c + 8, true));
+        assert_eq!(twin.last_hit.get(), (s, s + 100, true));
     }
 
     #[test]

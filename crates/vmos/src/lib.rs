@@ -61,7 +61,7 @@ pub use fault::{
     ProcFaultPlan, TargetedFault,
 };
 pub use interp::{CallOutcome, CallResult, HostCtx, Machine};
-pub use os::{Os, OsError};
+pub use os::{ForkServer, Os, OsError};
 pub use process::Process;
 pub use wire::{
     read_frame, write_frame, FrameError, Reader, WireError, Writer, FRAME_HEADER_LEN, FRAME_MAGIC,

@@ -3,7 +3,9 @@
 //! Pages are reference-counted; [`PageTable::fork`] clones only the page
 //! *table* (Arc bumps), and the first write to a shared page after a fork
 //! copies it — exactly the mechanism whose cost the paper's forkserver
-//! baseline pays per test case.
+//! baseline pays per test case. `PageTable::refork` turns a used child
+//! back into a fresh fork of its unchanged parent by re-pointing only the
+//! pages it dirtied.
 
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
@@ -96,6 +98,24 @@ pub struct PageTable {
     cow_faults: u64,
     /// See [`PageTable::ownership_stamp`]. 0 is the empty table's stamp.
     stamp: u64,
+    /// Indices whose ownership changed since this table was forked:
+    /// materialized, CoW-copied or privatized. See [`mark_dirty`].
+    dirty: Vec<u64>,
+}
+
+/// Append `page_idx` to a table's dirty list. Every listed index is
+/// mapped, so once the list holds twice as many entries as the table has
+/// `resident` pages it is mostly duplicates: deduplicate it then, which
+/// bounds its length without a set lookup on the write path. Cold and out
+/// of line, so the store path `PageTable::owned_page` stays small.
+#[cold]
+#[inline(never)]
+fn mark_dirty(dirty: &mut Vec<u64>, resident: usize, page_idx: u64) {
+    if dirty.len() >= 2 * resident.max(8) {
+        dirty.sort_unstable();
+        dirty.dedup();
+    }
+    dirty.push(page_idx);
 }
 
 impl PageTable {
@@ -169,6 +189,7 @@ impl PageTable {
             *entry = Arc::new(**entry);
         }
         self.stamp = fresh_stamp();
+        mark_dirty(&mut self.dirty, self.pages.len(), page_idx);
     }
 
     /// Duplicate the table the way `fork(2)` does: share all pages.
@@ -179,7 +200,37 @@ impl PageTable {
             tlb: RefCell::new(None),
             cow_faults: 0,
             stamp: fresh_stamp(),
+            dirty: Vec::new(),
         }
+    }
+
+    /// Turn this table back into an exact [`PageTable::fork`] of `parent`,
+    /// in time proportional to the pages it dirtied rather than to the
+    /// pages it holds: each index whose ownership changed since the last
+    /// fork is re-pointed at `parent`'s page, or unmapped if `parent` has
+    /// none. The TLB goes cold, the fault count restarts at 0 and a fresh
+    /// stamp is drawn, as for a new fork.
+    ///
+    /// `self` must have been forked (or re-forked) from `parent`, and
+    /// `parent`'s page ownership must not have changed since.
+    pub(crate) fn refork(&mut self, parent: &PageTable) {
+        *self.tlb.get_mut() = None;
+        for idx in self.dirty.drain(..) {
+            match parent.pages.get(&idx) {
+                Some(page) => {
+                    self.pages.insert(idx, Arc::clone(page));
+                }
+                None => {
+                    self.pages.remove(&idx);
+                }
+            }
+        }
+        self.cow_faults = 0;
+        self.stamp = fresh_stamp();
+        debug_assert!(
+            self.pages.len() == parent.pages.len() && self.private_pages_vs(parent).is_empty(),
+            "re-fork left pages that differ from the parent's"
+        );
     }
 
     /// Read `buf.len()` bytes starting at `addr`.
@@ -245,10 +296,12 @@ impl PageTable {
                 *tlb = None;
             }
         }
+        let resident = self.pages.len();
         let entry = match self.pages.entry(page_idx) {
             Entry::Occupied(e) => e.into_mut(),
             Entry::Vacant(e) => {
                 self.stamp = fresh_stamp();
+                mark_dirty(&mut self.dirty, resident, page_idx);
                 e.insert(zero_page())
             }
         };
@@ -258,6 +311,7 @@ impl PageTable {
             *entry = Arc::new(**entry);
             self.cow_faults += 1;
             self.stamp = fresh_stamp();
+            mark_dirty(&mut self.dirty, resident, page_idx);
         }
         Arc::get_mut(entry).expect("just un-shared")
     }

@@ -96,9 +96,7 @@ impl Os {
     /// the cycles charged (scales with the parent's resident pages).
     pub fn fork(&mut self, parent: &Process) -> (Process, u64) {
         // Build the child around `mem.fork()` directly rather than cloning
-        // the parent wholesale and overwriting `mem` — the page table is
-        // the largest field, and the discarded clone was pure waste on the
-        // forkserver's per-test-case path.
+        // the parent wholesale and overwriting `mem`.
         let mut child = Process {
             mem: parent.mem.fork(),
             heap: parent.heap.clone(),
@@ -113,11 +111,29 @@ impl Os {
             stdout: parent.stdout.clone(),
             pid: parent.pid,
         };
+        let cycles = self.charge_fork(&mut child, parent);
+        (child, cycles)
+    }
+
+    /// The kernel half of a fork, shared by [`Os::fork`] and
+    /// [`ForkServer::fork`]: give `child` the next pid and charge the
+    /// page-table copy.
+    fn charge_fork(&mut self, child: &mut Process, parent: &Process) -> u64 {
         child.pid = self.next_pid;
         self.next_pid += 1;
         let cycles = self.cost.fork(parent.mem.resident_pages());
         self.mgmt_cycles += cycles;
-        (child, cycles)
+        cycles
+    }
+
+    /// Roll the fault plane's fork failure; a refused fork still charges
+    /// the base fork cost (the kernel did the work of discovering it).
+    fn fork_refused(&mut self) -> bool {
+        if !self.fault.roll(FaultKind::ForkFail) {
+            return false;
+        }
+        self.mgmt_cycles += self.cost.fork(0);
+        true
     }
 
     /// [`Os::spawn`], but consults the fault plane first: under an active
@@ -128,9 +144,7 @@ impl Os {
     /// # Errors
     /// [`OsError::SpawnFailed`] when the fault plane injects a fork failure.
     pub fn try_spawn(&mut self, module: &Module) -> Result<(Process, u64), OsError> {
-        if self.fault.roll(FaultKind::ForkFail) {
-            let cycles = self.cost.fork(0);
-            self.mgmt_cycles += cycles;
+        if self.fork_refused() {
             return Err(OsError::SpawnFailed);
         }
         Ok(self.spawn(module))
@@ -141,9 +155,7 @@ impl Os {
     /// # Errors
     /// [`OsError::ForkFailed`] when the fault plane injects a fork failure.
     pub fn try_fork(&mut self, parent: &Process) -> Result<(Process, u64), OsError> {
-        if self.fault.roll(FaultKind::ForkFail) {
-            let cycles = self.cost.fork(0);
-            self.mgmt_cycles += cycles;
+        if self.fork_refused() {
             return Err(OsError::ForkFailed);
         }
         Ok(self.fork(parent))
@@ -152,11 +164,119 @@ impl Os {
     /// Tear a process down (`exit` + kernel reaping). Returns cycles charged,
     /// including the copy-on-write faults the child accumulated.
     pub fn teardown(&mut self, p: Process) -> u64 {
+        self.charge_teardown(&p)
+    }
+
+    fn charge_teardown(&mut self, p: &Process) -> u64 {
         let cycles =
             self.cost.teardown(p.mem.resident_pages()) + p.mem.cow_faults() * self.cost.cow_fault;
         self.mgmt_cycles += cycles;
         cycles
     }
+}
+
+/// A forkserver: a parent process that stays paused, and one child that is
+/// recycled from test case to test case.
+///
+/// [`ForkServer::fork`] and [`ForkServer::reap`] charge exactly what
+/// [`Os::try_fork`] and [`Os::teardown`] charge, and hand out the same
+/// pids. Only the host work differs: the first fork is a real
+/// [`Os::fork`], and every later one turns the reaped child back into a
+/// fresh fork of the parent in time proportional to the pages it dirtied
+/// (`PageTable::refork`) instead of copying and dropping a page table of
+/// every resident page.
+///
+/// The parent is reachable only through [`ForkServer::parent`]: the spare
+/// child shares its pages, so writing to the parent would take CoW faults
+/// a real paused forkserver never does. Re-templating means building a new
+/// `ForkServer`. Pair each [`ForkServer::fork`] with a
+/// [`ForkServer::reap`], as an exec pairs `fork` with `wait`.
+#[derive(Debug)]
+pub struct ForkServer {
+    parent: Process,
+    /// The live child between `fork` and `reap`, the spare one after.
+    child: Option<Process>,
+}
+
+impl ForkServer {
+    /// A forkserver pausing `parent`.
+    pub fn new(parent: Process) -> Self {
+        ForkServer {
+            parent,
+            child: None,
+        }
+    }
+
+    /// The paused parent.
+    pub fn parent(&self) -> &Process {
+        &self.parent
+    }
+
+    /// `fork(2)` the parent: [`Os::try_fork`]'s fault roll, pid and
+    /// charge, with the child recycled. Returns the child and the cycles
+    /// charged.
+    ///
+    /// # Errors
+    /// [`OsError::ForkFailed`] when the fault plane injects a fork failure.
+    pub fn fork(&mut self, os: &mut Os) -> Result<(&mut Process, u64), OsError> {
+        if os.fork_refused() {
+            return Err(OsError::ForkFailed);
+        }
+        let parent = &self.parent;
+        let cycles = match self.child.as_mut() {
+            Some(child) => {
+                refork(child, parent);
+                os.charge_fork(child, parent)
+            }
+            None => {
+                let (child, cycles) = os.fork(parent);
+                self.child = Some(child);
+                cycles
+            }
+        };
+        Ok((self.child.as_mut().expect("forked above"), cycles))
+    }
+
+    /// Tear the child down the way [`Os::teardown`] does, CoW faults
+    /// included, but keep it as the spare for the next
+    /// [`ForkServer::fork`]. Returns the cycles charged; 0 if no child was
+    /// ever forked.
+    pub fn reap(&mut self, os: &mut Os) -> u64 {
+        match &self.child {
+            Some(child) => os.charge_teardown(child),
+            None => 0,
+        }
+    }
+}
+
+/// Overwrite `child` with a fresh fork of `parent` (pid aside). Destructures
+/// the parent so a new `Process` field cannot be forgotten here.
+fn refork(child: &mut Process, parent: &Process) {
+    let Process {
+        mem,
+        heap,
+        fds,
+        globals,
+        frames,
+        sp,
+        cov_state,
+        rt,
+        jmpbufs,
+        rng_state,
+        stdout,
+        pid: _,
+    } = parent;
+    child.mem.refork(mem);
+    child.heap.clone_from(heap);
+    child.fds.clone_from(fds);
+    child.globals.clone_from(globals);
+    child.frames.clone_from(frames);
+    child.sp = *sp;
+    child.cov_state = *cov_state;
+    child.rt.clone_from(rt);
+    child.jmpbufs.clone_from(jmpbufs);
+    child.rng_state = *rng_state;
+    child.stdout.clone_from(stdout);
 }
 
 #[cfg(test)]
@@ -216,6 +336,39 @@ mod tests {
         os.fault = FaultPlane::disabled();
         assert!(os.try_fork(&parent).is_ok());
         assert!(os.try_spawn(&m).is_ok());
+    }
+
+    #[test]
+    fn fork_server_refuses_and_recycles_like_try_fork() {
+        use crate::fault::{FaultPlan, FaultPlane};
+        let mut os = Os::new();
+        let m = module();
+        let (parent, _) = os.spawn(&m);
+        let g = parent.globals.addr_of_name("g").unwrap();
+        let mut server = ForkServer::new(parent);
+        assert_eq!(server.reap(&mut os), 0, "nothing forked yet");
+        os.fault = FaultPlane::new(FaultPlan {
+            fork_fail: 1.0,
+            ..FaultPlan::none()
+        });
+        let before = os.mgmt_cycles;
+        assert_eq!(server.fork(&mut os).unwrap_err(), OsError::ForkFailed);
+        assert_eq!(os.mgmt_cycles - before, os.cost.fork(0));
+        os.fault = FaultPlane::disabled();
+        let mut pids = Vec::new();
+        for _ in 0..3 {
+            let (child, _) = server.fork(&mut os).unwrap();
+            assert_eq!(
+                child.mem.read_uint(g, 8),
+                0,
+                "the last exec's write is gone"
+            );
+            child.mem.write_uint(g, 9, 8);
+            pids.push(child.pid);
+            server.reap(&mut os);
+        }
+        assert_eq!(pids, [2, 3, 4], "one pid per fork, as Os::fork hands out");
+        assert_eq!(server.parent().mem.read_uint(g, 8), 0);
     }
 
     #[test]

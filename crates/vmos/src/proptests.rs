@@ -1,11 +1,15 @@
 //! Property-based tests over the OS substrate: allocator invariants, CoW
-//! isolation, and coverage-map algebra.
+//! isolation, recycled forks, and coverage-map algebra.
 
+use fir::builder::ModuleBuilder;
+use fir::Global;
 use proptest::prelude::*;
 
 use crate::cov::{classify_count, CovMap, VirginMap};
-use crate::heap::{AccessVerdict, HeapState, GUARD};
+use crate::heap::{AccessVerdict, HeapState, GUARD, HEAP_BASE};
 use crate::mem::{PageTable, PAGE_SIZE};
+use crate::os::{ForkServer, Os};
+use crate::process::{Process, STACK_TOP};
 
 #[derive(Debug, Clone)]
 enum HeapOp {
@@ -21,6 +25,102 @@ fn heap_ops() -> impl Strategy<Value = Vec<HeapOp>> {
         ],
         1..60,
     )
+}
+
+/// A parent with four pages of writable globals and two of rodata.
+fn fork_parent() -> Process {
+    let mut mb = ModuleBuilder::new("m");
+    mb.global(Global::constant("ro", vec![0x5A; 2 * PAGE_SIZE as usize]));
+    mb.global(Global::with_init("rw", vec![0xA5; 4 * PAGE_SIZE as usize]));
+    Process::load(&mb.finish(), 1 << 20, 16, 1)
+}
+
+/// One step of a child's exec: `(kind, offset, len, byte)`.
+type ChildOp = (u8, u64, u64, u8);
+
+/// Apply `op` to `p` and return the page indices whose bytes it may have
+/// changed. Writes hit the parent's pages (kinds 0–3), pages only a child
+/// materializes — heap (4) and stack (5) growth — and page boundaries (6).
+/// Kind 7 privatizes a parent, heap or stack page; kind 8 dirties the rest
+/// of the process: a heap chunk, a descriptor, stdout, the PRNG and the
+/// stack pointer.
+fn apply_op(p: &mut Process, rw: u64, (kind, off, len, byte): ChildOp) -> Vec<u64> {
+    let addr = match kind {
+        0..=3 => rw + off,
+        4 => HEAP_BASE + off,
+        5 => STACK_TOP - 4 * PAGE_SIZE + off,
+        6 => (rw / PAGE_SIZE + 1 + off % 3) * PAGE_SIZE - len / 2,
+        7 => {
+            let base = [rw, HEAP_BASE, STACK_TOP - PAGE_SIZE][off as usize % 3];
+            let idx = base / PAGE_SIZE + off % 2;
+            p.mem.privatize(idx);
+            return vec![idx];
+        }
+        _ => {
+            let _ = p.heap.alloc(len);
+            let _ = p.fds.open("/f");
+            p.stdout.push(byte);
+            p.next_rand();
+            p.sp -= 16;
+            return Vec::new();
+        }
+    };
+    p.mem.write(addr, &vec![byte; len as usize]);
+    vec![addr / PAGE_SIZE, (addr + len - 1) / PAGE_SIZE]
+}
+
+fn child_ops() -> impl Strategy<Value = Vec<Vec<ChildOp>>> {
+    let op = (0u8..9, 0u64..PAGE_SIZE * 4 - 64, 1u64..40, any::<u8>());
+    prop::collection::vec(prop::collection::vec(op, 0..10), 50..60)
+}
+
+fn page_bytes(p: &Process, idx: u64) -> Vec<u8> {
+    p.read_bytes(idx * PAGE_SIZE, PAGE_SIZE as usize)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A recycled [`ForkServer`] child is, exec after exec, the process a
+    /// fresh [`Os::fork`] of the same parent would be: same bytes, pages,
+    /// CoW faults, private pages, pid and charges.
+    #[test]
+    fn recycled_fork_matches_a_fresh_fork(execs in child_ops()) {
+        // `parent` shares every page with the server's own parent, so it
+        // stands in for it while the server's child is borrowed.
+        let parent = fork_parent();
+        let mut server = ForkServer::new(parent.clone());
+        let (mut os, mut oracle_os) = (Os::new(), Os::new());
+        let rw = parent.globals.addr_of_name("rw").expect("rw");
+        let mut touched: Vec<u64> = Vec::new();
+        for ops in execs {
+            let (child, fork_cycles) = server.fork(&mut os).expect("no fault plan");
+            let (mut oracle, oracle_fork) = oracle_os.fork(&parent);
+            prop_assert_eq!(fork_cycles, oracle_fork);
+            for &op in &ops {
+                apply_op(&mut oracle, rw, op);
+                touched.extend(apply_op(child, rw, op));
+            }
+            touched.sort_unstable();
+            touched.dedup();
+            for &idx in &touched {
+                prop_assert!(page_bytes(child, idx) == page_bytes(&oracle, idx), "page {} differs", idx);
+            }
+            prop_assert_eq!(child.pid, oracle.pid);
+            prop_assert_eq!(child.mem.resident_pages(), oracle.mem.resident_pages());
+            prop_assert_eq!(child.mem.cow_faults(), oracle.mem.cow_faults());
+            prop_assert_eq!(
+                child.mem.private_pages_vs(&parent.mem),
+                oracle.mem.private_pages_vs(&parent.mem)
+            );
+            prop_assert_eq!(child.heap.live_bytes(), oracle.heap.live_bytes());
+            prop_assert_eq!(child.fds.open_count(), oracle.fds.open_count());
+            prop_assert_eq!(&child.stdout, &oracle.stdout);
+            prop_assert_eq!((child.rng_state, child.sp), (oracle.rng_state, oracle.sp));
+            prop_assert_eq!(server.reap(&mut os), oracle_os.teardown(oracle));
+        }
+        prop_assert_eq!(os.mgmt_cycles, oracle_os.mgmt_cycles);
+    }
 }
 
 proptest! {
