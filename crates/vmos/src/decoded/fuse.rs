@@ -39,7 +39,7 @@ use std::collections::HashSet;
 use fir::Operand;
 
 use super::opt::{FuncIr, Kind, OBlock};
-use super::{ChainComp, ChainOp, ChainTail, DFunc, DOp, OptStats};
+use super::{ChainOp, ChainSrc, ChainTail, DFunc, DOp, OptStats};
 
 /// Largest value span a `Switch` may cover to become a `SwitchTable`.
 const SWITCH_TABLE_MAX_SPAN: i128 = 512;
@@ -558,11 +558,11 @@ fn build_chains(ir: &mut FuncIr, stats: &mut OptStats) {
             // `pre == 0` and draws the fused op's second charge, and its
             // site is the head site by construction.
             let mut comps = if let Some(op) = chain_op(&block.slots[i].op) {
-                vec![ChainComp { pre: 0, op }]
+                vec![ChainSrc { pre: 0, op }]
             } else if let Some([a, b]) = pair_comps(&block.slots[i].op) {
                 vec![
-                    ChainComp { pre: 0, op: a },
-                    ChainComp { pre: 0, op: b },
+                    ChainSrc { pre: 0, op: a },
+                    ChainSrc { pre: 0, op: b },
                 ]
             } else {
                 i += 1;
@@ -616,7 +616,7 @@ fn build_chains(ir: &mut FuncIr, stats: &mut OptStats) {
                                 if_true,
                                 if_false,
                             } => {
-                                comps.push(ChainComp {
+                                comps.push(ChainSrc {
                                     pre: pending,
                                     op: ChainOp::Cmp {
                                         pred: *pred,
@@ -641,11 +641,11 @@ fn build_chains(ir: &mut FuncIr, stats: &mut OptStats) {
                                 if_true,
                                 if_false,
                             } => {
-                                comps.push(ChainComp {
+                                comps.push(ChainSrc {
                                     pre: pending,
                                     op: ChainOp::Cov { id: *id },
                                 });
-                                comps.push(ChainComp {
+                                comps.push(ChainSrc {
                                     pre: 0,
                                     op: ChainOp::Cmp {
                                         pred: *pred,
@@ -668,7 +668,7 @@ fn build_chains(ir: &mut FuncIr, stats: &mut OptStats) {
                                 rhs,
                                 target,
                             } if same_site => {
-                                comps.push(ChainComp {
+                                comps.push(ChainSrc {
                                     pre: pending,
                                     op: ChainOp::Bin {
                                         op: *op,
@@ -683,7 +683,7 @@ fn build_chains(ir: &mut FuncIr, stats: &mut OptStats) {
                                 })
                             }
                             DOp::MovBr { dst, src, target } => {
-                                comps.push(ChainComp {
+                                comps.push(ChainSrc {
                                     pre: pending,
                                     op: ChainOp::Mov {
                                         dst: *dst,
@@ -701,7 +701,7 @@ fn build_chains(ir: &mut FuncIr, stats: &mut OptStats) {
                                 bytes,
                                 target,
                             } if same_site => {
-                                comps.push(ChainComp {
+                                comps.push(ChainSrc {
                                     pre: pending,
                                     op: ChainOp::Store {
                                         addr: *addr,
@@ -731,8 +731,8 @@ fn build_chains(ir: &mut FuncIr, stats: &mut OptStats) {
                             if !same_site {
                                 break;
                             }
-                            comps.push(ChainComp { pre: pending, op: a });
-                            comps.push(ChainComp { pre: 0, op: b });
+                            comps.push(ChainSrc { pre: pending, op: a });
+                            comps.push(ChainSrc { pre: 0, op: b });
                             pending = 0;
                             committed = j;
                             j += 1;
@@ -744,7 +744,7 @@ fn build_chains(ir: &mut FuncIr, stats: &mut OptStats) {
                         if crashy(&op) && !same_site {
                             break;
                         }
-                        comps.push(ChainComp { pre: pending, op });
+                        comps.push(ChainSrc { pre: pending, op });
                         pending = 0;
                         committed = j;
                     }
@@ -765,7 +765,7 @@ fn build_chains(ir: &mut FuncIr, stats: &mut OptStats) {
             }
             stats.chains += 1;
             stats.chain_comps += comps.len() as u64;
-            block.slots[i].op = DOp::chain(comps.into_boxed_slice(), tail);
+            block.slots[i].op = DOp::chain(&comps, tail);
             i = committed + 1;
         }
     }

@@ -30,7 +30,7 @@ use std::sync::Arc;
 
 use fir::{BinOp, CmpPred, FunctionId, GlobalId, Operand};
 
-use super::{ChainComp, ChainOp, ChainTail, DFunc, DOp, DecodedImage, OptStats};
+use super::{ChainComp, ChainOp, ChainSrc, ChainTail, DFunc, DOp, DecodedImage, OptStats};
 use crate::hostcalls::{HostFn, HostId};
 use crate::wire::{fnv1a, Reader, WireError, Writer};
 
@@ -315,6 +315,14 @@ fn get_operand(r: &mut Reader<'_>) -> Result<Operand, WireError> {
         1 => Operand::Imm(r.get_i64()?),
         _ => return Err(WireError::Malformed("operand tag")),
     })
+}
+
+/// A load or store width: `fir::Width` allows only 1, 2, 4 or 8 bytes.
+fn get_width(r: &mut Reader<'_>) -> Result<u64, WireError> {
+    match r.get_u64()? {
+        bytes @ (1 | 2 | 4 | 8) => Ok(bytes),
+        _ => Err(WireError::Malformed("access width")),
+    }
 }
 
 fn put_operands(w: &mut Writer, os: &[Operand]) {
@@ -797,7 +805,7 @@ fn encode_op(op: &DOp, w: &mut Writer) {
         DOp::Chain { comps, tail, .. } => {
             w.put_u8(32);
             w.put_usize(comps.len());
-            for c in comps.iter() {
+            for c in comps.iter().map(ChainComp::src) {
                 w.put_u16(c.pre);
                 encode_chain_op(&c.op, w);
             }
@@ -856,12 +864,12 @@ fn decode_op(r: &mut Reader<'_>) -> Result<DOp, WireError> {
         5 => DOp::Load {
             dst: r.get_u32()?,
             addr: get_operand(r)?,
-            bytes: r.get_u64()?,
+            bytes: get_width(r)?,
         },
         6 => DOp::Store {
             addr: get_operand(r)?,
             value: get_operand(r)?,
-            bytes: r.get_u64()?,
+            bytes: get_width(r)?,
         },
         7 => DOp::AddrOf {
             dst: r.get_u32()?,
@@ -961,7 +969,7 @@ fn decode_op(r: &mut Reader<'_>) -> Result<DOp, WireError> {
         25 => DOp::StoreBr {
             addr: get_operand(r)?,
             value: get_operand(r)?,
-            bytes: r.get_u64()?,
+            bytes: get_width(r)?,
             target: r.get_u32()?,
         },
         26 => DOp::BinLoad {
@@ -971,12 +979,12 @@ fn decode_op(r: &mut Reader<'_>) -> Result<DOp, WireError> {
             rhs: get_operand(r)?,
             ldst: r.get_u32()?,
             addr: get_operand(r)?,
-            bytes: r.get_u64()?,
+            bytes: get_width(r)?,
         },
         27 => DOp::LoadBin {
             ldst: r.get_u32()?,
             addr: get_operand(r)?,
-            bytes: r.get_u64()?,
+            bytes: get_width(r)?,
             op: bin_op_from(r.get_u8()?)?,
             bdst: r.get_u32()?,
             lhs: get_operand(r)?,
@@ -1018,7 +1026,7 @@ fn decode_op(r: &mut Reader<'_>) -> Result<DOp, WireError> {
             let n = bounded_count(r)?;
             let mut comps = Vec::with_capacity(n);
             for _ in 0..n {
-                comps.push(ChainComp {
+                comps.push(ChainSrc {
                     pre: r.get_u16()?,
                     op: decode_chain_op(r)?,
                 });
@@ -1037,7 +1045,7 @@ fn decode_op(r: &mut Reader<'_>) -> Result<DOp, WireError> {
                 },
                 _ => return Err(WireError::Malformed("chain tail tag")),
             };
-            DOp::chain(comps.into_boxed_slice(), tail)
+            DOp::chain(&comps, tail)
         }
         _ => return Err(WireError::Malformed("dop tag")),
     })
@@ -1142,12 +1150,12 @@ fn decode_chain_op(r: &mut Reader<'_>) -> Result<ChainOp, WireError> {
         6 => ChainOp::Load {
             dst: r.get_u32()?,
             addr: get_operand(r)?,
-            bytes: r.get_u64()?,
+            bytes: get_width(r)?,
         },
         7 => ChainOp::Store {
             addr: get_operand(r)?,
             value: get_operand(r)?,
-            bytes: r.get_u64()?,
+            bytes: get_width(r)?,
         },
         8 => ChainOp::AddrOf {
             dst: r.get_u32()?,
@@ -1240,14 +1248,63 @@ mod tests {
     fn seal_as(img: &DecodedImage, key: u64, version: u32) -> Vec<u8> {
         let mut payload = Writer::new();
         encode_image(img, &mut payload);
-        let payload = payload.into_bytes();
+        seal_payload(&payload.into_bytes(), key, version)
+    }
+
+    /// A sidecar around an already-encoded payload, checksum included.
+    fn seal_payload(payload: &[u8], key: u64, version: u32) -> Vec<u8> {
         let mut w = Writer::new();
         w.put_bytes(&MAGIC[..]);
         w.put_u32(version);
         w.put_u64(key);
-        w.put_u64(fnv1a(&payload));
-        w.put_bytes(&payload);
+        w.put_u64(fnv1a(payload));
+        w.put_bytes(payload);
         w.into_bytes()
+    }
+
+    #[test]
+    fn a_forged_access_width_is_rejected_not_panicked() {
+        // The encoder only writes widths `fir::Width` allows, so forge one
+        // in the payload: a chain load re-encoded with a 256-byte width,
+        // behind a valid checksum. Resolving that component would not fit
+        // its width in a byte; the decoder must refuse it first.
+        let m = sample_module();
+        let mut img = DecodedImage::new(&m);
+        let addr = Operand::Imm(0x5eed_0bad_cafe_f00d);
+        let load = ChainSrc {
+            pre: 0,
+            op: ChainOp::Load {
+                dst: 0,
+                addr,
+                bytes: 8,
+            },
+        };
+        img.opt_funcs[0].ops[0] = DOp::chain(&[load], ChainTail::Next);
+        let key = DecodedImage::cache_key(img.fingerprint);
+        let encoded_load = |bytes: u64| {
+            let mut w = Writer::new();
+            w.put_u8(6);
+            w.put_u32(0);
+            put_operand(&mut w, &addr);
+            w.put_u64(bytes);
+            w.into_bytes()
+        };
+        let (good, forged) = (encoded_load(8), encoded_load(256));
+        let mut payload = Writer::new();
+        encode_image(&img, &mut payload);
+        let mut payload = payload.into_bytes();
+        let at = payload
+            .windows(good.len())
+            .position(|w| w == good.as_slice())
+            .expect("the chain load is in the payload");
+        let sealed = seal_payload(&payload, key, SIDECAR_VERSION);
+        assert_eq!(open(&sealed, key).expect("unforged image opens"), img);
+        payload[at..at + forged.len()].copy_from_slice(&forged);
+        let sealed = seal_payload(&payload, key, SIDECAR_VERSION);
+        assert!(matches!(
+            open(&sealed, key),
+            Err(WireError::Malformed("access width"))
+        ));
     }
 
     #[test]

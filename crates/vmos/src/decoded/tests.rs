@@ -194,11 +194,7 @@ fn charge_capacity_matches_the_source_instruction_count() {
             // charge) plus every absorbed eliminated slot plus the
             // absorbed branch, if any.
             DOp::Chain { comps, tail, rest } => {
-                let comp_charges: usize = comps
-                    .iter()
-                    .skip(1)
-                    .map(|c| 1 + c.pre as usize)
-                    .sum();
+                let comp_charges: usize = comps.iter().skip(1).map(|c| 1 + c.pre() as usize).sum();
                 let charge = comp_charges
                     + match tail {
                         ChainTail::Next => 0,
@@ -338,4 +334,143 @@ fn dop_size_stays_dispatch_friendly() {
         "DOp grew to {} bytes — box the new variant's payload",
         std::mem::size_of::<DOp>()
     );
+    // A chain runs its component array in a tight loop: 24 bytes holds the
+    // widest resolved component (two 64-bit immediates plus a tag, `pre`
+    // and a register or width).
+    assert!(
+        std::mem::size_of::<ChainComp>() <= 24,
+        "ChainComp grew to {} bytes — box the new variant's payload",
+        std::mem::size_of::<ChainComp>()
+    );
+}
+
+#[test]
+fn chain_components_resolve_and_round_trip_to_their_source() {
+    use fir::{BinOp, GlobalId, Reg};
+    let (r, i) = (|n| Operand::Reg(Reg(n)), Operand::Imm);
+    let bin = |op, lhs, rhs| ChainOp::Bin {
+        op,
+        dst: 9,
+        lhs,
+        rhs,
+    };
+    let cases = [
+        (ChainOp::Const { dst: 1, value: -5 }, "Const"),
+        (ChainOp::Mov { dst: 1, src: r(2) }, "Mov"),
+        (ChainOp::Mov { dst: 1, src: i(7) }, "MovImm"),
+        (bin(BinOp::Add, r(1), r(2)), "AddRR"),
+        (bin(BinOp::Add, r(1), i(3)), "AddRI"),
+        (bin(BinOp::Add, i(3), r(1)), "AddIR"),
+        (bin(BinOp::Add, i(3), i(4)), "BinII"),
+        (bin(BinOp::Mul, r(1), r(2)), "BinRR"),
+        (bin(BinOp::Mul, r(1), i(3)), "MulRI"),
+        (bin(BinOp::Mul, i(3), r(1)), "BinIR"),
+        (bin(BinOp::And, r(1), r(2)), "BinRR"),
+        (bin(BinOp::And, r(1), i(255)), "AndRI"),
+        (bin(BinOp::SRem, r(1), i(8)), "SRemRK"),
+        (bin(BinOp::SRem, r(1), i(-8)), "SRemRK"),
+        // Divisors that can trap keep the checked generic form.
+        (bin(BinOp::SRem, r(1), i(0)), "BinRI"),
+        (bin(BinOp::SRem, r(1), i(-1)), "BinRI"),
+        (bin(BinOp::SRem, r(1), r(2)), "BinRR"),
+        (bin(BinOp::SDiv, r(1), i(2)), "BinRI"),
+        (bin(BinOp::Shl, i(1), i(2)), "BinII"),
+        (
+            ChainOp::Cmp {
+                pred: CmpPred::SLt,
+                dst: 3,
+                lhs: r(1),
+                rhs: i(4),
+            },
+            "CmpRI",
+        ),
+        (
+            ChainOp::Cmp {
+                pred: CmpPred::Eq,
+                dst: 3,
+                lhs: i(1),
+                rhs: r(4),
+            },
+            "CmpIR",
+        ),
+        (
+            ChainOp::Select {
+                dst: 3,
+                cond: r(1),
+                if_true: i(2),
+                if_false: r(3),
+            },
+            "Select",
+        ),
+        (ChainOp::Cov { id: 77 }, "Cov"),
+        (
+            ChainOp::Load {
+                dst: 2,
+                addr: r(1),
+                bytes: 8,
+            },
+            "LoadR",
+        ),
+        (
+            ChainOp::Load {
+                dst: 2,
+                addr: i(0x1000_0010),
+                bytes: 1,
+            },
+            "LoadI",
+        ),
+        (
+            ChainOp::Store {
+                addr: r(1),
+                value: r(2),
+                bytes: 4,
+            },
+            "StoreRR",
+        ),
+        (
+            ChainOp::Store {
+                addr: r(1),
+                value: i(-1),
+                bytes: 2,
+            },
+            "StoreRI",
+        ),
+        (
+            ChainOp::Store {
+                addr: i(-16),
+                value: r(2),
+                bytes: 8,
+            },
+            "StoreIR",
+        ),
+        (
+            ChainOp::Store {
+                addr: i(0x1000_0000),
+                value: i(3),
+                bytes: 1,
+            },
+            "StoreII",
+        ),
+        (
+            ChainOp::AddrOf {
+                dst: 4,
+                global: GlobalId(2),
+            },
+            "AddrOf",
+        ),
+    ];
+    for (pre, (op, form)) in cases.into_iter().enumerate() {
+        let src = ChainSrc {
+            pre: pre as u16,
+            op,
+        };
+        let comp = ChainComp::resolve(&src);
+        let name = format!("{comp:?}");
+        assert!(
+            name.starts_with(&format!("{form} ")),
+            "{src:?} resolved to {name}"
+        );
+        assert_eq!(comp.pre(), src.pre);
+        assert_eq!(comp.src(), src, "lossless");
+    }
 }

@@ -6,7 +6,7 @@ use fir::{BinOp, Inst, Module, Operand, Terminator};
 use crate::cost::CostModel;
 use crate::cov::CovMap;
 use crate::crash::{Crash, CrashKind};
-use crate::decoded::{ChainComp, ChainOp, ChainTail, DFunc, DOp, DecodedImage};
+use crate::decoded::{ChainComp, ChainTail, DFunc, DOp, DecodedImage};
 use crate::hostcalls::{self, HostRet};
 use crate::os::Os;
 use crate::process::{Frame, JmpCtx, Process, MAX_CALL_DEPTH, STACK_MAX_BYTES, STACK_TOP};
@@ -157,16 +157,13 @@ impl<'m> Machine<'m> {
             .function_id(func)
             .unwrap_or_else(|| panic!("no such function: {func}"));
         let f = &self.module.functions[fid.0 as usize];
-        let mut regs = vec![0i64; f.num_regs as usize];
-        for (i, a) in args.iter().take(f.num_params as usize).enumerate() {
-            regs[i] = *a;
-        }
+        let base = push_window(&mut p.regs, f.num_regs, f.num_params, args);
         let base_depth = p.frames.len();
         p.frames.push(Frame {
             func: fid,
             block: 0,
             ip: 0,
-            regs,
+            base,
             saved_sp: p.sp,
             ret_dst: None,
         });
@@ -179,10 +176,9 @@ impl<'m> Machine<'m> {
         // On abnormal endings, unwind any frames this call pushed and
         // restore the stack pointer (the OS would reclaim them; the
         // ClosureX harness relies on this for stack restoration).
-        if p.frames.len() > base_depth {
-            let sp = p.frames[base_depth].saved_sp;
-            p.frames.truncate(base_depth);
-            p.sp = sp;
+        if let Some(entry) = p.frames.get(base_depth) {
+            p.sp = entry.saved_sp;
+            unwind_to(p, base_depth);
         }
         out
     }
@@ -232,11 +228,11 @@ impl<'m> Machine<'m> {
                 let inst = &blk.insts[ip];
                 match inst {
                     Inst::Const { dst, value } => {
-                        p.frames.last_mut().expect("frame").regs[dst.0 as usize] = *value;
+                        *reg_mut(p, dst.0) = *value;
                     }
                     Inst::Mov { dst, src } => {
                         let v = read_op(p, *src);
-                        p.frames.last_mut().expect("frame").regs[dst.0 as usize] = v;
+                        *reg_mut(p, dst.0) = v;
                     }
                     Inst::Bin { op, dst, lhs, rhs } => {
                         let a = read_op(p, *lhs);
@@ -250,7 +246,7 @@ impl<'m> Machine<'m> {
                                 detail,
                             })),
                         };
-                        p.frames.last_mut().expect("frame").regs[dst.0 as usize] = v;
+                        *reg_mut(p, dst.0) = v;
                     }
                     Inst::Cmp {
                         pred,
@@ -259,7 +255,7 @@ impl<'m> Machine<'m> {
                         rhs,
                     } => {
                         let v = i64::from(pred.eval(read_op(p, *lhs), read_op(p, *rhs)));
-                        p.frames.last_mut().expect("frame").regs[dst.0 as usize] = v;
+                        *reg_mut(p, dst.0) = v;
                     }
                     Inst::Select {
                         dst,
@@ -272,7 +268,7 @@ impl<'m> Machine<'m> {
                         } else {
                             read_op(p, *if_false)
                         };
-                        p.frames.last_mut().expect("frame").regs[dst.0 as usize] = v;
+                        *reg_mut(p, dst.0) = v;
                     }
                     Inst::Load { dst, addr, width } => {
                         let a = read_op(p, *addr) as u64;
@@ -280,7 +276,7 @@ impl<'m> Machine<'m> {
                             finish!(CallResult::Crashed(c));
                         }
                         let v = p.mem.read_uint(a, width.bytes()) as i64;
-                        p.frames.last_mut().expect("frame").regs[dst.0 as usize] = v;
+                        *reg_mut(p, dst.0) = v;
                     }
                     Inst::Store { addr, value, width } => {
                         let a = read_op(p, *addr) as u64;
@@ -292,7 +288,7 @@ impl<'m> Machine<'m> {
                     }
                     Inst::AddrOf { dst, global } => {
                         let a = p.globals.addr_of(*global).expect("verified global") as i64;
-                        p.frames.last_mut().expect("frame").regs[dst.0 as usize] = a;
+                        *reg_mut(p, dst.0) = a;
                     }
                     Inst::Alloca { dst, size } => {
                         let rounded = u64::from(*size).div_ceil(16) * 16;
@@ -306,7 +302,7 @@ impl<'m> Machine<'m> {
                         }
                         p.sp -= rounded;
                         let a = p.sp as i64;
-                        p.frames.last_mut().expect("frame").regs[dst.0 as usize] = a;
+                        *reg_mut(p, dst.0) = a;
                     }
                     Inst::Call { dst, callee, args } => {
                         let argv: Vec<i64> = args.iter().map(|a| read_op(p, *a)).collect();
@@ -330,7 +326,7 @@ impl<'m> Machine<'m> {
                             };
                             p.jmpbufs.insert(buf, jc);
                             if let Some(d) = dst {
-                                p.frames.last_mut().expect("frame").regs[d.0 as usize] = 0;
+                                *reg_mut(p, d.0) = 0;
                             }
                             cycles += 4;
                             continue;
@@ -354,12 +350,12 @@ impl<'m> Machine<'m> {
                                     detail: "jmp_buf frame no longer live".into(),
                                 }));
                             }
-                            p.frames.truncate(jc.depth);
+                            unwind_to(p, jc.depth);
                             let fr = p.frames.last_mut().expect("frame");
                             fr.block = jc.block;
                             fr.ip = jc.ip;
                             if let Some(d) = jc.dst {
-                                fr.regs[d.0 as usize] = if val == 0 { 1 } else { val };
+                                *reg_mut(p, d.0) = if val == 0 { 1 } else { val };
                             }
                             p.sp = jc.sp;
                             cycles += 8;
@@ -376,16 +372,13 @@ impl<'m> Machine<'m> {
                                 }));
                             }
                             let cf = &self.module.functions[callee_id.0 as usize];
-                            let mut regs = vec![0i64; cf.num_regs as usize];
-                            for (i, a) in argv.iter().take(cf.num_params as usize).enumerate() {
-                                regs[i] = *a;
-                            }
+                            let base = push_window(&mut p.regs, cf.num_regs, cf.num_params, &argv);
                             cycles += 2; // call/ret overhead
                             p.frames.push(Frame {
                                 func: callee_id,
                                 block: 0,
                                 ip: 0,
-                                regs,
+                                base,
                                 saved_sp: p.sp,
                                 ret_dst: *dst,
                             });
@@ -402,7 +395,7 @@ impl<'m> Machine<'m> {
                         ) {
                             Ok(Some(HostRet::Val(v))) => {
                                 if let Some(d) = dst {
-                                    p.frames.last_mut().expect("frame").regs[d.0 as usize] = v;
+                                    *reg_mut(p, d.0) = v;
                                 }
                             }
                             Ok(Some(HostRet::Void)) => {}
@@ -431,11 +424,12 @@ impl<'m> Machine<'m> {
                         let val = v.map(|o| read_op(p, o)).unwrap_or(0);
                         let fr = p.frames.pop().expect("frame");
                         p.sp = fr.saved_sp;
+                        p.regs.truncate(fr.base);
                         if p.frames.len() == base_depth {
                             finish!(CallResult::Return(val));
                         }
                         if let Some(d) = fr.ret_dst {
-                            p.frames.last_mut().expect("frame").regs[d.0 as usize] = val;
+                            *reg_mut(p, d.0) = val;
                         }
                     }
                     Terminator::Br(t) => {
@@ -481,22 +475,39 @@ impl<'m> Machine<'m> {
         }
     }
 
-    /// The decoded-bytecode execution loop.
+    /// The decoded-bytecode execution loop, over the register stack
+    /// lifted out of `p` for the duration of the call.
+    fn run_decoded(
+        &self,
+        img: &DecodedImage,
+        p: &mut Process,
+        ctx: &mut HostCtx<'_>,
+        base_depth: usize,
+        fuel: u64,
+    ) -> CallOutcome {
+        let mut stack = std::mem::take(&mut p.regs);
+        let out = Self::run_decoded_on(img, p, &mut stack, ctx, base_depth, fuel);
+        p.regs = stack;
+        out
+    }
+
+    /// The body of [`Machine::run_decoded`].
     ///
     /// Mirrors [`Machine::run`] transition-for-transition: identical fuel
     /// checks, cycle charges, crash sites, and frame/stack manipulation —
     /// only the *representation* of the program differs. Frames keep
     /// source `(block, ip)` coordinates so `setjmp` records, checkpoints,
-    /// and the reference engine all interoperate; the loop tracks a local
-    /// flat `pc` and syncs the top frame's coordinates at every
-    /// frame-stack transition (call, return, `longjmp`), which are the
-    /// only points the reference engine's eager coordinate updates are
+    /// and the reference engine all interoperate; the loop keeps a local
+    /// flat `pc`, function and register window (`regs`, the top frame's
+    /// slice of `stack`), and touches `p.frames` only at frame-stack
+    /// transitions (call, return, `setjmp`, `longjmp`), which are the only
+    /// points the reference engine's eager coordinate updates are
     /// observable.
     #[allow(clippy::too_many_lines)]
-    fn run_decoded(
-        &self,
+    fn run_decoded_on(
         img: &DecodedImage,
         p: &mut Process,
+        stack: &mut Vec<i64>,
         ctx: &mut HostCtx<'_>,
         base_depth: usize,
         fuel: u64,
@@ -524,26 +535,27 @@ impl<'m> Machine<'m> {
             &img.funcs
         };
 
-        let (mut fidx, mut pc) = {
-            let fr = p.frames.last_mut().expect("non-empty frame stack");
+        let (mut df, mut pc, mut base) = {
+            let fr = p.frames.last().expect("non-empty frame stack");
             let df = &funcs[fr.func.0 as usize];
             // Optimized streams may use scratch registers beyond the
-            // source file (inline windows); grow the entry frame to fit.
-            // Registers are host-only state, and every frame this call
-            // touches is popped or truncated before `call` returns, so
-            // the growth never reaches a checkpoint.
-            if fr.regs.len() < df.num_regs as usize {
-                fr.regs.resize(df.num_regs as usize, 0);
+            // source file (inline windows); grow the entry frame, the top
+            // of the stack, to fit. Registers are host-only state, and
+            // every frame this call touches is popped or truncated before
+            // `call` returns, so the growth never reaches a checkpoint.
+            if stack.len() < fr.base + df.num_regs as usize {
+                stack.resize(fr.base + df.num_regs as usize, 0);
             }
-            (fr.func.0 as usize, df.src_pc(fr.block, fr.ip))
+            (df, df.src_pc(fr.block, fr.ip), fr.base)
         };
+        let mut regs: &mut [i64] = &mut stack[base..];
 
         loop {
             if insts >= fuel {
                 finish!(CallResult::OutOfFuel);
             }
             debug_assert!(p.frames.len() > base_depth);
-            let df = &funcs[fidx];
+            debug_assert_eq!(p.frames.last().map(|f| f.base), Some(base));
             // Bulk-charge the eliminated instructions owed before this op
             // (dead decoded temps, folded fallthrough branches), clamped
             // so an OutOfFuel exec reports insts == fuel exactly like the
@@ -596,7 +608,7 @@ impl<'m> Machine<'m> {
             }
             macro_rules! set_reg {
                 ($dst:expr, $v:expr) => {
-                    p.frames.last_mut().expect("frame").regs[$dst as usize] = $v
+                    regs[$dst as usize] = $v
                 };
             }
 
@@ -606,16 +618,14 @@ impl<'m> Machine<'m> {
                     pc += 1;
                 }
                 DOp::Mov { dst, src } => {
-                    let fr = p.frames.last_mut().expect("frame");
-                    fr.regs[*dst as usize] = reg_read(&fr.regs, *src);
+                    regs[*dst as usize] = reg_read(regs, *src);
                     pc += 1;
                 }
                 DOp::Bin { op, dst, lhs, rhs } => {
-                    let fr = p.frames.last_mut().expect("frame");
-                    let a = reg_read(&fr.regs, *lhs);
-                    let b = reg_read(&fr.regs, *rhs);
+                    let a = reg_read(regs, *lhs);
+                    let b = reg_read(regs, *rhs);
                     match eval_bin(*op, a, b) {
-                        Ok(v) => fr.regs[*dst as usize] = v,
+                        Ok(v) => regs[*dst as usize] = v,
                         Err(detail) => crash_here!(CrashKind::DivisionByZero, detail),
                     }
                     pc += 1;
@@ -626,9 +636,8 @@ impl<'m> Machine<'m> {
                     lhs,
                     rhs,
                 } => {
-                    let fr = p.frames.last_mut().expect("frame");
-                    let v = i64::from(pred.eval(reg_read(&fr.regs, *lhs), reg_read(&fr.regs, *rhs)));
-                    fr.regs[*dst as usize] = v;
+                    let v = i64::from(pred.eval(reg_read(regs, *lhs), reg_read(regs, *rhs)));
+                    regs[*dst as usize] = v;
                     pc += 1;
                 }
                 DOp::Select {
@@ -637,26 +646,24 @@ impl<'m> Machine<'m> {
                     if_true,
                     if_false,
                 } => {
-                    let fr = p.frames.last_mut().expect("frame");
-                    let v = if reg_read(&fr.regs, *cond) != 0 {
-                        reg_read(&fr.regs, *if_true)
+                    let v = if reg_read(regs, *cond) != 0 {
+                        reg_read(regs, *if_true)
                     } else {
-                        reg_read(&fr.regs, *if_false)
+                        reg_read(regs, *if_false)
                     };
-                    fr.regs[*dst as usize] = v;
+                    regs[*dst as usize] = v;
                     pc += 1;
                 }
                 DOp::Load { dst, addr, bytes } => {
-                    let a = read_op(p, *addr) as u64;
+                    let a = reg_read(regs, *addr) as u64;
                     check_mem!(a, *bytes, false);
                     let v = p.mem.read_uint(a, *bytes) as i64;
                     set_reg!(*dst, v);
                     pc += 1;
                 }
                 DOp::Store { addr, value, bytes } => {
-                    let fr = p.frames.last().expect("frame");
-                    let a = reg_read(&fr.regs, *addr) as u64;
-                    let v = reg_read(&fr.regs, *value);
+                    let a = reg_read(regs, *addr) as u64;
+                    let v = reg_read(regs, *value);
                     check_mem!(a, *bytes, true);
                     p.mem.write_uint(a, v as u64, *bytes);
                     pc += 1;
@@ -668,17 +675,14 @@ impl<'m> Machine<'m> {
                 }
                 DOp::Alloca { dst, size, rounded } => {
                     if p.sp < STACK_TOP - STACK_MAX_BYTES + rounded {
-                        crash_here!(
-                            CrashKind::StackOverflow,
-                            format!("alloca of {size} bytes")
-                        );
+                        crash_here!(CrashKind::StackOverflow, format!("alloca of {size} bytes"));
                     }
                     p.sp -= rounded;
                     set_reg!(*dst, p.sp as i64);
                     pc += 1;
                 }
                 DOp::CovEdge { id } => {
-                    let id = read_op(p, *id) as u16;
+                    let id = reg_read(regs, *id) as u16;
                     let idx = p.cov_state.edge(id, ctx.cov);
                     if let Some(tr) = ctx.trace.as_deref_mut() {
                         tr.push(idx);
@@ -691,7 +695,7 @@ impl<'m> Machine<'m> {
                     ret_block,
                     ret_ip,
                 } => {
-                    let buf = read_op(p, *buf) as u64;
+                    let buf = reg_read(regs, *buf) as u64;
                     // The decode-time-embedded *source* coordinates of the
                     // next instruction — valid whatever this stream's
                     // layout is, and identical to what the reference
@@ -713,28 +717,30 @@ impl<'m> Machine<'m> {
                     pc += 1;
                 }
                 DOp::Longjmp { buf, val } => {
-                    let buf = read_op(p, *buf) as u64;
-                    let val = read_op(p, *val);
+                    let buf = reg_read(regs, *buf) as u64;
+                    let val = reg_read(regs, *val);
                     let Some(jc) = p.jmpbufs.get(&buf).cloned() else {
                         crash_here!(CrashKind::BadLongjmp, format!("no jmp_buf at {buf:#x}"));
                     };
                     if jc.depth > p.frames.len() || jc.depth <= base_depth {
-                        crash_here!(
-                            CrashKind::BadLongjmp,
-                            "jmp_buf frame no longer live".into()
-                        );
+                        crash_here!(CrashKind::BadLongjmp, "jmp_buf frame no longer live".into());
+                    }
+                    if let Some(cut) = p.frames.get(jc.depth) {
+                        stack.truncate(cut.base);
                     }
                     p.frames.truncate(jc.depth);
-                    let fr = p.frames.last_mut().expect("frame");
-                    fr.block = jc.block;
-                    fr.ip = jc.ip;
+                    let top = p.frames.last_mut().expect("frame");
+                    top.block = jc.block;
+                    top.ip = jc.ip;
+                    df = &funcs[top.func.0 as usize];
+                    base = top.base;
+                    regs = &mut stack[base..];
                     if let Some(d) = jc.dst {
-                        fr.regs[d.0 as usize] = if val == 0 { 1 } else { val };
+                        regs[d.0 as usize] = if val == 0 { 1 } else { val };
                     }
                     p.sp = jc.sp;
                     cycles += 8;
-                    fidx = fr.func.0 as usize;
-                    pc = funcs[fidx].src_pc(jc.block, jc.ip);
+                    pc = df.src_pc(jc.block, jc.ip);
                 }
                 DOp::CallFn {
                     dst,
@@ -750,34 +756,33 @@ impl<'m> Machine<'m> {
                         );
                     }
                     let cf = &funcs[callee.0 as usize];
-                    // Recycled register file: a heap allocation per call is
-                    // pure dispatch overhead on call-heavy targets. The
-                    // clear+resize zeroes every slot, so the frame is
-                    // indistinguishable from a fresh `vec![0; n]`.
-                    let mut regs = REG_POOL
-                        .with(|pool| pool.borrow_mut().pop())
-                        .unwrap_or_default();
-                    regs.clear();
-                    regs.resize(cf.num_regs as usize, 0);
+                    // The callee's window goes on top of the caller's:
+                    // zeroed, then the parameters copied in from below.
+                    let caller = base;
+                    base = stack.len();
+                    stack.resize(base + cf.num_regs as usize, 0);
+                    let (below, window) = stack.split_at_mut(base);
                     for (i, a) in args.iter().take(cf.num_params as usize).enumerate() {
-                        regs[i] = read_op(p, *a);
+                        window[i] = reg_read(&below[caller..], *a);
                     }
+                    regs = &mut stack[base..];
                     cycles += 2; // call/ret overhead
+
                     // Sync the caller's resume coordinates (decode-time
                     // embedded source coordinates) before pushing.
-                    let fr = p.frames.last_mut().expect("frame");
-                    fr.block = *ret_block;
-                    fr.ip = *ret_ip as usize;
+                    let top = p.frames.last_mut().expect("frame");
+                    top.block = *ret_block;
+                    top.ip = *ret_ip as usize;
                     p.frames.push(Frame {
                         func: *callee,
                         block: 0,
                         ip: 0,
-                        regs,
+                        base,
                         saved_sp: p.sp,
                         ret_dst: *dst,
                     });
-                    fidx = callee.0 as usize;
-                    pc = cf.src_pc(0, 0);
+                    df = cf;
+                    pc = df.src_pc(0, 0);
                 }
                 DOp::CallHost { dst, host, args } => {
                     // Hostcall argv lives on the stack: simulated-libc
@@ -788,11 +793,11 @@ impl<'m> Machine<'m> {
                     let heap: Vec<i64>;
                     let argv: &[i64] = if args.len() <= buf.len() {
                         for (i, a) in args.iter().enumerate() {
-                            buf[i] = read_op(p, *a);
+                            buf[i] = reg_read(regs, *a);
                         }
                         &buf[..args.len()]
                     } else {
-                        heap = args.iter().map(|a| read_op(p, *a)).collect();
+                        heap = args.iter().map(|a| reg_read(regs, *a)).collect();
                         &heap
                     };
                     let site = (
@@ -819,25 +824,21 @@ impl<'m> Machine<'m> {
                     crash_here!(CrashKind::Abort, format!("unresolved symbol '{name}'"));
                 }
                 DOp::Ret(v) => {
-                    let val = v.map(|o| read_op(p, o)).unwrap_or(0);
+                    let val = v.map(|o| reg_read(regs, o)).unwrap_or(0);
                     let fr = p.frames.pop().expect("frame");
                     p.sp = fr.saved_sp;
-                    let ret_dst = fr.ret_dst;
-                    REG_POOL.with(|pool| {
-                        let mut pool = pool.borrow_mut();
-                        if pool.len() < REG_POOL_CAP {
-                            pool.push(fr.regs);
-                        }
-                    });
+                    stack.truncate(fr.base);
                     if p.frames.len() == base_depth {
                         finish!(CallResult::Return(val));
                     }
-                    if let Some(d) = ret_dst {
+                    let top = p.frames.last().expect("frame");
+                    df = &funcs[top.func.0 as usize];
+                    pc = df.src_pc(top.block, top.ip);
+                    base = top.base;
+                    regs = &mut stack[base..];
+                    if let Some(d) = fr.ret_dst {
                         set_reg!(d.0, val);
                     }
-                    let top = p.frames.last().expect("frame");
-                    fidx = top.func.0 as usize;
-                    pc = funcs[fidx].src_pc(top.block, top.ip);
                 }
                 DOp::Br(t) => pc = *t,
                 DOp::CondBr {
@@ -845,7 +846,7 @@ impl<'m> Machine<'m> {
                     if_true,
                     if_false,
                 } => {
-                    pc = if read_op(p, *cond) != 0 {
+                    pc = if reg_read(regs, *cond) != 0 {
                         *if_true
                     } else {
                         *if_false
@@ -856,7 +857,7 @@ impl<'m> Machine<'m> {
                     cases,
                     default,
                 } => {
-                    let v = read_op(p, *value);
+                    let v = reg_read(regs, *value);
                     pc = cases
                         .iter()
                         .find(|(cv, _)| *cv == v)
@@ -891,10 +892,8 @@ impl<'m> Machine<'m> {
                     }
                     // Component 2: compare.
                     charge!();
-                    let fr = p.frames.last_mut().expect("frame");
-                    let v =
-                        i64::from(pred.eval(reg_read(&fr.regs, *lhs), reg_read(&fr.regs, *rhs)));
-                    fr.regs[*dst as usize] = v;
+                    let v = i64::from(pred.eval(reg_read(regs, *lhs), reg_read(regs, *rhs)));
+                    regs[*dst as usize] = v;
                     // Component 3: conditional branch.
                     charge!();
                     pc = if v != 0 { *if_true } else { *if_false };
@@ -907,10 +906,8 @@ impl<'m> Machine<'m> {
                     if_true,
                     if_false,
                 } => {
-                    let fr = p.frames.last_mut().expect("frame");
-                    let v =
-                        i64::from(pred.eval(reg_read(&fr.regs, *lhs), reg_read(&fr.regs, *rhs)));
-                    fr.regs[*dst as usize] = v;
+                    let v = i64::from(pred.eval(reg_read(regs, *lhs), reg_read(regs, *rhs)));
+                    regs[*dst as usize] = v;
                     charge!();
                     pc = if v != 0 { *if_true } else { *if_false };
                 }
@@ -921,19 +918,17 @@ impl<'m> Machine<'m> {
                     rhs,
                     target,
                 } => {
-                    let fr = p.frames.last_mut().expect("frame");
-                    let a = reg_read(&fr.regs, *lhs);
-                    let b = reg_read(&fr.regs, *rhs);
+                    let a = reg_read(regs, *lhs);
+                    let b = reg_read(regs, *rhs);
                     match eval_bin(*op, a, b) {
-                        Ok(v) => fr.regs[*dst as usize] = v,
+                        Ok(v) => regs[*dst as usize] = v,
                         Err(detail) => crash_here!(CrashKind::DivisionByZero, detail),
                     }
                     charge!();
                     pc = *target;
                 }
                 DOp::MovBr { dst, src, target } => {
-                    let fr = p.frames.last_mut().expect("frame");
-                    fr.regs[*dst as usize] = reg_read(&fr.regs, *src);
+                    regs[*dst as usize] = reg_read(regs, *src);
                     charge!();
                     pc = *target;
                 }
@@ -943,9 +938,8 @@ impl<'m> Machine<'m> {
                     bytes,
                     target,
                 } => {
-                    let fr = p.frames.last().expect("frame");
-                    let a = reg_read(&fr.regs, *addr) as u64;
-                    let v = reg_read(&fr.regs, *value);
+                    let a = reg_read(regs, *addr) as u64;
+                    let v = reg_read(regs, *value);
                     check_mem!(a, *bytes, true);
                     p.mem.write_uint(a, v as u64, *bytes);
                     charge!();
@@ -960,17 +954,16 @@ impl<'m> Machine<'m> {
                     addr,
                     bytes,
                 } => {
-                    let fr = p.frames.last_mut().expect("frame");
-                    let a = reg_read(&fr.regs, *lhs);
-                    let b = reg_read(&fr.regs, *rhs);
+                    let a = reg_read(regs, *lhs);
+                    let b = reg_read(regs, *rhs);
                     match eval_bin(*op, a, b) {
-                        Ok(v) => fr.regs[*bdst as usize] = v,
+                        Ok(v) => regs[*bdst as usize] = v,
                         Err(detail) => crash_here!(CrashKind::DivisionByZero, detail),
                     }
                     charge!();
                     // The address reads the just-written register when the
                     // fusion was an addr-compute + load pair.
-                    let a = read_op(p, *addr) as u64;
+                    let a = reg_read(regs, *addr) as u64;
                     check_mem!(a, *bytes, false);
                     let v = p.mem.read_uint(a, *bytes) as i64;
                     set_reg!(*ldst, v);
@@ -985,16 +978,15 @@ impl<'m> Machine<'m> {
                     lhs,
                     rhs,
                 } => {
-                    let a = read_op(p, *addr) as u64;
+                    let a = reg_read(regs, *addr) as u64;
                     check_mem!(a, *bytes, false);
                     let v = p.mem.read_uint(a, *bytes) as i64;
                     set_reg!(*ldst, v);
                     charge!();
-                    let fr = p.frames.last_mut().expect("frame");
-                    let a = reg_read(&fr.regs, *lhs);
-                    let b = reg_read(&fr.regs, *rhs);
+                    let a = reg_read(regs, *lhs);
+                    let b = reg_read(regs, *rhs);
                     match eval_bin(*op, a, b) {
-                        Ok(v) => fr.regs[*bdst as usize] = v,
+                        Ok(v) => regs[*bdst as usize] = v,
                         Err(detail) => crash_here!(CrashKind::DivisionByZero, detail),
                     }
                     pc += 1;
@@ -1017,7 +1009,7 @@ impl<'m> Machine<'m> {
                     table,
                     default,
                 } => {
-                    let v = read_op(p, *value);
+                    let v = reg_read(regs, *value);
                     let off = v.wrapping_sub(*base) as u64;
                     pc = if off < table.len() as u64 {
                         table[off as usize]
@@ -1043,17 +1035,16 @@ impl<'m> Machine<'m> {
                     }
                     cycles += 2; // call/ret overhead
                     let sp = p.sp as i64;
-                    let fr = p.frames.last_mut().expect("frame");
                     let b = *base as usize;
-                    fr.regs[b..b + *nregs as usize].fill(0);
+                    regs[b..b + *nregs as usize].fill(0);
                     // Argument operands index below `base`, so reading
                     // after the zeroing matches the reference's fresh
                     // callee frame.
                     for (i, a) in args.iter().enumerate() {
-                        let v = reg_read(&fr.regs, *a);
-                        fr.regs[b + i] = v;
+                        let v = reg_read(regs, *a);
+                        regs[b + i] = v;
                     }
-                    fr.regs[*sp_slot as usize] = sp;
+                    regs[*sp_slot as usize] = sp;
                     pc = *entry;
                 }
                 DOp::InlineRet {
@@ -1062,21 +1053,18 @@ impl<'m> Machine<'m> {
                     sp_slot,
                     resume,
                 } => {
-                    let fr = p.frames.last_mut().expect("frame");
-                    let v = val.map(|o| reg_read(&fr.regs, o)).unwrap_or(0);
-                    let sp = fr.regs[*sp_slot as usize] as u64;
+                    let v = val.map(|o| reg_read(regs, o)).unwrap_or(0);
+                    let sp = regs[*sp_slot as usize] as u64;
                     if let Some(d) = dst {
-                        fr.regs[*d as usize] = v;
+                        regs[*d as usize] = v;
                     }
                     p.sp = sp;
                     pc = *resume;
                 }
                 DOp::Chain { comps, tail, rest } => {
                     // Component 0's charge is the loop-top charge already
-                    // applied. The register file leaves the frame for the
-                    // run so components index it directly; nothing a
-                    // component does reads the frame stack.
-                    let mut regs = std::mem::take(&mut p.frames.last_mut().expect("frame").regs);
+                    // applied; nothing a component does reads the frame
+                    // stack.
                     macro_rules! run {
                         ($checked:literal) => {
                             run_chain::<$checked>(
@@ -1084,7 +1072,7 @@ impl<'m> Machine<'m> {
                                 tail,
                                 *rest,
                                 pc,
-                                &mut regs,
+                                regs,
                                 p,
                                 ctx,
                                 fuel,
@@ -1099,7 +1087,6 @@ impl<'m> Machine<'m> {
                     } else {
                         run!(true)
                     };
-                    p.frames.last_mut().expect("frame").regs = regs;
                     match run {
                         Ok(next) => pc = next,
                         Err(ChainStop::OutOfFuel) => finish!(CallResult::OutOfFuel),
@@ -1181,83 +1168,137 @@ fn run_chain<const CHECKED: bool>(
     macro_rules! trap {
         ($k:expr, $stop:expr) => {{
             if !CHECKED {
-                let prefix: u64 = comps[1..=$k].iter().map(|c| u64::from(c.pre) + 1).sum();
+                let prefix: u64 = comps[1..=$k].iter().map(|c| u64::from(c.pre()) + 1).sum();
                 *insts += prefix;
                 *cycles += prefix * inst_cost;
             }
             return Err($stop);
         }};
     }
+    macro_rules! bin {
+        ($k:expr, $op:expr, $dst:expr, $a:expr, $b:expr) => {
+            match eval_bin($op, $a, $b) {
+                Ok(v) => regs[$dst as usize] = v,
+                Err(detail) => trap!($k, ChainStop::DivTrap(detail)),
+            }
+        };
+    }
+    macro_rules! load {
+        ($k:expr, $dst:expr, $addr:expr, $bytes:expr) => {{
+            let (a, len) = ($addr, u64::from($bytes));
+            if !p.access_ok(a, len, false) {
+                trap!(
+                    $k,
+                    ChainStop::Access {
+                        addr: a,
+                        len,
+                        is_write: false
+                    }
+                );
+            }
+            regs[$dst as usize] = p.mem.read_uint(a, len) as i64;
+        }};
+    }
+    macro_rules! store {
+        ($k:expr, $addr:expr, $value:expr, $bytes:expr) => {{
+            let (a, len) = ($addr, u64::from($bytes));
+            if !p.access_ok(a, len, true) {
+                trap!(
+                    $k,
+                    ChainStop::Access {
+                        addr: a,
+                        len,
+                        is_write: true
+                    }
+                );
+            }
+            p.mem.write_uint(a, $value as u64, len);
+        }};
+    }
     for (k, comp) in comps.iter().enumerate() {
-        if k > 0 {
-            charge!(comp.pre);
+        if CHECKED && k > 0 {
+            charge!(comp.pre());
         }
-        match &comp.op {
-            ChainOp::Const { dst, value } => regs[*dst as usize] = *value,
-            ChainOp::Mov { dst, src } => regs[*dst as usize] = reg_read(regs, *src),
-            ChainOp::Bin { op, dst, lhs, rhs } => {
-                match eval_bin(*op, reg_read(regs, *lhs), reg_read(regs, *rhs)) {
-                    Ok(v) => regs[*dst as usize] = v,
-                    Err(detail) => trap!(k, ChainStop::DivTrap(detail)),
-                }
+        match *comp {
+            ChainComp::Const { dst, value, .. } | ChainComp::MovImm { dst, value, .. } => {
+                regs[dst as usize] = value;
             }
-            ChainOp::Cmp {
-                pred,
-                dst,
-                lhs,
-                rhs,
-            } => {
-                regs[*dst as usize] =
-                    i64::from(pred.eval(reg_read(regs, *lhs), reg_read(regs, *rhs)));
+            ChainComp::Mov { dst, src, .. } => regs[dst as usize] = regs[src as usize],
+            ChainComp::AddRR { dst, a, b, .. } => {
+                regs[dst as usize] = regs[a as usize].wrapping_add(regs[b as usize]);
             }
-            ChainOp::Select {
-                dst,
-                cond,
-                if_true,
-                if_false,
+            ChainComp::AddRI { dst, a, imm, .. } | ChainComp::AddIR { dst, imm, b: a, .. } => {
+                regs[dst as usize] = regs[a as usize].wrapping_add(imm);
+            }
+            ChainComp::MulRI { dst, a, imm, .. } => {
+                regs[dst as usize] = regs[a as usize].wrapping_mul(imm);
+            }
+            ChainComp::AndRI { dst, a, imm, .. } => regs[dst as usize] = regs[a as usize] & imm,
+            ChainComp::SRemRK { dst, a, k, .. } => regs[dst as usize] = regs[a as usize] % k,
+            ChainComp::BinRR { op, dst, a, b, .. } => {
+                bin!(k, op, dst, regs[a as usize], regs[b as usize]);
+            }
+            ChainComp::BinRI {
+                op, dst, a, imm, ..
+            } => bin!(k, op, dst, regs[a as usize], imm),
+            ChainComp::BinIR {
+                op, dst, imm, b, ..
+            } => bin!(k, op, dst, imm, regs[b as usize]),
+            ChainComp::BinII { op, dst, x, y, .. } => bin!(k, op, dst, x, y),
+            ChainComp::CmpRR {
+                pred, dst, a, b, ..
             } => {
-                regs[*dst as usize] = if reg_read(regs, *cond) != 0 {
-                    reg_read(regs, *if_true)
+                regs[dst as usize] = i64::from(pred.eval(regs[a as usize], regs[b as usize]));
+            }
+            ChainComp::CmpRI {
+                pred, dst, a, imm, ..
+            } => {
+                regs[dst as usize] = i64::from(pred.eval(regs[a as usize], imm));
+            }
+            ChainComp::CmpIR {
+                pred, dst, imm, b, ..
+            } => {
+                regs[dst as usize] = i64::from(pred.eval(imm, regs[b as usize]));
+            }
+            ChainComp::CmpII {
+                pred, dst, x, y, ..
+            } => {
+                regs[dst as usize] = i64::from(pred.eval(x, y));
+            }
+            ChainComp::Select { dst, ref ops, .. } => {
+                let [cond, if_true, if_false] = **ops;
+                regs[dst as usize] = if reg_read(regs, cond) != 0 {
+                    reg_read(regs, if_true)
                 } else {
-                    reg_read(regs, *if_false)
+                    reg_read(regs, if_false)
                 };
             }
-            ChainOp::Cov { id } => {
-                let idx = p.cov_state.edge(*id, ctx.cov);
+            ChainComp::Cov { id, .. } => {
+                let idx = p.cov_state.edge(id, ctx.cov);
                 if let Some(tr) = ctx.trace.as_deref_mut() {
                     tr.push(idx);
                 }
             }
-            ChainOp::Load { dst, addr, bytes } => {
-                let a = reg_read(regs, *addr) as u64;
-                if !p.access_ok(a, *bytes, false) {
-                    trap!(
-                        k,
-                        ChainStop::Access {
-                            addr: a,
-                            len: *bytes,
-                            is_write: false
-                        }
-                    );
-                }
-                regs[*dst as usize] = p.mem.read_uint(a, *bytes) as i64;
-            }
-            ChainOp::Store { addr, value, bytes } => {
-                let a = reg_read(regs, *addr) as u64;
-                if !p.access_ok(a, *bytes, true) {
-                    trap!(
-                        k,
-                        ChainStop::Access {
-                            addr: a,
-                            len: *bytes,
-                            is_write: true
-                        }
-                    );
-                }
-                p.mem.write_uint(a, reg_read(regs, *value) as u64, *bytes);
-            }
-            ChainOp::AddrOf { dst, global } => {
-                regs[*dst as usize] = p.globals.addr_of(*global).expect("verified global") as i64;
+            ChainComp::LoadR {
+                bytes, dst, addr, ..
+            } => load!(k, dst, regs[addr as usize] as u64, bytes),
+            ChainComp::LoadI {
+                bytes, dst, addr, ..
+            } => load!(k, dst, addr, bytes),
+            ChainComp::StoreRR {
+                bytes, addr, value, ..
+            } => store!(k, regs[addr as usize] as u64, regs[value as usize], bytes),
+            ChainComp::StoreRI {
+                bytes, addr, value, ..
+            } => store!(k, regs[addr as usize] as u64, value, bytes),
+            ChainComp::StoreIR {
+                bytes, addr, value, ..
+            } => store!(k, addr, regs[value as usize], bytes),
+            ChainComp::StoreII {
+                bytes, addr, value, ..
+            } => store!(k, addr, value, bytes),
+            ChainComp::AddrOf { dst, global, .. } => {
+                regs[dst as usize] = p.globals.addr_of(global).expect("verified global") as i64;
             }
         }
     }
@@ -1290,19 +1331,6 @@ fn run_chain<const CHECKED: bool>(
     Ok(next)
 }
 
-/// Upper bound on retired register files kept for reuse per thread; deep
-/// recursion beyond this just falls back to fresh allocations.
-const REG_POOL_CAP: usize = 64;
-
-thread_local! {
-    /// Register-file recycling pool for the decoded engine's `CallFn`/
-    /// `Ret` pair. Host-only state: pooled buffers are fully zeroed before
-    /// reuse, so frames built from them are bit-identical to freshly
-    /// allocated ones and nothing here can reach a checkpoint.
-    static REG_POOL: std::cell::RefCell<Vec<Vec<i64>>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
 /// The crash a rejected access reports at `pc`'s site in `df`.
 #[cold]
 #[inline(never)]
@@ -1320,16 +1348,42 @@ fn access_crash(
         .expect_err("the access fast path rejected this access")
 }
 
+/// Push a zeroed window of `num_regs` registers on the register stack,
+/// holding the first `num_params` of `args`; returns its base.
+fn push_window(regs: &mut Vec<i64>, num_regs: u32, num_params: u32, args: &[i64]) -> usize {
+    let base = regs.len();
+    regs.resize(base + num_regs as usize, 0);
+    for (i, a) in args.iter().take(num_params as usize).enumerate() {
+        regs[base + i] = *a;
+    }
+    base
+}
+
+/// Pop every frame above `depth`, and their register windows.
+fn unwind_to(p: &mut Process, depth: usize) {
+    if let Some(fr) = p.frames.get(depth) {
+        p.regs.truncate(fr.base);
+    }
+    p.frames.truncate(depth);
+}
+
+/// Register `r` of the top frame.
+fn reg_mut(p: &mut Process, r: u32) -> &mut i64 {
+    let base = p.frames.last().expect("frame").base;
+    &mut p.regs[base + r as usize]
+}
+
+/// An operand's value in the top frame.
 fn read_op(p: &Process, o: Operand) -> i64 {
     match o {
-        Operand::Reg(r) => p.frames.last().expect("frame").regs[r.0 as usize],
+        Operand::Reg(r) => p.regs[p.frames.last().expect("frame").base + r.0 as usize],
         Operand::Imm(v) => v,
     }
 }
 
-/// [`read_op`] against an already-fetched register file. The decoded loop
-/// borrows the top frame once per instruction and resolves every operand
-/// through this, instead of re-walking `frames.last()` per operand.
+/// [`read_op`] against a register window: the decoded loop keeps the top
+/// frame's window in a local and resolves every generic operand through
+/// this.
 #[inline]
 fn reg_read(regs: &[i64], o: Operand) -> i64 {
     match o {

@@ -61,6 +61,8 @@ pub struct GlobalMap {
 struct Layout {
     slots: Vec<GlobalSlot>, // sorted by start
     sections: Vec<(Section, u64, u64)>,
+    /// `addrs[gid]` = start of global `gid`'s slot.
+    addrs: Vec<u64>,
 }
 
 impl GlobalMap {
@@ -94,8 +96,16 @@ impl GlobalMap {
                 sections.push((section, sec_start, cursor - sec_start));
             }
         }
+        let mut addrs = vec![0; module.globals.len()];
+        for slot in &slots {
+            addrs[slot.gid.0 as usize] = slot.start;
+        }
         GlobalMap {
-            layout: Arc::new(Layout { slots, sections }),
+            layout: Arc::new(Layout {
+                slots,
+                sections,
+                addrs,
+            }),
             end: cursor,
             last_hit: Cell::new((0, 0, false)),
         }
@@ -155,13 +165,10 @@ impl GlobalMap {
         ok
     }
 
-    /// Address of a global by id.
+    /// Address of a global by id: one table read.
+    #[inline]
     pub fn addr_of(&self, gid: GlobalId) -> Option<u64> {
-        self.layout
-            .slots
-            .iter()
-            .find(|s| s.gid == gid)
-            .map(|s| s.start)
+        self.layout.addrs.get(gid.0 as usize).copied()
     }
 
     /// Address of a global by name.
@@ -266,6 +273,47 @@ mod tests {
         assert!(twin.access_ok(s, 8, true), "moves only the twin's cache");
         assert_eq!(gm.last_hit.get(), (c, c + 8, true));
         assert_eq!(twin.last_hit.get(), (s, s + 100, true));
+    }
+
+    #[test]
+    fn every_gid_resolves_to_its_slot_start() {
+        // Globals declared out of section order, two in each of the four
+        // sections, one of them zero-size.
+        let mut mb = ModuleBuilder::new("m");
+        let mut moved = Global::zeroed("moved", 40);
+        moved.section = Section::ClosureGlobal;
+        mb.global(moved);
+        mb.global(Global::zeroed("bss", 8));
+        mb.global(Global::constant("ro", vec![1; 3]));
+        mb.global(Global::with_init("data", vec![2; 20]));
+        let mut moved2 = Global::zeroed("moved2", 0);
+        moved2.section = Section::ClosureGlobal;
+        mb.global(moved2);
+        mb.global(Global::constant("ro2", vec![3; 17]));
+        mb.global(Global::with_init("data2", vec![4; 1]));
+        mb.global(Global::zeroed("bss2", 5000));
+        let m = mb.finish();
+        let gm = GlobalMap::layout(&m);
+        assert_eq!(gm.slots().len(), m.globals.len());
+        for section in [
+            Section::Rodata,
+            Section::Data,
+            Section::Bss,
+            Section::ClosureGlobal,
+        ] {
+            assert_eq!(
+                m.globals.iter().filter(|g| g.section == section).count(),
+                2,
+                "{section:?}"
+            );
+        }
+        for (i, g) in m.globals.iter().enumerate() {
+            let gid = GlobalId(i as u32);
+            let slot = gm.slots().iter().find(|s| s.gid == gid).expect("laid out");
+            assert_eq!(gm.addr_of(gid), Some(slot.start), "{}", g.name);
+            assert_eq!(gm.addr_of_name(&g.name), Some(slot.start));
+        }
+        assert_eq!(gm.addr_of(GlobalId(m.globals.len() as u32)), None);
     }
 
     #[test]

@@ -7,12 +7,13 @@
 //! back into a fresh fork of its unchanged parent by re-pointing only the
 //! pages it dirtied.
 
-use std::cell::RefCell;
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+use crate::heap::HEAP_BASE;
+use crate::layout::GLOBAL_BASE;
+use crate::process::{STACK_MAX_BYTES, STACK_TOP};
 
 /// Page size in bytes (4 KiB, like Linux).
 pub const PAGE_SIZE: u64 = 4096;
@@ -23,35 +24,123 @@ fn zero_page() -> Page {
     Arc::new([0u8; PAGE_SIZE as usize])
 }
 
-/// Deterministic FxHash-style hasher for page indices. Replaces the
-/// default SipHash `RandomState` — cheaper per lookup on the load/store
-/// hot path, and with no per-process random seed, so the table's behavior
-/// is a pure function of its inputs.
-#[derive(Debug, Default, Clone)]
-pub struct PageHasher(u64);
+/// Page-index bounds `[start, end)` of the three fixed regions a process
+/// maps: globals, heap and stack. Each has dense storage in a
+/// [`PageTable`]; every other page lives in its sparse map.
+const REGIONS: [(u64, u64); 3] = [
+    (GLOBAL_BASE / PAGE_SIZE, HEAP_BASE / PAGE_SIZE),
+    (
+        HEAP_BASE / PAGE_SIZE,
+        (STACK_TOP - STACK_MAX_BYTES) / PAGE_SIZE,
+    ),
+    (
+        (STACK_TOP - STACK_MAX_BYTES) / PAGE_SIZE,
+        STACK_TOP / PAGE_SIZE,
+    ),
+];
 
-const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-
-impl Hasher for PageHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0.rotate_left(5) ^ u64::from(b)).wrapping_mul(FX_SEED);
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(FX_SEED);
+/// Which of [`REGIONS`] holds page `idx`, if any.
+#[inline]
+fn region(idx: u64) -> Option<usize> {
+    if (REGIONS[0].0..REGIONS[2].1).contains(&idx) {
+        Some(usize::from(idx >= REGIONS[1].0) + usize::from(idx >= REGIONS[2].0))
+    } else {
+        None
     }
 }
 
-type PageMap = HashMap<u64, Page, BuildHasherDefault<PageHasher>>;
+/// Dense storage for the pages of one region: slot `i` holds page
+/// `lo + i`. It covers only the span of pages ever written, and grows (by
+/// doubling, within the region) when a write lands outside it.
+#[derive(Debug, Clone, Default)]
+struct Window {
+    lo: u64,
+    slots: Vec<Option<Page>>,
+}
+
+impl Window {
+    #[inline]
+    fn get(&self, idx: u64) -> Option<&Page> {
+        self.slots.get(idx.wrapping_sub(self.lo) as usize)?.as_ref()
+    }
+
+    /// The slot of page `idx`, growing the window to cover it. `idx` must
+    /// lie in `region`.
+    #[inline]
+    fn slot_mut(&mut self, idx: u64, region: (u64, u64)) -> &mut Option<Page> {
+        let i = idx.wrapping_sub(self.lo) as usize;
+        if i >= self.slots.len() {
+            self.grow(idx, region);
+        }
+        &mut self.slots[idx.wrapping_sub(self.lo) as usize]
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self, idx: u64, (start, end): (u64, u64)) {
+        let len = self.slots.len() as u64;
+        if len == 0 {
+            self.lo = idx;
+            self.slots.push(None);
+        } else if idx < self.lo {
+            let lo = idx.min(self.lo.saturating_sub(len)).max(start);
+            let mut slots = vec![None; (self.lo - lo) as usize];
+            slots.append(&mut self.slots);
+            self.slots = slots;
+            self.lo = lo;
+        } else {
+            let want = (idx - self.lo + 1).max(2 * len).min(end - self.lo);
+            self.slots.resize(want as usize, None);
+        }
+    }
+
+    /// Every mapped page, by index.
+    fn iter(&self) -> impl Iterator<Item = (u64, &Page)> {
+        let lo = self.lo;
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(move |(i, p)| Some((lo + i as u64, p.as_ref()?)))
+    }
+}
+
+/// The page store of a [`PageTable`]: one [`Window`] per fixed region,
+/// and a sparse map for pages outside all three. A `None` slot or entry is
+/// unmapped.
+#[derive(Debug, Clone, Default)]
+struct Pages {
+    dense: [Window; 3],
+    sparse: BTreeMap<u64, Option<Page>>,
+}
+
+impl Pages {
+    /// The page mapped at `idx`: index arithmetic for the fixed regions.
+    #[inline]
+    fn get(&self, idx: u64) -> Option<&Page> {
+        match region(idx) {
+            Some(r) => self.dense[r].get(idx),
+            None => self.sparse.get(&idx)?.as_ref(),
+        }
+    }
+
+    /// The slot of page `idx`, created (unmapped) if absent.
+    #[inline]
+    fn slot_mut(&mut self, idx: u64) -> &mut Option<Page> {
+        match region(idx) {
+            Some(r) => self.dense[r].slot_mut(idx, REGIONS[r]),
+            None => self.sparse.entry(idx).or_default(),
+        }
+    }
+
+    /// Every mapped page, by index (not sorted across regions).
+    fn iter(&self) -> impl Iterator<Item = (u64, &Page)> {
+        self.dense.iter().flat_map(Window::iter).chain(
+            self.sparse
+                .iter()
+                .filter_map(|(i, p)| Some((*i, p.as_ref()?))),
+        )
+    }
+}
 
 /// Source of [`PageTable::ownership_stamp`] values. Global, so a stamp is
 /// never reused by another table: a cache keyed by stamps cannot mistake
@@ -64,58 +153,73 @@ fn fresh_stamp() -> u64 {
     NEXT_OWNERSHIP_STAMP.fetch_add(1, Ordering::Relaxed)
 }
 
-/// A sparse, copy-on-write page table.
+/// A copy-on-write page table.
 ///
 /// Unmapped pages read as zeros and are materialized on first write.
 /// *Validity* of an access (is this address inside an object?) is not the
 /// page table's job — [`crate::process::Process::check_access`] performs
 /// region checks before touching memory.
 ///
-/// # The read mini-TLB and CoW determinism
-///
-/// Reads keep a one-entry direct-mapped cache of the last page touched
-/// (`tlb`), skipping the hash lookup on the common sequential-access
-/// pattern. Because the cache holds an extra `Arc` reference, it could in
-/// principle perturb the `strong_count > 1` copy-on-write test that the
-/// teardown cycle charges depend on. Two rules make that impossible:
-///
-/// * a table's TLB only ever caches a page its *own* map currently holds —
-///   [`PageTable::write`] invalidates the TLB entry for a page before
-///   replacing the map entry, so the TLB can never outlive its map entry;
-/// * [`PageTable::write`] drops its own TLB reference *before* inspecting
-///   `strong_count`, so the count it sees is "maps holding this page, plus
-///   foreign TLBs whose maps also hold it" — which crosses the `> 1`
-///   threshold exactly when "maps holding this page" does.
-///
-/// Hence every CoW-fault decision, and therefore every simulated cycle
-/// count, is identical to the pre-TLB table.
+/// Pages in the globals, heap and stack regions sit in dense per-region
+/// storage, so finding one is index arithmetic; any other page goes to a
+/// sparse map. Guest stores reach it: the heap bounds its live bytes, not
+/// its address range, so its chunks can lie past the stack top.
 #[derive(Debug, Clone, Default)]
 pub struct PageTable {
-    pages: PageMap,
-    /// Last page served by [`PageTable::read`]: `(page index, page)`.
-    tlb: RefCell<Option<(u64, Page)>>,
+    pages: Pages,
+    own: Ownership,
+}
+
+/// Ownership bookkeeping of a [`PageTable`]: everything a write must
+/// update when it materializes or copies a page.
+#[derive(Debug, Clone, Default)]
+struct Ownership {
+    /// Mapped pages, in both stores.
+    resident: u64,
     /// CoW faults taken since the last [`PageTable::reset_fault_count`].
     cow_faults: u64,
     /// See [`PageTable::ownership_stamp`]. 0 is the empty table's stamp.
     stamp: u64,
     /// Indices whose ownership changed since this table was forked:
-    /// materialized, CoW-copied or privatized. See [`mark_dirty`].
+    /// materialized, CoW-copied or privatized. See [`Ownership::changed`].
     dirty: Vec<u64>,
 }
 
-/// Append `page_idx` to a table's dirty list. Every listed index is
-/// mapped, so once the list holds twice as many entries as the table has
-/// `resident` pages it is mostly duplicates: deduplicate it then, which
-/// bounds its length without a set lookup on the write path. Cold and out
-/// of line, so the store path `PageTable::owned_page` stays small.
-#[cold]
-#[inline(never)]
-fn mark_dirty(dirty: &mut Vec<u64>, resident: usize, page_idx: u64) {
-    if dirty.len() >= 2 * resident.max(8) {
-        dirty.sort_unstable();
-        dirty.dedup();
+impl Ownership {
+    /// Make `slot` (page `page_idx`) a page only this table holds:
+    /// materialize it if unmapped, copy it (one CoW fault) if shared.
+    /// Cold and out of line, so the store path stays a slot lookup.
+    #[cold]
+    #[inline(never)]
+    fn take(&mut self, slot: &mut Option<Page>, page_idx: u64) {
+        match slot {
+            None => {
+                *slot = Some(zero_page());
+                self.resident += 1;
+            }
+            Some(page) => {
+                // Copy-on-write fault: this page is shared with another
+                // process (post-fork); duplicate before writing.
+                *page = Arc::new(**page);
+                self.cow_faults += 1;
+            }
+        }
+        self.changed(page_idx);
     }
-    dirty.push(page_idx);
+
+    /// Record that `page_idx`'s backing changed: draw a fresh stamp and
+    /// append the index to the dirty list. Every listed index is mapped,
+    /// so once the list holds twice as many entries as the table has
+    /// resident pages it is mostly duplicates: deduplicate it then, which
+    /// bounds its length without a set lookup on the write path.
+    fn changed(&mut self, page_idx: u64) {
+        self.stamp = fresh_stamp();
+        if self.dirty.len() >= 2 * (self.resident as usize).max(8) {
+            self.dirty.sort_unstable();
+            self.dirty.dedup();
+        }
+        self.dirty.push(page_idx);
+    }
 }
 
 impl PageTable {
@@ -126,22 +230,22 @@ impl PageTable {
 
     /// Number of resident (materialized) pages.
     pub fn resident_pages(&self) -> u64 {
-        self.pages.len() as u64
+        self.own.resident
     }
 
     /// CoW faults taken since the last reset.
     pub fn cow_faults(&self) -> u64 {
-        self.cow_faults
+        self.own.cow_faults
     }
 
     /// Zero the CoW fault counter (called right after a fork is charged).
     pub fn reset_fault_count(&mut self) {
-        self.cow_faults = 0;
+        self.own.cow_faults = 0;
     }
 
     /// Restore the CoW fault counter to a checkpointed value (resume path).
     pub fn set_cow_faults(&mut self, n: u64) {
-        self.cow_faults = n;
+        self.own.cow_faults = n;
     }
 
     /// Identity of the table's page *ownership*: which page object backs
@@ -152,7 +256,7 @@ impl PageTable {
     /// the same page object, so [`PageTable::private_pages_vs`] is a pure
     /// function of the two stamps and callers may cache it on them.
     pub fn ownership_stamp(&self) -> u64 {
-        self.stamp
+        self.own.stamp
     }
 
     /// Page indices whose backing differs from `parent`'s: pages this table
@@ -162,11 +266,11 @@ impl PageTable {
         let mut out: Vec<u64> = self
             .pages
             .iter()
-            .filter(|(idx, page)| match parent.pages.get(idx) {
+            .filter(|(idx, page)| match parent.pages.get(*idx) {
                 Some(pp) => !Arc::ptr_eq(page, pp),
                 None => true,
             })
-            .map(|(idx, _)| *idx)
+            .map(|(idx, _)| idx)
             .collect();
         out.sort_unstable();
         out
@@ -178,29 +282,28 @@ impl PageTable {
     /// and travels in the restored counter, so counting it again here
     /// would double-charge the eventual teardown.
     pub fn privatize(&mut self, page_idx: u64) {
-        {
-            let mut tlb = self.tlb.borrow_mut();
-            if matches!(*tlb, Some((ci, _)) if ci == page_idx) {
-                *tlb = None;
+        let slot = self.pages.slot_mut(page_idx);
+        match slot {
+            None => {
+                *slot = Some(zero_page());
+                self.own.resident += 1;
             }
+            Some(page) if Arc::strong_count(page) > 1 => *page = Arc::new(**page),
+            Some(_) => {}
         }
-        let entry = self.pages.entry(page_idx).or_insert_with(zero_page);
-        if Arc::strong_count(entry) > 1 {
-            *entry = Arc::new(**entry);
-        }
-        self.stamp = fresh_stamp();
-        mark_dirty(&mut self.dirty, self.pages.len(), page_idx);
+        self.own.changed(page_idx);
     }
 
     /// Duplicate the table the way `fork(2)` does: share all pages.
-    /// The child starts with a cold TLB.
     pub fn fork(&self) -> PageTable {
         PageTable {
             pages: self.pages.clone(),
-            tlb: RefCell::new(None),
-            cow_faults: 0,
-            stamp: fresh_stamp(),
-            dirty: Vec::new(),
+            own: Ownership {
+                resident: self.own.resident,
+                cow_faults: 0,
+                stamp: fresh_stamp(),
+                dirty: Vec::new(),
+            },
         }
     }
 
@@ -208,59 +311,38 @@ impl PageTable {
     /// in time proportional to the pages it dirtied rather than to the
     /// pages it holds: each index whose ownership changed since the last
     /// fork is re-pointed at `parent`'s page, or unmapped if `parent` has
-    /// none. The TLB goes cold, the fault count restarts at 0 and a fresh
-    /// stamp is drawn, as for a new fork.
+    /// none. The fault count restarts at 0 and a fresh stamp is drawn, as
+    /// for a new fork.
     ///
     /// `self` must have been forked (or re-forked) from `parent`, and
     /// `parent`'s page ownership must not have changed since.
     pub(crate) fn refork(&mut self, parent: &PageTable) {
-        *self.tlb.get_mut() = None;
-        for idx in self.dirty.drain(..) {
-            match parent.pages.get(&idx) {
-                Some(page) => {
-                    self.pages.insert(idx, Arc::clone(page));
-                }
-                None => {
-                    self.pages.remove(&idx);
-                }
+        for idx in self.own.dirty.drain(..) {
+            let slot = self.pages.slot_mut(idx);
+            let was_mapped = slot.is_some();
+            *slot = parent.pages.get(idx).cloned();
+            match (was_mapped, slot.is_some()) {
+                (true, false) => self.own.resident -= 1,
+                (false, true) => self.own.resident += 1,
+                _ => {}
             }
         }
-        self.cow_faults = 0;
-        self.stamp = fresh_stamp();
+        self.own.cow_faults = 0;
+        self.own.stamp = fresh_stamp();
         debug_assert!(
-            self.pages.len() == parent.pages.len() && self.private_pages_vs(parent).is_empty(),
+            self.own.resident == parent.own.resident && self.private_pages_vs(parent).is_empty(),
             "re-fork left pages that differ from the parent's"
         );
     }
 
     /// Read `buf.len()` bytes starting at `addr`.
     pub fn read(&self, addr: u64, buf: &mut [u8]) {
-        let page_idx = addr / PAGE_SIZE;
-        let in_page = (addr % PAGE_SIZE) as usize;
-        if in_page + buf.len() <= PAGE_SIZE as usize {
-            // Single-page fast path through the mini-TLB.
-            if let Some((ci, p)) = self.tlb.borrow().as_ref() {
-                if *ci == page_idx {
-                    buf.copy_from_slice(&p[in_page..in_page + buf.len()]);
-                    return;
-                }
-            }
-            match self.pages.get(&page_idx) {
-                Some(p) => {
-                    buf.copy_from_slice(&p[in_page..in_page + buf.len()]);
-                    *self.tlb.borrow_mut() = Some((page_idx, Arc::clone(p)));
-                }
-                None => buf.fill(0),
-            }
-            return;
-        }
         let mut a = addr;
         let mut off = 0;
         while off < buf.len() {
-            let page_idx = a / PAGE_SIZE;
             let in_page = (a % PAGE_SIZE) as usize;
             let n = ((PAGE_SIZE as usize) - in_page).min(buf.len() - off);
-            match self.pages.get(&page_idx) {
+            match self.pages.get(a / PAGE_SIZE) {
                 Some(p) => buf[off..off + n].copy_from_slice(&p[in_page..in_page + n]),
                 None => buf[off..off + n].fill(0),
             }
@@ -274,10 +356,9 @@ impl PageTable {
         let mut a = addr;
         let mut off = 0;
         while off < buf.len() {
-            let page_idx = a / PAGE_SIZE;
             let in_page = (a % PAGE_SIZE) as usize;
             let n = ((PAGE_SIZE as usize) - in_page).min(buf.len() - off);
-            let page = self.owned_page(page_idx);
+            let page = self.owned_page(a / PAGE_SIZE);
             page[in_page..in_page + n].copy_from_slice(&buf[off..off + n]);
             a += n as u64;
             off += n;
@@ -285,35 +366,15 @@ impl PageTable {
     }
 
     /// The page at `page_idx`, made writable: materialized if unmapped,
-    /// copied (one CoW fault) if shared.
+    /// copied (one CoW fault) if shared. A page this table already owns
+    /// costs one slot lookup.
     #[inline]
     fn owned_page(&mut self, page_idx: u64) -> &mut [u8; PAGE_SIZE as usize] {
-        // Drop our own TLB reference to this page *before* the CoW
-        // strong-count test — see the type-level comment.
-        {
-            let mut tlb = self.tlb.borrow_mut();
-            if matches!(*tlb, Some((ci, _)) if ci == page_idx) {
-                *tlb = None;
-            }
+        let slot = self.pages.slot_mut(page_idx);
+        if !matches!(slot, Some(page) if Arc::strong_count(page) == 1) {
+            self.own.take(slot, page_idx);
         }
-        let resident = self.pages.len();
-        let entry = match self.pages.entry(page_idx) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(e) => {
-                self.stamp = fresh_stamp();
-                mark_dirty(&mut self.dirty, resident, page_idx);
-                e.insert(zero_page())
-            }
-        };
-        if Arc::strong_count(entry) > 1 {
-            // Copy-on-write fault: this page is shared with another
-            // process (post-fork); duplicate before writing.
-            *entry = Arc::new(**entry);
-            self.cow_faults += 1;
-            self.stamp = fresh_stamp();
-            mark_dirty(&mut self.dirty, resident, page_idx);
-        }
-        Arc::get_mut(entry).expect("just un-shared")
+        Arc::get_mut(slot.as_mut().expect("mapped above")).expect("unshared above")
     }
 
     /// Read a little-endian unsigned integer of `width` bytes (1/2/4/8).
@@ -334,23 +395,14 @@ impl PageTable {
 
     /// [`PageTable::read`] of a `W`-byte integer: a constant-size copy
     /// when it fits in one page, the slice path when it straddles two.
+    #[inline]
     fn read_n<const W: usize>(&self, addr: u64) -> u64 {
         let mut buf = [0u8; 8];
-        let page_idx = addr / PAGE_SIZE;
         let in_page = (addr % PAGE_SIZE) as usize;
         if in_page + W > PAGE_SIZE as usize {
             self.read(addr, &mut buf[..W]);
-            return u64::from_le_bytes(buf);
-        }
-        if let Some((ci, p)) = self.tlb.borrow().as_ref() {
-            if *ci == page_idx {
-                buf[..W].copy_from_slice(&p[in_page..in_page + W]);
-                return u64::from_le_bytes(buf);
-            }
-        }
-        if let Some(p) = self.pages.get(&page_idx) {
+        } else if let Some(p) = self.pages.get(addr / PAGE_SIZE) {
             buf[..W].copy_from_slice(&p[in_page..in_page + W]);
-            *self.tlb.borrow_mut() = Some((page_idx, Arc::clone(p)));
         }
         u64::from_le_bytes(buf)
     }
@@ -367,18 +419,18 @@ impl PageTable {
         }
     }
 
-    /// [`PageTable::write`] of a `W`-byte integer: the same TLB, CoW and
-    /// stamp steps, then a constant-size copy when it fits in one page;
-    /// the slice path when it straddles two.
+    /// [`PageTable::write`] of a `W`-byte integer: the same CoW and stamp
+    /// steps, then a constant-size copy when it fits in one page; the
+    /// slice path when it straddles two.
+    #[inline]
     fn write_n<const W: usize>(&mut self, addr: u64, value: u64) {
         let bytes = value.to_le_bytes();
-        let page_idx = addr / PAGE_SIZE;
         let in_page = (addr % PAGE_SIZE) as usize;
         if in_page + W > PAGE_SIZE as usize {
             self.write(addr, &bytes[..W]);
             return;
         }
-        let page = self.owned_page(page_idx);
+        let page = self.owned_page(addr / PAGE_SIZE);
         page[in_page..in_page + W].copy_from_slice(&bytes[..W]);
     }
 
@@ -391,10 +443,9 @@ impl PageTable {
         let mut out = Vec::new();
         let mut a = addr;
         while out.len() < max {
-            let page_idx = a / PAGE_SIZE;
             let in_page = (a % PAGE_SIZE) as usize;
             let run = ((PAGE_SIZE as usize) - in_page).min(max - out.len());
-            let Some(p) = self.pages.get(&page_idx) else {
+            let Some(p) = self.pages.get(a / PAGE_SIZE) else {
                 return out;
             };
             let chunk = &p[in_page..in_page + run];
@@ -569,18 +620,17 @@ mod tests {
     }
 
     #[test]
-    fn tlb_does_not_perturb_cow_fault_decisions() {
+    fn reads_do_not_perturb_cow_fault_decisions() {
         let mut parent = PageTable::new();
         parent.write_uint(0x1000, 42, 8);
-        // Warm the parent's TLB on the page it will write next: without the
-        // invalidate-before-count rule this self-reference would fake a
-        // shared page and charge a spurious fault.
+        // A read holds no reference to the page, so the exclusive page
+        // it read must not look shared to the next write.
         assert_eq!(parent.read_uint(0x1000, 8), 42);
         parent.reset_fault_count();
         parent.write_uint(0x1000, 43, 8);
         assert_eq!(parent.cow_faults(), 0, "exclusive page must not fault");
 
-        // Shared page still faults exactly once even with both TLBs warm.
+        // A shared page faults exactly once, whoever read it first.
         let mut child = parent.fork();
         assert_eq!(child.read_uint(0x1000, 8), 43);
         assert_eq!(parent.read_uint(0x1000, 8), 43);
@@ -593,11 +643,11 @@ mod tests {
     }
 
     #[test]
-    fn tlb_reads_see_writes_through_same_table() {
+    fn reads_see_writes_through_same_table() {
         let mut pt = PageTable::new();
         pt.write_uint(0x2000, 1, 8);
-        assert_eq!(pt.read_uint(0x2000, 8), 1); // TLB now warm
-        pt.write_uint(0x2000, 2, 8); // invalidates TLB entry
-        assert_eq!(pt.read_uint(0x2000, 8), 2, "no stale TLB read");
+        assert_eq!(pt.read_uint(0x2000, 8), 1);
+        pt.write_uint(0x2000, 2, 8);
+        assert_eq!(pt.read_uint(0x2000, 8), 2, "no stale read");
     }
 }

@@ -103,6 +103,7 @@ impl Os {
             fds: parent.fds.clone(),
             globals: parent.globals.clone(),
             frames: parent.frames.clone(),
+            regs: parent.regs.clone(),
             sp: parent.sp,
             cov_state: parent.cov_state,
             rt: parent.rt.clone(),
@@ -258,6 +259,7 @@ fn refork(child: &mut Process, parent: &Process) {
         fds,
         globals,
         frames,
+        regs,
         sp,
         cov_state,
         rt,
@@ -271,6 +273,7 @@ fn refork(child: &mut Process, parent: &Process) {
     child.fds.clone_from(fds);
     child.globals.clone_from(globals);
     child.frames.clone_from(frames);
+    child.regs.clone_from(regs);
     child.sp = *sp;
     child.cov_state = *cov_state;
     child.rt.clone_from(rt);

@@ -30,8 +30,9 @@ pub struct Frame {
     pub block: u32,
     /// Index of the *next* instruction in the block.
     pub ip: usize,
-    /// Register file.
-    pub regs: Vec<i64>,
+    /// Start of this frame's registers in [`Process::regs`]; they run to
+    /// the next frame's `base` (or the stack's end for the top frame).
+    pub base: usize,
     /// Stack pointer to restore when this frame pops.
     pub saved_sp: u64,
     /// Caller register that receives this frame's return value.
@@ -86,6 +87,9 @@ pub struct Process {
     pub globals: GlobalMap,
     /// Live activation records (empty when idle).
     pub frames: Vec<Frame>,
+    /// The register stack: every live frame's registers, one window per
+    /// frame from its [`Frame::base`] (empty when idle).
+    pub regs: Vec<i64>,
     /// Current stack pointer.
     pub sp: u64,
     /// Coverage `prev_loc` state.
@@ -118,6 +122,7 @@ impl Process {
             fds: FdTable::new(fd_limit),
             globals,
             frames: Vec::new(),
+            regs: Vec::new(),
             sp: STACK_TOP,
             cov_state: CovState::default(),
             rt: ClosureRt::default(),
@@ -307,6 +312,27 @@ mod tests {
         mb.global(Global::zeroed("rw", 32));
         let m = mb.finish();
         Process::load(&m, 1 << 20, 16, 1)
+    }
+
+    #[test]
+    fn heap_chunks_past_the_stack_top_are_stored() {
+        // The heap limits live bytes, not its address range, and reuses a
+        // freed chunk only for the same rounded size: allocations of
+        // ever-new sizes walk the bump pointer past every fixed region.
+        let m = ModuleBuilder::new("m").finish();
+        let mut p = Process::load(&m, 64 << 20, 16, 1);
+        let size = |i: u64| (60 << 20) + i * 16;
+        for i in 0..24 {
+            let chunk = p.heap.alloc(size(i)).unwrap();
+            p.heap.free(chunk).unwrap();
+        }
+        let addr = p.heap.alloc(size(24)).unwrap();
+        assert!(addr > STACK_TOP, "chunk at {addr:#x}");
+        assert!(p.check_access(addr, 8, true, "f", 0).is_ok());
+        let resident = p.mem.resident_pages();
+        p.mem.write_uint(addr, 0xfeed, 8);
+        assert_eq!(p.mem.read_uint(addr, 8), 0xfeed);
+        assert_eq!(p.mem.resident_pages(), resident + 1);
     }
 
     #[test]

@@ -1,15 +1,18 @@
 //! Property-based tests over the OS substrate: allocator invariants, CoW
 //! isolation, recycled forks, and coverage-map algebra.
 
+use std::collections::{BTreeMap, BTreeSet};
+
 use fir::builder::ModuleBuilder;
 use fir::Global;
 use proptest::prelude::*;
 
 use crate::cov::{classify_count, CovMap, VirginMap};
 use crate::heap::{AccessVerdict, HeapState, GUARD, HEAP_BASE};
+use crate::layout::GLOBAL_BASE;
 use crate::mem::{PageTable, PAGE_SIZE};
 use crate::os::{ForkServer, Os};
-use crate::process::{Process, STACK_TOP};
+use crate::process::{Process, STACK_MAX_BYTES, STACK_TOP};
 
 #[derive(Debug, Clone)]
 enum HeapOp {
@@ -72,6 +75,23 @@ fn apply_op(p: &mut Process, rw: u64, (kind, off, len, byte): ChildOp) -> Vec<u6
 fn child_ops() -> impl Strategy<Value = Vec<Vec<ChildOp>>> {
     let op = (0u8..9, 0u64..PAGE_SIZE * 4 - 64, 1u64..40, any::<u8>());
     prop::collection::vec(prop::collection::vec(op, 0..10), 50..60)
+}
+
+/// An address near a region edge of a process image, or far outside every
+/// region: two pages either side of the globals base, both ends of the
+/// heap (also with a per-pid heap offset) and both ends of the stack, or
+/// in the low and high address space no region covers.
+fn table_addr() -> impl Strategy<Value = u64> {
+    let bases = [
+        4 * PAGE_SIZE,
+        GLOBAL_BASE,
+        HEAP_BASE,
+        HEAP_BASE + 7 * 0x10_0000,
+        STACK_TOP - STACK_MAX_BYTES,
+        STACK_TOP,
+        0x9_0000_0000,
+    ];
+    (0..bases.len(), 0u64..PAGE_SIZE * 4).prop_map(move |(b, off)| bases[b] - 2 * PAGE_SIZE + off)
 }
 
 fn page_bytes(p: &Process, idx: u64) -> Vec<u8> {
@@ -187,29 +207,52 @@ proptest! {
         }
     }
 
-    /// Page table: what you write is what you read, across arbitrary
-    /// offsets and sizes; forked children never see later parent writes.
+    /// Page table: what you write is what you read — in the globals, heap
+    /// and stack regions and outside all three, including writes that
+    /// straddle a page or a region's dense-storage boundary — and resident
+    /// pages are exactly the pages written. Forked children never see later
+    /// parent writes, and those writes fault once per page they share.
     #[test]
     fn pagetable_roundtrip_and_fork_isolation(
-        writes in prop::collection::vec((0u64..PAGE_SIZE * 8, prop::collection::vec(any::<u8>(), 1..64)), 1..20),
-        probe in 0u64..PAGE_SIZE * 8,
+        writes in prop::collection::vec((table_addr(), prop::collection::vec(any::<u8>(), 1..64)), 1..20),
+        probe in table_addr(),
     ) {
         let mut pt = PageTable::new();
+        let mut model: BTreeMap<u64, u8> = BTreeMap::new();
         for (addr, data) in &writes {
             pt.write(*addr, data);
+            for (i, b) in data.iter().enumerate() {
+                model.insert(addr + i as u64, *b);
+            }
         }
-        let (last_addr, last_data) = writes.last().expect("non-empty");
-        let mut back = vec![0u8; last_data.len()];
-        pt.read(*last_addr, &mut back);
-        prop_assert_eq!(&back, last_data, "last write wins and round-trips");
+        for (&addr, &byte) in &model {
+            prop_assert_eq!(pt.read_uint(addr, 1), u64::from(byte), "byte at {:#x}", addr);
+        }
+        for (addr, data) in &writes {
+            let mut back = vec![0u8; data.len()];
+            pt.read(*addr, &mut back);
+            let want: Vec<u8> = (0..data.len() as u64).map(|i| model[&(addr + i)]).collect();
+            prop_assert_eq!(back, want, "slice read at {:#x}", addr);
+            let word: Vec<u8> = (0..8).map(|i| model.get(&(addr + i)).copied().unwrap_or(0)).collect();
+            prop_assert_eq!(pt.read_uint(*addr, 8).to_le_bytes().to_vec(), word);
+        }
+        let pages: BTreeSet<u64> = model.keys().map(|a| a / PAGE_SIZE).collect();
+        prop_assert_eq!(pt.resident_pages(), pages.len() as u64);
 
         let child = pt.fork();
         let mut before = [0u8; 8];
         child.read(probe, &mut before);
+        let shared = [probe / PAGE_SIZE, (probe + 7) / PAGE_SIZE]
+            .into_iter()
+            .collect::<BTreeSet<u64>>()
+            .intersection(&pages)
+            .count();
         pt.write(probe, &[0xEE; 8]);
+        prop_assert_eq!(pt.cow_faults(), shared as u64, "one fault per shared page");
         let mut after = [0u8; 8];
         child.read(probe, &mut after);
         prop_assert_eq!(before, after, "parent writes invisible to child");
+        prop_assert_eq!(pt.read_uint(probe, 8), u64::from_le_bytes([0xEE; 8]));
     }
 
     /// Coverage bucketing is idempotent and merge is monotone: merging the

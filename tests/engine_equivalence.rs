@@ -27,9 +27,9 @@
 use aflrs::{Campaign, CampaignConfig, CampaignOutcome, CampaignResult, CheckpointConfig};
 use closurex::harness::{ClosureXConfig, ClosureXExecutor};
 use fir::{BinOp, Module};
-use vmos::decoded::{ChainOp, DOp};
+use vmos::decoded::{ChainComp, DOp};
 use vmos::{
-    CallOutcome, CovMap, CrashKind, DecodeOptGuard, DecodedImage, HostCtx, Machine, Os,
+    CallOutcome, CallResult, CovMap, CrashKind, DecodeOptGuard, DecodedImage, HostCtx, Machine, Os,
     ReferenceEngineGuard,
 };
 
@@ -176,12 +176,13 @@ fn call_main(m: &Module, img: &DecodedImage, engine: Engine, arg: i64, fuel: u64
 }
 
 /// Compile `src`, check that `main`'s optimized stream holds a `Chain`
-/// whose component `k > 0` is the trapping kind `trap`, and sweep fuel
+/// whose executable component `k > 0` is the trapping kind `trap`, and
+/// sweep fuel
 /// over every position until the chain runs block-charged — so across
 /// its boundary (`rest - 1`, `rest`, `rest + 1` left after its head) —
 /// requiring both decoded streams to match the reference in result,
 /// crash site, `insts` and `cycles`.
-fn chain_trap_sweep(src: &str, arg: i64, trap: fn(&ChainOp) -> bool, kind: CrashKind) {
+fn chain_trap_sweep(src: &str, arg: i64, trap: fn(&ChainComp) -> bool, kind: CrashKind) {
     let m = minic::compile("chain_trap", src).expect("MinC source compiles");
     let img = DecodedImage::new(&m);
     let main = &img.opt_funcs[m.function_id("main").expect("main").0 as usize];
@@ -189,9 +190,7 @@ fn chain_trap_sweep(src: &str, arg: i64, trap: fn(&ChainOp) -> bool, kind: Crash
         .ops
         .iter()
         .find_map(|op| match op {
-            DOp::Chain { comps, rest, .. } if comps.iter().skip(1).any(|c| trap(&c.op)) => {
-                Some(*rest)
-            }
+            DOp::Chain { comps, rest, .. } if comps.iter().skip(1).any(trap) => Some(*rest),
             _ => None,
         })
         .unwrap_or_else(|| {
@@ -209,11 +208,18 @@ fn chain_trap_sweep(src: &str, arg: i64, trap: fn(&ChainOp) -> bool, kind: Crash
     );
     // Every exec reaching the chain's head has charged less than the
     // crash's total, so this bound passes `rest + 1` left after the head.
-    for fuel in 1..=full.insts + rest + 1 {
-        let reference = call_main(&m, &img, Engine::Reference, arg, fuel);
+    fuel_sweep(&m, &img, arg, full.insts + rest + 1);
+}
+
+/// Run `main(arg)` at every fuel in `1..=max_fuel`, requiring both
+/// decoded streams to match the reference in result, crash site, `insts`
+/// and `cycles`.
+fn fuel_sweep(m: &Module, img: &DecodedImage, arg: i64, max_fuel: u64) {
+    for fuel in 1..=max_fuel {
+        let reference = call_main(m, img, Engine::Reference, arg, fuel);
         for engine in [Engine::DecodedPlain, Engine::DecodedOpt] {
-            let leg = call_main(&m, &img, engine, arg, fuel);
-            let what = format!("fuel {fuel} [{}]", engine.name());
+            let leg = call_main(m, img, engine, arg, fuel);
+            let what = format!("arg {arg}, fuel {fuel} [{}]", engine.name());
             assert_eq!(
                 leg.result, reference.result,
                 "{what}: result and crash site"
@@ -222,6 +228,65 @@ fn chain_trap_sweep(src: &str, arg: i64, trap: fn(&ChainOp) -> bool, kind: Crash
             assert_eq!(leg.cycles, reference.cycles, "{what}: cycles");
         }
     }
+}
+
+/// `setjmp`/`longjmp` and call-depth overflow: the frame-stack transitions
+/// that move register windows the most. `main` keeps a live register
+/// across a `setjmp`; with `arg <= 5`, `leaf` — three frames below `main`,
+/// with live registers in every frame between — `longjmp`s back, and
+/// `main` returns the jumped value plus its own register. With `arg > 5`,
+/// the landing recurses until the call depth overflows. Both paths are
+/// swept at every fuel up to completion.
+#[test]
+fn setjmp_longjmp_and_stack_overflow_match_reference_at_every_fuel() {
+    let m = minic::compile(
+        "jumps",
+        "global jb[64];
+         fn leaf(x) {
+             var a = x * 3 + 1;
+             var b = a + 7;
+             if (x > 2) { longjmp(jb, a * 100 + b); }
+             return a + b;
+         }
+         fn mid(x) {
+             var m = x + 100;
+             var r = leaf(x + 1);
+             return m + r;
+         }
+         fn top(x) {
+             var t = x * 5;
+             var r = mid(x + 1);
+             return t + r;
+         }
+         fn recurse(n) {
+             var k = n + 1;
+             return recurse(k) + k;
+         }
+         fn main(arg) {
+             var live = arg * 11;
+             var v = setjmp(jb);
+             if (v != 0) {
+                 if (arg > 5) { return recurse(live) + v; }
+                 return v + live;
+             }
+             var r = top(arg);
+             return r + live;
+         }",
+    )
+    .expect("MinC source compiles");
+    let img = DecodedImage::new(&m);
+    // arg 1: leaf sees x = 3, a = 10, b = 17, and jumps with 1017.
+    let jumped = call_main(&m, &img, Engine::Reference, 1, u64::MAX);
+    assert_eq!(jumped.result, CallResult::Return(1017 + 11));
+    fuel_sweep(&m, &img, 1, jumped.insts + 1);
+    let overflow = call_main(&m, &img, Engine::Reference, 7, u64::MAX);
+    let crash = overflow.result.crash().expect("recursion overflows");
+    assert_eq!(crash.kind, CrashKind::StackOverflow);
+    assert_eq!(
+        crash.detail,
+        format!("call depth {}", vmos::process::MAX_CALL_DEPTH)
+    );
+    fuel_sweep(&m, &img, 7, overflow.insts + 1);
 }
 
 #[test]
@@ -236,10 +301,10 @@ fn chain_division_trap_matches_reference_at_every_fuel() {
              return c;
          }",
         0,
-        |op| {
+        |c| {
             matches!(
-                op,
-                ChainOp::Bin {
+                c,
+                ChainComp::BinRR {
                     op: BinOp::SDiv,
                     ..
                 }
@@ -260,7 +325,7 @@ fn chain_heap_oob_load_matches_reference_at_every_fuel() {
              return v + y;
          }",
         5,
-        |op| matches!(op, ChainOp::Load { .. }),
+        |c| matches!(c, ChainComp::LoadR { .. } | ChainComp::LoadI { .. }),
         CrashKind::OutOfBoundsAccess,
     );
 }
@@ -276,7 +341,15 @@ fn chain_rodata_store_matches_reference_at_every_fuel() {
              return b;
          }",
         3,
-        |op| matches!(op, ChainOp::Store { .. }),
+        |c| {
+            matches!(
+                c,
+                ChainComp::StoreRR { .. }
+                    | ChainComp::StoreRI { .. }
+                    | ChainComp::StoreIR { .. }
+                    | ChainComp::StoreII { .. }
+            )
+        },
         CrashKind::InvalidWrite,
     );
 }
