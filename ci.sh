@@ -5,6 +5,9 @@ set -eux
 cargo build --release
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
+# Rustdoc gate: every intra-doc link must resolve to a public item, so a
+# deleted or privatized item cannot leave a dangling link behind.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # The benchmark (`perfbench/`) is its own package outside the workspace, so
 # the workspace build above cannot see it: build and test it here so a
 # public-API change in the crates it drives fails CI instead of the next
@@ -17,8 +20,10 @@ cargo run --release -p bench --bin exec_throughput -- --smoke
 # Fault-plane gates: every plane's identity grid (bench::planes, the same
 # grids `cargo test` runs at test size) at smoke size. Any failed cell fails,
 # and each plane's cost is gated against results/BENCH_<plane>_floor.json:
-# - checkpoint: kill/resume, resume-of-a-resume and corrupted-snapshot
-#   recovery match the uninterrupted run (identity only);
+# - checkpoint: kill/resume, resume-of-a-resume, kills at every offset
+#   around a snapshot and corrupted-snapshot recovery (with the damaged
+#   generation rewritten byte for byte) match the uninterrupted run
+#   (identity only);
 # - shard: shards in {1,2,4} and a sharded kill/resume match; scaling
 #   efficiency >= 0.6x smoke_scaling_efficiency;
 # - supervision: worker panics, lane hangs and barrier timeouts recover

@@ -19,7 +19,7 @@
 //! ```
 //!
 //! Sharded campaigns hand the builder an
-//! [`ExecutorFactory`](closurex::executor::ExecutorFactory) instead of a
+//! [`ExecutorFactory`] instead of a
 //! borrowed executor — each lane needs its own instance:
 //!
 //! ```ignore
@@ -154,7 +154,7 @@ impl<'a> Campaign<'a> {
     /// Replay first-discovery crashes in this executor when
     /// [`CampaignConfig::revalidate_crashes`] is set (single-driver mode;
     /// sharded lanes build their own via
-    /// [`ExecutorFactory::build_revalidator`](closurex::executor::ExecutorFactory::build_revalidator)).
+    /// [`ExecutorFactory::build_revalidator`]).
     pub fn revalidator(mut self, rv: &'a mut dyn Executor) -> Self {
         self.revalidator = Some(rv);
         self
@@ -292,10 +292,9 @@ impl<'a> Campaign<'a> {
                     ));
                 }
                 match &checkpoint {
-                    Some(ck) => run_checkpointed_impl(ex, revalidator, seeds, &cfg, ck)
-                        .map_err(CampaignError::Checkpoint),
+                    Some(ck) => Ok(run_checkpointed_impl(ex, revalidator, seeds, &cfg, ck)),
                     None => {
-                        let mut d = Driver::new(ex, revalidator, seeds, &cfg, false);
+                        let mut d = Driver::new(ex, revalidator, seeds, &cfg);
                         while d.step() == StepOutcome::Ran {}
                         Ok(CampaignOutcome::Finished(d.finish()))
                     }

@@ -5,9 +5,9 @@
 //! growth, and deduplicated crashes with discovery times.
 //!
 //! The loop is structured as an explicit **state machine**: every piece of
-//! state that influences future behavior — the stage position ([`Stage`]),
+//! state that influences future behavior — the stage position (`Stage`),
 //! the queue and its round-robin cursor, both RNG streams, the virgin map,
-//! and every counter — lives in the [`Driver`] and is serializable. That is
+//! and every counter — lives in the `Driver` and is serializable. That is
 //! what makes crash-safe checkpointing (see [`crate::checkpoint`]) exact: a
 //! campaign killed at any execution boundary and resumed from disk takes
 //! the same decisions, in the same order, as one that never died.
@@ -175,18 +175,6 @@ pub(crate) struct Driver<'e> {
     /// Pure function of the entry's data — never serialized, rebuilt
     /// lazily after a resume.
     det_cache: Option<(usize, Vec<Vec<u8>>)>,
-    /// When set, per-execution deltas are accumulated for the journal.
-    pub(crate) track_deltas: bool,
-    /// Virgin-map bytes changed since the last delta was taken.
-    pub(crate) pending_virgin: Vec<(usize, u8)>,
-    /// Queue indices whose `det_done` flipped since the last delta.
-    pub(crate) pending_det_done: Vec<usize>,
-    /// `(crash index, absolute hit count)` updates since the last delta.
-    pub(crate) pending_crash_hits: Vec<(usize, u64)>,
-    /// Queue length already covered by emitted deltas.
-    pub(crate) journaled_queue_len: usize,
-    /// Crash count already covered by emitted deltas.
-    pub(crate) journaled_crash_len: usize,
 }
 
 impl<'e> Driver<'e> {
@@ -195,7 +183,6 @@ impl<'e> Driver<'e> {
         revalidator: Option<&'e mut dyn Executor>,
         seeds: &[Vec<u8>],
         cfg: &CampaignConfig,
-        track_deltas: bool,
     ) -> Self {
         Driver {
             executor,
@@ -220,12 +207,6 @@ impl<'e> Driver<'e> {
             consecutive_hangs: 0,
             watchdog_trips: 0,
             det_cache: None,
-            track_deltas,
-            pending_virgin: Vec::new(),
-            pending_det_done: Vec::new(),
-            pending_crash_hits: Vec::new(),
-            journaled_queue_len: 0,
-            journaled_crash_len: 0,
         }
     }
 
@@ -303,9 +284,6 @@ impl<'e> Driver<'e> {
                 let key = c.site_key();
                 if let Some(&idx) = self.crash_sites.get(&key) {
                     self.crashes[idx].hits += 1;
-                    if self.track_deltas && idx < self.journaled_crash_len {
-                        self.pending_crash_hits.push((idx, self.crashes[idx].hits));
-                    }
                 } else {
                     let found_at_cycles = self.clock;
                     let flaky =
@@ -332,12 +310,7 @@ impl<'e> Driver<'e> {
         // inputs become queue seeds.
         let clean = matches!(out.status, ExecStatus::Exit(_));
         let edges_before = self.virgin.edges_found();
-        let new_cov = if self.track_deltas {
-            self.virgin
-                .merge_tracked(self.executor.coverage(), &mut self.pending_virgin)
-        } else {
-            self.virgin.merge(self.executor.coverage())
-        };
+        let new_cov = self.virgin.merge(self.executor.coverage());
         if new_cov && clean {
             self.queue.push(QueueEntry {
                 data: input.to_vec(),
@@ -373,7 +346,7 @@ impl<'e> Driver<'e> {
     /// Advance the campaign by **at most one execution**: internal stage
     /// transitions (picking the next entry, finishing a mutant batch) are
     /// folded in until either one test case has run or the campaign is
-    /// done. The one-exec granularity is the checkpoint journal's unit.
+    /// done. Kills and snapshot cadence are counted in these steps.
     pub(crate) fn step(&mut self) -> StepOutcome {
         loop {
             match self.stage {
@@ -418,9 +391,6 @@ impl<'e> Driver<'e> {
                         // Deterministic stage, once per entry.
                         if let Some(e) = self.queue.get_mut(idx) {
                             e.det_done = true;
-                        }
-                        if self.track_deltas {
-                            self.pending_det_done.push(idx);
                         }
                         self.stage = Stage::Det {
                             entry: idx,
@@ -638,28 +608,6 @@ mod tests {
         assert_eq!(ra.execs, rb.execs);
         assert_eq!(ra.edges_found, rb.edges_found);
         assert_eq!(ra.coverage_hash, rb.coverage_hash);
-    }
-
-    #[test]
-    fn delta_tracking_does_not_change_campaign_behavior() {
-        // The journaling hooks must be pure observation: a driver with
-        // delta tracking on takes the exact same decisions.
-        let m = minic::compile("t", TARGET).unwrap();
-        let cfg = CampaignConfig {
-            budget_cycles: 8_000_000,
-            seed: 42,
-            ..CampaignConfig::default()
-        };
-        let mut a = ClosureXExecutor::new(&m, ClosureXConfig::default()).unwrap();
-        let ra = run(&mut a, &[b"seed".to_vec()], &cfg);
-        let mut b = ClosureXExecutor::new(&m, ClosureXConfig::default()).unwrap();
-        let mut d = Driver::new(&mut b, None, &[b"seed".to_vec()], &cfg, true);
-        while d.step() == StepOutcome::Ran {}
-        let rb = d.finish();
-        assert_eq!(ra.execs, rb.execs);
-        assert_eq!(ra.clock_cycles, rb.clock_cycles);
-        assert_eq!(ra.coverage_hash, rb.coverage_hash);
-        assert_eq!(ra.queue_inputs, rb.queue_inputs);
     }
 
     #[test]

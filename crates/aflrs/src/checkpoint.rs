@@ -1,5 +1,5 @@
-//! Crash-safe campaign checkpointing: versioned snapshots plus a
-//! write-ahead journal of per-execution deltas, with deterministic resume.
+//! Crash-safe campaign checkpointing: versioned, sealed snapshots with
+//! deterministic resume.
 //!
 //! A fuzzing campaign is a long-running investment; a power cut or an OOM
 //! kill must not discard it. This module persists the campaign state
@@ -10,44 +10,43 @@
 //!
 //! # On-disk layout
 //!
-//! Inside the checkpoint directory:
-//!
-//! * `ckpt-{execs:012}.bin` — a full snapshot of the campaign state after
-//!   `execs` executions: `"CXCK"` magic, format version, FNV-1a checksum,
-//!   payload length, then the serialized state (queue + cursor, virgin
-//!   map, crash records, both RNG streams, stage position, all counters,
-//!   and the executor's exported state). Written atomically
-//!   (write-temp-then-rename); older snapshots are rotated away, keeping
-//!   [`CheckpointConfig::keep_snapshots`].
-//! * `journal-{base:012}.bin` — the write-ahead journal that starts at
-//!   snapshot `base`: `"CXJL"` header, then one length- and
-//!   checksum-framed [`DeltaRecord`] per execution. A torn final record
-//!   (the write the kill interrupted) is detected by its checksum and
-//!   dropped.
+//! Inside the checkpoint directory, `ckpt-{execs:012}.bin` is a full
+//! snapshot of the campaign state after `execs` executions: `"CXCK"`
+//! magic, format version, target fingerprint, FNV-1a checksum, payload
+//! length, then the serialized state (queue + cursor, virgin map, crash
+//! records, both RNG streams, stage position, all counters, and the
+//! executor's exported state). Each is written atomically
+//! (write-temp-then-rename); older snapshots are rotated away, keeping
+//! [`CheckpointConfig::keep_snapshots`]. Nothing else in the directory is
+//! campaign state: a `journal-*.bin` file an older build's per-execution
+//! journal left behind is never read, and rotation deletes it.
 //!
 //! # Resume semantics
 //!
+//! Every snapshot is durable, and nothing between two snapshots is.
 //! Resume (via [`crate::Campaign::resume`]) loads the **newest snapshot
-//! that validates**; a
-//! corrupt or version-mismatched snapshot is skipped and the previous one
-//! used instead, with the journal *chain* (`journal-{S1}` covers
-//! `S1..S2`, …) replayed across the gap. Journal replay applies recorded
-//! state patches — it never re-executes inputs — so resume cost is
-//! proportional to the journal tail, not the campaign. Checkpoint I/O
-//! charges **zero simulated cycles**: a checkpointed campaign's result is
-//! identical to an uncheckpointed one.
+//! that validates** — a corrupt or version-mismatched generation is
+//! skipped and the previous one used — restores the executor export it
+//! holds, and re-runs the campaign from there. Execution is deterministic
+//! given that state, so the re-run reproduces the lost executions bit for
+//! bit, and the snapshot it writes at a skipped generation's execution
+//! count rewrites that generation with identical bytes (scrub-and-repair,
+//! counted in [`ResumeReport::snapshots_repaired`]). A resume therefore
+//! re-runs at most [`CheckpointConfig::snapshot_every_execs`] executions
+//! per generation it falls back. Checkpoint I/O charges **zero simulated
+//! cycles**: a checkpointed campaign's result is identical to an
+//! uncheckpointed one.
 //!
 //! The executor handed to a resume must be freshly constructed
 //! from the same module and configuration (construction is deterministic),
 //! with any fault plan re-armed *before* the call; the checkpoint then
 //! restores its mutable counters via
-//! [`Executor::restore_state`](closurex::executor::Executor::restore_state).
+//! [`Executor::restore_state`].
 //! Exact resume needs an export-capable executor (ClosureX, fresh
 //! process); mechanisms whose `export_state` returns `None` resume with
 //! fresh executor counters.
 
 use std::fs;
-use std::io::{Seek, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
 use closurex::checkpoint::ExecutorState;
@@ -62,7 +61,7 @@ use vmos::{Crash, DiskFaultPlan, Reader, WireError, Writer};
 use crate::campaign::{CampaignConfig, Driver, Stage, StepOutcome};
 use crate::queue::QueueEntry;
 use crate::stats::{CampaignResult, CrashRecord};
-use crate::storage::{faulted_create, flip_bit, fsync_dir, Injected, OpOutcome, Storage};
+use crate::storage::{faulted_create, fsync_dir, Injected, OpOutcome, Storage};
 
 /// Checkpoint format version; bump on any wire-layout change.
 /// v2: queue entries carry the `favored` bit and the snapshot header embeds
@@ -73,47 +72,37 @@ use crate::storage::{faulted_create, flip_bit, fsync_dir, Injected, OpOutcome, S
 pub(crate) const FORMAT_VERSION: u32 = 3;
 /// Snapshot file magic.
 const SNAPSHOT_MAGIC: &[u8; 4] = b"CXCK";
-/// Journal file magic.
-pub(crate) const JOURNAL_MAGIC: &[u8; 4] = b"CXJL";
-/// Bytes before a journal's first record: magic + version + base execs.
-pub(crate) const JOURNAL_HEADER_LEN: u64 = 16;
 
 /// When checkpoint files are flushed to stable storage.
 ///
-/// Under every policy each journal record is handed to the OS before the
-/// next execution starts, so a killed *process* loses at most the record
-/// its kill interrupted. The policy only decides what survives a *power
-/// loss*; anything lost there is detected (torn tail, failed checksum,
-/// missing file) and resume falls back to what did survive.
+/// Snapshots are the only durable state, so the policy only decides what
+/// a *power loss* can take: anything lost there is detected (failed
+/// checksum, missing file) and resume falls back to the newest snapshot
+/// that survived. A killed *process* loses nothing a snapshot committed
+/// under either policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FsyncPolicy {
-    /// Never fsync anything — fastest; a power loss may lose any file
+    /// Never fsync anything — fastest; a power loss may lose any snapshot
     /// written since the OS last flushed on its own.
     Never,
     /// The default. Fsync each snapshot's temp file before its rename,
-    /// and the directory after that rename and after rotation unlinks;
-    /// journals are never flushed. A power loss loses at most the journal
-    /// records since the last snapshot.
+    /// and the directory after that rename and after rotation unlinks: a
+    /// committed snapshot survives a power loss.
     #[default]
     OnSnapshot,
-    /// Everything `OnSnapshot` flushes, plus every journal on creation
-    /// and after each record: a power loss loses at most the in-flight
-    /// execution. Paranoid and slow. Only the single-driver journal has
-    /// records; sharded campaigns keep no journal, so for them this is
-    /// `OnSnapshot`.
-    EveryRecord,
 }
 
 /// Checkpointing parameters.
 #[derive(Debug, Clone)]
 pub struct CheckpointConfig {
-    /// Directory the snapshot/journal files live in (created on demand).
+    /// Directory the snapshot files live in (created on demand).
     pub dir: PathBuf,
-    /// Write a full snapshot every this many executions (0 = only the
-    /// initial and final snapshots; the journal covers everything else).
+    /// Write a full snapshot every this many executions. It bounds what a
+    /// resume re-runs: the executions since the newest valid snapshot.
+    /// 0 writes only the initial and final snapshots, so a resume re-runs
+    /// the campaign from the start.
     pub snapshot_every_execs: u64,
-    /// How many most-recent snapshots to retain; older ones (and the
-    /// journals wholly before the oldest kept snapshot) are deleted.
+    /// How many most-recent snapshots to retain; older ones are deleted.
     pub keep_snapshots: usize,
     /// Flush policy.
     pub fsync: FsyncPolicy,
@@ -168,9 +157,9 @@ pub enum CampaignOutcome {
     /// The simulated kill fired after `execs` executions; resume with
     /// [`crate::Campaign::resume`].
     Killed {
-        /// Executions completed before the kill (a single-driver campaign
-        /// journaled every one; a sharded one re-runs those since its last
-        /// barrier).
+        /// Executions completed before the kill. Resume re-runs those
+        /// past the newest valid snapshot (single driver) or barrier
+        /// (sharded).
         execs: u64,
     },
 }
@@ -193,35 +182,26 @@ impl CampaignOutcome {
 pub struct ResumeReport {
     /// Execution count of the snapshot the resume started from (summed
     /// over lanes for a sharded campaign). A campaign killed past it
-    /// re-runs or replays the difference.
+    /// re-runs the difference.
     pub snapshot_execs: u64,
-    /// Journal records replayed on top of the snapshot. Single-driver
-    /// only: a sharded resume re-runs the interrupted epoch instead of
-    /// replaying a journal, so this stays 0 there.
-    pub records_applied: u64,
     /// Snapshots that failed validation (corrupt / truncated / wrong
     /// version) and were skipped in favor of an older one.
     pub corrupt_snapshots_skipped: u64,
-    /// Journal records dropped because they sat in (or beyond) a torn or
-    /// checksum-failing region. Silent journal loss is observable: each
-    /// dropped record is one execution resume will re-run. Single-driver
-    /// only, like `records_applied`.
-    pub torn_records: u64,
-    /// Corrupt snapshot generations rewritten during replay from an older
-    /// good generation plus the journal chain (scrub-and-repair).
+    /// Corrupt snapshot generations the single driver's re-run rewrote:
+    /// its snapshot at such a generation's execution count replaces the
+    /// damaged file with identical bytes (scrub-and-repair).
     pub snapshots_repaired: u64,
-    /// Orphaned tmp files the pre-replay sweep could not remove (see
+    /// Orphaned tmp files the resume's start-up sweep could not remove (see
     /// [`crate::StorageCounters::sweep_warnings`]).
     pub sweep_warnings: u64,
     /// Whether the target's lowered image was available without a
     /// re-lower when the resume validated it (`false` also when the
     /// mechanism does not use the decoded engine). Resume warms the cache
-    /// either way, so the replayed campaign never pays a lazy mid-run
-    /// lowering the original did not.
+    /// either way, so the re-run never pays a lazy mid-run lowering.
     pub decoded_image_ready: bool,
-    /// Where the decoded image came from: in-memory cache, sidecar file,
-    /// or a fresh lowering (`None` when the mechanism does not use the
-    /// decoded engine).
+    /// Where the decoded image came from: the in-memory cache or a fresh
+    /// lowering (`None` when the mechanism does not use the decoded
+    /// engine).
     pub decoded_image_source: Option<vmos::WarmSource>,
 }
 
@@ -401,8 +381,8 @@ pub(crate) fn decode_exec_state(r: &mut Reader<'_>) -> Result<Option<ExecutorSta
     })
 }
 
-/// The shared scalar block both snapshots and deltas carry: absolute
-/// values of every behavior-relevant campaign scalar.
+/// The scalar block every snapshot carries: absolute values of every
+/// behavior-relevant campaign scalar.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Scalars {
     pub(crate) stage: Stage,
@@ -525,8 +505,6 @@ impl SnapshotState {
         d.virgin = self.virgin;
         d.crashes = self.crashes;
         d.rebuild_crash_sites();
-        d.journaled_queue_len = d.queue.len();
-        d.journaled_crash_len = d.crashes.len();
         if let Some(es) = &self.exec_state {
             d.executor.restore_state(es).map_err(CheckpointError::Executor)?;
         }
@@ -601,187 +579,12 @@ pub(crate) fn decode_collections(r: &mut Reader<'_>) -> Result<Collections, Wire
     Ok((entries, virgin, crashes))
 }
 
-/// One journaled execution: the absolute post-execution scalars plus the
-/// incremental collection changes since the previous record. Replay is a
-/// pure state patch — no input is re-executed.
-#[derive(Debug, Clone)]
-pub(crate) struct DeltaRecord {
-    pub(crate) scalars: Scalars,
-    pub(crate) new_entries: Vec<QueueEntry>,
-    pub(crate) det_done: Vec<u64>,
-    pub(crate) new_crashes: Vec<CrashRecord>,
-    pub(crate) crash_hits: Vec<(u64, u64)>,
-    pub(crate) virgin: Vec<(u32, u8)>,
-    pub(crate) exec_state: Option<ExecutorState>,
-}
-
-impl DeltaRecord {
-    /// Drain the driver's pending-delta trackers into a record.
-    pub(crate) fn take(d: &mut Driver<'_>) -> Self {
-        let new_entries: Vec<QueueEntry> =
-            d.queue.iter().skip(d.journaled_queue_len).cloned().collect();
-        d.journaled_queue_len = d.queue.len();
-        let new_crashes = d.crashes[d.journaled_crash_len..].to_vec();
-        d.journaled_crash_len = d.crashes.len();
-        DeltaRecord {
-            scalars: Scalars::capture(d),
-            new_entries,
-            det_done: std::mem::take(&mut d.pending_det_done)
-                .into_iter()
-                .map(|i| i as u64)
-                .collect(),
-            new_crashes,
-            crash_hits: std::mem::take(&mut d.pending_crash_hits)
-                .into_iter()
-                .map(|(i, h)| (i as u64, h))
-                .collect(),
-            virgin: std::mem::take(&mut d.pending_virgin)
-                .into_iter()
-                .map(|(i, v)| (i as u32, v))
-                .collect(),
-            exec_state: d.executor.export_state(),
-        }
-    }
-
-    /// Patch the driver's state with this record. The executor state is
-    /// *not* applied here (only the final record's matters; the caller
-    /// applies it once at the end of replay).
-    pub(crate) fn apply(&self, d: &mut Driver<'_>) {
-        for e in &self.new_entries {
-            d.queue.push(e.clone());
-        }
-        self.scalars.apply(d);
-        for &i in &self.det_done {
-            if let Some(e) = d.queue.get_mut(i as usize) {
-                e.det_done = true;
-            }
-        }
-        for c in &self.new_crashes {
-            d.crash_sites.insert(c.crash.site_key(), d.crashes.len());
-            d.crashes.push(c.clone());
-        }
-        for &(i, hits) in &self.crash_hits {
-            if let Some(rec) = d.crashes.get_mut(i as usize) {
-                rec.hits = hits;
-            }
-        }
-        for &(i, v) in &self.virgin {
-            d.virgin.set_byte(i as usize, v);
-        }
-        d.journaled_queue_len = d.queue.len();
-        d.journaled_crash_len = d.crashes.len();
-    }
-
-    /// The one record encoder: append this record's payload to `w`. The
-    /// journal frames it in place ([`frame_record`]); tests take the bare
-    /// payload through [`DeltaRecord::encode`].
-    fn encode_into(&self, w: &mut Writer) {
-        self.scalars.encode(w);
-        w.put_usize(self.new_entries.len());
-        for e in &self.new_entries {
-            encode_entry(e, w);
-        }
-        w.put_usize(self.det_done.len());
-        for &i in &self.det_done {
-            w.put_u64(i);
-        }
-        w.put_usize(self.new_crashes.len());
-        for c in &self.new_crashes {
-            encode_crash_record(c, w);
-        }
-        w.put_usize(self.crash_hits.len());
-        for &(i, h) in &self.crash_hits {
-            w.put_u64(i);
-            w.put_u64(h);
-        }
-        w.put_usize(self.virgin.len());
-        for &(i, v) in &self.virgin {
-            w.put_u32(i);
-            w.put_u8(v);
-        }
-        encode_exec_state(&self.exec_state, w);
-    }
-
-    #[cfg(test)]
-    pub(crate) fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        self.encode_into(&mut w);
-        w.into_bytes()
-    }
-
-    pub(crate) fn decode(bytes: &[u8]) -> Result<Self, WireError> {
-        let mut r = Reader::new(bytes);
-        let scalars = Scalars::decode(&mut r)?;
-        let n = r.get_count()?;
-        if n > r.remaining() / 8 {
-            return Err(WireError::Truncated);
-        }
-        let mut new_entries = Vec::with_capacity(n);
-        for _ in 0..n {
-            new_entries.push(decode_entry(&mut r)?);
-        }
-        let n = r.get_count()?;
-        if n > r.remaining() / 8 {
-            return Err(WireError::Truncated);
-        }
-        let mut det_done = Vec::with_capacity(n);
-        for _ in 0..n {
-            det_done.push(r.get_u64()?);
-        }
-        let n = r.get_count()?;
-        if n > r.remaining() / 8 {
-            return Err(WireError::Truncated);
-        }
-        let mut new_crashes = Vec::with_capacity(n);
-        for _ in 0..n {
-            new_crashes.push(decode_crash_record(&mut r)?);
-        }
-        let n = r.get_count()?;
-        if n > r.remaining() / 16 {
-            return Err(WireError::Truncated);
-        }
-        let mut crash_hits = Vec::with_capacity(n);
-        for _ in 0..n {
-            crash_hits.push((r.get_u64()?, r.get_u64()?));
-        }
-        let n = r.get_count()?;
-        if n > r.remaining() / 5 {
-            return Err(WireError::Truncated);
-        }
-        let mut virgin = Vec::with_capacity(n);
-        for _ in 0..n {
-            let i = r.get_u32()?;
-            if i as usize >= vmos::MAP_SIZE {
-                return Err(WireError::Malformed("virgin index out of range"));
-            }
-            virgin.push((i, r.get_u8()?));
-        }
-        let exec_state = decode_exec_state(&mut r)?;
-        if !r.is_empty() {
-            return Err(WireError::Malformed("trailing delta bytes"));
-        }
-        Ok(DeltaRecord {
-            scalars,
-            new_entries,
-            det_done,
-            new_crashes,
-            crash_hits,
-            virgin,
-            exec_state,
-        })
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Files.
 // ---------------------------------------------------------------------------
 
 fn snapshot_path(dir: &Path, execs: u64) -> PathBuf {
     dir.join(format!("ckpt-{execs:012}.bin"))
-}
-
-fn journal_path(dir: &Path, base: u64) -> PathBuf {
-    dir.join(format!("journal-{base:012}.bin"))
 }
 
 /// Parse `{prefix}-{12 digits}.bin` file names, returning the number.
@@ -825,7 +628,7 @@ pub(crate) fn seal_snapshot(payload: &[u8], fingerprint: u64) -> Vec<u8> {
 /// seal: encode the payload behind them, then [`seal_in_place`], so a
 /// large snapshot is built in one buffer with no second copy.
 pub(crate) fn sealed_writer(capacity: usize) -> Writer {
-    let mut w = Writer::reuse(Vec::with_capacity(SNAPSHOT_HEADER_LEN + capacity));
+    let mut w = Writer::with_capacity(SNAPSHOT_HEADER_LEN + capacity);
     for _ in 0..SNAPSHOT_HEADER_LEN / 8 {
         w.put_u64(0);
     }
@@ -1030,11 +833,11 @@ pub(crate) fn sweep_orphan_tmp(storage: &Storage, dir: &Path) -> OpOutcome {
     o
 }
 
-/// Delete snapshots beyond the newest `keep`, and journals that start
-/// before the oldest kept snapshot (nothing can resume from them anymore).
-/// Unlink failures are counted warnings (a file we failed to delete today
-/// is retried by the next rotation); successful unlinks are made durable
-/// with a directory fsync.
+/// Delete snapshots beyond the newest `keep`, and every `journal-*` file
+/// an older build's per-execution journal left behind (no resume reads
+/// one). Unlink failures are counted warnings (a file we failed to delete
+/// today is retried by the next rotation); successful unlinks are made
+/// durable with a directory fsync.
 fn rotate(storage: &Storage, dir: &Path, keep: usize, fsync: FsyncPolicy) -> OpOutcome {
     let o = sweep_orphan_tmp(storage, dir);
     if o.crashed() {
@@ -1044,23 +847,12 @@ fn rotate(storage: &Storage, dir: &Path, keep: usize, fsync: FsyncPolicy) -> OpO
     let mut removed = false;
     let o = storage.cleanup_op(|_| {
         let snaps = list_numbered(dir, "ckpt-")?;
-        let keep = keep.max(1);
-        if snaps.len() <= keep {
-            return Ok(());
-        }
-        let cutoff = snaps[snaps.len() - keep].0;
-        for (_, path) in &snaps[..snaps.len() - keep] {
+        let stale = snaps.len().saturating_sub(keep.max(1));
+        let journals = list_numbered(dir, "journal-")?;
+        for (_, path) in snaps[..stale].iter().chain(&journals) {
             match fs::remove_file(path) {
                 Ok(()) => removed = true,
                 Err(_) => failed += 1,
-            }
-        }
-        for (base, path) in list_numbered(dir, "journal-")? {
-            if base < cutoff {
-                match fs::remove_file(&path) {
-                    Ok(()) => removed = true,
-                    Err(_) => failed += 1,
-                }
             }
         }
         Ok(())
@@ -1078,304 +870,69 @@ fn rotate(storage: &Storage, dir: &Path, keep: usize, fsync: FsyncPolicy) -> OpO
     o
 }
 
-/// Bytes in front of each journal record's payload: the payload length
-/// (`u32`) and its FNV-1a checksum (`u64`).
-const FRAME_HEADER_LEN: usize = 12;
-
-/// Frame `rec` as one journal record — length, checksum, payload — in
-/// `buf`'s allocation. The header is reserved first and patched once the
-/// payload is encoded behind it, so the frame is built in one buffer with
-/// no second copy.
-pub(crate) fn frame_record(rec: &DeltaRecord, buf: Vec<u8>) -> Vec<u8> {
-    let mut w = Writer::reuse(buf);
-    w.put_u32(0); // payload length, patched below
-    w.put_u64(0); // payload checksum, patched below
-    rec.encode_into(&mut w);
-    let mut frame = w.into_bytes();
-    let (header, payload) = frame.split_at_mut(FRAME_HEADER_LEN);
-    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    header[4..].copy_from_slice(&fnv1a(payload).to_le_bytes());
-    frame
-}
-
-/// Write one whole frame, flushing it under [`FsyncPolicy::EveryRecord`].
-fn write_frame(f: &mut fs::File, frame: &[u8], fsync: FsyncPolicy) -> std::io::Result<()> {
-    f.write_all(frame)?;
-    if fsync == FsyncPolicy::EveryRecord {
-        f.sync_data()?;
-    }
-    Ok(())
-}
-
-/// The append side of the write-ahead journal. All I/O routes through the
-/// storage plane: `file` is `None` when the journal's stream degraded
-/// before (or at) creation — appends then skip, counted, and the campaign
-/// continues with in-memory state only.
-///
-/// The clean path costs one `write` per record: the journal tracks its
-/// committed end offset itself instead of asking the file, and re-encodes
-/// every record into the same frame buffer.
-pub(crate) struct Journal {
-    file: Option<fs::File>,
-    /// Offset one past the last committed record: where the next append
-    /// starts, and what a retried append truncates back to.
-    end: u64,
-    /// Frame buffer reused by every append.
-    frame: Vec<u8>,
-    fsync: FsyncPolicy,
-    storage: Storage,
-}
-
-impl Journal {
-    /// Create (truncating) the journal for snapshot `base`.
-    fn create(storage: &Storage, dir: &Path, base: u64, fsync: FsyncPolicy) -> (Self, OpOutcome) {
-        Self::create_at(storage, &journal_path(dir, base), base, fsync)
-    }
-
-    /// Create (truncating) a journal at an explicit path. The empty
-    /// journal is flushed only under [`FsyncPolicy::EveryRecord`]: under
-    /// `OnSnapshot` its records are never flushed either, so flushing the
-    /// bare header bought nothing.
-    fn create_at(
-        storage: &Storage,
-        path: &Path,
-        base: u64,
-        fsync: FsyncPolicy,
-    ) -> (Self, OpOutcome) {
-        let mut header = Vec::with_capacity(JOURNAL_HEADER_LEN as usize);
-        header.extend_from_slice(JOURNAL_MAGIC);
-        header.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        header.extend_from_slice(&base.to_le_bytes());
-        let mut opened = None;
-        let o = storage.op(false, |inj| {
-            opened = None; // discard any handle from a failed attempt
-            faulted_create(path, &header, inj)?;
-            let mut f = fs::OpenOptions::new().write(true).open(path)?;
-            let end = f.seek(SeekFrom::End(0))?;
-            if fsync == FsyncPolicy::EveryRecord {
-                f.sync_data()?;
-            }
-            opened = Some((f, end));
-            Ok(())
-        });
-        Self::opened(storage, opened, o, fsync)
-    }
-
-    /// Re-open an existing journal after replay, truncating away a torn
-    /// tail (`valid_len` is the last byte replay validated).
-    fn reopen(
-        storage: &Storage,
-        path: &Path,
-        valid_len: u64,
-        fsync: FsyncPolicy,
-    ) -> (Self, OpOutcome) {
-        let mut opened = None;
-        let o = storage.op(false, |inj| {
-            opened = None;
-            let mut f = fs::OpenOptions::new().read(true).write(true).open(path)?;
-            f.set_len(valid_len)?;
-            let end = f.seek(SeekFrom::End(0))?;
-            if let Injected::Bitrot(aux) = inj {
-                crate::storage::flip_bit_in_file(path, *aux)?;
-            }
-            opened = Some((f, end));
-            Ok(())
-        });
-        Self::opened(storage, opened, o, fsync)
-    }
-
-    /// The journal a create/reopen operation produced: the opened file
-    /// and its end offset when the operation committed, no file otherwise.
-    fn opened(
-        storage: &Storage,
-        opened: Option<(fs::File, u64)>,
-        o: OpOutcome,
-        fsync: FsyncPolicy,
-    ) -> (Self, OpOutcome) {
-        let (file, end) = match opened {
-            Some((f, end)) if o == OpOutcome::Done => (Some(f), end),
-            _ => (None, 0),
-        };
-        let journal = Journal {
-            file,
-            end,
-            frame: Vec::new(),
-            fsync,
-            storage: storage.clone(),
-        };
-        (journal, o)
-    }
-
-    /// Append one length- and checksum-framed record at the committed end.
-    /// One storage operation; only a retry after an attempt that touched
-    /// the file truncates and seeks back to the record start first, so a
-    /// short write never leaves garbage in front of the re-written frame.
-    pub(crate) fn append(&mut self, rec: &DeltaRecord) -> OpOutcome {
-        if self.file.is_some() {
-            self.frame = frame_record(rec, std::mem::take(&mut self.frame));
-        }
-        let Journal {
-            file,
-            end,
-            frame,
-            fsync,
-            storage,
-        } = self;
-        let mut touched = false;
-        let o = storage.op(false, |inj| {
-            let Some(f) = file.as_mut() else {
-                return Ok(());
-            };
-            if touched {
-                f.set_len(*end)?;
-                f.seek(SeekFrom::Start(*end))?;
-            }
-            touched = true;
-            match inj {
-                Injected::Partial(aux) => {
-                    let keep = (*aux as usize) % (frame.len() + 1);
-                    f.write_all(&frame[..keep])
-                }
-                Injected::Bitrot(aux) => {
-                    let mut rotted = frame.clone();
-                    flip_bit(&mut rotted, *aux);
-                    write_frame(f, &rotted, *fsync)
-                }
-                _ => write_frame(f, frame, *fsync),
-            }
-        });
-        if o == OpOutcome::Done && file.is_some() {
-            *end += frame.len() as u64;
-        }
-        o
-    }
-}
-
-/// Read a journal, validating the header against `expected_base` and every
-/// record's checksum. Returns the decoded records, the byte length of the
-/// valid prefix, and how many records beyond it were dropped (0 = clean).
-/// The dropped count is exact when the bad record's length field still
-/// walks the buffer (a payload bit flip) and a lower bound of 1 when
-/// framing itself is destroyed (a true torn tail). A journal whose
-/// *header* is invalid yields `None` (it cannot be chained or appended to).
-#[allow(clippy::type_complexity)]
-fn read_journal(path: &Path, expected_base: u64) -> Option<(Vec<DeltaRecord>, u64, u64)> {
-    let bytes = fs::read(path).ok()?;
-    if bytes.len() < JOURNAL_HEADER_LEN as usize
-        || &bytes[0..4] != JOURNAL_MAGIC
-        || le_u32(&bytes, 4).ok()? != FORMAT_VERSION
-        || le_u64(&bytes, 8).ok()? != expected_base
-    {
-        return None;
-    }
-    let mut records = Vec::new();
-    let mut pos = JOURNAL_HEADER_LEN as usize;
-    let mut dropped = 0u64;
-    while pos < bytes.len() {
-        if pos + FRAME_HEADER_LEN > bytes.len() {
-            dropped = 1; // partial frame header: one interrupted record
-            break;
-        }
-        let len = le_u32(&bytes, pos).ok()? as usize;
-        let checksum = le_u64(&bytes, pos + 4).ok()?;
-        let Some(payload) = bytes.get(pos + FRAME_HEADER_LEN..pos + FRAME_HEADER_LEN + len) else {
-            dropped = 1; // frame overruns the file: one torn record
-            break;
-        };
-        let rec = (fnv1a(payload) == checksum)
-            .then(|| DeltaRecord::decode(payload).ok())
-            .flatten();
-        let Some(rec) = rec else {
-            // The frame walks but its payload is bad (bit rot, not a torn
-            // write). Count it and every still-framed record behind it —
-            // replay cannot safely resync past corruption, but the loss
-            // must be observable.
-            dropped = 1 + count_framed(&bytes, pos + FRAME_HEADER_LEN + len);
-            break;
-        };
-        records.push(rec);
-        pos += FRAME_HEADER_LEN + len;
-    }
-    Some((records, pos as u64, dropped))
-}
-
-/// Count length-framed records from `pos` to the end of the buffer,
-/// stopping at the first frame that does not fit. Used only to size the
-/// loss behind a corrupt record — nothing here is replayed.
-fn count_framed(bytes: &[u8], mut pos: usize) -> u64 {
-    let mut n = 0;
-    while pos + FRAME_HEADER_LEN <= bytes.len() {
-        let Ok(len) = le_u32(bytes, pos) else { break };
-        let end = pos + FRAME_HEADER_LEN + len as usize;
-        if end > bytes.len() {
-            break;
-        }
-        n += 1;
-        pos = end;
-    }
-    n
-}
-
 // ---------------------------------------------------------------------------
 // The checkpointed campaign loop.
 // ---------------------------------------------------------------------------
 
-/// Step the driver to completion (or the simulated kill), journaling each
-/// execution and snapshotting on cadence. A storage operation that hits an
-/// injected crash boundary stops the run exactly like the simulated
-/// SIGKILL — whatever reached the files is all resume gets.
+/// Step the driver to completion (or the simulated kill), snapshotting on
+/// cadence and at the end. `repair` holds the execution counts of the
+/// corrupt generations a resume skipped: the snapshot this run writes at
+/// such a count rewrites that generation and is counted as a repair. A
+/// storage operation that hits an injected crash boundary stops the run
+/// exactly like the simulated SIGKILL — whatever reached the files is all
+/// resume gets.
 fn drive(
     mut d: Driver<'_>,
     ck: &CheckpointConfig,
     storage: &Storage,
-    mut journal: Journal,
-) -> Result<CampaignOutcome, CheckpointError> {
+    mut repair: Vec<u64>,
+) -> CampaignOutcome {
+    // Snapshot and rotate; `true` when a storage crash stopped the run.
+    let mut checkpoint = |d: &Driver<'_>| {
+        let o = write_snapshot(storage, &ck.dir, d, ck.fsync);
+        if o == OpOutcome::Done {
+            if let Some(i) = repair.iter().position(|&e| e == d.execs) {
+                repair.swap_remove(i);
+                storage.note_snapshot_repaired();
+            }
+        }
+        o.crashed() || rotate(storage, &ck.dir, ck.keep_snapshots, ck.fsync).crashed()
+    };
     loop {
         if d.step() == StepOutcome::Finished {
             let mut result = d.finish();
             // A final snapshot so a finished directory is self-describing.
-            if write_snapshot(storage, &ck.dir, &d, ck.fsync).crashed()
-                || rotate(storage, &ck.dir, ck.keep_snapshots, ck.fsync).crashed()
-            {
-                return Ok(CampaignOutcome::Killed { execs: d.execs });
+            if checkpoint(&d) {
+                return CampaignOutcome::Killed { execs: d.execs };
             }
             result.resilience.storage = storage.counters();
-            return Ok(CampaignOutcome::Finished(result));
-        }
-        if journal.append(&DeltaRecord::take(&mut d)).crashed() {
-            return Ok(CampaignOutcome::Killed { execs: d.execs });
+            return CampaignOutcome::Finished(result);
         }
         if let Some(k) = ck.kill_after_execs {
             if d.execs >= k {
                 // Simulated SIGKILL: stop right here — no snapshot, no
                 // cleanup. Whatever reached the files is all resume gets.
-                return Ok(CampaignOutcome::Killed { execs: d.execs });
+                return CampaignOutcome::Killed { execs: d.execs };
             }
         }
-        if ck.snapshot_every_execs > 0 && d.execs.is_multiple_of(ck.snapshot_every_execs) {
-            if write_snapshot(storage, &ck.dir, &d, ck.fsync).crashed()
-                || rotate(storage, &ck.dir, ck.keep_snapshots, ck.fsync).crashed()
-            {
-                return Ok(CampaignOutcome::Killed { execs: d.execs });
-            }
-            let (j, o) = Journal::create(storage, &ck.dir, d.execs, ck.fsync);
-            if o.crashed() {
-                return Ok(CampaignOutcome::Killed { execs: d.execs });
-            }
-            journal = j;
+        if ck.snapshot_every_execs > 0
+            && d.execs.is_multiple_of(ck.snapshot_every_execs)
+            && checkpoint(&d)
+        {
+            return CampaignOutcome::Killed { execs: d.execs };
         }
     }
 }
 
 /// Run a fresh campaign with crash-safe checkpointing (internal; the
-/// [`crate::Campaign`] builder and the deprecated wrapper dispatch here).
+/// [`crate::Campaign`] builder dispatches here).
 pub(crate) fn run_checkpointed_impl<'e>(
     executor: &'e mut dyn Executor,
     revalidator: Option<&'e mut dyn Executor>,
     seeds: &[Vec<u8>],
     cfg: &CampaignConfig,
     ck: &CheckpointConfig,
-) -> Result<CampaignOutcome, CheckpointError> {
+) -> CampaignOutcome {
     let storage = storage_for(ck);
     // Even directory creation rides the ladder: if the checkpoint
     // directory cannot be made, the campaign degrades to in-memory
@@ -1383,36 +940,28 @@ pub(crate) fn run_checkpointed_impl<'e>(
     if storage.op(false, |_| fs::create_dir_all(&ck.dir)).crashed()
         || sweep_orphan_tmp(&storage, &ck.dir).crashed()
     {
-        return Ok(CampaignOutcome::Killed { execs: 0 });
+        return CampaignOutcome::Killed { execs: 0 };
     }
-    // Best-effort decoded-image sidecar next to the snapshots, so resume —
-    // possibly in another process — skips the re-lower. Outside the
-    // storage fault plane: it is a cache, never campaign state.
-    executor.save_decoded_sidecar(&ck.dir);
-    let d = Driver::new(executor, revalidator, seeds, cfg, true);
+    let d = Driver::new(executor, revalidator, seeds, cfg);
     if write_snapshot(&storage, &ck.dir, &d, ck.fsync).crashed() {
-        return Ok(CampaignOutcome::Killed { execs: 0 });
+        return CampaignOutcome::Killed { execs: 0 };
     }
-    let (journal, o) = Journal::create(&storage, &ck.dir, 0, ck.fsync);
-    if o.crashed() {
-        return Ok(CampaignOutcome::Killed { execs: 0 });
-    }
-    drive(d, ck, &storage, journal)
+    drive(d, ck, &storage, Vec::new())
 }
 
 /// Resume a killed campaign from its checkpoint directory (the
-/// [`crate::Campaign`] builder dispatches here). See the module docs for
-/// the snapshot-fallback and journal-chaining semantics. The `executor`
-/// (and `revalidator`) must be freshly constructed over the same module
-/// and configuration as the original run, with any fault plan already
-/// re-armed.
+/// [`crate::Campaign`] builder dispatches here): restore the newest
+/// snapshot that validates and re-run from it (see the module docs). The
+/// `executor` (and `revalidator`) must be freshly constructed over the
+/// same module and configuration as the original run, with any fault plan
+/// already re-armed.
 ///
 /// # Errors
 /// [`CheckpointError::NoUsableSnapshot`] when every snapshot fails
-/// validation; I/O and executor-restore failures otherwise. Corrupt
-/// snapshots and torn journal tails are *not* errors — they are skipped
-/// (counted in [`ResumeReport`]) and the campaign falls back to the newest
-/// state that validates.
+/// validation; target-mismatch and executor-restore failures otherwise.
+/// Corrupt snapshots are *not* errors — they are skipped (counted in
+/// [`ResumeReport`]) and the campaign falls back to the newest generation
+/// that validates.
 pub(crate) fn resume_impl<'e>(
     executor: &'e mut dyn Executor,
     revalidator: Option<&'e mut dyn Executor>,
@@ -1426,11 +975,12 @@ pub(crate) fn resume_impl<'e>(
         return Ok((CampaignOutcome::Killed { execs: 0 }, info));
     }
     // Scrub: checksum-verify generations newest-first. Corrupt ones are
-    // skipped (and remembered — replay repairs any it walks back over);
-    // an unreadable directory is simply a directory with no snapshots.
+    // skipped and remembered — the re-run rewrites each as it passes its
+    // execution count; an unreadable directory is simply a directory with
+    // no snapshots.
     let snaps = list_numbered(&ck.dir, "ckpt-").unwrap_or_default();
     let mut chosen = None;
-    let mut corrupt: Vec<(u64, PathBuf)> = Vec::new();
+    let mut corrupt = Vec::new();
     for (execs, path) in snaps.iter().rev() {
         match load_snapshot(path) {
             Ok((state, fp)) => {
@@ -1440,7 +990,7 @@ pub(crate) fn resume_impl<'e>(
             Err(_) => {
                 info.corrupt_snapshots_skipped += 1;
                 storage.note_corrupt_snapshot();
-                corrupt.push((*execs, path.clone()));
+                corrupt.push(*execs);
             }
         }
     }
@@ -1451,76 +1001,17 @@ pub(crate) fn resume_impl<'e>(
     // snapshots in a directory share the module, so a mismatch is a
     // caller error (wrong target), not corruption to fall back from.
     check_target(snapshot_fp, &*executor)?;
-    // Warm the decoded-image cache up front — through the sidecar written
-    // next to the snapshots when one is usable — so the replayed campaign
-    // never pays a lazy mid-run lowering the original did not, and resume
-    // cost stays O(journal tail) rather than O(re-lower).
-    info.note_decoded_image(executor.warm_decoded_image(Some(&ck.dir)));
+    // Warm the decoded-image cache up front, so the re-run never pays a
+    // lazy mid-run lowering.
+    info.note_decoded_image(executor.warm_decoded_image(None));
     info.snapshot_execs = snapshot_execs;
-
-    let mut d = Driver::new(executor, revalidator, seeds, cfg, true);
-    let mut last_exec_state = state.exec_state.clone();
-    state.apply(&mut d)?;
-
-    // Chain journals forward from the snapshot: journal-{B} covers
-    // executions B..B', where B' is the next snapshot's base.
-    let mut journals = list_numbered(&ck.dir, "journal-").unwrap_or_default();
-    let mut tail: Option<(PathBuf, u64)> = None;
-    let mut current = snapshot_execs;
-    while let Some(pos) = journals.iter().position(|(b, _)| *b == current) {
-        let (_, path) = journals.remove(pos);
-        let Some((records, valid_len, dropped)) = read_journal(&path, current) else {
-            break;
-        };
-        for rec in &records {
-            rec.apply(&mut d);
-            if rec.exec_state.is_some() {
-                last_exec_state.clone_from(&rec.exec_state);
-            }
-            info.records_applied += 1;
-            // Repair: replay has rebuilt the exact state a corrupt
-            // generation snapshotted — re-seal and rewrite it. Snapshot
-            // serialization is deterministic, so the repaired file is
-            // byte-identical to the one that rotted.
-            while let Some(idx) = corrupt.iter().position(|(e, _)| *e == d.execs) {
-                let (_, cpath) = corrupt.remove(idx);
-                let repaired = SnapshotState {
-                    scalars: Scalars::capture(&d),
-                    entries: d.queue.iter().cloned().collect(),
-                    virgin: d.virgin.clone(),
-                    crashes: d.crashes.clone(),
-                    exec_state: last_exec_state.clone(),
-                };
-                let fp = d.executor.module_fingerprint().unwrap_or(0);
-                let bytes = seal_snapshot(&repaired.encode(), fp);
-                if write_sealed(&storage, &cpath, &bytes, ck.fsync).crashed() {
-                    return Ok((CampaignOutcome::Killed { execs: d.execs }, info));
-                }
-                info.snapshots_repaired += 1;
-                storage.note_snapshot_repaired();
-            }
-        }
-        current = d.execs;
-        tail = Some((path, valid_len));
-        if dropped > 0 {
-            info.torn_records += dropped;
-            storage.note_torn_records(dropped);
-            break;
-        }
-    }
-    if let Some(es) = &last_exec_state {
-        d.executor.restore_state(es).map_err(CheckpointError::Executor)?;
-    }
-
-    let (journal, o) = match tail {
-        Some((path, valid_len)) => Journal::reopen(&storage, &path, valid_len, ck.fsync),
-        None => Journal::create(&storage, &ck.dir, current, ck.fsync),
-    };
-    if o.crashed() {
-        return Ok((CampaignOutcome::Killed { execs: d.execs }, info));
-    }
     info.sweep_warnings = storage.counters().sweep_warnings;
-    drive(d, ck, &storage, journal).map(|outcome| (outcome, info))
+
+    let mut d = Driver::new(executor, revalidator, seeds, cfg);
+    state.apply(&mut d)?;
+    let outcome = drive(d, ck, &storage, corrupt);
+    info.snapshots_repaired = storage.counters().snapshots_repaired;
+    Ok((outcome, info))
 }
 
 #[cfg(test)]
@@ -1529,7 +1020,6 @@ mod tests {
     use crate::builder::Campaign;
     use closurex::harness::{ClosureXConfig, ClosureXExecutor};
     use fir::Module;
-    use vmos::DiskFaultKind;
 
     const TARGET: &str = r#"
         global total;
@@ -1691,14 +1181,13 @@ mod tests {
         let dir = tmpdir("kill-resume");
         let mut ck = CheckpointConfig::new(&dir);
         ck.snapshot_every_execs = 40;
-        ck.kill_after_execs = Some(97); // mid-journal, off the snapshot grid
+        ck.kill_after_execs = Some(97); // off the snapshot grid
         let killed = run_checkpointed(&m, &seeds, &ck);
         assert!(matches!(killed, CampaignOutcome::Killed { execs: 97 }));
 
         ck.kill_after_execs = None;
         let (out, info) = resume(&m, &seeds, &ck);
         assert_eq!(info.snapshot_execs, 80, "resumed from the last snapshot");
-        assert_eq!(info.records_applied, 17, "journal tail replayed");
         let out = out.finished().unwrap();
         assert_eq!(
             reference.outcome_diff(&out),
@@ -1711,7 +1200,7 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_newest_snapshot_falls_back_and_still_matches() {
+    fn corrupt_newest_snapshot_falls_back_and_is_repaired() {
         let m = module();
         let seeds = vec![b"seed".to_vec()];
         let reference = run_plain(&m, &seeds);
@@ -1724,56 +1213,106 @@ mod tests {
 
         // Flip a payload bit in the newest snapshot (execs=80).
         let newest = snapshot_path(&dir, 80);
-        let mut bytes = fs::read(&newest).unwrap();
+        let intact = fs::read(&newest).unwrap();
+        let mut bytes = intact.clone();
         let last = bytes.len() - 1;
         bytes[last] ^= 0x40;
         fs::write(&newest, &bytes).unwrap();
 
-        ck.kill_after_execs = None;
+        // Stop the re-run just past the damaged generation: it has been
+        // rewritten with the bytes it held before the flip.
+        ck.kill_after_execs = Some(85);
         let (out, info) = resume(&m, &seeds, &ck);
+        assert!(matches!(out, CampaignOutcome::Killed { execs: 85 }));
         assert_eq!(info.corrupt_snapshots_skipped, 1);
         assert_eq!(info.snapshot_execs, 40, "fell back one snapshot");
-        assert!(info.records_applied >= 50, "chained journals across the gap");
         assert_eq!(
             info.snapshots_repaired, 1,
-            "replay walked back over the corrupt generation and repaired it"
+            "the re-run passed the corrupt generation and rewrote it"
         );
+        assert_eq!(fs::read(&newest).unwrap(), intact, "repaired byte for byte");
+
+        ck.kill_after_execs = None;
+        let (out, info) = resume(&m, &seeds, &ck);
+        assert_eq!(info.snapshot_execs, 80, "resumed from the repaired generation");
         let result = out.finished().unwrap();
-        assert_eq!(result.resilience.storage.corrupt_snapshots, 1);
-        assert_eq!(result.resilience.storage.snapshots_repaired, 1);
         assert_eq!(reference.outcome_diff(&result), None);
+        assert!(result.resilience.storage.is_quiet());
         assert!(result.resilience.supervision.is_quiet());
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn torn_journal_tail_is_dropped_not_fatal() {
+    fn corrupt_final_snapshot_is_repaired_by_the_rerun() {
+        let m = module();
+        let seeds = vec![b"seed".to_vec()];
+        let dir = tmpdir("final-rot");
+        let mut ck = CheckpointConfig::new(&dir);
+        ck.snapshot_every_execs = 40;
+        let want = run_checkpointed(&m, &seeds, &ck).finished().unwrap();
+        let (execs, last) = list_numbered(&dir, "ckpt-").unwrap().pop().unwrap();
+        assert_eq!(execs, want.execs, "the final snapshot is the newest");
+        let intact = fs::read(&last).unwrap();
+        fs::write(&last, &intact[..intact.len() / 2]).unwrap();
+
+        let (out, info) = resume(&m, &seeds, &ck);
+        let result = out.finished().unwrap();
+        assert_eq!(info.corrupt_snapshots_skipped, 1);
+        assert_eq!(info.snapshots_repaired, 1);
+        assert_eq!(result.resilience.storage.snapshots_repaired, 1);
+        assert_eq!(fs::read(&last).unwrap(), intact);
+        assert_eq!(want.outcome_diff(&result), None);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A per-execution journal an older build left next to its snapshots.
+    fn stray_journal(dir: &Path, base: u64) -> PathBuf {
+        let path = dir.join(format!("journal-{base:012}.bin"));
+        fs::write(&path, b"CXJL stale journal bytes").unwrap();
+        path
+    }
+
+    #[test]
+    fn stray_journals_are_ignored_by_resume() {
         let m = module();
         let seeds = vec![b"seed".to_vec()];
         let reference = run_plain(&m, &seeds);
 
-        let dir = tmpdir("torn");
+        let dir = tmpdir("stray-journal");
         let mut ck = CheckpointConfig::new(&dir);
         ck.snapshot_every_execs = 40;
-        ck.kill_after_execs = Some(95);
+        ck.kill_after_execs = Some(97);
         run_checkpointed(&m, &seeds, &ck);
-
-        // Tear the live journal mid-record: chop off its last 5 bytes.
-        let jpath = journal_path(&dir, 80);
-        let bytes = fs::read(&jpath).unwrap();
-        fs::write(&jpath, &bytes[..bytes.len() - 5]).unwrap();
+        // Journals for the live generation and an older one, one of them
+        // garbage: the resume must read none of them.
+        stray_journal(&dir, 40);
+        stray_journal(&dir, 80);
+        fs::write(dir.join("journal-000000000000.bin"), [0xFF; 64]).unwrap();
 
         ck.kill_after_execs = None;
         let (out, info) = resume(&m, &seeds, &ck);
-        assert_eq!(info.torn_records, 1, "the torn record must be counted");
+        assert_eq!(info.snapshot_execs, 80);
         let result = out.finished().unwrap();
-        assert_eq!(result.resilience.storage.torn_records_dropped, 1);
-        assert_eq!(
-            reference.outcome_diff(&result),
-            None,
-            "the torn execution is simply re-run"
-        );
-        assert!(result.resilience.supervision.is_quiet());
+        assert_eq!(reference.outcome_diff(&result), None);
+        assert!(result.resilience.storage.is_quiet());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn rotation_deletes_stray_journals() {
+        let dir = tmpdir("rotate-journals");
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(snapshot_path(&dir, 40), b"snap").unwrap();
+        let strays = [stray_journal(&dir, 0), stray_journal(&dir, 40), stray_journal(&dir, 80)];
+        fs::write(dir.join("journal-notes.txt"), b"not ours").unwrap();
+        let storage = Storage::quiet();
+        assert_eq!(rotate(&storage, &dir, 2, FsyncPolicy::OnSnapshot), OpOutcome::Done);
+        for p in &strays {
+            assert!(!p.exists(), "{} survived rotation", p.display());
+        }
+        assert!(snapshot_path(&dir, 40).exists(), "kept snapshots stay");
+        assert!(dir.join("journal-notes.txt").exists(), "foreign files stay");
+        assert_eq!(storage.counters().sweep_warnings, 0);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1826,176 +1365,6 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// A small delta record, distinct per `i`.
-    fn record(i: u64) -> DeltaRecord {
-        DeltaRecord {
-            scalars: Scalars {
-                stage: Stage::Havoc {
-                    entry: i as usize,
-                    iter: 3,
-                },
-                clock: 1_000 * i,
-                execs: i,
-                hangs: 0,
-                mgmt_cycles: 7 * i,
-                exec_cycles: 11 * i,
-                retries: 0,
-                dropped_inputs: 0,
-                harness_faults: 0,
-                consecutive_hangs: 0,
-                watchdog_trips: 0,
-                rng: [i, i + 1, i + 2, i + 3],
-                backoff_rng: [0; 4],
-                cursor: i,
-            },
-            new_entries: vec![QueueEntry {
-                data: vec![i as u8; 1 + i as usize],
-                exec_cycles: 5,
-                found_at: i,
-                det_done: false,
-                favored: i.is_multiple_of(2),
-            }],
-            det_done: vec![i],
-            new_crashes: Vec::new(),
-            crash_hits: Vec::new(),
-            virgin: vec![(i as u32, 0x7f)],
-            exec_state: None,
-        }
-    }
-
-    /// The bytes a fault-free journal based at 0 holding `records` has.
-    fn clean_journal(records: std::ops::Range<u64>) -> Vec<u8> {
-        let mut bytes = JOURNAL_MAGIC.to_vec();
-        bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&0u64.to_le_bytes());
-        for i in records {
-            bytes.extend_from_slice(&frame_record(&record(i), Vec::new()));
-        }
-        bytes
-    }
-
-    /// A fresh journal at `{tag}/journal.bin` on `storage`'s stream 0 (the
-    /// create is op 0, so the n-th append is op n).
-    fn fresh_journal(tag: &str, storage: &Storage) -> (PathBuf, Journal) {
-        let dir = tmpdir(tag);
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("journal.bin");
-        let (j, o) = Journal::create_at(storage, &path, 0, FsyncPolicy::OnSnapshot);
-        assert_eq!(o, OpOutcome::Done);
-        (path, j)
-    }
-
-    #[test]
-    fn journal_short_write_retry_rewrites_the_record_in_place() {
-        // The third append's first attempt writes a partial frame and
-        // fails; the retry must truncate back and write the whole frame.
-        let storage = Storage::new(DiskFaultPlan::at((0, 3), DiskFaultKind::ShortWrite), 3, 0);
-        let (path, mut j) = fresh_journal("j-short", &storage);
-        for i in 0..6 {
-            assert_eq!(j.append(&record(i)), OpOutcome::Done);
-        }
-        let (records, valid_len, torn) = read_journal(&path, 0).unwrap();
-        assert_eq!(records.len(), 6, "every record survives the retry");
-        assert_eq!(torn, 0);
-        assert_eq!(valid_len, fs::metadata(&path).unwrap().len());
-        assert_eq!(fs::read(&path).unwrap(), clean_journal(0..6));
-        let c = storage.counters();
-        assert_eq!((c.transient_faults, c.retries), (1, 1));
-        let _ = fs::remove_dir_all(path.parent().unwrap());
-    }
-
-    #[test]
-    fn journal_reopen_appends_contiguously_from_valid_len() {
-        // Ops 1-3 append, op 4 reopens; the first append after the reopen
-        // (op 5) short-writes, so its retry truncates back to the end
-        // offset the reopen tracked.
-        let storage = Storage::new(DiskFaultPlan::at((0, 5), DiskFaultKind::ShortWrite), 3, 0);
-        let (path, mut j) = fresh_journal("j-reopen", &storage);
-        for i in 0..3 {
-            assert_eq!(j.append(&record(i)), OpOutcome::Done);
-        }
-        drop(j);
-        // A torn tail: the first bytes of a fourth frame.
-        let torn_frame = frame_record(&record(3), Vec::new());
-        let mut f = fs::OpenOptions::new().append(true).open(&path).unwrap();
-        f.write_all(&torn_frame[..7]).unwrap();
-        drop(f);
-        let (records, valid_len, torn) = read_journal(&path, 0).unwrap();
-        assert_eq!((records.len(), torn), (3, 1));
-
-        let (mut j, o) = Journal::reopen(&storage, &path, valid_len, FsyncPolicy::OnSnapshot);
-        assert_eq!(o, OpOutcome::Done);
-        for i in 3..5 {
-            assert_eq!(j.append(&record(i)), OpOutcome::Done);
-        }
-        assert_eq!(
-            fs::read(&path).unwrap(),
-            clean_journal(0..5),
-            "records continue right at valid_len"
-        );
-        assert_eq!(storage.counters().retries, 1);
-        let _ = fs::remove_dir_all(path.parent().unwrap());
-    }
-
-    #[test]
-    fn journal_bitrot_append_keeps_the_next_record_aligned() {
-        // The second append commits with one bit flipped; the third
-        // short-writes, so its retry truncates back to the end offset
-        // tracked past the rotted frame.
-        let mut plan = DiskFaultPlan::at((0, 2), DiskFaultKind::Bitrot);
-        plan.targeted.push(vmos::TargetedFault {
-            site: (0, 3),
-            kind: DiskFaultKind::ShortWrite,
-            fires: 1,
-        });
-        let storage = Storage::new(plan, 3, 0);
-        let (path, mut j) = fresh_journal("j-rot", &storage);
-        for i in 0..4 {
-            assert_eq!(j.append(&record(i)), OpOutcome::Done);
-        }
-        let got = fs::read(&path).unwrap();
-        let want = clean_journal(0..4);
-        assert_eq!(got.len(), want.len(), "the rotted frame keeps its length");
-        let diff: Vec<usize> = (0..got.len()).filter(|&k| got[k] != want[k]).collect();
-        let rotted_start = clean_journal(0..1).len();
-        let rotted_end = clean_journal(0..2).len();
-        assert_eq!(diff.len(), 1, "exactly one byte differs");
-        assert!(
-            (rotted_start..rotted_end).contains(&diff[0]),
-            "the flip lands inside the rotted record; every later record is in place"
-        );
-        assert_eq!((got[diff[0]] ^ want[diff[0]]).count_ones(), 1);
-        let c = storage.counters();
-        assert_eq!((c.bitrot_injected, c.retries), (1, 1));
-        let _ = fs::remove_dir_all(path.parent().unwrap());
-    }
-
-    #[test]
-    fn journal_appends_on_a_degraded_stream_are_skipped_and_counted() {
-        // The first append fails past its retry budget: the stream
-        // degrades, and every later append skips without touching disk.
-        let mut plan = DiskFaultPlan::at((0, 1), DiskFaultKind::Io);
-        plan.targeted[0].fires = 99;
-        let storage = Storage::new(plan, 2, 0);
-        let (path, mut j) = fresh_journal("j-degraded", &storage);
-        assert_eq!(j.append(&record(0)), OpOutcome::Skipped);
-        for i in 1..4 {
-            assert_eq!(j.append(&record(i)), OpOutcome::Skipped);
-        }
-        assert_eq!(fs::read(&path).unwrap(), clean_journal(0..0), "header only");
-        let c = storage.counters();
-        assert_eq!(c.degradations.len(), 1);
-        assert_eq!(c.writes_skipped, 3);
-
-        // A journal whose create already hit the degraded stream has no
-        // file at all; its appends are skipped and counted the same way.
-        let (mut dead, o) = Journal::create_at(&storage, &path, 0, FsyncPolicy::OnSnapshot);
-        assert_eq!(o, OpOutcome::Skipped);
-        assert_eq!(dead.append(&record(4)), OpOutcome::Skipped);
-        assert_eq!(storage.counters().writes_skipped, 5);
-        let _ = fs::remove_dir_all(path.parent().unwrap());
-    }
-
     #[test]
     fn rotation_bounds_disk_usage() {
         let m = module();
@@ -2011,10 +1380,6 @@ mod tests {
             "rotation must keep at most keep_snapshots files, found {}",
             snaps.len()
         );
-        let oldest_kept = snaps.first().unwrap().0;
-        for (base, _) in list_numbered(&dir, "journal-").unwrap() {
-            assert!(base >= oldest_kept, "stale journals must be pruned");
-        }
         let _ = fs::remove_dir_all(&dir);
     }
 }

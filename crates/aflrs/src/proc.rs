@@ -1193,13 +1193,7 @@ pub(crate) fn run_proc(
     for i in 0..lanes_n {
         let lane_cfg = lane_config(cfg, i, lanes_n);
         let lane_seeds = lane_seeds(seeds, i, lanes_n);
-        let state = barrier_state(&Driver::new(
-            scratch.as_mut(),
-            None,
-            &lane_seeds,
-            &lane_cfg,
-            false,
-        ));
+        let state = barrier_state(&Driver::new(scratch.as_mut(), None, &lane_seeds, &lane_cfg));
         lanes.push(ProcLane {
             child: None,
             cfg: lane_cfg,
@@ -1207,15 +1201,6 @@ pub(crate) fn run_proc(
             state,
             report: ResilienceReport::default(),
         });
-    }
-    if let Some(ck) = ck {
-        // Best-effort decoded-image sidecar next to the snapshots, so a
-        // later resume warms without re-lowering. Plain fs, outside the
-        // storage fault plane: the sidecar is a cache, not campaign state,
-        // and must not consume deterministic fault-plan op numbers. (The
-        // idempotent create_dir_all below still runs as a storage op.)
-        let _ = std::fs::create_dir_all(&ck.dir);
-        scratch.save_decoded_sidecar(&ck.dir);
     }
     drop(scratch);
 
@@ -1286,13 +1271,13 @@ pub(crate) fn resume_proc(
     info.sweep_warnings = storage.counters().sweep_warnings;
 
     // The scratch executor validates the snapshot's target fingerprint;
-    // the real executors live in the workers. Warm the cache through the
-    // sidecar before the scratch build — a cold-cache construction would
-    // lower and waste the sidecar.
-    let warm = factory.warm_decoded_image(Some(&ck.dir));
+    // the real executors live in the workers. Warm the cache before the
+    // scratch build, whose cold-cache construction would lower and hide
+    // whether the resume paid for it.
+    let warm = factory.warm_decoded_image(None);
     let scratch = factory.build().map_err(CampaignError::Build)?;
     check_target(snap.fingerprint, &*scratch).map_err(CampaignError::Checkpoint)?;
-    info.note_decoded_image(warm.or_else(|| scratch.warm_decoded_image(Some(&ck.dir))));
+    info.note_decoded_image(warm.or_else(|| scratch.warm_decoded_image(None)));
     drop(scratch);
 
     let mut global = snap.global;

@@ -7,7 +7,7 @@ use closurex::checkpoint::ExecutorState;
 use closurex::executor::{Executor, ExecutorFactory};
 use closurex::harness::{ClosureXConfig, ClosureXExecutor};
 use closurex::resilience::{DegradationLevel, HarnessError};
-use vmos::cov::{VirginMap, MAP_SIZE};
+use vmos::cov::VirginMap;
 use vmos::{
     Crash, CrashKind, DiskFaultKind, DiskFaultPlan, OrchFaultKind, OrchFaultPlan, PlanKind,
 };
@@ -15,8 +15,7 @@ use vmos::{
 use crate::builder::Campaign;
 use crate::campaign::{CampaignConfig, Stage};
 use crate::checkpoint::{
-    frame_record, load_snapshot, seal_snapshot, CampaignOutcome, CheckpointConfig, DeltaRecord,
-    Scalars, SnapshotState,
+    load_snapshot, seal_snapshot, CampaignOutcome, CheckpointConfig, Scalars, SnapshotState,
 };
 use crate::queue::QueueEntry;
 use crate::stats::{CampaignResult, CrashRecord};
@@ -112,7 +111,7 @@ fn arb_virgin() -> impl Strategy<Value = VirginMap> {
     prop::collection::vec((any::<u16>(), 1u8..=255), 0..50).prop_map(|bytes| {
         let mut v = VirginMap::new();
         for (i, b) in bytes {
-            v.set_byte(usize::from(i), b);
+            v.or_byte(usize::from(i), b);
         }
         v
     })
@@ -172,41 +171,6 @@ fn arb_snapshot() -> impl Strategy<Value = SnapshotState> {
         })
 }
 
-fn arb_delta() -> impl Strategy<Value = DeltaRecord> {
-    (
-        (
-            arb_scalars(),
-            prop::collection::vec(arb_entry(), 0..6),
-            prop::collection::vec(any::<u16>(), 0..6),
-        ),
-        (
-            prop::collection::vec(arb_crash_record(), 0..3),
-            prop::collection::vec((any::<u16>(), any::<u32>()), 0..6),
-            prop::collection::vec((any::<u16>(), any::<u8>()), 0..20),
-            arb_exec_state(),
-        ),
-    )
-        .prop_map(
-            |((scalars, new_entries, det_done), (new_crashes, hits, virgin, exec_state))| {
-                DeltaRecord {
-                    scalars,
-                    new_entries,
-                    det_done: det_done.into_iter().map(u64::from).collect(),
-                    new_crashes,
-                    crash_hits: hits
-                        .into_iter()
-                        .map(|(i, h)| (u64::from(i), u64::from(h)))
-                        .collect(),
-                    virgin: virgin
-                        .into_iter()
-                        .map(|(i, v)| (u32::from(i) % MAP_SIZE as u32, v))
-                        .collect(),
-                    exec_state,
-                }
-            },
-        )
-}
-
 pub(crate) const RESUME_TARGET: &str = r#"
     fn main() {
         var f = fopen("/fuzz/input", 0);
@@ -239,35 +203,11 @@ proptest! {
         prop_assert_eq!(bytes, back.encode());
     }
 
-    /// Same for journal delta records.
-    #[test]
-    fn delta_record_roundtrips(rec in arb_delta()) {
-        let bytes = rec.encode();
-        let back = DeltaRecord::decode(&bytes).expect("own encoding decodes");
-        prop_assert_eq!(bytes, back.encode());
-    }
-
-    /// A journal frame built in a reused buffer is exactly the payload
-    /// length, its FNV-1a checksum and the payload, whatever the buffer
-    /// held before.
-    #[test]
-    fn framed_record_is_length_checksum_payload(
-        rec in arb_delta(),
-        stale in prop::collection::vec(any::<u8>(), 0..64),
-    ) {
-        let payload = rec.encode();
-        let frame = frame_record(&rec, stale);
-        prop_assert_eq!(&frame[..4], &(payload.len() as u32).to_le_bytes()[..]);
-        prop_assert_eq!(&frame[4..12], &vmos::wire::fnv1a(&payload).to_le_bytes()[..]);
-        prop_assert_eq!(&frame[12..], &payload[..]);
-    }
-
     /// Decoding arbitrary garbage never panics (it is fed file contents an
     /// adversary — or a power cut — controls).
     #[test]
     fn decoders_never_panic_on_garbage(bytes in prop::collection::vec(any::<u8>(), 0..300)) {
         let _ = SnapshotState::decode(&bytes);
-        let _ = DeltaRecord::decode(&bytes);
     }
 
     /// A sealed snapshot file with any single bit flipped is rejected by
@@ -608,7 +548,7 @@ proptest! {
     /// Scrub-and-repair round-trips arbitrary corruption of the newest
     /// snapshot generation: whether it is bit-flipped, truncated, or
     /// deleted outright, resume falls back to an older good generation,
-    /// replays the journal chain across the gap, and produces the exact
+    /// re-runs from it, and produces the exact
     /// uninterrupted result — rewriting the rotted generation
     /// byte-identically when its carcass is still on disk to repair.
     #[test]
@@ -696,7 +636,7 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
         if mode < 2 {
             // The rotted bytes were still on disk: the scrub must have
-            // seen them and replay must have rewritten the generation.
+            // seen them and the re-run must have rewritten the generation.
             prop_assert_eq!(info.corrupt_snapshots_skipped, 1);
             prop_assert_eq!(info.snapshots_repaired, 1);
             prop_assert_eq!(resumed.resilience.storage.corrupt_snapshots, 1);

@@ -1114,16 +1114,15 @@ fn decode_supervision(r: &mut Reader<'_>) -> Result<SupervisionCounters, WireErr
 
 fn encode_resume(w: &mut Writer, rep: &ResumeReport) {
     w.put_u64(rep.snapshot_execs);
-    w.put_u64(rep.records_applied);
     w.put_u64(rep.corrupt_snapshots_skipped);
-    w.put_u64(rep.torn_records);
     w.put_u64(rep.snapshots_repaired);
     w.put_u64(rep.sweep_warnings);
     w.put_bool(rep.decoded_image_ready);
     w.put_u8(match rep.decoded_image_source {
         None => 0,
         Some(vmos::WarmSource::Cache) => 1,
-        Some(vmos::WarmSource::Sidecar) => 2,
+        // Tag 2 is reserved: it named a decoded-image source that no
+        // longer exists.
         Some(vmos::WarmSource::Lowered) => 3,
     });
 }
@@ -1131,16 +1130,13 @@ fn encode_resume(w: &mut Writer, rep: &ResumeReport) {
 fn decode_resume(r: &mut Reader<'_>) -> Result<ResumeReport, WireError> {
     Ok(ResumeReport {
         snapshot_execs: r.get_u64()?,
-        records_applied: r.get_u64()?,
         corrupt_snapshots_skipped: r.get_u64()?,
-        torn_records: r.get_u64()?,
         snapshots_repaired: r.get_u64()?,
         sweep_warnings: r.get_u64()?,
         decoded_image_ready: r.get_bool()?,
         decoded_image_source: match r.get_u8()? {
             0 => None,
             1 => Some(vmos::WarmSource::Cache),
-            2 => Some(vmos::WarmSource::Sidecar),
             3 => Some(vmos::WarmSource::Lowered),
             _ => return Err(WireError::Malformed("warm source tag")),
         },
@@ -2485,15 +2481,31 @@ mod tests {
             },
             resume: Some(ResumeReport {
                 snapshot_execs: 100,
-                records_applied: 51,
                 corrupt_snapshots_skipped: 1,
-                torn_records: 2,
                 snapshots_repaired: 3,
                 sweep_warnings: 4,
                 decoded_image_ready: true,
-                decoded_image_source: Some(vmos::WarmSource::Sidecar),
+                decoded_image_source: Some(vmos::WarmSource::Cache),
             }),
         }
+    }
+
+    #[test]
+    fn reserved_warm_source_tag_is_malformed() {
+        let rep = ResumeReport {
+            decoded_image_source: Some(vmos::WarmSource::Lowered),
+            ..ResumeReport::default()
+        };
+        let mut w = Writer::new();
+        encode_resume(&mut w, &rep);
+        let mut bytes = w.into_bytes();
+        assert_eq!(decode_resume(&mut Reader::new(&bytes)), Ok(rep));
+        // The warm-source tag is the last byte; tag 2 is reserved.
+        *bytes.last_mut().expect("tag byte") = 2;
+        assert_eq!(
+            decode_resume(&mut Reader::new(&bytes)),
+            Err(WireError::Malformed("warm source tag"))
+        );
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! # Scheduling model
 //!
 //! The shard epoch barrier is the preemption point. Between two
-//! [`step_epoch`](crate::shard::EpochSession::step_epoch) calls a campaign
+//! `EpochSession::step_epoch` calls a campaign
 //! is fully merged and (since the service always checkpoints) durable on
 //! disk, so parking it there costs nothing and changes nothing. The
 //! scheduler exploits exactly that: a *grant* is
@@ -39,11 +39,10 @@
 //! snapshot, re-running the interrupted epoch — to the bit-identical
 //! [`CampaignResult`] the unkilled service would have produced (compare
 //! with
-//! [`CampaignResult::outcome_diff`]). The decoded-image sidecar written
-//! next to each tenant's snapshots makes that restore cheap: the first
-//! resumed tenant revives the image from the sidecar and every later
+//! [`CampaignResult::outcome_diff`]). The restore is cheap in decode work
+//! too: the first resumed tenant lowers the target once and every later
 //! tenant over the same target hits the process-wide cache, so a
-//! thousand-campaign restore decodes the module at most once (see
+//! thousand-campaign restore decodes the module once (see
 //! [`vmos::decode_counters`]).
 //!
 //! # Health
@@ -308,7 +307,7 @@ pub enum CampaignState {
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Root directory; each tenant gets `dir/<name>/` for its spec,
-    /// shard snapshots, and decoded-image sidecar.
+    /// and shard snapshots.
     pub dir: PathBuf,
     /// Scheduler threads — the bound on campaigns stepping concurrently
     /// (each campaign additionally uses its own `shards` threads while

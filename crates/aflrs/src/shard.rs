@@ -50,7 +50,7 @@
 //! holds the merged queue, virgin map and crash records once, plus every
 //! lane's scalars and exported executor state, sealed under the same
 //! fingerprint-carrying header as single-driver snapshots with a format
-//! version of its own ([`SHARD_FORMAT_VERSION`]). Lanes write nothing
+//! version of its own (`SHARD_FORMAT_VERSION`). Lanes write nothing
 //! between barriers, and `CheckpointConfig::snapshot_every_execs` is
 //! ignored: the epoch barrier is the snapshot cadence.
 //!
@@ -278,7 +278,7 @@ pub(crate) fn run_lane_epoch(
         .revalidator
         .as_deref_mut()
         .map(|r| r as &mut dyn Executor);
-    let mut d = Driver::new(lane.executor.as_mut(), revalidator, &lane.seeds, &lane.cfg, false);
+    let mut d = Driver::new(lane.executor.as_mut(), revalidator, &lane.seeds, &lane.cfg);
     lane.state.clone().apply(&mut d)?;
     let mut steps: u64 = 0;
     let mut stalled: u64 = 0;
@@ -909,7 +909,7 @@ pub(crate) fn load_newest_shard_snapshot(
 /// shard snapshot (the sealed archive) — exactly what
 /// [`EpochSession::resume`] needs to revive a killed campaign — and delete
 /// every older generation and all debris, in one directory scan.
-/// `spec.bin` and the decoded-image sidecar are untouched. Returns
+/// `spec.bin` and any other foreign file are untouched. Returns
 /// `(files removed, warnings)`; failures are never fatal — callers surface
 /// the warning count and the extra files simply linger.
 pub(crate) fn archive_shard_dir(dir: &Path) -> (u64, u64) {
@@ -966,7 +966,7 @@ fn build_lane(
     let seeds = lane_seeds(seeds, i, lanes_n);
     let state = match state {
         Some(st) => st,
-        None => barrier_state(&Driver::new(executor.as_mut(), None, &seeds, &cfg, false)),
+        None => barrier_state(&Driver::new(executor.as_mut(), None, &seeds, &cfg)),
     };
     Ok(Lane {
         executor,
@@ -1072,7 +1072,7 @@ pub(crate) enum SessionStart {
 
 impl EpochSession {
     /// Build the lanes and, when checkpointing, lay down the initial
-    /// snapshot and decoded-image sidecar.
+    /// snapshot.
     pub(crate) fn start(
         factory: &dyn ExecutorFactory,
         seeds: &[Vec<u8>],
@@ -1108,12 +1108,6 @@ impl EpochSession {
             {
                 return Ok(SessionStart::Dead { execs: 0 });
             }
-            // Best-effort decoded-image sidecar next to the snapshots, so
-            // resume — possibly in another process — skips the re-lower.
-            // Outside the storage fault plane: a cache, not campaign state.
-            if let Some(lane) = session.lanes.first() {
-                lane.executor.save_decoded_sidecar(&ck.dir);
-            }
         }
         Ok(SessionStart::Live(Box::new(session)))
     }
@@ -1138,12 +1132,12 @@ impl EpochSession {
         }
         let snap = load_newest_shard_snapshot(&storage, ck, lanes_n, &mut info)?;
         info.sweep_warnings = storage.counters().sweep_warnings;
-        // Warm the process-wide decoded-image cache through the sidecar
-        // *before* any lane executor is built — construction lowers
-        // eagerly on a cold cache, which would waste the sidecar. Falls
-        // back to warming through lane 0 for factories without a
-        // factory-level warm.
-        let mut warm = factory.warm_decoded_image(Some(&ck.dir));
+        // Warm the process-wide decoded-image cache *before* any lane
+        // executor is built — construction lowers eagerly on a cold cache,
+        // which would hide whether the resume paid for it. Falls back to
+        // warming through lane 0 for factories without a factory-level
+        // warm.
+        let mut warm = factory.warm_decoded_image(None);
         let mut lanes = Vec::with_capacity(lanes_n);
         for (i, lb) in snap.lanes.iter().enumerate() {
             let state = Some(lb.state(&snap.global));
@@ -1154,7 +1148,7 @@ impl EpochSession {
                 check_target(snap.fingerprint, &*lane.executor)
                     .map_err(CampaignError::Checkpoint)?;
                 if warm.is_none() {
-                    warm = lane.executor.warm_decoded_image(Some(&ck.dir));
+                    warm = lane.executor.warm_decoded_image(None);
                 }
                 info.note_decoded_image(warm);
             }
@@ -1409,7 +1403,7 @@ mod tests {
         }
         fs::write(dir.join("shard-ckpt-000008.tmp"), b"torn").expect("write");
         fs::write(dir.join("spec.bin"), b"spec").expect("write");
-        fs::write(dir.join("decoded-image.bin"), b"sidecar").expect("write");
+        fs::write(dir.join("foreign.bin"), b"not ours").expect("write");
 
         let (removed, warnings) = archive_shard_dir(&dir);
         assert_eq!(warnings, 0);
@@ -1417,7 +1411,7 @@ mod tests {
         assert_eq!(removed, 2 + 9 + 1);
         assert_eq!(
             names(&dir),
-            ["decoded-image.bin", "shard-ckpt-000007.bin", "spec.bin"],
+            ["foreign.bin", "shard-ckpt-000007.bin", "spec.bin"],
             "only the sealed snapshot and non-shard files survive"
         );
         // Idempotent: a second sweep finds nothing to remove.

@@ -125,8 +125,8 @@ pub struct CampaignResult {
     pub resilience: ResilienceCounters,
     /// Resume accounting, present only on results produced by
     /// [`crate::Campaign::resume`] (or a service-managed resume): which
-    /// snapshot the campaign restarted from, how much journal tail was
-    /// replayed, what corruption was repaired, and whether the decoded
+    /// snapshot the campaign restarted from, what corruption was skipped
+    /// and repaired, and whether the decoded
     /// image was warm. `None` on a campaign that ran start-to-finish.
     /// Describes the *resume process*, not the fuzzing outcome — the
     /// bit-identity comparison key is [`CampaignResult::outcome_diff`].
@@ -155,7 +155,7 @@ impl CampaignResult {
     /// key, or `None` when they agree. The key is every field except the
     /// three recovery reports — `resilience.supervision`,
     /// `resilience.storage` and `resume` — which describe how a run was
-    /// recovered (faults contained, storage repaired, journal replayed),
+    /// recovered (faults contained, storage repaired, work re-run),
     /// not what it computed. A difference is reported as the path of the
     /// first differing field with both values, e.g.
     /// `crashes[1].hits: 3 vs 4`.
@@ -351,7 +351,7 @@ mod tests {
         // The recovery reports sit outside the key.
         let mut c = a.clone();
         c.resume = Some(crate::checkpoint::ResumeReport {
-            records_applied: 9,
+            snapshot_execs: 9,
             ..Default::default()
         });
         c.resilience.supervision.recovered = 1;

@@ -4,7 +4,7 @@
 //!
 //! PRs 2/5/6 made campaigns survive *compute* faults — panics, hangs,
 //! SIGKILLed worker processes. This module does the same for the storage
-//! those recovery paths bottom out in. A [`Storage`] handle wraps each
+//! those recovery paths bottom out in. A `Storage` handle wraps each
 //! checkpoint I/O operation (snapshot writes, journal appends, rotation
 //! unlinks, orphan sweeps) in a **recovery ladder**:
 //!
@@ -25,7 +25,7 @@
 //!    byte-identically from whatever survived.
 //!
 //! Fault injection is driven by a position-pure
-//! [`DiskFaultPlan`](vmos::DiskFaultPlan): decisions are keyed by
+//! [`DiskFaultPlan`]: decisions are keyed by
 //! `(stream, op, attempt)`. Every campaign has one stream, stream 0, the
 //! coordinator: the single driver's snapshots, journal and rotation, or a
 //! sharded campaign's barrier snapshots, rotation and sweeps. Lanes do no
@@ -82,12 +82,10 @@ pub struct StorageCounters {
     pub writes_skipped: u64,
     /// Non-fatal sweep/rotation unlink failures (counted, not fatal).
     pub sweep_warnings: u64,
-    /// Torn journal tail records dropped during resume replay.
-    pub torn_records_dropped: u64,
     /// Snapshot generations that failed checksum validation on resume.
     pub corrupt_snapshots: u64,
-    /// Corrupt snapshot generations rewritten from an older good
-    /// generation plus journal replay (scrub-and-repair).
+    /// Corrupt snapshot generations rewritten by the re-run from an older
+    /// good generation (scrub-and-repair).
     pub snapshots_repaired: u64,
     /// Streams retired to in-memory checkpointing.
     pub degradations: Vec<StorageDegradation>,
@@ -108,7 +106,6 @@ impl StorageCounters {
         self.bitrot_injected += other.bitrot_injected;
         self.writes_skipped += other.writes_skipped;
         self.sweep_warnings += other.sweep_warnings;
-        self.torn_records_dropped += other.torn_records_dropped;
         self.corrupt_snapshots += other.corrupt_snapshots;
         self.snapshots_repaired += other.snapshots_repaired;
         self.degradations.extend(other.degradations.iter().cloned());
@@ -123,7 +120,6 @@ impl StorageCounters {
         w.put_u64(self.bitrot_injected);
         w.put_u64(self.writes_skipped);
         w.put_u64(self.sweep_warnings);
-        w.put_u64(self.torn_records_dropped);
         w.put_u64(self.corrupt_snapshots);
         w.put_u64(self.snapshots_repaired);
         w.put_usize(self.degradations.len());
@@ -144,7 +140,6 @@ impl StorageCounters {
         let bitrot_injected = r.get_u64()?;
         let writes_skipped = r.get_u64()?;
         let sweep_warnings = r.get_u64()?;
-        let torn_records_dropped = r.get_u64()?;
         let corrupt_snapshots = r.get_u64()?;
         let snapshots_repaired = r.get_u64()?;
         let n = r.get_count()?;
@@ -169,7 +164,6 @@ impl StorageCounters {
             bitrot_injected,
             writes_skipped,
             sweep_warnings,
-            torn_records_dropped,
             corrupt_snapshots,
             snapshots_repaired,
             degradations,
@@ -294,16 +288,6 @@ impl Storage {
             .expect("storage lock")
             .counters
             .sweep_warnings += n;
-    }
-
-    /// Record a torn journal tail dropped during resume replay.
-    pub(crate) fn note_torn_records(&self, n: u64) {
-        self.shared
-            .state
-            .lock()
-            .expect("storage lock")
-            .counters
-            .torn_records_dropped += n;
     }
 
     /// Record a snapshot generation that failed validation on resume.
@@ -585,7 +569,6 @@ mod tests {
             bitrot_injected: 1,
             writes_skipped: 4,
             sweep_warnings: 2,
-            torn_records_dropped: 1,
             corrupt_snapshots: 2,
             snapshots_repaired: 1,
             degradations: Vec::new(),
@@ -616,13 +599,13 @@ mod tests {
         };
         let b = StorageCounters {
             retries: 2,
-            torn_records_dropped: 1,
+            snapshots_repaired: 1,
             degradations: vec![StorageDegradation::default()],
             ..StorageCounters::default()
         };
         a.absorb(&b);
         assert_eq!(a.retries, 3);
-        assert_eq!(a.torn_records_dropped, 1);
+        assert_eq!(a.snapshots_repaired, 1);
         assert_eq!(a.degradations.len(), 1);
         assert!(!a.is_quiet());
         assert!(StorageCounters::default().is_quiet());

@@ -4,19 +4,22 @@
 //! honest (same binary, same machine state, same workload).
 //!
 //! For every (target, mechanism) cell the harness runs the identical
-//! campaign twice — once with `vmos::set_reference_engine(true)` (the
+//! campaign on both engines — with `vmos::set_reference_engine(true)` (the
 //! pre-change engine: AST walk, full coverage-map clears, full-scan virgin
-//! merge) and once on the decoded fast path — and cross-checks that
-//! `execs`, `clock_cycles` and `coverage_hash` are bit-identical. A
-//! mismatch is a determinism bug and fails the run outright.
+//! merge) and on the decoded fast path — in interleaved rounds after an
+//! untimed warm-up round, keeping each engine's best time, and
+//! cross-checks that every run's `execs`, `clock_cycles` and
+//! `coverage_hash` are bit-identical. A mismatch is a determinism bug and
+//! fails the run outright.
 //!
 //! Modes:
 //! * default: all targets × {ClosureX, forkserver}, `CLOSUREX_BUDGET` or
-//!   the standard default budget;
-//! * `--smoke`: first two targets, small budget — the CI gate. In smoke
-//!   mode the aggregate decoded execs/sec is compared against the
-//!   checked-in floor (`results/BENCH_floor.json`); a drop of more than
-//!   20% below the floor exits nonzero.
+//!   the standard default budget, one timed round;
+//! * `--smoke`: first two targets, small budget, best of three rounds —
+//!   the CI gate. In smoke mode the aggregate decoded/reference speedup is
+//!   compared against the checked-in floor (`results/BENCH_floor.json`)
+//!   and a miss exits nonzero; decoded execs/sec below 80% of its floor
+//!   only warns.
 //!
 //! Writes `results/BENCH_throughput.json`.
 
@@ -29,6 +32,9 @@ use std::time::Instant;
 /// Smoke-mode per-campaign cycle budget (big enough that the decoded
 /// engine's dispatch dominates, small enough for CI).
 const SMOKE_BUDGET: u64 = 4_000_000;
+
+/// Smoke-mode timed rounds per cell; each engine keeps its best.
+const SMOKE_ROUNDS: usize = 3;
 
 #[derive(Serialize)]
 struct Row {
@@ -111,12 +117,6 @@ fn timed_run(
     vmos::set_reference_engine(reference);
     let cfg = campaign_cfg(budget);
     let seeds = (target.seeds)();
-    // Untimed warm-up campaign: caches, branch predictors and CPU
-    // frequency settle before either engine is on the clock.
-    {
-        let mut warm = mech.executor(target);
-        let _ = run(warm.as_mut(), &seeds, &cfg);
-    }
     let mut ex = mech.executor(target);
     let start = Instant::now();
     let r = run(ex.as_mut(), &seeds, &cfg);
@@ -125,11 +125,46 @@ fn timed_run(
     (r, secs)
 }
 
+/// Do two runs agree on everything the engines must reproduce?
+fn same_run(a: &CampaignResult, b: &CampaignResult) -> bool {
+    a.execs == b.execs
+        && a.clock_cycles == b.clock_cycles
+        && a.coverage_hash == b.coverage_hash
+        && a.edges_found == b.edges_found
+        && a.crashes.len() == b.crashes.len()
+}
+
+/// One cell's reference and decoded campaigns: an untimed warm-up round
+/// (caches, branch predictors and CPU frequency settle), then `rounds`
+/// timed rounds interleaved (reference, decoded, reference, ...) so drift
+/// in host throughput hits both engines alike, the way `opt_bisect` times
+/// its legs. Returns both warm-up results, each engine's best wall time,
+/// and whether every timed run reproduced its engine's warm-up run.
+fn best_of(
+    target: &targets::TargetSpec,
+    mech: Mechanism,
+    budget: u64,
+    rounds: usize,
+) -> ([CampaignResult; 2], [f64; 2], bool) {
+    let warm = [true, false].map(|reference| timed_run(target, mech, budget, reference).0);
+    let mut best = [f64::INFINITY; 2];
+    let mut stable = true;
+    for _ in 0..rounds {
+        for (i, reference) in [true, false].into_iter().enumerate() {
+            let (r, secs) = timed_run(target, mech, budget, reference);
+            stable &= same_run(&r, &warm[i]);
+            best[i] = best[i].min(secs);
+        }
+    }
+    (warm, best, stable)
+}
+
 use bench::floor;
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let budget = if smoke { SMOKE_BUDGET } else { bench::budget() };
+    let rounds = if smoke { SMOKE_ROUNDS } else { 1 };
     let targets: Vec<&targets::TargetSpec> = if smoke {
         targets::all().into_iter().take(2).collect()
     } else {
@@ -168,18 +203,13 @@ fn main() {
             inlined_callees: s.inlined_callees,
         });
         for mech in [Mechanism::ClosureX, Mechanism::ForkServer] {
-            let (ref_r, r_secs) = timed_run(t, mech, budget, true);
-            let (dec_r, d_secs) = timed_run(t, mech, budget, false);
-            let deterministic = ref_r.execs == dec_r.execs
-                && ref_r.clock_cycles == dec_r.clock_cycles
-                && ref_r.coverage_hash == dec_r.coverage_hash
-                && ref_r.edges_found == dec_r.edges_found
-                && ref_r.crashes.len() == dec_r.crashes.len();
+            let ([ref_r, dec_r], [r_secs, d_secs], stable) = best_of(t, mech, budget, rounds);
+            let deterministic = stable && same_run(&ref_r, &dec_r);
             if !deterministic {
                 all_deterministic = false;
                 eprintln!(
                     "DETERMINISM VIOLATION: {} / {}: reference (execs={}, cycles={}, cov={:#x}) \
-                     != decoded (execs={}, cycles={}, cov={:#x})",
+                     != decoded (execs={}, cycles={}, cov={:#x}), or a round diverged",
                     t.name,
                     mech.name(),
                     ref_r.execs,
@@ -286,26 +316,22 @@ fn main() {
     }
 
     if smoke {
-        // Regression gate: compare against the checked-in floors. Absolute
-        // decoded execs/sec is the primary signal but swings with host load
-        // (shared machines show ±60% phases); the decoded/reference speedup
-        // measured in the *same* run is load-robust, because both engines
-        // ride the same phase. A real engine regression drags both down, so
-        // the gate fails only when BOTH miss their floor.
+        // Regression gate: the decoded/reference speedup of interleaved
+        // best-of-three rounds. Both engines ride the same host-load phase,
+        // so the ratio is load-robust where absolute execs/sec swings with
+        // host load (shared machines show ±60% phases); it alone decides.
+        // The absolute floor is reported, and a miss only warns.
         let abs = floor("results/BENCH_floor.json", "smoke_decoded_execs_per_sec");
         let ratio = floor("results/BENCH_floor.json", "smoke_min_speedup");
         let speedup = agg_dec / agg_ref.max(1e-9);
-        let abs_ok = agg_dec >= abs * 0.8;
-        let ratio_ok = speedup >= ratio;
-        if !abs_ok && !ratio_ok {
+        if speedup < ratio {
             eprintln!(
-                "FAIL: decoded throughput {agg_dec:.0} execs/s is more than 20% below the \
-                 checked-in floor {abs:.0}, and the decoded/reference speedup {speedup:.2}x \
-                 is below the speedup floor {ratio:.2}x — regression, not host noise"
+                "FAIL: the decoded/reference speedup {speedup:.2}x is below the speedup floor \
+                 {ratio:.2}x ({agg_dec:.0} decoded execs/s) — an engine regression"
             );
             std::process::exit(1);
         }
-        if !abs_ok {
+        if agg_dec < abs * 0.8 {
             eprintln!(
                 "WARN: decoded throughput {agg_dec:.0} execs/s is below 80% of floor {abs:.0}, \
                  but the within-run speedup {speedup:.2}x clears its floor {ratio:.2}x — \

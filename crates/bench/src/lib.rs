@@ -133,20 +133,17 @@ impl ExecutorFactory for MechanismFactory {
 
     /// Warm over the module *as the executor will decode it*: every
     /// executor runs its instrumentation pipeline on a clone before
-    /// lowering, so the cache/sidecar key is the **instrumented**
+    /// lowering, so the cache key is the **instrumented**
     /// module's fingerprint — warming the raw module would prime a key
     /// nothing ever reads.
-    fn warm_decoded_image(
-        &self,
-        sidecar_dir: Option<&std::path::Path>,
-    ) -> Option<vmos::WarmSource> {
+    fn warm_decoded_image(&self, _dir: Option<&std::path::Path>) -> Option<vmos::WarmSource> {
         let mut m = self.module.clone();
         let mut pipeline = match self.mechanism {
             Mechanism::ClosureX => passes::pipelines::closurex_pipeline(),
             _ => passes::pipelines::baseline_pipeline(),
         };
         pipeline.run(&mut m).ok()?;
-        Some(vmos::DecodedImage::warm_with_sidecar(&m, sidecar_dir))
+        Some(vmos::DecodedImage::warm(&m))
     }
 
     /// Process-isolated campaigns ship `(mechanism tag, target name)` to

@@ -3,7 +3,7 @@
 //! write, a machine death at the I/O boundary, a lost rename, silent
 //! bitrot — is injected at a grid of I/O operation boundaries of the
 //! campaign's one storage stream, the coordinator's: the single driver's
-//! snapshots, journal and rotation, or a sharded campaign's barrier
+//! snapshots and rotation, or a sharded campaign's barrier
 //! snapshots and rotation (lanes do no I/O between barriers). Every cell
 //! must end in a sanctioned state:
 //!
@@ -365,9 +365,16 @@ pub fn sharded_crash_at_every_boundary_resumes_exactly(g: &mut Grid) {
     exercised(g, "crash recovery", kills);
 }
 
-/// Snapshots, rotation and the journal all interleave on the single
-/// driver's stream 0: a crash at any of its first 10 boundaries resumes
-/// exactly.
+/// Coordinator storage ops of the single driver's first three snapshots
+/// (every 30 execs): directory creation, the start-up sweep, three
+/// snapshots of four ops each, two rotations of two ops each, and the
+/// directory fsync after the second rotation unlinks the oldest
+/// generation.
+const SINGLE_OPS: u64 = 19;
+
+/// Snapshots and rotation interleave on the single driver's stream 0: a
+/// crash at any boundary of its first three snapshots, and at the one
+/// after them, resumes exactly.
 pub fn single_driver_crash_grid_resumes_exactly(g: &mut Grid) {
     let lab = Lab::probe(Mode::Single);
     let Some(want) = lab.reference(g, Role::Untimed) else {
@@ -375,7 +382,7 @@ pub fn single_driver_crash_grid_resumes_exactly(g: &mut Grid) {
     };
     let mut kills = 0;
     for kind in CRASHES {
-        for op in 0..10 {
+        for op in 0..=SINGLE_OPS {
             kills += lab.cell(g, &want, (kind, op, 1), None, died).unwrap_or(0);
         }
     }
@@ -426,12 +433,13 @@ pub fn bitrot_is_scrubbed_on_resume(g: &mut Grid) {
     let Some(want) = lab.reference(g, Role::Untimed) else {
         return;
     };
-    // Kill just past the second snapshot: ops 0..52 then cover every
-    // boundary the run reaches — both kept generations, the rotation and
-    // the live journal tail — so the sweep hits bytes the resume reads.
-    let kill_at = 40;
+    // Kill just past the third snapshot: ops 0..=SINGLE_OPS then cover
+    // every boundary the run reaches — all three generations and both
+    // rotations — and one past them, so the sweep hits bytes the resume
+    // reads.
+    let kill_at = 70;
     let mut scrubbed = 0;
-    for op in 0..52 {
+    for op in 0..=SINGLE_OPS {
         let fault = (DiskFaultKind::Bitrot, op, 1);
         scrubbed += lab
             .cell(g, &want, fault, Some(kill_at), |r, how| {
@@ -439,7 +447,7 @@ pub fn bitrot_is_scrubbed_on_resume(g: &mut Grid) {
                     format!("expected a resume, got {how:?}")
                 })?;
                 let st = &r.resilience.storage;
-                Ok(st.corrupt_snapshots + st.snapshots_repaired + st.torn_records_dropped)
+                Ok(st.corrupt_snapshots + st.snapshots_repaired)
             })
             .unwrap_or(0);
     }

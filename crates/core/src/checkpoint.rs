@@ -7,7 +7,7 @@
 //! executors that means:
 //!
 //! * the resilience tallies (`respawns`, `divergences`, …) that feed
-//!   [`ResilienceReport`](crate::resilience::ResilienceReport),
+//!   [`ResilienceReport`],
 //! * the restore-iteration counter that drives the *sampled* integrity
 //!   check cadence (resume mid-sample-window and the checks fire at the
 //!   same executions they would have),

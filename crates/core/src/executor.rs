@@ -117,21 +117,17 @@ pub trait Executor {
     }
 
     /// Ensure the process-wide decoded-image cache holds this executor's
-    /// module, and report where the image came from: already cached,
-    /// revived from a sidecar file under `sidecar_dir`, or lowered by this
-    /// call. Checkpoint resume calls this up front (passing the checkpoint
-    /// directory) so the replayed campaign never re-lowers lazily mid-run
-    /// and a warm sidecar makes resume O(journal tail). Default: `None` —
-    /// the mechanism does not use the decoded engine.
-    fn warm_decoded_image(&self, _sidecar_dir: Option<&Path>) -> Option<WarmSource> {
+    /// module, and report whether it was already cached or lowered by this
+    /// call. Checkpoint resume calls this up front so the re-run never
+    /// re-lowers lazily mid-campaign. The directory is ignored. Default:
+    /// `None` — the mechanism does not use the decoded engine.
+    fn warm_decoded_image(&self, _dir: Option<&Path>) -> Option<WarmSource> {
         None
     }
 
-    /// Best-effort write of this executor's decoded image to a sidecar
-    /// cache file in `dir` (see `vmos::decoded::sidecar`), so later
-    /// resumes — possibly in another process — can skip the re-lower.
-    /// Returns whether a usable sidecar now exists there. Default: `false`
-    /// — the mechanism does not use the decoded engine.
+    /// Write this executor's decoded image next to a checkpoint. Decoded
+    /// images are never persisted: the default, and every executor in the
+    /// workspace, writes nothing and returns `false`.
     fn save_decoded_sidecar(&self, _dir: &Path) -> bool {
         false
     }
@@ -162,12 +158,11 @@ pub trait ExecutorFactory: Sync {
     /// Warm the process-wide decoded-image cache for this factory's
     /// module — mirror of [`Executor::warm_decoded_image`], callable
     /// *before* any executor exists. Executor construction lowers eagerly
-    /// on a cold cache, so a resume that only warmed through a built
-    /// executor would waste the sidecar sitting next to the checkpoint;
-    /// factory-level warming lets it load instead. Default: `None` — the
-    /// factory cannot warm ahead of construction, and callers fall back
-    /// to the first built executor.
-    fn warm_decoded_image(&self, _sidecar_dir: Option<&Path>) -> Option<WarmSource> {
+    /// on a cold cache, so only a warm-up ahead of construction can report
+    /// whether a resume paid the lowering. Default: `None` — the factory
+    /// cannot warm ahead of construction, and callers fall back to the
+    /// first built executor.
+    fn warm_decoded_image(&self, _dir: Option<&Path>) -> Option<WarmSource> {
         None
     }
 

@@ -8,7 +8,7 @@
 //!
 //! Those costs are charged on the simulated clock in full; on the host,
 //! [`vmos::ForkServer`] recycles one child, so a fork costs time in the
-//! pages the previous test case dirtied. [`fork_exec`] is the one
+//! pages the previous test case dirtied. `fork_exec` is the one
 //! fork–call–reap body, shared with ClosureX's fork-per-exec rung.
 
 use std::sync::Arc;
@@ -132,13 +132,8 @@ impl Executor for ForkServerExecutor {
         Some(self.fingerprint)
     }
 
-    fn warm_decoded_image(&self, sidecar_dir: Option<&std::path::Path>) -> Option<vmos::WarmSource> {
-        Some(vmos::DecodedImage::warm_with_sidecar(&self.module, sidecar_dir))
-    }
-
-    fn save_decoded_sidecar(&self, dir: &std::path::Path) -> bool {
-        let img = vmos::DecodedImage::cached(&self.module);
-        vmos::decoded::sidecar::save(dir, &img).unwrap_or(false)
+    fn warm_decoded_image(&self, _dir: Option<&std::path::Path>) -> Option<vmos::WarmSource> {
+        Some(vmos::DecodedImage::warm(&self.module))
     }
 }
 

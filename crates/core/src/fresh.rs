@@ -147,13 +147,8 @@ impl Executor for FreshProcessExecutor {
         Some(self.fingerprint)
     }
 
-    fn warm_decoded_image(&self, sidecar_dir: Option<&std::path::Path>) -> Option<vmos::WarmSource> {
-        Some(vmos::DecodedImage::warm_with_sidecar(&self.module, sidecar_dir))
-    }
-
-    fn save_decoded_sidecar(&self, dir: &std::path::Path) -> bool {
-        let img = vmos::DecodedImage::cached(&self.module);
-        vmos::decoded::sidecar::save(dir, &img).unwrap_or(false)
+    fn warm_decoded_image(&self, _dir: Option<&std::path::Path>) -> Option<vmos::WarmSource> {
+        Some(vmos::DecodedImage::warm(&self.module))
     }
 }
 

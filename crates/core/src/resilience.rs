@@ -11,7 +11,7 @@
 //!
 //! * [`HarnessError`] — typed, non-panicking failures of the harness
 //!   machinery itself, surfaced through
-//!   [`ExecStatus::Fault`](crate::executor::ExecStatus);
+//!   [`ExecStatus::Fault`](crate::executor::ExecStatus::Fault)(crate::executor::ExecStatus);
 //! * [`RestoreDivergence`] — what a sampled post-restore integrity check
 //!   (global-section hash, heap census, fd census) found out of place;
 //! * [`DegradationLevel`] — where on the continuum the executor currently
@@ -199,7 +199,7 @@ pub struct ResilienceReport {
     /// value means the retained quarantine is a *sample*, not the full
     /// set — campaigns surface this instead of discarding silently.
     pub quarantine_dropped: u64,
-    /// Harness faults surfaced as [`ExecStatus::Fault`]
+    /// Harness faults surfaced as [`ExecStatus::Fault`](crate::executor::ExecStatus::Fault)
     /// (crate::executor::ExecStatus::Fault) instead of panics.
     pub harness_faults: u64,
     /// Current degradation level.

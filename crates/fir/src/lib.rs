@@ -10,7 +10,7 @@
 //!   `replaceAllUsesWith`-style callee rewriting exactly as the paper's LLVM
 //!   passes do,
 //! * a [`builder`] for programmatic construction, a [`verify`] pass, a text
-//!   [`printer`] and round-tripping [`parser`], and [`cfg`] analyses.
+//!   [`printer`] and round-tripping [`parser`], and [`cfg`](mod@cfg) analyses.
 //!
 //! The interpreter for FIR lives in the `vmos` crate; the ClosureX passes that
 //! transform FIR live in the `passes` crate.

@@ -204,35 +204,14 @@ impl VirginMap {
     /// Scans the map in 64-bit words and skips zero words, the same trick
     /// AFL uses to keep the per-execution scan off the profile.
     pub fn merge(&mut self, run: &CovMap) -> bool {
-        self.merge_inner(run, None)
-    }
-
-    /// [`VirginMap::merge`], additionally recording `(index, new byte)` for
-    /// every virgin byte the merge changed — the per-execution coverage
-    /// delta a campaign journal persists. Behavior is otherwise identical
-    /// to `merge`, so journaling cannot perturb a campaign's decisions.
-    pub fn merge_tracked(&mut self, run: &CovMap, changed: &mut Vec<(usize, u8)>) -> bool {
-        self.merge_inner(run, Some(changed))
-    }
-
-    fn merge_inner(&mut self, run: &CovMap, mut changed: Option<&mut Vec<(usize, u8)>>) -> bool {
         if !crate::engine::reference_engine() {
             // Fast path: the run's touched list is exactly its nonzero
             // slots, each listed once, so visiting it performs the same
             // byte merges as the reference scan in O(touched) instead of
             // O(MAP_SIZE). Each merge touches only its own byte, so the
-            // order is free — except for the journal delta, whose bytes
-            // follow the reference scan's ascending index order.
-            let mut sorted;
-            let idxs: &[u16] = if changed.is_some() {
-                sorted = run.touched.clone();
-                sorted.sort_unstable();
-                &sorted
-            } else {
-                &run.touched
-            };
+            // order is free.
             let mut new = false;
-            for &idx in idxs {
+            for &idx in &run.touched {
                 let i = idx as usize;
                 let bucket = classify_count(run.map[i]);
                 let v = &mut self.virgin[i];
@@ -242,9 +221,6 @@ impl VirginMap {
                     }
                     *v |= bucket;
                     new = true;
-                    if let Some(out) = changed.as_deref_mut() {
-                        out.push((i, *v));
-                    }
                 }
             }
             return new;
@@ -268,9 +244,6 @@ impl VirginMap {
                     }
                     *v |= bucket;
                     new = true;
-                    if let Some(out) = changed.as_deref_mut() {
-                        out.push((i, *v));
-                    }
                 }
             }
         }
@@ -304,22 +277,9 @@ impl VirginMap {
         }
     }
 
-    /// Overwrite one bucket byte, keeping the edge count consistent —
-    /// journal replay applies per-execution coverage deltas through this.
-    pub fn set_byte(&mut self, index: usize, value: u8) {
-        let slot = &mut self.virgin[index];
-        match (*slot, value) {
-            (0, v) if v != 0 => self.edges_found += 1,
-            (o, 0) if o != 0 => self.edges_found -= 1,
-            _ => {}
-        }
-        *slot = value;
-    }
-
     /// OR `value` into one bucket byte, keeping the edge count consistent.
-    /// Unlike [`VirginMap::set_byte`] this can only grow coverage, which is
-    /// what a shard merge needs: OR-ing never discards bucket bits another
-    /// lane already contributed.
+    /// It can only grow coverage, which is what a shard merge needs:
+    /// OR-ing never discards bucket bits another lane already contributed.
     pub fn or_byte(&mut self, index: usize, value: u8) {
         let slot = &mut self.virgin[index];
         if *slot == 0 && value != 0 {
@@ -446,7 +406,7 @@ mod tests {
     }
 
     #[test]
-    fn virgin_save_restore_and_set_byte_keep_edge_count() {
+    fn virgin_save_restore_and_or_byte_keep_edge_count() {
         let mut v = VirginMap::new();
         let mut run = CovMap::new();
         run.hit(9);
@@ -457,35 +417,12 @@ mod tests {
         assert_eq!(restored.edges_found(), 2);
 
         let mut w = VirginMap::new();
-        w.set_byte(7, 1);
+        w.or_byte(7, 1);
         assert_eq!(w.edges_found(), 1);
-        w.set_byte(7, 3); // same edge, new bucket
+        w.or_byte(7, 2); // same edge, new bucket
         assert_eq!(w.edges_found(), 1);
-        w.set_byte(7, 0);
-        assert_eq!(w.edges_found(), 0);
-    }
-
-    #[test]
-    fn merge_tracked_reports_exactly_the_changed_bytes() {
-        let mut a = VirginMap::new();
-        let mut b = VirginMap::new();
-        let mut run = CovMap::new();
-        run.hit(3);
-        run.hit(900);
-        let mut changed = Vec::new();
-        assert!(a.merge_tracked(&run, &mut changed));
-        assert!(b.merge(&run));
-        assert_eq!(a, b, "tracked merge must not change semantics");
-        // Replaying the deltas onto a fresh map reproduces the merged map.
-        let mut replay = VirginMap::new();
-        for &(i, v) in &changed {
-            replay.set_byte(i, v);
-        }
-        assert_eq!(replay, a);
-        // A second identical merge changes nothing.
-        changed.clear();
-        assert!(!a.merge_tracked(&run, &mut changed));
-        assert!(changed.is_empty());
+        w.or_byte(7, 0);
+        assert_eq!(w.edges_found(), 1);
     }
 
     #[test]
@@ -547,20 +484,15 @@ mod tests {
             run.hit(e);
         }
         let mut fast = VirginMap::new();
-        let mut fast_changed = Vec::new();
-        let fast_new = fast.merge_tracked(&run, &mut fast_changed);
+        let fast_new = fast.merge(&run);
 
         let _g = crate::engine::ReferenceEngineGuard::new();
         let mut slow = VirginMap::new();
-        let mut slow_changed = Vec::new();
-        let slow_new = slow.merge_tracked(&run, &mut slow_changed);
+        let slow_new = slow.merge(&run);
 
         assert_eq!(fast_new, slow_new);
         assert_eq!(fast, slow);
-        assert_eq!(
-            fast_changed, slow_changed,
-            "journal delta order must match the reference scan"
-        );
+        assert_eq!(fast.edges_found(), slow.edges_found());
     }
 
     #[test]

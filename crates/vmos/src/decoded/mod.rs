@@ -1,16 +1,16 @@
 //! Pre-decoded FIR bytecode: the host-throughput execution engine.
 //!
-//! The reference interpreter ([`crate::interp::Machine::run`]) re-walks the
+//! The reference interpreter (`Machine::run` in [`crate::interp`]) re-walks the
 //! `fir` AST on every instruction: nested `functions[f].blocks[b].insts[i]`
 //! indexing, callee resolution by *string name* at every call site, and
 //! hostcall dispatch through a string match. None of that work depends on
 //! run-time state, so this module does it **once per module**. It produces
 //! two op streams per function:
 //!
-//! * a **plain** stream ([`lower`]) — strictly 1:1 with the source, one
+//! * a **plain** stream (`lower`) — strictly 1:1 with the source, one
 //!   [`DOp`] per instruction plus one per terminator, with block targets
 //!   pre-resolved to flat pcs and callees pre-bound;
-//! * an **optimized** stream ([`opt`], [`fuse`], [`inline`]) — the same
+//! * an **optimized** stream (`opt`, `fuse`, `inline`) — the same
 //!   program after a decode-time pass stack: operand pre-resolution
 //!   (`addr_of`/const forwarding), dead decoded-temp elimination,
 //!   superinstruction fusion (`cmp`+branch, `bin`+load, load+`bin`,
@@ -44,7 +44,6 @@ mod fuse;
 mod inline;
 mod lower;
 mod opt;
-pub mod sidecar;
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
@@ -269,9 +268,8 @@ pub enum DOp {
     /// and `rest` is everything the chain charges after its head: each
     /// later component's `pre + 1` plus the tail's charge. When the
     /// remaining fuel covers it, no per-component check can fail, so the
-    /// engine skips them and charges `rest` once. [`DOp::chain`] derives
-    /// both from the generic components ([`ChainSrc`]) and `tail`; the
-    /// sidecar stores the generic form.
+    /// engine skips them and charges `rest` once. `DOp::chain` derives
+    /// both from the generic components ([`ChainSrc`]) and `tail`.
     Chain {
         comps: Box<[ChainComp]>,
         tail: ChainTail,
@@ -280,7 +278,7 @@ pub enum DOp {
 }
 
 /// One component of a [`DOp::Chain`] in generic form: what the fusion
-/// pass builds and the sidecar stores. [`DOp::chain`] resolves it into a
+/// pass builds. `DOp::chain` resolves it into a
 /// [`ChainComp`] to execute.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChainSrc {
@@ -1220,9 +1218,6 @@ pub const OPT_VERSION: u32 = 1;
 pub enum WarmSource {
     /// Already in the process-wide cache — nothing was paid.
     Cache,
-    /// Deserialized from a sidecar file next to the snapshots — no
-    /// re-lower; cost is O(file size).
-    Sidecar,
     /// Nothing cached anywhere: this warm-up paid the full lower +
     /// optimize.
     Lowered,
@@ -1235,8 +1230,8 @@ impl WarmSource {
     }
 }
 
-/// Process-wide decode accounting: how many images were fully lowered,
-/// served from the in-memory cache, or revived from sidecar files. The
+/// Process-wide decode accounting: how many images were fully lowered or
+/// served from the in-memory cache. The
 /// service-restore correctness gate ("restoring 1000 campaigns of one
 /// target decodes once") is asserted against these counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -1246,10 +1241,6 @@ pub struct DecodeCounters {
     /// [`DecodedImage::cached`] / warm-up calls answered by the in-memory
     /// cache.
     pub cache_hits: u64,
-    /// Images deserialized from a sidecar file.
-    pub sidecar_loads: u64,
-    /// Sidecar files written.
-    pub sidecar_saves: u64,
 }
 
 fn counters() -> &'static Mutex<DecodeCounters> {
@@ -1312,14 +1303,21 @@ impl DecodedImage {
     /// each module exactly once per process, and no optimizer revision
     /// can alias another's image.
     pub fn cached(module: &Module) -> Arc<DecodedImage> {
+        Self::lookup(module).0
+    }
+
+    /// The cached image for `module`, lowering it on a miss, and whether
+    /// the cache already held it.
+    fn lookup(module: &Module) -> (Arc<DecodedImage>, WarmSource) {
         let mut map = Self::cache().lock().unwrap_or_else(PoisonError::into_inner);
         match map.entry(Self::cache_key(module.fingerprint())) {
             std::collections::hash_map::Entry::Occupied(e) => {
                 note(|c| c.cache_hits += 1);
-                Arc::clone(e.get())
+                (Arc::clone(e.get()), WarmSource::Cache)
             }
             std::collections::hash_map::Entry::Vacant(e) => {
-                Arc::clone(e.insert(Arc::new(DecodedImage::new(module))))
+                let img = Arc::clone(e.insert(Arc::new(DecodedImage::new(module))));
+                (img, WarmSource::Lowered)
             }
         }
     }
@@ -1336,42 +1334,17 @@ impl DecodedImage {
     }
 
     /// Ensure `module`'s decoded image is in the process-wide cache,
-    /// lowering it now if absent. Returns `true` when the image was
-    /// already present (a warm hit) and `false` when this call paid for
-    /// the lowering — resume paths call this eagerly so no campaign step
-    /// ever re-lowers lazily.
-    pub fn warm(module: &Module) -> bool {
-        let hit = Self::cache_contains(module.fingerprint());
-        if !hit {
-            let _ = Self::cached(module);
-        }
-        hit
+    /// lowering it now if absent, and report which of the two happened —
+    /// resume paths call this eagerly so no campaign step ever re-lowers
+    /// lazily.
+    pub fn warm(module: &Module) -> WarmSource {
+        Self::lookup(module).1
     }
 
-    /// Like [`DecodedImage::warm`], but with a sidecar cache directory to
-    /// try before paying a lowering: cache hit → sidecar deserialize →
-    /// full lower, in that order. A sidecar that is missing, corrupt, or
-    /// does not match the module falls through to lowering silently — the
-    /// sidecar is a cache, never a source of truth.
-    pub fn warm_with_sidecar(module: &Module, dir: Option<&std::path::Path>) -> WarmSource {
-        let fp = module.fingerprint();
-        if Self::cache_contains(fp) {
-            note(|c| c.cache_hits += 1);
-            return WarmSource::Cache;
-        }
-        let key = Self::cache_key(fp);
-        let loaded = dir.and_then(|dir| sidecar::load(dir, key));
-        if let Some(img) = loaded.filter(|img| img.fingerprint == fp) {
-            note(|c| c.sidecar_loads += 1);
-            Self::cache()
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .entry(key)
-                .or_insert(img);
-            return WarmSource::Sidecar;
-        }
-        let _ = Self::cached(module);
-        WarmSource::Lowered
+    /// [`DecodedImage::warm`]; the directory is ignored. Kept for callers
+    /// written against the decoded-image sidecar, which no longer exists.
+    pub fn warm_with_sidecar(module: &Module, _dir: Option<&std::path::Path>) -> WarmSource {
+        Self::warm(module)
     }
 
     /// Drop every image from the process-wide cache. Test/bench hook: lets

@@ -133,9 +133,13 @@ fn warm_populates_the_cache_and_reports_hits() {
     m.function_mut("helper").unwrap().num_regs += 7;
     let fp = m.fingerprint();
     assert!(!DecodedImage::cache_contains(fp));
-    assert!(!DecodedImage::warm(&m), "first warm pays for the lowering");
+    assert_eq!(
+        DecodedImage::warm(&m),
+        WarmSource::Lowered,
+        "first warm pays for the lowering"
+    );
     assert!(DecodedImage::cache_contains(fp));
-    assert!(DecodedImage::warm(&m), "second warm is a cache hit");
+    assert_eq!(DecodedImage::warm(&m), WarmSource::Cache, "second warm is a cache hit");
 }
 
 #[test]
@@ -147,8 +151,7 @@ fn cache_key_mixes_the_optimizer_discriminant() {
     for fp in [0u64, 1, 0xdead_beef, u64::MAX] {
         assert_ne!(DecodedImage::cache_key(fp), fp);
     }
-    // Pinned: sidecar files are named by this key, so changing it
-    // orphans every sidecar on disk.
+    // Pinned: the key is the cache's identity for an image.
     assert_eq!(DecodedImage::cache_key(0), 0x3779_b97f_4a7c_1500);
 }
 

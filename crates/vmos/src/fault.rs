@@ -660,7 +660,7 @@ pub enum DiskFaultKind {
     /// Power loss between `rename` and the directory fsync: the rename is
     /// lost (the file stays at its temp name) and the machine dies. On
     /// operations that are not renames this degenerates to
-    /// [`CrashAtBoundary`].
+    /// [`DiskFaultKind::CrashAtBoundary`].
     RenameLost,
     /// The operation *succeeds*, then one committed bit flips on the
     /// platter. No error is returned — only a checksum scrub can see it.

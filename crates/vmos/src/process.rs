@@ -294,7 +294,7 @@ impl Process {
 }
 
 /// Convenience: address just below the null page boundary is invalid, the
-/// first global is at [`GLOBAL_BASE`].
+/// first global is at [`GLOBAL_BASE`](crate::layout::GLOBAL_BASE).
 pub fn is_null_addr(addr: u64) -> bool {
     addr < NULL_PAGE_END
 }

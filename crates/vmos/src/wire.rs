@@ -72,13 +72,12 @@ impl Writer {
         Self::default()
     }
 
-    /// Empty writer over `buf`'s allocation: the contents are cleared, the
-    /// capacity is kept. A hot encoder hands the same buffer back through
-    /// `reuse` and [`Writer::into_bytes`] so it stops reallocating once
-    /// the buffer has grown to its working size.
-    pub fn reuse(mut buf: Vec<u8>) -> Self {
-        buf.clear();
-        Writer { buf }
+    /// Empty writer with room for `capacity` bytes, so a large encode
+    /// of known size is built without reallocating.
+    pub fn with_capacity(capacity: usize) -> Self {
+        Writer {
+            buf: Vec::with_capacity(capacity),
+        }
     }
 
     /// Consume the writer, yielding the encoded bytes.
@@ -239,41 +238,6 @@ impl<'a> Reader<'a> {
         let b = self.get_bytes()?;
         String::from_utf8(b).map_err(|_| WireError::Malformed("utf-8 string"))
     }
-}
-
-/// Encode a list of virgin-map byte patches `(index, merged byte)` — the
-/// coverage half of a shard merge record and of a journal delta. Each patch
-/// is a `u32` map index plus the byte value; the count is a `u64` prefix.
-pub fn put_byte_patches(w: &mut Writer, patches: &[(usize, u8)]) {
-    w.put_usize(patches.len());
-    for &(i, v) in patches {
-        w.put_u32(i as u32);
-        w.put_u8(v);
-    }
-}
-
-/// Decode a patch list written by [`put_byte_patches`], validating every
-/// index against [`MAP_SIZE`] so a corrupt record cannot index out of the
-/// map.
-///
-/// # Errors
-/// [`WireError`] on truncation or an out-of-range index.
-pub fn get_byte_patches(r: &mut Reader<'_>) -> Result<Vec<(usize, u8)>, WireError> {
-    let n = r.get_count()?;
-    // Each patch is 5 bytes; bound the count by the bytes that remain so a
-    // corrupt prefix cannot trigger a huge allocation.
-    if n > r.remaining() / 5 {
-        return Err(WireError::Truncated);
-    }
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let i = r.get_u32()? as usize;
-        if i >= MAP_SIZE {
-            return Err(WireError::Malformed("patch index out of map"));
-        }
-        out.push((i, r.get_u8()?));
-    }
-    Ok(out)
 }
 
 impl CrashKind {
@@ -555,14 +519,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn reuse_clears_but_keeps_capacity() {
-        let mut buf = Vec::with_capacity(256);
-        buf.extend_from_slice(b"stale bytes");
-        let mut w = Writer::reuse(buf);
+    fn with_capacity_starts_empty_with_room() {
+        let mut w = Writer::with_capacity(256);
         w.put_u32(7);
         let bytes = w.into_bytes();
         assert_eq!(bytes, 7u32.to_le_bytes());
-        assert!(bytes.capacity() >= 256, "the allocation is recycled");
+        assert!(bytes.capacity() >= 256, "the capacity is reserved up front");
     }
 
     #[test]
@@ -671,40 +633,6 @@ mod tests {
         w.put_bytes(&[1, 2, 3]);
         let bytes = w.into_bytes();
         assert!(VirginMap::decode(&mut Reader::new(&bytes)).is_err());
-    }
-
-    #[test]
-    fn byte_patches_round_trip_and_reject_corruption() {
-        let patches = vec![(0usize, 1u8), (65535, 0x80), (300, 0x24)];
-        let mut w = Writer::new();
-        put_byte_patches(&mut w, &patches);
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        assert_eq!(get_byte_patches(&mut r).unwrap(), patches);
-        assert!(r.is_empty());
-
-        // Truncation anywhere is an error, never a panic.
-        for cut in 0..bytes.len() {
-            assert!(get_byte_patches(&mut Reader::new(&bytes[..cut])).is_err());
-        }
-        // Out-of-map index is malformed.
-        let mut w = Writer::new();
-        w.put_usize(1);
-        w.put_u32(MAP_SIZE as u32);
-        w.put_u8(1);
-        let bad = w.into_bytes();
-        assert_eq!(
-            get_byte_patches(&mut Reader::new(&bad)).unwrap_err(),
-            WireError::Malformed("patch index out of map")
-        );
-        // A count claiming more patches than bytes remain cannot allocate.
-        let mut w = Writer::new();
-        w.put_u64(u64::MAX / 8);
-        let bomb = w.into_bytes();
-        assert_eq!(
-            get_byte_patches(&mut Reader::new(&bomb)).unwrap_err(),
-            WireError::Truncated
-        );
     }
 
     #[test]

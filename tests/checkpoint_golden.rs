@@ -4,19 +4,19 @@
 //! The kill/resume and engine-equivalence gates prove that checkpoint
 //! bytes are *self-consistent* (a resumed run matches an uninterrupted
 //! one, every engine writes the same bytes). They cannot notice a change
-//! that alters the bytes consistently everywhere — a reordered field, a
-//! re-framed journal record, an extra header byte. These constants can:
-//! they were computed once and must never move unless an on-disk format
-//! (the single-driver `FORMAT_VERSION` or the shard snapshot's own
-//! version) deliberately changes. Any rework of how snapshots or journal
-//! records are encoded and written has to keep them green.
+//! that alters the bytes consistently everywhere — a reordered field, an
+//! extra header byte. These constants can: they were computed once and
+//! must never move unless an on-disk format (the single-driver
+//! `FORMAT_VERSION` or the shard snapshot's own version) deliberately
+//! changes. Any rework of how snapshots are encoded and written has to
+//! keep them green.
 //!
 //! Two campaigns on `gpmf-parser` are pinned: a single-driver run
-//! (`ckpt-*` snapshots plus `journal-*` write-ahead journals) and a
-//! 4-lane sharded run on one worker thread (`shard-ckpt-*` epoch
-//! snapshots only: a sharded campaign is durable at its barriers and
-//! keeps no journal). The decoded-image sidecar is a cache, not campaign
-//! state, and is left out.
+//! (`ckpt-*` snapshots) and a 4-lane sharded run on one worker thread
+//! (`shard-ckpt-*` epoch snapshots). Snapshots are the only campaign
+//! state either writes; the table still matches the `journal-` and
+//! `shard-journal-` prefixes an older build's journals used, so a
+//! journal file reappearing fails it.
 
 use aflrs::{Campaign, CampaignConfig, CampaignOutcome, CheckpointConfig};
 use closurex::executor::{Executor, ExecutorFactory};
@@ -37,7 +37,7 @@ fn cfg() -> CampaignConfig {
 }
 
 /// The target's benign corpus plus its bug witnesses, so crash records
-/// reach both snapshots and journal records.
+/// reach the snapshots.
 fn corpus(t: &targets::TargetSpec) -> Vec<Vec<u8>> {
     let mut seeds = (t.seeds)();
     seeds.extend((t.witnesses)().into_iter().map(|(_, input)| input));
@@ -105,10 +105,6 @@ const SINGLE_DRIVER: &[(&str, u64, u64)] = &[
     ("ckpt-000000000300.bin", 66871, 0x4b9bf71c855d749a),
     ("ckpt-000000000450.bin", 67103, 0xf48195304716dd35),
     ("ckpt-000000000568.bin", 67103, 0x0e51bf53c251b35d),
-    ("journal-000000000000.bin", 56677, 0xb95b185411179454),
-    ("journal-000000000150.bin", 56542, 0x16bd275f2c82aa89),
-    ("journal-000000000300.bin", 56632, 0x169d59876af64667),
-    ("journal-000000000450.bin", 44384, 0x579d061acf1d5d1e),
 ];
 
 /// Four lanes, eight epochs, every epoch kept.

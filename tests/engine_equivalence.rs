@@ -4,8 +4,7 @@
 //!
 //! "Observable" means everything a campaign can see or persist: execution
 //! counts, the simulated cycle clock, the accumulated coverage hash, crash
-//! sites, and the bytes of checkpoint snapshots (`ckpt-*`) and journals
-//! (`journal-*`). Two targets are exercised in depth: `giftext` (bug-free,
+//! sites, and the bytes of checkpoint snapshots (`ckpt-*`). Two targets are exercised in depth: `giftext` (bug-free,
 //! deep format loop) and `gpmf-parser` (planted bugs, so real crash sites
 //! flow through both engines); every bundled target runs the same legs at
 //! a smoke budget. Below the campaign level, trapping `Chain` components
@@ -414,9 +413,8 @@ fn checkpoint_bytes_are_identical_across_engines() {
     let reference = checkpoint_files(&dirs[0]);
     let names = |fs: &[(String, Vec<u8>)]| fs.iter().map(|(n, _)| n.clone()).collect::<Vec<_>>();
     assert!(
-        reference.iter().any(|(n, _)| n.starts_with("ckpt-"))
-            && reference.iter().any(|(n, _)| n.starts_with("journal-")),
-        "comparison must cover both snapshots and journals"
+        reference.iter().filter(|(n, _)| n.starts_with("ckpt-")).count() >= 2,
+        "comparison must cover two or more snapshot generations"
     );
     for (engine, dir) in Engine::ALL.iter().zip(&dirs).skip(1) {
         let leg = checkpoint_files(dir);
