@@ -32,6 +32,8 @@ pub mod supervise;
 
 #[cfg(test)]
 mod proptests;
+#[cfg(test)]
+mod wire_golden;
 
 pub use builder::{Campaign, CampaignError, Isolation};
 pub use campaign::CampaignConfig;
