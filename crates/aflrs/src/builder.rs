@@ -76,6 +76,10 @@ pub enum CampaignError {
         /// The epoch at which the last live lane was retired.
         epoch: u64,
     },
+    /// A lane's worker process could not be started, or reported a failure
+    /// no respawn fixes (its factory spec was refused, its executor did
+    /// not build); carries the cause or the worker's own message.
+    WorkerFailed(String),
 }
 
 impl std::fmt::Display for CampaignError {
@@ -89,6 +93,7 @@ impl std::fmt::Display for CampaignError {
                 f,
                 "every lane degraded out by epoch {epoch}: no live lane remains"
             ),
+            CampaignError::WorkerFailed(msg) => write!(f, "worker process failed: {msg}"),
         }
     }
 }

@@ -18,7 +18,7 @@ use closurex::executor::{ExecStatus, Executor};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use vmos::cov::VirginMap;
-use vmos::CrashKind;
+use vmos::{wire_struct, CrashKind};
 
 use crate::mutate;
 use crate::queue::{Queue, QueueEntry};
@@ -78,34 +78,18 @@ impl Default for CampaignConfig {
     }
 }
 
-impl CampaignConfig {
-    /// Encode for transfer to a worker process — a lane's behavior is a
-    /// pure function of its config, so the child must receive every field.
-    pub(crate) fn encode(&self, w: &mut vmos::Writer) {
-        w.put_u64(self.budget_cycles);
-        w.put_u64(self.seed);
-        w.put_bool(self.deterministic_stage);
-        w.put_usize(self.stop_after_crashes);
-        w.put_u32(self.max_retries);
-        w.put_u64(self.max_consecutive_hangs);
-        w.put_u64(self.retry_backoff_cycles);
-        w.put_bool(self.revalidate_crashes);
-    }
-
-    /// Decode a config written by [`CampaignConfig::encode`].
-    pub(crate) fn decode(r: &mut vmos::Reader<'_>) -> Result<Self, vmos::WireError> {
-        Ok(CampaignConfig {
-            budget_cycles: r.get_u64()?,
-            seed: r.get_u64()?,
-            deterministic_stage: r.get_bool()?,
-            stop_after_crashes: r.get_count()?,
-            max_retries: r.get_u32()?,
-            max_consecutive_hangs: r.get_u64()?,
-            retry_backoff_cycles: r.get_u64()?,
-            revalidate_crashes: r.get_bool()?,
-        })
-    }
-}
+// Sent to worker processes and stored in `spec.bin`: a lane's behavior is
+// a pure function of its config, so every field travels.
+wire_struct!(CampaignConfig {
+    budget_cycles,
+    seed,
+    deterministic_stage,
+    stop_after_crashes,
+    max_retries,
+    max_consecutive_hangs,
+    retry_backoff_cycles,
+    revalidate_crashes,
+});
 
 /// Where in the campaign loop the driver stands. Every variant carries the
 /// indices needed to resume mid-stage.

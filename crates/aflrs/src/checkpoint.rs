@@ -56,7 +56,8 @@ use rand::rngs::SmallRng;
 use serde::{Deserialize, Serialize};
 use vmos::cov::VirginMap;
 use vmos::wire::fnv1a;
-use vmos::{Crash, DiskFaultPlan, Reader, WireError, Writer};
+use vmos::wire::Codec;
+use vmos::{wire_struct, DiskFaultPlan, Reader, WarmSource, Wire, WireError, Writer};
 
 use crate::campaign::{CampaignConfig, Driver, Stage, StepOutcome};
 use crate::queue::QueueEntry;
@@ -205,6 +206,42 @@ pub struct ResumeReport {
     pub decoded_image_source: Option<vmos::WarmSource>,
 }
 
+wire_struct!(ResumeReport {
+    snapshot_execs,
+    corrupt_snapshots_skipped,
+    snapshots_repaired,
+    sweep_warnings,
+    decoded_image_ready,
+    decoded_image_source as SourceTag,
+});
+
+/// Hand-written: `decoded_image_source` is one tag byte with 0 for `None`,
+/// not an `Option`'s flag and value.
+struct SourceTag;
+
+impl Codec<Option<WarmSource>> for SourceTag {
+    const MIN_LEN: usize = 1;
+
+    fn encode(v: &Option<WarmSource>, w: &mut Writer) {
+        w.put_u8(match v {
+            None => 0,
+            Some(WarmSource::Cache) => 1,
+            // Tag 2 is reserved: it named a decoded-image source that no
+            // longer exists.
+            Some(WarmSource::Lowered) => 3,
+        });
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Option<WarmSource>, WireError> {
+        Ok(match r.get_u8()? {
+            0 => None,
+            1 => Some(WarmSource::Cache),
+            3 => Some(WarmSource::Lowered),
+            _ => return Err(WireError::Malformed("warm source tag")),
+        })
+    }
+}
+
 impl ResumeReport {
     /// Record where the decoded-image warm-up got its image from.
     pub(crate) fn note_decoded_image(&mut self, source: Option<vmos::WarmSource>) {
@@ -261,35 +298,22 @@ impl From<std::io::Error> for CheckpointError {
 // Wire codecs for the campaign types.
 // ---------------------------------------------------------------------------
 
-impl Stage {
-    fn encode(self, w: &mut Writer) {
-        match self {
-            Stage::Seeds(i) => {
-                w.put_u8(0);
-                w.put_usize(i);
-                w.put_u64(0);
-            }
-            Stage::Pick => {
-                w.put_u8(1);
-                w.put_u64(0);
-                w.put_u64(0);
-            }
-            Stage::Det { entry, mutant } => {
-                w.put_u8(2);
-                w.put_usize(entry);
-                w.put_usize(mutant);
-            }
-            Stage::Havoc { entry, iter } => {
-                w.put_u8(3);
-                w.put_usize(entry);
-                w.put_u64(u64::from(iter));
-            }
-            Stage::Done => {
-                w.put_u8(4);
-                w.put_u64(0);
-                w.put_u64(0);
-            }
-        }
+/// Hand-written: a fixed 17-byte layout (tag and two `u64` slots, unused
+/// slots zero), not field order.
+impl Wire for Stage {
+    const MIN_LEN: usize = 17;
+
+    fn encode(&self, w: &mut Writer) {
+        let (tag, a, b) = match *self {
+            Stage::Seeds(i) => (0, i as u64, 0),
+            Stage::Pick => (1, 0, 0),
+            Stage::Det { entry, mutant } => (2, entry as u64, mutant as u64),
+            Stage::Havoc { entry, iter } => (3, entry as u64, u64::from(iter)),
+            Stage::Done => (4, 0, 0),
+        };
+        w.put_u8(tag);
+        w.put_u64(a);
+        w.put_u64(b);
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
@@ -311,74 +335,6 @@ impl Stage {
             _ => return Err(WireError::Malformed("stage tag")),
         })
     }
-}
-
-fn encode_entry(e: &QueueEntry, w: &mut Writer) {
-    w.put_bytes(&e.data);
-    w.put_u64(e.exec_cycles);
-    w.put_u64(e.found_at);
-    w.put_bool(e.det_done);
-    w.put_bool(e.favored);
-}
-
-fn decode_entry(r: &mut Reader<'_>) -> Result<QueueEntry, WireError> {
-    Ok(QueueEntry {
-        data: r.get_bytes()?,
-        exec_cycles: r.get_u64()?,
-        found_at: r.get_u64()?,
-        det_done: r.get_bool()?,
-        favored: r.get_bool()?,
-    })
-}
-
-pub(crate) fn encode_crash_record(c: &CrashRecord, w: &mut Writer) {
-    c.crash.encode(w);
-    w.put_u64(c.found_at_cycles);
-    w.put_bytes(&c.input);
-    w.put_u64(c.hits);
-    w.put_bool(c.flaky);
-}
-
-pub(crate) fn decode_crash_record(r: &mut Reader<'_>) -> Result<CrashRecord, WireError> {
-    Ok(CrashRecord {
-        crash: Crash::decode(r)?,
-        found_at_cycles: r.get_u64()?,
-        input: r.get_bytes()?,
-        hits: r.get_u64()?,
-        flaky: r.get_bool()?,
-    })
-}
-
-fn encode_rng(s: [u64; 4], w: &mut Writer) {
-    for v in s {
-        w.put_u64(v);
-    }
-}
-
-fn decode_rng(r: &mut Reader<'_>) -> Result<[u64; 4], WireError> {
-    let mut s = [0u64; 4];
-    for v in &mut s {
-        *v = r.get_u64()?;
-    }
-    Ok(s)
-}
-
-pub(crate) fn encode_exec_state(es: &Option<ExecutorState>, w: &mut Writer) {
-    match es {
-        Some(s) => {
-            w.put_bool(true);
-            s.encode(w);
-        }
-        None => w.put_bool(false),
-    }
-}
-
-pub(crate) fn decode_exec_state(r: &mut Reader<'_>) -> Result<Option<ExecutorState>, WireError> {
-    Ok(if r.get_bool()? {
-        Some(ExecutorState::decode(r)?)
-    } else {
-        None
-    })
 }
 
 /// The scalar block every snapshot carries: absolute values of every
@@ -437,43 +393,24 @@ impl Scalars {
         d.backoff_rng = SmallRng::from_state(self.backoff_rng);
         d.queue.set_cursor(self.cursor as usize);
     }
-
-    pub(crate) fn encode(&self, w: &mut Writer) {
-        self.stage.encode(w);
-        w.put_u64(self.clock);
-        w.put_u64(self.execs);
-        w.put_u64(self.hangs);
-        w.put_u64(self.mgmt_cycles);
-        w.put_u64(self.exec_cycles);
-        w.put_u64(self.retries);
-        w.put_u64(self.dropped_inputs);
-        w.put_u64(self.harness_faults);
-        w.put_u64(self.consecutive_hangs);
-        w.put_u64(self.watchdog_trips);
-        encode_rng(self.rng, w);
-        encode_rng(self.backoff_rng, w);
-        w.put_u64(self.cursor);
-    }
-
-    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Scalars {
-            stage: Stage::decode(r)?,
-            clock: r.get_u64()?,
-            execs: r.get_u64()?,
-            hangs: r.get_u64()?,
-            mgmt_cycles: r.get_u64()?,
-            exec_cycles: r.get_u64()?,
-            retries: r.get_u64()?,
-            dropped_inputs: r.get_u64()?,
-            harness_faults: r.get_u64()?,
-            consecutive_hangs: r.get_u64()?,
-            watchdog_trips: r.get_u64()?,
-            rng: decode_rng(r)?,
-            backoff_rng: decode_rng(r)?,
-            cursor: r.get_u64()?,
-        })
-    }
 }
+
+wire_struct!(Scalars {
+    stage,
+    clock,
+    execs,
+    hangs,
+    mgmt_cycles,
+    exec_cycles,
+    retries,
+    dropped_inputs,
+    harness_faults,
+    consecutive_hangs,
+    watchdog_trips,
+    rng,
+    backoff_rng,
+    cursor,
+});
 
 /// A full campaign snapshot: the serializable image of a [`Driver`].
 #[derive(Debug, Clone)]
@@ -510,74 +447,15 @@ impl SnapshotState {
         }
         Ok(())
     }
-
-    pub(crate) fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        self.scalars.encode(&mut w);
-        encode_collections(&self.entries, &self.virgin, &self.crashes, &mut w);
-        encode_exec_state(&self.exec_state, &mut w);
-        w.into_bytes()
-    }
-
-    pub(crate) fn decode(bytes: &[u8]) -> Result<Self, WireError> {
-        let mut r = Reader::new(bytes);
-        let scalars = Scalars::decode(&mut r)?;
-        let (entries, virgin, crashes) = decode_collections(&mut r)?;
-        let exec_state = decode_exec_state(&mut r)?;
-        if !r.is_empty() {
-            return Err(WireError::Malformed("trailing snapshot bytes"));
-        }
-        Ok(SnapshotState {
-            scalars,
-            entries,
-            virgin,
-            crashes,
-            exec_state,
-        })
-    }
 }
 
-/// The campaign collections a snapshot carries: queue entries, virgin map
-/// and crash records. A shard snapshot stores the merged copy once.
-pub(crate) type Collections = (Vec<QueueEntry>, VirginMap, Vec<CrashRecord>);
-
-pub(crate) fn encode_collections(
-    entries: &[QueueEntry],
-    virgin: &VirginMap,
-    crashes: &[CrashRecord],
-    w: &mut Writer,
-) {
-    w.put_usize(entries.len());
-    for e in entries {
-        encode_entry(e, w);
-    }
-    virgin.encode(w);
-    w.put_usize(crashes.len());
-    for c in crashes {
-        encode_crash_record(c, w);
-    }
-}
-
-pub(crate) fn decode_collections(r: &mut Reader<'_>) -> Result<Collections, WireError> {
-    let n = r.get_count()?;
-    if n > r.remaining() / 8 {
-        return Err(WireError::Truncated);
-    }
-    let mut entries = Vec::with_capacity(n);
-    for _ in 0..n {
-        entries.push(decode_entry(r)?);
-    }
-    let virgin = VirginMap::decode(r)?;
-    let n = r.get_count()?;
-    if n > r.remaining() / 8 {
-        return Err(WireError::Truncated);
-    }
-    let mut crashes = Vec::with_capacity(n);
-    for _ in 0..n {
-        crashes.push(decode_crash_record(r)?);
-    }
-    Ok((entries, virgin, crashes))
-}
+wire_struct!(SnapshotState {
+    scalars,
+    entries,
+    virgin,
+    crashes,
+    exec_state,
+});
 
 // ---------------------------------------------------------------------------
 // Files.
@@ -720,28 +598,8 @@ pub(crate) fn write_sealed(
 /// Capture + seal + atomically write one driver's snapshot.
 fn write_snapshot(storage: &Storage, dir: &Path, d: &Driver<'_>, fsync: FsyncPolicy) -> OpOutcome {
     let fp = d.executor.module_fingerprint().unwrap_or(0);
-    let bytes = seal_snapshot(&SnapshotState::capture(d).encode(), fp);
+    let bytes = seal_snapshot(&SnapshotState::capture(d).to_bytes(), fp);
     write_sealed(storage, &snapshot_path(dir, d.execs), &bytes, fsync)
-}
-
-/// Little-endian `u32` at `at`, as a wire error instead of a panicking
-/// `expect` — header parsing sits on the campaign control path, where a
-/// malformed file must surface as a typed error, never an abort.
-fn le_u32(bytes: &[u8], at: usize) -> Result<u32, WireError> {
-    bytes
-        .get(at..at + 4)
-        .and_then(|s| s.try_into().ok())
-        .map(u32::from_le_bytes)
-        .ok_or(WireError::Truncated)
-}
-
-/// Little-endian `u64` at `at` (see [`le_u32`]).
-fn le_u64(bytes: &[u8], at: usize) -> Result<u64, WireError> {
-    bytes
-        .get(at..at + 8)
-        .and_then(|s| s.try_into().ok())
-        .map(u64::from_le_bytes)
-        .ok_or(WireError::Truncated)
 }
 
 /// Validate a sealed snapshot's header + checksum against the expected
@@ -751,14 +609,12 @@ pub(crate) fn open_sealed(bytes: &[u8], expected: u32) -> Result<(u64, &[u8]), W
     if bytes.len() < SNAPSHOT_HEADER_LEN || &bytes[0..4] != SNAPSHOT_MAGIC {
         return Err(WireError::Malformed("snapshot magic"));
     }
-    let version = le_u32(bytes, 4)?;
-    if version != expected {
+    let (header, payload) = bytes[4..].split_at(SNAPSHOT_HEADER_LEN - 4);
+    let mut r = Reader::new(header);
+    if r.get_u32()? != expected {
         return Err(WireError::Malformed("snapshot version"));
     }
-    let fingerprint = le_u64(bytes, 8)?;
-    let checksum = le_u64(bytes, 16)?;
-    let len = le_u64(bytes, 24)?;
-    let payload = &bytes[SNAPSHOT_HEADER_LEN..];
+    let (fingerprint, checksum, len) = (r.get_u64()?, r.get_u64()?, r.get_u64()?);
     if len != payload.len() as u64 {
         return Err(WireError::Truncated);
     }
@@ -773,7 +629,7 @@ pub(crate) fn open_sealed(bytes: &[u8], expected: u32) -> Result<(u64, &[u8]), W
 pub(crate) fn load_snapshot(path: &Path) -> Result<(SnapshotState, u64), WireError> {
     let bytes = fs::read(path).map_err(|_| WireError::Truncated)?;
     let (fingerprint, payload) = open_sealed(&bytes, FORMAT_VERSION)?;
-    Ok((SnapshotState::decode(payload)?, fingerprint))
+    Ok((SnapshotState::from_bytes(payload)?, fingerprint))
 }
 
 /// Check a snapshot's embedded target fingerprint against the executor's.

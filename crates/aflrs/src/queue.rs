@@ -18,6 +18,14 @@ pub struct QueueEntry {
     pub favored: bool,
 }
 
+vmos::wire_struct!(QueueEntry {
+    data,
+    exec_cycles,
+    found_at,
+    det_done,
+    favored,
+});
+
 /// The corpus of coverage-increasing inputs.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Queue {

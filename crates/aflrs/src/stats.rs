@@ -1,7 +1,7 @@
 //! Campaign results: throughput, coverage, and deduplicated crash records.
 
 use serde::{Deserialize, Serialize, Value};
-use vmos::Crash;
+use vmos::{wire_struct, Crash};
 
 use crate::storage::StorageCounters;
 use crate::supervise::SupervisionCounters;
@@ -23,6 +23,14 @@ pub struct CrashRecord {
     /// kept (it may be a real stateful bug) but flagged as untrustworthy.
     pub flaky: bool,
 }
+
+wire_struct!(CrashRecord {
+    crash,
+    found_at_cycles,
+    input,
+    hits,
+    flaky,
+});
 
 impl CrashRecord {
     /// Discovery time in simulated seconds (the paper's Table 7 unit).
@@ -65,6 +73,16 @@ pub struct ResilienceCounters {
     /// fuzzing outcome (see [`CampaignResult::outcome_diff`]).
     pub storage: StorageCounters,
 }
+
+wire_struct!(ResilienceCounters {
+    executor,
+    harness_faults,
+    retries,
+    dropped_inputs,
+    watchdog_trips,
+    supervision,
+    storage,
+});
 
 impl ResilienceCounters {
     /// The executor's final degradation level, as a typed enum.
@@ -132,6 +150,24 @@ pub struct CampaignResult {
     /// bit-identity comparison key is [`CampaignResult::outcome_diff`].
     pub resume: Option<crate::checkpoint::ResumeReport>,
 }
+
+// Lossless: the RPC equivalence gate compares a decoded result bit for bit
+// with the in-process one.
+wire_struct!(CampaignResult {
+    executor,
+    execs,
+    clock_cycles,
+    edges_found,
+    coverage_hash,
+    crashes,
+    queue_len,
+    hangs,
+    mgmt_cycles,
+    exec_cycles,
+    queue_inputs,
+    resilience,
+    resume,
+});
 
 impl CampaignResult {
     /// Executions per simulated second.

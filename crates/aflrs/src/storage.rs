@@ -40,7 +40,7 @@ use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 use serde::{Deserialize, Serialize};
-use vmos::{DiskFaultKind, DiskFaultPlan, PlanKind, Reader, WireError, Writer};
+use vmos::{wire_struct, DiskFaultKind, DiskFaultPlan, PlanKind};
 
 /// A storage stream retired to in-memory checkpointing after exhausting
 /// its retry budget. Typed and reported through
@@ -58,6 +58,13 @@ pub struct StorageDegradation {
     /// `short_write`, or a real OS error rendered as text).
     pub last_error: String,
 }
+
+wire_struct!(StorageDegradation {
+    stream,
+    op,
+    attempts,
+    last_error,
+});
 
 /// Storage-plane accounting surfaced through
 /// [`ResilienceCounters`](crate::ResilienceCounters). These describe the
@@ -91,6 +98,20 @@ pub struct StorageCounters {
     pub degradations: Vec<StorageDegradation>,
 }
 
+// Results carry these over RPC.
+wire_struct!(StorageCounters {
+    transient_faults,
+    retries,
+    backoff_cycles,
+    crashes,
+    bitrot_injected,
+    writes_skipped,
+    sweep_warnings,
+    corrupt_snapshots,
+    snapshots_repaired,
+    degradations,
+});
+
 impl StorageCounters {
     /// Did the storage plane do anything at all?
     pub fn is_quiet(&self) -> bool {
@@ -109,65 +130,6 @@ impl StorageCounters {
         self.corrupt_snapshots += other.corrupt_snapshots;
         self.snapshots_repaired += other.snapshots_repaired;
         self.degradations.extend(other.degradations.iter().cloned());
-    }
-
-    /// Encode for the wire (results travel over RPC).
-    pub(crate) fn encode(&self, w: &mut Writer) {
-        w.put_u64(self.transient_faults);
-        w.put_u64(self.retries);
-        w.put_u64(self.backoff_cycles);
-        w.put_u64(self.crashes);
-        w.put_u64(self.bitrot_injected);
-        w.put_u64(self.writes_skipped);
-        w.put_u64(self.sweep_warnings);
-        w.put_u64(self.corrupt_snapshots);
-        w.put_u64(self.snapshots_repaired);
-        w.put_usize(self.degradations.len());
-        for d in &self.degradations {
-            w.put_u64(d.stream);
-            w.put_u64(d.op);
-            w.put_u64(d.attempts);
-            w.put_str(&d.last_error);
-        }
-    }
-
-    /// Decode counters written by [`StorageCounters::encode`].
-    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let transient_faults = r.get_u64()?;
-        let retries = r.get_u64()?;
-        let backoff_cycles = r.get_u64()?;
-        let crashes = r.get_u64()?;
-        let bitrot_injected = r.get_u64()?;
-        let writes_skipped = r.get_u64()?;
-        let sweep_warnings = r.get_u64()?;
-        let corrupt_snapshots = r.get_u64()?;
-        let snapshots_repaired = r.get_u64()?;
-        let n = r.get_count()?;
-        // Each degradation is at least 28 bytes on the wire.
-        if n > r.remaining() / 28 {
-            return Err(WireError::Truncated);
-        }
-        let mut degradations = Vec::with_capacity(n);
-        for _ in 0..n {
-            degradations.push(StorageDegradation {
-                stream: r.get_u64()?,
-                op: r.get_u64()?,
-                attempts: r.get_u64()?,
-                last_error: r.get_str()?,
-            });
-        }
-        Ok(StorageCounters {
-            transient_faults,
-            retries,
-            backoff_cycles,
-            crashes,
-            bitrot_injected,
-            writes_skipped,
-            sweep_warnings,
-            corrupt_snapshots,
-            snapshots_repaired,
-            degradations,
-        })
     }
 }
 
@@ -557,38 +519,6 @@ mod tests {
         assert_eq!(c.retries, 0);
         assert!(c.degradations.is_empty());
         assert_eq!(s.op(false, |_| Ok(())), OpOutcome::Done, "stream still live");
-    }
-
-    #[test]
-    fn counters_round_trip_on_the_wire() {
-        let mut c = StorageCounters {
-            transient_faults: 3,
-            retries: 2,
-            backoff_cycles: 7_000,
-            crashes: 1,
-            bitrot_injected: 1,
-            writes_skipped: 4,
-            sweep_warnings: 2,
-            corrupt_snapshots: 2,
-            snapshots_repaired: 1,
-            degradations: Vec::new(),
-        };
-        c.degradations.push(StorageDegradation {
-            stream: 3,
-            op: 17,
-            attempts: 4,
-            last_error: "no_space".into(),
-        });
-        let mut w = Writer::new();
-        c.encode(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        assert_eq!(StorageCounters::decode(&mut r).unwrap(), c);
-        assert!(r.is_empty());
-        for cut in 0..bytes.len() {
-            let mut r = Reader::new(&bytes[..cut]);
-            assert!(StorageCounters::decode(&mut r).is_err(), "cut at {cut}");
-        }
     }
 
     #[test]

@@ -38,7 +38,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Once;
 
 use serde::{Deserialize, Serialize};
-use vmos::{OrchFaultPlan, ProcFaultPlan};
+use vmos::{wire_struct, OrchFaultPlan, ProcFaultPlan};
 
 /// Marker embedded in injected panic payloads (diagnostics only — the
 /// supervisor treats injected and organic panics identically).
@@ -153,6 +153,14 @@ pub struct LaneDegradation {
     pub last_fault: String,
 }
 
+wire_struct!(LaneDegradation {
+    lane,
+    epoch,
+    attempts,
+    reclaimed_cycles,
+    last_fault,
+});
+
 /// Supervision accounting surfaced through
 /// [`ResilienceCounters`](crate::ResilienceCounters). These describe the
 /// *recovery process*, not the campaign's fuzzing outcome: a recovered run
@@ -185,6 +193,21 @@ pub struct SupervisionCounters {
     /// Lanes retired after exhausting their retry budget.
     pub degradations: Vec<LaneDegradation>,
 }
+
+wire_struct!(SupervisionCounters {
+    lane_panics,
+    lane_hangs,
+    barrier_timeouts,
+    lane_rebuilds,
+    recovered,
+    worker_signals,
+    worker_exits,
+    pipe_eofs,
+    frame_corruptions,
+    deadline_kills,
+    lane_respawns,
+    degradations,
+});
 
 impl SupervisionCounters {
     /// Tally one observed fault.

@@ -22,6 +22,7 @@ use closurex::naive::NaivePersistentExecutor;
 use closurex::resilience::HarnessError;
 use serde::Serialize;
 use targets::TargetSpec;
+use vmos::Wire;
 
 pub mod planes;
 
@@ -150,11 +151,24 @@ impl ExecutorFactory for MechanismFactory {
     /// each worker; the worker's [`factory_from_spec`] recompiles the
     /// bundled target by name — bit-identical modules on both sides.
     fn worker_spec(&self) -> Option<Vec<u8>> {
-        let mut w = vmos::Writer::new();
-        w.put_u8(self.mechanism.wire_tag());
-        w.put_str(self.target_name);
-        Some(w.into_bytes())
+        Some(factory_spec(self.mechanism, self.target_name))
     }
+}
+
+/// The `(mechanism tag, target name)` factory spec that
+/// [`factory_from_spec`] and [`MechanismResolver`] resolve.
+pub fn factory_spec(mechanism: Mechanism, target: &str) -> Vec<u8> {
+    (mechanism.wire_tag(), target.to_string()).to_bytes()
+}
+
+/// Resolve a [`factory_spec`]; `what` names the spec in error messages.
+fn resolve_factory_spec(spec: &[u8], what: &str) -> Result<MechanismFactory, String> {
+    let (tag, name) = <(u8, String)>::from_bytes(spec).map_err(|e| format!("bad {what}: {e}"))?;
+    let mechanism =
+        Mechanism::from_wire_tag(tag).ok_or_else(|| format!("unknown mechanism tag {tag}"))?;
+    let target =
+        targets::by_name(&name).ok_or_else(|| format!("unknown target {name:?} in {what}"))?;
+    Ok(MechanismFactory::new(mechanism, target))
 }
 
 /// Rebuild the factory a [`MechanismFactory::worker_spec`] describes — the
@@ -165,19 +179,7 @@ impl ExecutorFactory for MechanismFactory {
 /// A human-readable message when the spec bytes are malformed, name an
 /// unknown mechanism tag, or name a target this build does not bundle.
 pub fn factory_from_spec(spec: &[u8]) -> Result<Box<dyn ExecutorFactory>, String> {
-    let mut r = vmos::Reader::new(spec);
-    let tag = r.get_u8().map_err(|e| format!("bad worker spec: {e:?}"))?;
-    let name = r
-        .get_str()
-        .map_err(|e| format!("bad worker spec: {e:?}"))?;
-    if !r.is_empty() {
-        return Err("bad worker spec: trailing bytes".to_string());
-    }
-    let mechanism =
-        Mechanism::from_wire_tag(tag).ok_or_else(|| format!("unknown mechanism tag {tag}"))?;
-    let target =
-        targets::by_name(&name).ok_or_else(|| format!("unknown target {name:?} in worker spec"))?;
-    Ok(Box::new(MechanismFactory::new(mechanism, target)))
+    Ok(Box::new(resolve_factory_spec(spec, "worker spec")?))
 }
 
 /// [`aflrs::SpecResolver`] over the bundled targets: resolves the same
@@ -191,19 +193,7 @@ impl aflrs::SpecResolver for MechanismResolver {
         &self,
         spec: &[u8],
     ) -> Result<Box<dyn ExecutorFactory + Send + Sync>, String> {
-        let mut r = vmos::Reader::new(spec);
-        let tag = r.get_u8().map_err(|e| format!("bad factory spec: {e:?}"))?;
-        let name = r
-            .get_str()
-            .map_err(|e| format!("bad factory spec: {e:?}"))?;
-        if !r.is_empty() {
-            return Err("bad factory spec: trailing bytes".to_string());
-        }
-        let mechanism = Mechanism::from_wire_tag(tag)
-            .ok_or_else(|| format!("unknown mechanism tag {tag}"))?;
-        let target = targets::by_name(&name)
-            .ok_or_else(|| format!("unknown target {name:?} in factory spec"))?;
-        Ok(Box::new(MechanismFactory::new(mechanism, target)))
+        Ok(Box::new(resolve_factory_spec(spec, "factory spec")?))
     }
 }
 

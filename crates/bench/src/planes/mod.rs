@@ -415,10 +415,8 @@ pub(crate) fn corpus(target: &str, witnesses: bool) -> Vec<Vec<u8>> {
 /// witness-spiked corpus, in the `(mechanism, target)` spec
 /// [`crate::MechanismResolver`] resolves.
 pub(crate) fn tenant(name: &str, target: &str, shards: usize, cfg: CampaignConfig) -> CampaignSpec {
-    let mut w = vmos::Writer::new();
-    w.put_u8(Mechanism::ClosureX.wire_tag());
-    w.put_str(target);
-    let mut s = CampaignSpec::new(name, w.into_bytes(), corpus(target, true), cfg);
+    let spec = crate::factory_spec(Mechanism::ClosureX, target);
+    let mut s = CampaignSpec::new(name, spec, corpus(target, true), cfg);
     s.shards = shards;
     s
 }

@@ -27,7 +27,7 @@
 
 use std::fmt;
 
-use crate::wire::{Reader, WireError, Writer};
+use crate::wire::{Reader, Wire, WireError, Writer};
 
 /// The kinds of faults the plane can inject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -261,40 +261,17 @@ impl FaultPlane {
 
 /// Where a targeted fault is aimed: a fault position minus its attempt
 /// number. The site type fixes how a position maps onto the three hashed
-/// coordinates.
-pub trait FaultSite: Copy + Eq + fmt::Debug {
-    /// Bytes one site takes on the wire.
-    const WIRE_LEN: usize;
-
+/// coordinates; it travels as its tuple's [`Wire`] form.
+pub trait FaultSite: Wire + Copy + Eq + fmt::Debug {
     /// The three coordinates that attempt `attempt` at this site hashes to.
     fn coords(self, attempt: u32) -> [u64; 3];
-
-    /// Append the site to `w`.
-    fn encode(self, w: &mut Writer);
-
-    /// Read a site written by [`FaultSite::encode`].
-    ///
-    /// # Errors
-    /// [`WireError::Truncated`] on short input.
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError>;
 }
 
 /// `(lane or stream, epoch or op)`. The attempt is the consumer's retry
 /// count and a hashed coordinate: every retry rolls afresh.
 impl FaultSite for (u64, u64) {
-    const WIRE_LEN: usize = 16;
-
     fn coords(self, attempt: u32) -> [u64; 3] {
         [self.0, self.1, u64::from(attempt)]
-    }
-
-    fn encode(self, w: &mut Writer) {
-        w.put_u64(self.0);
-        w.put_u64(self.1);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok((r.get_u64()?, r.get_u64()?))
     }
 }
 
@@ -302,21 +279,9 @@ impl FaultSite for (u64, u64) {
 /// already fired and is not hashed: a re-sent frame rolls exactly as it
 /// did the first time, and only a targeted fault's `fires` runs out.
 impl FaultSite for (u64, u8, u64) {
-    const WIRE_LEN: usize = 17;
-
     fn coords(self, _fired: u32) -> [u64; 3] {
         let (conn, direction, frame) = self;
         [conn, frame, u64::from(direction)]
-    }
-
-    fn encode(self, w: &mut Writer) {
-        w.put_u64(self.0);
-        w.put_u8(self.1);
-        w.put_u64(self.2);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok((r.get_u64()?, r.get_u8()?, r.get_u64()?))
     }
 }
 
@@ -510,27 +475,42 @@ impl<K: PlanKind> PositionPlan<K> {
     pub fn aux_bits(&self, site: K::Site, attempt: u32) -> u64 {
         self.position_bits(site, attempt, K::AUX_SALT)
     }
+}
 
-    /// Encode the plan for transfer (stable wire format; a worker process
-    /// must inject exactly the faults its in-process twin would).
-    pub fn encode(&self, w: &mut Writer) {
+/// Hand-written: the kind travels as its [`PlanKind::wire_tag`].
+impl<K: PlanKind> Wire for TargetedFault<K> {
+    const MIN_LEN: usize = K::Site::MIN_LEN + 5;
+
+    fn encode(&self, w: &mut Writer) {
+        self.site.encode(w);
+        w.put_u8(self.kind.wire_tag());
+        w.put_u32(self.fires);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(TargetedFault {
+            site: K::Site::decode(r)?,
+            kind: K::from_wire_tag(r.get_u8()?)?,
+            fires: r.get_u32()?,
+        })
+    }
+}
+
+/// Hand-written: only the plane's own kinds' rates travel, not the whole
+/// rate table (stable wire format; a worker process must inject exactly
+/// the faults its in-process twin would).
+impl<K: PlanKind> Wire for PositionPlan<K> {
+    const MIN_LEN: usize = 16 + 8 * K::ALL.len();
+
+    fn encode(&self, w: &mut Writer) {
         w.put_u64(self.seed);
         for &p in &self.rates[..K::ALL.len()] {
             w.put_u64(p.to_bits());
         }
-        w.put_usize(self.targeted.len());
-        for t in &self.targeted {
-            t.site.encode(w);
-            w.put_u8(t.kind.wire_tag());
-            w.put_u32(t.fires);
-        }
+        self.targeted.encode(w);
     }
 
-    /// Decode a plan written by [`PositionPlan::encode`].
-    ///
-    /// # Errors
-    /// [`WireError`] on truncated or malformed bytes.
-    pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let mut plan = PositionPlan {
             seed: r.get_u64()?,
             ..Self::none()
@@ -538,19 +518,7 @@ impl<K: PlanKind> PositionPlan<K> {
         for p in &mut plan.rates[..K::ALL.len()] {
             *p = f64::from_bits(r.get_u64()?);
         }
-        let n = r.get_count()?;
-        // Each targeted fault is its site, a kind tag and a `u32`.
-        if n > r.remaining() / (<K::Site as FaultSite>::WIRE_LEN + 5) {
-            return Err(WireError::Truncated);
-        }
-        plan.targeted.reserve(n);
-        for _ in 0..n {
-            plan.targeted.push(TargetedFault {
-                site: FaultSite::decode(r)?,
-                kind: K::from_wire_tag(r.get_u8()?)?,
-                fires: r.get_u32()?,
-            });
-        }
+        plan.targeted = Vec::decode(r)?;
         Ok(plan)
     }
 }
@@ -896,9 +864,7 @@ mod tests {
             kind,
             fires: 4,
         });
-        let mut w = Writer::new();
-        p.encode(&mut w);
-        let bytes = w.into_bytes();
+        let bytes = p.to_bytes();
         let mut r = Reader::new(&bytes);
         assert_eq!(PositionPlan::decode(&mut r).unwrap(), p);
         assert!(r.is_empty());

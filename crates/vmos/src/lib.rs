@@ -64,6 +64,6 @@ pub use interp::{CallOutcome, CallResult, HostCtx, Machine};
 pub use os::{ForkServer, Os, OsError};
 pub use process::Process;
 pub use wire::{
-    read_frame, write_frame, FrameError, Reader, WireError, Writer, FRAME_HEADER_LEN, FRAME_MAGIC,
-    FRAME_PREFIX_LEN, MAX_FRAME_LEN,
+    read_frame, write_frame, FrameError, Reader, Wire, WireError, Writer, FRAME_HEADER_LEN,
+    FRAME_MAGIC, FRAME_PREFIX_LEN, MAX_FRAME_LEN,
 };

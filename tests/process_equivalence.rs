@@ -1,8 +1,9 @@
 //! Process plane identity at test size: lane-per-process campaigns match
 //! the in-process engine on both engines and at any worker count, every
 //! worker death at any `(lane, epoch)` is recovered exactly, a worker that
-//! keeps dying retires its lane, and a checkpoint written under one
-//! isolation mode resumes under the other. The parts live in
+//! keeps dying retires its lane, a checkpoint written under one isolation
+//! mode resumes under the other, and a worker that refuses its factory
+//! spec ends the campaign in a typed worker failure. The parts live in
 //! `bench::planes::process`; `plane_eval` runs the same grid at smoke and
 //! full size.
 //!
@@ -19,5 +20,6 @@ fn main() {
         every_worker_death_recovers_exactly,
         repeated_aborts_degrade_the_lane_not_the_campaign,
         kill_and_resume_crosses_isolation_modes,
+        a_refused_worker_spec_is_a_typed_worker_failure,
     ]);
 }

@@ -48,10 +48,8 @@ fn cfg() -> CampaignConfig {
 /// [`MechanismResolver`] understands.
 fn spec(name: &str) -> CampaignSpec {
     let t = targets::by_name("giftext").expect("bundled target");
-    let mut w = vmos::Writer::new();
-    w.put_u8(Mechanism::ClosureX.wire_tag());
-    w.put_str("giftext");
-    CampaignSpec::new(name, w.into_bytes(), (t.seeds)(), cfg())
+    let spec = bench::factory_spec(Mechanism::ClosureX, "giftext");
+    CampaignSpec::new(name, spec, (t.seeds)(), cfg())
 }
 
 #[test]
