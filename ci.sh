@@ -14,8 +14,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # benchmark run.
 CARGO_TARGET_DIR=.bench_build cargo test --manifest-path perfbench/Cargo.toml
 # Engine determinism + throughput gate: the decoded engine must match the
-# reference engine bit-for-bit, and aggregate decoded execs/sec must stay
-# within 20% of the blessed floor in results/BENCH_floor.json.
+# reference engine bit-for-bit, and the aggregate decoded/reference speedup
+# of interleaved best-of-three rounds must reach smoke_min_speedup in
+# results/BENCH_floor.json. Decoded execs/sec below 80% of
+# smoke_decoded_execs_per_sec only warns (absolute throughput swings with
+# host load; the in-run ratio does not).
 cargo run --release -p bench --bin exec_throughput -- --smoke
 # Fault-plane gates: every plane's identity grid (bench::planes, the same
 # grids `cargo test` runs at test size) at smoke size. Any failed cell fails,

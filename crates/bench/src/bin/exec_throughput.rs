@@ -14,9 +14,8 @@
 //!
 //! Modes:
 //! * default: all targets × {ClosureX, forkserver}, `CLOSUREX_BUDGET` or
-//!   the standard default budget, one timed round;
-//! * `--smoke`: first two targets, small budget, best of three rounds —
-//!   the CI gate. In smoke mode the aggregate decoded/reference speedup is
+//!   the standard default budget;
+//! * `--smoke`: first two targets, small budget — the CI gate. In smoke mode the aggregate decoded/reference speedup is
 //!   compared against the checked-in floor (`results/BENCH_floor.json`)
 //!   and a miss exits nonzero; decoded execs/sec below 80% of its floor
 //!   only warns.
@@ -33,8 +32,10 @@ use std::time::Instant;
 /// engine's dispatch dominates, small enough for CI).
 const SMOKE_BUDGET: u64 = 4_000_000;
 
-/// Smoke-mode timed rounds per cell; each engine keeps its best.
-const SMOKE_ROUNDS: usize = 3;
+/// Timed rounds per cell in both modes; each engine keeps its best. One
+/// round of a tens-of-milliseconds full-mode row cannot resolve a
+/// per-target change on a shared host.
+const ROUNDS: usize = 3;
 
 #[derive(Serialize)]
 struct Row {
@@ -135,7 +136,7 @@ fn same_run(a: &CampaignResult, b: &CampaignResult) -> bool {
 }
 
 /// One cell's reference and decoded campaigns: an untimed warm-up round
-/// (caches, branch predictors and CPU frequency settle), then `rounds`
+/// (caches, branch predictors and CPU frequency settle), then [`ROUNDS`]
 /// timed rounds interleaved (reference, decoded, reference, ...) so drift
 /// in host throughput hits both engines alike, the way `opt_bisect` times
 /// its legs. Returns both warm-up results, each engine's best wall time,
@@ -144,12 +145,11 @@ fn best_of(
     target: &targets::TargetSpec,
     mech: Mechanism,
     budget: u64,
-    rounds: usize,
 ) -> ([CampaignResult; 2], [f64; 2], bool) {
     let warm = [true, false].map(|reference| timed_run(target, mech, budget, reference).0);
     let mut best = [f64::INFINITY; 2];
     let mut stable = true;
-    for _ in 0..rounds {
+    for _ in 0..ROUNDS {
         for (i, reference) in [true, false].into_iter().enumerate() {
             let (r, secs) = timed_run(target, mech, budget, reference);
             stable &= same_run(&r, &warm[i]);
@@ -164,7 +164,6 @@ use bench::floor;
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let budget = if smoke { SMOKE_BUDGET } else { bench::budget() };
-    let rounds = if smoke { SMOKE_ROUNDS } else { 1 };
     let targets: Vec<&targets::TargetSpec> = if smoke {
         targets::all().into_iter().take(2).collect()
     } else {
@@ -203,7 +202,7 @@ fn main() {
             inlined_callees: s.inlined_callees,
         });
         for mech in [Mechanism::ClosureX, Mechanism::ForkServer] {
-            let ([ref_r, dec_r], [r_secs, d_secs], stable) = best_of(t, mech, budget, rounds);
+            let ([ref_r, dec_r], [r_secs, d_secs], stable) = best_of(t, mech, budget);
             let deterministic = stable && same_run(&ref_r, &dec_r);
             if !deterministic {
                 all_deterministic = false;
