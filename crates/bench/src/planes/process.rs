@@ -15,14 +15,18 @@
 //! process-mode one, without stall cells (a stall costs the read deadline
 //! by construction).
 
-use aflrs::{Campaign, CampaignError, CampaignResult, Isolation, SupervisorConfig};
+use std::path::Path;
+
+use aflrs::{
+    Campaign, CampaignError, CampaignResult, CheckpointConfig, Isolation, SupervisorConfig,
+};
 use closurex::executor::{Executor, ExecutorFactory};
 use closurex::resilience::HarnessError;
-use vmos::{PlanKind, ProcFaultKind, ProcFaultPlan};
+use vmos::{OrchFaultKind, OrchFaultPlan, PlanKind, ProcFaultKind, ProcFaultPlan};
 
 use super::{
-    budget, cfg, corpus, ensure, recovered_once, same, sound_baseline, Block, Cell, Grid, Part,
-    Role, Setup, Size,
+    budget, cfg, corpus, ensure, in_scratch, recovered_once, same, sound_baseline, Block, Cell,
+    Grid, Part, Role, Setup, Size,
 };
 use crate::{factory_spec, Mechanism, MechanismFactory};
 
@@ -55,6 +59,8 @@ pub fn grid(size: Size) -> Vec<Cell> {
             repeated_aborts_degrade_the_lane_not_the_campaign,
             kill_and_resume_crosses_isolation_modes,
             a_refused_worker_spec_is_a_typed_worker_failure,
+            shard_snapshots_are_byte_identical_across_isolation_modes,
+            a_retired_lane_is_retired_identically_in_both_modes,
         ],
         Size::Smoke | Size::Full => &[death_grid],
     };
@@ -177,6 +183,93 @@ pub fn kill_and_resume_crosses_isolation_modes(g: &mut Grid) {
             },
         );
     }
+}
+
+/// A checkpointed campaign leaves the same shard snapshots, name for name
+/// and byte for byte, whichever isolation mode ran its lanes: a snapshot
+/// records what the lanes computed, not where they ran.
+pub fn shard_snapshots_are_byte_identical_across_isolation_modes(g: &mut Grid) {
+    let gpmf = test_setup("gpmf-parser");
+    let snapshots = |iso: Isolation| {
+        in_scratch("snapshots", |dir| {
+            let ck = CheckpointConfig {
+                keep_snapshots: 1000, // keep every epoch's snapshot
+                ..CheckpointConfig::new(dir)
+            };
+            gpmf.run(2, |c| c.isolation(iso).checkpoint(ck))?;
+            shard_snapshots(dir)
+        })
+    };
+    let Some(want) = g.cell(gpmf.target, "in-process snapshots", || {
+        snapshots(Isolation::InProcess)
+    }) else {
+        return;
+    };
+    g.cell(gpmf.target, "process snapshots = in-process", || {
+        let got = snapshots(Isolation::Process)?;
+        ensure(got.len() == EPOCHS as usize + 1, || {
+            format!("expected {} snapshots, got {got:?}", EPOCHS + 1)
+        })?;
+        ensure(got == want, || {
+            format!("snapshots differ: in-process {want:?}, process {got:?}")
+        })
+    });
+}
+
+/// `(name, length, FNV-1a)` of every `shard-ckpt-*` file in `dir`, by name.
+fn shard_snapshots(dir: &Path) -> Result<Vec<(String, usize, u64)>, String> {
+    let mut out = Vec::new();
+    for entry in std::fs::read_dir(dir).map_err(|e| e.to_string())? {
+        let path = entry.map_err(|e| e.to_string())?.path();
+        let name = path
+            .file_name()
+            .and_then(|n| n.to_str())
+            .unwrap_or_default();
+        if name.starts_with("shard-ckpt-") {
+            let bytes = std::fs::read(&path).map_err(|e| e.to_string())?;
+            out.push((name.to_string(), bytes.len(), vmos::wire::fnv1a(&bytes)));
+        }
+    }
+    out.sort();
+    Ok(out)
+}
+
+/// A lane that panics on every attempt at (2, 1), past a retry budget of
+/// 2, is retired the same way in both isolation modes: the same outcome,
+/// and the same degradation record.
+pub fn a_retired_lane_is_retired_identically_in_both_modes(g: &mut Grid) {
+    let s = test_setup("giftext");
+    let mut faults = OrchFaultPlan::at((2, 1), OrchFaultKind::WorkerPanic);
+    faults.targeted[0].fires = 10;
+    let sup = SupervisorConfig {
+        max_lane_retries: 2,
+        faults,
+        ..SupervisorConfig::default()
+    };
+    let retired = |iso: Isolation| {
+        let r = s.run(2, |c| c.isolation(iso).supervision(sup.clone()))?;
+        let n = r.resilience.supervision.degradations.len();
+        ensure(n == 1, || {
+            format!("{iso:?}: expected one retired lane, got {n}")
+        })?;
+        Ok(r)
+    };
+    let Some(want) = g.cell(s.target, "panic x10 at (2, 1) in-process", || {
+        retired(Isolation::InProcess)
+    }) else {
+        return;
+    };
+    g.cell(s.target, "panic x10 at (2, 1) process = in-process", || {
+        let got = retired(Isolation::Process)?;
+        same(&got, &want, &[Block::Storage])?;
+        let (w, g) = (&want.resilience.supervision, &got.resilience.supervision);
+        ensure(w.degradations == g.degradations, || {
+            format!(
+                "degradations differ: in-process {:?}, process {:?}",
+                w.degradations, g.degradations
+            )
+        })
+    });
 }
 
 /// The smoke and full grid at 2 workers: process against in-process, then
