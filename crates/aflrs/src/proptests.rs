@@ -93,18 +93,20 @@ fn arb_crash_record() -> impl Strategy<Value = CrashRecord> {
             any::<bool>(),
         ),
     )
-        .prop_map(|((tag, function, block, detail), (at, input, hits, flaky))| CrashRecord {
-            crash: Crash {
-                kind: CrashKind::from_bytes(&[tag]).expect("a tag"),
-                function,
-                block: u32::from(block),
-                detail,
+        .prop_map(
+            |((tag, function, block, detail), (at, input, hits, flaky))| CrashRecord {
+                crash: Crash {
+                    kind: CrashKind::from_bytes(&[tag]).expect("a tag"),
+                    function,
+                    block: u32::from(block),
+                    detail,
+                },
+                found_at_cycles: u64::from(at),
+                input,
+                hits,
+                flaky,
             },
-            found_at_cycles: u64::from(at),
-            input,
-            hits,
-            flaky,
-        })
+        )
 }
 
 fn arb_virgin() -> impl Strategy<Value = VirginMap> {
@@ -160,15 +162,20 @@ fn arb_snapshot() -> impl Strategy<Value = SnapshotState> {
         arb_scalars(),
         prop::collection::vec(arb_entry(), 0..12),
         arb_virgin(),
-        (prop::collection::vec(arb_crash_record(), 0..6), arb_exec_state()),
+        (
+            prop::collection::vec(arb_crash_record(), 0..6),
+            arb_exec_state(),
+        ),
     )
-        .prop_map(|(scalars, entries, virgin, (crashes, exec_state))| SnapshotState {
-            scalars,
-            entries,
-            virgin,
-            crashes,
-            exec_state,
-        })
+        .prop_map(
+            |(scalars, entries, virgin, (crashes, exec_state))| SnapshotState {
+                scalars,
+                entries,
+                virgin,
+                crashes,
+                exec_state,
+            },
+        )
 }
 
 pub(crate) const RESUME_TARGET: &str = r#"
@@ -446,9 +453,8 @@ fn storage_leg(
     if sharded {
         c = c.factory(&factory).shards(2).lanes(2).sync_epochs(2);
     } else {
-        let slot = ex.insert(
-            ClosureXExecutor::new(module, ClosureXConfig::default()).expect("boots"),
-        );
+        let slot =
+            ex.insert(ClosureXExecutor::new(module, ClosureXConfig::default()).expect("boots"));
         c = c.executor(slot);
     }
     if let Some(p) = plan {
@@ -673,22 +679,24 @@ fn arb_campaign_spec() -> impl Strategy<Value = CampaignSpec> {
         ),
         ((1usize..9, 1usize..5), 1u64..9, 1usize..4),
     )
-        .prop_map(|((name, factory_spec, seeds, seed), ((lanes, shards), epochs, keep))| {
-            let mut s = CampaignSpec::new(
-                name,
-                factory_spec,
-                seeds,
-                CampaignConfig {
-                    seed,
-                    ..CampaignConfig::default()
-                },
-            );
-            s.lanes = lanes;
-            s.shards = shards;
-            s.sync_epochs = epochs;
-            s.keep_snapshots = keep;
-            s
-        })
+        .prop_map(
+            |((name, factory_spec, seeds, seed), ((lanes, shards), epochs, keep))| {
+                let mut s = CampaignSpec::new(
+                    name,
+                    factory_spec,
+                    seeds,
+                    CampaignConfig {
+                        seed,
+                        ..CampaignConfig::default()
+                    },
+                );
+                s.lanes = lanes;
+                s.shards = shards;
+                s.sync_epochs = epochs;
+                s.keep_snapshots = keep;
+                s
+            },
+        )
 }
 
 fn arb_rpc_op() -> impl Strategy<Value = RpcOp> {
@@ -759,10 +767,7 @@ proptest! {
 struct NullResolver;
 
 impl SpecResolver for NullResolver {
-    fn resolve(
-        &self,
-        _: &[u8],
-    ) -> Result<Box<dyn ExecutorFactory + Send + Sync>, String> {
+    fn resolve(&self, _: &[u8]) -> Result<Box<dyn ExecutorFactory + Send + Sync>, String> {
         Err("the session sweep never admits".to_string())
     }
 }

@@ -184,7 +184,10 @@ impl std::fmt::Display for RemoteAdmissionError {
                 write!(f, "service is at capacity ({capacity} campaigns)")
             }
             RemoteAdmissionError::Duplicate(name) => {
-                write!(f, "a campaign named {name:?} already exists with a different spec")
+                write!(
+                    f,
+                    "a campaign named {name:?} already exists with a different spec"
+                )
             }
             RemoteAdmissionError::InvalidSpec(msg) => write!(f, "invalid campaign spec: {msg}"),
             RemoteAdmissionError::Resolver(msg) => write!(f, "spec resolver failed: {msg}"),
@@ -359,8 +362,7 @@ impl Read for PipeReader {
             match self.timeout {
                 None => st = self.inner.cv.wait(st).expect("pipe poisoned"),
                 Some(t) => {
-                    let (guard, res) =
-                        self.inner.cv.wait_timeout(st, t).expect("pipe poisoned");
+                    let (guard, res) = self.inner.cv.wait_timeout(st, t).expect("pipe poisoned");
                     st = guard;
                     if res.timed_out() && st.buf.is_empty() && !st.closed {
                         return Err(std::io::Error::from(std::io::ErrorKind::TimedOut));
@@ -660,15 +662,18 @@ impl FramedConn {
     fn send(&mut self, kind: u8, payload: &[u8]) -> Result<(), RpcError> {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let (fault, aux) = self
-            .faults
-            .lock()
-            .expect("fault plan poisoned")
-            .on_send((self.conn_id, self.direction, seq));
+        let (fault, aux) = self.faults.lock().expect("fault plan poisoned").on_send((
+            self.conn_id,
+            self.direction,
+            seq,
+        ));
         match fault {
             None => self.write_plain(kind, payload),
             Some(NetFaultKind::Drop) => {
-                self.counters.lock().expect("counters poisoned").frames_dropped += 1;
+                self.counters
+                    .lock()
+                    .expect("counters poisoned")
+                    .frames_dropped += 1;
                 // The frame vanishes; the stream stays healthy.
                 Ok(())
             }
@@ -716,7 +721,10 @@ impl FramedConn {
                 Err(RpcError::Disconnected { clean: true })
             }
             Some(NetFaultKind::PartialFrame) => {
-                self.counters.lock().expect("counters poisoned").partial_frames += 1;
+                self.counters
+                    .lock()
+                    .expect("counters poisoned")
+                    .partial_frames += 1;
                 let raw = frame_bytes(kind, payload);
                 // A strict prefix that reaches past the length prefix, so
                 // the receiver sees a *torn* frame, not a clean EOF.
@@ -763,9 +771,7 @@ impl FramedConn {
 
 fn io_to_rpc(e: FrameError) -> RpcError {
     match e {
-        FrameError::Io(std::io::ErrorKind::BrokenPipe) => {
-            RpcError::Disconnected { clean: true }
-        }
+        FrameError::Io(std::io::ErrorKind::BrokenPipe) => RpcError::Disconnected { clean: true },
         FrameError::Io(kind) => RpcError::Io(kind),
         FrameError::Oversized { .. } => RpcError::Protocol("oversized payload"),
         _ => RpcError::Protocol("frame write failed"),
@@ -1130,7 +1136,12 @@ impl RpcServer {
             .lock()
             .expect("counters poisoned")
             .clone();
-        c.journal_warnings = self.shared.journal.lock().expect("journal poisoned").warnings;
+        c.journal_warnings = self
+            .shared
+            .journal
+            .lock()
+            .expect("journal poisoned")
+            .warnings;
         c
     }
 
@@ -1225,7 +1236,10 @@ fn execute_op(service: &Service, op: &RpcOp, counters: &Mutex<RpcCounters>) -> R
                 // Idempotent Submit: a duplicate of the *identical*,
                 // durably-admitted spec is a retry, not a conflict.
                 if service.spec(&name).map(|s| s.to_bytes()) == Some(spec.to_bytes()) {
-                    counters.lock().expect("counters poisoned").dup_submits_deduped += 1;
+                    counters
+                        .lock()
+                        .expect("counters poisoned")
+                        .dup_submits_deduped += 1;
                     RpcReply::Unit
                 } else {
                     RpcReply::Admission(RemoteAdmissionError::Duplicate(name))
@@ -1549,7 +1563,11 @@ impl RemoteService {
 
     /// This client's transport counters.
     pub fn counters(&self) -> RpcCounters {
-        self.core.counters.lock().expect("counters poisoned").clone()
+        self.core
+            .counters
+            .lock()
+            .expect("counters poisoned")
+            .clone()
     }
 
     /// Where calls are currently served: the wire, or the local fallback.
@@ -1580,7 +1598,9 @@ fn unexpected_reply(reply: &RpcReply) -> RemoteError {
 
 impl std::fmt::Debug for RemoteHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RemoteHandle").field("name", &self.name).finish()
+        f.debug_struct("RemoteHandle")
+            .field("name", &self.name)
+            .finish()
     }
 }
 
@@ -2000,7 +2020,9 @@ mod tests {
         let (mut client, mut server, counters, _net) =
             framed_pair(NetFaultPlan::at((0, 0, 0), NetFaultKind::Drop));
         client.send(RK_REQ, b"gone").expect("drop is silent");
-        server.conn.set_read_timeout(Some(Duration::from_millis(20)));
+        server
+            .conn
+            .set_read_timeout(Some(Duration::from_millis(20)));
         assert_eq!(server.recv().unwrap_err(), RpcError::Timeout);
         // The stream survives: the next frame arrives (fires consumed).
         client.send(RK_REQ, b"kept").unwrap();
@@ -2084,7 +2106,9 @@ mod tests {
         client.send(RK_REQ, b"c2s").unwrap();
         assert_eq!(server.recv().unwrap(), (RK_REQ, b"c2s".to_vec()));
         server.send(RK_REPLY, b"s2c dropped").unwrap();
-        client.conn.set_read_timeout(Some(Duration::from_millis(20)));
+        client
+            .conn
+            .set_read_timeout(Some(Duration::from_millis(20)));
         assert_eq!(client.recv().unwrap_err(), RpcError::Timeout);
     }
 
@@ -2101,11 +2125,21 @@ mod tests {
             server.send(RK_REPLY, b"frame 0").unwrap();
             server.send(RK_REPLY, b"frame 1").unwrap();
             server.send(RK_REPLY, b"frame 2").unwrap();
-            client.conn.set_read_timeout(Some(Duration::from_millis(20)));
+            client
+                .conn
+                .set_read_timeout(Some(Duration::from_millis(20)));
             assert_eq!(client.recv().unwrap(), (RK_REPLY, b"frame 0".to_vec()));
         }
-        assert_eq!(c1.recv().unwrap(), (RK_REPLY, b"frame 2".to_vec()), "frame 1 dropped");
-        assert_eq!(c2.recv().unwrap(), (RK_REPLY, b"frame 1".to_vec()), "spent fault");
+        assert_eq!(
+            c1.recv().unwrap(),
+            (RK_REPLY, b"frame 2".to_vec()),
+            "frame 1 dropped"
+        );
+        assert_eq!(
+            c2.recv().unwrap(),
+            (RK_REPLY, b"frame 1".to_vec()),
+            "spent fault"
+        );
         assert_eq!(counters1.lock().unwrap().frames_dropped, 1);
         assert_eq!(counters2.lock().unwrap().frames_dropped, 0);
     }
@@ -2120,6 +2154,9 @@ mod tests {
             assert_eq!(fault, plan.decide((0, 0, frame), 0));
             assert!(fault.is_some());
         }
-        assert!(faults.fired.is_empty(), "a lossy plan keeps no per-frame state");
+        assert!(
+            faults.fired.is_empty(),
+            "a lossy plan keeps no per-frame state"
+        );
     }
 }

@@ -238,7 +238,12 @@ impl Storage {
 
     /// Snapshot of the accumulated counters.
     pub(crate) fn counters(&self) -> StorageCounters {
-        self.shared.state.lock().expect("storage lock").counters.clone()
+        self.shared
+            .state
+            .lock()
+            .expect("storage lock")
+            .counters
+            .clone()
     }
 
     /// Record `n` cleanup failures observed inside a sweep/rotation body
@@ -339,7 +344,12 @@ impl Storage {
                 Some(DiskFaultKind::Bitrot) => {
                     let res = body(&Injected::Bitrot(aux));
                     if res.is_ok() {
-                        shared.state.lock().expect("storage lock").counters.bitrot_injected += 1;
+                        shared
+                            .state
+                            .lock()
+                            .expect("storage lock")
+                            .counters
+                            .bitrot_injected += 1;
                     }
                     res
                 }
@@ -495,7 +505,11 @@ mod tests {
 
     #[test]
     fn plans_keyed_off_the_coordinator_stream_never_fire() {
-        let s = Storage::new(DiskFaultPlan::at((1, 0), DiskFaultKind::CrashAtBoundary), 3, 0);
+        let s = Storage::new(
+            DiskFaultPlan::at((1, 0), DiskFaultKind::CrashAtBoundary),
+            3,
+            0,
+        );
         assert_eq!(s.op(false, |_| Ok(())), OpOutcome::Done);
         assert!(s.counters().is_quiet());
     }
@@ -518,7 +532,11 @@ mod tests {
         assert_eq!(c.sweep_warnings, 1);
         assert_eq!(c.retries, 0);
         assert!(c.degradations.is_empty());
-        assert_eq!(s.op(false, |_| Ok(())), OpOutcome::Done, "stream still live");
+        assert_eq!(
+            s.op(false, |_| Ok(())),
+            OpOutcome::Done,
+            "stream still live"
+        );
     }
 
     #[test]

@@ -386,8 +386,14 @@ mod tests {
         assert_eq!(LaneFault::PipeEof.name(), "pipe_eof");
         assert_eq!(LaneFault::FrameCorrupt.name(), "frame_corrupt");
         assert_eq!(LaneFault::Deadline.name(), "deadline");
-        assert_eq!(format!("{}", LaneFault::Hang), "hang past the heartbeat deadline");
-        assert_eq!(format!("{}", LaneFault::Signal(9)), "worker killed by signal 9");
+        assert_eq!(
+            format!("{}", LaneFault::Hang),
+            "hang past the heartbeat deadline"
+        );
+        assert_eq!(
+            format!("{}", LaneFault::Signal(9)),
+            "worker killed by signal 9"
+        );
     }
 
     #[test]

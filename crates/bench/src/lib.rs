@@ -189,10 +189,7 @@ pub fn factory_from_spec(spec: &[u8]) -> Result<Box<dyn ExecutorFactory>, String
 pub struct MechanismResolver;
 
 impl aflrs::SpecResolver for MechanismResolver {
-    fn resolve(
-        &self,
-        spec: &[u8],
-    ) -> Result<Box<dyn ExecutorFactory + Send + Sync>, String> {
+    fn resolve(&self, spec: &[u8]) -> Result<Box<dyn ExecutorFactory + Send + Sync>, String> {
         Ok(Box::new(resolve_factory_spec(spec, "factory spec")?))
     }
 }

@@ -159,12 +159,7 @@ impl Lab {
     /// resume falls back a generation and the re-run rewrites the damaged
     /// file byte for byte. A last resume runs to the end and must match
     /// `want`.
-    fn repaired(
-        &self,
-        snapshot: u64,
-        want: &CampaignResult,
-        keep: &[Block],
-    ) -> Result<(), String> {
+    fn repaired(&self, snapshot: u64, want: &CampaignResult, keep: &[Block]) -> Result<(), String> {
         in_scratch("ckpt-repair", |dir| {
             let mut ck = self.checkpoint(dir);
             ck.kill_after_execs = Some(snapshot + 1);
@@ -283,8 +278,12 @@ pub fn kill_at_every_snapshot_offset_resumes_exactly(g: &mut Grid) {
             format!("snapshots at {snapshot} and {last} of {} execs", want.execs)
         })
     };
-    if g.cell(TARGET_NAME, "the snapshots leave room for every offset", room)
-        .is_none()
+    if g.cell(
+        TARGET_NAME,
+        "the snapshots leave room for every offset",
+        room,
+    )
+    .is_none()
     {
         return;
     }
@@ -317,7 +316,10 @@ pub fn kill_at_every_snapshot_offset_resumes_exactly(g: &mut Grid) {
     }
     g.cell(
         TARGET_NAME,
-        format!("kill@snapshot+1 ({}), newest snapshot bit-flipped", snapshot + 1),
+        format!(
+            "kill@snapshot+1 ({}), newest snapshot bit-flipped",
+            snapshot + 1
+        ),
         || lab.repaired(snapshot, &want, &keep),
     );
 }

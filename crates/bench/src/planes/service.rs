@@ -362,29 +362,34 @@ pub fn restore_decodes_once(g: &mut Grid) {
     let Some(want) = shape.reference(g, "giftext", false) else {
         return;
     };
-    g.cell("giftext", format!("{TENANTS} tenants restore on one decode"), || {
-        in_scratch("service-fleet", |dir| {
-            let mut svc = killing(dir, 97);
-            svc.max_campaigns = TENANTS;
-            let specs = (0..TENANTS).map(|i| shape.tenant(&format!("gif-{i:03}"), "giftext", 1));
-            drop(killed(svc, specs)?.0);
-            // A server restart: cold decoded-image cache, zero counters.
-            vmos::DecodedImage::cache_evict_all();
-            vmos::reset_decode_counters();
-            let mut svc = ServiceConfig::new(dir);
-            svc.workers = 1;
-            let service = restore(svc)?;
-            for h in service.handles() {
-                let r = h.await_result().fail()?;
-                same(&r, &want, BOTH).map_err(|e| format!("{}: {e}", h.name()))?;
-            }
-            let decode = service.stats().decode;
-            let n = service.handles().len();
-            ensure(n == TENANTS && decode.lowered == 1, || {
-                format!("expected {TENANTS} tenants on 1 lowering, got {n}: {decode:?}")
+    g.cell(
+        "giftext",
+        format!("{TENANTS} tenants restore on one decode"),
+        || {
+            in_scratch("service-fleet", |dir| {
+                let mut svc = killing(dir, 97);
+                svc.max_campaigns = TENANTS;
+                let specs =
+                    (0..TENANTS).map(|i| shape.tenant(&format!("gif-{i:03}"), "giftext", 1));
+                drop(killed(svc, specs)?.0);
+                // A server restart: cold decoded-image cache, zero counters.
+                vmos::DecodedImage::cache_evict_all();
+                vmos::reset_decode_counters();
+                let mut svc = ServiceConfig::new(dir);
+                svc.workers = 1;
+                let service = restore(svc)?;
+                for h in service.handles() {
+                    let r = h.await_result().fail()?;
+                    same(&r, &want, BOTH).map_err(|e| format!("{}: {e}", h.name()))?;
+                }
+                let decode = service.stats().decode;
+                let n = service.handles().len();
+                ensure(n == TENANTS && decode.lowered == 1, || {
+                    format!("expected {TENANTS} tenants on 1 lowering, got {n}: {decode:?}")
+                })
             })
-        })
-    });
+        },
+    );
 }
 
 /// One campaign through the service against the same one through the

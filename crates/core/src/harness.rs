@@ -1176,7 +1176,10 @@ mod tests {
     /// against a fresh walk of both page tables — the oracle the
     /// executor's stamp-keyed cache stands in for.
     fn assert_private_pages_match_oracle(ex: &ClosureXExecutor, ctx: &str) -> Vec<u64> {
-        let exported = ex.export_state().expect("closurex exports state").proc_private_pages;
+        let exported = ex
+            .export_state()
+            .expect("closurex exports state")
+            .proc_private_pages;
         let oracle = match (&ex.proc, &ex.template) {
             (Some(p), Some(t)) => p.mem.private_pages_vs(&t.parent().mem),
             _ => Vec::new(),

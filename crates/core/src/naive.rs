@@ -17,7 +17,9 @@ use fir::Module;
 use passes::pipelines::baseline_pipeline;
 use passes::PassError;
 use vmos::fs::FUZZ_INPUT_PATH;
-use vmos::{CallResult, CovMap, DecodedImage, FaultPlan, FaultPlane, HostCtx, Machine, Os, Process};
+use vmos::{
+    CallResult, CovMap, DecodedImage, FaultPlan, FaultPlane, HostCtx, Machine, Os, Process,
+};
 
 use crate::executor::{ExecOutcome, ExecStatus, Executor, DEFAULT_FUEL};
 use crate::resilience::{HarnessError, ResilienceReport};

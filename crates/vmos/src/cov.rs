@@ -428,11 +428,7 @@ mod tests {
     #[test]
     fn lut_matches_branchy_oracle_for_all_counts() {
         for c in 0..=255u8 {
-            assert_eq!(
-                classify_count(c),
-                classify_count_reference(c),
-                "count {c}"
-            );
+            assert_eq!(classify_count(c), classify_count_reference(c), "count {c}");
             assert_eq!(COUNT_CLASS_LUT[c as usize], classify_count_reference(c));
         }
     }
@@ -449,8 +445,7 @@ mod tests {
             0x2020_0303_FF00_1001,
         ];
         for w in words {
-            let expect =
-                u64::from_le_bytes(w.to_le_bytes().map(classify_count_reference));
+            let expect = u64::from_le_bytes(w.to_le_bytes().map(classify_count_reference));
             assert_eq!(classify_word(w), expect, "word {w:#x}");
         }
     }

@@ -199,7 +199,9 @@ fn specialize(ir: &mut FuncIr, stats: &mut OptStats) {
                 continue;
             }
             match &slot.op {
-                DOp::CovEdge { id: Operand::Imm(v) } => {
+                DOp::CovEdge {
+                    id: Operand::Imm(v),
+                } => {
                     // Same truncation as the reference hostcall path:
                     // the first argv value `as u16`.
                     slot.op = DOp::CovEdgeK { id: *v as u16 };
@@ -262,9 +264,12 @@ fn fuse_ops(ir: &mut FuncIr, stats: &mut OptStats) {
             // head's `(site_fn, site_block)`, so fusing across a merge
             // seam would mis-attribute a crash in the second component.
             let site = |k: usize| (block.slots[k].site_fn, block.slots[k].site_block);
-            let live2 = i + 1 < n && block.slots[i + 1].kind == Kind::Live && site(i + 1) == site(i);
-            let live3 =
-                live2 && i + 2 < n && block.slots[i + 2].kind == Kind::Live && site(i + 2) == site(i);
+            let live2 =
+                i + 1 < n && block.slots[i + 1].kind == Kind::Live && site(i + 1) == site(i);
+            let live3 = live2
+                && i + 2 < n
+                && block.slots[i + 2].kind == Kind::Live
+                && site(i + 2) == site(i);
 
             // Triple: coverage probe + compare + branch — the MinC `while`
             // header. One dispatch for the three hottest ops in a loop.
@@ -560,10 +565,7 @@ fn build_chains(ir: &mut FuncIr, stats: &mut OptStats) {
             let mut comps = if let Some(op) = chain_op(&block.slots[i].op) {
                 vec![ChainSrc { pre: 0, op }]
             } else if let Some([a, b]) = pair_comps(&block.slots[i].op) {
-                vec![
-                    ChainSrc { pre: 0, op: a },
-                    ChainSrc { pre: 0, op: b },
-                ]
+                vec![ChainSrc { pre: 0, op: a }, ChainSrc { pre: 0, op: b }]
             } else {
                 i += 1;
                 continue;
@@ -731,7 +733,10 @@ fn build_chains(ir: &mut FuncIr, stats: &mut OptStats) {
                             if !same_site {
                                 break;
                             }
-                            comps.push(ChainSrc { pre: pending, op: a });
+                            comps.push(ChainSrc {
+                                pre: pending,
+                                op: a,
+                            });
                             comps.push(ChainSrc { pre: 0, op: b });
                             pending = 0;
                             committed = j;

@@ -116,20 +116,13 @@ fn splice(ir: &mut FuncIr, hotness: &mut Vec<bool>, bi: usize, si: usize, cs: &F
     let tail = ir.blocks[bi].slots.split_off(si + 1);
     let call = ir.blocks[bi].slots.pop().expect("call slot");
     let DOp::CallFn {
-        dst,
-        callee,
-        args,
-        ..
+        dst, callee, args, ..
     } = call.op
     else {
         unreachable!("splice target must be a CallFn");
     };
     // The reference copies `argv.iter().take(num_params)` — trim now.
-    let args: Box<[Operand]> = args
-        .iter()
-        .copied()
-        .take(cs.num_params as usize)
-        .collect();
+    let args: Box<[Operand]> = args.iter().copied().take(cs.num_params as usize).collect();
     ir.blocks[bi].slots.push(Slot {
         op: DOp::InlineEnter {
             callee,

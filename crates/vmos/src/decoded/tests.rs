@@ -79,10 +79,9 @@ fn calls_are_classified_like_the_reference_precedence() {
     let m = sample_module();
     let img = DecodedImage::new(&m);
     let main = &img.funcs[m.function_id("main").unwrap().0 as usize];
-    assert!(main
-        .ops
-        .iter()
-        .any(|op| matches!(op, DOp::CallFn { callee, .. } if *callee == m.function_id("helper").unwrap())));
+    assert!(main.ops.iter().any(
+        |op| matches!(op, DOp::CallFn { callee, .. } if *callee == m.function_id("helper").unwrap())
+    ));
     assert!(main.ops.iter().any(|op| matches!(
         op,
         DOp::CallHost { host, .. } if host.fun == hostcalls::HostFn::Puts
@@ -139,7 +138,11 @@ fn warm_populates_the_cache_and_reports_hits() {
         "first warm pays for the lowering"
     );
     assert!(DecodedImage::cache_contains(fp));
-    assert_eq!(DecodedImage::warm(&m), WarmSource::Cache, "second warm is a cache hit");
+    assert_eq!(
+        DecodedImage::warm(&m),
+        WarmSource::Cache,
+        "second warm is a cache hit"
+    );
 }
 
 #[test]
@@ -263,8 +266,14 @@ fn small_leaf_callees_inline_at_decode_time() {
     assert!(img.stats.inline_sites >= 1, "stats: {:?}", img.stats);
     assert_eq!(img.stats.inlined_callees, 1);
     let count = &img.opt_funcs[m.function_id("count").unwrap().0 as usize];
-    assert!(count.ops.iter().any(|op| matches!(op, DOp::InlineEnter { .. })));
-    assert!(count.ops.iter().any(|op| matches!(op, DOp::InlineRet { .. })));
+    assert!(count
+        .ops
+        .iter()
+        .any(|op| matches!(op, DOp::InlineEnter { .. })));
+    assert!(count
+        .ops
+        .iter()
+        .any(|op| matches!(op, DOp::InlineRet { .. })));
     assert!(count.ops.iter().all(|op| !matches!(op, DOp::CallFn { .. })));
     // The inline window extends the register file beyond the source's.
     let src_regs = m.function("count").unwrap().num_regs;

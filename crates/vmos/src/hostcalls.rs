@@ -127,12 +127,8 @@ pub struct HostId {
 /// (the interpreter then reports an unresolved-symbol crash).
 pub fn resolve(name: &str) -> Option<HostId> {
     use HostFn::*;
-    let plain = |fun| {
-        Some(HostId { fun, hooked: false })
-    };
-    let hooked = |fun| {
-        Some(HostId { fun, hooked: true })
-    };
+    let plain = |fun| Some(HostId { fun, hooked: false });
+    let hooked = |fun| Some(HostId { fun, hooked: true });
     match name {
         "malloc" => plain(Malloc),
         "closurex_malloc" => hooked(Malloc),
@@ -603,7 +599,6 @@ pub fn dispatch_id(
             *cycles += 2;
             HostRet::Val(0)
         }
-
     };
     Ok(Some(ret))
 }

@@ -884,10 +884,7 @@ pub fn write_frame(
 ///
 /// # Errors
 /// A typed [`FrameError`]; this function never panics on hostile input.
-pub fn read_frame(
-    r: &mut impl std::io::Read,
-    max_len: usize,
-) -> Result<(u8, Vec<u8>), FrameError> {
+pub fn read_frame(r: &mut impl std::io::Read, max_len: usize) -> Result<(u8, Vec<u8>), FrameError> {
     let mut header = [0u8; FRAME_HEADER_LEN];
     // The length prefix first: an EOF in here is a disconnect, not a torn
     // frame — nothing was promised yet.
@@ -1050,16 +1047,28 @@ mod tests {
         write_frame(&mut buf, 1, b"first").unwrap();
         write_frame(&mut buf, 2, b"second").unwrap();
         let mut r = &buf[..];
-        assert_eq!(read_frame(&mut r, MAX_FRAME_LEN).unwrap(), (1, b"first".to_vec()));
-        assert_eq!(read_frame(&mut r, MAX_FRAME_LEN).unwrap(), (2, b"second".to_vec()));
-        assert_eq!(read_frame(&mut r, MAX_FRAME_LEN).unwrap_err(), FrameError::Eof);
+        assert_eq!(
+            read_frame(&mut r, MAX_FRAME_LEN).unwrap(),
+            (1, b"first".to_vec())
+        );
+        assert_eq!(
+            read_frame(&mut r, MAX_FRAME_LEN).unwrap(),
+            (2, b"second".to_vec())
+        );
+        assert_eq!(
+            read_frame(&mut r, MAX_FRAME_LEN).unwrap_err(),
+            FrameError::Eof
+        );
     }
 
     #[test]
     fn clean_eof_differs_from_torn_frame() {
         let buf = frame_bytes(9, b"payload");
         let mut empty: &[u8] = &[];
-        assert_eq!(read_frame(&mut empty, MAX_FRAME_LEN).unwrap_err(), FrameError::Eof);
+        assert_eq!(
+            read_frame(&mut empty, MAX_FRAME_LEN).unwrap_err(),
+            FrameError::Eof
+        );
         for cut in 1..buf.len() {
             let mut torn = &buf[..cut];
             // Before the 9-byte length prefix completes, no frame was ever
@@ -1160,7 +1169,10 @@ mod tests {
         let mut buf = frame_bytes(3, b"ok");
         buf[0] = b'X';
         let mut r = &buf[..];
-        assert_eq!(read_frame(&mut r, MAX_FRAME_LEN).unwrap_err(), FrameError::BadMagic);
+        assert_eq!(
+            read_frame(&mut r, MAX_FRAME_LEN).unwrap_err(),
+            FrameError::BadMagic
+        );
     }
 
     mod frame_props {

@@ -413,7 +413,11 @@ fn checkpoint_bytes_are_identical_across_engines() {
     let reference = checkpoint_files(&dirs[0]);
     let names = |fs: &[(String, Vec<u8>)]| fs.iter().map(|(n, _)| n.clone()).collect::<Vec<_>>();
     assert!(
-        reference.iter().filter(|(n, _)| n.starts_with("ckpt-")).count() >= 2,
+        reference
+            .iter()
+            .filter(|(n, _)| n.starts_with("ckpt-"))
+            .count()
+            >= 2,
         "comparison must cover two or more snapshot generations"
     );
     for (engine, dir) in Engine::ALL.iter().zip(&dirs).skip(1) {
