@@ -13,8 +13,13 @@
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
 
+use crate::process::{STACK_MAX_BYTES, STACK_TOP};
+
 /// Base virtual address of the heap region.
 pub const HEAP_BASE: u64 = 0x4000_0000;
+/// One past the heap region's last address: the stack region begins
+/// here, and no chunk (or the guard gap after it) may reach into it.
+pub const HEAP_END: u64 = STACK_TOP - STACK_MAX_BYTES;
 /// Guard gap between chunks; accesses inside it are unaddressable.
 pub const GUARD: u64 = 16;
 /// Allocation granularity.
@@ -132,24 +137,33 @@ impl HeapState {
     /// Allocate `size` bytes (size 0 is rounded up to [`ALIGN`]).
     ///
     /// # Errors
-    /// [`HeapError::OutOfMemory`] if the live-byte limit would be exceeded.
+    /// [`HeapError::OutOfMemory`] if the live-byte limit would be exceeded,
+    /// or if no freed chunk of this rounded size is left to reuse and a new
+    /// one (with its guard gap) would end past [`HEAP_END`]: the bump
+    /// pointer never walks into the stack region.
     pub fn alloc(&mut self, size: u64) -> Result<u64, HeapError> {
         let rounded = size.max(1).div_ceil(ALIGN) * ALIGN;
         if self.live_bytes + rounded > self.limit_bytes {
             return Err(HeapError::OutOfMemory);
         }
-        self.total_allocs += 1;
-        self.live_bytes += rounded;
         if let Some(list) = self.free_by_size.get_mut(&rounded) {
             if let Some(addr) = list.pop() {
                 let c = self.chunks.get_mut(&addr).expect("free-list chunk exists");
                 c.state = ChunkState::Allocated;
                 c.size = size;
+                self.total_allocs += 1;
+                self.live_bytes += rounded;
                 return Ok(addr);
             }
         }
         let addr = self.next;
-        self.next += rounded + GUARD;
+        let end = addr
+            .checked_add(rounded + GUARD)
+            .filter(|&end| end <= HEAP_END)
+            .ok_or(HeapError::OutOfMemory)?;
+        self.total_allocs += 1;
+        self.live_bytes += rounded;
+        self.next = end;
         self.chunks.insert(
             addr,
             Chunk {

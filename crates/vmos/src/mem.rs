@@ -162,8 +162,9 @@ fn fresh_stamp() -> u64 {
 ///
 /// Pages in the globals, heap and stack regions sit in dense per-region
 /// storage, so finding one is index arithmetic; any other page goes to a
-/// sparse map. Guest stores reach it: the heap bounds its live bytes, not
-/// its address range, so its chunks can lie past the stack top.
+/// sparse map. No guest access reaches that map: `Process::check_access`
+/// admits only the three regions, and the heap refuses a chunk past
+/// [`crate::heap::HEAP_END`]. Only direct `PageTable` callers use it.
 #[derive(Debug, Clone, Default)]
 pub struct PageTable {
     pages: Pages,

@@ -302,6 +302,7 @@ pub fn is_null_addr(addr: u64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::heap::{HeapError, HEAP_END};
     use crate::layout::GLOBAL_BASE;
     use fir::builder::ModuleBuilder;
     use fir::Global;
@@ -315,24 +316,42 @@ mod tests {
     }
 
     #[test]
-    fn heap_chunks_past_the_stack_top_are_stored() {
-        // The heap limits live bytes, not its address range, and reuses a
-        // freed chunk only for the same rounded size: allocations of
-        // ever-new sizes walk the bump pointer past every fixed region.
+    fn heap_chunks_never_reach_the_stack() {
+        // The heap reuses a freed chunk only for the same rounded size, so
+        // allocations of ever-new sizes walk the bump pointer up the heap
+        // region. Past its end they are refused, before any chunk could
+        // share addresses with the stack.
         let m = ModuleBuilder::new("m").finish();
         let mut p = Process::load(&m, 64 << 20, 16, 1);
         let size = |i: u64| (60 << 20) + i * 16;
-        for i in 0..24 {
-            let chunk = p.heap.alloc(size(i)).unwrap();
-            p.heap.free(chunk).unwrap();
+        let mut refused = None;
+        for i in 0..25 {
+            match p.heap.alloc(size(i)) {
+                Ok(chunk) => {
+                    assert!(chunk + size(i) <= HEAP_END, "chunk at {chunk:#x}");
+                    p.heap.free(chunk).unwrap();
+                }
+                Err(e) => {
+                    refused = Some((i, e));
+                    break;
+                }
+            }
         }
-        let addr = p.heap.alloc(size(24)).unwrap();
-        assert!(addr > STACK_TOP, "chunk at {addr:#x}");
-        assert!(p.check_access(addr, 8, true, "f", 0).is_ok());
-        let resident = p.mem.resident_pages();
-        p.mem.write_uint(addr, 0xfeed, 8);
-        assert_eq!(p.mem.read_uint(addr, 8), 0xfeed);
-        assert_eq!(p.mem.resident_pages(), resident + 1);
+        let (i, e) = refused.expect("the bump pointer must run out of heap region");
+        assert_eq!(e, HeapError::OutOfMemory);
+        assert!(
+            p.heap.high_water() <= HEAP_END,
+            "high water {:#x}",
+            p.heap.high_water()
+        );
+        // A size the heap has a freed chunk for is still served.
+        let reused = p.heap.alloc(size(i - 1)).unwrap();
+        assert!(reused < HEAP_END);
+        // The stack region stays the stack's.
+        assert!(p
+            .check_access(STACK_TOP - STACK_MAX_BYTES, 8, true, "f", 0)
+            .is_ok());
+        assert_eq!(p.heap.live_bytes(), size(i - 1));
     }
 
     #[test]
