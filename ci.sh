@@ -2,6 +2,10 @@
 # Repo CI gate: build, test, lint. Run from the repository root.
 set -eux
 
+# Format gate: the workspace is rustfmt-clean, so a formatting diff never
+# rides along with an unrelated change. (perfbench/ is its own package and
+# is not part of the workspace.)
+cargo fmt --all -- --check
 cargo build --release
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
