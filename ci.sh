@@ -51,3 +51,7 @@ cargo run --release -p bench --bin exec_throughput -- --smoke
 #   kill/restore, leave the result identical; fault_grid_rate >= 1.0,
 #   overhead <= 2x smoke_rpc_overhead_ratio.
 cargo run --release -p bench --bin plane_eval -- --smoke
+# Report gate: nothing above may rewrite a tracked full-mode report under
+# results/ (smoke runs write their own untracked `*_smoke.json` files), so
+# a test or smoke run that does fails here instead of riding into a commit.
+git diff --exit-code -- results/

@@ -17,9 +17,15 @@
 //! records, both RNG streams, stage position, all counters, and the
 //! executor's exported state). Each is written atomically
 //! (write-temp-then-rename); older snapshots are rotated away, keeping
-//! [`CheckpointConfig::keep_snapshots`]. Nothing else in the directory is
-//! campaign state: a `journal-*.bin` file an older build's per-execution
-//! journal left behind is never read, and rotation deletes it.
+//! [`CheckpointConfig::keep_snapshots`].
+//!
+//! Every engine reaches its checkpoint directory through one store here:
+//! a `Layout` per engine (`ckpt-*` for the single driver, `shard-ckpt-*`
+//! for sharded campaigns, see [`crate::shard`]) names the files and owns
+//! the directory scan, rotation, the start-up sweep, the resume scrub and
+//! the seal. Nothing else in the directory is campaign state: an orphaned
+//! temp file, or a `journal-*.bin` file an older build's per-execution
+//! journal left behind, is never read, and rotation deletes it.
 //!
 //! # Resume semantics
 //!
@@ -492,57 +498,272 @@ wire_struct!(SnapshotState {
 });
 
 // ---------------------------------------------------------------------------
-// Files.
+// The snapshot store: every file a checkpoint directory holds.
 // ---------------------------------------------------------------------------
 
-fn snapshot_path(dir: &Path, execs: u64) -> PathBuf {
-    dir.join(format!("ckpt-{execs:012}.bin"))
+/// Shard snapshot format version, separate from the single driver's
+/// [`FORMAT_VERSION`]. v4: the merged collections once, then each lane's
+/// scalars and executor state (v3 and older held one full lane snapshot
+/// per lane and are refused, never misparsed).
+pub(crate) const SHARD_FORMAT_VERSION: u32 = 4;
+
+/// How one engine lays out its checkpoint directory.
+///
+/// A snapshot is `{prefix}{n}.bin`: `n` (executions for the single
+/// driver, the epoch for a sharded campaign) zero-padded to `pad` digits,
+/// and wider once it outgrows them, sealed under `version`. Nothing else
+/// in the directory is campaign state. An orphaned snapshot temp file (a
+/// write that died before its rename) and a `{journal}…bin` file an older
+/// build's journal left behind are *debris*: never read, and deleted by
+/// rotation. Every other file (a service tenant's `spec.bin`, say) is
+/// foreign and left alone.
+pub(crate) struct Layout {
+    prefix: &'static str,
+    pad: usize,
+    version: u32,
+    journal: &'static str,
 }
 
-/// Parse `{prefix}-{12 digits}.bin` file names, returning the number.
-pub(crate) fn parse_numbered(name: &str, prefix: &str) -> Option<u64> {
-    let rest = name.strip_prefix(prefix)?.strip_suffix(".bin")?;
-    (rest.len() == 12 && rest.bytes().all(|b| b.is_ascii_digit()))
-        .then(|| rest.parse().ok())
-        .flatten()
+/// The single driver's layout: `ckpt-{execs:012}.bin`.
+pub(crate) const SINGLE: Layout = Layout {
+    prefix: "ckpt-",
+    pad: 12,
+    version: FORMAT_VERSION,
+    journal: "journal-",
+};
+
+/// The sharded engine's layout: `shard-ckpt-{epoch:06}.bin`.
+pub(crate) const SHARDED: Layout = Layout {
+    prefix: "shard-ckpt-",
+    pad: 6,
+    version: SHARD_FORMAT_VERSION,
+    journal: "shard-journal-",
+};
+
+/// What one scan of a checkpoint directory finds.
+pub(crate) struct Scan {
+    /// Snapshots, ascending by number.
+    pub(crate) snapshots: Vec<(u64, PathBuf)>,
+    /// Debris (see [`Layout`]).
+    pub(crate) debris: Vec<PathBuf>,
 }
 
-/// All `{prefix}-N.bin` files in `dir`, sorted ascending by N.
-pub(crate) fn list_numbered(dir: &Path, prefix: &str) -> std::io::Result<Vec<(u64, PathBuf)>> {
-    let mut out = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        if let Some(n) = entry
-            .file_name()
-            .to_str()
-            .and_then(|s| parse_numbered(s, prefix))
-        {
-            out.push((n, entry.path()));
+/// Delete `paths`, returning `(files removed, unlink failures)`.
+fn remove_all<'p>(paths: impl Iterator<Item = &'p PathBuf>) -> (u64, u64) {
+    let (mut removed, mut failed) = (0, 0);
+    for path in paths {
+        match fs::remove_file(path) {
+            Ok(()) => removed += 1,
+            Err(_) => failed += 1,
         }
     }
-    out.sort_by_key(|(n, _)| *n);
-    Ok(out)
+    (removed, failed)
+}
+
+impl Layout {
+    /// The path of snapshot `n` in `dir`.
+    pub(crate) fn path(&self, dir: &Path, n: u64) -> PathBuf {
+        dir.join(format!("{}{n:0pad$}.bin", self.prefix, pad = self.pad))
+    }
+
+    /// The number in a snapshot name: `pad` or more digits (the padded
+    /// name grows a digit once `n` outgrows the pad).
+    fn parse(&self, name: &str) -> Option<u64> {
+        let digits = name.strip_prefix(self.prefix)?.strip_suffix(".bin")?;
+        (digits.len() >= self.pad && digits.bytes().all(|b| b.is_ascii_digit()))
+            .then(|| digits.parse().ok())
+            .flatten()
+    }
+
+    /// An orphaned temp file of either layout's snapshots, or one of this
+    /// layout's journal files (`{journal}` + digits and dashes + `.bin`).
+    fn is_debris(&self, name: &str) -> bool {
+        let orphan_tmp = name.ends_with(".tmp")
+            && [SINGLE.prefix, SHARDED.prefix]
+                .iter()
+                .any(|p| name.starts_with(p));
+        let journal = name
+            .strip_prefix(self.journal)
+            .and_then(|rest| rest.strip_suffix(".bin"))
+            .is_some_and(|n| !n.is_empty() && n.bytes().all(|b| b.is_ascii_digit() || b == b'-'));
+        orphan_tmp || journal
+    }
+
+    /// One scan of `dir`. A directory that does not exist holds nothing.
+    pub(crate) fn scan(&self, dir: &Path) -> std::io::Result<Scan> {
+        let mut found = Scan {
+            snapshots: Vec::new(),
+            debris: Vec::new(),
+        };
+        let entries = match fs::read_dir(dir) {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(found),
+            entries => entries?,
+        };
+        for entry in entries {
+            let entry = entry?;
+            let name = entry.file_name();
+            let Some(name) = name.to_str() else { continue };
+            if let Some(n) = self.parse(name) {
+                found.snapshots.push((n, entry.path()));
+            } else if self.is_debris(name) {
+                found.debris.push(entry.path());
+            }
+        }
+        found.snapshots.sort_by_key(|(n, _)| *n);
+        Ok(found)
+    }
+
+    /// One scan of `dir`: delete its debris and every snapshot but the
+    /// newest `keep` (never the newest one). Returns `(files removed,
+    /// unlink failures)`.
+    pub(crate) fn prune(&self, dir: &Path, keep: usize) -> std::io::Result<(u64, u64)> {
+        let Scan { snapshots, debris } = self.scan(dir)?;
+        let old = snapshots.len().saturating_sub(keep.max(1));
+        Ok(remove_all(
+            debris.iter().chain(snapshots[..old].iter().map(|(_, p)| p)),
+        ))
+    }
+
+    /// Rotation after a snapshot commits: one cleanup op that prunes to
+    /// [`CheckpointConfig::keep_snapshots`], then, when it unlinked
+    /// anything and the policy fsyncs, a directory fsync that makes the
+    /// unlinks durable. Unlink failures are counted warnings: the next
+    /// rotation retries them.
+    pub(crate) fn rotate(&self, storage: &Storage, ck: &CheckpointConfig) -> OpOutcome {
+        let (mut removed, mut failed) = (0, 0);
+        let o = storage.cleanup_op(|_| {
+            (removed, failed) = self.prune(&ck.dir, ck.keep_snapshots)?;
+            Ok(())
+        });
+        if failed > 0 {
+            storage.note_sweep_warnings(failed);
+        }
+        if o.crashed() {
+            return o;
+        }
+        if removed > 0 && ck.fsync != FsyncPolicy::Never {
+            // Op: unlinks are directory mutations too — make them durable.
+            return storage.op(false, |_| fsync_dir(&ck.dir));
+        }
+        o
+    }
+
+    /// The start-up sweep, one cleanup op on campaign start and resume:
+    /// delete the orphaned temp files a killed write left, so failed
+    /// atomic writes never accumulate. Sweeping is cleanup, not
+    /// correctness: every failure is a counted
+    /// [`StorageCounters::sweep_warnings`](crate::StorageCounters)
+    /// warning, never an error.
+    pub(crate) fn sweep(&self, storage: &Storage, dir: &Path) -> OpOutcome {
+        let mut failed = 0;
+        let o = storage.cleanup_op(|_| {
+            let debris = self.scan(dir)?.debris;
+            let tmp = debris
+                .iter()
+                .filter(|p| p.extension().is_some_and(|e| e == "tmp"));
+            failed = remove_all(tmp).1;
+            Ok(())
+        });
+        if failed > 0 {
+            storage.note_sweep_warnings(failed);
+        }
+        o
+    }
+
+    /// Archival rotation, outside any storage plane: keep only the newest
+    /// snapshot (enough to revive a killed campaign), delete the rest and
+    /// all debris, and fsync the directory when anything went. Returns
+    /// `(files removed, warnings)`; a failure is never fatal.
+    pub(crate) fn archive(&self, dir: &Path) -> (u64, u64) {
+        match self.prune(dir, 1) {
+            Ok((removed, failed)) => {
+                let synced = removed == 0 || fsync_dir(dir).is_ok();
+                (removed, failed + u64::from(!synced))
+            }
+            Err(_) => (0, 1),
+        }
+    }
+
+    /// Seal the payload encoded behind [`sealed_writer`]'s reserved header
+    /// under this layout's version and the target `fingerprint`.
+    pub(crate) fn seal(&self, w: Writer, fingerprint: u64) -> Vec<u8> {
+        seal_in_place(w.into_bytes(), self.version, fingerprint)
+    }
+
+    /// Seal `w` and write it atomically as snapshot `n` of `ck.dir`.
+    pub(crate) fn write(
+        &self,
+        storage: &Storage,
+        ck: &CheckpointConfig,
+        n: u64,
+        w: Writer,
+        fingerprint: u64,
+    ) -> OpOutcome {
+        let bytes = self.seal(w, fingerprint);
+        write_sealed(storage, &self.path(&ck.dir, n), &bytes, ck.fsync)
+    }
+
+    /// Validate sealed snapshot bytes (magic, this layout's version,
+    /// length, checksum), returning the embedded target fingerprint and
+    /// the payload.
+    pub(crate) fn open<'b>(&self, bytes: &'b [u8]) -> Result<(u64, &'b [u8]), WireError> {
+        if bytes.len() < SNAPSHOT_HEADER_LEN || &bytes[0..4] != SNAPSHOT_MAGIC {
+            return Err(WireError::Malformed("snapshot magic"));
+        }
+        let (header, payload) = bytes[4..].split_at(SNAPSHOT_HEADER_LEN - 4);
+        let mut r = Reader::new(header);
+        if r.get_u32()? != self.version {
+            return Err(WireError::Malformed("snapshot version"));
+        }
+        let (fingerprint, checksum, len) = (r.get_u64()?, r.get_u64()?, r.get_u64()?);
+        if len != payload.len() as u64 {
+            return Err(WireError::Truncated);
+        }
+        if fnv1a(payload) != checksum {
+            return Err(WireError::Malformed("snapshot checksum"));
+        }
+        Ok((fingerprint, payload))
+    }
+
+    /// The resume scrub: validate generations newest-first and return the
+    /// first that `decode(n, fingerprint, payload)` accepts, with its
+    /// number and the numbers of the corrupt generations skipped on the
+    /// way (each counted in `info` and on `storage`), newest first.
+    ///
+    /// # Errors
+    /// [`CheckpointError::NoUsableSnapshot`] when no generation validates;
+    /// [`CheckpointError::Io`] when `dir` cannot be scanned.
+    pub(crate) fn newest<T>(
+        &self,
+        storage: &Storage,
+        dir: &Path,
+        info: &mut ResumeReport,
+        mut decode: impl FnMut(u64, u64, &[u8]) -> Result<T, WireError>,
+    ) -> Result<(u64, T, Vec<u64>), CheckpointError> {
+        let mut corrupt = Vec::new();
+        for (n, path) in self.scan(dir)?.snapshots.into_iter().rev() {
+            let bytes = fs::read(&path).map_err(|_| WireError::Truncated);
+            match bytes.and_then(|b| self.open(&b).and_then(|(fp, p)| decode(n, fp, p))) {
+                Ok(found) => return Ok((n, found, corrupt)),
+                Err(_) => {
+                    info.corrupt_snapshots_skipped += 1;
+                    storage.note_corrupt_snapshot();
+                    corrupt.push(n);
+                }
+            }
+        }
+        Err(CheckpointError::NoUsableSnapshot)
+    }
 }
 
 /// Byte length of the sealed-snapshot header: magic + version + target
 /// fingerprint + checksum + payload length.
-pub(crate) const SNAPSHOT_HEADER_LEN: usize = 32;
-
-/// Seal a snapshot payload with the magic + version + target-fingerprint +
-/// checksum header. `fingerprint` is the executing module's
-/// `Module::fingerprint` (0 when the mechanism does not pin one); resume
-/// validates it against the freshly constructed executor so state recorded
-/// for one target can never be replayed onto another.
-pub(crate) fn seal_snapshot(payload: &[u8], fingerprint: u64) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity(payload.len() + SNAPSHOT_HEADER_LEN);
-    bytes.resize(SNAPSHOT_HEADER_LEN, 0);
-    bytes.extend_from_slice(payload);
-    seal_in_place(bytes, FORMAT_VERSION, fingerprint)
-}
+const SNAPSHOT_HEADER_LEN: usize = 32;
 
 /// A writer whose first [`SNAPSHOT_HEADER_LEN`] bytes are reserved for the
-/// seal: encode the payload behind them, then [`seal_in_place`], so a
-/// large snapshot is built in one buffer with no second copy.
+/// seal: encode the payload behind them, then [`Layout::seal`] or
+/// [`Layout::write`], so a large snapshot is built in one buffer with no
+/// second copy.
 pub(crate) fn sealed_writer(capacity: usize) -> Writer {
     let mut w = Writer::with_capacity(SNAPSHOT_HEADER_LEN + capacity);
     for _ in 0..SNAPSHOT_HEADER_LEN / 8 {
@@ -553,8 +774,11 @@ pub(crate) fn sealed_writer(capacity: usize) -> Writer {
 
 /// Fill in the header reserved at the front of `bytes` (magic, `version`,
 /// target fingerprint, payload checksum and length) over the payload
-/// behind it.
-pub(crate) fn seal_in_place(mut bytes: Vec<u8>, version: u32, fingerprint: u64) -> Vec<u8> {
+/// behind it. The fingerprint is the executing module's
+/// `Module::fingerprint` (0 when the mechanism pins none); resume checks
+/// it against the freshly built executor, so state recorded for one
+/// target is never replayed onto another.
+fn seal_in_place(mut bytes: Vec<u8>, version: u32, fingerprint: u64) -> Vec<u8> {
     let (header, payload) = bytes.split_at_mut(SNAPSHOT_HEADER_LEN);
     header[0..4].copy_from_slice(SNAPSHOT_MAGIC);
     header[4..8].copy_from_slice(&version.to_le_bytes());
@@ -571,7 +795,7 @@ pub(crate) fn seal_in_place(mut bytes: Vec<u8>, version: u32, fingerprint: u64) 
 /// classic rename-without-dir-fsync bug). Each of those four steps is one
 /// storage operation: a distinct retry scope, kill point, and fault-grid
 /// cell.
-pub(crate) fn write_sealed(
+fn write_sealed(
     storage: &Storage,
     final_path: &Path,
     bytes: &[u8],
@@ -634,40 +858,12 @@ pub(crate) fn write_sealed(
 }
 
 /// Capture + seal + atomically write one driver's snapshot.
-fn write_snapshot(storage: &Storage, dir: &Path, d: &Driver<'_>, fsync: FsyncPolicy) -> OpOutcome {
+fn write_snapshot(storage: &Storage, ck: &CheckpointConfig, d: &Driver<'_>) -> OpOutcome {
     let fp = d.executor.module_fingerprint().unwrap_or(0);
-    let bytes = seal_snapshot(&SnapshotState::capture(d).to_bytes(), fp);
-    write_sealed(storage, &snapshot_path(dir, d.execs), &bytes, fsync)
-}
-
-/// Validate a sealed snapshot's header + checksum against the expected
-/// format `version`, returning the embedded target fingerprint and the
-/// payload slice.
-pub(crate) fn open_sealed(bytes: &[u8], expected: u32) -> Result<(u64, &[u8]), WireError> {
-    if bytes.len() < SNAPSHOT_HEADER_LEN || &bytes[0..4] != SNAPSHOT_MAGIC {
-        return Err(WireError::Malformed("snapshot magic"));
-    }
-    let (header, payload) = bytes[4..].split_at(SNAPSHOT_HEADER_LEN - 4);
-    let mut r = Reader::new(header);
-    if r.get_u32()? != expected {
-        return Err(WireError::Malformed("snapshot version"));
-    }
-    let (fingerprint, checksum, len) = (r.get_u64()?, r.get_u64()?, r.get_u64()?);
-    if len != payload.len() as u64 {
-        return Err(WireError::Truncated);
-    }
-    if fnv1a(payload) != checksum {
-        return Err(WireError::Malformed("snapshot checksum"));
-    }
-    Ok((fingerprint, payload))
-}
-
-/// Load and validate one snapshot file, returning the state and the target
-/// fingerprint embedded in its header.
-pub(crate) fn load_snapshot(path: &Path) -> Result<(SnapshotState, u64), WireError> {
-    let bytes = fs::read(path).map_err(|_| WireError::Truncated)?;
-    let (fingerprint, payload) = open_sealed(&bytes, FORMAT_VERSION)?;
-    Ok((SnapshotState::from_bytes(payload)?, fingerprint))
+    let queued: usize = d.queue.iter().map(|e| e.data.len() + 40).sum();
+    let mut w = sealed_writer(queued + vmos::MAP_SIZE + 1024);
+    SnapshotState::capture(d).encode(&mut w);
+    SINGLE.write(storage, ck, d.execs, w, fp)
 }
 
 /// Check a snapshot's embedded target fingerprint against the executor's.
@@ -686,82 +882,6 @@ pub(crate) fn check_target(
         }
     }
     Ok(())
-}
-
-/// Remove orphaned `*.tmp` files a crashed [`write_sealed`] left behind —
-/// the process died between `File::create` and the rename, so the file is
-/// garbage by construction (a completed write always renames). Swept on
-/// campaign start, resume, and every rotation, so failed atomic writes can
-/// never accumulate in the checkpoint directory. Only snapshot-shaped
-/// names are touched; anything else in the directory is not ours to
-/// delete.
-/// Sweeping is cleanup, not correctness: every failure (an unreadable
-/// directory, an undeletable file) is a counted
-/// [`StorageCounters::sweep_warnings`](crate::StorageCounters) warning,
-/// never an error into campaign start or resume.
-pub(crate) fn sweep_orphan_tmp(storage: &Storage, dir: &Path) -> OpOutcome {
-    let mut failed = 0u64;
-    let o = storage.cleanup_op(|_| {
-        if !dir.is_dir() {
-            return Ok(());
-        }
-        for entry in fs::read_dir(dir)? {
-            let Ok(entry) = entry else {
-                failed += 1;
-                continue;
-            };
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if name.ends_with(".tmp")
-                && (name.starts_with("ckpt-") || name.starts_with("shard-ckpt-"))
-                && fs::remove_file(entry.path()).is_err()
-            {
-                failed += 1;
-            }
-        }
-        Ok(())
-    });
-    if failed > 0 {
-        storage.note_sweep_warnings(failed);
-    }
-    o
-}
-
-/// Delete snapshots beyond the newest `keep`, and every `journal-*` file
-/// an older build's per-execution journal left behind (no resume reads
-/// one). Unlink failures are counted warnings (a file we failed to delete
-/// today is retried by the next rotation); successful unlinks are made
-/// durable with a directory fsync.
-fn rotate(storage: &Storage, dir: &Path, keep: usize, fsync: FsyncPolicy) -> OpOutcome {
-    let o = sweep_orphan_tmp(storage, dir);
-    if o.crashed() {
-        return o;
-    }
-    let mut failed = 0u64;
-    let mut removed = false;
-    let o = storage.cleanup_op(|_| {
-        let snaps = list_numbered(dir, "ckpt-")?;
-        let stale = snaps.len().saturating_sub(keep.max(1));
-        let journals = list_numbered(dir, "journal-")?;
-        for (_, path) in snaps[..stale].iter().chain(&journals) {
-            match fs::remove_file(path) {
-                Ok(()) => removed = true,
-                Err(_) => failed += 1,
-            }
-        }
-        Ok(())
-    });
-    if failed > 0 {
-        storage.note_sweep_warnings(failed);
-    }
-    if o.crashed() {
-        return o;
-    }
-    if removed && fsync != FsyncPolicy::Never {
-        // Op: unlinks are directory mutations too — make them durable.
-        return storage.op(false, |_| fsync_dir(dir));
-    }
-    o
 }
 
 // ---------------------------------------------------------------------------
@@ -783,14 +903,14 @@ fn drive(
 ) -> CampaignOutcome {
     // Snapshot and rotate; `true` when a storage crash stopped the run.
     let mut checkpoint = |d: &Driver<'_>| {
-        let o = write_snapshot(storage, &ck.dir, d, ck.fsync);
+        let o = write_snapshot(storage, ck, d);
         if o == OpOutcome::Done {
             if let Some(i) = repair.iter().position(|&e| e == d.execs) {
                 repair.swap_remove(i);
                 storage.note_snapshot_repaired();
             }
         }
-        o.crashed() || rotate(storage, &ck.dir, ck.keep_snapshots, ck.fsync).crashed()
+        o.crashed() || SINGLE.rotate(storage, ck).crashed()
     };
     loop {
         if d.step() == StepOutcome::Finished {
@@ -832,12 +952,12 @@ pub(crate) fn run_checkpointed_impl<'e>(
     // directory cannot be made, the campaign degrades to in-memory
     // checkpointing instead of refusing to start.
     if storage.op(false, |_| fs::create_dir_all(&ck.dir)).crashed()
-        || sweep_orphan_tmp(&storage, &ck.dir).crashed()
+        || SINGLE.sweep(&storage, &ck.dir).crashed()
     {
         return CampaignOutcome::Killed { execs: 0 };
     }
     let d = Driver::new(executor, revalidator, seeds, cfg);
-    if write_snapshot(&storage, &ck.dir, &d, ck.fsync).crashed() {
+    if write_snapshot(&storage, ck, &d).crashed() {
         return CampaignOutcome::Killed { execs: 0 };
     }
     drive(d, ck, &storage, Vec::new())
@@ -865,32 +985,15 @@ pub(crate) fn resume_impl<'e>(
 ) -> Result<(CampaignOutcome, ResumeReport), CheckpointError> {
     let storage = storage_for(ck);
     let mut info = ResumeReport::default();
-    if sweep_orphan_tmp(&storage, &ck.dir).crashed() {
+    if SINGLE.sweep(&storage, &ck.dir).crashed() {
         return Ok((CampaignOutcome::Killed { execs: 0 }, info));
     }
-    // Scrub: checksum-verify generations newest-first. Corrupt ones are
-    // skipped and remembered — the re-run rewrites each as it passes its
-    // execution count; an unreadable directory is simply a directory with
-    // no snapshots.
-    let snaps = list_numbered(&ck.dir, "ckpt-").unwrap_or_default();
-    let mut chosen = None;
-    let mut corrupt = Vec::new();
-    for (execs, path) in snaps.iter().rev() {
-        match load_snapshot(path) {
-            Ok((state, fp)) => {
-                chosen = Some((*execs, state, fp));
-                break;
-            }
-            Err(_) => {
-                info.corrupt_snapshots_skipped += 1;
-                storage.note_corrupt_snapshot();
-                corrupt.push(*execs);
-            }
-        }
-    }
-    let Some((snapshot_execs, state, snapshot_fp)) = chosen else {
-        return Err(CheckpointError::NoUsableSnapshot);
-    };
+    // Scrub: the re-run rewrites each corrupt generation as it passes its
+    // execution count.
+    let (snapshot_execs, (state, snapshot_fp), corrupt) =
+        SINGLE.newest(&storage, &ck.dir, &mut info, |_, fp, payload| {
+            Ok((SnapshotState::from_bytes(payload)?, fp))
+        })?;
     // Validate the target identity before touching any state: all
     // snapshots in a directory share the module, so a mismatch is a
     // caller error (wrong target), not corruption to fall back from.
@@ -996,18 +1099,9 @@ mod tests {
     fn orphan_tmp_files_swept_on_next_attempt() {
         let dir = tmpdir("tmp-sweep");
         fs::create_dir_all(&dir).unwrap();
-        // A crashed write_sealed leaves these behind; a foreign .tmp file
-        // is not ours to delete.
-        fs::write(dir.join("ckpt-000000000050.tmp"), b"torn").unwrap();
-        fs::write(dir.join("shard-ckpt-000002.tmp"), b"torn").unwrap();
-        fs::write(dir.join("unrelated.tmp"), b"keep").unwrap();
-        sweep_orphan_tmp(&Storage::quiet(), &dir);
-        assert!(!dir.join("ckpt-000000000050.tmp").exists());
-        assert!(!dir.join("shard-ckpt-000002.tmp").exists());
-        assert!(dir.join("unrelated.tmp").exists());
-
-        // And the campaign entry points sweep implicitly: start a fresh
-        // checkpointed run in a directory holding another orphan.
+        // The campaign entry points sweep (the sweep itself is in
+        // `one_store_serves_both_layouts`): start a fresh checkpointed run
+        // in a directory holding the orphan a crashed write left.
         fs::write(dir.join("ckpt-000000000099.tmp"), b"torn").unwrap();
         let m = module();
         let seeds = vec![b"seed".to_vec()];
@@ -1080,6 +1174,15 @@ mod tests {
         let killed = run_checkpointed(&m, &seeds, &ck);
         assert!(matches!(killed, CampaignOutcome::Killed { execs: 97 }));
 
+        // Journal files an older build would have left for the live
+        // generation and older ones, one of them garbage: the resume reads
+        // none of them, and its first rotation deletes them.
+        let journals = ["journal-000000000040.bin", "journal-000000000080.bin"];
+        for name in journals {
+            fs::write(dir.join(name), b"CXJL stale journal bytes").unwrap();
+        }
+        fs::write(dir.join("journal-000000000000.bin"), [0xFF; 64]).unwrap();
+
         ck.kill_after_execs = None;
         let (out, info) = resume(&m, &seeds, &ck);
         assert_eq!(info.snapshot_execs, 80, "resumed from the last snapshot");
@@ -1091,6 +1194,7 @@ mod tests {
         );
         assert!(out.resilience.storage.is_quiet());
         assert!(out.resilience.supervision.is_quiet());
+        assert!(SINGLE.scan(&dir).unwrap().debris.is_empty());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1107,7 +1211,7 @@ mod tests {
         run_checkpointed(&m, &seeds, &ck);
 
         // Flip a payload bit in the newest snapshot (execs=80).
-        let newest = snapshot_path(&dir, 80);
+        let newest = SINGLE.path(&dir, 80);
         let intact = fs::read(&newest).unwrap();
         let mut bytes = intact.clone();
         let last = bytes.len() - 1;
@@ -1148,7 +1252,7 @@ mod tests {
         let mut ck = CheckpointConfig::new(&dir);
         ck.snapshot_every_execs = 40;
         let want = run_checkpointed(&m, &seeds, &ck).finished().unwrap();
-        let (execs, last) = list_numbered(&dir, "ckpt-").unwrap().pop().unwrap();
+        let (execs, last) = SINGLE.scan(&dir).unwrap().snapshots.pop().unwrap();
         assert_eq!(execs, want.execs, "the final snapshot is the newest");
         let intact = fs::read(&last).unwrap();
         fs::write(&last, &intact[..intact.len() / 2]).unwrap();
@@ -1160,64 +1264,6 @@ mod tests {
         assert_eq!(result.resilience.storage.snapshots_repaired, 1);
         assert_eq!(fs::read(&last).unwrap(), intact);
         assert_eq!(want.outcome_diff(&result), None);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    /// A per-execution journal an older build left next to its snapshots.
-    fn stray_journal(dir: &Path, base: u64) -> PathBuf {
-        let path = dir.join(format!("journal-{base:012}.bin"));
-        fs::write(&path, b"CXJL stale journal bytes").unwrap();
-        path
-    }
-
-    #[test]
-    fn stray_journals_are_ignored_by_resume() {
-        let m = module();
-        let seeds = vec![b"seed".to_vec()];
-        let reference = run_plain(&m, &seeds);
-
-        let dir = tmpdir("stray-journal");
-        let mut ck = CheckpointConfig::new(&dir);
-        ck.snapshot_every_execs = 40;
-        ck.kill_after_execs = Some(97);
-        run_checkpointed(&m, &seeds, &ck);
-        // Journals for the live generation and an older one, one of them
-        // garbage: the resume must read none of them.
-        stray_journal(&dir, 40);
-        stray_journal(&dir, 80);
-        fs::write(dir.join("journal-000000000000.bin"), [0xFF; 64]).unwrap();
-
-        ck.kill_after_execs = None;
-        let (out, info) = resume(&m, &seeds, &ck);
-        assert_eq!(info.snapshot_execs, 80);
-        let result = out.finished().unwrap();
-        assert_eq!(reference.outcome_diff(&result), None);
-        assert!(result.resilience.storage.is_quiet());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn rotation_deletes_stray_journals() {
-        let dir = tmpdir("rotate-journals");
-        fs::create_dir_all(&dir).unwrap();
-        fs::write(snapshot_path(&dir, 40), b"snap").unwrap();
-        let strays = [
-            stray_journal(&dir, 0),
-            stray_journal(&dir, 40),
-            stray_journal(&dir, 80),
-        ];
-        fs::write(dir.join("journal-notes.txt"), b"not ours").unwrap();
-        let storage = Storage::quiet();
-        assert_eq!(
-            rotate(&storage, &dir, 2, FsyncPolicy::OnSnapshot),
-            OpOutcome::Done
-        );
-        for p in &strays {
-            assert!(!p.exists(), "{} survived rotation", p.display());
-        }
-        assert!(snapshot_path(&dir, 40).exists(), "kept snapshots stay");
-        assert!(dir.join("journal-notes.txt").exists(), "foreign files stay");
-        assert_eq!(storage.counters().sweep_warnings, 0);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1282,12 +1328,208 @@ mod tests {
         ck.snapshot_every_execs = 25;
         ck.keep_snapshots = 2;
         run_checkpointed(&m, &seeds, &ck);
-        let snaps = list_numbered(&dir, "ckpt-").unwrap();
+        let snaps = SINGLE.scan(&dir).unwrap().snapshots;
         assert!(
             snaps.len() <= 2,
             "rotation must keep at most keep_snapshots files, found {}",
             snaps.len()
         );
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Names in a layout's directory: a snapshot (`Some(n)`), debris or a
+    /// foreign file, by what its scan must make of it.
+    enum Kind {
+        Snapshot(u64),
+        Debris,
+        Foreign,
+    }
+
+    /// The store's contract, once per layout: names past the pad width,
+    /// numeric order, debris against foreign files, `prune`, rotation,
+    /// the start-up sweep, archival and the newest-first scrub.
+    #[test]
+    fn one_store_serves_both_layouts() {
+        use Kind::{Debris, Foreign, Snapshot};
+        let cases: [(&Layout, [(&str, Kind); 12]); 2] = [
+            (
+                &SINGLE,
+                [
+                    ("ckpt-000000000002.bin", Snapshot(2)),
+                    ("ckpt-999999999999.bin", Snapshot(999_999_999_999)),
+                    ("ckpt-1000000000000.bin", Snapshot(1_000_000_000_000)),
+                    ("ckpt-00000000007.bin", Foreign),
+                    ("ckpt-00000000000x.bin", Foreign),
+                    ("ckpt-000000000050.tmp", Debris),
+                    ("shard-ckpt-000002.tmp", Debris),
+                    ("journal-000000000040.bin", Debris),
+                    ("journal-notes.txt", Foreign),
+                    ("shard-ckpt-000003.bin", Foreign),
+                    ("spec.bin", Foreign),
+                    ("unrelated.tmp", Foreign),
+                ],
+            ),
+            (
+                &SHARDED,
+                [
+                    ("shard-ckpt-000002.bin", Snapshot(2)),
+                    ("shard-ckpt-999999.bin", Snapshot(999_999)),
+                    ("shard-ckpt-1000000.bin", Snapshot(1_000_000)),
+                    ("shard-ckpt-00007.bin", Foreign),
+                    ("shard-ckpt-00000x.bin", Foreign),
+                    ("shard-ckpt-000008.tmp", Debris),
+                    ("ckpt-000000000050.tmp", Debris),
+                    ("shard-journal-000003-002.bin", Debris),
+                    ("shard-journal-notes.txt", Foreign),
+                    ("ckpt-000000000001.bin", Foreign),
+                    ("spec.bin", Foreign),
+                    ("unrelated.tmp", Foreign),
+                ],
+            ),
+        ];
+        for (layout, names) in &cases {
+            let tag = layout.prefix.trim_end_matches('-');
+            // Names round-trip at every width, the pad's and past it; a
+            // number too wide for a u64 names no snapshot.
+            for n in [0, 7, 999_999, 1_000_000, 12_345_678, u64::MAX] {
+                let path = layout.path(Path::new("/ckpt"), n);
+                let name = path.file_name().and_then(|n| n.to_str()).unwrap();
+                assert_eq!(layout.parse(name), Some(n), "{name}");
+            }
+            let too_wide = format!("{}99999999999999999999999.bin", layout.prefix);
+            assert_eq!(layout.parse(&too_wide), None);
+
+            // One scan sorts snapshots numerically and tells debris from
+            // foreign files.
+            let dir = tmpdir(&format!("store-{tag}"));
+            fs::create_dir_all(&dir).unwrap();
+            for (name, _) in names {
+                fs::write(dir.join(name), b"bytes").unwrap();
+            }
+            let scan = layout.scan(&dir).unwrap();
+            let numbers: Vec<u64> = scan.snapshots.iter().map(|(n, _)| *n).collect();
+            let want: Vec<u64> = names
+                .iter()
+                .filter_map(|(_, k)| match k {
+                    Snapshot(n) => Some(*n),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(numbers, want, "{tag}: ascending by number");
+            let mut debris: Vec<String> = scan
+                .debris
+                .iter()
+                .map(|p| p.file_name().unwrap().to_string_lossy().into_owned())
+                .collect();
+            debris.sort();
+            let mut want: Vec<&str> = names
+                .iter()
+                .filter(|(_, k)| matches!(k, Debris))
+                .map(|(n, _)| *n)
+                .collect();
+            want.sort();
+            assert_eq!(debris, want, "{tag}: debris");
+            let on_disk = |dir: &Path| {
+                let mut left: Vec<String> = fs::read_dir(dir)
+                    .unwrap()
+                    .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+                    .collect();
+                left.sort();
+                left
+            };
+            let foreign: Vec<&str> = names
+                .iter()
+                .filter(|(_, k)| matches!(k, Foreign))
+                .map(|(n, _)| *n)
+                .collect();
+            let with = |kept: &[&str]| {
+                let mut all: Vec<String> =
+                    foreign.iter().chain(kept).map(|n| n.to_string()).collect();
+                all.sort();
+                all
+            };
+
+            // The start-up sweep deletes only orphaned temp files.
+            let storage = Storage::quiet();
+            assert_eq!(layout.sweep(&storage, &dir), OpOutcome::Done);
+            let journal = names[7].0;
+            let kept = [names[0].0, names[1].0, names[2].0, journal];
+            assert_eq!(on_disk(&dir), with(&kept), "{tag}: sweep");
+
+            // Rotation prunes in one scan: the newest `keep` snapshots and
+            // the foreign files stay, older snapshots and debris go.
+            let ck = CheckpointConfig {
+                keep_snapshots: 2,
+                ..CheckpointConfig::new(&dir)
+            };
+            assert_eq!(layout.rotate(&storage, &ck), OpOutcome::Done);
+            assert_eq!(on_disk(&dir), with(&[names[1].0, names[2].0]), "{tag}");
+            assert!(storage.counters().is_quiet(), "{:?}", storage.counters());
+
+            // Archival keeps the newest snapshot only, and is idempotent.
+            fs::write(dir.join(journal), b"bytes").unwrap();
+            assert_eq!(
+                layout.archive(&dir),
+                (2, 0),
+                "{tag}: one snapshot, one journal"
+            );
+            assert_eq!(on_disk(&dir), with(&[names[2].0]), "{tag}");
+            assert_eq!(layout.archive(&dir), (0, 0));
+            // Without snapshots, archival and prune only clear debris.
+            fs::remove_file(dir.join(names[2].0)).unwrap();
+            fs::write(dir.join(journal), b"bytes").unwrap();
+            assert_eq!(layout.archive(&dir), (1, 0));
+            assert_eq!(on_disk(&dir), with(&[]), "{tag}");
+
+            // The scrub: newest-first, a corrupt newest generation and a
+            // foreign layout's seal are skipped, counted and remembered;
+            // debris is never read.
+            let seal = |n: u64| {
+                let mut w = sealed_writer(8);
+                n.encode(&mut w);
+                w
+            };
+            for n in [1u64, 2, 3] {
+                assert_eq!(
+                    layout.write(&storage, &ck, n, seal(n), 0xF00D),
+                    OpOutcome::Done
+                );
+            }
+            fs::write(dir.join(journal), [0xFF; 64]).unwrap();
+            let newest = layout.path(&dir, 3);
+            let mut bytes = fs::read(&newest).unwrap();
+            *bytes.last_mut().unwrap() ^= 0x40;
+            fs::write(&newest, &bytes).unwrap();
+            let other = if layout.version == SINGLE.version {
+                &SHARDED
+            } else {
+                &SINGLE
+            };
+            fs::write(layout.path(&dir, 2), other.seal(seal(2), 0xF00D)).unwrap();
+            let mut info = ResumeReport::default();
+            let decode = |n, fp, payload: &[u8]| {
+                assert_eq!(fp, 0xF00D);
+                assert_eq!(u64::from_bytes(payload)?, n, "payload of snapshot {n}");
+                Ok(n)
+            };
+            let found = layout.newest(&storage, &dir, &mut info, decode).unwrap();
+            assert_eq!(
+                found,
+                (1, 1, vec![3, 2]),
+                "{tag}: fell back two generations"
+            );
+            assert_eq!(info.corrupt_snapshots_skipped, 2);
+            assert_eq!(storage.counters().corrupt_snapshots, 2);
+            fs::remove_file(layout.path(&dir, 1)).unwrap();
+            assert!(matches!(
+                layout.newest(&storage, &dir, &mut info, decode),
+                Err(CheckpointError::NoUsableSnapshot)
+            ));
+            let _ = fs::remove_dir_all(&dir);
+            assert!(matches!(
+                layout.newest(&storage, &dir, &mut info, decode),
+                Err(CheckpointError::NoUsableSnapshot)
+            ));
+        }
     }
 }

@@ -15,7 +15,7 @@ use vmos::{
 use crate::builder::Campaign;
 use crate::campaign::{CampaignConfig, Stage};
 use crate::checkpoint::{
-    load_snapshot, seal_snapshot, CampaignOutcome, CheckpointConfig, Scalars, SnapshotState,
+    sealed_writer, CampaignOutcome, CheckpointConfig, Scalars, SnapshotState, SINGLE,
 };
 use crate::queue::QueueEntry;
 use crate::stats::{CampaignResult, CrashRecord};
@@ -198,6 +198,19 @@ pub(crate) const RESUME_TARGET: &str = r#"
     }
 "#;
 
+/// `state` sealed as a single-driver snapshot file's bytes.
+fn seal(state: &SnapshotState) -> Vec<u8> {
+    let mut w = sealed_writer(0);
+    state.encode(&mut w);
+    SINGLE.seal(w, 0)
+}
+
+/// The state in a single-driver snapshot file's bytes, as the resume
+/// scrub validates and decodes it.
+fn load(bytes: &[u8]) -> Result<SnapshotState, vmos::WireError> {
+    SnapshotState::from_bytes(SINGLE.open(bytes)?.1)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -217,48 +230,26 @@ proptest! {
         let _ = SnapshotState::from_bytes(&bytes);
     }
 
-    /// A sealed snapshot file with any single bit flipped is rejected by
+    /// A sealed snapshot with any single bit flipped is rejected by
     /// validation — never accepted, never a panic.
     #[test]
     fn bit_flipped_snapshot_rejected(
         state in arb_snapshot(),
         flip_bit in any::<u32>(),
     ) {
-        let mut sealed = seal_snapshot(&state.to_bytes(), 0);
+        let mut sealed = seal(&state);
         let nbits = sealed.len() * 8;
         let bit = flip_bit as usize % nbits;
         sealed[bit / 8] ^= 1 << (bit % 8);
-
-        let dir = std::env::temp_dir().join(format!(
-            "closurex-prop-flip-{}-{}",
-            std::process::id(),
-            bit
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("ckpt-000000000000.bin");
-        std::fs::write(&path, &sealed).unwrap();
-        let res = load_snapshot(&path);
-        let _ = std::fs::remove_dir_all(&dir);
-        prop_assert!(res.is_err(), "flipped bit {bit} went undetected");
+        prop_assert!(load(&sealed).is_err(), "flipped bit {bit} went undetected");
     }
 
-    /// A truncated snapshot file is rejected — never accepted, never a
-    /// panic.
+    /// A truncated snapshot is rejected — never accepted, never a panic.
     #[test]
     fn truncated_snapshot_rejected(state in arb_snapshot(), cut in any::<u32>()) {
-        let sealed = seal_snapshot(&state.to_bytes(), 0);
+        let sealed = seal(&state);
         let keep = cut as usize % sealed.len(); // strictly shorter
-        let dir = std::env::temp_dir().join(format!(
-            "closurex-prop-trunc-{}-{}",
-            std::process::id(),
-            keep
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("ckpt-000000000000.bin");
-        std::fs::write(&path, &sealed[..keep]).unwrap();
-        let res = load_snapshot(&path);
-        let _ = std::fs::remove_dir_all(&dir);
-        prop_assert!(res.is_err(), "truncation to {keep} bytes went undetected");
+        prop_assert!(load(&sealed[..keep]).is_err(), "truncation to {keep} bytes went undetected");
     }
 }
 

@@ -991,7 +991,8 @@ impl ReplyJournal {
     }
 
     /// Rewrite the file from the bounded in-memory state (dropping
-    /// evicted records), atomically via tmp + rename.
+    /// evicted records), atomically via tmp + fsync + rename, then fsync
+    /// the directory so the rename itself survives a power loss.
     fn compact(&mut self) {
         let tmp = self.path.with_extension("tmp");
         let mut ids: Vec<u64> = self.sessions.keys().copied().collect();
@@ -1012,7 +1013,8 @@ impl ReplyJournal {
                 }
             }
             f.sync_all()?;
-            std::fs::rename(&tmp, &self.path)
+            std::fs::rename(&tmp, &self.path)?;
+            self.path.parent().map_or(Ok(()), crate::storage::fsync_dir)
         })();
         match res {
             Ok(()) => self.file_bytes = bytes_written,

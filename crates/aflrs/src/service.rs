@@ -53,6 +53,7 @@
 //! observables Görz et al. recommend watching instead of raw exec/s.
 
 use std::fs;
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -63,12 +64,13 @@ use vmos::{wire_enum, wire_struct, Reader, Wire, WireError, Writer};
 
 use crate::builder::Isolation;
 use crate::campaign::CampaignConfig;
-use crate::checkpoint::{CheckpointConfig, FsyncPolicy, ResumeReport};
+use crate::checkpoint::{CheckpointConfig, FsyncPolicy, ResumeReport, SHARDED};
 use crate::shard::{
     EpochSession, EpochStatus, SessionProgress, SessionStart, ShardPlan, DEFAULT_LANES,
     DEFAULT_SYNC_EPOCHS,
 };
 use crate::stats::CampaignResult;
+use crate::storage::fsync_dir;
 use crate::supervise::SupervisorConfig;
 
 /// `spec.bin` wire-format version; bump on any layout change. Other
@@ -321,7 +323,7 @@ pub struct ServiceConfig {
     /// churn-identity evaluation arms this, kills the service, and
     /// restores with it disarmed.
     pub kill_after_execs: Option<u64>,
-    /// Checkpoint flush policy for every tenant.
+    /// Flush policy for every tenant's checkpoints and `spec.bin`.
     pub fsync: FsyncPolicy,
     /// Lane supervision config for every tenant.
     pub supervision: SupervisorConfig,
@@ -625,9 +627,10 @@ impl Service {
     /// Restart a service over a directory a previous (possibly killed)
     /// service used: every persisted `spec.bin` is re-admitted — capacity
     /// is not enforced against prior commitments — and every campaign
-    /// with on-disk state resumes from its newest valid snapshot. Tenant
-    /// directories without checkpoint state (admitted, never granted)
-    /// start from scratch.
+    /// with on-disk state resumes from its newest valid snapshot. A tenant
+    /// directory without a shard snapshot (admitted and never granted, or
+    /// killed while laying down its first snapshot, which leaves only an
+    /// orphaned temp file) starts from scratch.
     ///
     /// # Errors
     /// [`AdmissionError::Io`] when the directory cannot be scanned or a
@@ -655,11 +658,10 @@ impl Service {
             let bytes = fs::read(dir.join(SPEC_FILE)).map_err(AdmissionError::Io)?;
             let spec = CampaignSpec::from_bytes(&bytes)
                 .map_err(|_| AdmissionError::InvalidSpec("corrupt spec.bin"))?;
-            // On-disk campaign state = any shard snapshot generation.
-            let has_state = fs::read_dir(&dir).map_err(AdmissionError::Io)?.any(|e| {
-                e.map(|e| e.file_name().to_string_lossy().starts_with("shard-"))
-                    .unwrap_or(false)
-            });
+            // On-disk campaign state = a shard snapshot generation. Debris
+            // (an orphaned temp file, an old lane journal) is not state.
+            let scan = SHARDED.scan(&dir).map_err(AdmissionError::Io)?;
+            let has_state = !scan.snapshots.is_empty();
             service.admit(spec, has_state, false)?;
         }
         Ok(service)
@@ -716,8 +718,7 @@ impl Service {
         // Durable admission: spec.bin reaches the tenant directory before
         // the tenant exists in memory, so a service killed right here
         // restores the campaign instead of forgetting it.
-        let dir = self.shared.cfg.dir.join(&spec.name);
-        if let Err(e) = write_spec(&dir, &spec) {
+        if let Err(e) = write_spec(&self.shared.cfg, &spec) {
             return reject(&mut st, AdmissionError::Io(e));
         }
         let id = st.tenants.len();
@@ -961,12 +962,27 @@ impl CampaignHandle {
     }
 }
 
-/// Atomically persist `spec.bin` into the tenant directory.
-fn write_spec(dir: &std::path::Path, spec: &CampaignSpec) -> std::io::Result<()> {
-    fs::create_dir_all(dir)?;
+/// Atomically persist `spec.bin` into the tenant directory: temp file,
+/// then rename. Unless [`ServiceConfig::fsync`] is
+/// [`FsyncPolicy::Never`], the temp file is fsynced before the rename,
+/// and the tenant directory (the rename) and the service root (a new
+/// tenant directory's entry) after it, so the spec survives a power loss.
+fn write_spec(cfg: &ServiceConfig, spec: &CampaignSpec) -> std::io::Result<()> {
+    let dir = cfg.dir.join(&spec.name);
+    fs::create_dir_all(&dir)?;
     let tmp = dir.join("spec.bin.tmp");
-    fs::write(&tmp, spec.to_bytes())?;
-    fs::rename(&tmp, dir.join(SPEC_FILE))
+    let mut f = fs::File::create(&tmp)?;
+    f.write_all(&spec.to_bytes())?;
+    let durable = cfg.fsync != FsyncPolicy::Never;
+    if durable {
+        f.sync_data()?;
+    }
+    fs::rename(&tmp, dir.join(SPEC_FILE))?;
+    if durable {
+        fsync_dir(&dir)?;
+        fsync_dir(&cfg.dir)?;
+    }
+    Ok(())
 }
 
 /// What a worker carries out of the scheduler lock for one grant.
@@ -1112,7 +1128,7 @@ fn worker_loop(shared: &Shared) {
         // stall grant scheduling. The victims are already claimed
         // (`archived = true`), so concurrent workers never double-sweep.
         for name in archive {
-            let (_, warnings) = crate::shard::archive_shard_dir(&shared.cfg.dir.join(&name));
+            let (_, warnings) = SHARDED.archive(&shared.cfg.dir.join(&name));
             let mut st = shared.state.lock().expect("service state poisoned");
             st.archived_tenants += 1;
             st.archive_warnings += warnings;

@@ -50,7 +50,9 @@
 //! holds the merged queue, virgin map and crash records once, plus every
 //! lane's scalars and exported executor state, sealed under the same
 //! fingerprint-carrying header as single-driver snapshots with a format
-//! version of its own (`SHARD_FORMAT_VERSION`). Lanes write nothing
+//! version of its own (`SHARD_FORMAT_VERSION`). The files are the
+//! sharded layout of the one snapshot store in [`crate::checkpoint`],
+//! which also rotates, sweeps and scrubs them. Lanes write nothing
 //! between barriers, and `CheckpointConfig::snapshot_every_execs` is
 //! ignored: the epoch barrier is the snapshot cadence.
 //!
@@ -63,7 +65,6 @@
 
 use std::collections::HashMap;
 use std::fs;
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use closurex::checkpoint::ExecutorState;
@@ -76,14 +77,13 @@ use vmos::{wire_struct, OrchFaultKind, OrchFaultPlan, Wire, WireError};
 use crate::builder::{CampaignError, Isolation};
 use crate::campaign::{CampaignConfig, Driver, Stage, StepOutcome};
 use crate::checkpoint::{
-    check_target, open_sealed, seal_in_place, sealed_writer, storage_for, sweep_orphan_tmp,
-    write_sealed, CampaignOutcome, CheckpointConfig, CheckpointError, FsyncPolicy, ResumeReport,
-    Scalars, SnapshotState,
+    check_target, sealed_writer, storage_for, CampaignOutcome, CheckpointConfig, CheckpointError,
+    ResumeReport, Scalars, SnapshotState, SHARDED,
 };
 use crate::proc::ProcRunner;
 use crate::queue::QueueEntry;
 use crate::stats::{CampaignResult, CrashRecord, ResilienceCounters};
-use crate::storage::{fsync_dir, OpOutcome, Storage};
+use crate::storage::{OpOutcome, Storage};
 use crate::supervise::{
     self, LaneDegradation, LaneFault, Supervisor, SupervisorConfig, INJECTED_PANIC_MARKER,
 };
@@ -743,72 +743,6 @@ impl Global {
 // Sharded checkpoint files.
 // ---------------------------------------------------------------------------
 
-/// Shard snapshot format version, separate from the single-driver
-/// [`crate::checkpoint`] version. v4: the merged collections once, then
-/// each lane's scalars and executor state (v3 and older held one full
-/// lane snapshot per lane and are refused, never misparsed).
-pub(crate) const SHARD_FORMAT_VERSION: u32 = 4;
-
-pub(crate) fn shard_snapshot_path(dir: &Path, epoch: u64) -> PathBuf {
-    dir.join(format!("shard-ckpt-{epoch:06}.bin"))
-}
-
-/// The epoch of a `shard-ckpt-N.bin` name. [`shard_snapshot_path`] pads to
-/// six digits and writes more past epoch 999,999, so any run of six or
-/// more digits is accepted.
-fn parse_shard_snapshot(name: &str) -> Option<u64> {
-    let rest = name.strip_prefix("shard-ckpt-")?.strip_suffix(".bin")?;
-    (rest.len() >= 6 && rest.bytes().all(|b| b.is_ascii_digit()))
-        .then(|| rest.parse().ok())
-        .flatten()
-}
-
-/// What one scan of a sharded checkpoint directory finds.
-struct ShardDir {
-    /// Shard snapshots, ascending by epoch.
-    snapshots: Vec<(u64, PathBuf)>,
-    /// Files the sharded engine never reads and may always delete:
-    /// orphaned snapshot temp files, and per-lane `shard-journal-*` files
-    /// an older build left behind.
-    debris: Vec<PathBuf>,
-}
-
-fn scan_shard_dir(dir: &Path) -> std::io::Result<ShardDir> {
-    let mut found = ShardDir {
-        snapshots: Vec::new(),
-        debris: Vec::new(),
-    };
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let orphan_tmp = name.ends_with(".tmp")
-            && (name.starts_with("ckpt-") || name.starts_with("shard-ckpt-"));
-        if let Some(epoch) = parse_shard_snapshot(name) {
-            found.snapshots.push((epoch, entry.path()));
-        } else if orphan_tmp || name.starts_with("shard-journal-") {
-            found.debris.push(entry.path());
-        }
-    }
-    found.snapshots.sort_by_key(|(n, _)| *n);
-    Ok(found)
-}
-
-/// One scan of `dir`: delete its debris and every shard snapshot but the
-/// newest `keep`. Returns `(files removed, unlink failures)`.
-fn prune_shard_dir(dir: &Path, keep: usize) -> std::io::Result<(u64, u64)> {
-    let ShardDir { snapshots, debris } = scan_shard_dir(dir)?;
-    let old = snapshots.len().saturating_sub(keep);
-    let (mut removed, mut failed) = (0, 0);
-    for path in debris.iter().chain(snapshots[..old].iter().map(|(_, p)| p)) {
-        match fs::remove_file(path) {
-            Ok(()) => removed += 1,
-            Err(_) => failed += 1,
-        }
-    }
-    Ok((removed, failed))
-}
-
 /// Seal and write the barrier snapshot for `epoch`: the merged
 /// collections once, then each lane's scalars and exported executor
 /// state, encoded into one buffer and sealed in place.
@@ -831,13 +765,7 @@ fn write_shard_snapshot(
     for lane in lanes {
         lane.encode(&mut w);
     }
-    let bytes = seal_in_place(w.into_bytes(), SHARD_FORMAT_VERSION, fingerprint);
-    write_sealed(
-        storage,
-        &shard_snapshot_path(&ck.dir, epoch),
-        &bytes,
-        ck.fsync,
-    )
+    SHARDED.write(storage, ck, epoch, w, fingerprint)
 }
 
 /// A loaded and validated shard snapshot.
@@ -849,93 +777,23 @@ struct ShardSnapshot {
     fingerprint: u64,
 }
 
-fn load_shard_snapshot(path: &Path) -> Result<ShardSnapshot, WireError> {
-    let bytes = fs::read(path).map_err(|_| WireError::Truncated)?;
-    let (fingerprint, payload) = open_sealed(&bytes, SHARD_FORMAT_VERSION)?;
-    let (epoch, (entries, virgin, crashes), lanes) = Wire::from_bytes(payload)?;
+/// Decode the payload of shard snapshot `epoch`; a payload that names
+/// another epoch is corrupt.
+fn decode_shard_snapshot(
+    epoch: u64,
+    fingerprint: u64,
+    payload: &[u8],
+) -> Result<ShardSnapshot, WireError> {
+    let (sealed_epoch, (entries, virgin, crashes), lanes): (u64, _, _) = Wire::from_bytes(payload)?;
+    if sealed_epoch != epoch {
+        return Err(WireError::Malformed("shard snapshot epoch"));
+    }
     Ok(ShardSnapshot {
         epoch,
         global: Global::from_parts(entries, virgin, crashes),
         lanes,
         fingerprint,
     })
-}
-
-/// The snapshot a sharded resume starts from: the newest one that
-/// validates, skipping (and counting) corrupt ones. A pre-v4 shard
-/// snapshot never validates, so a directory holding only those resumes
-/// to a typed error; lane journals an older build left are never read.
-fn load_newest_shard_snapshot(
-    storage: &Storage,
-    ck: &CheckpointConfig,
-    lanes: usize,
-    info: &mut ResumeReport,
-) -> Result<ShardSnapshot, CampaignError> {
-    let snaps = scan_shard_dir(&ck.dir)
-        .map_err(CheckpointError::Io)?
-        .snapshots;
-    let mut chosen = None;
-    for (epoch, path) in snaps.iter().rev() {
-        match load_shard_snapshot(path) {
-            Ok(snap) if snap.epoch == *epoch => {
-                chosen = Some(snap);
-                break;
-            }
-            _ => {
-                info.corrupt_snapshots_skipped += 1;
-                storage.note_corrupt_snapshot();
-            }
-        }
-    }
-    let snap = chosen.ok_or(CampaignError::Checkpoint(CheckpointError::NoUsableSnapshot))?;
-    if snap.lanes.len() != lanes {
-        return Err(CampaignError::Config(
-            "shard snapshot lane count disagrees with the configured lanes",
-        ));
-    }
-    info.snapshot_execs = snap.lanes.iter().map(|l| l.scalars.execs).sum();
-    Ok(snap)
-}
-
-/// Archival rotation for a terminal tenant: keep only the single newest
-/// shard snapshot (the sealed archive) — exactly what
-/// [`EpochSession::resume`] needs to revive a killed campaign — and delete
-/// every older generation and all debris, in one directory scan.
-/// `spec.bin` and any other foreign file are untouched. Returns
-/// `(files removed, warnings)`; failures are never fatal — callers surface
-/// the warning count and the extra files simply linger.
-pub(crate) fn archive_shard_dir(dir: &Path) -> (u64, u64) {
-    match prune_shard_dir(dir, 1) {
-        Ok((removed, failed)) => {
-            let synced = removed == 0 || fsync_dir(dir).is_ok();
-            (removed, failed + u64::from(!synced))
-        }
-        Err(_) => (0, 1),
-    }
-}
-
-/// The barrier's directory upkeep, in one scan: keep the newest `keep`
-/// shard snapshots and delete older ones and all debris. Unlink failures
-/// are counted warnings; successful unlinks are made durable with a
-/// directory fsync (mirroring the single-driver rotation).
-pub(crate) fn rotate_shards(storage: &Storage, ck: &CheckpointConfig) -> OpOutcome {
-    let dir = &ck.dir;
-    let (mut removed, mut failed) = (0, 0);
-    let o = storage.cleanup_op(|_| {
-        (removed, failed) = prune_shard_dir(dir, ck.keep_snapshots.max(1))?;
-        Ok(())
-    });
-    if failed > 0 {
-        storage.note_sweep_warnings(failed);
-    }
-    if o.crashed() {
-        return o;
-    }
-    if removed > 0 && ck.fsync != FsyncPolicy::Never {
-        // Op: unlinks are directory mutations too — make them durable.
-        return storage.op(false, |_| fsync_dir(dir));
-    }
-    o
 }
 
 // ---------------------------------------------------------------------------
@@ -1066,7 +924,7 @@ impl EpochSession {
         let session = Self::open(factory, seeds, cfg, plan, ck, storage, sup_cfg, None)?;
         if let (Some(ck), Some(st)) = (ck, session.storage.as_ref()) {
             if st.op(false, |_| fs::create_dir_all(&ck.dir)).crashed()
-                || sweep_orphan_tmp(st, &ck.dir).crashed()
+                || SHARDED.sweep(st, &ck.dir).crashed()
                 || session.write_snapshot(0).crashed()
             {
                 return Ok(SessionStart::Dead { execs: 0 });
@@ -1089,10 +947,18 @@ impl EpochSession {
     ) -> Result<(SessionStart, ResumeReport), CampaignError> {
         let mut info = ResumeReport::default();
         let storage = storage_for(ck);
-        if sweep_orphan_tmp(&storage, &ck.dir).crashed() {
+        if SHARDED.sweep(&storage, &ck.dir).crashed() {
             return Ok((SessionStart::Dead { execs: 0 }, info));
         }
-        let snap = load_newest_shard_snapshot(&storage, ck, plan.lanes.max(1), &mut info)?;
+        // A pre-v4 shard snapshot never validates, so a directory holding
+        // only those resumes to a typed error.
+        let (_, snap, _) = SHARDED.newest(&storage, &ck.dir, &mut info, decode_shard_snapshot)?;
+        if snap.lanes.len() != plan.lanes.max(1) {
+            return Err(CampaignError::Config(
+                "shard snapshot lane count disagrees with the configured lanes",
+            ));
+        }
+        info.snapshot_execs = snap.lanes.iter().map(|l| l.scalars.execs).sum();
         info.sweep_warnings = storage.counters().sweep_warnings;
         // Warm the process-wide decoded-image cache *before* any executor
         // is built — construction lowers eagerly on a cold cache, which
@@ -1275,7 +1141,7 @@ impl EpochSession {
             b.scalars = lane.state.scalars.clone();
         }
         if let (Some(ck), Some(st)) = (self.ck.as_ref(), self.storage.as_ref()) {
-            if self.write_snapshot(self.epoch + 1).crashed() || rotate_shards(st, ck).crashed() {
+            if self.write_snapshot(self.epoch + 1).crashed() || SHARDED.rotate(st, ck).crashed() {
                 return Ok(EpochStatus::Killed {
                     execs: self.lanes_execs(),
                 });
@@ -1449,6 +1315,7 @@ impl EpochSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::{Path, PathBuf};
 
     #[test]
     fn lane_budgets_sum_to_total() {
@@ -1486,124 +1353,6 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).expect("tempdir");
         dir
-    }
-
-    fn names(dir: &Path) -> Vec<String> {
-        let mut left: Vec<String> = fs::read_dir(dir)
-            .expect("dir")
-            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
-            .collect();
-        left.sort();
-        left
-    }
-
-    /// Per-lane journals an older build wrote next to its snapshots.
-    fn stray_journal(dir: &Path, epoch: u64, lane: usize) -> PathBuf {
-        let path = dir.join(format!("shard-journal-{epoch:06}-{lane:03}.bin"));
-        fs::write(&path, b"CXJL stale journal bytes").expect("write");
-        path
-    }
-
-    #[test]
-    fn archive_keeps_newest_snapshot_and_deletes_stray_journals() {
-        let dir = temp_dir("archive");
-        for epoch in [1u64, 3, 7] {
-            fs::write(shard_snapshot_path(&dir, epoch), b"snap").expect("write");
-        }
-        for epoch in 0..9u64 {
-            stray_journal(&dir, epoch, 0);
-        }
-        fs::write(dir.join("shard-ckpt-000008.tmp"), b"torn").expect("write");
-        fs::write(dir.join("spec.bin"), b"spec").expect("write");
-        fs::write(dir.join("foreign.bin"), b"not ours").expect("write");
-
-        let (removed, warnings) = archive_shard_dir(&dir);
-        assert_eq!(warnings, 0);
-        // 2 older snapshots, 9 journals, 1 orphaned temp file.
-        assert_eq!(removed, 2 + 9 + 1);
-        assert_eq!(
-            names(&dir),
-            ["foreign.bin", "shard-ckpt-000007.bin", "spec.bin"],
-            "only the sealed snapshot and non-shard files survive"
-        );
-        // Idempotent: a second sweep finds nothing to remove.
-        assert_eq!(archive_shard_dir(&dir), (0, 0));
-        let _ = fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn archive_without_snapshots_only_clears_debris() {
-        let dir = temp_dir("archive-empty");
-        let journal = stray_journal(&dir, 0, 0);
-        fs::write(dir.join("spec.bin"), b"spec").expect("write");
-        assert_eq!(archive_shard_dir(&dir), (1, 0));
-        assert!(!journal.exists());
-        assert_eq!(names(&dir), ["spec.bin"]);
-        let _ = fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn rotation_keeps_the_newest_snapshots_in_one_scan_and_deletes_stray_journals() {
-        let dir = temp_dir("rotate");
-        for epoch in 0..5u64 {
-            fs::write(shard_snapshot_path(&dir, epoch), b"snap").expect("write");
-            stray_journal(&dir, epoch, 1);
-        }
-        fs::write(dir.join("shard-ckpt-000005.tmp"), b"torn").expect("write");
-        fs::write(dir.join("spec.bin"), b"spec").expect("write");
-        let ck = CheckpointConfig {
-            keep_snapshots: 2,
-            ..CheckpointConfig::new(&dir)
-        };
-        let storage = Storage::quiet();
-        assert_eq!(rotate_shards(&storage, &ck), OpOutcome::Done);
-        assert_eq!(
-            names(&dir),
-            ["shard-ckpt-000003.bin", "shard-ckpt-000004.bin", "spec.bin"]
-        );
-        assert!(storage.counters().is_quiet(), "{:?}", storage.counters());
-        let _ = fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn shard_file_names_round_trip() {
-        assert_eq!(parse_shard_snapshot("shard-ckpt-000007.bin"), Some(7));
-        assert_eq!(parse_shard_snapshot("shard-ckpt-7.bin"), None);
-        assert_eq!(parse_shard_snapshot("shard-ckpt-00007.bin"), None);
-        assert_eq!(parse_shard_snapshot("shard-ckpt-00000x.bin"), None);
-        assert_eq!(parse_shard_snapshot("ckpt-000000000001.bin"), None);
-        assert_eq!(parse_shard_snapshot("shard-journal-000003-002.bin"), None);
-        // Past epoch 999,999 the padded name grows a seventh digit, and it
-        // must stay visible to resume and rotation.
-        let dir = Path::new("/ckpt");
-        for epoch in [0, 7, 999_999, 1_000_000, 12_345_678, u64::MAX] {
-            let path = shard_snapshot_path(dir, epoch);
-            let name = path
-                .file_name()
-                .and_then(|n| n.to_str())
-                .expect("utf-8 name");
-            assert_eq!(parse_shard_snapshot(name), Some(epoch), "{name}");
-        }
-        assert_eq!(
-            parse_shard_snapshot("shard-ckpt-99999999999999999999999.bin"),
-            None
-        );
-    }
-
-    #[test]
-    fn scan_orders_snapshots_numerically_past_six_digits() {
-        let dir = temp_dir("scan");
-        for epoch in [1_000_000u64, 999_999, 2] {
-            fs::write(shard_snapshot_path(&dir, epoch), b"snap").expect("write");
-        }
-        let epochs: Vec<u64> = scan_shard_dir(&dir)
-            .expect("scan")
-            .snapshots
-            .into_iter()
-            .map(|(e, _)| e)
-            .collect();
-        assert_eq!(epochs, [2, 999_999, 1_000_000]);
-        let _ = fs::remove_dir_all(dir);
     }
 
     /// A 2-lane, 3-epoch checkpointed campaign over the property-test
@@ -1650,7 +1399,7 @@ mod tests {
         let dir = temp_dir("v3");
         // The v3 layout: epoch, lane count, then one full snapshot per
         // lane, sealed under the single-driver format version.
-        let mut w = vmos::Writer::new();
+        let mut w = sealed_writer(0);
         w.put_u64(1);
         w.put_usize(2);
         for _ in 0..2 {
@@ -1678,14 +1427,10 @@ mod tests {
             };
             w.put_bytes(&st.to_bytes());
         }
-        let v3 = crate::checkpoint::seal_snapshot(&w.into_bytes(), 0);
+        let v3 = crate::checkpoint::SINGLE.seal(w, 0);
         assert_eq!(&v3[4..8], &3u32.to_le_bytes(), "sealed as v3");
-        let path = shard_snapshot_path(&dir, 1);
-        fs::write(&path, &v3).expect("write");
-        assert!(
-            load_shard_snapshot(&path).is_err(),
-            "a v3 file must not parse as v4"
-        );
+        assert!(SHARDED.open(&v3).is_err(), "a v3 file must not parse as v4");
+        fs::write(SHARDED.path(&dir, 1), &v3).expect("write");
         match campaign(&dir, None, true) {
             Err(CampaignError::Checkpoint(CheckpointError::NoUsableSnapshot)) => {}
             other => panic!("expected NoUsableSnapshot, got {other:?}"),
@@ -1706,33 +1451,6 @@ mod tests {
             Err(CampaignError::Checkpoint(CheckpointError::TargetMismatch { .. })) => {}
             other => panic!("expected TargetMismatch, got {other:?}"),
         }
-        let _ = fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn stray_lane_journals_are_ignored_by_resume() {
-        let dir = temp_dir("stray");
-        let want = campaign(&dir, None, false)
-            .expect("run")
-            .finished()
-            .expect("no kill planned");
-        fs::remove_dir_all(&dir).expect("clear");
-        let killed = campaign(&dir, Some(want.execs / 2), false).expect("killed run");
-        assert!(
-            matches!(killed, CampaignOutcome::Killed { .. }),
-            "{killed:?}"
-        );
-        // Journals an older build would have left for the torn epoch, one
-        // of them garbage.
-        for lane in 0..2 {
-            stray_journal(&dir, 1, lane);
-        }
-        fs::write(dir.join("shard-journal-000002-000.bin"), [0xFF; 64]).expect("write");
-        let got = campaign(&dir, None, true)
-            .expect("resume")
-            .finished()
-            .expect("no kill planned");
-        assert_eq!(want.outcome_diff(&got), None);
         let _ = fs::remove_dir_all(dir);
     }
 }

@@ -1,12 +1,12 @@
-//! The storage fault plane: every checkpoint/journal byte goes through
-//! here, so every storage failure mode is contained, typed, and
-//! deterministically testable.
+//! The storage fault plane: every checkpoint byte goes through here, so
+//! every storage failure mode is contained, typed, and deterministically
+//! testable.
 //!
 //! PRs 2/5/6 made campaigns survive *compute* faults — panics, hangs,
 //! SIGKILLed worker processes. This module does the same for the storage
 //! those recovery paths bottom out in. A `Storage` handle wraps each
-//! checkpoint I/O operation (snapshot writes, journal appends, rotation
-//! unlinks, orphan sweeps) in a **recovery ladder**:
+//! checkpoint I/O operation (snapshot writes, rotation unlinks, orphan
+//! sweeps) in a **recovery ladder**:
 //!
 //! 1. **Retry with seeded exponential backoff** — transient errors
 //!    (ENOSPC, EIO, short writes; injected *or* real) are retried up to
@@ -27,7 +27,7 @@
 //! Fault injection is driven by a position-pure
 //! [`DiskFaultPlan`]: decisions are keyed by
 //! `(stream, op, attempt)`. Every campaign has one stream, stream 0, the
-//! coordinator: the single driver's snapshots, journal and rotation, or a
+//! coordinator: the single driver's snapshots and rotation, or a
 //! sharded campaign's barrier snapshots, rotation and sweeps. Lanes do no
 //! I/O of their own (a sharded campaign is durable only at its barriers),
 //! so the operation numbering is the coordinator's program order and

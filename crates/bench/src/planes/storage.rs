@@ -367,10 +367,10 @@ pub fn sharded_crash_at_every_boundary_resumes_exactly(g: &mut Grid) {
 
 /// Coordinator storage ops of the single driver's first three snapshots
 /// (every 30 execs): directory creation, the start-up sweep, three
-/// snapshots of four ops each, two rotations of two ops each, and the
+/// snapshots of four ops each, two rotations of one op each, and the
 /// directory fsync after the second rotation unlinks the oldest
 /// generation.
-const SINGLE_OPS: u64 = 19;
+const SINGLE_OPS: u64 = 17;
 
 /// Snapshots and rotation interleave on the single driver's stream 0: a
 /// crash at any boundary of its first three snapshots, and at the one

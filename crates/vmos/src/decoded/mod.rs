@@ -346,9 +346,7 @@ pub enum ChainOp {
 /// over 97% of executed chain binops; `mul` and `and` of two registers
 /// carry under 0.02% and stay generic.
 ///
-/// Every variant keeps its source's `pre` and operand shape (a `BinIR`
-/// stays distinct from a `BinRI`), so `ChainComp::src` gives back the
-/// exact [`ChainSrc`] it came from.
+/// Every variant keeps its source's `pre`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ChainComp {
     /// `dst = value`
@@ -651,136 +649,6 @@ impl ChainComp {
         }
     }
 
-    /// The generic component this one was resolved from.
-    pub(crate) fn src(&self) -> ChainSrc {
-        use ChainComp as C;
-        let r = |r: u32| Operand::Reg(fir::Reg(r));
-        let i = Operand::Imm;
-        let bin = |op, dst, lhs, rhs| ChainOp::Bin { op, dst, lhs, rhs };
-        let cmp = |pred, dst, lhs, rhs| ChainOp::Cmp {
-            pred,
-            dst,
-            lhs,
-            rhs,
-        };
-        let load = |dst, addr, bytes: u8| ChainOp::Load {
-            dst,
-            addr,
-            bytes: bytes.into(),
-        };
-        let store = |addr, value, bytes: u8| ChainOp::Store {
-            addr,
-            value,
-            bytes: bytes.into(),
-        };
-        let (pre, op) = match *self {
-            C::Const { pre, dst, value } => (pre, ChainOp::Const { dst, value }),
-            C::Mov { pre, dst, src } => (pre, ChainOp::Mov { dst, src: r(src) }),
-            C::MovImm { pre, dst, value } => (pre, ChainOp::Mov { dst, src: i(value) }),
-            C::AddRR { pre, dst, a, b } => (pre, bin(BinOp::Add, dst, r(a), r(b))),
-            C::AddRI { pre, dst, a, imm } => (pre, bin(BinOp::Add, dst, r(a), i(imm))),
-            C::AddIR { pre, dst, imm, b } => (pre, bin(BinOp::Add, dst, i(imm), r(b))),
-            C::MulRI { pre, dst, a, imm } => (pre, bin(BinOp::Mul, dst, r(a), i(imm))),
-            C::AndRI { pre, dst, a, imm } => (pre, bin(BinOp::And, dst, r(a), i(imm))),
-            C::SRemRK { pre, dst, a, k } => (pre, bin(BinOp::SRem, dst, r(a), i(k))),
-            C::BinRR { pre, op, dst, a, b } => (pre, bin(op, dst, r(a), r(b))),
-            C::BinRI {
-                pre,
-                op,
-                dst,
-                a,
-                imm,
-            } => (pre, bin(op, dst, r(a), i(imm))),
-            C::BinIR {
-                pre,
-                op,
-                dst,
-                imm,
-                b,
-            } => (pre, bin(op, dst, i(imm), r(b))),
-            C::BinII { pre, op, dst, x, y } => (pre, bin(op, dst, i(x), i(y))),
-            C::CmpRR {
-                pre,
-                pred,
-                dst,
-                a,
-                b,
-            } => (pre, cmp(pred, dst, r(a), r(b))),
-            C::CmpRI {
-                pre,
-                pred,
-                dst,
-                a,
-                imm,
-            } => (pre, cmp(pred, dst, r(a), i(imm))),
-            C::CmpIR {
-                pre,
-                pred,
-                dst,
-                imm,
-                b,
-            } => (pre, cmp(pred, dst, i(imm), r(b))),
-            C::CmpII {
-                pre,
-                pred,
-                dst,
-                x,
-                y,
-            } => (pre, cmp(pred, dst, i(x), i(y))),
-            C::Select { pre, dst, ref ops } => {
-                let [cond, if_true, if_false] = **ops;
-                (
-                    pre,
-                    ChainOp::Select {
-                        dst,
-                        cond,
-                        if_true,
-                        if_false,
-                    },
-                )
-            }
-            C::Cov { pre, id } => (pre, ChainOp::Cov { id }),
-            C::LoadR {
-                pre,
-                bytes,
-                dst,
-                addr,
-            } => (pre, load(dst, r(addr), bytes)),
-            C::LoadI {
-                pre,
-                bytes,
-                dst,
-                addr,
-            } => (pre, load(dst, i(addr as i64), bytes)),
-            C::StoreRR {
-                pre,
-                bytes,
-                addr,
-                value,
-            } => (pre, store(r(addr), r(value), bytes)),
-            C::StoreRI {
-                pre,
-                bytes,
-                addr,
-                value,
-            } => (pre, store(r(addr), i(value), bytes)),
-            C::StoreIR {
-                pre,
-                bytes,
-                addr,
-                value,
-            } => (pre, store(i(addr as i64), r(value), bytes)),
-            C::StoreII {
-                pre,
-                bytes,
-                addr,
-                value,
-            } => (pre, store(i(addr as i64), i(value), bytes)),
-            C::AddrOf { pre, dst, global } => (pre, ChainOp::AddrOf { dst, global }),
-        };
-        ChainSrc { pre, op }
-    }
-
     /// The eliminated-instruction charge owed before this component (see
     /// [`ChainSrc::pre`]).
     #[inline]
@@ -973,38 +841,12 @@ impl DOp {
             DOp::Ret(Some(v)) | DOp::InlineRet { val: Some(v), .. } => f(v),
             DOp::CondBr { cond, .. } => f(cond),
             DOp::Switch { value, .. } | DOp::SwitchTable { value, .. } => f(value),
-            DOp::Chain { comps, tail, .. } => {
-                if let ChainTail::CondBr { cond, .. } = tail {
-                    f(cond);
-                }
-                let mut src: Vec<ChainSrc> = comps.iter().map(ChainComp::src).collect();
-                for c in &mut src {
-                    match &mut c.op {
-                        ChainOp::Mov { src, .. } => f(src),
-                        ChainOp::Bin { lhs, rhs, .. } | ChainOp::Cmp { lhs, rhs, .. } => {
-                            f(lhs);
-                            f(rhs);
-                        }
-                        ChainOp::Select {
-                            cond,
-                            if_true,
-                            if_false,
-                            ..
-                        } => {
-                            f(cond);
-                            f(if_true);
-                            f(if_false);
-                        }
-                        ChainOp::Load { addr, .. } => f(addr),
-                        ChainOp::Store { addr, value, .. } => {
-                            f(addr);
-                            f(value);
-                        }
-                        ChainOp::Const { .. } | ChainOp::Cov { .. } | ChainOp::AddrOf { .. } => {}
-                    }
-                }
-                *comps = src.iter().map(ChainComp::resolve).collect();
-            }
+            // Operand walks (resolution, coalescing, DCE, inlining) run in
+            // phases A and B of `opt::optimize_module`; chains form later,
+            // in phase C's `fuse::finish`, so no walk ever meets one.
+            DOp::Chain { .. } => unreachable!(
+                "operand walk over a fused chain: chains form after every operand pass"
+            ),
             DOp::Const { .. }
             | DOp::AddrOf { .. }
             | DOp::Alloca { .. }

@@ -357,7 +357,7 @@ fn dop_size_stays_dispatch_friendly() {
 }
 
 #[test]
-fn chain_components_resolve_and_round_trip_to_their_source() {
+fn chain_components_resolve_to_their_variants() {
     use fir::{BinOp, GlobalId, Reg};
     let (r, i) = (|n| Operand::Reg(Reg(n)), Operand::Imm);
     let bin = |op, lhs, rhs| ChainOp::Bin {
@@ -483,6 +483,5 @@ fn chain_components_resolve_and_round_trip_to_their_source() {
             "{src:?} resolved to {name}"
         );
         assert_eq!(comp.pre(), src.pre);
-        assert_eq!(comp.src(), src, "lossless");
     }
 }

@@ -7,7 +7,6 @@
 //! back into a fresh fork of its unchanged parent by re-pointing only the
 //! pages it dirtied.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -26,7 +25,7 @@ fn zero_page() -> Page {
 
 /// Page-index bounds `[start, end)` of the three fixed regions a process
 /// maps: globals, heap and stack. Each has dense storage in a
-/// [`PageTable`]; every other page lives in its sparse map.
+/// [`PageTable`]; no page outside them is ever written.
 const REGIONS: [(u64, u64); 3] = [
     (GLOBAL_BASE / PAGE_SIZE, HEAP_BASE / PAGE_SIZE),
     (
@@ -104,42 +103,50 @@ impl Window {
     }
 }
 
-/// The page store of a [`PageTable`]: one [`Window`] per fixed region,
-/// and a sparse map for pages outside all three. A `None` slot or entry is
-/// unmapped.
+/// The page store of a [`PageTable`]: one [`Window`] per fixed region. A
+/// `None` slot is unmapped, and so is every page outside the regions.
 #[derive(Debug, Clone, Default)]
 struct Pages {
     dense: [Window; 3],
-    sparse: BTreeMap<u64, Option<Page>>,
 }
 
 impl Pages {
-    /// The page mapped at `idx`: index arithmetic for the fixed regions.
+    /// The page mapped at `idx`: index arithmetic.
     #[inline]
     fn get(&self, idx: u64) -> Option<&Page> {
-        match region(idx) {
-            Some(r) => self.dense[r].get(idx),
-            None => self.sparse.get(&idx)?.as_ref(),
-        }
+        self.dense[region(idx)?].get(idx)
     }
 
     /// The slot of page `idx`, created (unmapped) if absent.
+    ///
+    /// # Panics
+    /// When `idx` lies outside the three regions: see [`outside_regions`].
     #[inline]
     fn slot_mut(&mut self, idx: u64) -> &mut Option<Page> {
-        match region(idx) {
-            Some(r) => self.dense[r].slot_mut(idx, REGIONS[r]),
-            None => self.sparse.entry(idx).or_default(),
-        }
+        let Some(r) = region(idx) else {
+            outside_regions(idx)
+        };
+        self.dense[r].slot_mut(idx, REGIONS[r])
     }
 
     /// Every mapped page, by index (not sorted across regions).
     fn iter(&self) -> impl Iterator<Item = (u64, &Page)> {
-        self.dense.iter().flat_map(Window::iter).chain(
-            self.sparse
-                .iter()
-                .filter_map(|(i, p)| Some((*i, p.as_ref()?))),
-        )
+        self.dense.iter().flat_map(Window::iter)
     }
+}
+
+/// A write to page `idx`, outside the globals, heap and stack regions, is
+/// a simulator bug, not a guest fault: `Process::check_access` admits a
+/// guest access only inside the regions, and the heap refuses a chunk
+/// that would end past [`crate::heap::HEAP_END`], so only a caller that
+/// skipped the check gets here.
+#[cold]
+#[inline(never)]
+fn outside_regions(idx: u64) -> ! {
+    panic!(
+        "write to page {idx:#x}, outside the globals, heap and stack regions: \
+         guest accesses pass `Process::check_access` and heap chunks end by `HEAP_END`"
+    )
 }
 
 /// Source of [`PageTable::ownership_stamp`] values. Global, so a stamp is
@@ -160,11 +167,11 @@ fn fresh_stamp() -> u64 {
 /// page table's job — [`crate::process::Process::check_access`] performs
 /// region checks before touching memory.
 ///
-/// Pages in the globals, heap and stack regions sit in dense per-region
-/// storage, so finding one is index arithmetic; any other page goes to a
-/// sparse map. No guest access reaches that map: `Process::check_access`
-/// admits only the three regions, and the heap refuses a chunk past
-/// [`crate::heap::HEAP_END`]. Only direct `PageTable` callers use it.
+/// Pages live in dense per-region storage for the globals, heap and stack
+/// regions, so finding one is index arithmetic. A page outside all three
+/// reads as zeros, and writing one panics: no guest access reaches it
+/// (`Process::check_access` admits only the three regions, and the heap
+/// refuses a chunk past [`crate::heap::HEAP_END`]).
 #[derive(Debug, Clone, Default)]
 pub struct PageTable {
     pages: Pages,
@@ -175,7 +182,7 @@ pub struct PageTable {
 /// update when it materializes or copies a page.
 #[derive(Debug, Clone, Default)]
 struct Ownership {
-    /// Mapped pages, in both stores.
+    /// Mapped pages.
     resident: u64,
     /// CoW faults taken since the last [`PageTable::reset_fault_count`].
     cow_faults: u64,
@@ -467,6 +474,9 @@ impl PageTable {
 mod tests {
     use super::*;
 
+    /// The first byte of the globals region: the tests' address origin.
+    const G: u64 = crate::layout::GLOBAL_BASE;
+
     #[test]
     fn unmapped_reads_zero() {
         let pt = PageTable::new();
@@ -478,7 +488,7 @@ mod tests {
     #[test]
     fn write_read_roundtrip_across_page_boundary() {
         let mut pt = PageTable::new();
-        let addr = PAGE_SIZE - 3; // straddles two pages
+        let addr = G + PAGE_SIZE - 3; // straddles two pages
         let data: Vec<u8> = (0..10).collect();
         pt.write(addr, &data);
         let mut back = [0u8; 10];
@@ -491,8 +501,8 @@ mod tests {
     fn uint_roundtrip_all_widths() {
         let mut pt = PageTable::new();
         for (w, v) in [(1, 0xAB), (2, 0xBEEF), (4, 0xDEADBEEF), (8, u64::MAX - 5)] {
-            pt.write_uint(0x100, v, w);
-            assert_eq!(pt.read_uint(0x100, w), v & mask(w));
+            pt.write_uint(G + 0x100, v, w);
+            assert_eq!(pt.read_uint(G + 0x100, w), v & mask(w));
         }
         fn mask(w: u64) -> u64 {
             if w == 8 {
@@ -507,9 +517,9 @@ mod tests {
     fn uint_access_straddling_pages_matches_byte_access() {
         for w in [2u64, 4, 8] {
             let mut parent = PageTable::new();
-            parent.write(PAGE_SIZE - 8, &[0xEE; 16]);
+            parent.write(G + PAGE_SIZE - 8, &[0xEE; 16]);
             let mut child = parent.fork();
-            let addr = PAGE_SIZE - w / 2;
+            let addr = G + PAGE_SIZE - w / 2;
             let mask = u64::MAX >> (64 - 8 * w);
             let v = 0x0123_4567_89AB_CDEF_u64 & mask;
             child.write_uint(addr, v, w);
@@ -525,40 +535,43 @@ mod tests {
     #[test]
     fn fork_shares_then_cow_on_write() {
         let mut parent = PageTable::new();
-        parent.write_uint(0x1000, 42, 8);
-        parent.write_uint(0x3000, 7, 8);
+        parent.write_uint(G + 0x1000, 42, 8);
+        parent.write_uint(G + 0x3000, 7, 8);
         let mut child = parent.fork();
         assert_eq!(child.cow_faults(), 0);
-        assert_eq!(child.read_uint(0x1000, 8), 42);
+        assert_eq!(child.read_uint(G + 0x1000, 8), 42);
 
         // Child writes: must not be visible in parent, must count a fault.
-        child.write_uint(0x1000, 99, 8);
+        child.write_uint(G + 0x1000, 99, 8);
         assert_eq!(child.cow_faults(), 1);
-        assert_eq!(parent.read_uint(0x1000, 8), 42);
-        assert_eq!(child.read_uint(0x1000, 8), 99);
+        assert_eq!(parent.read_uint(G + 0x1000, 8), 42);
+        assert_eq!(child.read_uint(G + 0x1000, 8), 99);
 
         // Untouched page still shared and equal.
-        assert_eq!(parent.read_uint(0x3000, 8), child.read_uint(0x3000, 8));
+        assert_eq!(
+            parent.read_uint(G + 0x3000, 8),
+            child.read_uint(G + 0x3000, 8)
+        );
     }
 
     #[test]
     fn parent_write_after_fork_also_faults() {
         let mut parent = PageTable::new();
-        parent.write_uint(0x1000, 1, 8);
+        parent.write_uint(G + 0x1000, 1, 8);
         let child = parent.fork();
         parent.reset_fault_count();
-        parent.write_uint(0x1008, 2, 8);
+        parent.write_uint(G + 0x1008, 2, 8);
         assert_eq!(parent.cow_faults(), 1);
-        assert_eq!(child.read_uint(0x1008, 8), 0);
+        assert_eq!(child.read_uint(G + 0x1008, 8), 0);
     }
 
     #[test]
     fn second_write_to_same_page_does_not_fault_again() {
         let mut parent = PageTable::new();
-        parent.write_uint(0x1000, 1, 8);
+        parent.write_uint(G + 0x1000, 1, 8);
         let mut child = parent.fork();
-        child.write_uint(0x1000, 2, 8);
-        child.write_uint(0x1010, 3, 8);
+        child.write_uint(G + 0x1000, 2, 8);
+        child.write_uint(G + 0x1010, 3, 8);
         assert_eq!(child.cow_faults(), 1);
     }
 
@@ -566,10 +579,10 @@ mod tests {
     fn ownership_stamp_moves_exactly_when_page_ownership_does() {
         let mut pt = PageTable::new();
         assert_eq!(pt.ownership_stamp(), 0, "the empty table");
-        pt.write_uint(0x1000, 1, 8);
+        pt.write_uint(G + 0x1000, 1, 8);
         let materialized = pt.ownership_stamp();
         assert_ne!(materialized, 0, "materializing a page moves the stamp");
-        pt.write_uint(0x1008, 2, 8);
+        pt.write_uint(G + 0x1008, 2, 8);
         assert_eq!(pt.ownership_stamp(), materialized, "owned page: no move");
 
         let mut child = pt.fork();
@@ -580,41 +593,42 @@ mod tests {
             materialized,
             "forking leaves the parent"
         );
-        child.write_uint(0x1000, 3, 8);
+        child.write_uint(G + 0x1000, 3, 8);
         let copied = child.ownership_stamp();
         assert_ne!(copied, forked, "a CoW copy moves the stamp");
-        child.write_uint(0x1000, 4, 8);
+        child.write_uint(G + 0x1000, 4, 8);
         assert_eq!(child.ownership_stamp(), copied);
-        assert_eq!(child.private_pages_vs(&pt), vec![1]);
+        let page = (G + 0x1000) / PAGE_SIZE;
+        assert_eq!(child.private_pages_vs(&pt), vec![page]);
 
         let twin = child.clone();
         assert_eq!(twin.ownership_stamp(), copied, "a clone shares every page");
-        child.privatize(5);
+        child.privatize(page + 4);
         assert_ne!(child.ownership_stamp(), copied, "privatize moves the stamp");
-        assert_eq!(child.private_pages_vs(&pt), vec![1, 5]);
+        assert_eq!(child.private_pages_vs(&pt), vec![page, page + 4]);
     }
 
     #[test]
     fn cstr_reading() {
         let mut pt = PageTable::new();
-        pt.write(0x200, b"hello\0world");
-        assert_eq!(pt.read_cstr(0x200, 64), b"hello");
-        assert_eq!(pt.read_cstr(0x200, 3), b"hel"); // cap respected
+        pt.write(G + 0x200, b"hello\0world");
+        assert_eq!(pt.read_cstr(G + 0x200, 64), b"hello");
+        assert_eq!(pt.read_cstr(G + 0x200, 3), b"hel"); // cap respected
     }
 
     #[test]
     fn cstr_spans_pages_and_stops_at_unmapped() {
         let mut pt = PageTable::new();
         // String crossing a page boundary, NUL on the second page.
-        let start = PAGE_SIZE - 4;
+        let start = G + PAGE_SIZE - 4;
         pt.write(start, b"abcdefgh\0tail");
         assert_eq!(pt.read_cstr(start, 64), b"abcdefgh");
         // Cap lands exactly on the boundary.
         assert_eq!(pt.read_cstr(start, 4), b"abcd");
         // No NUL before an unmapped page: the zero page terminates.
         let mut q = PageTable::new();
-        let tail = PAGE_SIZE - 2;
-        q.write(tail, b"xy"); // fills to end of page 0; page 1 unmapped
+        let tail = G + PAGE_SIZE - 2;
+        q.write(tail, b"xy"); // fills to end of its page; the next is unmapped
         assert_eq!(q.read_cstr(tail, 64), b"xy");
         // Entirely unmapped → empty.
         assert_eq!(q.read_cstr(0x9000, 64), b"");
@@ -623,32 +637,38 @@ mod tests {
     #[test]
     fn reads_do_not_perturb_cow_fault_decisions() {
         let mut parent = PageTable::new();
-        parent.write_uint(0x1000, 42, 8);
+        parent.write_uint(G + 0x1000, 42, 8);
         // A read holds no reference to the page, so the exclusive page
         // it read must not look shared to the next write.
-        assert_eq!(parent.read_uint(0x1000, 8), 42);
+        assert_eq!(parent.read_uint(G + 0x1000, 8), 42);
         parent.reset_fault_count();
-        parent.write_uint(0x1000, 43, 8);
+        parent.write_uint(G + 0x1000, 43, 8);
         assert_eq!(parent.cow_faults(), 0, "exclusive page must not fault");
 
         // A shared page faults exactly once, whoever read it first.
         let mut child = parent.fork();
-        assert_eq!(child.read_uint(0x1000, 8), 43);
-        assert_eq!(parent.read_uint(0x1000, 8), 43);
-        child.write_uint(0x1000, 99, 8);
+        assert_eq!(child.read_uint(G + 0x1000, 8), 43);
+        assert_eq!(parent.read_uint(G + 0x1000, 8), 43);
+        child.write_uint(G + 0x1000, 99, 8);
         assert_eq!(child.cow_faults(), 1);
-        child.write_uint(0x1008, 7, 8);
+        child.write_uint(G + 0x1008, 7, 8);
         assert_eq!(child.cow_faults(), 1, "page already private");
-        assert_eq!(parent.read_uint(0x1000, 8), 43);
-        assert_eq!(child.read_uint(0x1000, 8), 99);
+        assert_eq!(parent.read_uint(G + 0x1000, 8), 43);
+        assert_eq!(child.read_uint(G + 0x1000, 8), 99);
     }
 
     #[test]
     fn reads_see_writes_through_same_table() {
         let mut pt = PageTable::new();
-        pt.write_uint(0x2000, 1, 8);
-        assert_eq!(pt.read_uint(0x2000, 8), 1);
-        pt.write_uint(0x2000, 2, 8);
-        assert_eq!(pt.read_uint(0x2000, 8), 2, "no stale read");
+        pt.write_uint(G + 0x2000, 1, 8);
+        assert_eq!(pt.read_uint(G + 0x2000, 8), 1);
+        pt.write_uint(G + 0x2000, 2, 8);
+        assert_eq!(pt.read_uint(G + 0x2000, 8), 2, "no stale read");
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the globals, heap and stack regions")]
+    fn writes_outside_the_regions_panic() {
+        PageTable::new().write_uint(G - 8, 1, 8);
     }
 }

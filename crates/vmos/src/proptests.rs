@@ -54,7 +54,7 @@ fn apply_op(p: &mut Process, rw: u64, (kind, off, len, byte): ChildOp) -> Vec<u6
         5 => STACK_TOP - 4 * PAGE_SIZE + off,
         6 => (rw / PAGE_SIZE + 1 + off % 3) * PAGE_SIZE - len / 2,
         7 => {
-            let base = [rw, HEAP_BASE, STACK_TOP - PAGE_SIZE][off as usize % 3];
+            let base = [rw, HEAP_BASE, STACK_TOP - 2 * PAGE_SIZE][off as usize % 3];
             let idx = base / PAGE_SIZE + off % 2;
             p.mem.privatize(idx);
             return vec![idx];
@@ -77,21 +77,20 @@ fn child_ops() -> impl Strategy<Value = Vec<Vec<ChildOp>>> {
     prop::collection::vec(prop::collection::vec(op, 0..10), 50..60)
 }
 
-/// An address near a region edge of a process image, or far outside every
-/// region: two pages either side of the globals base, both ends of the
-/// heap (also with a per-pid heap offset) and both ends of the stack, or
-/// in the low and high address space no region covers.
+/// An address near a region edge of a process image, where a write of up
+/// to 64 bytes stays inside the globals, heap and stack regions (no guest
+/// access writes outside them): the first pages of the globals, two pages
+/// either side of the globals/heap and heap/stack boundaries and of a
+/// per-pid heap offset, and the last pages of the stack.
 fn table_addr() -> impl Strategy<Value = u64> {
-    let bases = [
-        4 * PAGE_SIZE,
+    let spans = [
         GLOBAL_BASE,
-        HEAP_BASE,
-        HEAP_BASE + 7 * 0x10_0000,
-        STACK_TOP - STACK_MAX_BYTES,
-        STACK_TOP,
-        0x9_0000_0000,
+        HEAP_BASE - 2 * PAGE_SIZE,
+        HEAP_BASE + 7 * 0x10_0000 - 2 * PAGE_SIZE,
+        STACK_TOP - STACK_MAX_BYTES - 2 * PAGE_SIZE,
+        STACK_TOP - 4 * PAGE_SIZE,
     ];
-    (0..bases.len(), 0u64..PAGE_SIZE * 4).prop_map(move |(b, off)| bases[b] - 2 * PAGE_SIZE + off)
+    (0..spans.len(), 0u64..PAGE_SIZE * 4 - 64).prop_map(move |(s, off)| spans[s] + off)
 }
 
 fn page_bytes(p: &Process, idx: u64) -> Vec<u8> {
@@ -208,8 +207,8 @@ proptest! {
     }
 
     /// Page table: what you write is what you read — in the globals, heap
-    /// and stack regions and outside all three, including writes that
-    /// straddle a page or a region's dense-storage boundary — and resident
+    /// and stack regions, including writes that straddle a page, a region
+    /// boundary or a region's dense-storage boundary — and resident
     /// pages are exactly the pages written. Forked children never see later
     /// parent writes, and those writes fault once per page they share.
     #[test]

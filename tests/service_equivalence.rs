@@ -106,6 +106,52 @@ fn admission_control_rejects_and_leaves_no_trace() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// A tenant directory holding its `spec.bin` and nothing but debris holds
+/// no campaign state: neither the orphaned temp file a kill during the
+/// first snapshot leaves, nor a lane journal an older build left. Restore
+/// starts such a tenant fresh, and it finishes on the result of an
+/// untouched submit.
+#[test]
+fn debris_alone_restores_to_a_fresh_start() {
+    let root = std::env::temp_dir().join(format!("cx-service-debris-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let resolver: Arc<dyn aflrs::SpecResolver> = Arc::new(MechanismResolver);
+    let start = |dir| Service::new(ServiceConfig::new(dir), Arc::clone(&resolver));
+    let want = start(root.join("untouched"))
+        .expect("service starts")
+        .submit(spec("t"))
+        .expect("admitted")
+        .await_result()
+        .expect("finishes");
+    for debris in ["shard-ckpt-000000.tmp", "shard-journal-000000-000.bin"] {
+        let dir = root.join(debris);
+        start(dir.clone())
+            .expect("service starts")
+            .submit(spec("t"))
+            .expect("admitted")
+            .pause();
+        // Leave the tenant its spec and the debris only, whatever a grant
+        // that beat the pause wrote.
+        let tenant = dir.join("t");
+        for entry in std::fs::read_dir(&tenant).expect("tenant dir") {
+            let path = entry.expect("entry").path();
+            if path.file_name().is_some_and(|n| n != "spec.bin") {
+                std::fs::remove_file(path).expect("clear tenant dir");
+            }
+        }
+        std::fs::write(tenant.join(debris), b"torn").expect("write debris");
+        let service = Service::restore(ServiceConfig::new(&dir), Arc::clone(&resolver))
+            .expect("service restores");
+        let got = service
+            .handle("t")
+            .expect("tenant restored from spec.bin")
+            .await_result()
+            .unwrap_or_else(|e| panic!("{debris}: restored tenant did not finish: {e:?}"));
+        assert_eq!(want.outcome_diff(&got), None, "{debris}");
+    }
+    let _ = std::fs::remove_dir_all(root);
+}
+
 mod fair_share {
     use aflrs::service::fair_pick;
     use proptest::prelude::*;
