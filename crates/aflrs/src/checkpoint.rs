@@ -672,12 +672,13 @@ impl Layout {
 
     /// Archival rotation, outside any storage plane: keep only the newest
     /// snapshot (enough to revive a killed campaign), delete the rest and
-    /// all debris, and fsync the directory when anything went. Returns
-    /// `(files removed, warnings)`; a failure is never fatal.
-    pub(crate) fn archive(&self, dir: &Path) -> (u64, u64) {
+    /// all debris, and fsync the directory when anything went, unless
+    /// `fsync` is [`FsyncPolicy::Never`]. Returns `(files removed,
+    /// warnings)`; a failure is never fatal.
+    pub(crate) fn archive(&self, dir: &Path, fsync: FsyncPolicy) -> (u64, u64) {
         match self.prune(dir, 1) {
             Ok((removed, failed)) => {
-                let synced = removed == 0 || fsync_dir(dir).is_ok();
+                let synced = removed == 0 || fsync == FsyncPolicy::Never || fsync_dir(dir).is_ok();
                 (removed, failed + u64::from(!synced))
             }
             Err(_) => (0, 1),
@@ -1469,16 +1470,16 @@ mod tests {
             // Archival keeps the newest snapshot only, and is idempotent.
             fs::write(dir.join(journal), b"bytes").unwrap();
             assert_eq!(
-                layout.archive(&dir),
+                layout.archive(&dir, FsyncPolicy::OnSnapshot),
                 (2, 0),
                 "{tag}: one snapshot, one journal"
             );
             assert_eq!(on_disk(&dir), with(&[names[2].0]), "{tag}");
-            assert_eq!(layout.archive(&dir), (0, 0));
+            assert_eq!(layout.archive(&dir, FsyncPolicy::OnSnapshot), (0, 0));
             // Without snapshots, archival and prune only clear debris.
             fs::remove_file(dir.join(names[2].0)).unwrap();
             fs::write(dir.join(journal), b"bytes").unwrap();
-            assert_eq!(layout.archive(&dir), (1, 0));
+            assert_eq!(layout.archive(&dir, FsyncPolicy::OnSnapshot), (1, 0));
             assert_eq!(on_disk(&dir), with(&[]), "{tag}");
 
             // The scrub: newest-first, a corrupt newest generation and a

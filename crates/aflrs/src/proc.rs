@@ -48,6 +48,7 @@
 //! the fault from the campaign result. Checkpoint resume is the same
 //! re-run: workers do no I/O of their own.
 
+use std::borrow::Cow;
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::mpsc;
 use std::time::Duration;
@@ -139,21 +140,23 @@ pub(crate) use crate::shard::LaneStart as Ack;
 
 /// One epoch attempt: the lane's barrier state (executor export stripped —
 /// the live child process *is* the executor state) plus everything that
-/// may have changed since the handshake.
-pub(crate) struct RunEpochMsg {
+/// may have changed since the handshake. The parent sends the state
+/// borrowed from its lane (the virgin map alone is 64 KiB); the worker
+/// decodes it owned.
+pub(crate) struct RunEpochMsg<'a> {
     pub(crate) epoch: u64,
     pub(crate) epochs: u64,
     pub(crate) attempt: u32,
     /// Current lane budget (degradation folds retired lanes' cycles into
     /// survivors mid-campaign, so this cannot live in `Hello`).
     pub(crate) budget_cycles: u64,
-    pub(crate) state: SnapshotState,
+    pub(crate) state: Cow<'a, SnapshotState>,
     /// Simulated-SIGKILL hook: `(limit, base)` — stop once `base` plus the
     /// lane's own execs reaches `limit`.
     pub(crate) kill: Option<(u64, u64)>,
 }
 
-wire_struct!(RunEpochMsg {
+wire_struct!(RunEpochMsg<'_> {
     epoch,
     epochs,
     attempt,
@@ -317,7 +320,7 @@ where
                     }
                 };
                 lane.cfg.budget_cycles = msg.budget_cycles;
-                lane.state = msg.state;
+                lane.state = msg.state.into_owned();
 
                 // Scheduled self-sabotage for this attempt. `Kill` belongs
                 // to the parent; everything else the child performs on
@@ -658,7 +661,7 @@ fn dispatch_epoch(
         epochs,
         attempt,
         budget_cycles: lane.cfg.budget_cycles,
-        state: lane.state.clone(),
+        state: Cow::Borrowed(&lane.state),
         kill,
     };
     child.send(K_RUN_EPOCH, &msg.to_bytes())?;

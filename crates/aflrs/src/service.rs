@@ -80,6 +80,10 @@ const SPEC_VERSION: u32 = 2;
 const SPEC_MAGIC: &[u8; 4] = b"CXSP";
 /// The spec file's name inside a tenant directory.
 const SPEC_FILE: &str = "spec.bin";
+/// Where [`write_spec`] stages `spec.bin` before renaming it into place.
+/// Never committed state: a success renames it away, a failure deletes
+/// it, and [`Service::restore`] deletes one a killed admission left.
+const SPEC_TMP: &str = "spec.bin.tmp";
 
 /// Resolves the opaque [`CampaignSpec::factory_spec`] bytes into an
 /// executor factory. The service itself is target-agnostic — what a spec
@@ -646,7 +650,18 @@ impl Service {
         let entries = fs::read_dir(&service.shared.cfg.dir).map_err(AdmissionError::Io)?;
         for entry in entries {
             let entry = entry.map_err(AdmissionError::Io)?;
-            if entry.path().join(SPEC_FILE).is_file() {
+            let dir = entry.path();
+            if dir.join(SPEC_TMP).is_file() {
+                // Best effort, like the snapshot store's debris sweep: the
+                // temp is never state. Without a `spec.bin` its admission
+                // was never acknowledged, so the directory goes too if the
+                // temp was all it held.
+                let _ = fs::remove_file(dir.join(SPEC_TMP));
+                if !dir.join(SPEC_FILE).exists() {
+                    let _ = fs::remove_dir(&dir);
+                }
+            }
+            if dir.join(SPEC_FILE).is_file() {
                 names.push(entry.file_name().to_string_lossy().into_owned());
             }
         }
@@ -967,17 +982,24 @@ impl CampaignHandle {
 /// [`FsyncPolicy::Never`], the temp file is fsynced before the rename,
 /// and the tenant directory (the rename) and the service root (a new
 /// tenant directory's entry) after it, so the spec survives a power loss.
+/// A failure before the rename removes the temp file.
 fn write_spec(cfg: &ServiceConfig, spec: &CampaignSpec) -> std::io::Result<()> {
     let dir = cfg.dir.join(&spec.name);
     fs::create_dir_all(&dir)?;
-    let tmp = dir.join("spec.bin.tmp");
-    let mut f = fs::File::create(&tmp)?;
-    f.write_all(&spec.to_bytes())?;
+    let tmp = dir.join(SPEC_TMP);
     let durable = cfg.fsync != FsyncPolicy::Never;
-    if durable {
-        f.sync_data()?;
+    let staged = (|| {
+        let mut f = fs::File::create(&tmp)?;
+        f.write_all(&spec.to_bytes())?;
+        if durable {
+            f.sync_data()?;
+        }
+        fs::rename(&tmp, dir.join(SPEC_FILE))
+    })();
+    if let Err(e) = staged {
+        let _ = fs::remove_file(&tmp);
+        return Err(e);
     }
-    fs::rename(&tmp, dir.join(SPEC_FILE))?;
     if durable {
         fsync_dir(&dir)?;
         fsync_dir(&cfg.dir)?;
@@ -1128,7 +1150,7 @@ fn worker_loop(shared: &Shared) {
         // stall grant scheduling. The victims are already claimed
         // (`archived = true`), so concurrent workers never double-sweep.
         for name in archive {
-            let (_, warnings) = SHARDED.archive(&shared.cfg.dir.join(&name));
+            let (_, warnings) = SHARDED.archive(&shared.cfg.dir.join(&name), shared.cfg.fsync);
             let mut st = shared.state.lock().expect("service state poisoned");
             st.archived_tenants += 1;
             st.archive_warnings += warnings;
@@ -1385,6 +1407,22 @@ mod tests {
         // old file is left for the operator.
         assert_eq!(resolver.0.load(Ordering::SeqCst), 0);
         assert_eq!(fs::read(&spec_path).expect("spec kept"), v1);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_failed_spec_write_leaves_no_temp_file() {
+        let root = std::env::temp_dir().join(format!("cx-spec-tmp-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&root);
+        let spec = CampaignSpec::new("t", vec![1], vec![b"s".to_vec()], CampaignConfig::default());
+        // A non-empty directory where `spec.bin` goes: the rename fails.
+        let blocker = root.join("t").join(SPEC_FILE);
+        fs::create_dir_all(&blocker).expect("mkdir");
+        fs::write(blocker.join("x"), b"x").expect("write");
+        let mut cfg = ServiceConfig::new(&root);
+        cfg.fsync = FsyncPolicy::Never;
+        assert!(write_spec(&cfg, &spec).is_err(), "the rename must fail");
+        assert!(!root.join("t").join(SPEC_TMP).exists(), "temp left behind");
         let _ = fs::remove_dir_all(&root);
     }
 

@@ -14,6 +14,8 @@
 //! The same fixtures feed one generic property every [`Wire`] type must
 //! satisfy (see [`check`]).
 
+use std::borrow::Cow;
+
 use closurex::checkpoint::ExecutorState;
 use closurex::resilience::{DegradationLevel, ResilienceReport};
 use vmos::cov::VirginMap;
@@ -358,7 +360,7 @@ fn messages() -> Vec<(&'static str, Vec<u8>)> {
         epochs: 8,
         attempt: 1,
         budget_cycles: 750_000,
-        state: snapshot(None),
+        state: Cow::Owned(snapshot(None)),
         kill: Some((100, 7)),
     };
     let barrier = BarrierMsg {
@@ -743,7 +745,7 @@ fn every_wire_type_round_trips_exactly() {
             epochs: 1,
             attempt: 0,
             budget_cycles: 0,
-            state: minimal_snapshot(),
+            state: Cow::Owned(minimal_snapshot()),
             kill: None,
         }],
     );

@@ -55,11 +55,11 @@ fn bench_forkserver_by_target(c: &mut Criterion) {
         let mut m = targets::by_name(name).unwrap().module();
         baseline_pipeline().run(&mut m).unwrap();
         let mut os = Os::new();
-        let (parent, _) = os.spawn(&m);
+        let (mut parent, _) = os.spawn(&m);
         let dirty = two_writable_pages(&parent);
         let id = format!("{name}/{}p", parent.mem.resident_pages());
         g.bench_function(format!("{id}/recycled"), |b| {
-            let mut server = ForkServer::new(parent.clone());
+            let mut server = ForkServer::new(parent.share());
             b.iter(|| {
                 let (child, _) = server.fork(&mut os).unwrap();
                 for &a in &dirty {
@@ -70,7 +70,7 @@ fn bench_forkserver_by_target(c: &mut Criterion) {
         });
         g.bench_function(format!("{id}/os_fork"), |b| {
             b.iter(|| {
-                let (mut child, _) = os.fork(&parent);
+                let (mut child, _) = os.fork(&mut parent);
                 for &a in &dirty {
                     child.mem.write_uint(a, 1, 1);
                 }

@@ -236,7 +236,7 @@ mod tests {
         fn run(&mut self, input: &[u8]) -> ExecOutcome {
             self.cov.clear();
             self.os.fs.write_file(FUZZ_INPUT_PATH, input.to_vec());
-            let (mut child, fork_cycles) = match self.os.try_fork(&self.parent) {
+            let (mut child, fork_cycles) = match self.os.try_fork(&mut self.parent) {
                 Ok(r) => r,
                 Err(e) => {
                     return ExecOutcome {

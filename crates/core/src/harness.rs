@@ -254,7 +254,7 @@ impl ClosureXExecutor {
         self.boot_hash = fnv1a(&self.snapshot);
         self.baseline_heap_bytes = p.heap.live_bytes();
         self.baseline_fd_open = p.fds.open_count();
-        self.template = Some(ForkServer::new(p.clone()));
+        self.template = Some(ForkServer::new(p.share()));
         self.proc = Some(p);
         Ok(boot_cycles)
     }
@@ -269,13 +269,13 @@ impl ClosureXExecutor {
     /// [`HarnessError`] when both the template fork and the fallback boot
     /// are refused.
     fn respawn_from_template(&mut self) -> Result<u64, HarnessError> {
-        let Some(template) = self.template.as_ref() else {
+        let Some(template) = self.template.as_mut() else {
             // No template to fork — recovery degrades to a full boot.
             let cycles = self.boot()?;
             self.respawns += 1;
             return Ok(cycles);
         };
-        match self.os.try_fork(template.parent()) {
+        match template.fork_detached(&mut self.os) {
             Ok((child, cycles)) => {
                 self.proc = Some(child);
                 self.respawns += 1;

@@ -92,14 +92,14 @@ impl Executor for NaivePersistentExecutor {
         self.os.fs.overwrite_file(FUZZ_INPUT_PATH, input);
         let mut mgmt = self.os.cost.persistent_loop;
         if self.proc.is_none() {
-            let attempt = match &self.template {
+            let attempt = match &mut self.template {
                 Some(t) => self.os.try_fork(t),
                 None => self.os.try_spawn(&self.module),
             };
             match attempt {
-                Ok((p, c)) => {
+                Ok((mut p, c)) => {
                     if self.template.is_none() {
-                        self.template = Some(p.clone());
+                        self.template = Some(p.share());
                     }
                     self.proc = Some(p);
                     mgmt += c;

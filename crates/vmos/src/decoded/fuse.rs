@@ -39,7 +39,7 @@ use std::collections::HashSet;
 use fir::Operand;
 
 use super::opt::{FuncIr, Kind, OBlock};
-use super::{ChainOp, ChainSrc, ChainTail, DFunc, DOp, OptStats};
+use super::{ChainOp, ChainSrc, ChainTail, DFunc, DOp, LoopTail, OptStats};
 
 /// Largest value span a `Switch` may cover to become a `SwitchTable`.
 const SWITCH_TABLE_MAX_SPAN: i128 = 512;
@@ -55,7 +55,9 @@ pub(super) fn finish(mut ir: FuncIr, stats: &mut OptStats) -> DFunc {
     specialize(&mut ir, stats);
     fuse_ops(&mut ir, stats);
     build_chains(&mut ir, stats);
-    emit(ir, &layout)
+    let mut df = emit(ir, &layout);
+    loop_tails(&mut df);
+    df
 }
 
 /// Index of the last live slot of a block, if any. Blocks emptied by
@@ -772,6 +774,55 @@ fn build_chains(ir: &mut FuncIr, stats: &mut OptStats) {
             stats.chain_comps += comps.len() as u64;
             block.slots[i].op = DOp::chain(&comps, tail);
             i = committed + 1;
+        }
+    }
+}
+
+/// Give every chain whose absorbed `Br` goes to a [`DOp::CovCmpBr`] loop
+/// header a [`ChainTail::Loop`], so the engine can run the header in place
+/// and, when the header branches back to the chain, go round again under
+/// the same dispatch. This runs on the emitted stream, where the header's
+/// and the chain's stream `pre` charges are known; the loop tail carries
+/// both, so the engine charges each iteration exactly what the separate
+/// dispatches would. The header op stays where it is: the loop is entered
+/// through it, and it runs whenever the fuel left does not cover it.
+fn loop_tails(df: &mut DFunc) {
+    for c in 0..df.ops.len() {
+        let DOp::Chain {
+            tail: ChainTail::Br { pre, target },
+            ..
+        } = df.ops[c]
+        else {
+            continue;
+        };
+        let h = target as usize;
+        let DOp::CovCmpBr {
+            id,
+            pred,
+            dst,
+            lhs,
+            rhs,
+            if_true,
+            if_false,
+        } = df.ops[h]
+        else {
+            continue;
+        };
+        let lt = LoopTail {
+            pre,
+            header: target,
+            id,
+            pred,
+            dst,
+            lhs,
+            rhs,
+            if_true,
+            if_false,
+            header_charge: u64::from(df.pre[h]) + 3,
+            head_charge: u64::from(df.pre[c]) + 1,
+        };
+        if let DOp::Chain { tail, .. } = &mut df.ops[c] {
+            *tail = ChainTail::Loop(Box::new(lt));
         }
     }
 }

@@ -341,10 +341,11 @@ pub enum ChainOp {
 /// running a component is one dispatch with no operand-tag branch. The
 /// binops that dominate executed chains have their own variants, with no
 /// second match on the operator: `add` in every register/immediate shape,
-/// `mul` and `and` by an immediate, and `srem` by a constant other than 0
-/// and −1 (which cannot trap). On the benchmark workloads these six carry
-/// over 97% of executed chain binops; `mul` and `and` of two registers
-/// carry under 0.02% and stay generic.
+/// `mul` and `and` by an immediate, `srem` by a positive power of two (a
+/// mask and a sign fix, no divide) and by any other constant except 0 and
+/// −1 (which cannot trap). On the benchmark workloads these carry over 97%
+/// of executed chain binops; `mul` and `and` of two registers carry under
+/// 0.02% and stay generic.
 ///
 /// Every variant keeps its source's `pre`.
 #[derive(Debug, Clone, PartialEq)]
@@ -384,6 +385,14 @@ pub enum ChainComp {
         dst: u32,
         a: u32,
         imm: i64,
+    },
+    /// `dst = a srem (mask + 1)` for a divisor `2^0..=2^62`: see
+    /// [`srem_pow2`].
+    SRemPow2 {
+        pre: u16,
+        dst: u32,
+        a: u32,
+        mask: i64,
     },
     /// `dst = a srem k` with `k` neither 0 nor −1: never traps.
     SRemRK { pre: u16, dst: u32, a: u32, k: i64 },
@@ -534,6 +543,12 @@ impl ChainComp {
                 (BinOp::Add, Imm(imm), Reg(R(b))) => C::AddIR { pre, dst, imm, b },
                 (BinOp::Mul, Reg(R(a)), Imm(imm)) => C::MulRI { pre, dst, a, imm },
                 (BinOp::And, Reg(R(a)), Imm(imm)) => C::AndRI { pre, dst, a, imm },
+                (BinOp::SRem, Reg(R(a)), Imm(k)) if k > 0 && k.count_ones() == 1 => C::SRemPow2 {
+                    pre,
+                    dst,
+                    a,
+                    mask: k - 1,
+                },
                 (BinOp::SRem, Reg(R(a)), Imm(k)) if k != 0 && k != -1 => {
                     C::SRemRK { pre, dst, a, k }
                 }
@@ -663,6 +678,7 @@ impl ChainComp {
             | C::AddIR { pre, .. }
             | C::MulRI { pre, .. }
             | C::AndRI { pre, .. }
+            | C::SRemPow2 { pre, .. }
             | C::SRemRK { pre, .. }
             | C::BinRR { pre, .. }
             | C::BinRI { pre, .. }
@@ -685,8 +701,20 @@ impl ChainComp {
     }
 }
 
+/// `a srem (mask + 1)`, where `mask + 1` is a positive power of two: the
+/// low bits of `a`, minus the divisor when `a` is negative and they are
+/// not all zero, which is the truncating remainder `%` gives (its sign
+/// follows the dividend). Adding `mask` to a negative dividend before the
+/// mask and taking it off after does that without a branch, and cannot
+/// overflow: the sum stays below zero.
+#[inline(always)]
+pub fn srem_pow2(a: i64, mask: i64) -> i64 {
+    let bias = (a >> 63) & mask;
+    (a.wrapping_add(bias) & mask) - bias
+}
+
 /// How a [`DOp::Chain`] hands control back.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ChainTail {
     /// Fall through to `pc + 1`.
     Next,
@@ -702,6 +730,49 @@ pub enum ChainTail {
         if_true: u32,
         if_false: u32,
     },
+    /// An absorbed unconditional branch to a loop header: charged and
+    /// taken like [`ChainTail::Br`], and then the header runs in place,
+    /// and when it branches back to this chain the chain runs again, all
+    /// under one dispatch for as long as the fuel left covers each step
+    /// (see [`LoopTail`]).
+    Loop(Box<LoopTail>),
+}
+
+/// The loop header a [`ChainTail::Loop`] runs in place: the chain's
+/// absorbed branch goes to a [`DOp::CovCmpBr`] at `header`, usually the
+/// header of the loop whose latch the chain is. The header keeps its own
+/// op in the stream, for the loop's entry and for a pass the fuel left does
+/// not cover; this is a copy of its probe, compare and branch, and of the
+/// charges between the chain's branch and its next head.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LoopTail {
+    /// The absorbed branch's eliminated-instruction charge, as in
+    /// [`ChainTail::Br`].
+    pub pre: u16,
+    /// The header's pc: where control goes when the loop is not run in
+    /// place.
+    pub header: u32,
+    /// The header's coverage probe.
+    pub id: u16,
+    /// The header's compare, `dst = cmp pred lhs, rhs`.
+    pub pred: CmpPred,
+    /// The compare's destination register.
+    pub dst: u32,
+    /// The compare's left operand.
+    pub lhs: Operand,
+    /// The compare's right operand.
+    pub rhs: Operand,
+    /// The header's target when the compare holds.
+    pub if_true: u32,
+    /// Its target when the compare fails. When the target is the chain's
+    /// own pc, the chain runs again in place.
+    pub if_false: u32,
+    /// What the header charges: its stream `pre`, then its three
+    /// instructions.
+    pub header_charge: u64,
+    /// What re-entering the chain charges: its stream `pre`, then its
+    /// head.
+    pub head_charge: u64,
 }
 
 impl ChainTail {
@@ -710,6 +781,7 @@ impl ChainTail {
         match self {
             ChainTail::Next => 0,
             ChainTail::Br { pre, .. } | ChainTail::CondBr { pre, .. } => u64::from(*pre) + 1,
+            ChainTail::Loop(lt) => u64::from(lt.pre) + 1,
         }
     }
 }
@@ -774,6 +846,11 @@ impl DOp {
                 } => {
                     *if_true = f(*if_true);
                     *if_false = f(*if_false);
+                }
+                ChainTail::Loop(lt) => {
+                    lt.header = f(lt.header);
+                    lt.if_true = f(lt.if_true);
+                    lt.if_false = f(lt.if_false);
                 }
             },
             _ => {}

@@ -206,6 +206,7 @@ fn charge_capacity_matches_the_source_instruction_count() {
                         ChainTail::Next => 0,
                         ChainTail::Br { pre, .. } => 1 + *pre as usize,
                         ChainTail::CondBr { pre, .. } => 1 + *pre as usize,
+                        ChainTail::Loop(lt) => 1 + lt.pre as usize,
                     };
                 assert_eq!(*rest, charge as u64, "derived chain charge");
                 charge
@@ -379,8 +380,12 @@ fn chain_components_resolve_to_their_variants() {
         (bin(BinOp::Mul, i(3), r(1)), "BinIR"),
         (bin(BinOp::And, r(1), r(2)), "BinRR"),
         (bin(BinOp::And, r(1), i(255)), "AndRI"),
-        (bin(BinOp::SRem, r(1), i(8)), "SRemRK"),
+        (bin(BinOp::SRem, r(1), i(8)), "SRemPow2"),
+        (bin(BinOp::SRem, r(1), i(1)), "SRemPow2"),
+        (bin(BinOp::SRem, r(1), i(1 << 62)), "SRemPow2"),
         (bin(BinOp::SRem, r(1), i(-8)), "SRemRK"),
+        (bin(BinOp::SRem, r(1), i(12)), "SRemRK"),
+        (bin(BinOp::SRem, r(1), i(i64::MIN)), "SRemRK"),
         // Divisors that can trap keep the checked generic form.
         (bin(BinOp::SRem, r(1), i(0)), "BinRI"),
         (bin(BinOp::SRem, r(1), i(-1)), "BinRI"),

@@ -6,7 +6,7 @@ use fir::{BinOp, Inst, Module, Operand, Terminator};
 use crate::cost::CostModel;
 use crate::cov::CovMap;
 use crate::crash::{Crash, CrashKind};
-use crate::decoded::{ChainComp, ChainTail, DFunc, DOp, DecodedImage};
+use crate::decoded::{srem_pow2, ChainComp, ChainTail, DFunc, DOp, DecodedImage};
 use crate::hostcalls::{self, HostRet};
 use crate::os::Os;
 use crate::process::{Frame, JmpCtx, Process, MAX_CALL_DEPTH, STACK_MAX_BYTES, STACK_TOP};
@@ -1129,7 +1129,8 @@ enum ChainStop {
 /// runs only when the remaining fuel covers `rest`, where none of those
 /// checks can fail: it charges `rest` once at the end, or, when
 /// component `k` traps, the prefix through `k` — the same `insts` and
-/// `cycles` the checked form reaches.
+/// `cycles` the checked form reaches. Only the unchecked form runs a
+/// [`ChainTail::Loop`]'s header in place and goes round again.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn run_chain<const CHECKED: bool>(
@@ -1215,120 +1216,155 @@ fn run_chain<const CHECKED: bool>(
             p.mem.write_uint(a, $value as u64, len);
         }};
     }
-    for (k, comp) in comps.iter().enumerate() {
-        if CHECKED && k > 0 {
-            charge!(comp.pre());
-        }
-        match *comp {
-            ChainComp::Const { dst, value, .. } | ChainComp::MovImm { dst, value, .. } => {
-                regs[dst as usize] = value;
+    // Runs once, unless a loop tail re-runs the chain (unchecked only).
+    loop {
+        for (k, comp) in comps.iter().enumerate() {
+            if CHECKED && k > 0 {
+                charge!(comp.pre());
             }
-            ChainComp::Mov { dst, src, .. } => regs[dst as usize] = regs[src as usize],
-            ChainComp::AddRR { dst, a, b, .. } => {
-                regs[dst as usize] = regs[a as usize].wrapping_add(regs[b as usize]);
-            }
-            ChainComp::AddRI { dst, a, imm, .. } | ChainComp::AddIR { dst, imm, b: a, .. } => {
-                regs[dst as usize] = regs[a as usize].wrapping_add(imm);
-            }
-            ChainComp::MulRI { dst, a, imm, .. } => {
-                regs[dst as usize] = regs[a as usize].wrapping_mul(imm);
-            }
-            ChainComp::AndRI { dst, a, imm, .. } => regs[dst as usize] = regs[a as usize] & imm,
-            ChainComp::SRemRK { dst, a, k, .. } => regs[dst as usize] = regs[a as usize] % k,
-            ChainComp::BinRR { op, dst, a, b, .. } => {
-                bin!(k, op, dst, regs[a as usize], regs[b as usize]);
-            }
-            ChainComp::BinRI {
-                op, dst, a, imm, ..
-            } => bin!(k, op, dst, regs[a as usize], imm),
-            ChainComp::BinIR {
-                op, dst, imm, b, ..
-            } => bin!(k, op, dst, imm, regs[b as usize]),
-            ChainComp::BinII { op, dst, x, y, .. } => bin!(k, op, dst, x, y),
-            ChainComp::CmpRR {
-                pred, dst, a, b, ..
-            } => {
-                regs[dst as usize] = i64::from(pred.eval(regs[a as usize], regs[b as usize]));
-            }
-            ChainComp::CmpRI {
-                pred, dst, a, imm, ..
-            } => {
-                regs[dst as usize] = i64::from(pred.eval(regs[a as usize], imm));
-            }
-            ChainComp::CmpIR {
-                pred, dst, imm, b, ..
-            } => {
-                regs[dst as usize] = i64::from(pred.eval(imm, regs[b as usize]));
-            }
-            ChainComp::CmpII {
-                pred, dst, x, y, ..
-            } => {
-                regs[dst as usize] = i64::from(pred.eval(x, y));
-            }
-            ChainComp::Select { dst, ref ops, .. } => {
-                let [cond, if_true, if_false] = **ops;
-                regs[dst as usize] = if reg_read(regs, cond) != 0 {
-                    reg_read(regs, if_true)
-                } else {
-                    reg_read(regs, if_false)
-                };
-            }
-            ChainComp::Cov { id, .. } => {
-                let idx = p.cov_state.edge(id, ctx.cov);
-                if let Some(tr) = ctx.trace.as_deref_mut() {
-                    tr.push(idx);
+            match *comp {
+                ChainComp::Const { dst, value, .. } | ChainComp::MovImm { dst, value, .. } => {
+                    regs[dst as usize] = value;
+                }
+                ChainComp::Mov { dst, src, .. } => regs[dst as usize] = regs[src as usize],
+                ChainComp::AddRR { dst, a, b, .. } => {
+                    regs[dst as usize] = regs[a as usize].wrapping_add(regs[b as usize]);
+                }
+                ChainComp::AddRI { dst, a, imm, .. } | ChainComp::AddIR { dst, imm, b: a, .. } => {
+                    regs[dst as usize] = regs[a as usize].wrapping_add(imm);
+                }
+                ChainComp::MulRI { dst, a, imm, .. } => {
+                    regs[dst as usize] = regs[a as usize].wrapping_mul(imm);
+                }
+                ChainComp::AndRI { dst, a, imm, .. } => regs[dst as usize] = regs[a as usize] & imm,
+                ChainComp::SRemPow2 { dst, a, mask, .. } => {
+                    regs[dst as usize] = srem_pow2(regs[a as usize], mask);
+                }
+                ChainComp::SRemRK { dst, a, k, .. } => regs[dst as usize] = regs[a as usize] % k,
+                ChainComp::BinRR { op, dst, a, b, .. } => {
+                    bin!(k, op, dst, regs[a as usize], regs[b as usize]);
+                }
+                ChainComp::BinRI {
+                    op, dst, a, imm, ..
+                } => bin!(k, op, dst, regs[a as usize], imm),
+                ChainComp::BinIR {
+                    op, dst, imm, b, ..
+                } => bin!(k, op, dst, imm, regs[b as usize]),
+                ChainComp::BinII { op, dst, x, y, .. } => bin!(k, op, dst, x, y),
+                ChainComp::CmpRR {
+                    pred, dst, a, b, ..
+                } => {
+                    regs[dst as usize] = i64::from(pred.eval(regs[a as usize], regs[b as usize]));
+                }
+                ChainComp::CmpRI {
+                    pred, dst, a, imm, ..
+                } => {
+                    regs[dst as usize] = i64::from(pred.eval(regs[a as usize], imm));
+                }
+                ChainComp::CmpIR {
+                    pred, dst, imm, b, ..
+                } => {
+                    regs[dst as usize] = i64::from(pred.eval(imm, regs[b as usize]));
+                }
+                ChainComp::CmpII {
+                    pred, dst, x, y, ..
+                } => {
+                    regs[dst as usize] = i64::from(pred.eval(x, y));
+                }
+                ChainComp::Select { dst, ref ops, .. } => {
+                    let [cond, if_true, if_false] = **ops;
+                    regs[dst as usize] = if reg_read(regs, cond) != 0 {
+                        reg_read(regs, if_true)
+                    } else {
+                        reg_read(regs, if_false)
+                    };
+                }
+                ChainComp::Cov { id, .. } => {
+                    let idx = p.cov_state.edge(id, ctx.cov);
+                    if let Some(tr) = ctx.trace.as_deref_mut() {
+                        tr.push(idx);
+                    }
+                }
+                ChainComp::LoadR {
+                    bytes, dst, addr, ..
+                } => load!(k, dst, regs[addr as usize] as u64, bytes),
+                ChainComp::LoadI {
+                    bytes, dst, addr, ..
+                } => load!(k, dst, addr, bytes),
+                ChainComp::StoreRR {
+                    bytes, addr, value, ..
+                } => store!(k, regs[addr as usize] as u64, regs[value as usize], bytes),
+                ChainComp::StoreRI {
+                    bytes, addr, value, ..
+                } => store!(k, regs[addr as usize] as u64, value, bytes),
+                ChainComp::StoreIR {
+                    bytes, addr, value, ..
+                } => store!(k, addr, regs[value as usize], bytes),
+                ChainComp::StoreII {
+                    bytes, addr, value, ..
+                } => store!(k, addr, value, bytes),
+                ChainComp::AddrOf { dst, global, .. } => {
+                    regs[dst as usize] = p.globals.addr_of(global).expect("verified global") as i64;
                 }
             }
-            ChainComp::LoadR {
-                bytes, dst, addr, ..
-            } => load!(k, dst, regs[addr as usize] as u64, bytes),
-            ChainComp::LoadI {
-                bytes, dst, addr, ..
-            } => load!(k, dst, addr, bytes),
-            ChainComp::StoreRR {
-                bytes, addr, value, ..
-            } => store!(k, regs[addr as usize] as u64, regs[value as usize], bytes),
-            ChainComp::StoreRI {
-                bytes, addr, value, ..
-            } => store!(k, regs[addr as usize] as u64, value, bytes),
-            ChainComp::StoreIR {
-                bytes, addr, value, ..
-            } => store!(k, addr, regs[value as usize], bytes),
-            ChainComp::StoreII {
-                bytes, addr, value, ..
-            } => store!(k, addr, value, bytes),
-            ChainComp::AddrOf { dst, global, .. } => {
-                regs[dst as usize] = p.globals.addr_of(global).expect("verified global") as i64;
+        }
+        let next = match tail {
+            ChainTail::Next => pc + 1,
+            ChainTail::Br { pre, target } => {
+                // The absorbed branch: its own eliminated predecessors
+                // first, then the branch charge.
+                charge!(*pre);
+                *target
             }
-        }
-    }
-    let next = match tail {
-        ChainTail::Next => pc + 1,
-        ChainTail::Br { pre, target } => {
-            // The absorbed branch: its own eliminated predecessors first,
-            // then the branch charge.
-            charge!(*pre);
-            *target
-        }
-        ChainTail::CondBr {
-            pre,
-            cond,
-            if_true,
-            if_false,
-        } => {
-            charge!(*pre);
-            if reg_read(regs, *cond) != 0 {
-                *if_true
-            } else {
-                *if_false
+            ChainTail::CondBr {
+                pre,
+                cond,
+                if_true,
+                if_false,
+            } => {
+                charge!(*pre);
+                if reg_read(regs, *cond) != 0 {
+                    *if_true
+                } else {
+                    *if_false
+                }
             }
+            ChainTail::Loop(lt) => {
+                charge!(lt.pre);
+                lt.header
+            }
+        };
+        if CHECKED {
+            return Ok(next);
         }
-    };
-    if !CHECKED {
         *insts += rest;
         *cycles += rest * inst_cost;
+        let ChainTail::Loop(lt) = tail else {
+            return Ok(next);
+        };
+        // The loop header runs in place when the fuel left covers it, and
+        // the chain goes round again when it also covers a whole further
+        // pass: then none of their fuel checks can fail, so charging each
+        // in bulk is exact. Otherwise the header's own op, or the chain's
+        // next dispatch, runs them checked.
+        if fuel - *insts < lt.header_charge {
+            return Ok(next);
+        }
+        *insts += lt.header_charge;
+        *cycles += lt.header_charge * inst_cost;
+        let idx = p.cov_state.edge(lt.id, ctx.cov);
+        if let Some(tr) = ctx.trace.as_deref_mut() {
+            tr.push(idx);
+        }
+        let v = i64::from(lt.pred.eval(reg_read(regs, lt.lhs), reg_read(regs, lt.rhs)));
+        regs[lt.dst as usize] = v;
+        let to = if v != 0 { lt.if_true } else { lt.if_false };
+        if to != pc || fuel - *insts < lt.head_charge + rest {
+            return Ok(to);
+        }
+        *insts += lt.head_charge;
+        *cycles += lt.head_charge * inst_cost;
     }
-    Ok(next)
 }
 
 /// The crash a rejected access reports at `pc`'s site in `df`.

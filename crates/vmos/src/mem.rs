@@ -1,11 +1,14 @@
 //! Copy-on-write paged memory.
 //!
-//! Pages are reference-counted; [`PageTable::fork`] clones only the page
-//! *table* (Arc bumps), and the first write to a shared page after a fork
-//! copies it — exactly the mechanism whose cost the paper's forkserver
-//! baseline pays per test case. `PageTable::refork` turns a used child
-//! back into a fresh fork of its unchanged parent by re-pointing only the
-//! pages it dirtied.
+//! Each page a table maps is either *owned* — only this table maps it, so a
+//! store is a slot lookup and a copy — or *shared* behind an `Arc` with
+//! other tables. Sharing happens only in `&mut` steps ([`PageTable::share`],
+//! [`PageTable::fork`]), which move every owned page behind an `Arc` first,
+//! so nothing deep-copies an owned page behind the table's back. The first
+//! write to a shared page after a fork copies it — exactly the mechanism
+//! whose cost the paper's forkserver baseline pays per test case.
+//! `PageTable::refork` turns a used child back into a fresh fork of its
+//! unchanged parent by re-pointing only the pages it dirtied.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -17,10 +20,64 @@ use crate::process::{STACK_MAX_BYTES, STACK_TOP};
 /// Page size in bytes (4 KiB, like Linux).
 pub const PAGE_SIZE: u64 = 4096;
 
-type Page = Arc<[u8; PAGE_SIZE as usize]>;
+type PageBuf = [u8; PAGE_SIZE as usize];
 
-fn zero_page() -> Page {
-    Arc::new([0u8; PAGE_SIZE as usize])
+/// One mapped page.
+#[derive(Debug)]
+enum Page {
+    /// Only this table maps the page: a store writes straight into it.
+    Own(Box<PageBuf>),
+    /// The page was shared with other tables. The first write copies it
+    /// (one CoW fault), unless every other holder has since dropped it:
+    /// then it is this table's alone, and taking it back costs no fault.
+    Shared(Arc<PageBuf>),
+}
+
+impl Page {
+    fn zeroed() -> Page {
+        Page::Own(Box::new([0u8; PAGE_SIZE as usize]))
+    }
+
+    #[inline]
+    fn bytes(&self) -> &PageBuf {
+        match self {
+            Page::Own(page) => page,
+            Page::Shared(page) => page,
+        }
+    }
+
+    /// The page behind an `Arc`, so another table can map it.
+    fn frozen(self) -> Page {
+        match self {
+            Page::Own(page) => Page::Shared(Arc::from(page)),
+            shared => shared,
+        }
+    }
+
+    /// Another handle on a shared page.
+    ///
+    /// # Panics
+    /// On an owned page: sharing one takes [`Page::frozen`] first, and
+    /// copying it here would hide a page copy no CoW fault accounts for.
+    fn share(&self) -> Page {
+        match self {
+            Page::Shared(page) => Page::Shared(Arc::clone(page)),
+            Page::Own(_) => panic!("an owned page is shared only through a `&mut` freeze"),
+        }
+    }
+
+    /// The page as one this table owns, and whether that copied it away
+    /// from another holder (a CoW copy). A shared page nobody else holds
+    /// any more is unwrapped without counting a copy.
+    fn into_owned(self) -> (Box<PageBuf>, bool) {
+        match self {
+            Page::Own(page) => (page, false),
+            Page::Shared(page) => match Arc::try_unwrap(page) {
+                Ok(page) => (Box::new(page), false),
+                Err(page) => (Box::new(*page), true),
+            },
+        }
+    }
 }
 
 /// Page-index bounds `[start, end)` of the three fixed regions a process
@@ -51,7 +108,7 @@ fn region(idx: u64) -> Option<usize> {
 /// Dense storage for the pages of one region: slot `i` holds page
 /// `lo + i`. It covers only the span of pages ever written, and grows (by
 /// doubling, within the region) when a write lands outside it.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct Window {
     lo: u64,
     slots: Vec<Option<Page>>,
@@ -83,13 +140,13 @@ impl Window {
             self.slots.push(None);
         } else if idx < self.lo {
             let lo = idx.min(self.lo.saturating_sub(len)).max(start);
-            let mut slots = vec![None; (self.lo - lo) as usize];
+            let mut slots: Vec<Option<Page>> = (lo..self.lo).map(|_| None).collect();
             slots.append(&mut self.slots);
             self.slots = slots;
             self.lo = lo;
         } else {
             let want = (idx - self.lo + 1).max(2 * len).min(end - self.lo);
-            self.slots.resize(want as usize, None);
+            self.slots.resize_with(want as usize, || None);
         }
     }
 
@@ -101,11 +158,24 @@ impl Window {
             .enumerate()
             .filter_map(move |(i, p)| Some((lo + i as u64, p.as_ref()?)))
     }
+
+    /// Freeze every page and return a window mapping the same pages.
+    fn share(&mut self) -> Window {
+        let slots = self
+            .slots
+            .iter_mut()
+            .map(|slot| {
+                *slot = slot.take().map(Page::frozen);
+                slot.as_ref().map(Page::share)
+            })
+            .collect();
+        Window { lo: self.lo, slots }
+    }
 }
 
 /// The page store of a [`PageTable`]: one [`Window`] per fixed region. A
 /// `None` slot is unmapped, and so is every page outside the regions.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct Pages {
     dense: [Window; 3],
 }
@@ -132,6 +202,13 @@ impl Pages {
     /// Every mapped page, by index (not sorted across regions).
     fn iter(&self) -> impl Iterator<Item = (u64, &Page)> {
         self.dense.iter().flat_map(Window::iter)
+    }
+
+    /// Freeze every page and return a store mapping the same pages.
+    fn share(&mut self) -> Pages {
+        Pages {
+            dense: self.dense.each_mut().map(Window::share),
+        }
     }
 }
 
@@ -172,7 +249,11 @@ fn fresh_stamp() -> u64 {
 /// reads as zeros, and writing one panics: no guest access reaches it
 /// (`Process::check_access` admits only the three regions, and the heap
 /// refuses a chunk past [`crate::heap::HEAP_END`]).
-#[derive(Debug, Clone, Default)]
+///
+/// A table is not `Clone`: another table maps its pages only through
+/// [`PageTable::share`] or [`PageTable::fork`], which take `&mut self` to
+/// move owned pages behind an `Arc`.
+#[derive(Debug, Default)]
 pub struct PageTable {
     pages: Pages,
     own: Ownership,
@@ -197,18 +278,24 @@ impl Ownership {
     /// Make `slot` (page `page_idx`) a page only this table holds:
     /// materialize it if unmapped, copy it (one CoW fault) if shared.
     /// Cold and out of line, so the store path stays a slot lookup.
+    /// A shared page no other table holds any more is taken back as it
+    /// is: no fault, and its ownership did not change.
     #[cold]
     #[inline(never)]
     fn take(&mut self, slot: &mut Option<Page>, page_idx: u64) {
-        match slot {
+        match slot.take() {
             None => {
-                *slot = Some(zero_page());
+                *slot = Some(Page::zeroed());
                 self.resident += 1;
             }
             Some(page) => {
+                let (page, copied) = page.into_owned();
+                *slot = Some(Page::Own(page));
+                if !copied {
+                    return;
+                }
                 // Copy-on-write fault: this page is shared with another
-                // process (post-fork); duplicate before writing.
-                *page = Arc::new(**page);
+                // process (post-fork); it was duplicated before the write.
                 self.cow_faults += 1;
             }
         }
@@ -274,9 +361,10 @@ impl PageTable {
         let mut out: Vec<u64> = self
             .pages
             .iter()
-            .filter(|(idx, page)| match parent.pages.get(*idx) {
-                Some(pp) => !Arc::ptr_eq(page, pp),
-                None => true,
+            .filter(|(idx, page)| match (page, parent.pages.get(*idx)) {
+                (Page::Shared(page), Some(Page::Shared(pp))) => !Arc::ptr_eq(page, pp),
+                // An owned page is mapped by no other table.
+                _ => true,
             })
             .map(|(idx, _)| idx)
             .collect();
@@ -291,21 +379,42 @@ impl PageTable {
     /// would double-charge the eventual teardown.
     pub fn privatize(&mut self, page_idx: u64) {
         let slot = self.pages.slot_mut(page_idx);
-        match slot {
+        *slot = Some(match slot.take() {
             None => {
-                *slot = Some(zero_page());
                 self.own.resident += 1;
+                Page::zeroed()
             }
-            Some(page) if Arc::strong_count(page) > 1 => *page = Arc::new(**page),
-            Some(_) => {}
-        }
+            Some(page) => Page::Own(page.into_owned().0),
+        });
         self.own.changed(page_idx);
     }
 
-    /// Duplicate the table the way `fork(2)` does: share all pages.
-    pub fn fork(&self) -> PageTable {
+    /// A table mapping every page of this one, with the same counters,
+    /// stamp and dirty list: what a clone would be, except that both
+    /// tables now share each page, so whichever writes one first copies
+    /// it (a CoW fault). Owned pages move behind an `Arc` here, which is
+    /// why this takes `&mut self`. Template creation uses it.
+    pub fn share(&mut self) -> PageTable {
         PageTable {
-            pages: self.pages.clone(),
+            pages: self.pages.share(),
+            own: self.own.clone(),
+        }
+    }
+
+    /// Move every owned page behind an `Arc`, as sharing would, without
+    /// making a second table. Counters, stamp and dirty list stay: which
+    /// page backs each index is unchanged.
+    pub(crate) fn freeze(&mut self) {
+        for slot in self.pages.dense.iter_mut().flat_map(|w| &mut w.slots) {
+            *slot = slot.take().map(Page::frozen);
+        }
+    }
+
+    /// Duplicate the table the way `fork(2)` does: share all pages. The
+    /// child starts with no faults, an empty dirty list and a fresh stamp.
+    pub fn fork(&mut self) -> PageTable {
+        PageTable {
+            pages: self.pages.share(),
             own: Ownership {
                 resident: self.own.resident,
                 cow_faults: 0,
@@ -328,7 +437,7 @@ impl PageTable {
         for idx in self.own.dirty.drain(..) {
             let slot = self.pages.slot_mut(idx);
             let was_mapped = slot.is_some();
-            *slot = parent.pages.get(idx).cloned();
+            *slot = parent.pages.get(idx).map(Page::share);
             match (was_mapped, slot.is_some()) {
                 (true, false) => self.own.resident -= 1,
                 (false, true) => self.own.resident += 1,
@@ -351,7 +460,7 @@ impl PageTable {
             let in_page = (a % PAGE_SIZE) as usize;
             let n = ((PAGE_SIZE as usize) - in_page).min(buf.len() - off);
             match self.pages.get(a / PAGE_SIZE) {
-                Some(p) => buf[off..off + n].copy_from_slice(&p[in_page..in_page + n]),
+                Some(p) => buf[off..off + n].copy_from_slice(&p.bytes()[in_page..in_page + n]),
                 None => buf[off..off + n].fill(0),
             }
             a += n as u64;
@@ -377,12 +486,15 @@ impl PageTable {
     /// copied (one CoW fault) if shared. A page this table already owns
     /// costs one slot lookup.
     #[inline]
-    fn owned_page(&mut self, page_idx: u64) -> &mut [u8; PAGE_SIZE as usize] {
+    fn owned_page(&mut self, page_idx: u64) -> &mut PageBuf {
         let slot = self.pages.slot_mut(page_idx);
-        if !matches!(slot, Some(page) if Arc::strong_count(page) == 1) {
+        if !matches!(slot, Some(Page::Own(_))) {
             self.own.take(slot, page_idx);
         }
-        Arc::get_mut(slot.as_mut().expect("mapped above")).expect("unshared above")
+        match slot {
+            Some(Page::Own(page)) => page,
+            _ => unreachable!("taken above"),
+        }
     }
 
     /// Read a little-endian unsigned integer of `width` bytes (1/2/4/8).
@@ -410,7 +522,7 @@ impl PageTable {
         if in_page + W > PAGE_SIZE as usize {
             self.read(addr, &mut buf[..W]);
         } else if let Some(p) = self.pages.get(addr / PAGE_SIZE) {
-            buf[..W].copy_from_slice(&p[in_page..in_page + W]);
+            buf[..W].copy_from_slice(&p.bytes()[in_page..in_page + W]);
         }
         u64::from_le_bytes(buf)
     }
@@ -456,7 +568,7 @@ impl PageTable {
             let Some(p) = self.pages.get(a / PAGE_SIZE) else {
                 return out;
             };
-            let chunk = &p[in_page..in_page + run];
+            let chunk = &p.bytes()[in_page..in_page + run];
             match chunk.iter().position(|&b| b == 0) {
                 Some(n) => {
                     out.extend_from_slice(&chunk[..n]);
@@ -601,11 +713,123 @@ mod tests {
         let page = (G + 0x1000) / PAGE_SIZE;
         assert_eq!(child.private_pages_vs(&pt), vec![page]);
 
-        let twin = child.clone();
-        assert_eq!(twin.ownership_stamp(), copied, "a clone shares every page");
+        let twin = child.share();
+        assert_eq!(twin.ownership_stamp(), copied, "sharing keeps every page");
+        assert_eq!(child.ownership_stamp(), copied);
         child.privatize(page + 4);
         assert_ne!(child.ownership_stamp(), copied, "privatize moves the stamp");
         assert_eq!(child.private_pages_vs(&pt), vec![page, page + 4]);
+    }
+
+    /// The page-ownership model this table replaced: every page behind an
+    /// `Arc`, shared exactly while another table still holds it, so a
+    /// write copies (and faults) iff the page's strong count exceeds one.
+    #[derive(Default)]
+    struct ArcModel {
+        pages: std::collections::BTreeMap<u64, Arc<u8>>,
+        cow_faults: u64,
+        dirty: Vec<u64>,
+    }
+
+    impl ArcModel {
+        fn write(&mut self, idx: u64) {
+            match self.pages.get_mut(&idx) {
+                None => {
+                    self.pages.insert(idx, Arc::new(0));
+                }
+                Some(page) if Arc::strong_count(page) > 1 => {
+                    *page = Arc::new(**page);
+                    self.cow_faults += 1;
+                }
+                Some(_) => return,
+            }
+            self.dirty.push(idx);
+        }
+
+        fn fork(&self) -> ArcModel {
+            ArcModel {
+                pages: self.pages.clone(),
+                ..ArcModel::default()
+            }
+        }
+
+        fn refork(&mut self, parent: &ArcModel) {
+            for idx in self.dirty.drain(..) {
+                match parent.pages.get(&idx) {
+                    Some(page) => self.pages.insert(idx, Arc::clone(page)),
+                    None => self.pages.remove(&idx),
+                };
+            }
+            self.cow_faults = 0;
+        }
+
+        fn private_vs(&self, parent: &ArcModel) -> Vec<u64> {
+            self.pages
+                .iter()
+                .filter(
+                    |(idx, page)| !matches!(parent.pages.get(idx), Some(p) if Arc::ptr_eq(p, page)),
+                )
+                .map(|(idx, _)| G / PAGE_SIZE + idx)
+                .collect()
+        }
+    }
+
+    /// One write per listed page, to the table and to the model.
+    fn write_pages(pt: &mut PageTable, model: &mut ArcModel, pages: &[u64]) {
+        for &idx in pages {
+            pt.write_uint(G + idx * PAGE_SIZE + 8, idx + 1, 8);
+            model.write(idx);
+        }
+    }
+
+    #[test]
+    fn fork_writes_and_refork_match_the_arc_model() {
+        fn check(what: &str, pt: &PageTable, model: &ArcModel, parent: (&PageTable, &ArcModel)) {
+            assert_eq!(pt.cow_faults(), model.cow_faults, "{what}: cow faults");
+            assert_eq!(
+                pt.resident_pages(),
+                model.pages.len() as u64,
+                "{what}: resident"
+            );
+            assert_eq!(
+                pt.private_pages_vs(parent.0),
+                model.private_vs(parent.1),
+                "{what}: private pages"
+            );
+        }
+        let (mut parent, mut parent_m) = (PageTable::new(), ArcModel::default());
+        write_pages(&mut parent, &mut parent_m, &[0, 1, 2, 3]);
+        parent.reset_fault_count();
+        let (mut child, mut child_m) = (parent.fork(), parent_m.fork());
+        check("fork", &child, &child_m, (&parent, &parent_m));
+        write_pages(&mut child, &mut child_m, &[1, 5, 1]);
+        check("child writes", &child, &child_m, (&parent, &parent_m));
+        child.refork(&parent);
+        child_m.refork(&parent_m);
+        check("refork", &child, &child_m, (&parent, &parent_m));
+        write_pages(&mut child, &mut child_m, &[2, 6]);
+        check(
+            "writes after refork",
+            &child,
+            &child_m,
+            (&parent, &parent_m),
+        );
+
+        // The parent's side: pages a live child shares fault, and once
+        // every sharer is gone a shared page is the parent's again, free.
+        let (twin, twin_m) = (parent.fork(), parent_m.fork());
+        write_pages(&mut parent, &mut parent_m, &[0, 3, 7]);
+        check("parent writes", &parent, &parent_m, (&twin, &twin_m));
+        drop((child, child_m, twin, twin_m));
+        write_pages(&mut parent, &mut parent_m, &[1, 2, 3]);
+        let empty = (PageTable::new(), ArcModel::default());
+        check(
+            "after the children",
+            &parent,
+            &parent_m,
+            (&empty.0, &empty.1),
+        );
+        assert_eq!(parent.cow_faults(), 2, "pages 0 and 3 only");
     }
 
     #[test]

@@ -93,25 +93,12 @@ impl Os {
     }
 
     /// `fork(2)`: duplicate a process copy-on-write. Returns the child and
-    /// the cycles charged (scales with the parent's resident pages).
-    pub fn fork(&mut self, parent: &Process) -> (Process, u64) {
-        // Build the child around `mem.fork()` directly rather than cloning
-        // the parent wholesale and overwriting `mem`.
-        let mut child = Process {
-            mem: parent.mem.fork(),
-            heap: parent.heap.clone(),
-            fds: parent.fds.clone(),
-            globals: parent.globals.clone(),
-            frames: parent.frames.clone(),
-            regs: parent.regs.clone(),
-            sp: parent.sp,
-            cov_state: parent.cov_state,
-            rt: parent.rt.clone(),
-            jmpbufs: parent.jmpbufs.clone(),
-            rng_state: parent.rng_state,
-            stdout: parent.stdout.clone(),
-            pid: parent.pid,
-        };
+    /// the cycles charged (scales with the parent's resident pages). Takes
+    /// the parent `&mut` because sharing its pages freezes them
+    /// ([`crate::mem::PageTable::fork`]).
+    pub fn fork(&mut self, parent: &mut Process) -> (Process, u64) {
+        let mem = parent.mem.fork();
+        let mut child = parent.with_mem(mem);
         let cycles = self.charge_fork(&mut child, parent);
         (child, cycles)
     }
@@ -155,7 +142,7 @@ impl Os {
     ///
     /// # Errors
     /// [`OsError::ForkFailed`] when the fault plane injects a fork failure.
-    pub fn try_fork(&mut self, parent: &Process) -> Result<(Process, u64), OsError> {
+    pub fn try_fork(&mut self, parent: &mut Process) -> Result<(Process, u64), OsError> {
         if self.fork_refused() {
             return Err(OsError::ForkFailed);
         }
@@ -189,9 +176,11 @@ impl Os {
 ///
 /// The parent is reachable only through [`ForkServer::parent`]: the spare
 /// child shares its pages, so writing to the parent would take CoW faults
-/// a real paused forkserver never does. Re-templating means building a new
-/// `ForkServer`. Pair each [`ForkServer::fork`] with a
-/// [`ForkServer::reap`], as an exec pairs `fork` with `wait`.
+/// a real paused forkserver never does. [`ForkServer::new`] freezes it
+/// (every page shared), so forking it never changes its page ownership.
+/// Re-templating means building a new `ForkServer`. Pair each
+/// [`ForkServer::fork`] with a [`ForkServer::reap`], as an exec pairs
+/// `fork` with `wait`.
 #[derive(Debug)]
 pub struct ForkServer {
     parent: Process,
@@ -200,8 +189,9 @@ pub struct ForkServer {
 }
 
 impl ForkServer {
-    /// A forkserver pausing `parent`.
-    pub fn new(parent: Process) -> Self {
+    /// A forkserver pausing `parent`, frozen.
+    pub fn new(mut parent: Process) -> Self {
+        parent.mem.freeze();
         ForkServer {
             parent,
             child: None,
@@ -223,19 +213,27 @@ impl ForkServer {
         if os.fork_refused() {
             return Err(OsError::ForkFailed);
         }
-        let parent = &self.parent;
         let cycles = match self.child.as_mut() {
             Some(child) => {
-                refork(child, parent);
-                os.charge_fork(child, parent)
+                refork(child, &self.parent);
+                os.charge_fork(child, &self.parent)
             }
             None => {
-                let (child, cycles) = os.fork(parent);
+                let (child, cycles) = os.fork(&mut self.parent);
                 self.child = Some(child);
                 cycles
             }
         };
         Ok((self.child.as_mut().expect("forked above"), cycles))
+    }
+
+    /// A fresh fork of the parent that the server does not recycle:
+    /// exactly [`Os::try_fork`] of the parent. The parent stays frozen.
+    ///
+    /// # Errors
+    /// [`OsError::ForkFailed`] when the fault plane injects a fork failure.
+    pub fn fork_detached(&mut self, os: &mut Os) -> Result<(Process, u64), OsError> {
+        os.try_fork(&mut self.parent)
     }
 
     /// Tear the child down the way [`Os::teardown`] does, CoW faults
@@ -315,7 +313,7 @@ mod tests {
         let (mut parent, spawn_cost) = os.spawn(&m);
         let g = parent.globals.addr_of_name("g").unwrap();
         parent.mem.write_uint(g, 5, 8);
-        let (mut child, fork_cost) = os.fork(&parent);
+        let (mut child, fork_cost) = os.fork(&mut parent);
         assert!(fork_cost < spawn_cost);
         child.mem.write_uint(g, 77, 8);
         assert_eq!(parent.mem.read_uint(g, 8), 5, "parent unaffected");
@@ -327,17 +325,17 @@ mod tests {
         use crate::fault::{FaultPlan, FaultPlane};
         let mut os = Os::new();
         let m = module();
-        let (parent, _) = os.spawn(&m);
+        let (mut parent, _) = os.spawn(&m);
         os.fault = FaultPlane::new(FaultPlan {
             fork_fail: 1.0,
             ..FaultPlan::none()
         });
         let before = os.mgmt_cycles;
-        assert_eq!(os.try_fork(&parent).unwrap_err(), OsError::ForkFailed);
+        assert_eq!(os.try_fork(&mut parent).unwrap_err(), OsError::ForkFailed);
         assert_eq!(os.try_spawn(&m).unwrap_err(), OsError::SpawnFailed);
         assert!(os.mgmt_cycles > before, "failed attempts still cost cycles");
         os.fault = FaultPlane::disabled();
-        assert!(os.try_fork(&parent).is_ok());
+        assert!(os.try_fork(&mut parent).is_ok());
         assert!(os.try_spawn(&m).is_ok());
     }
 
@@ -381,7 +379,7 @@ mod tests {
         let (mut parent, _) = os.spawn(&m);
         let g = parent.globals.addr_of_name("g").unwrap();
         parent.mem.write_uint(g, 5, 8);
-        let (mut child, _) = os.fork(&parent);
+        let (mut child, _) = os.fork(&mut parent);
         let plain = os.cost.teardown(child.mem.resident_pages());
         child.mem.write_uint(g, 1, 8); // one CoW fault
         let charged = os.teardown(child);

@@ -75,7 +75,10 @@ pub struct ClosureRt {
 }
 
 /// A simulated process.
-#[derive(Debug, Clone)]
+///
+/// Not `Clone`, because its page table is not: [`Process::share`] is the
+/// copy, and it takes `&mut self` to share the pages.
+#[derive(Debug)]
 pub struct Process {
     /// Copy-on-write paged memory.
     pub mem: PageTable,
@@ -130,6 +133,50 @@ impl Process {
             rng_state: 0x243F6A8885A308D3 ^ u64::from(pid),
             stdout: Vec::new(),
             pid,
+        }
+    }
+
+    /// A copy of this process that shares every page with it, like a
+    /// clone with copy-on-write memory: the first write to a page on
+    /// either side copies it and counts a CoW fault. Templates are made
+    /// with this.
+    pub fn share(&mut self) -> Process {
+        let mem = self.mem.share();
+        self.with_mem(mem)
+    }
+
+    /// This process with `mem` in place of its page table. Destructures
+    /// `self` so a new field cannot be forgotten here.
+    pub(crate) fn with_mem(&self, mem: PageTable) -> Process {
+        let Process {
+            mem: _,
+            heap,
+            fds,
+            globals,
+            frames,
+            regs,
+            sp,
+            cov_state,
+            rt,
+            jmpbufs,
+            rng_state,
+            stdout,
+            pid,
+        } = self;
+        Process {
+            mem,
+            heap: heap.clone(),
+            fds: fds.clone(),
+            globals: globals.clone(),
+            frames: frames.clone(),
+            regs: regs.clone(),
+            sp: *sp,
+            cov_state: *cov_state,
+            rt: rt.clone(),
+            jmpbufs: jmpbufs.clone(),
+            rng_state: *rng_state,
+            stdout: stdout.clone(),
+            pid: *pid,
         }
     }
 

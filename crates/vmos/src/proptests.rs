@@ -4,11 +4,13 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use fir::builder::ModuleBuilder;
-use fir::Global;
+use fir::{BinOp, Global, Operand, Reg};
 use proptest::prelude::*;
 
 use crate::cov::{classify_count, CovMap, VirginMap};
+use crate::decoded::{srem_pow2, ChainComp, ChainOp, ChainSrc};
 use crate::heap::{AccessVerdict, HeapState, GUARD, HEAP_BASE};
+use crate::interp::eval_bin;
 use crate::layout::GLOBAL_BASE;
 use crate::mem::{PageTable, PAGE_SIZE};
 use crate::os::{ForkServer, Os};
@@ -107,14 +109,14 @@ proptest! {
     fn recycled_fork_matches_a_fresh_fork(execs in child_ops()) {
         // `parent` shares every page with the server's own parent, so it
         // stands in for it while the server's child is borrowed.
-        let parent = fork_parent();
-        let mut server = ForkServer::new(parent.clone());
+        let mut parent = fork_parent();
+        let mut server = ForkServer::new(parent.share());
         let (mut os, mut oracle_os) = (Os::new(), Os::new());
         let rw = parent.globals.addr_of_name("rw").expect("rw");
         let mut touched: Vec<u64> = Vec::new();
         for ops in execs {
             let (child, fork_cycles) = server.fork(&mut os).expect("no fault plan");
-            let (mut oracle, oracle_fork) = oracle_os.fork(&parent);
+            let (mut oracle, oracle_fork) = oracle_os.fork(&mut parent);
             prop_assert_eq!(fork_cycles, oracle_fork);
             for &op in &ops {
                 apply_op(&mut oracle, rw, op);
@@ -252,6 +254,29 @@ proptest! {
         child.read(probe, &mut after);
         prop_assert_eq!(before, after, "parent writes invisible to child");
         prop_assert_eq!(pt.read_uint(probe, 8), u64::from_le_bytes([0xEE; 8]));
+    }
+
+    /// `srem` by every positive power of two resolves to the mask-and-sign
+    /// component, and that component's result is `eval_bin`'s — for a
+    /// random dividend and for the edges around the divisor, zero and the
+    /// ends of `i64`.
+    #[test]
+    fn srem_by_a_power_of_two_matches_eval_bin(a in any::<i64>()) {
+        for n in 0..=62 {
+            let k = 1i64 << n;
+            let src = ChainSrc {
+                pre: 0,
+                op: ChainOp::Bin { op: BinOp::SRem, dst: 0, lhs: Operand::Reg(Reg(1)), rhs: Operand::Imm(k) },
+            };
+            let ChainComp::SRemPow2 { mask, .. } = ChainComp::resolve(&src) else {
+                panic!("srem by 2^{n} resolved to {:?}", ChainComp::resolve(&src));
+            };
+            let edges = [0, 1, -1, k - 1, k, k + 1, -k + 1, -k, -k - 1, i64::MAX, i64::MIN, i64::MIN + 1];
+            for x in std::iter::once(a).chain(edges) {
+                let want = eval_bin(BinOp::SRem, x, k).expect("a positive divisor never traps");
+                prop_assert_eq!(srem_pow2(x, mask), want, "{} srem 2^{}", x, n);
+            }
+        }
     }
 
     /// Coverage bucketing is idempotent and merge is monotone: merging the

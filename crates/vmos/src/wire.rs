@@ -512,6 +512,20 @@ impl<T: Wire> Wire for Box<T> {
     }
 }
 
+/// A borrowed value encodes exactly as the value does, so a message can be
+/// sent from state it does not own; it always decodes owned.
+impl<T: Wire + Clone> Wire for std::borrow::Cow<'_, T> {
+    const MIN_LEN: usize = T::MIN_LEN;
+
+    fn encode(&self, w: &mut Writer) {
+        T::encode(self, w);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        T::decode(r).map(std::borrow::Cow::Owned)
+    }
+}
+
 impl<T: Wire + Copy + Default, const N: usize> Wire for [T; N] {
     const MIN_LEN: usize = N * T::MIN_LEN;
 

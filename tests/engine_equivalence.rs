@@ -26,7 +26,7 @@
 use aflrs::{Campaign, CampaignConfig, CampaignOutcome, CampaignResult, CheckpointConfig};
 use closurex::harness::{ClosureXConfig, ClosureXExecutor};
 use fir::{BinOp, Module};
-use vmos::decoded::{ChainComp, DOp};
+use vmos::decoded::{ChainComp, ChainTail, DOp};
 use vmos::{
     CallOutcome, CallResult, CovMap, CrashKind, DecodeOptGuard, DecodedImage, HostCtx, Machine, Os,
     ReferenceEngineGuard,
@@ -286,6 +286,65 @@ fn setjmp_longjmp_and_stack_overflow_match_reference_at_every_fuel() {
         format!("call depth {}", vmos::process::MAX_CALL_DEPTH)
     );
     fuel_sweep(&m, &img, 7, overflow.insts + 1);
+}
+
+/// A coverage-instrumented loop whose body is one chain that absorbs its
+/// latch: the chain's branch goes to the `CovCmpBr` header, which branches
+/// back to the chain, so the optimized engine runs the header in place and
+/// goes round again under one dispatch while the fuel covers each pass.
+/// With `k = 3` the division traps on iteration 3; with `k = 9` the loop
+/// runs out and returns. Both are swept at every fuel up to completion, so
+/// fuel runs out at every position of every pass: in the header, at the
+/// chain's head, inside its components and on its branch.
+#[test]
+fn loop_chain_matches_reference_at_every_fuel() {
+    let mut m = minic::compile(
+        "loop_chain",
+        "global t[64];
+         fn main(k) {
+             var i = 0;
+             var s = 0;
+             while (i < 6) {
+                 s = s + 100 / (k - i);
+                 store8(t + (i % 8), s);
+                 i = i + 1;
+             }
+             return s;
+         }",
+    )
+    .expect("MinC source compiles");
+    // Coverage instrumentation puts the probe at the header's start, which
+    // is what fuses the header into a `CovCmpBr`.
+    passes::pipelines::baseline_pipeline()
+        .run(&mut m)
+        .expect("coverage pass");
+    let img = DecodedImage::new(&m);
+    let main = &img.opt_funcs[m.function_id("main").expect("main").0 as usize];
+    let closes_its_loop = main.ops.iter().enumerate().any(|(pc, op)| match op {
+        DOp::Chain {
+            tail: ChainTail::Loop(lt),
+            ..
+        } => {
+            matches!(main.ops[lt.header as usize], DOp::CovCmpBr { .. })
+                && (lt.if_true == pc as u32 || lt.if_false == pc as u32)
+        }
+        _ => false,
+    });
+    assert!(
+        closes_its_loop,
+        "the body chain must branch to a header that branches back: {:?}",
+        main.ops
+    );
+    for (k, kind) in [(3, Some(CrashKind::DivisionByZero)), (9, None)] {
+        let full = call_main(&m, &img, Engine::Reference, k, u64::MAX);
+        assert_eq!(
+            full.result.crash().map(|c| c.kind),
+            kind,
+            "{:?}",
+            full.result
+        );
+        fuel_sweep(&m, &img, k, full.insts + 1);
+    }
 }
 
 #[test]

@@ -152,6 +152,54 @@ fn debris_alone_restores_to_a_fresh_start() {
     let _ = std::fs::remove_dir_all(root);
 }
 
+/// A `spec.bin.tmp` is never campaign state: `write_spec` renames it away
+/// or deletes it, so one left on disk is from an admission that died
+/// between the create and the rename. Restore deletes it both next to a
+/// committed `spec.bin`, where the tenant then finishes on the result of
+/// an untouched submit, and alone in a directory, which held no tenant and
+/// goes with it.
+#[test]
+fn a_stray_spec_temp_is_swept_on_restore() {
+    let root = std::env::temp_dir().join(format!("cx-service-spec-tmp-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let resolver: Arc<dyn aflrs::SpecResolver> = Arc::new(MechanismResolver);
+    let start = |dir| Service::new(ServiceConfig::new(dir), Arc::clone(&resolver));
+    let want = start(root.join("untouched"))
+        .expect("service starts")
+        .submit(spec("t"))
+        .expect("admitted")
+        .await_result()
+        .expect("finishes");
+    let dir = root.join("killed");
+    start(dir.clone())
+        .expect("service starts")
+        .submit(spec("t"))
+        .expect("admitted")
+        .pause();
+    let spec_bytes = std::fs::read(dir.join("t").join("spec.bin")).expect("spec.bin");
+    let beside = dir.join("t").join("spec.bin.tmp");
+    std::fs::write(&beside, &spec_bytes[..spec_bytes.len() / 2]).expect("write temp");
+    let alone = dir.join("ghost");
+    std::fs::create_dir_all(&alone).expect("mkdir");
+    std::fs::write(alone.join("spec.bin.tmp"), &spec_bytes).expect("write temp");
+
+    let service = Service::restore(ServiceConfig::new(&dir), Arc::clone(&resolver))
+        .expect("service restores");
+    assert!(!beside.exists(), "the temp beside spec.bin is swept");
+    assert!(
+        !alone.exists(),
+        "a directory holding only the temp is swept"
+    );
+    assert!(service.handle("ghost").is_none(), "no spec.bin, no tenant");
+    let got = service
+        .handle("t")
+        .expect("tenant restored from spec.bin")
+        .await_result()
+        .expect("restored tenant finishes");
+    assert_eq!(want.outcome_diff(&got), None);
+    let _ = std::fs::remove_dir_all(root);
+}
+
 mod fair_share {
     use aflrs::service::fair_pick;
     use proptest::prelude::*;
