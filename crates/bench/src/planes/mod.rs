@@ -164,11 +164,12 @@ pub fn test_main(parts: &[(&str, Part)]) {
     }
 }
 
-/// Name each part as the test harness would list it.
+/// Name each part as the test harness would list it; parts of several
+/// planes are separated by `;`.
 #[macro_export]
 macro_rules! named_parts {
-    ($plane:ident: $($part:ident),* $(,)?) => {
-        [$((stringify!($part), $crate::planes::$plane::$part as $crate::planes::Part)),*]
+    ($($plane:ident: $($part:ident),* $(,)?);+ $(;)?) => {
+        [$($((stringify!($part), $crate::planes::$plane::$part as $crate::planes::Part)),*),+]
     };
 }
 
@@ -387,6 +388,24 @@ pub(crate) fn reran(killed_at: u64, report: &ResumeReport) -> Result<(), String>
     ensure(killed_at > report.snapshot_execs, || {
         format!("the kill at {killed_at} execs left nothing past the resumed snapshot: {report:?}")
     })
+}
+
+/// `(name, length, FNV-1a)` of every `shard-ckpt-*` file in `dir`, by name.
+pub(crate) fn shard_snapshots(dir: &Path) -> Result<Vec<(String, usize, u64)>, String> {
+    let mut out = Vec::new();
+    for entry in std::fs::read_dir(dir).map_err(|e| e.to_string())? {
+        let path = entry.map_err(|e| e.to_string())?.path();
+        let name = path
+            .file_name()
+            .and_then(|n| n.to_str())
+            .unwrap_or_default();
+        if name.starts_with("shard-ckpt-") {
+            let bytes = std::fs::read(&path).map_err(|e| e.to_string())?;
+            out.push((name.to_string(), bytes.len(), vmos::wire::fnv1a(&bytes)));
+        }
+    }
+    out.sort();
+    Ok(out)
 }
 
 /// The campaign settings every grid varies only in seed and budget.

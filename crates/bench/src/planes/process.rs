@@ -15,8 +15,6 @@
 //! process-mode one, without stall cells (a stall costs the read deadline
 //! by construction).
 
-use std::path::Path;
-
 use aflrs::{
     Campaign, CampaignError, CampaignResult, CheckpointConfig, Isolation, SupervisorConfig,
 };
@@ -25,8 +23,8 @@ use closurex::resilience::HarnessError;
 use vmos::{OrchFaultKind, OrchFaultPlan, PlanKind, ProcFaultKind, ProcFaultPlan};
 
 use super::{
-    budget, cfg, corpus, ensure, in_scratch, recovered_once, same, sound_baseline, Block, Cell,
-    Grid, Part, Role, Setup, Size,
+    budget, cfg, corpus, ensure, in_scratch, recovered_once, same, shard_snapshots, sound_baseline,
+    Block, Cell, Grid, Part, Role, Setup, Size,
 };
 use crate::{factory_spec, Mechanism, MechanismFactory};
 
@@ -146,6 +144,7 @@ pub fn a_refused_worker_spec_is_a_typed_worker_failure(g: &mut Grid) {
         let target = targets::by_name("giftext").expect("bundled target");
         let factory = Unbundled(MechanismFactory::new(Mechanism::ClosureX, target));
         let seeds = corpus("giftext", false);
+        let before = children()?;
         let run = Campaign::new(&seeds, &cfg(1, 1_000_000))
             .factory(&factory)
             .lanes(2)
@@ -155,10 +154,35 @@ pub fn a_refused_worker_spec_is_a_typed_worker_failure(g: &mut Grid) {
         match run {
             Err(CampaignError::WorkerFailed(msg)) => ensure(msg == want, || {
                 format!("worker message {msg:?}, want {want:?}")
-            }),
-            other => Err(format!("expected a typed worker failure, got {other:?}")),
+            })?,
+            other => return Err(format!("expected a typed worker failure, got {other:?}")),
         }
+        // Every lane's worker starts before any handshake is read, so the
+        // sibling of the refusing worker must be killed and reaped too.
+        let after = children()?;
+        ensure(after == before, || {
+            format!("children before the campaign {before:?}, after it {after:?}")
+        })
     });
+}
+
+/// This process's children, live or not yet reaped, from every thread's
+/// `/proc/self/task/<tid>/children` list (Linux), sorted.
+fn children() -> Result<Vec<u32>, String> {
+    let mut pids = Vec::new();
+    for task in std::fs::read_dir("/proc/self/task").map_err(|e| e.to_string())? {
+        let list = task.map_err(|e| e.to_string())?.path().join("children");
+        // A thread that exited since the scan has no list left to read.
+        let Ok(list) = std::fs::read_to_string(list) else {
+            continue;
+        };
+        pids.extend(
+            list.split_whitespace()
+                .filter_map(|p| p.parse::<u32>().ok()),
+        );
+    }
+    pids.sort_unstable();
+    Ok(pids)
 }
 
 /// A checkpoint written under one isolation mode resumes under the other,
@@ -214,24 +238,6 @@ pub fn shard_snapshots_are_byte_identical_across_isolation_modes(g: &mut Grid) {
             format!("snapshots differ: in-process {want:?}, process {got:?}")
         })
     });
-}
-
-/// `(name, length, FNV-1a)` of every `shard-ckpt-*` file in `dir`, by name.
-fn shard_snapshots(dir: &Path) -> Result<Vec<(String, usize, u64)>, String> {
-    let mut out = Vec::new();
-    for entry in std::fs::read_dir(dir).map_err(|e| e.to_string())? {
-        let path = entry.map_err(|e| e.to_string())?.path();
-        let name = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or_default();
-        if name.starts_with("shard-ckpt-") {
-            let bytes = std::fs::read(&path).map_err(|e| e.to_string())?;
-            out.push((name.to_string(), bytes.len(), vmos::wire::fnv1a(&bytes)));
-        }
-    }
-    out.sort();
-    Ok(out)
 }
 
 /// A lane that panics on every attempt at (2, 1), past a retry budget of

@@ -19,7 +19,10 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use aflrs::{CampaignResult, CampaignSpec, Service, ServiceConfig, ServiceError};
+use aflrs::{
+    CampaignHandle, CampaignResult, CampaignSpec, CampaignState, Service, ServiceConfig,
+    ServiceError,
+};
 
 use super::{
     budget, cfg, ensure, in_scratch, reran, resume_report, same, scratch, tenant, Block, Cell,
@@ -108,6 +111,7 @@ pub fn grid(size: Size) -> Vec<Cell> {
             spec_survives_restore_before_first_grant,
             stall_rotation_cools_plateaued_tenants_without_changing_results,
             archival_seals_killed_tenants_and_keeps_them_resumable,
+            every_grant_leaves_its_barrier_sealed,
             restore_decodes_once,
         ],
         Size::Smoke | Size::Full => &[
@@ -160,6 +164,22 @@ pub fn stall_rotation_cools_plateaued_tenants_without_changing_results(g: &mut G
 pub fn archival_seals_killed_tenants_and_keeps_them_resumable(g: &mut Grid) {
     if let Some(want) = TEST.reference(g, "giftext", false) {
         archival(g, &TEST, &want);
+    }
+}
+
+/// Whatever a grant ends in — ready for the next, paused, or killed by
+/// the handle's flag — the tenant's newest snapshot is its current
+/// barrier, and a restore after a kill between grants resumes from
+/// exactly the executions the kill reported.
+pub fn every_grant_leaves_its_barrier_sealed(g: &mut Grid) {
+    // Longer epochs than the other parts' keep each pause well ahead of
+    // the campaign's end.
+    let shape = Shape {
+        budget: 4 * TEST.budget,
+        ..TEST
+    };
+    if let Some(want) = shape.reference(g, "giftext", false) {
+        sealed_grants(g, &shape, &want);
     }
 }
 
@@ -421,6 +441,120 @@ fn overhead(g: &mut Grid) {
                 .await_result()
                 .fail()?;
             Ok(clock.elapsed().as_secs_f64())
+        })
+    });
+}
+
+/// Poll `done` every millisecond for up to 30 s.
+fn wait_for(what: &str, mut done: impl FnMut() -> bool) -> Result<(), String> {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !done() {
+        ensure(Instant::now() < deadline, || {
+            format!("timed out waiting for {what}")
+        })?;
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    Ok(())
+}
+
+/// The newest `shard-ckpt-*.bin` generation in `dir`.
+fn newest_snapshot(dir: &Path) -> Result<Option<u64>, String> {
+    let mut newest = None;
+    for entry in std::fs::read_dir(dir).fail()? {
+        let name = entry.fail()?.file_name();
+        let n = name.to_str().and_then(|n| {
+            n.strip_prefix("shard-ckpt-")?
+                .strip_suffix(".bin")?
+                .parse()
+                .ok()
+        });
+        newest = newest.max(n);
+    }
+    Ok(newest)
+}
+
+/// Kill `h` and return the executions its kill reported.
+fn kill_of(h: &CampaignHandle) -> Result<u64, String> {
+    h.kill();
+    match h.await_result() {
+        Err(ServiceError::Killed { execs }) => Ok(execs),
+        other => Err(format!("expected a kill, got {other:?}")),
+    }
+}
+
+/// Restore the service over `svc` and run the tenant `name` to its
+/// result, which must match `want` and have resumed from the `killed`
+/// executions its kill reported, with no corrupt generation and no
+/// sweep warning on the way.
+fn restored(
+    svc: ServiceConfig,
+    name: &str,
+    killed: u64,
+    want: &CampaignResult,
+) -> Result<(), String> {
+    let service = restore(svc)?;
+    let h = service.handle(name).ok_or("tenant not restored")?;
+    let r = h.await_result().fail()?;
+    same(&r, want, BOTH)?;
+    let report = resume_report(&r)?;
+    ensure(
+        report.snapshot_execs == killed
+            && report.corrupt_snapshots_skipped == 0
+            && report.sweep_warnings == 0,
+        || format!("killed at {killed} execs, resumed with {report:?}"),
+    )
+}
+
+/// A tenant on one worker with three-epoch grants, so each grant crosses
+/// several barriers: paused after each stretch of progress, its newest
+/// snapshot is the barrier it parked at; killed while paused or while a
+/// grant is in flight, a restore resumes from the barrier the kill
+/// reported and finishes on the reference result.
+fn sealed_grants(g: &mut Grid, shape: &Shape, want: &CampaignResult) {
+    let config = |dir: &Path| {
+        let mut svc = ServiceConfig::new(dir);
+        svc.workers = 1;
+        svc.epoch_grant = 3;
+        svc
+    };
+    let epoch = |h: &CampaignHandle| h.health().map_or(0, |p| p.epoch);
+    g.cell("giftext", "pause after grants, kill between grants", || {
+        in_scratch("service-sealed", |dir| {
+            let service = start(config(dir))?;
+            let h = service
+                .submit(shape.tenant("sealed", "giftext", 2))
+                .fail()?;
+            let mut parked = 0;
+            // Stop parking with most of the campaign left, so the last
+            // pause lands before the campaign can finish.
+            while parked < 3 {
+                wait_for("progress", || epoch(&h) > parked)?;
+                h.pause();
+                wait_for("the pause", || h.status() == CampaignState::Paused)?;
+                parked = epoch(&h);
+                let newest = newest_snapshot(&dir.join("sealed"))?;
+                ensure(newest == Some(parked), || {
+                    format!("parked at barrier {parked}, newest snapshot {newest:?}")
+                })?;
+                if parked < 3 {
+                    h.resume();
+                }
+            }
+            let killed = kill_of(&h)?;
+            drop(service);
+            restored(config(dir), "sealed", killed, want)
+        })
+    });
+    g.cell("giftext", "kill a grant in flight", || {
+        in_scratch("service-sealed", |dir| {
+            let service = start(config(dir))?;
+            let h = service
+                .submit(shape.tenant("sealed", "giftext", 2))
+                .fail()?;
+            wait_for("progress", || epoch(&h) > 0)?;
+            let killed = kill_of(&h)?;
+            drop(service);
+            restored(config(dir), "sealed", killed, want)
         })
     });
 }

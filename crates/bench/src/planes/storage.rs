@@ -29,8 +29,8 @@ use aflrs::{
 use vmos::{DiskFaultKind, DiskFaultPlan, PlanKind};
 
 use super::{
-    budget, cfg, corpus, ensure, finished, in_scratch, killed, same, Block, Cell, Grid, Part, Role,
-    Size,
+    budget, cfg, corpus, ensure, finished, in_scratch, killed, reran, resume_report, same,
+    shard_snapshots, Block, Cell, Grid, Part, Role, Setup, Size,
 };
 use crate::{Mechanism, MechanismFactory};
 
@@ -241,6 +241,7 @@ pub fn grid(size: Size) -> Vec<Cell> {
             transient_faults_retry_or_degrade_typed,
             bitrot_is_scrubbed_on_resume,
             cleanup_failures_warn_and_continue,
+            a_crash_sealing_the_last_barrier_resumes_exactly,
         ],
         Size::Smoke | Size::Full => &[in_process_sweep, process_sweep],
     };
@@ -471,4 +472,75 @@ pub fn cleanup_failures_warn_and_continue(g: &mut Grid) {
             .unwrap_or(0);
     }
     exercised(g, "a cleanup op", warned);
+}
+
+/// Coordinator op at which a 2-lane, 3-epoch sharded run starts writing
+/// its barrier 2 snapshot: directory creation, the start-up sweep, the
+/// four ops of each of barriers 0 and 1, and the rotation after barrier 1
+/// (two generations kept, so nothing is unlinked).
+const BARRIER_2_FIRST_OP: u64 = 11;
+
+/// Campaign executions at barrier 2 of [`a_crash_sealing_the_last_barrier_resumes_exactly`]'s
+/// campaign.
+const BARRIER_2_EXECS: u64 = 593;
+
+/// The checkpoint directory that campaign leaves when the crash lands at
+/// [`BARRIER_2_FIRST_OP`]: `(name, length, FNV-1a)` of each `shard-ckpt-*`
+/// file, by name.
+const CRASHED_AT_BARRIER_2: &[(&str, usize, u64)] = &[
+    ("shard-ckpt-000000.bin", 66192, 0x0018_c428_cbcb_edf3),
+    ("shard-ckpt-000001.bin", 66902, 0x14dd_9608_eadf_3912),
+    ("shard-ckpt-000002.tmp", 48718, 0x1e41_fdc3_f01b_347e),
+];
+
+/// A machine death at the first op of barrier 2's snapshot, which is
+/// sealed while the last epoch runs, kills the campaign at barrier 2's
+/// execution count and leaves the pinned directory, whichever isolation
+/// mode ran the lanes; the resume from barrier 1 is exact. The pinned
+/// values are those of a build that sealed every barrier before the next
+/// epoch started. Process-mode cells spawn workers, so this part runs
+/// from a `harness = false` test binary.
+pub fn a_crash_sealing_the_last_barrier_resumes_exactly(g: &mut Grid) {
+    let s = Setup {
+        lanes: Some((2, 3)),
+        ..Setup::new("giftext", 0x5EA1, 1_500_000)
+    };
+    let Some(want) = g.cell(s.target, "unfaulted", || s.run(2, |c| c)) else {
+        return;
+    };
+    for iso in [Isolation::InProcess, Isolation::Process] {
+        let label = format!("{iso:?} crash at op {BARRIER_2_FIRST_OP}");
+        g.cell(s.target, label, || {
+            in_scratch("storage-overlap", |dir| {
+                let ck = CheckpointConfig::new(dir);
+                let plan =
+                    DiskFaultPlan::at((0, BARRIER_2_FIRST_OP), DiskFaultKind::CrashAtBoundary);
+                let first = s.leg(2, false, |c| {
+                    c.isolation(iso).storage_faults(plan).checkpoint(ck.clone())
+                });
+                let execs = match first.map_err(|e| e.to_string())? {
+                    CampaignOutcome::Killed { execs } => execs,
+                    CampaignOutcome::Finished(_) => return Err("the crash never fired".into()),
+                };
+                ensure(execs == BARRIER_2_EXECS, || {
+                    format!("killed at {execs} execs, want barrier 2's {BARRIER_2_EXECS}")
+                })?;
+                let files = shard_snapshots(dir)?;
+                let pinned: Vec<(String, usize, u64)> = CRASHED_AT_BARRIER_2
+                    .iter()
+                    .map(|&(n, len, h)| (n.to_string(), len, h))
+                    .collect();
+                ensure(files == pinned, || {
+                    let rows: Vec<String> = files
+                        .iter()
+                        .map(|(n, len, h)| format!("(\"{n}\", {len}, {h:#018x})"))
+                        .collect();
+                    format!("the crash left [{}]", rows.join(", "))
+                })?;
+                let r = finished(s.leg(2, true, |c| c.isolation(iso).checkpoint(ck)))?;
+                same(&r, &want, &[])?;
+                reran(execs, resume_report(&r)?)
+            })
+        });
+    }
 }

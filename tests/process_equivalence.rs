@@ -6,7 +6,9 @@
 //! ends the campaign in a typed worker failure, both modes leave the same
 //! shard snapshot bytes, and both retire a failing lane identically. The parts live in
 //! `bench::planes::process`; `plane_eval` runs the same grid at smoke and
-//! full size.
+//! full size. One storage-plane part runs here too, because it crashes a
+//! campaign in both isolation modes: a disk crash while the last barrier
+//! is sealed leaves the pinned directory and resumes exactly.
 //!
 //! This test is `harness = false`: the supervisor spawns lane workers by
 //! re-exec'ing the current executable, so `main` is
@@ -23,6 +25,8 @@ fn main() {
         kill_and_resume_crosses_isolation_modes,
         a_refused_worker_spec_is_a_typed_worker_failure,
         shard_snapshots_are_byte_identical_across_isolation_modes,
-        a_retired_lane_is_retired_identically_in_both_modes,
+        a_retired_lane_is_retired_identically_in_both_modes;
+        storage:
+        a_crash_sealing_the_last_barrier_resumes_exactly,
     ]);
 }

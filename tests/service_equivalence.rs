@@ -1,7 +1,8 @@
 //! Service plane identity at test size: a multi-tenant service killed
 //! abruptly mid-epoch and restored resumes every tenant to the result of
 //! the same campaign run uninterrupted through the builder, through stall
-//! rotation, archival and a restore before the first grant. The parts live
+//! rotation, archival and a restore before the first grant, and every
+//! grant parks its tenant on a sealed barrier. The parts live
 //! in `bench::planes::service`; `plane_eval` runs the same grid at smoke
 //! and full size. The decode-once cell has its own binary
 //! (`service_decode_once`): it reads process-global counters.
@@ -32,6 +33,11 @@ fn stall_rotation_cools_plateaued_tenants_without_changing_results() {
 #[test]
 fn archival_seals_killed_tenants_and_keeps_them_resumable() {
     check(service::archival_seals_killed_tenants_and_keeps_them_resumable);
+}
+
+#[test]
+fn every_grant_leaves_its_barrier_sealed() {
+    check(service::every_grant_leaves_its_barrier_sealed);
 }
 
 fn cfg() -> CampaignConfig {
