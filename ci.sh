@@ -51,6 +51,13 @@ cargo run --release -p bench --bin exec_throughput -- --smoke
 #   kill/restore, leave the result identical; fault_grid_rate >= 1.0,
 #   overhead <= 2x smoke_rpc_overhead_ratio.
 cargo run --release -p bench --bin plane_eval -- --smoke
+# Leak gate: lane workers are self-execs of the binary that spawned them, so
+# a `plane_eval` process still alive once the grids returned is a worker that
+# some campaign left running.
+if pgrep -x plane_eval; then
+    echo "plane_eval left worker processes running" >&2
+    exit 1
+fi
 # Report gate: nothing above may rewrite a tracked full-mode report under
 # results/ (smoke runs write their own untracked `*_smoke.json` files), so
 # a test or smoke run that does fails here instead of riding into a commit.

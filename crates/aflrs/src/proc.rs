@@ -296,11 +296,7 @@ where
     }
 
     let lane_idx = hello.lane;
-    let mut lane = Lane {
-        state: SnapshotState::initial(&hello.cfg),
-        cfg: hello.cfg,
-        seeds: hello.seeds,
-    };
+    let mut cfg = hello.cfg;
 
     loop {
         let (kind, payload) = match read_frame(&mut stdin, MAX_FRAME_LEN) {
@@ -319,8 +315,7 @@ where
                         continue;
                     }
                 };
-                lane.cfg.budget_cycles = msg.budget_cycles;
-                lane.state = msg.state.into_owned();
+                cfg.budget_cycles = msg.budget_cycles;
 
                 // Scheduled self-sabotage for this attempt. `Kill` belongs
                 // to the parent; everything else the child performs on
@@ -328,7 +323,7 @@ where
                 // at the barrier for shorter epochs) via a private kill
                 // switch — the real one is ignored for a doomed attempt,
                 // since recovery re-runs the epoch wholesale either way.
-                let start_execs = lane.state.scalars.execs;
+                let start_execs = msg.state.scalars.execs;
                 let site = (lane_idx, msg.epoch);
                 let self_fault = match hello.proc_faults.decide(site, msg.attempt) {
                     Some(ProcFaultKind::Kill) | None => None,
@@ -346,9 +341,12 @@ where
                     faults: &hello.faults,
                     hang_deadline: hello.hang_deadline_ticks,
                 };
-                let reply = match run_lane_contained(
-                    &mut ex, &lane, msg.epoch, msg.epochs, kill_ref, &watch,
-                ) {
+                // The decoded state is the worker's own: the run takes it
+                // over without a copy.
+                let lane = (&cfg, hello.seeds.as_slice());
+                let at = (msg.epoch, msg.epochs);
+                let reply = match run_lane_contained(&mut ex, lane, msg.state, at, kill_ref, &watch)
+                {
                     Err(e) => {
                         send_fatal(&mut stdout, &format!("lane epoch failed: {e}"));
                         continue;
@@ -588,7 +586,16 @@ fn spawn_lane(
     lane: &Lane,
     exec_restore: Option<&ExecutorState>,
 ) -> Result<Result<(ChildProc, Ack), LaneFault>, CampaignError> {
-    let mut child = ChildProc::spawn(&hello(spec, sup_cfg, idx, lane, exec_restore))?;
+    let child = ChildProc::spawn(&hello(spec, sup_cfg, idx, lane, exec_restore))?;
+    handshake(child, sup_cfg)
+}
+
+/// Wait for a started worker's answer to its `Hello`, with
+/// [`spawn_lane`]'s error split.
+fn handshake(
+    mut child: ChildProc,
+    sup_cfg: &SupervisorConfig,
+) -> Result<Result<(ChildProc, Ack), LaneFault>, CampaignError> {
     match child.recv(deadline(sup_cfg)) {
         Ok((K_ACK, payload)) => match Ack::from_bytes(&payload) {
             Ok(ack) => Ok(Ok((child, ack))),
@@ -690,8 +697,12 @@ pub(crate) struct ProcRunner {
 
 impl ProcRunner {
     /// Spawn every lane's worker, restored to `barrier`'s exports on a
-    /// resume. A failed handshake is retried up to the supervisor's retry
-    /// budget and counted like any other lane fault.
+    /// resume. Every worker is started before any handshake is read, so
+    /// the workers build their executors together; the answers are then
+    /// read in lane order. A failed handshake is retried, that lane
+    /// alone, up to the supervisor's retry budget and counted like any
+    /// other lane fault. On an error every worker started so far is
+    /// killed and reaped.
     pub(crate) fn spawn(
         factory: &dyn ExecutorFactory,
         lanes: &[Lane],
@@ -703,13 +714,19 @@ impl ProcRunner {
                 "process isolation needs ExecutorFactory::worker_spec so workers can rebuild the factory",
             ));
         };
+        let restore = |idx: usize| barrier.and_then(|b| b[idx].exec_state.as_ref());
+        let started = lanes
+            .iter()
+            .enumerate()
+            .map(|(idx, lane)| ChildProc::spawn(&hello(&spec, &sup.cfg, idx, lane, restore(idx))))
+            .collect::<Result<Vec<_>, _>>()?;
         let mut children = Vec::with_capacity(lanes.len());
         let mut acks = Vec::with_capacity(lanes.len());
-        for (idx, lane) in lanes.iter().enumerate() {
-            let restore = barrier.and_then(|b| b[idx].exec_state.as_ref());
+        for ((idx, lane), child) in lanes.iter().enumerate().zip(started) {
+            let mut answer = handshake(child, &sup.cfg)?;
             let mut attempt = 0u32;
             let (child, ack) = loop {
-                match spawn_lane(&spec, &sup.cfg, idx, lane, restore)? {
+                match answer {
                     Ok(pair) => break pair,
                     Err(fault) => {
                         sup.counters.record(&fault);
@@ -720,6 +737,7 @@ impl ProcRunner {
                             ));
                         }
                         sup.counters.record_respawn(idx);
+                        answer = spawn_lane(&spec, &sup.cfg, idx, lane, restore(idx))?;
                     }
                 }
             };
@@ -745,15 +763,17 @@ impl ProcRunner {
 }
 
 impl LaneRunner for ProcRunner {
-    /// Dispatch the epoch to every live worker, then collect replies in
-    /// lane order — the children run concurrently regardless of the
-    /// collection order, and the merge is insensitive to it.
+    /// Dispatch the epoch to every live worker, call `during`, then
+    /// collect replies in lane order — the children run concurrently
+    /// regardless of the collection order, and the merge is insensitive
+    /// to it.
     fn run_epoch(
         &mut self,
         lanes: &[Lane],
         at: (u64, u64),
         kill: Option<(u64, u64)>,
         sup: &Supervisor,
+        during: &mut dyn FnMut(),
     ) -> Result<Vec<Option<Attempt>>, CampaignError> {
         let sent: Vec<Option<Result<(), LaneFault>>> = self
             .children
@@ -767,6 +787,7 @@ impl LaneRunner for ProcRunner {
                 })
             })
             .collect();
+        during();
         let deadline = deadline(&sup.cfg);
         sent.into_iter()
             .zip(&mut self.children)

@@ -13,10 +13,10 @@
 //! # Scheduling model
 //!
 //! The shard epoch barrier is the preemption point. Between two
-//! `EpochSession::step_epoch` calls a campaign
-//! is fully merged and (since the service always checkpoints) durable on
-//! disk, so parking it there costs nothing and changes nothing. The
-//! scheduler exploits exactly that: a *grant* is
+//! `EpochSession::step_epoch` calls a campaign is fully merged, and a
+//! grant seals its last barrier (the service always checkpoints) before
+//! the tenant parks, so parking it there costs nothing and changes
+//! nothing. The scheduler exploits exactly that: a *grant* is
 //! [`ServiceConfig::epoch_grant`] epochs, and each free worker hands the
 //! next grant to the runnable tenant with the **fewest simulated cycles
 //! consumed so far** (ties to the earliest-admitted tenant). That is
@@ -930,8 +930,8 @@ impl CampaignHandle {
                     .session
                     .as_ref()
                     .map_or(t.last_execs(), |s| s.progress().execs);
-                // A parked session is at a barrier: its state is already
-                // durable, dropping it loses nothing.
+                // A parked session is at a barrier its grant sealed:
+                // dropping it loses nothing.
                 let had_state = t.session.take().is_some() || t.needs_resume;
                 t.needs_resume = had_state;
                 t.phase = Phase::Killed { execs };
@@ -1251,13 +1251,16 @@ fn run_grant(
     };
     for _ in 0..shared.cfg.epoch_grant.max(1) {
         if flags.kill.load(Ordering::SeqCst) {
+            // Killed at a barrier: seal it, so a resume starts there. A
+            // storage crash on the way kills at the same barrier.
             let execs = session.progress().execs;
+            let _ = session.seal();
             return (Parked::Killed { execs }, factory, resume_report);
         }
         match session.step_epoch(&*factory) {
             Ok(EpochStatus::Running) => {
                 if flags.pause.load(Ordering::SeqCst) {
-                    return (Parked::Paused(session), factory, resume_report);
+                    return (park(session, Parked::Paused), factory, resume_report);
                 }
             }
             Ok(EpochStatus::Killed { execs }) => {
@@ -1270,10 +1273,23 @@ fn run_grant(
             Err(e) => return (Parked::Failed(e.to_string()), factory, resume_report),
         }
     }
-    if flags.pause.load(Ordering::SeqCst) {
-        return (Parked::Paused(session), factory, resume_report);
+    let parked: fn(_) -> _ = if flags.pause.load(Ordering::SeqCst) {
+        Parked::Paused
+    } else {
+        Parked::Ready
+    };
+    (park(session, parked), factory, resume_report)
+}
+
+/// Hand a live session back to the scheduler as `parked` once its
+/// pending barrier is sealed: a parked tenant is durable at its barrier,
+/// whatever happens to it before its next grant. A storage crash while
+/// sealing kills it there instead.
+fn park(mut session: Box<EpochSession>, parked: fn(Box<EpochSession>) -> Parked) -> Parked {
+    match session.seal() {
+        Ok(()) => parked(session),
+        Err(execs) => Parked::Killed { execs },
     }
-    (Parked::Ready(session), factory, resume_report)
 }
 
 /// The tenant's checkpoint config: its directory under the service root,

@@ -54,7 +54,9 @@
 //! sharded layout of the one snapshot store in [`crate::checkpoint`],
 //! which also rotates, sweeps and scrubs them. Lanes write nothing
 //! between barriers, and `CheckpointConfig::snapshot_every_execs` is
-//! ignored: the epoch barrier is the snapshot cadence.
+//! ignored: the epoch barrier is the snapshot cadence. The coordinator
+//! seals each barrier while the next epoch's lanes run, and accepts that
+//! epoch only once the barrier is sealed (`EpochSession::step_epoch`).
 //!
 //! Resume loads the newest valid shard snapshot, rebuilds every lane from
 //! the factory, restores each lane's executor state and re-runs the
@@ -63,6 +65,7 @@
 //! the same argument supervised recovery rests on. A kill costs at most
 //! one epoch of recomputation.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fs;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -318,7 +321,9 @@ impl<'p> LaneAttempt<'p> {
     }
 }
 
-/// Run one lane from its carried state to the epoch's clock limit.
+/// Run one lane from `state`, its carried state, to the epoch's clock
+/// limit. `state` is consumed: an owner hands it over, a borrower pays
+/// for one clone.
 ///
 /// Supervised: the orchestration fault plan may decide this attempt fails
 /// (an injected panic unwinds out of here and is contained by the caller;
@@ -330,13 +335,13 @@ impl<'p> LaneAttempt<'p> {
 /// recovered campaign bit-identical to an unfaulted one.
 pub(crate) fn run_lane_epoch(
     ex: &mut LaneExecutors,
-    lane: &Lane,
-    epoch: u64,
-    epochs: u64,
+    (cfg, seeds): (&CampaignConfig, &[Vec<u8>]),
+    state: Cow<'_, SnapshotState>,
+    (epoch, epochs): (u64, u64),
     kill: Option<&KillSwitch>,
     watch: &LaneAttempt<'_>,
 ) -> Result<Attempt, CheckpointError> {
-    let limit = epoch_limit(lane.cfg.budget_cycles, epoch, epochs);
+    let limit = epoch_limit(cfg.budget_cycles, epoch, epochs);
     let injected = watch.faults.decide((watch.lane, epoch), watch.attempt);
     // Where in the epoch an injected panic/wedge lands (deterministic in
     // the plan and the position; short epochs fire at the barrier below).
@@ -345,8 +350,8 @@ pub(crate) fn run_lane_epoch(
         .revalidator
         .as_deref_mut()
         .map(|r| r as &mut dyn Executor);
-    let mut d = Driver::new(ex.executor.as_mut(), revalidator, &lane.seeds, &lane.cfg);
-    lane.state.clone().apply(&mut d)?;
+    let mut d = Driver::new(ex.executor.as_mut(), revalidator, seeds, cfg);
+    state.into_owned().apply(&mut d)?;
     let mut steps: u64 = 0;
     let mut stalled: u64 = 0;
     let mut killed = false;
@@ -415,14 +420,30 @@ pub(crate) fn run_lane_epoch(
 /// as [`LaneFault::Panic`].
 pub(crate) fn run_lane_contained(
     ex: &mut LaneExecutors,
-    lane: &Lane,
-    epoch: u64,
-    epochs: u64,
+    lane: (&CampaignConfig, &[Vec<u8>]),
+    state: Cow<'_, SnapshotState>,
+    at: (u64, u64),
     kill: Option<&KillSwitch>,
     watch: &LaneAttempt<'_>,
 ) -> Result<Attempt, CheckpointError> {
-    supervise::contain(|| run_lane_epoch(ex, lane, epoch, epochs, kill, watch))
+    supervise::contain(|| run_lane_epoch(ex, lane, state, at, kill, watch))
         .unwrap_or_else(|payload| Ok(Err(LaneFault::Panic(payload))))
+}
+
+impl Lane {
+    /// A thread lane's run from its carried state, borrowed: the state
+    /// is the lane's barrier state until the session accepts the epoch,
+    /// and a faulted lane's re-run starts from it again.
+    fn run(
+        &self,
+        ex: &mut LaneExecutors,
+        at: (u64, u64),
+        kill: Option<&KillSwitch>,
+        watch: &LaneAttempt<'_>,
+    ) -> Result<Attempt, CheckpointError> {
+        let lane = (&self.cfg, self.seeds.as_slice());
+        run_lane_contained(ex, lane, Cow::Borrowed(&self.state), at, kill, watch)
+    }
 }
 
 /// Where a session's lanes run, chosen by [`Isolation`]: on worker
@@ -432,15 +453,18 @@ pub(crate) fn run_lane_contained(
 /// all belong to [`EpochSession`].
 pub(crate) trait LaneRunner: Send {
     /// Run epoch `at.0` (of `at.1`) on every live lane from its carried
-    /// state, the kill hook armed at `(limit, base)` when given. Returns
-    /// one slot per lane: `None` for a retired lane, else its barrier or
-    /// its fault.
+    /// state, the kill hook armed at `(limit, base)` when given. Once
+    /// every live lane has started, and before waiting for any of them,
+    /// call `during` once on the calling thread: the session seals the
+    /// previous barrier there. Returns one slot per lane: `None` for a
+    /// retired lane, else its barrier or its fault.
     fn run_epoch(
         &mut self,
         lanes: &[Lane],
         at: (u64, u64),
         kill: Option<(u64, u64)>,
         sup: &Supervisor,
+        during: &mut dyn FnMut(),
     ) -> Result<Vec<Option<Attempt>>, CampaignError>;
 
     /// Rebuild lane `idx` at `barrier` and re-run epoch `at` as retry
@@ -505,13 +529,15 @@ impl LaneRunner for ThreadRunner {
     /// Lane-to-worker assignment is a throughput detail: every lane runs
     /// its own deterministic schedule and the session merges in lane
     /// order, so results cannot depend on it. The lanes share one kill
-    /// counter.
+    /// counter. `during` runs on the coordinator thread once the workers
+    /// are spawned.
     fn run_epoch(
         &mut self,
         lanes: &[Lane],
-        (epoch, epochs): (u64, u64),
+        at: (u64, u64),
         kill: Option<(u64, u64)>,
         sup: &Supervisor,
+        during: &mut dyn FnMut(),
     ) -> Result<Vec<Option<Attempt>>, CampaignError> {
         supervise::install_quiet_panic_hook();
         let reference = vmos::reference_engine();
@@ -543,12 +569,13 @@ impl LaneRunner for ThreadRunner {
                                     return Ok(None);
                                 }
                                 let watch = LaneAttempt::new(&sup.cfg, idx, 0);
-                                run_lane_contained(ex, lane, epoch, epochs, kill, &watch).map(Some)
+                                lane.run(ex, at, kill, &watch).map(Some)
                             })
                             .collect::<Vec<_>>()
                     })
                 })
                 .collect();
+            during();
             for h in handles {
                 match h.join() {
                     Ok(rs) => collected.extend(rs),
@@ -580,14 +607,15 @@ impl LaneRunner for ThreadRunner {
         idx: usize,
         lane: &Lane,
         barrier: &LaneBarrier,
-        (epoch, epochs): (u64, u64),
+        at: (u64, u64),
         attempt: u32,
         sup: &mut Supervisor,
     ) -> Result<Attempt, CampaignError> {
         let ex = &mut self.executors[idx];
         *ex = LaneExecutors::build(factory, barrier.exec_state.as_ref())?;
         let watch = LaneAttempt::new(&sup.cfg, idx, attempt);
-        run_lane_contained(ex, lane, epoch, epochs, None, &watch).map_err(CampaignError::Checkpoint)
+        lane.run(ex, at, None, &watch)
+            .map_err(CampaignError::Checkpoint)
     }
 
     fn retire(
@@ -768,6 +796,29 @@ fn write_shard_snapshot(
     SHARDED.write(storage, ck, epoch, w, fingerprint)
 }
 
+/// Where a checkpointed session seals its barriers, and the one barrier
+/// merged but not yet sealed. A barrier is sealed while the next epoch
+/// runs (DESIGN §13), so at most one is ever pending.
+struct BarrierStore {
+    ck: CheckpointConfig,
+    storage: Storage,
+    /// The number of the barrier waiting to be sealed.
+    pending: Option<u64>,
+}
+
+impl BarrierStore {
+    /// Seal the pending barrier, whose state is `global` and `lanes`, and
+    /// rotate after every snapshot but the first. Returns whether a
+    /// storage crash killed the campaign.
+    fn seal(&mut self, global: &Global, lanes: &[LaneBarrier], fingerprint: u64) -> bool {
+        let Some(epoch) = self.pending.take() else {
+            return false;
+        };
+        write_shard_snapshot(&self.storage, &self.ck, epoch, global, lanes, fingerprint).crashed()
+            || (epoch > 0 && SHARDED.rotate(&self.storage, &self.ck).crashed())
+    }
+}
+
 /// A loaded and validated shard snapshot.
 struct ShardSnapshot {
     epoch: u64,
@@ -841,12 +892,14 @@ pub(crate) struct SessionProgress {
 ///
 /// The owner calls [`EpochSession::step_epoch`] once per merge barrier
 /// and decides between steps whether to keep going. The barrier is the
-/// natural preemption point — lane state is merged and (when
-/// checkpointing) durable on disk, so pausing a session between steps
-/// costs nothing and changes nothing. A caller multiplexing many
-/// campaigns (the `aflrs::service` fair-share scheduler) interleaves
-/// sessions at exactly this granularity; [`SessionStart::run_to_completion`]
-/// drives one to its end for the single-campaign API.
+/// natural preemption point — lane state is merged, and when
+/// checkpointing it is durable on disk once [`EpochSession::seal`] ran
+/// (otherwise the next step seals it while its lanes run), so parking a
+/// sealed session between steps costs nothing and changes nothing. A
+/// caller multiplexing many campaigns (the `aflrs::service` fair-share
+/// scheduler) interleaves sessions at exactly this granularity;
+/// [`SessionStart::run_to_completion`] drives one to its end for the
+/// single-campaign API.
 ///
 /// Each epoch runs under supervision: every lane's executor export at a
 /// barrier is its share of the barrier, a [`LaneBarrier`] — the same
@@ -870,8 +923,8 @@ pub(crate) struct EpochSession {
     epoch: u64,
     epochs: u64,
     stop_after_crashes: usize,
-    ck: Option<CheckpointConfig>,
-    storage: Option<Storage>,
+    /// Present when checkpointing.
+    store: Option<BarrierStore>,
     /// The simulated-SIGKILL point, in campaign executions.
     kill_after: Option<u64>,
     sup: Supervisor,
@@ -879,8 +932,7 @@ pub(crate) struct EpochSession {
 
 /// What starting (or resuming) a session produced: a live session, or a
 /// campaign already dead on disk because an injected storage crash
-/// boundary fired while laying down the initial snapshot (or sweeping
-/// before a resume).
+/// boundary fired while creating the checkpoint directory or sweeping it.
 pub(crate) enum SessionStart {
     Live(Box<EpochSession>),
     Dead {
@@ -910,8 +962,9 @@ impl SessionStart {
 }
 
 impl EpochSession {
-    /// Build the lanes and, when checkpointing, lay down the initial
-    /// snapshot.
+    /// Build the lanes and, when checkpointing, create and sweep the
+    /// checkpoint directory. The initial snapshot is the first pending
+    /// barrier: the first epoch seals it.
     pub(crate) fn start(
         factory: &dyn ExecutorFactory,
         seeds: &[Vec<u8>],
@@ -921,14 +974,15 @@ impl EpochSession {
         sup_cfg: &SupervisorConfig,
     ) -> Result<SessionStart, CampaignError> {
         let storage = ck.map(storage_for);
-        let session = Self::open(factory, seeds, cfg, plan, ck, storage, sup_cfg, None)?;
-        if let (Some(ck), Some(st)) = (ck, session.storage.as_ref()) {
-            if st.op(false, |_| fs::create_dir_all(&ck.dir)).crashed()
-                || SHARDED.sweep(st, &ck.dir).crashed()
-                || session.write_snapshot(0).crashed()
+        let mut session = Self::open(factory, seeds, cfg, plan, ck, storage, sup_cfg, None)?;
+        if let Some(store) = session.store.as_mut() {
+            let (st, dir) = (&store.storage, &store.ck.dir);
+            if st.op(false, |_| fs::create_dir_all(dir)).crashed()
+                || SHARDED.sweep(st, dir).crashed()
             {
                 return Ok(SessionStart::Dead { execs: 0 });
             }
+            store.pending = Some(0);
         }
         Ok(SessionStart::Live(Box::new(session)))
     }
@@ -1062,18 +1116,41 @@ impl EpochSession {
             epochs: plan.sync_epochs.max(1),
             stop_after_crashes: cfg.stop_after_crashes,
             kill_after: ck.and_then(|c| c.kill_after_execs),
-            ck: ck.cloned(),
-            storage,
+            store: ck.cloned().zip(storage).map(|(ck, storage)| BarrierStore {
+                ck,
+                storage,
+                pending: None,
+            }),
             sup,
         })
     }
 
-    /// Seal the current barrier as the snapshot for `epoch`.
-    fn write_snapshot(&self, epoch: u64) -> OpOutcome {
-        let (Some(ck), Some(st)) = (self.ck.as_ref(), self.storage.as_ref()) else {
-            return OpOutcome::Done;
-        };
-        write_shard_snapshot(st, ck, epoch, &self.global, &self.barrier, self.fingerprint)
+    /// Seal the pending barrier, if there is one. Call it before handing
+    /// a session back to a scheduler: a parked session must be durable
+    /// at its barrier.
+    ///
+    /// # Errors
+    /// The executions at that barrier, when a storage crash hit the write
+    /// and killed the campaign there.
+    pub(crate) fn seal(&mut self) -> Result<(), u64> {
+        let crashed = self
+            .store
+            .as_mut()
+            .is_some_and(|s| s.seal(&self.global, &self.barrier, self.fingerprint));
+        if crashed {
+            Err(self.lanes_execs())
+        } else {
+            Ok(())
+        }
+    }
+
+    /// `status` once the pending barrier is sealed, or `Killed` at that
+    /// barrier when a storage crash hit the write.
+    fn sealed(&mut self, status: EpochStatus) -> EpochStatus {
+        match self.seal() {
+            Ok(()) => status,
+            Err(execs) => EpochStatus::Killed { execs },
+        }
     }
 
     /// Sum of the lanes' exec counters at their last barrier.
@@ -1081,9 +1158,18 @@ impl EpochSession {
         self.lanes.iter().map(|l| l.state.scalars.execs).sum()
     }
 
-    /// Run exactly one epoch to its merge barrier (including the barrier
-    /// snapshot and rotation when checkpointing). Returns what to do next;
-    /// a `Killed` session must not be stepped again.
+    /// Run exactly one epoch to its merge barrier. Returns what to do
+    /// next; a `Killed` session must not be stepped again.
+    ///
+    /// The durability rule (DESIGN §13): when checkpointing, the barrier
+    /// the epoch starts from is sealed (snapshot and rotation) while the
+    /// epoch's lanes run, before the epoch's results are accepted. The
+    /// barrier the epoch ends at stays pending; it is sealed by the next
+    /// epoch, or before this call returns `Finished` or `Killed`, and
+    /// [`EpochSession::seal`] seals it before a scheduler parks the
+    /// session. A storage crash during the overlapped write discards the
+    /// epoch: the campaign dies at the sealed barrier's executions, as if
+    /// the write had run before the epoch.
     ///
     /// The kill rule (DESIGN §13): a planned kill at `limit` executions is
     /// the session's decision, counted in campaign executions. A barrier
@@ -1096,15 +1182,37 @@ impl EpochSession {
         factory: &dyn ExecutorFactory,
     ) -> Result<EpochStatus, CampaignError> {
         if self.epoch >= self.epochs {
-            return Ok(EpochStatus::Finished);
+            return Ok(self.sealed(EpochStatus::Finished));
         }
         let at = (self.epoch, self.epochs);
         let base = self.lanes_execs();
         let kill = self.kill_after.map(|limit| (limit, base));
         if kill.is_some_and(|(limit, _)| base >= limit) {
+            return Ok(self.sealed(EpochStatus::Killed { execs: base }));
+        }
+        let mut crashed = false;
+        let runs = {
+            let (store, global, barrier) = (&mut self.store, &self.global, &self.barrier);
+            let fingerprint = self.fingerprint;
+            let mut seal = || {
+                crashed |= store
+                    .as_mut()
+                    .is_some_and(|s| s.seal(global, barrier, fingerprint));
+            };
+            self.runner
+                .run_epoch(&self.lanes, at, kill, &self.sup, &mut seal)
+        };
+        debug_assert!(
+            self.store.as_ref().is_none_or(|s| s.pending.is_none()),
+            "the runner never called `during`"
+        );
+        if crashed {
+            // The machine died at the barrier this epoch started from.
+            // Nothing the epoch ran is kept; the workers go with it.
+            self.runner.shutdown();
             return Ok(EpochStatus::Killed { execs: base });
         }
-        let runs = self.runner.run_epoch(&self.lanes, at, kill, &self.sup)?;
+        let runs = runs?;
         if let Some((limit, _)) = kill {
             if runs
                 .iter()
@@ -1140,20 +1248,16 @@ impl EpochSession {
         for (b, lane) in self.barrier.iter_mut().zip(&self.lanes) {
             b.scalars = lane.state.scalars.clone();
         }
-        if let (Some(ck), Some(st)) = (self.ck.as_ref(), self.storage.as_ref()) {
-            if self.write_snapshot(self.epoch + 1).crashed() || SHARDED.rotate(st, ck).crashed() {
-                return Ok(EpochStatus::Killed {
-                    execs: self.lanes_execs(),
-                });
-            }
-        }
         self.epoch += 1;
+        if let Some(store) = self.store.as_mut() {
+            store.pending = Some(self.epoch);
+        }
         // The global early-stop predicate, evaluated on merged crashes.
         if self.stop_after_crashes > 0 && self.global.crashes.len() >= self.stop_after_crashes {
             self.epoch = self.epochs;
         }
         Ok(if self.epoch >= self.epochs {
-            EpochStatus::Finished
+            self.sealed(EpochStatus::Finished)
         } else {
             EpochStatus::Running
         })
@@ -1291,9 +1395,9 @@ impl EpochSession {
         }
         r.resilience.supervision = self.sup.counters.clone();
         r.resilience.storage = self
-            .storage
+            .store
             .as_ref()
-            .map(Storage::counters)
+            .map(|s| s.storage.counters())
             .unwrap_or_default();
         r
     }
