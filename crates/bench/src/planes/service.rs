@@ -473,13 +473,27 @@ fn newest_snapshot(dir: &Path) -> Result<Option<u64>, String> {
     Ok(newest)
 }
 
-/// Kill `h` and return the executions its kill reported.
-fn kill_of(h: &CampaignHandle) -> Result<u64, String> {
+/// Kill `h` and return the executions its kill reported, or `None`
+/// when the campaign finished before the kill reached it.
+fn kill_of(h: &CampaignHandle) -> Result<Option<u64>, String> {
     h.kill();
     match h.await_result() {
-        Err(ServiceError::Killed { execs }) => Ok(execs),
+        Err(ServiceError::Killed { execs }) => Ok(Some(execs)),
+        Ok(_) => Ok(None),
         other => Err(format!("expected a kill, got {other:?}")),
     }
+}
+
+/// Run `round` in a fresh directory until it lands. A round returns
+/// `None` when the campaign finished before the pause or kill it sent
+/// reached it, which checks nothing, so it runs again, up to three times.
+fn landed(round: impl Fn(&Path) -> Result<Option<()>, String>) -> Result<(), String> {
+    for _ in 0..3 {
+        if in_scratch("service-sealed", &round)?.is_some() {
+            return Ok(());
+        }
+    }
+    Err("the campaign finished before the pause or kill landed, three times".into())
 }
 
 /// Restore the service over `svc` and run the tenant `name` to its
@@ -519,7 +533,7 @@ fn sealed_grants(g: &mut Grid, shape: &Shape, want: &CampaignResult) {
     };
     let epoch = |h: &CampaignHandle| h.health().map_or(0, |p| p.epoch);
     g.cell("giftext", "pause after grants, kill between grants", || {
-        in_scratch("service-sealed", |dir| {
+        landed(|dir| {
             let service = start(config(dir))?;
             let h = service
                 .submit(shape.tenant("sealed", "giftext", 2))
@@ -530,7 +544,12 @@ fn sealed_grants(g: &mut Grid, shape: &Shape, want: &CampaignResult) {
             while parked < 3 {
                 wait_for("progress", || epoch(&h) > parked)?;
                 h.pause();
-                wait_for("the pause", || h.status() == CampaignState::Paused)?;
+                wait_for("the pause", || {
+                    matches!(h.status(), CampaignState::Paused | CampaignState::Finished)
+                })?;
+                if h.status() == CampaignState::Finished {
+                    return Ok(None);
+                }
                 parked = epoch(&h);
                 let newest = newest_snapshot(&dir.join("sealed"))?;
                 ensure(newest == Some(parked), || {
@@ -540,21 +559,23 @@ fn sealed_grants(g: &mut Grid, shape: &Shape, want: &CampaignResult) {
                     h.resume();
                 }
             }
-            let killed = kill_of(&h)?;
+            let killed = kill_of(&h)?.ok_or("a paused campaign finished")?;
             drop(service);
-            restored(config(dir), "sealed", killed, want)
+            restored(config(dir), "sealed", killed, want).map(Some)
         })
     });
     g.cell("giftext", "kill a grant in flight", || {
-        in_scratch("service-sealed", |dir| {
+        landed(|dir| {
             let service = start(config(dir))?;
             let h = service
                 .submit(shape.tenant("sealed", "giftext", 2))
                 .fail()?;
             wait_for("progress", || epoch(&h) > 0)?;
-            let killed = kill_of(&h)?;
+            let Some(killed) = kill_of(&h)? else {
+                return Ok(None);
+            };
             drop(service);
-            restored(config(dir), "sealed", killed, want)
+            restored(config(dir), "sealed", killed, want).map(Some)
         })
     });
 }
