@@ -480,8 +480,8 @@ pub fn cleanup_failures_warn_and_continue(g: &mut Grid) {
 /// (two generations kept, so nothing is unlinked).
 const BARRIER_2_FIRST_OP: u64 = 11;
 
-/// Campaign executions at barrier 2 of [`a_crash_sealing_the_last_barrier_resumes_exactly`]'s
-/// campaign.
+/// Campaign executions at barrier 2 of the campaign in
+/// [`a_crash_sealing_the_last_barrier_resumes_exactly`].
 const BARRIER_2_EXECS: u64 = 593;
 
 /// The checkpoint directory that campaign leaves when the crash lands at
