@@ -8,6 +8,11 @@ set -eux
 cargo fmt --all -- --check
 cargo build --release
 cargo test -q --workspace
+# The engine's fast paths again under release codegen, the build the
+# benchmark runs: debug assertions (the access verdict's oracle among them)
+# are compiled out there, so `vmos`'s own tests, the verdict oracle
+# (crates/vmos/tests/verdict_oracle.rs) included, must pass without them.
+cargo test --release -q -p vmos
 cargo clippy --workspace --all-targets -- -D warnings
 # Rustdoc gate: every intra-doc link must resolve to a public item, so a
 # deleted or privatized item cannot leave a dangling link behind.

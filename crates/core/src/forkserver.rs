@@ -13,7 +13,7 @@
 
 use std::sync::Arc;
 
-use fir::Module;
+use fir::{FunctionId, Module};
 use passes::pipelines::baseline_pipeline;
 use passes::PassError;
 use vmos::fs::FUZZ_INPUT_PATH;
@@ -38,6 +38,8 @@ pub struct ForkServerExecutor {
     harness_faults: u64,
     /// Cached `Module::fingerprint` of the instrumented module.
     fingerprint: u64,
+    /// The instrumented module's `main`, resolved once.
+    entry: FunctionId,
 }
 
 impl ForkServerExecutor {
@@ -52,6 +54,7 @@ impl ForkServerExecutor {
         let (parent, setup_cycles) = os.spawn(&m);
         let image = DecodedImage::cached(&m);
         let fingerprint = m.fingerprint();
+        let entry = Machine::new(&m).entry("main");
         Ok(ForkServerExecutor {
             os,
             module: m,
@@ -62,6 +65,7 @@ impl ForkServerExecutor {
             setup_cycles,
             harness_faults: 0,
             fingerprint,
+            entry,
         })
     }
 
@@ -86,7 +90,7 @@ impl Executor for ForkServerExecutor {
         self.os.fs.overwrite_file(FUZZ_INPUT_PATH, input);
         let machine = Machine::with_image(&self.module, &self.image);
         let call = ChildCall {
-            entry: "main",
+            entry: self.entry,
             fuel: self.fuel,
             pipe_cycles: self.os.cost.forkserver_pipe,
             trace: None,
@@ -140,7 +144,7 @@ impl Executor for ForkServerExecutor {
 /// What [`fork_exec`] runs in the forked child.
 pub(crate) struct ChildCall<'a> {
     /// Function to call.
-    pub entry: &'a str,
+    pub entry: FunctionId,
     /// Fuel for the call.
     pub fuel: u64,
     /// Control-pipe cycles charged per exec that forks.
@@ -177,7 +181,7 @@ pub(crate) fn fork_exec(
             Some(t) => HostCtx::with_trace(os, cov, t),
             None => HostCtx::new(os, cov),
         };
-        machine.call(child, &mut ctx, call.entry, &[0, 0], call.fuel)
+        machine.call_fn(child, &mut ctx, call.entry, &[0, 0], call.fuel)
     };
     let captured = call
         .capture

@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use fir::Module;
+use fir::{FunctionId, Module};
 use passes::pipelines::baseline_pipeline;
 use passes::PassError;
 use vmos::fs::FUZZ_INPUT_PATH;
@@ -29,6 +29,8 @@ pub struct FreshProcessExecutor {
     /// Cached `Module::fingerprint` of the instrumented module (the
     /// computation walks the whole module, so it is done once at boot).
     fingerprint: u64,
+    /// The instrumented module's `main`, resolved once.
+    entry: FunctionId,
 }
 
 impl FreshProcessExecutor {
@@ -41,6 +43,7 @@ impl FreshProcessExecutor {
         baseline_pipeline().run(&mut m)?;
         let image = DecodedImage::cached(&m);
         let fingerprint = m.fingerprint();
+        let entry = Machine::new(&m).entry("main");
         Ok(FreshProcessExecutor {
             os: Os::new(),
             module: m,
@@ -49,6 +52,7 @@ impl FreshProcessExecutor {
             fuel: DEFAULT_FUEL,
             harness_faults: 0,
             fingerprint,
+            entry,
         })
     }
 
@@ -86,7 +90,7 @@ impl Executor for FreshProcessExecutor {
         let machine = Machine::with_image(&self.module, &self.image);
         let out = {
             let mut ctx = HostCtx::new(&mut self.os, &mut self.cov);
-            machine.call(&mut p, &mut ctx, "main", &[0, 0], self.fuel)
+            machine.call_fn(&mut p, &mut ctx, self.entry, &[0, 0], self.fuel)
         };
         let teardown_cycles = self.os.teardown(p);
         let status = match out.result {

@@ -20,7 +20,7 @@
 use std::cell::RefCell;
 use std::sync::Arc;
 
-use fir::{Module, Section};
+use fir::{FunctionId, Module, Section};
 use passes::pipelines::closurex_pipeline;
 use passes::{PassError, PassReport, TARGET_MAIN};
 use vmos::fs::FUZZ_INPUT_PATH;
@@ -157,6 +157,8 @@ pub struct ClosureXExecutor {
     /// module the decoded-image cache is keyed by, so checkpoints written
     /// against this executor validate against what actually runs.
     fingerprint: u64,
+    /// The transformed module's [`TARGET_MAIN`], resolved once.
+    entry: FunctionId,
     /// Last `private_pages_vs(template)` result, keyed by the (process,
     /// template) ownership stamps it was computed for. The persistent
     /// process's private-page set almost never changes between execs, so
@@ -179,6 +181,7 @@ impl ClosureXExecutor {
         let pass_reports = closurex_pipeline().run(&mut m)?;
         let image = DecodedImage::cached(&m);
         let fingerprint = m.fingerprint();
+        let entry = Machine::new(&m).entry(TARGET_MAIN);
         let mut ex = ClosureXExecutor {
             os: Os::new(),
             module: m,
@@ -204,6 +207,7 @@ impl ClosureXExecutor {
             harness_faults: 0,
             degradation: DegradationLevel::Persistent,
             fingerprint,
+            entry,
             private_pages: RefCell::new(None),
         };
         // The fault plane is still disabled at construction, so boot cannot
@@ -233,7 +237,7 @@ impl ClosureXExecutor {
             let machine = Machine::with_image(&self.module, &self.image);
             let mut warm_cov = CovMap::new();
             let mut ctx = HostCtx::new(&mut self.os, &mut warm_cov);
-            let _ = machine.call(&mut p, &mut ctx, TARGET_MAIN, &[0, 0], self.cfg.fuel);
+            let _ = machine.call_fn(&mut p, &mut ctx, self.entry, &[0, 0], self.cfg.fuel);
             p.rt.in_init_phase = false;
             p.rt.chunk_map.clear();
             p.rt.open_files.clear();
@@ -447,7 +451,7 @@ impl ClosureXExecutor {
         };
         let machine = Machine::with_image(&self.module, &self.image);
         let call = ChildCall {
-            entry: TARGET_MAIN,
+            entry: self.entry,
             fuel: self.cfg.fuel,
             pipe_cycles: 0,
             trace,
@@ -511,7 +515,7 @@ impl ClosureXExecutor {
                 Some(t) => HostCtx::with_trace(&mut self.os, &mut self.cov, t),
                 None => HostCtx::new(&mut self.os, &mut self.cov),
             };
-            machine.call(p, &mut ctx, TARGET_MAIN, &[0, 0], self.cfg.fuel)
+            machine.call_fn(p, &mut ctx, self.entry, &[0, 0], self.cfg.fuel)
         };
         let captured = if capture_globals {
             match (self.section, self.proc.as_ref()) {

@@ -13,7 +13,7 @@
 
 use std::sync::Arc;
 
-use fir::Module;
+use fir::{FunctionId, Module};
 use passes::pipelines::baseline_pipeline;
 use passes::PassError;
 use vmos::fs::FUZZ_INPUT_PATH;
@@ -40,6 +40,8 @@ pub struct NaivePersistentExecutor {
     harness_faults: u64,
     /// Cached `Module::fingerprint` of the instrumented module.
     fingerprint: u64,
+    /// The instrumented module's `main`, resolved once.
+    entry: FunctionId,
 }
 
 impl NaivePersistentExecutor {
@@ -52,6 +54,7 @@ impl NaivePersistentExecutor {
         baseline_pipeline().run(&mut m)?;
         let image = DecodedImage::cached(&m);
         let fingerprint = m.fingerprint();
+        let entry = Machine::new(&m).entry("main");
         Ok(NaivePersistentExecutor {
             os: Os::new(),
             module: m,
@@ -63,6 +66,7 @@ impl NaivePersistentExecutor {
             respawns: 0,
             harness_faults: 0,
             fingerprint,
+            entry,
         })
     }
 
@@ -130,7 +134,7 @@ impl Executor for NaivePersistentExecutor {
         let machine = Machine::with_image(&self.module, &self.image);
         let out = {
             let mut ctx = HostCtx::new(&mut self.os, &mut self.cov);
-            machine.call(p, &mut ctx, "main", &[0, 0], self.fuel)
+            machine.call_fn(p, &mut ctx, self.entry, &[0, 0], self.fuel)
         };
         let (status, kill) = match out.result {
             CallResult::Return(v) => (ExecStatus::Exit(v as i32), false),

@@ -22,7 +22,9 @@ pub const MAP_SIZE: usize = 1 << 16;
 /// instead of O(64 KiB) on the fast-engine path.
 #[derive(Clone, Serialize, Deserialize)]
 pub struct CovMap {
-    map: Vec<u8>,
+    /// One byte per folded edge index: a `u16` indexes it without a
+    /// bounds check.
+    map: Box<[u8; MAP_SIZE]>,
     touched: Vec<u16>,
 }
 
@@ -44,7 +46,10 @@ impl CovMap {
     /// Fresh, all-zero map.
     pub fn new() -> Self {
         CovMap {
-            map: vec![0; MAP_SIZE],
+            map: vec![0; MAP_SIZE]
+                .into_boxed_slice()
+                .try_into()
+                .expect("MAP_SIZE bytes"),
             touched: Vec::new(),
         }
     }
@@ -52,16 +57,23 @@ impl CovMap {
     /// Record a hit on `edge_index` (already XOR-folded).
     #[inline]
     pub fn hit(&mut self, edge_index: u16) {
-        let slot = &mut self.map[edge_index as usize];
-        if *slot == 0 {
-            self.touched.push(edge_index);
+        hit(&mut self.map, &mut self.touched, edge_index);
+    }
+
+    /// The probe sink of one decoded run: this map's bytes and touched
+    /// list, borrowed apart so a probe reaches the bytes without going
+    /// through the map, and the path trace if one is attached.
+    pub(crate) fn probes<'a>(&'a mut self, trace: Option<&'a mut Vec<u16>>) -> Probes<'a> {
+        Probes {
+            map: &mut self.map,
+            touched: &mut self.touched,
+            trace,
         }
-        *slot = slot.saturating_add(1);
     }
 
     /// Raw bytes.
     pub fn as_slice(&self) -> &[u8] {
-        &self.map
+        &self.map[..]
     }
 
     /// Indices touched since the last [`CovMap::clear`], in hit order.
@@ -326,6 +338,42 @@ impl VirginMap {
     }
 }
 
+/// The one map update behind [`CovMap::hit`] and [`Probes::edge`]: bump
+/// the slot's hitcount, listing it as touched when it leaves 0.
+#[inline(always)]
+fn hit(map: &mut [u8; MAP_SIZE], touched: &mut Vec<u16>, edge_index: u16) {
+    let slot = &mut map[edge_index as usize];
+    if *slot == 0 {
+        touched.push(edge_index);
+    }
+    *slot = slot.saturating_add(1);
+}
+
+/// Where the coverage probes of one decoded run write: a [`CovMap`]'s
+/// bytes and touched list, and the path trace when the run records one.
+#[derive(Debug)]
+pub(crate) struct Probes<'a> {
+    map: &'a mut [u8; MAP_SIZE],
+    touched: &'a mut Vec<u16>,
+    trace: Option<&'a mut Vec<u16>>,
+}
+
+impl Probes<'_> {
+    /// [`CovState::edge`] into this sink, pushing the folded index to the
+    /// trace when `TRACE` (the run was started with one).
+    #[inline(always)]
+    pub(crate) fn edge<const TRACE: bool>(&mut self, state: &mut CovState, cur: u16) {
+        let idx = cur ^ state.prev;
+        hit(self.map, self.touched, idx);
+        state.prev = cur >> 1;
+        if TRACE {
+            if let Some(trace) = self.trace.as_deref_mut() {
+                trace.push(idx);
+            }
+        }
+    }
+}
+
 /// The per-process coverage update state (AFL's `prev_loc`).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CovState {
@@ -336,10 +384,10 @@ impl CovState {
     /// Apply the AFL edge transform for a block with id `cur`, updating the
     /// map and returning the folded edge index.
     ///
-    /// This is the single coverage entry point for every engine form: the
-    /// reference interpreter's `CovEdge` hostcall, the decoded `CovEdgeK`
-    /// op, the fused `CovCmpBr` superinstruction, and `Cov` components
-    /// inside a `DOp::Chain` all funnel here — coverage equivalence across
+    /// The reference interpreter's `__cov_edge` calls this; the decoded
+    /// engine's probes (`CovEdgeK`, `CovCmpBr`, `Cov` chain components
+    /// and loop tails) run `Probes::edge`, the same fold into the same
+    /// map update ([`CovMap::hit`]'s), so coverage equivalence across
     /// engines is by construction, not by parallel implementations.
     #[inline]
     pub fn edge(&mut self, cur: u16, map: &mut CovMap) -> u16 {

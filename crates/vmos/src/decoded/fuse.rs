@@ -40,6 +40,7 @@ use fir::Operand;
 
 use super::opt::{FuncIr, Kind, OBlock};
 use super::{ChainOp, ChainSrc, ChainTail, DFunc, DOp, LoopTail, OptStats};
+use crate::layout::GlobalMap;
 
 /// Largest value span a `Switch` may cover to become a `SwitchTable`.
 const SWITCH_TABLE_MAX_SPAN: i128 = 512;
@@ -48,13 +49,13 @@ const SWITCH_TABLE_MIN_CASES: usize = 3;
 
 /// Run the layout pipeline over one function IR and emit the final
 /// optimized stream.
-pub(super) fn finish(mut ir: FuncIr, stats: &mut OptStats) -> DFunc {
+pub(super) fn finish(mut ir: FuncIr, globals: &GlobalMap, stats: &mut OptStats) -> DFunc {
     merge(&mut ir, stats);
     fold_chains(&mut ir, stats);
     let layout = linearize(&ir);
     specialize(&mut ir, stats);
     fuse_ops(&mut ir, stats);
-    build_chains(&mut ir, stats);
+    build_chains(&mut ir, globals, stats);
     let mut df = emit(ir, &layout);
     loop_tails(&mut df);
     df
@@ -552,7 +553,7 @@ fn pair_comps(op: &DOp) -> Option<[ChainOp; 2]> {
 /// becomes [`Kind::Absorbed`]. Trailing eliminated slots that never found
 /// a following component stay [`Kind::Elim`] and ride the next live op's
 /// stream-level `pre` as before.
-fn build_chains(ir: &mut FuncIr, stats: &mut OptStats) {
+fn build_chains(ir: &mut FuncIr, globals: &GlobalMap, stats: &mut OptStats) {
     for block in &mut ir.blocks {
         let n = block.slots.len();
         let mut i = 0;
@@ -772,7 +773,7 @@ fn build_chains(ir: &mut FuncIr, stats: &mut OptStats) {
             }
             stats.chains += 1;
             stats.chain_comps += comps.len() as u64;
-            block.slots[i].op = DOp::chain(&comps, tail);
+            block.slots[i].op = DOp::chain(&comps, tail, globals);
             i = committed + 1;
         }
     }

@@ -52,6 +52,7 @@ use fir::{BinOp, CmpPred, FunctionId, GlobalId, Module, Operand};
 use serde::{Deserialize, Serialize};
 
 use crate::hostcalls::HostId;
+use crate::layout::GlobalMap;
 
 /// One pre-decoded operation. Branch operands are flat pcs into the owning
 /// function's `ops`; register/immediate operands keep the (Copy) `fir`
@@ -347,6 +348,12 @@ pub enum ChainOp {
 /// of executed chain binops; `mul` and `and` of two registers carry under
 /// 0.02% and stay generic.
 ///
+/// A load or store at a constant address the globals' layout accepts gets
+/// its verdict at decode time ([`ChainComp::LoadG`],
+/// [`ChainComp::StoreGR`], [`ChainComp::StoreGI`]): the layout is fixed by
+/// the module, so at run time it is a page-table access in the globals
+/// and nothing else. Any other constant address keeps its run-time check.
+///
 /// Every variant keeps its source's `pre`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ChainComp {
@@ -511,6 +518,27 @@ pub enum ChainComp {
         addr: u64,
         value: i64,
     },
+    /// [`ChainComp::LoadI`] that the globals' layout accepts.
+    LoadG {
+        pre: u16,
+        bytes: u8,
+        dst: u32,
+        addr: u64,
+    },
+    /// [`ChainComp::StoreIR`] that the globals' layout accepts.
+    StoreGR {
+        pre: u16,
+        bytes: u8,
+        addr: u64,
+        value: u32,
+    },
+    /// [`ChainComp::StoreII`] that the globals' layout accepts.
+    StoreGI {
+        pre: u16,
+        bytes: u8,
+        addr: u64,
+        value: i64,
+    },
     /// `dst = &global`
     AddrOf {
         pre: u16,
@@ -520,13 +548,18 @@ pub enum ChainComp {
 }
 
 impl ChainComp {
-    /// Resolve a generic component.
-    pub(crate) fn resolve(src: &ChainSrc) -> ChainComp {
+    /// Resolve a generic component, taking the verdict of a constant
+    /// address from `globals`, the layout of the module being decoded.
+    pub(crate) fn resolve(src: &ChainSrc, globals: &GlobalMap) -> ChainComp {
         use fir::Reg as R;
         use ChainComp as C;
         use Operand::{Imm, Reg};
         let pre = src.pre;
         let width = |bytes: u64| u8::try_from(bytes).expect("an access is 1, 2, 4 or 8 bytes");
+        let proven = |addr: i64, bytes: u64, is_write: bool| {
+            let addr = addr as u64;
+            globals.contains(addr) && globals.access_ok(addr, bytes, is_write)
+        };
         match src.op {
             ChainOp::Const { dst, value } => C::Const { pre, dst, value },
             ChainOp::Mov {
@@ -615,6 +648,7 @@ impl ChainComp {
             }
             ChainOp::Cov { id } => C::Cov { pre, id },
             ChainOp::Load { dst, addr, bytes } => {
+                let checked = |addr| !proven(addr, bytes, false);
                 let bytes = width(bytes);
                 match addr {
                     Reg(R(addr)) => C::LoadR {
@@ -623,7 +657,13 @@ impl ChainComp {
                         dst,
                         addr,
                     },
-                    Imm(addr) => C::LoadI {
+                    Imm(addr) if checked(addr) => C::LoadI {
+                        pre,
+                        bytes,
+                        dst,
+                        addr: addr as u64,
+                    },
+                    Imm(addr) => C::LoadG {
                         pre,
                         bytes,
                         dst,
@@ -632,6 +672,7 @@ impl ChainComp {
                 }
             }
             ChainOp::Store { addr, value, bytes } => {
+                let checked = |addr| !proven(addr, bytes, true);
                 let bytes = width(bytes);
                 match (addr, value) {
                     (Reg(R(addr)), Reg(R(value))) => C::StoreRR {
@@ -646,13 +687,25 @@ impl ChainComp {
                         addr,
                         value,
                     },
-                    (Imm(a), Reg(R(value))) => C::StoreIR {
+                    (Imm(a), Reg(R(value))) if checked(a) => C::StoreIR {
                         pre,
                         bytes,
                         addr: a as u64,
                         value,
                     },
-                    (Imm(a), Imm(value)) => C::StoreII {
+                    (Imm(a), Imm(value)) if checked(a) => C::StoreII {
+                        pre,
+                        bytes,
+                        addr: a as u64,
+                        value,
+                    },
+                    (Imm(a), Reg(R(value))) => C::StoreGR {
+                        pre,
+                        bytes,
+                        addr: a as u64,
+                        value,
+                    },
+                    (Imm(a), Imm(value)) => C::StoreGI {
                         pre,
                         bytes,
                         addr: a as u64,
@@ -696,6 +749,9 @@ impl ChainComp {
             | C::StoreRI { pre, .. }
             | C::StoreIR { pre, .. }
             | C::StoreII { pre, .. }
+            | C::LoadG { pre, .. }
+            | C::StoreGR { pre, .. }
+            | C::StoreGI { pre, .. }
             | C::AddrOf { pre, .. } => pre,
         }
     }
@@ -788,15 +844,16 @@ impl ChainTail {
 
 impl DOp {
     /// A [`DOp::Chain`] over the generic components `src`, with its
-    /// derived executable components and `rest` charge.
-    pub(crate) fn chain(src: &[ChainSrc], tail: ChainTail) -> DOp {
+    /// derived executable components and `rest` charge; `globals` is the
+    /// layout of the module being decoded.
+    pub(crate) fn chain(src: &[ChainSrc], tail: ChainTail, globals: &GlobalMap) -> DOp {
         let rest = src
             .iter()
             .skip(1)
             .map(|c| u64::from(c.pre) + 1)
             .sum::<u64>()
             + tail.charge();
-        let comps = src.iter().map(ChainComp::resolve).collect();
+        let comps = src.iter().map(|c| ChainComp::resolve(c, globals)).collect();
         DOp::Chain { comps, tail, rest }
     }
 

@@ -136,7 +136,9 @@ pub(super) fn optimize_module(module: &Module, stats: &mut OptStats) -> Vec<DFun
 
     // Phase C: layout — merge, chain folding, linearization,
     // specialization, fusion, emission.
-    irs.into_iter().map(|ir| fuse::finish(ir, stats)).collect()
+    irs.into_iter()
+        .map(|ir| fuse::finish(ir, &gmap, stats))
+        .collect()
 }
 
 /// Lower one function into optimizer IR. Reuses the plain lowering's

@@ -434,7 +434,57 @@ fn chain_components_resolve_to_their_variants() {
                 addr: i(0x1000_0010),
                 bytes: 1,
             },
+            "LoadG",
+        ),
+        // Constant addresses the layout does not accept keep the check:
+        // `ro`'s padding, past `rw`'s end, a store to `ro`, the heap.
+        (
+            ChainOp::Load {
+                dst: 2,
+                addr: i(0x1000_0008),
+                bytes: 1,
+            },
             "LoadI",
+        ),
+        (
+            ChainOp::Load {
+                dst: 2,
+                addr: i(0x1000_001c),
+                bytes: 8,
+            },
+            "LoadI",
+        ),
+        (
+            ChainOp::Load {
+                dst: 2,
+                addr: i(0x4000_0000),
+                bytes: 8,
+            },
+            "LoadI",
+        ),
+        (
+            ChainOp::Store {
+                addr: i(0x1000_0010),
+                value: r(2),
+                bytes: 8,
+            },
+            "StoreGR",
+        ),
+        (
+            ChainOp::Store {
+                addr: i(0x1000_0018),
+                value: i(3),
+                bytes: 8,
+            },
+            "StoreGI",
+        ),
+        (
+            ChainOp::Store {
+                addr: i(0x1000_001c),
+                value: i(3),
+                bytes: 8,
+            },
+            "StoreII",
         ),
         (
             ChainOp::Store {
@@ -476,12 +526,19 @@ fn chain_components_resolve_to_their_variants() {
             "AddrOf",
         ),
     ];
+    // `ro`: 8 read-only bytes at the region's start; `rw`: 16 writable
+    // bytes after its padding.
+    let mut mb = ModuleBuilder::new("m");
+    mb.global(fir::Global::constant("ro", vec![1; 8]));
+    mb.global(fir::Global::zeroed("rw", 16));
+    let globals = GlobalMap::layout(&mb.finish());
+    assert_eq!(globals.addr_of_name("rw"), Some(0x1000_0010));
     for (pre, (op, form)) in cases.into_iter().enumerate() {
         let src = ChainSrc {
             pre: pre as u16,
             op,
         };
-        let comp = ChainComp::resolve(&src);
+        let comp = ChainComp::resolve(&src, &globals);
         let name = format!("{comp:?}");
         assert!(
             name.starts_with(&format!("{form} ")),

@@ -225,7 +225,7 @@ impl HeapState {
     /// `check_access(addr, len) == AccessVerdict::Ok`, answered from the
     /// last accepted chunk when `addr` falls inside it: chunks never
     /// overlap, so that chunk is the one the side-table lookup would find.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn access_ok(&self, addr: u64, len: u64) -> bool {
         let (start, end) = self.last_ok.get();
         if start <= addr && addr < end {

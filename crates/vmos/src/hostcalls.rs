@@ -7,10 +7,11 @@
 //! [`crate::process::ClosureRt`] side-state that the harness sweeps between
 //! test cases.
 
+use crate::cost::CostModel;
 use crate::crash::{Crash, CrashKind};
 use crate::fault::FaultKind;
 use crate::heap::HeapError;
-use crate::interp::HostCtx;
+use crate::os::Os;
 use crate::process::Process;
 
 /// Effect of a host call on control flow.
@@ -174,12 +175,13 @@ pub fn dispatch(
     name: &str,
     args: &[i64],
     p: &mut Process,
-    ctx: &mut HostCtx<'_>,
+    os: &mut Os,
+    cost: &CostModel,
     site: (&str, u32),
     cycles: &mut u64,
 ) -> Result<Option<HostRet>, Crash> {
     match resolve(name) {
-        Some(id) => dispatch_id(id, args, p, ctx, site, cycles),
+        Some(id) => dispatch_id(id, args, p, os, cost, site, cycles),
         None => Ok(None),
     }
 }
@@ -193,16 +195,16 @@ pub fn dispatch_id(
     id: HostId,
     args: &[i64],
     p: &mut Process,
-    ctx: &mut HostCtx<'_>,
+    os: &mut Os,
+    cost: &CostModel,
     site: (&str, u32),
     cycles: &mut u64,
 ) -> Result<Option<HostRet>, Crash> {
-    let cost = ctx.cost.clone();
     let ret = match id.fun {
         // ---- malloc family -------------------------------------------
         HostFn::Malloc => {
             *cycles += cost.host_malloc;
-            if ctx.os.fault.roll(FaultKind::MallocNull) {
+            if os.fault.roll(FaultKind::MallocNull) {
                 return Ok(Some(HostRet::Val(0))); // injected ENOMEM
             }
             let size = arg(args, 0).max(0) as u64;
@@ -220,7 +222,7 @@ pub fn dispatch_id(
         }
         HostFn::Calloc => {
             *cycles += cost.host_malloc;
-            if ctx.os.fault.roll(FaultKind::MallocNull) {
+            if os.fault.roll(FaultKind::MallocNull) {
                 return Ok(Some(HostRet::Val(0))); // injected ENOMEM
             }
             let n = arg(args, 0).max(0) as u64;
@@ -230,7 +232,7 @@ pub fn dispatch_id(
                 .heap
                 .alloc(total)
                 .map_err(|e| heap_err_to_crash(e, site, "calloc"))?;
-            p.write_bytes(ptr, &vec![0u8; total as usize]);
+            p.mem.fill(ptr, 0, total);
             *cycles += cost.bulk(0, total);
             if id.hooked {
                 *cycles += cost.closurex_wrapper;
@@ -242,7 +244,7 @@ pub fn dispatch_id(
         }
         HostFn::Realloc => {
             *cycles += cost.host_malloc + cost.host_free;
-            if ctx.os.fault.roll(FaultKind::MallocNull) {
+            if os.fault.roll(FaultKind::MallocNull) {
                 // Injected ENOMEM: NULL return, original block left intact.
                 return Ok(Some(HostRet::Val(0)));
             }
@@ -265,10 +267,9 @@ pub fn dispatch_id(
                     .heap
                     .alloc(size)
                     .map_err(|e| heap_err_to_crash(e, site, "realloc"))?;
-                let ncopy = old_size.min(size) as usize;
-                let data = p.read_bytes(old, ncopy);
-                p.write_bytes(np, &data);
-                *cycles += cost.bulk(0, ncopy as u64);
+                let ncopy = old_size.min(size);
+                p.mem.copy(np, old, ncopy);
+                *cycles += cost.bulk(0, ncopy);
                 p.heap
                     .free(old)
                     .map_err(|e| heap_err_to_crash(e, site, "realloc-free"))?;
@@ -315,8 +316,7 @@ pub fn dispatch_id(
             if n > 0 {
                 p.check_access(src, n, false, site.0, site.1)?;
                 p.check_access(dst, n, true, site.0, site.1)?;
-                let data = p.read_bytes(src, n as usize);
-                p.write_bytes(dst, &data);
+                p.mem.copy(dst, src, n);
             }
             *cycles += cost.bulk(2, n);
             HostRet::Val(dst as i64)
@@ -333,7 +333,7 @@ pub fn dispatch_id(
             let n = n as u64;
             if n > 0 {
                 p.check_access(dst, n, true, site.0, site.1)?;
-                p.write_bytes(dst, &vec![c as u8; n as usize]);
+                p.mem.fill(dst, c as u8, n);
             }
             *cycles += cost.bulk(2, n);
             HostRet::Val(dst as i64)
@@ -391,10 +391,10 @@ pub fn dispatch_id(
             let path_ptr = arg(args, 0) as u64;
             p.check_access(path_ptr, 1, false, site.0, site.1)?;
             let path = String::from_utf8_lossy(&p.mem.read_cstr(path_ptr, 4096)).into_owned();
-            if !ctx.fs_exists(&path) {
+            if !os.fs.exists(&path) {
                 return Ok(Some(HostRet::Val(0))); // ENOENT → NULL
             }
-            if ctx.os.fault.roll(FaultKind::FopenFail) {
+            if os.fault.roll(FaultKind::FopenFail) {
                 return Ok(Some(HostRet::Val(0))); // injected EIO → NULL
             }
             // EMFILE crashes with the dedicated false-crash kind (like the
@@ -429,7 +429,7 @@ pub fn dispatch_id(
             if h == 0 {
                 return Err(crash(CrashKind::NullPtrDeref, site, "fclose(NULL)".into()));
             }
-            if ctx.os.fault.roll(FaultKind::FdLeak) {
+            if os.fault.roll(FaultKind::FdLeak) {
                 // Injected leak: the program sees success but the
                 // descriptor-table slot is never released, creeping toward
                 // the RLIMIT_NOFILE analog. Only the fd census run by the
@@ -469,7 +469,7 @@ pub fn dispatch_id(
                     "fread(NULL file)".into(),
                 ));
             }
-            let Some(file) = p.fds.get(h).cloned() else {
+            let Some(file) = p.fds.get(h) else {
                 return Err(crash(
                     CrashKind::UnaddressableAccess,
                     site,
@@ -477,13 +477,13 @@ pub fn dispatch_id(
                 ));
             };
             let total = size.saturating_mul(nmemb);
-            let data = ctx.fs_read(&file.path).unwrap_or_default();
-            let avail = data.len() as u64 - file.pos.min(data.len() as u64);
+            let pos = file.pos;
+            let data = os.fs.read_file(&file.path).unwrap_or_default();
+            let avail = data.len() as u64 - pos.min(data.len() as u64);
             let n = total.min(avail);
             if n > 0 {
                 p.check_access(buf, n, true, site.0, site.1)?;
-                let chunk = data[file.pos as usize..(file.pos + n) as usize].to_vec();
-                p.write_bytes(buf, &chunk);
+                p.mem.write(buf, &data[pos as usize..(pos + n) as usize]);
                 p.fds.get_mut(h).expect("checked").pos += n;
             }
             *cycles += cost.bulk(4, n);
@@ -494,17 +494,18 @@ pub fn dispatch_id(
             if h == 0 {
                 return Err(crash(CrashKind::NullPtrDeref, site, "fgetc(NULL)".into()));
             }
-            let Some(file) = p.fds.get(h).cloned() else {
+            let Some(file) = p.fds.get(h) else {
                 return Err(crash(
                     CrashKind::UnaddressableAccess,
                     site,
                     format!("fgetc from bad handle {h:#x}"),
                 ));
             };
-            let data = ctx.fs_read(&file.path).unwrap_or_default();
+            let pos = file.pos;
+            let data = os.fs.read_file(&file.path).unwrap_or_default();
             *cycles += 2;
-            if (file.pos as usize) < data.len() {
-                let b = data[file.pos as usize];
+            if (pos as usize) < data.len() {
+                let b = data[pos as usize];
                 p.fds.get_mut(h).expect("checked").pos += 1;
                 HostRet::Val(i64::from(b))
             } else {
@@ -520,7 +521,7 @@ pub fn dispatch_id(
                 let Some(file) = p.fds.get(h) else {
                     return Ok(Some(HostRet::Val(-1)));
                 };
-                ctx.fs_read(&file.path).map_or(0, |d| d.len() as i64)
+                os.fs.read_file(&file.path).map_or(0, |d| d.len() as i64)
             };
             let Some(file) = p.fds.get_mut(h) else {
                 return Ok(Some(HostRet::Val(-1)));
@@ -553,7 +554,7 @@ pub fn dispatch_id(
             *cycles += 2;
             match p.fds.get(h) {
                 Some(f) => {
-                    let len = ctx.fs_read(&f.path).map_or(0, |d| d.len() as u64);
+                    let len = os.fs.read_file(&f.path).map_or(0, |d| d.len() as u64);
                     HostRet::Val(i64::from(f.pos >= len))
                 }
                 None => HostRet::Val(1),
@@ -564,7 +565,7 @@ pub fn dispatch_id(
             let h = arg(args, 0) as u64;
             *cycles += 2;
             match p.fds.get(h) {
-                Some(f) => HostRet::Val(ctx.fs_read(&f.path).map_or(0, |d| d.len() as i64)),
+                Some(f) => HostRet::Val(os.fs.read_file(&f.path).map_or(0, |d| d.len() as i64)),
                 None => HostRet::Val(-1),
             }
         }

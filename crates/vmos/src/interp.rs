@@ -1,13 +1,14 @@
 //! The FIR interpreter, with cycle accounting, coverage collection,
 //! `setjmp`/`longjmp` continuations, and fuel-bounded execution.
 
-use fir::{BinOp, Inst, Module, Operand, Terminator};
+use fir::{BinOp, FunctionId, Inst, Module, Operand, Terminator};
 
 use crate::cost::CostModel;
-use crate::cov::CovMap;
+use crate::cov::{CovMap, Probes};
 use crate::crash::{Crash, CrashKind};
 use crate::decoded::{srem_pow2, ChainComp, ChainTail, DFunc, DOp, DecodedImage};
 use crate::hostcalls::{self, HostRet};
+use crate::mem::Region;
 use crate::os::Os;
 use crate::process::{Frame, JmpCtx, Process, MAX_CALL_DEPTH, STACK_MAX_BYTES, STACK_TOP};
 
@@ -85,16 +86,6 @@ impl<'a> HostCtx<'a> {
             cost,
         }
     }
-
-    /// Does `path` exist in the simulated filesystem?
-    pub fn fs_exists(&self, path: &str) -> bool {
-        self.os.fs.exists(path)
-    }
-
-    /// Read a file from the simulated filesystem.
-    pub fn fs_read(&self, path: &str) -> Option<&[u8]> {
-        self.os.fs.read_file(path)
-    }
 }
 
 /// The interpreter for one module. Stateless: all mutable state lives in
@@ -138,8 +129,21 @@ impl<'m> Machine<'m> {
         self.module
     }
 
+    /// The id of the module function named `func`, for
+    /// [`Machine::call_fn`]: executors resolve their entry point once
+    /// instead of on every exec.
+    ///
+    /// # Panics
+    /// Panics if `func` does not exist in the module (harness bug, not a
+    /// target bug).
+    pub fn entry(&self, func: &str) -> FunctionId {
+        self.module
+            .function_id(func)
+            .unwrap_or_else(|| panic!("no such function: {func}"))
+    }
+
     /// Call `func(args...)` inside process `p`, bounded by `fuel`
-    /// instructions.
+    /// instructions: [`Machine::call_fn`] of [`Machine::entry`]`(func)`.
     ///
     /// # Panics
     /// Panics if `func` does not exist in the module (harness bug, not a
@@ -152,10 +156,19 @@ impl<'m> Machine<'m> {
         args: &[i64],
         fuel: u64,
     ) -> CallOutcome {
-        let fid = self
-            .module
-            .function_id(func)
-            .unwrap_or_else(|| panic!("no such function: {func}"));
+        self.call_fn(p, ctx, self.entry(func), args, fuel)
+    }
+
+    /// Call function `fid(args...)` inside process `p`, bounded by `fuel`
+    /// instructions.
+    pub fn call_fn(
+        &self,
+        p: &mut Process,
+        ctx: &mut HostCtx<'_>,
+        fid: FunctionId,
+        args: &[i64],
+        fuel: u64,
+    ) -> CallOutcome {
         let f = &self.module.functions[fid.0 as usize];
         let base = push_window(&mut p.regs, f.num_regs, f.num_params, args);
         let base_depth = p.frames.len();
@@ -389,7 +402,8 @@ impl<'m> Machine<'m> {
                             callee,
                             &argv,
                             p,
-                            ctx,
+                            ctx.os,
+                            &ctx.cost,
                             (fname, block),
                             &mut cycles,
                         ) {
@@ -476,7 +490,10 @@ impl<'m> Machine<'m> {
     }
 
     /// The decoded-bytecode execution loop, over the register stack
-    /// lifted out of `p` for the duration of the call.
+    /// lifted out of `p` for the duration of the call, with the context
+    /// split into what hostcalls use and what coverage probes write. The
+    /// loop is compiled twice, with and without a path trace, so an
+    /// untraced probe never asks whether to record the edge.
     fn run_decoded(
         &self,
         img: &DecodedImage,
@@ -486,7 +503,34 @@ impl<'m> Machine<'m> {
         fuel: u64,
     ) -> CallOutcome {
         let mut stack = std::mem::take(&mut p.regs);
-        let out = Self::run_decoded_on(img, p, &mut stack, ctx, base_depth, fuel);
+        let HostCtx {
+            os,
+            cov,
+            trace,
+            cost,
+        } = ctx;
+        let out = match trace {
+            Some(trace) => Self::run_decoded_on::<true>(
+                img,
+                p,
+                &mut stack,
+                os,
+                cost,
+                cov.probes(Some(trace)),
+                base_depth,
+                fuel,
+            ),
+            None => Self::run_decoded_on::<false>(
+                img,
+                p,
+                &mut stack,
+                os,
+                cost,
+                cov.probes(None),
+                base_depth,
+                fuel,
+            ),
+        };
         p.regs = stack;
         out
     }
@@ -503,18 +547,20 @@ impl<'m> Machine<'m> {
     /// transitions (call, return, `setjmp`, `longjmp`), which are the only
     /// points the reference engine's eager coordinate updates are
     /// observable.
-    #[allow(clippy::too_many_lines)]
-    fn run_decoded_on(
+    #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
+    fn run_decoded_on<const TRACE: bool>(
         img: &DecodedImage,
         p: &mut Process,
         stack: &mut Vec<i64>,
-        ctx: &mut HostCtx<'_>,
+        os: &mut Os,
+        cost: &CostModel,
+        mut probes: Probes<'_>,
         base_depth: usize,
         fuel: u64,
     ) -> CallOutcome {
         let mut cycles: u64 = 0;
         let mut insts: u64 = 0;
-        let inst_cost = ctx.cost.inst;
+        let inst_cost = cost.inst;
 
         macro_rules! finish {
             ($result:expr) => {
@@ -595,14 +641,16 @@ impl<'m> Machine<'m> {
                     cycles += inst_cost;
                 };
             }
-            // The memory check at this pc's site: the inlined verdict, and
-            // the out-of-line crash only when it rejects the access.
+            // The memory check at this pc's site: the inlined verdict,
+            // naming the region the access lies in, and the out-of-line
+            // crash only when it rejects the access.
             macro_rules! check_mem {
                 ($a:expr, $bytes:expr, $is_write:expr) => {
-                    if !p.access_ok($a, $bytes, $is_write) {
-                        finish!(CallResult::Crashed(access_crash(
+                    match p.access($a, $bytes, $is_write) {
+                        Some(region) => region,
+                        None => finish!(CallResult::Crashed(access_crash(
                             p, funcs, df, pc, $a, $bytes, $is_write
-                        )));
+                        ))),
                     }
                 };
             }
@@ -656,16 +704,16 @@ impl<'m> Machine<'m> {
                 }
                 DOp::Load { dst, addr, bytes } => {
                     let a = reg_read(regs, *addr) as u64;
-                    check_mem!(a, *bytes, false);
-                    let v = p.mem.read_uint(a, *bytes) as i64;
+                    let region = check_mem!(a, *bytes, false);
+                    let v = p.mem.read_uint_in(region, a, *bytes) as i64;
                     set_reg!(*dst, v);
                     pc += 1;
                 }
                 DOp::Store { addr, value, bytes } => {
                     let a = reg_read(regs, *addr) as u64;
                     let v = reg_read(regs, *value);
-                    check_mem!(a, *bytes, true);
-                    p.mem.write_uint(a, v as u64, *bytes);
+                    let region = check_mem!(a, *bytes, true);
+                    p.mem.write_uint_in(region, a, v as u64, *bytes);
                     pc += 1;
                 }
                 DOp::AddrOf { dst, global } => {
@@ -683,10 +731,7 @@ impl<'m> Machine<'m> {
                 }
                 DOp::CovEdge { id } => {
                     let id = reg_read(regs, *id) as u16;
-                    let idx = p.cov_state.edge(id, ctx.cov);
-                    if let Some(tr) = ctx.trace.as_deref_mut() {
-                        tr.push(idx);
-                    }
+                    probes.edge::<TRACE>(&mut p.cov_state, id);
                     pc += 1;
                 }
                 DOp::Setjmp {
@@ -804,7 +849,7 @@ impl<'m> Machine<'m> {
                         funcs[df.fname_of[pc as usize] as usize].name.as_str(),
                         df.block_of[pc as usize],
                     );
-                    match hostcalls::dispatch_id(*host, argv, p, ctx, site, &mut cycles) {
+                    match hostcalls::dispatch_id(*host, argv, p, os, cost, site, &mut cycles) {
                         Ok(Some(HostRet::Val(v))) => {
                             if let Some(d) = dst {
                                 set_reg!(d.0, v);
@@ -870,10 +915,7 @@ impl<'m> Machine<'m> {
 
                 // ----- optimized-stream ops -----
                 DOp::CovEdgeK { id } => {
-                    let idx = p.cov_state.edge(*id, ctx.cov);
-                    if let Some(tr) = ctx.trace.as_deref_mut() {
-                        tr.push(idx);
-                    }
+                    probes.edge::<TRACE>(&mut p.cov_state, *id);
                     pc += 1;
                 }
                 DOp::CovCmpBr {
@@ -886,10 +928,7 @@ impl<'m> Machine<'m> {
                     if_false,
                 } => {
                     // Component 1 (charged at loop top): coverage probe.
-                    let idx = p.cov_state.edge(*id, ctx.cov);
-                    if let Some(tr) = ctx.trace.as_deref_mut() {
-                        tr.push(idx);
-                    }
+                    probes.edge::<TRACE>(&mut p.cov_state, *id);
                     // Component 2: compare.
                     charge!();
                     let v = i64::from(pred.eval(reg_read(regs, *lhs), reg_read(regs, *rhs)));
@@ -940,8 +979,8 @@ impl<'m> Machine<'m> {
                 } => {
                     let a = reg_read(regs, *addr) as u64;
                     let v = reg_read(regs, *value);
-                    check_mem!(a, *bytes, true);
-                    p.mem.write_uint(a, v as u64, *bytes);
+                    let region = check_mem!(a, *bytes, true);
+                    p.mem.write_uint_in(region, a, v as u64, *bytes);
                     charge!();
                     pc = *target;
                 }
@@ -964,8 +1003,8 @@ impl<'m> Machine<'m> {
                     // The address reads the just-written register when the
                     // fusion was an addr-compute + load pair.
                     let a = reg_read(regs, *addr) as u64;
-                    check_mem!(a, *bytes, false);
-                    let v = p.mem.read_uint(a, *bytes) as i64;
+                    let region = check_mem!(a, *bytes, false);
+                    let v = p.mem.read_uint_in(region, a, *bytes) as i64;
                     set_reg!(*ldst, v);
                     pc += 1;
                 }
@@ -979,8 +1018,8 @@ impl<'m> Machine<'m> {
                     rhs,
                 } => {
                     let a = reg_read(regs, *addr) as u64;
-                    check_mem!(a, *bytes, false);
-                    let v = p.mem.read_uint(a, *bytes) as i64;
+                    let region = check_mem!(a, *bytes, false);
+                    let v = p.mem.read_uint_in(region, a, *bytes) as i64;
                     set_reg!(*ldst, v);
                     charge!();
                     let a = reg_read(regs, *lhs);
@@ -1067,14 +1106,14 @@ impl<'m> Machine<'m> {
                     // stack.
                     macro_rules! run {
                         ($checked:literal) => {
-                            run_chain::<$checked>(
+                            run_chain::<$checked, TRACE>(
                                 comps,
                                 tail,
                                 *rest,
                                 pc,
                                 regs,
                                 p,
-                                ctx,
+                                &mut probes,
                                 fuel,
                                 inst_cost,
                                 &mut insts,
@@ -1112,7 +1151,7 @@ enum ChainStop {
     OutOfFuel,
     /// A division trapped, with its crash detail.
     DivTrap(String),
-    /// [`Process::access_ok`] rejected a load or store.
+    /// [`Process::access`] rejected a load or store.
     Access {
         addr: u64,
         len: u64,
@@ -1130,17 +1169,18 @@ enum ChainStop {
 /// checks can fail: it charges `rest` once at the end, or, when
 /// component `k` traps, the prefix through `k` — the same `insts` and
 /// `cycles` the checked form reaches. Only the unchecked form runs a
-/// [`ChainTail::Loop`]'s header in place and goes round again.
+/// [`ChainTail::Loop`]'s header in place and goes round again. `TRACE`
+/// is the decoded loop's: whether probes record the path trace.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn run_chain<const CHECKED: bool>(
+fn run_chain<const CHECKED: bool, const TRACE: bool>(
     comps: &[ChainComp],
     tail: &ChainTail,
     rest: u64,
     pc: u32,
     regs: &mut [i64],
     p: &mut Process,
-    ctx: &mut HostCtx<'_>,
+    probes: &mut Probes<'_>,
     fuel: u64,
     inst_cost: u64,
     insts: &mut u64,
@@ -1187,7 +1227,7 @@ fn run_chain<const CHECKED: bool>(
     macro_rules! load {
         ($k:expr, $dst:expr, $addr:expr, $bytes:expr) => {{
             let (a, len) = ($addr, u64::from($bytes));
-            if !p.access_ok(a, len, false) {
+            let Some(region) = p.access(a, len, false) else {
                 trap!(
                     $k,
                     ChainStop::Access {
@@ -1196,14 +1236,14 @@ fn run_chain<const CHECKED: bool>(
                         is_write: false
                     }
                 );
-            }
-            regs[$dst as usize] = p.mem.read_uint(a, len) as i64;
+            };
+            regs[$dst as usize] = p.mem.read_uint_in(region, a, len) as i64;
         }};
     }
     macro_rules! store {
         ($k:expr, $addr:expr, $value:expr, $bytes:expr) => {{
             let (a, len) = ($addr, u64::from($bytes));
-            if !p.access_ok(a, len, true) {
+            let Some(region) = p.access(a, len, true) else {
                 trap!(
                     $k,
                     ChainStop::Access {
@@ -1212,8 +1252,8 @@ fn run_chain<const CHECKED: bool>(
                         is_write: true
                     }
                 );
-            }
-            p.mem.write_uint(a, $value as u64, len);
+            };
+            p.mem.write_uint_in(region, a, $value as u64, len);
         }};
     }
     // Runs once, unless a loop tail re-runs the chain (unchecked only).
@@ -1279,12 +1319,7 @@ fn run_chain<const CHECKED: bool>(
                         reg_read(regs, if_false)
                     };
                 }
-                ChainComp::Cov { id, .. } => {
-                    let idx = p.cov_state.edge(id, ctx.cov);
-                    if let Some(tr) = ctx.trace.as_deref_mut() {
-                        tr.push(idx);
-                    }
-                }
+                ChainComp::Cov { id, .. } => probes.edge::<TRACE>(&mut p.cov_state, id),
                 ChainComp::LoadR {
                     bytes, dst, addr, ..
                 } => load!(k, dst, regs[addr as usize] as u64, bytes),
@@ -1303,6 +1338,27 @@ fn run_chain<const CHECKED: bool>(
                 ChainComp::StoreII {
                     bytes, addr, value, ..
                 } => store!(k, addr, value, bytes),
+                // Constant addresses whose verdict was taken at decode
+                // time: accepted, in the globals.
+                ChainComp::LoadG {
+                    bytes, dst, addr, ..
+                } => {
+                    regs[dst as usize] =
+                        p.mem.read_uint_in(Region::Globals, addr, u64::from(bytes)) as i64;
+                }
+                ChainComp::StoreGR {
+                    bytes, addr, value, ..
+                } => {
+                    let v = regs[value as usize] as u64;
+                    p.mem
+                        .write_uint_in(Region::Globals, addr, v, u64::from(bytes));
+                }
+                ChainComp::StoreGI {
+                    bytes, addr, value, ..
+                } => {
+                    p.mem
+                        .write_uint_in(Region::Globals, addr, value as u64, u64::from(bytes));
+                }
                 ChainComp::AddrOf { dst, global, .. } => {
                     regs[dst as usize] = p.globals.addr_of(global).expect("verified global") as i64;
                 }
@@ -1352,10 +1408,7 @@ fn run_chain<const CHECKED: bool>(
         }
         *insts += lt.header_charge;
         *cycles += lt.header_charge * inst_cost;
-        let idx = p.cov_state.edge(lt.id, ctx.cov);
-        if let Some(tr) = ctx.trace.as_deref_mut() {
-            tr.push(idx);
-        }
+        probes.edge::<TRACE>(&mut p.cov_state, lt.id);
         let v = i64::from(lt.pred.eval(reg_read(regs, lt.lhs), reg_read(regs, lt.rhs)));
         regs[lt.dst as usize] = v;
         let to = if v != 0 { lt.if_true } else { lt.if_false };

@@ -6,12 +6,11 @@
 //! `CLOSURE_GLOBAL_SECTION_ADDR` / `CLOSURE_GLOBAL_SECTION_SIZE`
 //! environment variables populated via `readelf`.
 
-use std::cell::Cell;
 use std::sync::Arc;
 
 use fir::{GlobalId, Module, Section};
 
-use crate::mem::PageTable;
+use crate::mem::{PageTable, PAGE_SIZE};
 
 /// Base virtual address of the globals region.
 pub const GLOBAL_BASE: u64 = 0x1000_0000;
@@ -43,17 +42,75 @@ impl GlobalSlot {
 }
 
 /// The loaded-globals map of one process image.
+///
+/// Everything in it is immutable once [`GlobalMap::layout`] returns, so
+/// every clone (a fork, a template copy) shares it instead of copying each
+/// name or table.
 #[derive(Debug, Clone, Default)]
 pub struct GlobalMap {
-    /// Immutable once [`GlobalMap::layout`] returns, so every clone (a
-    /// fork, a template copy) shares it instead of copying each name.
     layout: Arc<Layout>,
     end: u64,
-    /// `(start, end, writable)` of the last slot [`GlobalMap::access_ok`]
-    /// accepted an access in; `(0, 0, _)` caches nothing. Host-only: the
-    /// layout never changes after [`GlobalMap::layout`], so the entry can
-    /// never go stale, and it is never serialized.
-    last_hit: Cell<(u64, u64, bool)>,
+    /// The verdict table, one entry per page of the region from its first
+    /// page on: an index into `spans`, or, with [`SHARED`] set, the start
+    /// of the page's [`GRANULES`] entries in `granules`. See
+    /// [`GlobalMap::access_ok`].
+    pages: Arc<[u32]>,
+    /// One index into `spans` per granule of each page several slots
+    /// share.
+    granules: Arc<[u32]>,
+    /// [`Span::NONE`], then the span of every nonzero-size slot.
+    spans: Arc<[Span]>,
+}
+
+/// Granules of [`GLOBAL_ALIGN`] bytes per page. Slots start on a granule
+/// and nonzero-size slots end before the next slot's first granule, so no
+/// granule holds bytes of two slots.
+const GRANULES: usize = (PAGE_SIZE / GLOBAL_ALIGN) as usize;
+
+/// Marks a verdict-table page entry that indexes `granules`, not `spans`.
+const SHARED: u32 = 1 << 31;
+
+/// The one slot with bytes in a stretch of the globals region (a page or a
+/// granule), as the verdict table names it: every address of the stretch
+/// outside `[start, end)` is a gap.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Span {
+    start: u64,
+    /// One past the slot's last byte.
+    end: u64,
+    /// One past the last byte a store may reach: `end` for a writable
+    /// slot, `start` for a read-only one, so every store to it fails.
+    write_end: u64,
+}
+
+impl Span {
+    /// A stretch without slot bytes: every access fails.
+    const NONE: Span = Span {
+        start: 0,
+        end: 0,
+        write_end: 0,
+    };
+
+    fn of(slot: &GlobalSlot) -> Span {
+        Span {
+            start: slot.start,
+            end: slot.end(),
+            write_end: if slot.writable {
+                slot.end()
+            } else {
+                slot.start
+            },
+        }
+    }
+
+    /// [`GlobalMap::find`]'s verdict for an access starting in this
+    /// stretch: it starts in the slot, ends by the slot's end, and stores
+    /// only to a writable slot.
+    #[inline(always)]
+    fn admits(self, addr: u64, len: u64, is_write: bool) -> bool {
+        let end = if is_write { self.write_end } else { self.end };
+        self.start <= addr && addr < end && addr + len <= end
+    }
 }
 
 /// The slots and sections of a [`GlobalMap`].
@@ -100,6 +157,7 @@ impl GlobalMap {
         for slot in &slots {
             addrs[slot.gid.0 as usize] = slot.start;
         }
+        let (pages, granules, spans) = verdict_table(&slots, cursor);
         GlobalMap {
             layout: Arc::new(Layout {
                 slots,
@@ -107,7 +165,9 @@ impl GlobalMap {
                 addrs,
             }),
             end: cursor,
-            last_hit: Cell::new((0, 0, false)),
+            pages: pages.into(),
+            granules: granules.into(),
+            spans: spans.into(),
         }
     }
 
@@ -141,28 +201,22 @@ impl GlobalMap {
     /// inside the region, is accepted: it starts in a slot, ends by the
     /// slot's end, and writes only a writable slot.
     ///
-    /// Nonzero-size slots are disjoint, so `start <= addr < end` of the
-    /// cached slot means [`GlobalMap::find`] would return that same slot,
-    /// and the verdict can be read off the cache without a search.
-    #[inline]
+    /// One read of the verdict table, two when several slots share
+    /// `addr`'s page: the entry names the span of the only slot with bytes
+    /// in the page (or in the 16-byte granule, on a shared page), which is
+    /// the slot [`GlobalMap::find`] returns whenever it returns one. The
+    /// tables hold `u32` indices into the few spans, so a table costs 4
+    /// bytes a page.
+    #[inline(always)]
     pub(crate) fn access_ok(&self, addr: u64, len: u64, is_write: bool) -> bool {
-        let (start, end, writable) = self.last_hit.get();
-        if start <= addr && addr < end {
-            return addr + len <= end && (writable || !is_write);
+        debug_assert!(self.contains(addr), "{addr:#x} is outside the globals");
+        let off = addr - GLOBAL_BASE;
+        let mut entry = self.pages[(off / PAGE_SIZE) as usize];
+        if entry & SHARED != 0 {
+            entry = self.granules
+                [(entry & !SHARED) as usize + (off % PAGE_SIZE / GLOBAL_ALIGN) as usize];
         }
-        self.access_ok_miss(addr, len, is_write)
-    }
-
-    #[inline(never)]
-    fn access_ok_miss(&self, addr: u64, len: u64, is_write: bool) -> bool {
-        let Some(slot) = self.find(addr) else {
-            return false;
-        };
-        let ok = addr + len <= slot.end() && (slot.writable || !is_write);
-        if ok {
-            self.last_hit.set((slot.start, slot.end(), slot.writable));
-        }
-        ok
+        self.spans[entry as usize].admits(addr, len, is_write)
     }
 
     /// Address of a global by id: one table read.
@@ -194,6 +248,56 @@ impl GlobalMap {
     pub fn slots(&self) -> &[GlobalSlot] {
         &self.layout.slots
     }
+}
+
+/// The verdict table of the region `[GLOBAL_BASE, end)` holding `slots`:
+/// one entry per page, [`GRANULES`] more for each page that several slots
+/// share, and the spans they index. Work is proportional to the pages and
+/// the slots, not to the bytes.
+fn verdict_table(slots: &[GlobalSlot], end: u64) -> (Vec<u32>, Vec<u32>, Vec<Span>) {
+    let page_of = |addr: u64| ((addr - GLOBAL_BASE) / PAGE_SIZE) as usize;
+    // Point the granules of `page` that hold bytes of `span` at `id`.
+    let mark = |granules: &mut [u32], page: usize, id: u32, span: Span| {
+        let page_start = GLOBAL_BASE + page as u64 * PAGE_SIZE;
+        let lo = span.start.max(page_start) - page_start;
+        let hi = span.end.min(page_start + PAGE_SIZE) - page_start;
+        for g in &mut granules[(lo / GLOBAL_ALIGN) as usize..hi.div_ceil(GLOBAL_ALIGN) as usize] {
+            assert_eq!(*g, 0, "two globals share a granule");
+            *g = id;
+        }
+    };
+    let index = |n: usize| {
+        u32::try_from(n)
+            .ok()
+            .filter(|&i| i < SHARED)
+            .expect("verdict table index fits below SHARED")
+    };
+    let mut spans = vec![Span::NONE];
+    let mut pages = vec![0; (end - GLOBAL_BASE).div_ceil(PAGE_SIZE) as usize];
+    let mut granules = Vec::new();
+    for span in slots.iter().filter(|s| s.size > 0).map(Span::of) {
+        let id = index(spans.len());
+        spans.push(span);
+        let first = page_of(span.start);
+        for (page, entry) in (first..).zip(&mut pages[first..=page_of(span.end - 1)]) {
+            let at = match *entry {
+                0 => {
+                    *entry = id;
+                    continue;
+                }
+                shared if shared & SHARED != 0 => (shared & !SHARED) as usize,
+                other => {
+                    let at = granules.len();
+                    granules.resize(at + GRANULES, 0);
+                    mark(&mut granules[at..], page, other, spans[other as usize]);
+                    *entry = SHARED | index(at);
+                    at
+                }
+            };
+            mark(&mut granules[at..at + GRANULES], page, id, span);
+        }
+    }
+    (pages, granules, spans)
 }
 
 #[cfg(test)]
@@ -261,18 +365,47 @@ mod tests {
     }
 
     #[test]
-    fn clones_share_the_layout_but_not_the_slot_cache() {
+    fn clones_share_the_layout_and_the_verdict_table() {
         let m = module();
         let gm = GlobalMap::layout(&m);
-        let c = gm.addr_of_name("counter").unwrap();
-        assert!(gm.access_ok(c, 8, true), "warms the original's cache");
         let twin = gm.clone();
         assert!(Arc::ptr_eq(&gm.layout, &twin.layout), "no per-clone copy");
+        assert!(Arc::ptr_eq(&gm.pages, &twin.pages));
+        assert!(Arc::ptr_eq(&gm.granules, &twin.granules));
+        assert!(Arc::ptr_eq(&gm.spans, &twin.spans));
         assert_eq!(twin.slots(), gm.slots());
-        let s = gm.addr_of_name("scratch").unwrap();
-        assert!(twin.access_ok(s, 8, true), "moves only the twin's cache");
-        assert_eq!(gm.last_hit.get(), (c, c + 8, true));
-        assert_eq!(twin.last_hit.get(), (s, s + 100, true));
+        let s = twin.addr_of_name("scratch").unwrap();
+        assert!(twin.access_ok(s, 8, true));
+    }
+
+    #[test]
+    fn the_verdict_table_splits_only_shared_pages_into_granules() {
+        // `big` spans pages 0-2 alone except for page 0, which it shares
+        // with `ro`; `tail` shares page 2 with it; page 3 is `last`'s.
+        let mut mb = ModuleBuilder::new("m");
+        mb.global(Global::constant("ro", vec![1; 20]));
+        mb.global(Global::zeroed("big", 2 * PAGE_SIZE + 100));
+        mb.global(Global::zeroed("tail", 8));
+        mb.global(Global::zeroed("z", 0));
+        mb.global(Global::zeroed("pad", PAGE_SIZE - 160));
+        mb.global(Global::zeroed("last", 40));
+        let gm = GlobalMap::layout(&mb.finish());
+        let kinds: Vec<bool> = gm.pages.iter().map(|&p| p & SHARED != 0).collect();
+        assert_eq!(kinds, [true, false, true, false]);
+        assert_eq!(gm.granules.len(), 2 * GRANULES);
+        let big = gm.addr_of_name("big").unwrap();
+        let tail = gm.addr_of_name("tail").unwrap();
+        let ro = gm.addr_of_name("ro").unwrap();
+        assert!(gm.access_ok(big + PAGE_SIZE, 8, true));
+        assert!(gm.access_ok(tail, 8, true));
+        assert!(!gm.access_ok(tail + 8, 1, false), "padding after tail");
+        assert!(!gm.access_ok(ro + 20, 1, false), "padding after ro");
+        assert!(gm.access_ok(ro, 20, false));
+        assert!(!gm.access_ok(ro, 1, true), "read-only");
+        assert!(
+            !gm.access_ok(big + 2 * PAGE_SIZE + 96, 8, false),
+            "runs past big"
+        );
     }
 
     #[test]

@@ -80,9 +80,30 @@ impl Page {
     }
 }
 
-/// Page-index bounds `[start, end)` of the three fixed regions a process
-/// maps: globals, heap and stack. Each has dense storage in a
-/// [`PageTable`]; no page outside them is ever written.
+/// One of the three fixed regions a process maps, in address order. Each
+/// has dense storage in a [`PageTable`]; no page outside them is ever
+/// written. `Process::access` names the region of every access it
+/// accepts, so the access goes straight to that region's storage
+/// ([`PageTable::read_uint_in`], [`PageTable::write_uint_in`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Region {
+    /// `[GLOBAL_BASE, HEAP_BASE)`: the loaded globals.
+    Globals,
+    /// `[HEAP_BASE, STACK_TOP - STACK_MAX_BYTES)`: heap chunks.
+    Heap,
+    /// `[STACK_TOP - STACK_MAX_BYTES, STACK_TOP)`: stack frames.
+    Stack,
+}
+
+impl Region {
+    /// The region holding `addr`, if any.
+    #[inline]
+    pub fn of(addr: u64) -> Option<Region> {
+        region(addr / PAGE_SIZE)
+    }
+}
+
+/// Page-index bounds `[start, end)` of each [`Region`], by its index.
 const REGIONS: [(u64, u64); 3] = [
     (GLOBAL_BASE / PAGE_SIZE, HEAP_BASE / PAGE_SIZE),
     (
@@ -95,13 +116,17 @@ const REGIONS: [(u64, u64); 3] = [
     ),
 ];
 
-/// Which of [`REGIONS`] holds page `idx`, if any.
+/// Which region holds page `idx`, if any.
 #[inline]
-fn region(idx: u64) -> Option<usize> {
-    if (REGIONS[0].0..REGIONS[2].1).contains(&idx) {
-        Some(usize::from(idx >= REGIONS[1].0) + usize::from(idx >= REGIONS[2].0))
-    } else {
+fn region(idx: u64) -> Option<Region> {
+    if idx < REGIONS[0].0 || idx >= REGIONS[2].1 {
         None
+    } else if idx < REGIONS[1].0 {
+        Some(Region::Globals)
+    } else if idx < REGIONS[2].0 {
+        Some(Region::Heap)
+    } else {
+        Some(Region::Stack)
     }
 }
 
@@ -184,7 +209,7 @@ impl Pages {
     /// The page mapped at `idx`: index arithmetic.
     #[inline]
     fn get(&self, idx: u64) -> Option<&Page> {
-        self.dense[region(idx)?].get(idx)
+        self.dense[region(idx)? as usize].get(idx)
     }
 
     /// The slot of page `idx`, created (unmapped) if absent.
@@ -196,7 +221,13 @@ impl Pages {
         let Some(r) = region(idx) else {
             outside_regions(idx)
         };
-        self.dense[r].slot_mut(idx, REGIONS[r])
+        self.slot_in(r, idx)
+    }
+
+    /// The slot of page `idx`, which lies in region `r`.
+    #[inline]
+    fn slot_in(&mut self, r: Region, idx: u64) -> &mut Option<Page> {
+        self.dense[r as usize].slot_mut(idx, REGIONS[r as usize])
     }
 
     /// Every mapped page, by index (not sorted across regions).
@@ -482,12 +513,67 @@ impl PageTable {
         }
     }
 
+    /// Set the `n` bytes at `addr` to `byte`: what [`PageTable::write`] of
+    /// `n` copies of `byte` does, page by page, without the buffer.
+    pub fn fill(&mut self, addr: u64, byte: u8, n: u64) {
+        let end = addr + n;
+        let mut a = addr;
+        while a < end {
+            let in_page = (a % PAGE_SIZE) as usize;
+            let run = (PAGE_SIZE - a % PAGE_SIZE).min(end - a) as usize;
+            self.owned_page(a / PAGE_SIZE)[in_page..in_page + run].fill(byte);
+            a += run as u64;
+        }
+    }
+
+    /// Copy the `n` bytes at `src` to `dst`: what [`PageTable::read`] of
+    /// the source into a buffer and [`PageTable::write`] of that buffer do,
+    /// without allocating it. Overlapping ranges copy like `memmove`, and
+    /// the destination's pages change ownership in the same (address)
+    /// order as in that write.
+    pub fn copy(&mut self, dst: u64, src: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        // Take every destination page first, as the write would, so the
+        // copy below changes no ownership; the source reads the same bytes
+        // either way, since a page copy keeps its contents.
+        for idx in dst / PAGE_SIZE..(dst + n).div_ceil(PAGE_SIZE) {
+            self.owned_page(idx);
+        }
+        // Page-sized pieces through a stack buffer; when the destination
+        // starts inside the source, last piece first, so no piece reads
+        // bytes an earlier piece wrote.
+        let mut buf = [0u8; PAGE_SIZE as usize];
+        let pieces = n.div_ceil(PAGE_SIZE);
+        let backward = dst > src && dst - src < n;
+        for k in 0..pieces {
+            let off = PAGE_SIZE * if backward { pieces - 1 - k } else { k };
+            let len = (n - off).min(PAGE_SIZE) as usize;
+            self.read(src + off, &mut buf[..len]);
+            self.write(dst + off, &buf[..len]);
+        }
+    }
+
     /// The page at `page_idx`, made writable: materialized if unmapped,
-    /// copied (one CoW fault) if shared. A page this table already owns
-    /// costs one slot lookup.
+    /// copied (one CoW fault) if shared.
+    ///
+    /// # Panics
+    /// When `page_idx` lies outside the three regions: see
+    /// [`outside_regions`].
     #[inline]
     fn owned_page(&mut self, page_idx: u64) -> &mut PageBuf {
-        let slot = self.pages.slot_mut(page_idx);
+        let Some(r) = region(page_idx) else {
+            outside_regions(page_idx)
+        };
+        self.owned_page_in(r, page_idx)
+    }
+
+    /// [`PageTable::owned_page`] of a page that lies in region `r`. A page
+    /// this table already owns costs one slot lookup.
+    #[inline(always)]
+    fn owned_page_in(&mut self, r: Region, page_idx: u64) -> &mut PageBuf {
+        let slot = self.pages.slot_in(r, page_idx);
         if !matches!(slot, Some(Page::Own(_))) {
             self.own.take(slot, page_idx);
         }
@@ -500,11 +586,28 @@ impl PageTable {
     /// Read a little-endian unsigned integer of `width` bytes (1/2/4/8).
     #[inline]
     pub fn read_uint(&self, addr: u64, width: u64) -> u64 {
+        match Region::of(addr) {
+            Some(r) => self.read_uint_in(r, addr, width),
+            // Outside every region: zeros, unless the access straddles
+            // into the region whose first page follows.
+            None => {
+                let mut buf = [0u8; 8];
+                self.read(addr, &mut buf[..width as usize]);
+                u64::from_le_bytes(buf)
+            }
+        }
+    }
+
+    /// [`PageTable::read_uint`] of an access that starts in region `r`,
+    /// as `Process::access` names it: the page comes straight from that
+    /// region's storage.
+    #[inline(always)]
+    pub fn read_uint_in(&self, r: Region, addr: u64, width: u64) -> u64 {
         match width {
-            1 => self.read_n::<1>(addr),
-            2 => self.read_n::<2>(addr),
-            4 => self.read_n::<4>(addr),
-            8 => self.read_n::<8>(addr),
+            1 => self.read_n::<1>(r, addr),
+            2 => self.read_n::<2>(r, addr),
+            4 => self.read_n::<4>(r, addr),
+            8 => self.read_n::<8>(r, addr),
             _ => {
                 let mut buf = [0u8; 8];
                 self.read(addr, &mut buf[..width as usize]);
@@ -513,44 +616,64 @@ impl PageTable {
         }
     }
 
-    /// [`PageTable::read`] of a `W`-byte integer: a constant-size copy
+    /// A `W`-byte integer at `addr`, in region `r`: a constant-size copy
     /// when it fits in one page, the slice path when it straddles two.
-    #[inline]
-    fn read_n<const W: usize>(&self, addr: u64) -> u64 {
+    #[inline(always)]
+    fn read_n<const W: usize>(&self, r: Region, addr: u64) -> u64 {
+        debug_assert_eq!(Region::of(addr), Some(r), "read at {addr:#x} outside {r:?}");
         let mut buf = [0u8; 8];
         let in_page = (addr % PAGE_SIZE) as usize;
         if in_page + W > PAGE_SIZE as usize {
             self.read(addr, &mut buf[..W]);
-        } else if let Some(p) = self.pages.get(addr / PAGE_SIZE) {
+        } else if let Some(p) = self.pages.dense[r as usize].get(addr / PAGE_SIZE) {
             buf[..W].copy_from_slice(&p.bytes()[in_page..in_page + W]);
         }
         u64::from_le_bytes(buf)
     }
 
     /// Write the low `width` bytes of `value`, little-endian.
+    ///
+    /// # Panics
+    /// When `addr` lies outside the three regions: no guest access gets
+    /// there, since `Process::check_access` admits only the regions.
     #[inline]
     pub fn write_uint(&mut self, addr: u64, value: u64, width: u64) {
+        match Region::of(addr) {
+            Some(r) => self.write_uint_in(r, addr, value, width),
+            None => outside_regions(addr / PAGE_SIZE),
+        }
+    }
+
+    /// [`PageTable::write_uint`] of an access that starts in region `r`,
+    /// as `Process::access` names it.
+    #[inline(always)]
+    pub fn write_uint_in(&mut self, r: Region, addr: u64, value: u64, width: u64) {
         match width {
-            1 => self.write_n::<1>(addr, value),
-            2 => self.write_n::<2>(addr, value),
-            4 => self.write_n::<4>(addr, value),
-            8 => self.write_n::<8>(addr, value),
+            1 => self.write_n::<1>(r, addr, value),
+            2 => self.write_n::<2>(r, addr, value),
+            4 => self.write_n::<4>(r, addr, value),
+            8 => self.write_n::<8>(r, addr, value),
             _ => self.write(addr, &value.to_le_bytes()[..width as usize]),
         }
     }
 
-    /// [`PageTable::write`] of a `W`-byte integer: the same CoW and stamp
-    /// steps, then a constant-size copy when it fits in one page; the
-    /// slice path when it straddles two.
-    #[inline]
-    fn write_n<const W: usize>(&mut self, addr: u64, value: u64) {
+    /// [`PageTable::write`] of a `W`-byte integer at `addr`, in region
+    /// `r`: the same CoW and stamp steps, then a constant-size copy when
+    /// it fits in one page; the slice path when it straddles two.
+    #[inline(always)]
+    fn write_n<const W: usize>(&mut self, r: Region, addr: u64, value: u64) {
+        debug_assert_eq!(
+            Region::of(addr),
+            Some(r),
+            "write at {addr:#x} outside {r:?}"
+        );
         let bytes = value.to_le_bytes();
         let in_page = (addr % PAGE_SIZE) as usize;
         if in_page + W > PAGE_SIZE as usize {
             self.write(addr, &bytes[..W]);
             return;
         }
-        let page = self.owned_page(addr / PAGE_SIZE);
+        let page = self.owned_page_in(r, addr / PAGE_SIZE);
         page[in_page..in_page + W].copy_from_slice(&bytes[..W]);
     }
 
@@ -888,6 +1011,54 @@ mod tests {
         assert_eq!(pt.read_uint(G + 0x2000, 8), 1);
         pt.write_uint(G + 0x2000, 2, 8);
         assert_eq!(pt.read_uint(G + 0x2000, 8), 2, "no stale read");
+    }
+
+    /// `copy` and `fill` against the buffered read and write they stand
+    /// for, on a fork (so every destination page starts shared): the same
+    /// bytes, CoW faults, resident pages and private pages, for forward
+    /// and backward overlaps, page-straddling runs and unmapped pages.
+    #[test]
+    fn copy_and_fill_match_buffered_read_and_write() {
+        let mut parent = PageTable::new();
+        let pattern: Vec<u8> = (0..3 * PAGE_SIZE).map(|i| (i * 7 + 3) as u8).collect();
+        parent.write(G + 100, &pattern);
+        let cases: [(u64, u64, u64); 6] = [
+            (G + 5000, G + 100, 9000),              // forward overlap
+            (G + 100, G + 5000, 9000),              // backward overlap
+            (G + 4090, G + 4000, 20),               // straddles, small shift
+            (G + 8 * PAGE_SIZE + 3, G + 200, 5000), // into unmapped pages
+            (G + 300, G + 12 * PAGE_SIZE, 4200),    // from unmapped pages
+            (G + 700, G + 700, 64),                 // onto itself
+        ];
+        for (dst, src, n) in cases {
+            let (mut a, mut b) = (parent.fork(), parent.fork());
+            a.copy(dst, src, n);
+            let mut buf = vec![0u8; n as usize];
+            b.read(src, &mut buf);
+            b.write(dst, &buf);
+            let what = format!("copy {n} bytes {src:#x} -> {dst:#x}");
+            let mut got = vec![0u8; 16 * PAGE_SIZE as usize];
+            let mut want = got.clone();
+            a.read(G, &mut got);
+            b.read(G, &mut want);
+            assert_eq!(got, want, "{what}: bytes");
+            assert_eq!(a.cow_faults(), b.cow_faults(), "{what}: cow faults");
+            assert_eq!(a.resident_pages(), b.resident_pages(), "{what}: resident");
+            assert_eq!(a.private_pages_vs(&parent), b.private_pages_vs(&parent));
+        }
+        for (addr, n) in [(G + 4000, 9000), (G + 20 * PAGE_SIZE + 1, 10), (G, 0)] {
+            let (mut a, mut b) = (parent.fork(), parent.fork());
+            a.fill(addr, 0xA5, n);
+            b.write(addr, &vec![0xA5; n as usize]);
+            let mut got = vec![0u8; 24 * PAGE_SIZE as usize];
+            let mut want = got.clone();
+            a.read(G, &mut got);
+            b.read(G, &mut want);
+            assert_eq!(got, want, "fill {n} at {addr:#x}");
+            assert_eq!(a.cow_faults(), b.cow_faults());
+            assert_eq!(a.resident_pages(), b.resident_pages());
+            assert_eq!(a.private_pages_vs(&parent), b.private_pages_vs(&parent));
+        }
     }
 
     #[test]

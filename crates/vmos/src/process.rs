@@ -10,7 +10,7 @@ use crate::crash::{Crash, CrashKind};
 use crate::fd::FdTable;
 use crate::heap::{AccessVerdict, HeapState, HEAP_BASE};
 use crate::layout::GlobalMap;
-use crate::mem::PageTable;
+use crate::mem::{PageTable, Region};
 
 /// Top of the stack region; frames grow downward from here.
 pub const STACK_TOP: u64 = 0x7fff_0000;
@@ -194,48 +194,55 @@ impl Process {
         function: &str,
         block: u32,
     ) -> Result<(), Crash> {
-        if self.access_ok(addr, len, is_write) {
+        if self.access(addr, len, is_write).is_some() {
             Ok(())
         } else {
             self.check_access_slow(addr, len, is_write, function, block)
         }
     }
 
-    /// The verdict of [`Process::check_access`] without the crash: a few
-    /// compares when the access lands in the global slot or heap chunk
-    /// the previous accepted access did. Walks the regions in the same
-    /// order as the slow path: null page, globals, heap, stack.
-    #[inline]
-    pub(crate) fn access_ok(&self, addr: u64, len: u64, is_write: bool) -> bool {
-        let ok = if addr < NULL_PAGE_END {
-            false
+    /// The verdict of [`Process::check_access`] without the crash: the
+    /// region the access lies in when it is accepted, `None` when it is
+    /// not. Walks the regions in the same order as the slow path (null
+    /// page, globals, heap, stack) and asks the one it lands in: the
+    /// globals' verdict table, the heap's chunk table, or the stack top.
+    /// An accepted access lies in one region, and the page table reads or
+    /// writes it there directly ([`PageTable::read_uint_in`],
+    /// [`PageTable::write_uint_in`]).
+    #[inline(always)]
+    pub fn access(&self, addr: u64, len: u64, is_write: bool) -> Option<Region> {
+        let region = if addr < NULL_PAGE_END {
+            None
         } else if self.globals.contains(addr) {
-            self.globals.access_ok(addr, len, is_write)
+            self.globals
+                .access_ok(addr, len, is_write)
+                .then_some(Region::Globals)
         } else if (self.heap.base()..self.heap.high_water().max(self.heap.base())).contains(&addr) {
-            self.heap.access_ok(addr, len)
+            self.heap.access_ok(addr, len).then_some(Region::Heap)
         } else if (STACK_TOP - STACK_MAX_BYTES..STACK_TOP).contains(&addr) {
-            addr + len <= STACK_TOP
+            (addr + len <= STACK_TOP).then_some(Region::Stack)
         } else {
-            false
+            None
         };
         debug_assert_eq!(
-            ok,
+            region.is_some(),
             self.check_access_slow(addr, len, is_write, "", 0).is_ok(),
             "access fast path disagrees with the region walk at {addr:#x}+{len} (write: {is_write})"
         );
-        ok
+        region
     }
 
     /// The full region walk behind [`Process::check_access`], and the only
     /// code that builds an access [`Crash`]. Runs only once
-    /// [`Process::access_ok`] has rejected the access (and, in debug
-    /// builds, as that fast path's oracle).
+    /// [`Process::access`] has rejected the access; it is also that fast
+    /// path's oracle (asserted in debug builds, and by the verdict tests
+    /// in every build).
     ///
     /// # Errors
     /// The appropriate [`Crash`] for the faulting access.
     #[cold]
     #[inline(never)]
-    pub(crate) fn check_access_slow(
+    pub fn check_access_slow(
         &self,
         addr: u64,
         len: u64,
@@ -480,10 +487,10 @@ mod tests {
     }
 
     #[test]
-    fn access_fast_path_rodata_store_after_cached_read() {
+    fn access_fast_path_rodata_store_after_a_read() {
         let p = padded_proc();
         let ro = p.globals.addr_of_name("ro").unwrap();
-        assert_eq!(kind(&p, ro, 8, false), None, "warms the slot cache");
+        assert_eq!(kind(&p, ro, 8, false), None);
         let (k, detail) = verdict(&p, ro, 8, true).unwrap();
         assert_eq!(k, CrashKind::InvalidWrite);
         assert_eq!(detail, "write to read-only 'ro'");
@@ -505,7 +512,7 @@ mod tests {
         );
         assert_eq!(kind(&p, rw, 8, true), None, "z0's address resolves to rw");
         assert_eq!(kind(&p, rw + 19, 1, true), None);
-        // The padding after rw's 20 bytes is a gap, cached slot or not.
+        // The padding after rw's 20 bytes is a gap.
         let (k, detail) = verdict(&p, rw + 20, 1, false).unwrap();
         assert_eq!(k, CrashKind::InvalidRead);
         assert!(detail.ends_with("(global gap)"), "{detail}");
@@ -599,8 +606,9 @@ mod tests {
         }
     }
 
-    /// Sweep addresses across every region edge with warm caches in
-    /// between; each probe compares the fast verdict with the region walk.
+    /// Sweep addresses across every region edge with the heap's chunk
+    /// cache warm in between; each probe compares the fast verdict with
+    /// the region walk.
     #[test]
     fn access_fast_path_agrees_with_region_walk_everywhere() {
         let mut p = padded_proc();

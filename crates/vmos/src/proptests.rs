@@ -11,7 +11,7 @@ use crate::cov::{classify_count, CovMap, VirginMap};
 use crate::decoded::{srem_pow2, ChainComp, ChainOp, ChainSrc};
 use crate::heap::{AccessVerdict, HeapState, GUARD, HEAP_BASE};
 use crate::interp::eval_bin;
-use crate::layout::GLOBAL_BASE;
+use crate::layout::{GlobalMap, GLOBAL_BASE};
 use crate::mem::{PageTable, PAGE_SIZE};
 use crate::os::{ForkServer, Os};
 use crate::process::{Process, STACK_MAX_BYTES, STACK_TOP};
@@ -268,8 +268,9 @@ proptest! {
                 pre: 0,
                 op: ChainOp::Bin { op: BinOp::SRem, dst: 0, lhs: Operand::Reg(Reg(1)), rhs: Operand::Imm(k) },
             };
-            let ChainComp::SRemPow2 { mask, .. } = ChainComp::resolve(&src) else {
-                panic!("srem by 2^{n} resolved to {:?}", ChainComp::resolve(&src));
+            let globals = GlobalMap::default();
+            let ChainComp::SRemPow2 { mask, .. } = ChainComp::resolve(&src, &globals) else {
+                panic!("srem by 2^{n} resolved to {:?}", ChainComp::resolve(&src, &globals));
             };
             let edges = [0, 1, -1, k - 1, k, k + 1, -k + 1, -k, -k - 1, i64::MAX, i64::MIN, i64::MIN + 1];
             for x in std::iter::once(a).chain(edges) {

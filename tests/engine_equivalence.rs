@@ -412,6 +412,59 @@ fn chain_rodata_store_matches_reference_at_every_fuel() {
     );
 }
 
+/// A loop that updates a scalar global, reads a `.rodata` table and stores
+/// into a global array: the scalar's loads and stores are at a constant
+/// address, so they take their verdict at decode time; the table and array
+/// accesses are checked at run time. With `n = 21` the loop's last store
+/// lands one element past the 20-byte array, in its padding; with `n = 5`
+/// the loop finishes and the constant-address store after it writes to
+/// the `.rodata` table.
+const GLOBAL_ARRAY_SRC: &str = "global arr[20];
+     global total;
+     const global TBL = \"abcdefghijklmnopqrstuvwxyz\";
+     fn main(n) {
+         var i = 0;
+         while (i < n) {
+             total = total + load8(TBL + i);
+             store8(arr + i, total);
+             i = i + 1;
+         }
+         store8(TBL, total);
+         return total;
+     }";
+
+#[test]
+fn global_array_padding_store_matches_reference_at_every_fuel() {
+    let m = minic::compile("global_array", GLOBAL_ARRAY_SRC).expect("MinC source compiles");
+    let img = DecodedImage::new(&m);
+    let main = &img.opt_funcs[m.function_id("main").expect("main").0 as usize];
+    let proven = |c: &ChainComp| matches!(c, ChainComp::LoadG { .. } | ChainComp::StoreGR { .. });
+    assert!(
+        main.ops.iter().any(|op| matches!(
+            op,
+            DOp::Chain { comps, .. } if comps.iter().filter(|c| proven(c)).count() >= 2
+        )),
+        "the scalar's accesses must take decode-time verdicts: {:?}",
+        main.ops
+    );
+    chain_trap_sweep(
+        GLOBAL_ARRAY_SRC,
+        21,
+        |c| matches!(c, ChainComp::StoreRR { .. }),
+        CrashKind::InvalidWrite,
+    );
+}
+
+#[test]
+fn global_rodata_table_store_matches_reference_at_every_fuel() {
+    chain_trap_sweep(
+        GLOBAL_ARRAY_SRC,
+        5,
+        |c| matches!(c, ChainComp::StoreIR { .. }),
+        CrashKind::InvalidWrite,
+    );
+}
+
 /// The thread-locals must not leak between legs: after a pinned campaign
 /// the default engine (decoded + optimizer) is back in force.
 #[test]
