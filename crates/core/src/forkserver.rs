@@ -53,7 +53,7 @@ impl ForkServerExecutor {
         let mut os = Os::new();
         let (parent, setup_cycles) = os.spawn(&m);
         let image = DecodedImage::cached(&m);
-        let fingerprint = m.fingerprint();
+        let fingerprint = image.fingerprint;
         let entry = Machine::new(&m).entry("main");
         Ok(ForkServerExecutor {
             os,

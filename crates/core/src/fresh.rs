@@ -42,7 +42,7 @@ impl FreshProcessExecutor {
         let mut m = module.clone();
         baseline_pipeline().run(&mut m)?;
         let image = DecodedImage::cached(&m);
-        let fingerprint = m.fingerprint();
+        let fingerprint = image.fingerprint;
         let entry = Machine::new(&m).entry("main");
         Ok(FreshProcessExecutor {
             os: Os::new(),

@@ -180,7 +180,7 @@ impl ClosureXExecutor {
         let mut m = module.clone();
         let pass_reports = closurex_pipeline().run(&mut m)?;
         let image = DecodedImage::cached(&m);
-        let fingerprint = m.fingerprint();
+        let fingerprint = image.fingerprint;
         let entry = Machine::new(&m).entry(TARGET_MAIN);
         let mut ex = ClosureXExecutor {
             os: Os::new(),

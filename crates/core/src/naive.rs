@@ -53,7 +53,7 @@ impl NaivePersistentExecutor {
         let mut m = module.clone();
         baseline_pipeline().run(&mut m)?;
         let image = DecodedImage::cached(&m);
-        let fingerprint = m.fingerprint();
+        let fingerprint = image.fingerprint;
         let entry = Machine::new(&m).entry("main");
         Ok(NaivePersistentExecutor {
             os: Os::new(),

@@ -57,32 +57,66 @@ pub fn edges(f: &Function) -> Vec<(BlockId, BlockId)> {
     es
 }
 
-/// Blocks that sit on a CFG cycle (i.e. can reach themselves). These are
-/// the "hot" blocks for decode-time optimization heuristics: anything on a
-/// cycle may execute an unbounded number of times per call.
-pub fn loop_blocks(f: &Function) -> HashSet<BlockId> {
+/// Blocks that sit on a CFG cycle (i.e. can reach themselves), as a
+/// per-block flag. These are the "hot" blocks for decode-time optimization
+/// heuristics: anything on a cycle may execute an unbounded number of
+/// times per call.
+///
+/// One iterative Tarjan strongly-connected-components walk from every
+/// unvisited block (so unreachable blocks are classified too), linear in
+/// blocks plus edges: a block is on a cycle exactly when its component
+/// has more than one block or it branches to itself.
+pub fn loop_blocks(f: &Function) -> Vec<bool> {
+    const UNSEEN: u32 = u32::MAX;
     let n = f.blocks.len();
-    // reach[b] = set of blocks reachable from b, computed by BFS per block.
-    // Quadratic in the worst case but cheap at the CFG sizes MinC emits,
-    // and only run once per module at decode time.
-    let mut on_cycle = HashSet::new();
-    for start in 0..n as u32 {
-        let start = BlockId(start);
-        let mut seen = HashSet::new();
-        let mut q = VecDeque::new();
-        for s in f.blocks[start.0 as usize].term.successors() {
-            if seen.insert(s) {
-                q.push_back(s);
-            }
+    let succs = |b: usize| f.blocks[b].term.successors().map(|s| s.0 as usize);
+    let mut on_cycle = vec![false; n];
+    // Tarjan state: DFS discovery index, lowest index reachable through
+    // the DFS subtree, and the stack of blocks whose component is open.
+    let mut index = vec![UNSEEN; n];
+    let mut low = vec![0u32; n];
+    let mut on_stack = vec![false; n];
+    let mut open = Vec::new();
+    let mut next = 0u32;
+    let mut dfs = Vec::new();
+    for root in 0..n {
+        if index[root] != UNSEEN {
+            continue;
         }
-        while let Some(b) = q.pop_front() {
-            if b == start {
-                on_cycle.insert(start);
-                break;
+        index[root] = next;
+        low[root] = next;
+        next += 1;
+        open.push(root);
+        on_stack[root] = true;
+        dfs.push((root, succs(root)));
+        while let Some((v, it)) = dfs.last_mut() {
+            let v = *v;
+            if let Some(w) = it.next() {
+                if w == v {
+                    on_cycle[v] = true;
+                } else if index[w] == UNSEEN {
+                    index[w] = next;
+                    low[w] = next;
+                    next += 1;
+                    open.push(w);
+                    on_stack[w] = true;
+                    dfs.push((w, succs(w)));
+                } else if on_stack[w] {
+                    low[v] = low[v].min(index[w]);
+                }
+                continue;
             }
-            for s in f.blocks[b.0 as usize].term.successors() {
-                if seen.insert(s) {
-                    q.push_back(s);
+            dfs.pop();
+            if let Some(&(parent, _)) = dfs.last() {
+                low[parent] = low[parent].min(low[v]);
+            }
+            if low[v] == index[v] {
+                // `v` roots a component: everything above it on the stack.
+                let at = open.iter().rposition(|&b| b == v).expect("root is open");
+                let multi = open.len() - at > 1;
+                for b in open.drain(at..) {
+                    on_stack[b] = false;
+                    on_cycle[b] |= multi;
                 }
             }
         }
@@ -92,22 +126,24 @@ pub fn loop_blocks(f: &Function) -> HashSet<BlockId> {
 
 /// Reverse-post-order over reachable blocks (classic pass iteration order).
 pub fn reverse_post_order(f: &Function) -> Vec<BlockId> {
-    let mut visited = HashSet::new();
+    let mut visited = vec![false; f.blocks.len()];
     let mut post = Vec::new();
     // Iterative DFS with an explicit stack to avoid recursion limits on
     // machine-generated CFGs.
-    let mut stack: Vec<(BlockId, usize)> = vec![(f.entry(), 0)];
-    visited.insert(f.entry());
-    while let Some((b, i)) = stack.pop() {
-        let succs = f.blocks[b.0 as usize].term.successors();
-        if i < succs.len() {
-            stack.push((b, i + 1));
-            let s = succs[i];
-            if visited.insert(s) {
-                stack.push((s, 0));
+    let mut stack = vec![(f.entry(), f.blocks[f.entry().0 as usize].term.successors())];
+    visited[f.entry().0 as usize] = true;
+    while let Some((b, succs)) = stack.last_mut() {
+        let b = *b;
+        match succs.next() {
+            Some(s) => {
+                if !std::mem::replace(&mut visited[s.0 as usize], true) {
+                    stack.push((s, f.blocks[s.0 as usize].term.successors()));
+                }
             }
-        } else {
-            post.push(b);
+            None => {
+                post.push(b);
+                stack.pop();
+            }
         }
     }
     post.reverse();

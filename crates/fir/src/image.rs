@@ -14,12 +14,7 @@ use crate::module::Module;
 /// calls (string table).
 pub fn inst_size(inst: &Inst) -> u64 {
     let base = 4u64;
-    let imm_bytes: u64 = inst
-        .operands()
-        .iter()
-        .filter(|o| o.as_imm().is_some())
-        .count() as u64
-        * 8;
+    let imm_bytes: u64 = inst.operands().filter(|o| o.as_imm().is_some()).count() as u64 * 8;
     let extra = match inst {
         Inst::Call { callee, args, .. } => callee.len() as u64 + args.len() as u64,
         Inst::Const { .. } => 8,

@@ -338,22 +338,25 @@ impl Inst {
         }
     }
 
-    /// All operands read by this instruction.
-    pub fn operands(&self) -> Vec<Operand> {
-        match self {
-            Inst::Const { .. } | Inst::AddrOf { .. } | Inst::Alloca { .. } => vec![],
-            Inst::Mov { src, .. } => vec![*src],
-            Inst::Bin { lhs, rhs, .. } | Inst::Cmp { lhs, rhs, .. } => vec![*lhs, *rhs],
+    /// All operands read by this instruction, in source order. Allocation
+    /// free: analyses walk it once per instruction per sweep.
+    pub fn operands(&self) -> impl Iterator<Item = Operand> + '_ {
+        let (fixed, args): ([Option<Operand>; 3], &[Operand]) = match self {
+            Inst::Const { .. } | Inst::AddrOf { .. } | Inst::Alloca { .. } => ([None; 3], &[]),
+            Inst::Mov { src, .. } | Inst::Load { addr: src, .. } => ([Some(*src), None, None], &[]),
+            Inst::Bin { lhs, rhs, .. } | Inst::Cmp { lhs, rhs, .. } => {
+                ([Some(*lhs), Some(*rhs), None], &[])
+            }
             Inst::Select {
                 cond,
                 if_true,
                 if_false,
                 ..
-            } => vec![*cond, *if_true, *if_false],
-            Inst::Load { addr, .. } => vec![*addr],
-            Inst::Store { addr, value, .. } => vec![*addr, *value],
-            Inst::Call { args, .. } => args.clone(),
-        }
+            } => ([Some(*cond), Some(*if_true), Some(*if_false)], &[]),
+            Inst::Store { addr, value, .. } => ([Some(*addr), Some(*value), None], &[]),
+            Inst::Call { args, .. } => ([None; 3], args),
+        };
+        fixed.into_iter().flatten().chain(args.iter().copied())
     }
 
     /// True if this is a call to `callee`.
@@ -386,20 +389,21 @@ pub enum Terminator {
 }
 
 impl Terminator {
-    /// Successor block ids of this terminator.
-    pub fn successors(&self) -> Vec<BlockId> {
-        match self {
-            Terminator::Ret(_) | Terminator::Unreachable => vec![],
-            Terminator::Br(b) => vec![*b],
+    /// Successor block ids of this terminator, in branch order (a
+    /// `Switch`'s cases, then its default). Allocation free.
+    pub fn successors(&self) -> impl Iterator<Item = BlockId> + '_ {
+        let (cases, fixed): (&[(i64, BlockId)], [Option<BlockId>; 2]) = match self {
+            Terminator::Ret(_) | Terminator::Unreachable => (&[], [None, None]),
+            Terminator::Br(b) => (&[], [Some(*b), None]),
             Terminator::CondBr {
                 if_true, if_false, ..
-            } => vec![*if_true, *if_false],
-            Terminator::Switch { cases, default, .. } => {
-                let mut v: Vec<BlockId> = cases.iter().map(|(_, b)| *b).collect();
-                v.push(*default);
-                v
-            }
-        }
+            } => (&[], [Some(*if_true), Some(*if_false)]),
+            Terminator::Switch { cases, default, .. } => (cases, [Some(*default), None]),
+        };
+        cases
+            .iter()
+            .map(|&(_, b)| b)
+            .chain(fixed.into_iter().flatten())
     }
 }
 
@@ -471,20 +475,21 @@ mod tests {
 
     #[test]
     fn terminator_successors() {
-        assert!(Terminator::Ret(None).successors().is_empty());
-        assert_eq!(Terminator::Br(BlockId(2)).successors(), vec![BlockId(2)]);
+        let succs = |t: &Terminator| t.successors().collect::<Vec<_>>();
+        assert!(succs(&Terminator::Ret(None)).is_empty());
+        assert_eq!(succs(&Terminator::Br(BlockId(2))), vec![BlockId(2)]);
         let t = Terminator::CondBr {
             cond: Operand::Imm(1),
             if_true: BlockId(1),
             if_false: BlockId(2),
         };
-        assert_eq!(t.successors(), vec![BlockId(1), BlockId(2)]);
+        assert_eq!(succs(&t), vec![BlockId(1), BlockId(2)]);
         let s = Terminator::Switch {
             value: Operand::Imm(0),
             cases: vec![(1, BlockId(3)), (2, BlockId(4))],
             default: BlockId(5),
         };
-        assert_eq!(s.successors(), vec![BlockId(3), BlockId(4), BlockId(5)]);
+        assert_eq!(succs(&s), vec![BlockId(3), BlockId(4), BlockId(5)]);
     }
 
     #[test]
@@ -496,7 +501,10 @@ mod tests {
             rhs: Operand::Imm(2),
         };
         assert_eq!(i.dst(), Some(Reg(5)));
-        assert_eq!(i.operands().len(), 2);
+        assert_eq!(
+            i.operands().collect::<Vec<_>>(),
+            vec![Operand::Reg(Reg(1)), Operand::Imm(2)]
+        );
         let s = Inst::Store {
             addr: Operand::Reg(Reg(0)),
             value: Operand::Imm(9),

@@ -14,8 +14,8 @@
 //! containing `setjmp` must apply their own (stricter) rules; the decoded
 //! optimizer simply refuses to eliminate anything in such functions.
 
-use crate::inst::Operand;
-use crate::module::Function;
+use crate::inst::{Operand, Terminator};
+use crate::module::{Block, Function};
 
 /// A dense register set sized to one function's register file.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -82,61 +82,89 @@ pub struct Liveness {
     pub live_out: Vec<RegSet>,
 }
 
-fn add_operand(set: &mut RegSet, o: Operand) {
-    if let Operand::Reg(r) = o {
-        set.insert(r.0);
-    }
+/// Set bit `r` in a register set stored as `words`.
+fn set_bit(words: &mut [u64], r: u32) {
+    words[r as usize / 64] |= 1 << (r % 64);
 }
 
-/// Transfer one block backwards: start from `out`, return the block's
-/// `live_in`.
-fn block_live_in(f: &Function, bi: usize, out: &RegSet) -> RegSet {
-    let mut live = out.clone();
-    let b = &f.blocks[bi];
-    match &b.term {
-        crate::Terminator::Ret(v) => {
-            if let Some(v) = v {
-                add_operand(&mut live, *v);
-            }
-        }
-        crate::Terminator::Br(_) | crate::Terminator::Unreachable => {}
-        crate::Terminator::CondBr { cond, .. } => add_operand(&mut live, *cond),
-        crate::Terminator::Switch { value, .. } => add_operand(&mut live, *value),
+/// Build `b`'s transfer function `live_in = gen ∪ (live_out − kill)` in
+/// one backward walk (terminator first), folding each instruction's
+/// `live = (live − {dst}) ∪ uses` step in: `gen` ends up holding the
+/// registers read before any write in the block (upward-exposed uses) and
+/// `kill` the registers it writes.
+fn transfer(b: &Block, gen: &mut [u64], kill: &mut [u64]) {
+    let term_use = match &b.term {
+        Terminator::Ret(v) => *v,
+        Terminator::Br(_) | Terminator::Unreachable => None,
+        Terminator::CondBr { cond, .. } => Some(*cond),
+        Terminator::Switch { value, .. } => Some(*value),
+    };
+    if let Some(Operand::Reg(r)) = term_use {
+        set_bit(gen, r.0);
     }
     for inst in b.insts.iter().rev() {
         if let Some(d) = inst.dst() {
-            live.remove(d.0);
+            gen[d.0 as usize / 64] &= !(1 << (d.0 % 64));
+            set_bit(kill, d.0);
         }
         for o in inst.operands() {
-            add_operand(&mut live, o);
+            if let Operand::Reg(r) = o {
+                set_bit(gen, r.0);
+            }
         }
     }
-    live
 }
 
 /// Compute per-block liveness for `f`.
+///
+/// Each block's `gen`/`kill` sets are built once; the fixpoint sweeps then
+/// touch only register-set words (all blocks' sets in flat arrays), so the
+/// analysis costs one pass over the instructions plus word-wise unions per
+/// sweep.
 pub fn liveness(f: &Function) -> Liveness {
     let n = f.blocks.len();
-    let mut live_in = vec![RegSet::new(f.num_regs); n];
-    let mut live_out = vec![RegSet::new(f.num_regs); n];
+    let w = (f.num_regs as usize).div_ceil(64);
+    let mut gen = vec![0u64; n * w];
+    let mut kill = vec![0u64; n * w];
+    for (bi, b) in f.blocks.iter().enumerate() {
+        let at = bi * w..(bi + 1) * w;
+        transfer(b, &mut gen[at.clone()], &mut kill[at]);
+    }
+    let mut live_in = vec![0u64; n * w];
+    let mut live_out = vec![0u64; n * w];
     // Iterate to a fixpoint, visiting blocks in reverse order (a good
     // approximation of post-order for machine-generated CFGs).
     let mut changed = true;
     while changed {
         changed = false;
         for bi in (0..n).rev() {
+            let at = bi * w..(bi + 1) * w;
+            let out = &mut live_out[at.clone()];
             for s in f.blocks[bi].term.successors() {
-                let succ_in = live_in[s.0 as usize].clone();
-                changed |= live_out[bi].union_with(&succ_in);
+                let succ_in = &live_in[s.0 as usize * w..(s.0 as usize + 1) * w];
+                for (o, i) in out.iter_mut().zip(succ_in) {
+                    changed |= *i & !*o != 0;
+                    *o |= *i;
+                }
             }
-            let new_in = block_live_in(f, bi, &live_out[bi]);
-            if new_in != live_in[bi] {
-                live_in[bi] = new_in;
-                changed = true;
+            for (k, i) in at.enumerate() {
+                let next = gen[i] | (out[k] & !kill[i]);
+                changed |= next != live_in[i];
+                live_in[i] = next;
             }
         }
     }
-    Liveness { live_in, live_out }
+    let sets = |words: Vec<u64>| {
+        (0..n)
+            .map(|bi| RegSet {
+                words: words[bi * w..(bi + 1) * w].to_vec(),
+            })
+            .collect()
+    };
+    Liveness {
+        live_in: sets(live_in),
+        live_out: sets(live_out),
+    }
 }
 
 #[cfg(test)]

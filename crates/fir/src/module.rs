@@ -209,19 +209,34 @@ impl Module {
     /// only if FNV-1a over their printed forms collides, and the printed
     /// form round-trips the entire module (see `printer`), so every
     /// semantic difference reaches the hash.
+    ///
+    /// The printer streams straight into the hash state, so no text is
+    /// ever built; the value is FNV-1a of [`crate::printer::print_module`]'s
+    /// bytes all the same. It costs one walk of the module: callers that
+    /// need it more than once should keep it.
     pub fn fingerprint(&self) -> u64 {
-        let text = crate::printer::print_module(self);
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in text.as_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0100_0000_01b3);
-        }
+        let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
+        crate::printer::write_module(&mut h, self).expect("hashing cannot fail");
+        let mut h = h.0;
         // Fold in cheap structural counts so a (vanishingly unlikely)
         // text-hash collision would still need matching shape.
         h ^= (self.functions.len() as u64).rotate_left(17);
         h ^= (self.globals.len() as u64).rotate_left(33);
         h ^= (self.inst_count() as u64).rotate_left(49);
         h
+    }
+}
+
+/// FNV-1a (64-bit) state over the bytes written into it.
+struct Fnv1a(u64);
+
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        for &b in s.as_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+        Ok(())
     }
 }
 

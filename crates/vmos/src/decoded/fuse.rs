@@ -34,11 +34,9 @@
 //! the fused pc. Absorbed coordinates are never resume targets: calls and
 //! `setjmp`s never fuse, and fusion never crosses a block boundary.
 
-use std::collections::HashSet;
-
 use fir::Operand;
 
-use super::opt::{FuncIr, Kind, OBlock};
+use super::opt::{FuncIr, Kind, OBlock, Slot};
 use super::{ChainOp, ChainSrc, ChainTail, DFunc, DOp, LoopTail, OptStats};
 use crate::layout::GlobalMap;
 
@@ -67,9 +65,12 @@ fn term_idx(b: &OBlock) -> Option<usize> {
     b.last_live()
 }
 
-/// Block targets of a block's terminator (empty for merged-away blocks).
-fn term_targets(b: &OBlock) -> Vec<u32> {
-    term_idx(b).map_or_else(Vec::new, |i| b.slots[i].op.targets())
+/// Visit the block targets of a block's terminator (none for merged-away
+/// blocks).
+fn for_each_term_target(b: &OBlock, f: impl FnMut(u32)) {
+    if let Some(i) = term_idx(b) {
+        b.slots[i].op.for_each_target(f);
+    }
 }
 
 /// Fallthrough merging: a block whose only predecessor reaches it through
@@ -77,40 +78,50 @@ fn term_targets(b: &OBlock) -> Vec<u32> {
 /// becomes [`Kind::Elim`] in place. Because the merged block had exactly
 /// one predecessor, every execution that reaches its slots passes through
 /// the eliminated `Br`, so folding the branch charge into the next live
-/// pc's `pre` is exact. Runs to a fixpoint so whole hot chains become one
-/// straight-line block.
+/// pc's `pre` is exact. Whole hot chains become one straight-line block.
+///
+/// One pass in block order, merging into each block until its terminator
+/// stops qualifying. Predecessor counts are computed once: a merge moves
+/// the merged block's terminator, and so its edges, into the predecessor
+/// unchanged, and only drops the merged block's own (single) incoming
+/// edge. A block's eligibility therefore changes only when something is
+/// merged into it, so no earlier block ever needs a second look.
+///
+/// A merge that would join two runs of eliminated slots (the
+/// predecessor's tail, the `Br`, the merged block's head) into more than
+/// a `pre` counter holds is skipped.
 fn merge(ir: &mut FuncIr, stats: &mut OptStats) {
-    loop {
-        // Recompute predecessor counts each round (merging changes them).
-        let mut preds = vec![0u32; ir.blocks.len()];
-        for b in &ir.blocks {
-            for t in term_targets(b) {
-                preds[t as usize] += 1;
-            }
-        }
-        let mut merged = None;
-        for a in 0..ir.blocks.len() {
-            let Some(ti) = term_idx(&ir.blocks[a]) else {
-                continue;
-            };
+    let mut preds = vec![0u32; ir.blocks.len()];
+    for b in &ir.blocks {
+        for_each_term_target(b, |t| preds[t as usize] += 1);
+    }
+    for a in 0..ir.blocks.len() {
+        while let Some(ti) = term_idx(&ir.blocks[a]) {
             let DOp::Br(t) = ir.blocks[a].slots[ti].op else {
-                continue;
+                break;
             };
             let t = t as usize;
             if t == a || t == 0 || preds[t] != 1 {
-                continue;
+                break;
             }
-            merged = Some((a, ti, t));
-            break;
+            let joined = elim_run(ir.blocks[a].slots[..ti].iter().rev())
+                + 1
+                + elim_run(ir.blocks[t].slots.iter());
+            if joined > usize::from(u16::MAX) {
+                break;
+            }
+            ir.blocks[a].slots[ti].kind = Kind::Elim;
+            let spliced = std::mem::take(&mut ir.blocks[t].slots);
+            ir.blocks[a].slots.extend(spliced);
+            preds[t] = 0;
+            stats.blocks_merged += 1;
         }
-        let Some((a, ti, t)) = merged else {
-            break;
-        };
-        ir.blocks[a].slots[ti].kind = Kind::Elim;
-        let spliced = std::mem::take(&mut ir.blocks[t].slots);
-        ir.blocks[a].slots.extend(spliced);
-        stats.blocks_merged += 1;
     }
+}
+
+/// Length of the run of eliminated slots at the front of `slots`.
+fn elim_run<'a>(slots: impl Iterator<Item = &'a Slot>) -> usize {
+    slots.take_while(|s| s.kind == Kind::Elim).count()
 }
 
 /// Is this block nothing but an unconditional `Br` (plus eliminated
@@ -140,6 +151,8 @@ fn trivial_jump(b: &OBlock) -> Option<(u32, u32)> {
 /// fuel boundary. Multi-predecessor jump blocks — the ones merging cannot
 /// touch — are exactly the ones this pass erases from the hot path.
 fn fold_chains(ir: &mut FuncIr, stats: &mut OptStats) {
+    // `seen_from[b] == a` marks block `b` visited by the walk from `a`.
+    let mut seen_from = vec![usize::MAX; ir.blocks.len()];
     for a in 0..ir.blocks.len() {
         let Some(ti) = term_idx(&ir.blocks[a]) else {
             continue;
@@ -147,14 +160,15 @@ fn fold_chains(ir: &mut FuncIr, stats: &mut OptStats) {
         let DOp::Br(first) = ir.blocks[a].slots[ti].op else {
             continue;
         };
-        let mut seen = HashSet::from([a as u32, first]);
+        seen_from[a] = a;
+        seen_from[first as usize] = a;
         let mut cur = first;
         let mut skipped: u32 = 0;
         let mut hops: u64 = 0;
         while let Some((next, charge)) = trivial_jump(&ir.blocks[cur as usize]) {
             // A cycle of jump-only blocks must keep charging per hop
             // (it can burn fuel forever); never fold into it.
-            if !seen.insert(next) {
+            if std::mem::replace(&mut seen_from[next as usize], a) == a {
                 break;
             }
             skipped += charge;
@@ -176,15 +190,17 @@ fn fold_chains(ir: &mut FuncIr, stats: &mut OptStats) {
 /// branch), merged-away and unreachable blocks are dropped. Purely a
 /// cache-locality ordering — no charges change here.
 fn linearize(ir: &FuncIr) -> Vec<u32> {
-    let mut seen = HashSet::from([0u32]);
+    let mut seen = vec![false; ir.blocks.len()];
+    seen[0] = true;
     let mut order = Vec::with_capacity(ir.blocks.len());
     let mut stack = vec![0u32];
+    let mut targets = Vec::new();
     while let Some(b) = stack.pop() {
         order.push(b);
-        let ts = term_targets(&ir.blocks[b as usize]);
+        for_each_term_target(&ir.blocks[b as usize], |t| targets.push(t));
         // Push in reverse so the first successor is visited next.
-        for t in ts.into_iter().rev() {
-            if seen.insert(t) {
+        for t in targets.drain(..).rev() {
+            if !std::mem::replace(&mut seen[t as usize], true) {
                 stack.push(t);
             }
         }
@@ -831,7 +847,7 @@ fn loop_tails(df: &mut DFunc) {
 /// Emit the laid-out IR as a [`DFunc`]: assign pcs to live slots, resolve
 /// branch targets from block indices to pcs, accumulate `pre` counters
 /// from eliminated slots, and build the source-coordinate resume map.
-fn emit(ir: FuncIr, layout: &[u32]) -> DFunc {
+fn emit(mut ir: FuncIr, layout: &[u32]) -> DFunc {
     // Pass 1: pc of each block's first live slot (branch target), plus a
     // per-slot pc assignment for live slots.
     let mut block_entry = vec![0u32; ir.blocks.len()];
@@ -862,8 +878,9 @@ fn emit(ir: FuncIr, layout: &[u32]) -> DFunc {
     let mut pending_srcs: Vec<(u32, u32)> = Vec::new();
     let mut last_pc: u32 = 0;
     let src_idx = |src: (u32, u32)| (ir.orig_start[src.0 as usize] + src.1) as usize;
+    // Each block is laid out once, so its ops move into the stream.
     for &b in layout {
-        for slot in &ir.blocks[b as usize].slots {
+        for slot in std::mem::take(&mut ir.blocks[b as usize].slots) {
             match slot.kind {
                 Kind::Elim => {
                     pending = pending.checked_add(1).expect("pre counter fits u16");
@@ -879,7 +896,7 @@ fn emit(ir: FuncIr, layout: &[u32]) -> DFunc {
                 }
                 Kind::Live => {
                     let pc = ops.len() as u32;
-                    let mut op = slot.op.clone();
+                    let mut op = slot.op;
                     op.retarget(|blk| block_entry[blk as usize]);
                     ops.push(op);
                     pre.push(pending);

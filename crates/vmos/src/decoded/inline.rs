@@ -23,7 +23,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use fir::{BlockId, Module, Operand};
+use fir::{Module, Operand};
 
 use super::opt::{FuncIr, Kind, OBlock, Slot};
 use super::{DOp, OptStats};
@@ -55,10 +55,9 @@ pub(super) fn inline_all(module: &Module, irs: &mut [FuncIr], stats: &mut OptSta
 
     let mut inlined_callees: HashSet<u32> = HashSet::new();
     for (ci, ir) in irs.iter_mut().enumerate() {
-        let hot_src = fir::cfg::loop_blocks(&module.functions[ci]);
-        let mut hotness: Vec<bool> = (0..ir.blocks.len() as u32)
-            .map(|b| hot_src.contains(&BlockId(b)))
-            .collect();
+        // One flag per block: source blocks (all of `ir.blocks` until the
+        // first splice here) first, spliced blocks appended by `splice`.
+        let mut hotness = fir::cfg::loop_blocks(&module.functions[ci]);
         // The scratch window base: the caller's *source* register count.
         // (`ir.num_regs` may already have grown from earlier splices.)
         let base = module.functions[ci].num_regs;

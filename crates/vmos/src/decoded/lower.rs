@@ -6,8 +6,8 @@
 //! equivalence is what lets the decoded loop share the `Process` frame
 //! representation (frames store source coordinates) with the reference
 //! engine, `setjmp`/`longjmp` included. The optimizer ([`super::opt`])
-//! reuses [`lower_inst`] / [`lower_call`] / [`lower_term`] to build its
-//! block-level IR, so call-site classification can never diverge between
+//! builds its block-level IR from the plain stream's instruction ops and
+//! [`lower_term`], so call-site classification can never diverge between
 //! the two streams.
 
 use fir::{BlockId, Inst, Module, Operand, Terminator};
@@ -60,7 +60,7 @@ pub(super) fn lower(module: &Module, self_fid: u32, f: &fir::Function) -> DFunc 
 /// following instruction as their resume point, which stays valid under
 /// every later pass because those ops are never moved relative to the
 /// source coordinate space.
-pub(super) fn lower_inst(module: &Module, inst: &Inst, bi: u32, ip: u32) -> DOp {
+fn lower_inst(module: &Module, inst: &Inst, bi: u32, ip: u32) -> DOp {
     match inst {
         Inst::Const { dst, value } => DOp::Const {
             dst: dst.0,
@@ -121,7 +121,7 @@ pub(super) fn lower_inst(module: &Module, inst: &Inst, bi: u32, ip: u32) -> DOp 
     }
 }
 
-pub(super) fn lower_call(
+fn lower_call(
     module: &Module,
     dst: Option<fir::Reg>,
     callee: &str,

@@ -842,35 +842,24 @@ impl ChainTail {
     }
 }
 
-impl DOp {
-    /// A [`DOp::Chain`] over the generic components `src`, with its
-    /// derived executable components and `rest` charge; `globals` is the
-    /// layout of the module being decoded.
-    pub(crate) fn chain(src: &[ChainSrc], tail: ChainTail, globals: &GlobalMap) -> DOp {
-        let rest = src
-            .iter()
-            .skip(1)
-            .map(|c| u64::from(c.pre) + 1)
-            .sum::<u64>()
-            + tail.charge();
-        let comps = src.iter().map(|c| ChainComp::resolve(c, globals)).collect();
-        DOp::Chain { comps, tail, rest }
-    }
-
-    /// Rewrite every flat-pc (or, inside the optimizer, block-index)
-    /// branch-target field through `f`. This is the single source of truth
-    /// for "which `u32`s are control-flow targets" — the optimizer uses it
-    /// to remap block indices when splicing, and emission uses it to
-    /// resolve block indices to final pcs.
-    pub(crate) fn retarget(&mut self, mut f: impl FnMut(u32) -> u32) {
-        match self {
-            DOp::Br(t)
-            | DOp::BinBr { target: t, .. }
-            | DOp::MovBr { target: t, .. }
-            | DOp::StoreBr { target: t, .. }
-            | DOp::BrChain { target: t, .. }
-            | DOp::InlineEnter { entry: t, .. }
-            | DOp::InlineRet { resume: t, .. } => *t = f(*t),
+/// The branch-target fields of a [`DOp`], visited in field order: `$t`
+/// is bound to each as `&u32` or `&mut u32`, as `$op` is borrowed, and
+/// `$as` (`as_ref`/`as_mut`) reaches through a loop tail's box the same
+/// way. [`DOp::retarget`] and [`DOp::for_each_target`] both expand it, so
+/// they cannot disagree about which fields are targets.
+macro_rules! walk_targets {
+    ($op:expr, $as:ident, |$t:ident| $body:expr) => {
+        match $op {
+            DOp::Br(x)
+            | DOp::BinBr { target: x, .. }
+            | DOp::MovBr { target: x, .. }
+            | DOp::StoreBr { target: x, .. }
+            | DOp::BrChain { target: x, .. }
+            | DOp::InlineEnter { entry: x, .. }
+            | DOp::InlineRet { resume: x, .. } => {
+                let $t = x;
+                $body;
+            }
             DOp::CondBr {
                 if_true, if_false, ..
             }
@@ -880,56 +869,68 @@ impl DOp {
             | DOp::CovCmpBr {
                 if_true, if_false, ..
             } => {
-                *if_true = f(*if_true);
-                *if_false = f(*if_false);
+                let $t = if_true;
+                $body;
+                let $t = if_false;
+                $body;
             }
             DOp::Switch { cases, default, .. } => {
-                for (_, t) in cases.iter_mut() {
-                    *t = f(*t);
+                for (_, x) in cases {
+                    let $t = x;
+                    $body;
                 }
-                *default = f(*default);
+                let $t = default;
+                $body;
             }
             DOp::SwitchTable { table, default, .. } => {
-                for t in table.iter_mut() {
-                    *t = f(*t);
+                for x in table {
+                    let $t = x;
+                    $body;
                 }
-                *default = f(*default);
+                let $t = default;
+                $body;
             }
             DOp::Chain { tail, .. } => match tail {
                 ChainTail::Next => {}
-                ChainTail::Br { target, .. } => *target = f(*target),
+                ChainTail::Br { target, .. } => {
+                    let $t = target;
+                    $body;
+                }
                 ChainTail::CondBr {
                     if_true, if_false, ..
                 } => {
-                    *if_true = f(*if_true);
-                    *if_false = f(*if_false);
+                    let $t = if_true;
+                    $body;
+                    let $t = if_false;
+                    $body;
                 }
                 ChainTail::Loop(lt) => {
-                    lt.header = f(lt.header);
-                    lt.if_true = f(lt.if_true);
-                    lt.if_false = f(lt.if_false);
+                    let LoopTail {
+                        header,
+                        if_true,
+                        if_false,
+                        ..
+                    } = lt.$as();
+                    let $t = header;
+                    $body;
+                    let $t = if_true;
+                    $body;
+                    let $t = if_false;
+                    $body;
                 }
             },
             _ => {}
         }
-    }
+    };
+}
 
-    /// The branch targets this op can transfer control to (same fields as
-    /// [`DOp::retarget`]).
-    pub(crate) fn targets(&self) -> Vec<u32> {
-        let mut out = Vec::new();
-        let mut probe = self.clone();
-        probe.retarget(|t| {
-            out.push(t);
-            t
-        });
-        out
-    }
-
-    /// Apply `f` to every *read* operand (not destinations). Used by the
-    /// operand pre-resolution pass.
-    pub(crate) fn for_each_use_mut(&mut self, mut f: impl FnMut(&mut Operand)) {
-        match self {
+/// The read operands of a [`DOp`] (not destinations), each passed to `$f`
+/// as `&Operand` or `&mut Operand`, as `$op` is borrowed.
+/// [`DOp::for_each_use_mut`] and [`DOp::for_each_use_reg`] both expand it.
+macro_rules! walk_uses {
+    ($op:expr, $f:expr) => {{
+        let mut f = $f;
+        match $op {
             DOp::Mov { src, .. } | DOp::MovBr { src, .. } => f(src),
             DOp::Bin { lhs, rhs, .. }
             | DOp::Cmp { lhs, rhs, .. }
@@ -968,7 +969,7 @@ impl DOp {
             DOp::CallFn { args, .. }
             | DOp::CallHost { args, .. }
             | DOp::InlineEnter { args, .. } => {
-                for a in args.iter_mut() {
+                for a in args {
                     f(a);
                 }
             }
@@ -992,19 +993,52 @@ impl DOp {
             | DOp::CovEdgeK { .. }
             | DOp::Unreachable => {}
         }
+    }};
+}
+
+impl DOp {
+    /// A [`DOp::Chain`] over the generic components `src`, with its
+    /// derived executable components and `rest` charge; `globals` is the
+    /// layout of the module being decoded.
+    pub(crate) fn chain(src: &[ChainSrc], tail: ChainTail, globals: &GlobalMap) -> DOp {
+        let rest = src
+            .iter()
+            .skip(1)
+            .map(|c| u64::from(c.pre) + 1)
+            .sum::<u64>()
+            + tail.charge();
+        let comps = src.iter().map(|c| ChainComp::resolve(c, globals)).collect();
+        DOp::Chain { comps, tail, rest }
     }
 
-    /// Registers this op *reads* (same coverage as
-    /// [`DOp::for_each_use_mut`], collected).
-    pub(crate) fn use_regs(&self) -> Vec<u32> {
-        let mut out = Vec::new();
-        let mut probe = self.clone();
-        probe.for_each_use_mut(|o| {
-            if let Operand::Reg(r) = o {
-                out.push(r.0);
-            }
+    /// Rewrite every flat-pc (or, inside the optimizer, block-index)
+    /// branch-target field through `f`. Together with
+    /// [`DOp::for_each_target`] (both expand `walk_targets!`) this is the
+    /// single source of truth for "which `u32`s are control-flow targets" —
+    /// the optimizer uses it to remap block indices when splicing, and
+    /// emission uses it to resolve block indices to final pcs.
+    pub(crate) fn retarget(&mut self, mut f: impl FnMut(u32) -> u32) {
+        walk_targets!(self, as_mut, |t| *t = f(*t));
+    }
+
+    /// Visit the branch targets this op can transfer control to (same
+    /// fields as [`DOp::retarget`]), in field order.
+    pub(crate) fn for_each_target(&self, mut f: impl FnMut(u32)) {
+        walk_targets!(self, as_ref, |t| f(*t));
+    }
+
+    /// Apply `f` to every *read* operand (not destinations). Used by the
+    /// operand pre-resolution pass and by inlining's register shift.
+    pub(crate) fn for_each_use_mut(&mut self, f: impl FnMut(&mut Operand)) {
+        walk_uses!(self, f);
+    }
+
+    /// Visit every register this op *reads* (same operands as
+    /// [`DOp::for_each_use_mut`]; both expand `walk_uses!`).
+    pub(crate) fn for_each_use_reg(&self, mut f: impl FnMut(u32)) {
+        walk_uses!(self, |o: &Operand| if let Operand::Reg(r) = o {
+            f(r.0)
         });
-        out
     }
 
     /// The plain register this op defines, when that write is its *only*
@@ -1242,6 +1276,13 @@ impl DecodedImage {
     /// Lower every function of `module` and run the decode-time optimizer
     /// stack over it.
     pub fn new(module: &Module) -> Self {
+        Self::lower_with(module, module.fingerprint())
+    }
+
+    /// [`DecodedImage::new`] for a module whose fingerprint the caller
+    /// already holds: the fingerprint walks the whole module, so the cache
+    /// computes it once and passes it in.
+    fn lower_with(module: &Module, fingerprint: u64) -> Self {
         let started = std::time::Instant::now();
         let funcs: Vec<DFunc> = module
             .functions
@@ -1253,13 +1294,13 @@ impl DecodedImage {
             version: OPT_VERSION,
             ..OptStats::default()
         };
-        let opt_funcs = opt::optimize_module(module, &mut stats);
+        let opt_funcs = opt::optimize_module(module, &funcs, &mut stats);
         stats.decode_micros = started.elapsed().as_micros() as u64;
         note(|c| c.lowered += 1);
         DecodedImage {
             funcs,
             opt_funcs,
-            fingerprint: module.fingerprint(),
+            fingerprint,
             stats,
         }
     }
@@ -1285,14 +1326,16 @@ impl DecodedImage {
     /// The cached image for `module`, lowering it on a miss, and whether
     /// the cache already held it.
     fn lookup(module: &Module) -> (Arc<DecodedImage>, WarmSource) {
+        let fingerprint = module.fingerprint();
         let mut map = Self::cache().lock().unwrap_or_else(PoisonError::into_inner);
-        match map.entry(Self::cache_key(module.fingerprint())) {
+        match map.entry(Self::cache_key(fingerprint)) {
             std::collections::hash_map::Entry::Occupied(e) => {
                 note(|c| c.cache_hits += 1);
                 (Arc::clone(e.get()), WarmSource::Cache)
             }
             std::collections::hash_map::Entry::Vacant(e) => {
-                let img = Arc::clone(e.insert(Arc::new(DecodedImage::new(module))));
+                let img = Arc::new(DecodedImage::lower_with(module, fingerprint));
+                let img = Arc::clone(e.insert(img));
                 (img, WarmSource::Lowered)
             }
         }

@@ -109,16 +109,21 @@ impl FuncIr {
     }
 }
 
-/// Run the whole decode-time pass stack over `module`, returning the
-/// optimized streams (same [`fir::FunctionId`] indexing as the plain
-/// ones).
-pub(super) fn optimize_module(module: &Module, stats: &mut OptStats) -> Vec<DFunc> {
+/// Run the whole decode-time pass stack over `module`, whose plain
+/// streams are `plain`, returning the optimized streams (same
+/// [`fir::FunctionId`] indexing as the plain ones).
+pub(super) fn optimize_module(
+    module: &Module,
+    plain: &[DFunc],
+    stats: &mut OptStats,
+) -> Vec<DFunc> {
     let gmap = GlobalMap::layout(module);
     let mut irs: Vec<FuncIr> = module
         .functions
         .iter()
+        .zip(plain)
         .enumerate()
-        .map(|(i, f)| build_ir(module, i as u32, f))
+        .map(|(i, (f, p))| build_ir(i as u32, f, p))
         .collect();
 
     // Phase A: per-function local passes.
@@ -141,16 +146,15 @@ pub(super) fn optimize_module(module: &Module, stats: &mut OptStats) -> Vec<DFun
         .collect()
 }
 
-/// Lower one function into optimizer IR. Reuses the plain lowering's
-/// instruction/call classification so the two streams cannot diverge; only
-/// terminators differ (block indices instead of pcs).
-fn build_ir(module: &Module, self_fid: u32, f: &fir::Function) -> FuncIr {
-    let mut orig_start = Vec::with_capacity(f.blocks.len());
-    let mut acc: u32 = 0;
-    for b in &f.blocks {
-        orig_start.push(acc);
-        acc += b.insts.len() as u32 + 1;
-    }
+/// Lift one function into optimizer IR from its plain stream `plain`.
+/// Instruction ops are copied from the plain lowering, so call-site
+/// classification cannot diverge between the two streams (and callees are
+/// resolved once); only terminators differ (block indices instead of
+/// pcs). The plain stream is 1:1, so its block starts are the source
+/// flat coordinates.
+fn build_ir(self_fid: u32, f: &fir::Function, plain: &DFunc) -> FuncIr {
+    let orig_start = plain.orig_start.clone();
+    let src_total = plain.ops.len() as u32;
 
     let mut has_setjmp = false;
     let mut leaf = true;
@@ -160,8 +164,9 @@ fn build_ir(module: &Module, self_fid: u32, f: &fir::Function) -> FuncIr {
         .enumerate()
         .map(|(bi, b)| {
             let mut slots = Vec::with_capacity(b.insts.len() + 1);
-            for (ip, inst) in b.insts.iter().enumerate() {
-                let op = lower::lower_inst(module, inst, bi as u32, ip as u32);
+            let start = orig_start[bi] as usize;
+            for (ip, op) in plain.ops[start..start + b.insts.len()].iter().enumerate() {
+                let op = op.clone();
                 match op {
                     DOp::Setjmp { .. } => {
                         has_setjmp = true;
@@ -197,7 +202,7 @@ fn build_ir(module: &Module, self_fid: u32, f: &fir::Function) -> FuncIr {
         has_setjmp,
         leaf,
         orig_start,
-        src_total: acc,
+        src_total,
     }
 }
 
@@ -207,15 +212,15 @@ fn build_ir(module: &Module, self_fid: u32, f: &fir::Function) -> FuncIr {
 /// (per-block); the constant lattice is cleared at `setjmp` so nothing is
 /// forwarded across a `longjmp` re-entry point.
 fn resolve(ir: &mut FuncIr, gmap: &GlobalMap, stats: &mut OptStats) {
-    use std::collections::HashMap;
+    let mut known = ConstLattice::new(ir.num_regs);
     for block in &mut ir.blocks {
-        let mut known: HashMap<u32, i64> = HashMap::new();
+        known.clear();
         for slot in &mut block.slots {
             // Rewrite uses before looking at the definition.
             slot.op.for_each_use_mut(|o| {
                 if let Operand::Reg(r) = o {
-                    if let Some(c) = known.get(&r.0) {
-                        *o = Operand::Imm(*c);
+                    if let Some(c) = known.get(r.0) {
+                        *o = Operand::Imm(c);
                         stats.operands_resolved += 1;
                     }
                 }
@@ -226,23 +231,54 @@ fn resolve(ir: &mut FuncIr, gmap: &GlobalMap, stats: &mut OptStats) {
                 stats.operands_resolved += 1;
             }
             match &slot.op {
-                DOp::Const { dst, value } => {
-                    known.insert(*dst, *value);
-                }
+                DOp::Const { dst, value } => known.set(*dst, *value),
                 DOp::Mov {
                     dst,
                     src: Operand::Imm(v),
-                } => {
-                    known.insert(*dst, *v);
-                }
+                } => known.set(*dst, *v),
                 DOp::Setjmp { .. } => known.clear(),
                 op => {
                     if let Some(d) = op.def_reg() {
-                        known.remove(&d);
+                        known.unset(d);
                     }
                 }
             }
         }
+    }
+}
+
+/// Registers known to hold a decode-time constant, with an O(1) `clear`:
+/// an entry is valid only while its stamp equals the current epoch.
+struct ConstLattice {
+    value: Vec<i64>,
+    stamp: Vec<u32>,
+    epoch: u32,
+}
+
+impl ConstLattice {
+    fn new(num_regs: u32) -> Self {
+        ConstLattice {
+            value: vec![0; num_regs as usize],
+            stamp: vec![0; num_regs as usize],
+            epoch: 1,
+        }
+    }
+
+    fn get(&self, r: u32) -> Option<i64> {
+        (self.stamp[r as usize] == self.epoch).then(|| self.value[r as usize])
+    }
+
+    fn set(&mut self, r: u32, v: i64) {
+        self.value[r as usize] = v;
+        self.stamp[r as usize] = self.epoch;
+    }
+
+    fn unset(&mut self, r: u32) {
+        self.stamp[r as usize] = 0;
+    }
+
+    fn clear(&mut self) {
+        self.epoch += 1;
     }
 }
 
@@ -265,24 +301,40 @@ fn coalescable(op: &DOp) -> bool {
     )
 }
 
-/// Is register `r` read by any live slot at or after index `from`?
-fn used_later(slots: &[Slot], from: usize, r: u32) -> bool {
-    slots[from..]
-        .iter()
-        .filter(|s| s.kind == Kind::Live)
-        .any(|s| s.op.use_regs().contains(&r))
-}
-
 /// Collapse `t = <op>; v = mov t` into `v = <op>` when `t` dies at the
 /// mov. The mov slot is eliminated (charge preserved via `pre`); the
 /// defining op simply writes the final destination. Skipped entirely for
 /// functions containing `setjmp` (see module docs).
+///
+/// "Dies at the mov" needs `t` unread by every later live slot of the
+/// block. Coalescing only re-targets definitions and eliminates the mov
+/// it stands on, so no later slot's reads change during the walk, and
+/// one scan per block (recording the last slot reading each register)
+/// answers every such question up front.
 fn coalesce(ir: &mut FuncIr, live_out: &[RegSet], stats: &mut OptStats) {
+    // `last_read[r]` = 1 + index of the last live slot reading `r` in the
+    // current block, valid while `read_in[r]` names that block.
+    let mut last_read = vec![0usize; ir.num_regs as usize];
+    let mut read_in = vec![usize::MAX; ir.num_regs as usize];
     for (bi, block) in ir.blocks.iter_mut().enumerate() {
+        for (i, slot) in block.slots.iter().enumerate() {
+            if slot.kind == Kind::Live {
+                slot.op.for_each_use_reg(|r| {
+                    last_read[r as usize] = i + 1;
+                    read_in[r as usize] = bi;
+                });
+            }
+        }
+        let read_after =
+            |r: u32, i: usize| read_in[r as usize] == bi && last_read[r as usize] > i + 1;
         let out = &live_out[bi];
         let mut prev: Option<usize> = None;
+        // Eliminated slots immediately before `i`: a run's charge lands in
+        // one `u16` `pre` counter, so a full run keeps the next mov live.
+        let mut run = 0usize;
         for i in 0..block.slots.len() {
             if block.slots[i].kind != Kind::Live {
+                run += 1;
                 continue;
             }
             if let DOp::Mov {
@@ -295,17 +347,20 @@ fn coalesce(ir: &mut FuncIr, live_out: &[RegSet], stats: &mut OptStats) {
                         && block.slots[pi].op.def_reg() == Some(t.0)
                         && coalescable(&block.slots[pi].op)
                         && !out.contains(t.0)
-                        && !used_later(&block.slots, i + 1, t.0)
+                        && !read_after(t.0, i)
+                        && run < usize::from(u16::MAX)
                     {
                         block.slots[pi].op.set_def_reg(v);
                         block.slots[i].kind = Kind::Elim;
                         stats.movs_coalesced += 1;
+                        run += 1;
                         // `prev` keeps pointing at the (re-targeted)
                         // defining op, so mov chains collapse fully.
                         continue;
                     }
                 }
             }
+            run = 0;
             prev = Some(i);
         }
     }
@@ -334,11 +389,27 @@ fn bin_is_safe(op: BinOp, rhs: Operand) -> bool {
 /// source function's live-out set. Only effect-free ops (no memory, no
 /// coverage, no possible trap) with a dead destination are eliminated;
 /// their charges survive as `pre` counts. Skipped for `setjmp` functions.
+///
+/// A run of consecutive eliminated slots is charged through one `u16`
+/// `pre` counter, so an op that would grow its run (with the slots already
+/// eliminated on both sides) past `u16::MAX` stays live.
 fn dce(ir: &mut FuncIr, live_out: &[RegSet], stats: &mut OptStats) {
+    let mut before = Vec::new();
     for (bi, block) in ir.blocks.iter_mut().enumerate() {
         let mut live = live_out[bi].clone();
-        for slot in block.slots.iter_mut().rev() {
+        // `before[i]`: eliminated slots (coalesced movs) immediately
+        // before slot `i`; the backward walk never changes them.
+        before.clear();
+        let mut run = 0usize;
+        for slot in &block.slots {
+            before.push(run);
+            run = if slot.kind == Kind::Elim { run + 1 } else { 0 };
+        }
+        // Eliminated slots immediately after the current one.
+        let mut after = 0usize;
+        for (i, slot) in block.slots.iter_mut().enumerate().rev() {
             if slot.kind != Kind::Live {
+                after += 1;
                 continue;
             }
             let eliminable = match &slot.op {
@@ -350,21 +421,23 @@ fn dce(ir: &mut FuncIr, live_out: &[RegSet], stats: &mut OptStats) {
                 DOp::Bin { op, rhs, .. } => bin_is_safe(*op, *rhs),
                 _ => false,
             };
-            if eliminable {
+            if eliminable && before[i] + 1 + after <= usize::from(u16::MAX) {
                 if let Some(d) = slot.op.def_reg() {
                     if !live.contains(d) {
                         slot.kind = Kind::Elim;
                         stats.insts_eliminated += 1;
+                        after += 1;
                         continue;
                     }
                 }
             }
+            after = 0;
             if let Some(d) = slot.op.def_reg() {
                 live.remove(d);
             }
-            for r in slot.op.use_regs() {
+            slot.op.for_each_use_reg(|r| {
                 live.insert(r);
-            }
+            });
         }
     }
 }
